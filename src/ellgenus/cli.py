@@ -74,13 +74,14 @@ def emit_series_json(series):
 
 def parse_series_json(data):
     try:
-        wmax, qmax = int(data["wmax"]), int(data["qmax"])
+        wmax = _json_int(data["wmax"], "wmax")
+        qmax = _json_int(data["qmax"], "qmax")
         terms = {}
         for record in data["records"]:
-            q = int(record["y_deg"])
+            q = _json_int(record["y_deg"], "y_deg")
             for term in record["terms"]:
-                mono = mono_from_dict({v: int(e) for v, e in term["exps"].items()})
-                terms[(mono, q)] = Fraction(term["coeff"])
+                mono = _json_mono(term["exps"])
+                terms[(mono, q)] = _json_rational(term["coeff"], "coeff")
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError("malformed series JSON: %s" % exc)
     return WSeries.from_terms(terms, wmax, qmax)
@@ -92,6 +93,38 @@ def _frac_str(value):
 
 # ---------------------------------------------------------------------------
 # input files
+
+
+def _json_int(value, what):
+    """A JSON integer; floats, bools and strings are refused, never rounded."""
+    if type(value) is not int:
+        raise UsageError("%s must be an integer, got %s" % (what, json.dumps(value)))
+    return value
+
+
+def _json_rational(value, what):
+    """An exact rational from a JSON integer or a "num/den" string; a JSON
+    float is refused rather than read as a binary fraction."""
+    if type(value) is int:
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise UsageError(
+        "%s must be an exact rational string, got %s" % (what, json.dumps(value))
+    )
+
+
+def _json_mono(exps):
+    return mono_from_dict({v: _json_int(e, "exponent") for v, e in exps.items()})
+
+
+def _json_roots(entries, what):
+    return tuple(
+        RootForm(_json_int(a, what), _json_int(b, what)) for a, b in entries
+    )
 
 
 def load_fibration_spec(path):
@@ -107,11 +140,13 @@ def load_fibration_spec(path):
         if field_name not in data:
             raise UsageError("spec file %s: missing field %r" % (path, field_name))
     try:
-        bundle = BundleSpec(tuple(int(m) for m in data["bundle"]))
-        n_roots = tuple(RootForm(int(a), int(b)) for a, b in data["n_roots"])
+        bundle = BundleSpec(
+            tuple(_json_int(m, "bundle exponent") for m in data["bundle"])
+        )
+        n_roots = _json_roots(data["n_roots"], "n_roots")
         f_roots = None
         if "f_roots" in data:
-            f_roots = tuple(RootForm(int(a), int(b)) for a, b in data["f_roots"])
+            f_roots = _json_roots(data["f_roots"], "f_roots")
         return FibrationSpec(
             name=str(data["name"]), bundle=bundle, n_roots=n_roots, f_roots=f_roots
         )
@@ -129,11 +164,11 @@ def load_base_spec(path):
     except json.JSONDecodeError as exc:
         raise UsageError("base file %s is not valid JSON: %s" % (path, exc))
     try:
-        dim = int(data["dim"])
+        dim = _json_int(data["dim"], "dim")
         table = {}
         for entry in data["monomials"]:
-            mono = mono_from_dict({v: int(e) for v, e in entry["exps"].items()})
-            table[mono] = Fraction(entry["value"])
+            mono = _json_mono(entry["exps"])
+            table[mono] = _json_rational(entry["value"], "value")
         return BaseSpec(dim=dim, mode="table", table=table)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError("base file %s: %s" % (path, exc))

@@ -15,12 +15,35 @@ therefore becomes :meth:`WSeries.reweight_by_one_plus_y`.
 Monomials are canonical tuples of ``(variable, exponent)`` pairs with
 positive exponents, ordered L < H < c1 < c2 < ...; the empty tuple is the
 constant monomial.
+
+The series x series product runs in one kernel, ``_mul``, that never builds
+a ``Fraction`` or a monomial tuple per term pair:
+
+- Each term is packed once into an int key that holds the y-degree and the
+  exponents in bit-fields of equal width: field 0 is y, field 1 L, field 2 H
+  and field 2+i ci.  The width is ``max(wmax, qmax).bit_length()`` bits
+  (at least 1), so adding two keys adds every exponent at once.  No field
+  can carry into the next: a kept pair has q1 + q2 <= qmax, and every
+  variable has weight >= 1, so its exponent sum is at most w1 + w2 <= wmax.
+- Each operand is put over the lcm of its denominators, leaving int
+  numerators; a pair contributes the int product n1*n2, and each result
+  coefficient is one ``Fraction(n, da*db)`` at the end.
+- The right operand is bucketed by weight and each bucket ordered by
+  y-degree, so the partners of a left term of weight w1 and y-degree q1 are
+  one prefix of each bucket of weight <= wmax - w1.
+- The keys are unpacked into canonical monomial tuples, zero sums dropped.
+
+``WSeries.terms`` stays the public (monomial, y-degree) -> Fraction map.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import defaultdict
 from fractions import Fraction
-from math import comb
+from functools import cache
+from math import comb, lcm
+from operator import itemgetter
 
 
 class TruncationMismatchError(ValueError):
@@ -71,18 +94,6 @@ def mono_weight(mono):
     return sum(var_weight(v) * e for v, e in mono)
 
 
-def mono_mul(m1, m2):
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    d = dict(m1)
-    for v, e in m2:
-        d[v] = d.get(v, 0) + e
-    items = sorted(d.items(), key=lambda it: _var_key(it[0]))
-    return tuple(items)
-
-
 def _mono_sort_key(mono):
     return tuple((_var_key(v), e) for v, e in mono)
 
@@ -119,6 +130,16 @@ class WSeries:
                 if c:
                     clean[(mono, q)] = c
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, wmax, qmax, terms):
+        """A series over ``terms`` taken as they are: every key already in
+        range and every coefficient a nonzero Fraction."""
+        series = object.__new__(cls)
+        series.wmax = wmax
+        series.qmax = qmax
+        series.terms = terms
+        return series
 
     # -- constructors -------------------------------------------------
 
@@ -222,12 +243,14 @@ class WSeries:
                 out[key] = s
             else:
                 out.pop(key, None)
-        return WSeries(self.wmax, self.qmax, out)
+        return WSeries._trusted(self.wmax, self.qmax, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return WSeries(self.wmax, self.qmax, {k: -c for k, c in self.terms.items()})
+        return WSeries._trusted(
+            self.wmax, self.qmax, {k: -c for k, c in self.terms.items()}
+        )
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -242,31 +265,13 @@ class WSeries:
             c = _as_fraction(other)
             if not c:
                 return WSeries.zero(self.wmax, self.qmax)
-            return WSeries(
+            return WSeries._trusted(
                 self.wmax, self.qmax, {k: v * c for k, v in self.terms.items()}
             )
         if not isinstance(other, WSeries):
             return NotImplemented
         self._require_same(other)
-        wmax, qmax = self.wmax, self.qmax
-        # bucket the right factor by weight so whole blocks prune early
-        buckets = {}
-        for (m, q), c in other.terms.items():
-            buckets.setdefault(mono_weight(m), []).append((m, q, c))
-        out = {}
-        for (m1, q1), c1 in self.terms.items():
-            w1 = mono_weight(m1)
-            qroom = qmax - q1
-            for w2, items in buckets.items():
-                if w1 + w2 > wmax:
-                    continue
-                for m2, q2, c2 in items:
-                    if q2 > qroom:
-                        continue
-                    key = (mono_mul(m1, m2), q1 + q2)
-                    prev = out.get(key)
-                    out[key] = c1 * c2 if prev is None else prev + c1 * c2
-        return WSeries(wmax, qmax, out)
+        return _mul(self, other)
 
     __rmul__ = __mul__
 
@@ -484,3 +489,87 @@ class WSeries:
         if len(body) > 120:
             body = body[:117] + "..."
         return "WSeries(wmax=%d, qmax=%d: %s)" % (self.wmax, self.qmax, body)
+
+
+# -- the series x series multiply kernel ---------------------------------------
+
+
+@cache
+def _field(name):
+    """(bit-field index, weight) of a variable; field 0 holds the y-degree."""
+    w = var_weight(name)
+    return (1 if name == "L" else 2 if name == "H" else 2 + w), w
+
+
+@cache
+def _field_name(f):
+    return ("L", "H")[f - 1] if f < 3 else "c%d" % (f - 2)
+
+
+def _pack(terms, width):
+    """Packed terms [(key, weight, y-degree, numerator)] over the common
+    denominator of all coefficients, and that denominator."""
+    den = lcm(*{c.denominator for c in terms.values()})
+    packed = []
+    for (mono, q), c in terms.items():
+        key, w = q, 0
+        for v, e in mono:
+            f, vw = _field(v)
+            key += e << (f * width)
+            w += vw * e
+        packed.append((key, w, q, c.numerator * (den // c.denominator)))
+    return packed, den
+
+
+def _unpack(key, width, mask):
+    """Canonical monomial of a packed key whose y field is shifted out."""
+    items = []
+    f = 1
+    while key:
+        e = key & mask
+        if e:
+            items.append((_field_name(f), e))
+        key >>= width
+        f += 1
+    return tuple(items)
+
+
+def _mul(a, b):
+    """Product of two series of equal truncation (see the module docstring)."""
+    wmax, qmax = a.wmax, a.qmax
+    if not a.terms or not b.terms:
+        return WSeries._trusted(wmax, qmax, {})
+    width = max(wmax, qmax, 1).bit_length()
+    left, da = _pack(a.terms, width)
+    right, db = _pack(b.terms, width)
+    # the right terms by weight, in order of y-degree: the partners of a left
+    # term are one prefix of each bucket its weight leaves room for
+    buckets = [[] for _ in range(wmax + 1)]
+    ydegs = [[] for _ in range(wmax + 1)]
+    for key, w, q, n in sorted(right, key=itemgetter(2)):
+        buckets[w].append((key, n))
+        ydegs[w].append(q)
+    groups = {}
+    for key, w, q, n in left:
+        groups.setdefault((w, q), []).append((key, n))
+    acc = defaultdict(int)
+    for (w1, q1), group in groups.items():
+        qroom = qmax - q1
+        partners = []
+        for w2 in range(wmax - w1 + 1):
+            partners += buckets[w2][: bisect_right(ydegs[w2], qroom)]
+        for k1, n1 in group:
+            for k2, n2 in partners:
+                acc[k1 + k2] += n1 * n2
+    den = da * db
+    mask = (1 << width) - 1
+    monos = {}
+    terms = {}
+    for key, n in acc.items():
+        if n:
+            mk = key >> width
+            mono = monos.get(mk)
+            if mono is None:
+                mono = monos[mk] = _unpack(mk, width, mask)
+            terms[(mono, key & mask)] = Fraction(n, den)
+    return WSeries._trusted(wmax, qmax, terms)

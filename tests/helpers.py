@@ -1,9 +1,10 @@
-"""Shared test utilities: random series generators and an independent
-numeric evaluator used as a brute-force oracle."""
+"""Shared test utilities: random series generators, an independent
+numeric evaluator used as a brute-force oracle, and the plain
+dict/``Fraction`` series multiply used as the oracle of the packed kernel."""
 
 from fractions import Fraction
 
-from ellgenus import WSeries, mono_from_dict
+from ellgenus import WSeries, mono_from_dict, mono_weight
 
 
 def random_series(rng, variables, wmax, qmax, nterms=10, allow_const=True):
@@ -41,3 +42,45 @@ def evaluate_numeric(series, values, y=None):
     if y is None:
         return by_q
     return sum(v * Fraction(y) ** q for q, v in by_q.items())
+
+
+def _var_order(item):
+    v = item[0]
+    return (0, 0) if v == "L" else (1, 0) if v == "H" else (2, int(v[1:]))
+
+
+def mono_mul(m1, m2):
+    """Product of two canonical monomial tuples, merged through a dict."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    d = dict(m1)
+    for v, e in m2:
+        d[v] = d.get(v, 0) + e
+    return tuple(sorted(d.items(), key=_var_order))
+
+
+def reference_mul(a, b):
+    """a * b term pair by term pair in ``Fraction`` arithmetic, with the right
+    factor bucketed by weight; the engine's multiply before the packed kernel."""
+    if a.wmax != b.wmax or a.qmax != b.qmax:
+        raise ValueError("truncation mismatch")
+    wmax, qmax = a.wmax, a.qmax
+    buckets = {}
+    for (m, q), c in b.terms.items():
+        buckets.setdefault(mono_weight(m), []).append((m, q, c))
+    out = {}
+    for (m1, q1), c1 in a.terms.items():
+        w1 = mono_weight(m1)
+        qroom = qmax - q1
+        for w2, items in buckets.items():
+            if w1 + w2 > wmax:
+                continue
+            for m2, q2, c2 in items:
+                if q2 > qroom:
+                    continue
+                key = (mono_mul(m1, m2), q1 + q2)
+                prev = out.get(key)
+                out[key] = c1 * c2 if prev is None else prev + c1 * c2
+    return WSeries(wmax, qmax, out)

@@ -4,8 +4,11 @@ trips, and input-file handling."""
 import json
 from fractions import Fraction as F
 
+import pytest
+
 from ellgenus import WSeries, closed_form_q, derived_q
 from ellgenus.cli import (
+    UsageError,
     emit_series_json,
     load_base_spec,
     load_fibration_spec,
@@ -207,6 +210,89 @@ def test_base_file(tmp_path, capsys):
     )
     assert code == 0
     assert "alternating sum = -540" in out
+
+
+def _p2_monomials(value_of_c2):
+    return [
+        {"exps": {"L": 2}, "value": "9"},
+        {"exps": {"L": 1, "c1": 1}, "value": "9"},
+        {"exps": {"c1": 2}, "value": "9"},
+        {"exps": {"c2": 1}, "value": value_of_c2},
+    ]
+
+
+def _assert_usage_error(capsys, argv, needle):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err
+
+
+def test_base_file_rejects_json_float(tmp_path, capsys):
+    # 0.1 as a JSON number is a binary fraction, not 1/10
+    base_file = tmp_path / "float.json"
+    base_file.write_text(json.dumps({"dim": 2, "monomials": _p2_monomials(0.1)}))
+    _assert_usage_error(
+        capsys, ["chi", "E8", "--base-file", str(base_file)], "value must be"
+    )
+
+
+def test_base_file_rejects_zero_denominator(tmp_path, capsys):
+    base_file = tmp_path / "zero.json"
+    base_file.write_text(json.dumps({"dim": 2, "monomials": _p2_monomials("1/0")}))
+    _assert_usage_error(
+        capsys, ["chi", "E8", "--base-file", str(base_file)], '"1/0"'
+    )
+
+
+def test_base_file_rejects_non_integer_dim_and_exponent(tmp_path, capsys):
+    base_file = tmp_path / "dim.json"
+    base_file.write_text(json.dumps({"dim": 2.0, "monomials": _p2_monomials("3")}))
+    _assert_usage_error(capsys, ["chi", "E8", "--base-file", str(base_file)], "dim")
+    monomials = _p2_monomials("3")
+    monomials[0]["exps"]["L"] = True
+    base_file.write_text(json.dumps({"dim": 2, "monomials": monomials}))
+    _assert_usage_error(
+        capsys, ["chi", "E8", "--base-file", str(base_file)], "exponent"
+    )
+
+
+def test_base_file_integer_value_is_exact(tmp_path):
+    base_file = tmp_path / "int.json"
+    base_file.write_text(json.dumps({"dim": 2, "monomials": _p2_monomials(3)}))
+    assert load_base_spec(str(base_file)).table[(("c2", 1),)] == 3
+
+
+def test_spec_file_rejects_fractional_bundle(tmp_path, capsys):
+    spec_file = tmp_path / "bundle.json"
+    spec_file.write_text(
+        json.dumps({"name": "w", "bundle": [0, 2.9, 3], "n_roots": [[3, 6]]})
+    )
+    _assert_usage_error(capsys, ["q", str(spec_file)], "bundle exponent")
+
+
+def test_spec_file_rejects_fractional_root(tmp_path, capsys):
+    spec_file = tmp_path / "roots.json"
+    spec_file.write_text(
+        json.dumps({"name": "w", "bundle": [0, 2, 3], "n_roots": [[3, 6.5]]})
+    )
+    _assert_usage_error(capsys, ["q", str(spec_file)], "n_roots")
+    spec_file.write_text(
+        json.dumps({"name": "w", "bundle": [0, 2, 3], "n_roots": [[True, 6]]})
+    )
+    _assert_usage_error(capsys, ["q", str(spec_file)], "n_roots")
+
+
+def test_series_json_rejects_inexact_numbers():
+    def record(coeff, wmax=1):
+        block = {"t_deg": 1, "y_deg": 0, "terms": [{"exps": {"L": 1}, "coeff": coeff}]}
+        return {"wmax": wmax, "qmax": 0, "records": [block]}
+
+    assert parse_series_json(record("1/3")) == F(1, 3) * WSeries.var("L", 1, 0)
+    for bad in (record(0.1), record("1/0"), record("1", wmax=2.7)):
+        with pytest.raises(UsageError):
+            parse_series_json(bad)
 
 
 # -- verify ---------------------------------------------------------------------

@@ -4,14 +4,20 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from ellgenus import (
     NotAUnitError,
     TruncationMismatchError,
     WSeries,
+    catalog_spec,
+    fiber_integrand,
     mono_from_dict,
+    var_weight,
 )
-from helpers import random_series
+from ellgenus.cli import emit_series_json
+from helpers import random_series, reference_mul
 
 
 def S(wmax, qmax):
@@ -325,3 +331,149 @@ def test_zero_series_operations_are_total():
     assert z.reweight_by_one_plus_y() == z
     assert z.substitute("H", -WSeries.var("L", 3, 2)) == z
     assert z.exp() == WSeries.const(1, 3, 2)
+
+
+# -- the packed multiply kernel against the Fraction oracle ----------------------
+
+
+KERNEL_VARS = ("L", "H", "c1", "c2", "c3", "c4")
+
+# numerators beyond 64 bits and denominators that share some factors, so the
+# common denominators of two operands differ and neither divides the other
+_coeffs = st.builds(
+    F,
+    st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80)),
+    st.sampled_from((1, 2, 3, 4, 6, 9, 10, 2**61 - 1, 3**45)),
+)
+
+
+@st.composite
+def _monomials(draw, wmax):
+    room = draw(st.integers(0, wmax))
+    exps = {}
+    for v in draw(st.permutations(KERNEL_VARS)):
+        e = draw(st.integers(0, room // var_weight(v)))
+        exps[v] = e
+        room -= e * var_weight(v)
+    return mono_from_dict(exps)
+
+
+def _series_at(wmax, qmax):
+    term = st.tuples(_monomials(wmax), st.integers(0, qmax))
+    terms = st.dictionaries(term, _coeffs, max_size=14)
+    return terms.map(lambda t: WSeries(wmax, qmax, t))
+
+
+@st.composite
+def _same_orders(draw, count):
+    wmax = draw(st.integers(0, 10))
+    qmax = draw(st.integers(0, 8))
+    return [draw(_series_at(wmax, qmax)) for _ in range(count)]
+
+
+@given(_same_orders(2))
+def test_kernel_equals_oracle(pair):
+    a, b = pair
+    assert a * b == reference_mul(a, b)
+
+
+@given(_same_orders(3))
+def test_kernel_ring_laws(triple):
+    a, b, c = triple
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    one = WSeries.const(1, a.wmax, a.qmax)
+    assert one * a == a
+    assert a * one == a
+
+
+@given(_same_orders(1), _same_orders(1))
+def test_kernel_truncation_mismatch(left, right):
+    (a,), (b,) = left, right
+    assume((a.wmax, a.qmax) != (b.wmax, b.qmax))
+    with pytest.raises(TruncationMismatchError):
+        a * b
+
+
+def test_kernel_integrand_pair():
+    a = fiber_integrand(catalog_spec("D5"), 13, 11)
+    b = fiber_integrand(catalog_spec("E8"), 13, 11)
+    assert len(a.terms) > 1000 and len(b.terms) > 1000
+    assert a * b == reference_mul(a, b)
+
+
+def _mono_series(wmax, qmax, q=0, **exps):
+    return WSeries(wmax, qmax, {(mono_from_dict(exps), q): F(1)})
+
+
+@pytest.mark.parametrize("wmax", [1, 2, 3, 4, 7, 8, 15, 16])
+def test_kernel_exponent_at_wmax(wmax):
+    # an exponent that fills its bit-field (7 in 3 bits, 15 in 4 bits, ...)
+    one = WSeries.const(1, wmax, 2)
+    top = _mono_series(wmax, 2, H=wmax)
+    assert top * one == top
+    assert one * top == top
+    for a in range(wmax + 1):
+        assert _mono_series(wmax, 2, L=a) * _mono_series(wmax, 2, L=wmax - a) == (
+            _mono_series(wmax, 2, L=wmax)
+        )
+    assert top * WSeries.var("L", wmax, 2) == WSeries.zero(wmax, 2)
+
+
+def test_kernel_qmax_above_wmax():
+    y3 = _mono_series(1, 7, q=3)
+    y4 = _mono_series(1, 7, q=4)
+    assert y3 * y4 == _mono_series(1, 7, q=7)
+    assert (y3 * WSeries.var("L", 1, 7)) * y4 == _mono_series(1, 7, q=7, L=1)
+    assert y4 * y4 == WSeries.zero(1, 7)
+
+
+@pytest.mark.parametrize("wmax", [1, 4, 9, 10])
+def test_kernel_top_chern_class(wmax):
+    top = WSeries.var("c%d" % wmax, wmax, 1)
+    assert top * (1 + WSeries.y(wmax, 1)) == top + top * WSeries.y(wmax, 1)
+    assert top * WSeries.var("c1", wmax, 1) == WSeries.zero(wmax, 1)
+    assert top * top == WSeries.zero(wmax, 1)
+
+
+def test_kernel_orders_zero():
+    a = WSeries.const(3, 0, 0)
+    b = WSeries.const(F(-1, 2), 0, 0)
+    assert a * b == WSeries.const(F(-3, 2), 0, 0)
+
+
+def test_kernel_zero_operands():
+    a = WSeries.var("L", 3, 2) + WSeries.y(3, 2)
+    z = WSeries.zero(3, 2)
+    assert a * z == z and z * a == z and z * z == z
+    assert (a * z).wmax == 3 and (a * z).qmax == 2
+
+
+def test_kernel_total_cancellation():
+    # (L + y)(L - y): L^2 and y^2 fall off the truncation, the two L*y cancel
+    L, y = WSeries.var("L", 1, 1), WSeries.y(1, 1)
+    assert ((L + y) * (L - y)).terms == {}
+
+
+def test_kernel_canonical_keys_and_output():
+    rng = random.Random(707)
+    variables = ("c10", "c3", "H", "L", "c1")
+    for _ in range(10):
+        a = random_series(rng, variables, 10, 3, nterms=30)
+        b = random_series(rng, variables, 10, 3, nterms=30)
+        got, want = a * b, reference_mul(a, b)
+        for mono, _q in got.terms:
+            assert mono == mono_from_dict(dict(mono))
+        assert got.to_text() == want.to_text()
+        assert got.to_latex() == want.to_latex()
+        assert emit_series_json(got) == emit_series_json(want)
+
+
+def test_public_constructor_still_validates():
+    s = WSeries(1, 0, {((("L", 2),), 0): F(1), ((), 1): F(1), ((), 0): 0})
+    assert s.terms == {}
+    with pytest.raises(TypeError):
+        WSeries(1, 0, {((), 0): 0.5})
+    with pytest.raises(ValueError):
+        WSeries(1, 0, {((("x", 1),), 0): F(1)})
