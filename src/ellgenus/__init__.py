@@ -39,6 +39,7 @@ from .genseries import (
     VerificationError,
     chi_q,
     chi_series,
+    chi_values,
     euler_series_e8,
     integrate,
 )
@@ -82,6 +83,7 @@ __all__ = [
     "catalog_spec",
     "chi_q",
     "chi_series",
+    "chi_values",
     "chi_y_log_coefficients",
     "closed_form_q",
     "closed_form_text",

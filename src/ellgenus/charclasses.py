@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 from .poly import Poly
@@ -331,6 +332,20 @@ def hadamard_apply(coeffs, series, absorb):
     return out
 
 
+@cache
+def _hirzebruch_exp(tmax, qmax):
+    """exp(sum_k b_k p_k) to (tmax, qmax), with the (1+y)^k reweighting of
+    weight k absorbed into the log-coefficients (tmax >= 1).
+
+    It depends on nothing but the two orders, so it is built once per pair
+    and shared by ``chi_series`` and ``hirzebruch_class(top_only=True)``;
+    callers must not mutate it.
+    """
+    acoeffs = chi_y_log_coefficients(tmax)
+    psums = power_sum_series(tmax, qmax=qmax)
+    return hadamard_apply(acoeffs, psums, absorb=True).exp()
+
+
 def hirzebruch_class(dim, qmax=None, top_only=False):
     """The chi_y class of an abstract dim-dimensional base.
 
@@ -345,13 +360,13 @@ def hirzebruch_class(dim, qmax=None, top_only=False):
         qmax = dim + 2
     if dim == 0:
         return WSeries.const(1, 0, qmax)
-    acoeffs = chi_y_log_coefficients(dim)
-    psums = power_sum_series(dim, qmax=qmax, cmax=dim)
     if top_only:
         # (1+y)^dim * [weight dim] exp(sum a_k p_k) == [weight dim] of the
         # absorbed exponential: each weight-dim product of a_k's picks up
         # exactly (1+y)^dim distributed over its factors.
-        return hadamard_apply(acoeffs, psums, absorb=True).exp().weight_component(dim)
+        return _hirzebruch_exp(dim, qmax).weight_component(dim)
+    acoeffs = chi_y_log_coefficients(dim)
+    psums = power_sum_series(dim, qmax=qmax)
     body = hadamard_apply(acoeffs, psums, absorb=False).exp()
     one_plus_y = WSeries.y(dim, qmax) + 1
     return body * one_plus_y**dim

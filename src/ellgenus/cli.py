@@ -84,7 +84,7 @@ def parse_series_json(data):
                 terms[(mono, q)] = _json_rational(term["coeff"], "coeff")
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError("malformed series JSON: %s" % exc)
-    return WSeries.from_terms(terms, wmax, qmax)
+    return WSeries(wmax, qmax, terms)
 
 
 def _frac_str(value):

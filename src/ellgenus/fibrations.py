@@ -60,10 +60,11 @@ class FibrationSpec:
     family: str = None  # catalog key when this spec has a closed form
 
     def __post_init__(self):
+        object.__setattr__(self, "n_roots", tuple(self.n_roots))
         expected = tuple(RootForm(1, m) for m in self.bundle.exps)
-        if self.f_roots is None:
-            object.__setattr__(self, "f_roots", expected)
-        elif sorted((r.a, r.b) for r in self.f_roots) != sorted(
+        f_roots = expected if self.f_roots is None else tuple(self.f_roots)
+        object.__setattr__(self, "f_roots", f_roots)
+        if sorted((r.a, r.b) for r in self.f_roots) != sorted(
             (r.a, r.b) for r in expected
         ):
             raise ValueError(
@@ -270,8 +271,6 @@ def pushforward_class(family_or_spec, q, d, qmax=None):
     H_i(B) is the y^i slice of the full chi_y class of a d-dimensional
     base; the result is a y-free mixed-weight series in L and c1..c_d.
     """
-    from .charclasses import hirzebruch_class
-
     if q < 0:
         raise ValueError("q must be >= 0")
     if qmax is None:

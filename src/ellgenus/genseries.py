@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
-from .charclasses import chi_y_log_coefficients, hadamard_apply, power_sum_series
+from .charclasses import _hirzebruch_exp
 from .fibrations import closed_form_q, derived_q, pushforward_class
 from .series import WSeries, mono_from_dict, mono_weight
 
@@ -98,17 +99,31 @@ def _weighted_exponents(vars_weights, total):
 # ---------------------------------------------------------------------------
 
 
+# Bound of the chi_series memo: the distinct (family or spec, tmax, qmax)
+# keys it keeps.  A catalog family over P^2..P^6 needs five keys.
+CHI_SERIES_CACHE_SIZE = 64
+
+
 def chi_series(family_or_spec, tmax, qmax=None):
     """chi(t, y) to weight tmax (t-degree equals weight throughout).
 
     The y-degree bound defaults to tmax + 2: over a base of dimension k the
     fibration has dimension k + 1, so every retained coefficient beyond
     y^(k+1) is exactly zero.
+
+    The series depends only on the family and the orders, never on a base,
+    so it is built once per key and shared; each call returns a fresh copy.
     """
     if tmax < 0:
         raise ValueError("tmax must be >= 0")
     if qmax is None:
         qmax = tmax + 2
+    s = _chi_series(family_or_spec, tmax, qmax)
+    return WSeries._trusted(s.wmax, s.qmax, dict(s.terms))
+
+
+@lru_cache(maxsize=CHI_SERIES_CACHE_SIZE)
+def _chi_series(family_or_spec, tmax, qmax):
     if isinstance(family_or_spec, str):
         Qt = closed_form_q(family_or_spec, tmax, qmax)
     else:
@@ -116,10 +131,7 @@ def chi_series(family_or_spec, tmax, qmax=None):
     Qt = Qt.reweight_by_one_plus_y()
     if tmax == 0:
         return Qt
-    acoeffs = chi_y_log_coefficients(tmax)
-    psums = power_sum_series(tmax, qmax=qmax)
-    expo = hadamard_apply(acoeffs, psums, absorb=True).exp()
-    return Qt * expo
+    return Qt * _hirzebruch_exp(tmax, qmax)
 
 
 def integrate(cls, base):
@@ -172,6 +184,11 @@ def chi_q(family_or_spec, base, q, verify=False):
         if value.denominator != 1:
             raise VerificationError("chi_%d = %s is not an integer" % (q, value))
     return value
+
+
+def chi_values(family_or_spec, base):
+    """[chi_0, ..., chi_(d+1)] of the family over a d-dimensional base."""
+    return [chi_q(family_or_spec, base, q) for q in range(0, base.dim + 2)]
 
 
 def euler_series_e8(dmax, qmax=0):

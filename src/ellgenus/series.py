@@ -160,11 +160,6 @@ class WSeries:
         return cls(wmax, qmax, {((), 1): Fraction(1)})
 
     @classmethod
-    def from_terms(cls, terms, wmax, qmax):
-        """Build from {(monomial, ydeg): coefficient}; out-of-range terms drop."""
-        return cls(wmax, qmax, terms)
-
-    @classmethod
     def from_y_poly(cls, coeffs, wmax, qmax):
         """Series sum(coeffs[q] * y^q) from a sequence of rationals."""
         return cls(wmax, qmax, {((), q): c for q, c in enumerate(coeffs)})

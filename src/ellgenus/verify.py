@@ -23,7 +23,7 @@ from .fibrations import (
     p_table_reference,
     pushforward_class,
 )
-from .genseries import BaseSpec, chi_q, chi_series, euler_series_e8
+from .genseries import BaseSpec, chi_q, chi_series, chi_values, euler_series_e8
 from .poly import Poly
 from .pushforward import BundleSpec, derivative_pushforward_d5, pushforward
 from .series import WSeries, mono_from_dict
@@ -187,10 +187,6 @@ def _sample_bases(max_dim=3):
     return out
 
 
-def _chi_values(fam, base):
-    return [chi_q(fam, base, q) for q in range(0, base.dim + 2)]
-
-
 def check_serre_duality(families=FAMILIES, max_dim=3):
     """chi_q = (-1)^(d+1) chi_(d+1-q) over the sample bases, plus the
     anticanonical (Calabi-Yau) value of chi_0.
@@ -203,7 +199,7 @@ def check_serre_duality(families=FAMILIES, max_dim=3):
     failures = []
     for fam in families:
         for d, n, base in _sample_bases(max_dim):
-            vals = _chi_values(fam, base)
+            vals = chi_values(fam, base)
             dimY = d + 1
             for q in range(0, dimY + 1):
                 if vals[q] != Fraction((-1) ** dimY) * vals[dimY - q]:
@@ -223,7 +219,7 @@ def check_integrality(families=FAMILIES, max_dim=3):
     failures = []
     for fam in families:
         for d, n, base in _sample_bases(max_dim):
-            for q, v in enumerate(_chi_values(fam, base)):
+            for q, v in enumerate(chi_values(fam, base)):
                 if v.denominator != 1:
                     failures.append(
                         "%s over (P^%d, O(%d)): chi_%d = %s is not an integer"

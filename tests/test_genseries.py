@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from ellgenus import (
+    CATALOG,
     FAMILIES,
     BaseSpec,
     FibrationSpec,
@@ -13,13 +14,17 @@ from ellgenus import (
     RootForm,
     VerificationError,
     WSeries,
+    charclasses,
     chi_q,
     chi_series,
+    chi_values,
     closed_form_q,
     euler_series_e8,
+    genseries,
     hirzebruch_class,
     integrate,
     mono_from_dict,
+    pushforward_class,
 )
 
 
@@ -175,6 +180,113 @@ def test_chi_q_rational_elliptic_surface():
     # D5 over (P^1, O(1)): chi_0 = 1, chi_1 = -h^{1,1} = -10
     base = BaseSpec.projective_space(1, 1)
     assert [chi_q("D5", base, q) for q in range(0, 3)] == [1, -10, 1]
+
+
+def test_spec_from_lists_is_hashable_and_equal():
+    lists = FibrationSpec(
+        name="weierstrass", bundle=BundleSpec([0, 2, 3]), n_roots=[RootForm(3, 6)],
+        f_roots=[RootForm(1, 3), RootForm(1, 0), RootForm(1, 2)],
+    )
+    tuples = FibrationSpec(
+        name="weierstrass", bundle=BundleSpec((0, 2, 3)), n_roots=(RootForm(3, 6),),
+        f_roots=(RootForm(1, 3), RootForm(1, 0), RootForm(1, 2)),
+    )
+    assert lists == tuples and hash(lists) == hash(tuples)
+    assert isinstance(lists.n_roots, tuple) and isinstance(lists.f_roots, tuple)
+    base = BaseSpec.projective_space(2, 3)
+    assert chi_values(lists, base) == chi_values(tuples, base) == [0, 270, -270, 0]
+
+
+# -- the shared chi_series ------------------------------------------------------
+
+
+def _class_route_values(fam, base):
+    d = base.dim
+    return [
+        integrate(pushforward_class(fam, q, d, d + 2).weight_component(d), base)
+        for q in range(0, d + 2)
+    ]
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+def test_cold_and_warm_chi_q_equal_the_class_route(fam):
+    for d in range(1, 5):
+        for n in (1, d + 1):
+            base = BaseSpec.projective_space(d, n)
+            want = _class_route_values(fam, base)
+            genseries._chi_series.cache_clear()
+            charclasses._hirzebruch_exp.cache_clear()
+            cold = chi_values(fam, base)
+            hits = genseries._chi_series.cache_info().hits
+            warm = chi_values(fam, base)
+            assert genseries._chi_series.cache_info().hits == hits + d + 2
+            assert cold == warm == want, (fam, d, n)
+
+
+def test_mutating_a_returned_series_leaves_later_results_unchanged():
+    base = BaseSpec.projective_space(2, 3)
+    first = chi_series("E8", 2)
+    key = next(iter(first.terms))
+    first.terms[key] += 1
+    first.terms.clear()
+    assert chi_values("E8", base) == [0, 270, -270, 0]
+    assert chi_series("E8", 2) == chi_series("E8", 2, 4) != first
+
+
+def test_name_catalog_spec_and_twist_are_separate_entries():
+    # the twist by 1 shifts the bundle exponents by 1 and the normal root
+    # by its H-coefficient; the genus factor stays that of E8
+    twisted = FibrationSpec(
+        name="E8~1", bundle=BundleSpec((1, 3, 4)), n_roots=(RootForm(3, 9),)
+    )
+    base = BaseSpec.projective_space(3, 2)
+    values = [chi_values(f, base) for f in ("E8", CATALOG["E8"], twisted)]
+    assert values[0] == values[1] == values[2]
+    info = genseries._chi_series.cache_info()
+    assert (info.misses, info.currsize) == (3, 3)
+
+
+def test_default_and_explicit_qmax_share_one_entry():
+    chi_series("E6", 3)
+    info = genseries._chi_series.cache_info()
+    assert (info.hits, info.misses) == (0, 1)
+    chi_series("E6", 3, 5)
+    info = genseries._chi_series.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+def test_memo_stays_within_its_bound():
+    bound = genseries.CHI_SERIES_CACHE_SIZE
+    keys = [
+        (fam, tmax, qmax)
+        for fam in FAMILIES
+        for tmax in range(0, 3)
+        for qmax in range(tmax, tmax + 6)
+    ]
+    assert len(keys) > bound
+    first = chi_series(*keys[0])
+    for key in keys:
+        chi_series(*key)
+        assert genseries._chi_series.cache_info().currsize <= bound
+    assert genseries._chi_series.cache_info().currsize == bound
+    assert chi_series(*keys[0]) == first  # evicted, rebuilt, unchanged
+
+
+def test_verify_route_does_not_read_the_memo(monkeypatch):
+    # perturb the memoized series in one (weight 2, y^1) class: the plain
+    # value moves by int L^2 = 9 over (P^2, O(3)); verify mode must refuse it
+    real = genseries._chi_series
+
+    def perturbed(family_or_spec, tmax, qmax):
+        bump = WSeries(tmax, qmax, {(mono_from_dict({"L": 2}), 1): F(1)})
+        return real(family_or_spec, tmax, qmax) + bump
+
+    monkeypatch.setattr(genseries, "_chi_series", perturbed)
+    base = BaseSpec.projective_space(2, 3)
+    assert chi_q("E8", base, 1) == 270 + 9
+    with pytest.raises(VerificationError):
+        chi_q("E8", base, 1, verify=True)
+    assert chi_q("E8", base, 2, verify=True) == -270
 
 
 # -- the Euler series -----------------------------------------------------------

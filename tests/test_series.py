@@ -263,9 +263,7 @@ def test_log_exp_roundtrip_random():
 def _weight_zero_tail(a):
     out = WSeries.zero(a.wmax, a.qmax)
     for q in range(0, a.qmax + 1):
-        out = out + a.coeff(0, q) * WSeries.from_terms(
-            {((), q): F(1)}, a.wmax, a.qmax
-        )
+        out = out + a.coeff(0, q) * WSeries(a.wmax, a.qmax, {((), q): F(1)})
     return out
 
 
@@ -314,8 +312,8 @@ def test_monomial_canonicalization():
 def test_rational_coefficient_invariants():
     # coefficients stay in lowest terms with positive denominators, and
     # exact zeros are dropped from the term map entirely
-    s = WSeries.from_terms(
-        {((("L", 1),), 0): F(2, -4), ((("H", 1),), 0): F(0, 5)}, 2, 0
+    s = WSeries(
+        2, 0, {((("L", 1),), 0): F(2, -4), ((("H", 1),), 0): F(0, 5)}
     )
     assert s.get((("L", 1),), 0) == F(-1, 2)
     assert s.get((("L", 1),), 0).denominator == 2
