@@ -38,9 +38,6 @@ class RootForm:
     def is_zero(self):
         return self.a == 0 and self.b == 0
 
-    def scaled(self, m):
-        return RootForm(self.a * m, self.b * m)
-
     def series(self, wmax, qmax):
         terms = {}
         if self.a:
@@ -150,45 +147,82 @@ class YFrac:
 
 # ---------------------------------------------------------------------------
 # local factors
+#
+# Each local factor is a one-variable function f(t) = sum_k f_k(y) t^k,
+# evaluated at a Chern root l = a*H + b*L.  Its t-coefficients are written
+# down from closed forms (Todd numbers, s^k/k!) as {y-degree: rational}
+# maps, and :func:`_at_form` fills them in at the root: t -> a*H (or b*L
+# when a = 0), then, when both a and b are nonzero, one substitution
+# H -> H + (b/a)*L.  No local factor takes an exp or an inverse.
+
+
+def _todd_numbers(order):
+    """t/(1 - e^{-t}) = sum_k tau_k t^k: [tau_0..tau_order]."""
+    return _invert_fraction_series(
+        [Fraction((-1) ** j, factorial(j + 1)) for j in range(order + 1)]
+    )
+
+
+def _exp_numbers(s, order):
+    """e^{s t} = sum_k (s^k/k!) t^k: [1, s, s^2/2, ..., s^order/order!]."""
+    return [Fraction(s**k, factorial(k)) for k in range(order + 1)]
+
+
+def _at_form(coeffs, root, wmax, qmax):
+    """sum_k coeffs[k] * (a*H + b*L)^k, with coeffs[k] a {y-degree: rational}
+    map; entries past wmax or qmax are dropped."""
+    a, b = root.a, root.b
+    var, scale = ("H", a) if a else ("L", b)
+    terms = {}
+    for k, ck in enumerate(coeffs[: wmax + 1]):
+        if k and not scale:
+            break
+        mono = ((var, k),) if k else ()
+        for q, c in ck.items():
+            if q <= qmax and c:
+                terms[(mono, q)] = c * scale**k
+    series = WSeries(wmax, qmax, terms)
+    if a and b:
+        H, L = WSeries.var("H", wmax, qmax), WSeries.var("L", wmax, qmax)
+        series = series.substitute("H", H + L * Fraction(b, a))
+    return series
 
 
 def todd_factor(root, wmax, qmax=0):
     """Expansion of l/(1 - e^{-l}) at l = a*H + b*L; the zero form gives 1."""
-    if root.is_zero():
-        return WSeries.const(1, wmax, qmax)
-    lam = root.series(wmax, qmax)
-    # (1 - e^{-l})/l = sum_j (-1)^j l^j / (j+1)!  -- a unit, invert it
-    acc = WSeries.zero(wmax, qmax)
-    power = WSeries.const(1, wmax, qmax)
-    for j in range(0, wmax + 1):
-        acc = acc + power * Fraction((-1) ** j, factorial(j + 1))
-        power = power * lam
-        if power.is_zero():
-            break
-    return acc.inverse()
+    return _at_form([{0: c} for c in _todd_numbers(wmax)], root, wmax, qmax)
 
 
 def lambda_y_factor(root, sign, wmax, qmax):
     """1 + y*exp(sign * (a*H + b*L)); sign -1 realizes dualized bundles."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    lam = root.series(wmax, qmax)
-    return WSeries.y(wmax, qmax) * (lam * sign).exp() + 1
+    coeffs = [{1: c} for c in _exp_numbers(sign, wmax)]
+    coeffs[0] = {0: 1, 1: 1}
+    return _at_form(coeffs, root, wmax, qmax)
 
 
 def lambda_y_inverse(root, sign, wmax, qmax):
-    """(1 + y*exp(sign*l))^{-1} via the terminating geometric series in y.
+    """(1 + y*exp(sign*l))^{-1} = sum_m (-y)^m exp(sign*m*l).
 
-    Identical to ``lambda_y_factor(...).inverse()`` but much cheaper: every
-    summand is a single exponential of a linear form.
+    The geometric y-sum terminates at y^qmax; its t^k coefficient is
+    sum_m (-1)^m (sign*m)^k/k! y^m.  Equal to ``lambda_y_factor(...).inverse()``.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    out = WSeries.zero(wmax, qmax)
-    for m in range(0, qmax + 1):
-        e = (root.scaled(m).series(wmax, qmax) * sign).exp()
-        out = out + e * WSeries(wmax, qmax, {((), m): Fraction((-1) ** m)})
-    return out
+    by_m = [_exp_numbers(sign * m, wmax) for m in range(qmax + 1)]
+    coeffs = [
+        {m: (-1) ** m * by_m[m][k] for m in range(qmax + 1)} for k in range(wmax + 1)
+    ]
+    return _at_form(coeffs, root, wmax, qmax)
+
+
+def _one_minus_exp(root, wmax, qmax):
+    """1 - exp(-l) at l = a*H + b*L: the top Chern character factor of a
+    normal-bundle root."""
+    coeffs = [{0: -c} for c in _exp_numbers(-1, wmax)]
+    coeffs[0] = {}
+    return _at_form(coeffs, root, wmax, qmax)
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +308,7 @@ def chi_y_log_coefficients(kmax):
     for k in range(1, order + 1):
         g1.append(YFrac(Poly((0, Fraction((-1) ** k, factorial(k)))), 1))
     # t/(1 - e^{-t}), rational coefficients by series inversion
-    todd = _invert_fraction_series(
-        [Fraction((-1) ** j, factorial(j + 1)) for j in range(order + 1)]
-    )
-    g2 = [YFrac(Poly((c,))) for c in todd]
+    g2 = [YFrac(Poly((c,))) for c in _todd_numbers(order)]
     g = _t_mul(g1, g2, order)
     # ln(1 + u) with u = g - 1 (u has no constant term)
     u = list(g)

@@ -57,7 +57,7 @@ def series_to_records(series):
     blocks = {}
     for (mono, q), coeff in series.sorted_items():
         blocks.setdefault((mono_weight(mono), q), []).append(
-            {"exps": {v: e for v, e in mono}, "coeff": _frac_str(coeff)}
+            {"exps": {v: e for v, e in mono}, "coeff": str(coeff)}
         )
     return [
         OutputRecord(k, q, terms) for (k, q), terms in sorted(blocks.items())
@@ -85,10 +85,6 @@ def parse_series_json(data):
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError("malformed series JSON: %s" % exc)
     return WSeries(wmax, qmax, terms)
-
-
-def _frac_str(value):
-    return str(value)
 
 
 # ---------------------------------------------------------------------------

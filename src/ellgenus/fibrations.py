@@ -27,6 +27,7 @@ from fractions import Fraction
 
 from .charclasses import (
     RootForm,
+    _one_minus_exp,
     hirzebruch_class,
     lambda_y_factor,
     lambda_y_inverse,
@@ -113,21 +114,44 @@ def catalog_spec(family):
 
 
 def fiber_integrand(spec, wmax, qmax):
-    """The class D whose pushforward is the genus factor Q."""
+    """The class D whose pushforward is the genus factor Q.
+
+    Every factor of D is a one-variable function at a root a*H + b*L, and a
+    root's slope b/a fixes how its H-part turns into the whole root: the
+    substitution H -> H + (b/a)*L.  So the roots are grouped by slope; each
+    group's factors are built at their H-parts a*H and multiplied in the
+    small ring with H alone, the group product is moved to its slope with one
+    substitution, and D is the product of the placed groups (at most three
+    for the catalog families, in any twist).  1/(1+y) rides in the first group.
+    """
     if wmax < len(spec.n_roots):
         raise ValueError(
             "wmax=%d below the integrand's minimal weight %d"
             % (wmax, len(spec.n_roots))
         )
     alternating = [Fraction((-1) ** m) for m in range(qmax + 1)]
-    D = WSeries.from_y_poly(alternating, wmax, qmax)  # 1/(1+y)
+    first = spec.f_roots[0]
+    groups = {Fraction(first.b, first.a): WSeries.from_y_poly(alternating, wmax, qmax)}
+
+    def put(root, factor):
+        slope = Fraction(root.b, root.a)
+        groups[slope] = groups[slope] * factor if slope in groups else factor
+
     for root in spec.f_roots:
-        D = D * lambda_y_factor(root, -1, wmax, qmax)
-        D = D * todd_factor(root, wmax, qmax)
+        h = RootForm(root.a, 0)
+        put(root, lambda_y_factor(h, -1, wmax, qmax))
+        put(root, todd_factor(h, wmax, qmax))
     for root in spec.n_roots:
-        one_minus_exp = 1 - (root.series(wmax, qmax) * -1).exp()
-        D = D * one_minus_exp
-        D = D * lambda_y_inverse(root, -1, wmax, qmax)
+        h = RootForm(root.a, 0)
+        put(root, _one_minus_exp(h, wmax, qmax))
+        put(root, lambda_y_inverse(h, -1, wmax, qmax))
+    D = None
+    H = WSeries.var("H", wmax, qmax)
+    L = WSeries.var("L", wmax, qmax)
+    for slope, group in groups.items():
+        if slope:
+            group = group.substitute("H", H + L * slope)
+        D = group if D is None else D * group
     return D
 
 

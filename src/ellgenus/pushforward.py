@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import TruncationDeficitError, WSeries, mono_from_dict
+from .series import TruncationDeficitError, WSeries, mono_from_dict, mono_weight
 
 
 class UnsupportedOracleError(ValueError):
@@ -55,6 +55,9 @@ def pushforward(series, bundle, out_wmax=None):
     The result is exact to ``series.wmax - (rank - 1)``; asking for more
     raises :class:`TruncationDeficitError` rather than silently truncating
     wrong.
+
+    Each s_j(E) is a single term sigma_j * L^j, so the part of H-power
+    r-1+j needs no series product: each of its monomials just gains L^j.
     """
     r = bundle.rank
     supported = series.wmax - (r - 1)
@@ -66,14 +69,25 @@ def pushforward(series, bundle, out_wmax=None):
             % (out_wmax, out_wmax + r - 1, series.wmax)
         )
     qmax = series.qmax
-    segre = segre_series(bundle, out_wmax, qmax)
-    out = WSeries.zero(out_wmax, qmax)
+    sigma = [
+        s.get((("L", j),) if j else ())
+        for j, s in enumerate(segre_series(bundle, out_wmax, qmax))
+    ]
+    out = {}
     for e, part in series.coefficients_of("H").items():
         j = e - (r - 1)
-        if j < 0 or j > out_wmax:
+        if j < 0 or j > out_wmax or not sigma[j]:
             continue
-        out = out + part.truncate(out_wmax, qmax) * segre[j]
-    return out
+        for (mono, q), c in part.terms.items():
+            if mono_weight(mono) + j > out_wmax:
+                continue
+            if j and mono and mono[0][0] == "L":  # L leads a canonical monomial
+                mono = (("L", mono[0][1] + j),) + mono[1:]
+            elif j:
+                mono = (("L", j),) + mono
+            key = (mono, q)
+            out[key] = out.get(key, 0) + c * sigma[j]
+    return WSeries(out_wmax, qmax, out)
 
 
 _D5_BUNDLE = BundleSpec((0, 1, 1, 1))

@@ -415,11 +415,16 @@ class WSeries:
         var_weight(var)
         split = {}
         for (m, q), c in self.terms.items():
-            d = dict(m)
-            e = d.pop(var, 0)
-            split.setdefault(e, {})[(mono_from_dict(d), q)] = c
+            # cutting one pair out of a canonical monomial leaves it canonical
+            e, rest = 0, m
+            for i, (v, x) in enumerate(m):
+                if v == var:
+                    e, rest = x, m[:i] + m[i + 1 :]
+                    break
+            split.setdefault(e, {})[(rest, q)] = c
         return {
-            e: WSeries(self.wmax, self.qmax, terms) for e, terms in split.items()
+            e: WSeries._trusted(self.wmax, self.qmax, terms)
+            for e, terms in split.items()
         }
 
     # -- display --------------------------------------------------------

@@ -1,10 +1,13 @@
 """Shared test utilities: random series generators, an independent
-numeric evaluator used as a brute-force oracle, and the plain
-dict/``Fraction`` series multiply used as the oracle of the packed kernel."""
+numeric evaluator used as a brute-force oracle, the plain dict/``Fraction``
+series multiply used as the oracle of the packed kernel, and the two-variable
+exp/Newton-inverse local factors, fiber integrand and Segre pushforward used
+as oracles of the one-variable constructions."""
 
 from fractions import Fraction
+from math import factorial
 
-from ellgenus import WSeries, mono_from_dict, mono_weight
+from ellgenus import WSeries, mono_from_dict, mono_weight, segre_series
 
 
 def random_series(rng, variables, wmax, qmax, nterms=10, allow_const=True):
@@ -84,3 +87,71 @@ def reference_mul(a, b):
                 prev = out.get(key)
                 out[key] = c1 * c2 if prev is None else prev + c1 * c2
     return WSeries(wmax, qmax, out)
+
+
+# -- the local factors, the integrand and the pushforward as two-variable series
+
+
+def reference_todd_factor(root, wmax, qmax=0):
+    """l/(1 - e^{-l}) as the Newton inverse of sum_j (-1)^j l^j/(j+1)!."""
+    if root.is_zero():
+        return WSeries.const(1, wmax, qmax)
+    lam = root.series(wmax, qmax)
+    acc = WSeries.zero(wmax, qmax)
+    power = WSeries.const(1, wmax, qmax)
+    for j in range(0, wmax + 1):
+        acc = acc + power * Fraction((-1) ** j, factorial(j + 1))
+        power = power * lam
+        if power.is_zero():
+            break
+    return acc.inverse()
+
+
+def reference_lambda_y_factor(root, sign, wmax, qmax):
+    """1 + y*exp(sign*l), with the exp taken as a series."""
+    lam = root.series(wmax, qmax)
+    return WSeries.y(wmax, qmax) * (lam * sign).exp() + 1
+
+
+def reference_lambda_y_inverse(root, sign, wmax, qmax):
+    """sum_m (-y)^m exp(sign*m*l): one series exp per y-degree."""
+    out = WSeries.zero(wmax, qmax)
+    for m in range(0, qmax + 1):
+        e = (root.series(wmax, qmax) * (sign * m)).exp()
+        out = out + e * WSeries(wmax, qmax, {((), m): Fraction((-1) ** m)})
+    return out
+
+
+def reference_fiber_integrand(spec, wmax, qmax):
+    """D as one two-variable product per factor and root, in root order."""
+    alternating = [Fraction((-1) ** m) for m in range(qmax + 1)]
+    D = WSeries.from_y_poly(alternating, wmax, qmax)  # 1/(1+y)
+    for root in spec.f_roots:
+        D = D * reference_lambda_y_factor(root, -1, wmax, qmax)
+        D = D * reference_todd_factor(root, wmax, qmax)
+    for root in spec.n_roots:
+        D = D * (1 - (root.series(wmax, qmax) * -1).exp())
+        D = D * reference_lambda_y_inverse(root, -1, wmax, qmax)
+    return D
+
+
+def reference_coefficients_of(series, var):
+    """{exponent: series with var removed}, through dict monomials."""
+    split = {}
+    for (m, q), c in series.terms.items():
+        d = dict(m)
+        e = d.pop(var, 0)
+        split.setdefault(e, {})[(mono_from_dict(d), q)] = c
+    return {e: WSeries(series.wmax, series.qmax, t) for e, t in split.items()}
+
+
+def reference_pushforward(series, bundle, out_wmax):
+    """H^(r-1+j) -> s_j(E) as one series product per H-power."""
+    r, qmax = bundle.rank, series.qmax
+    segre = segre_series(bundle, out_wmax, qmax)
+    out = WSeries.zero(out_wmax, qmax)
+    for e, part in reference_coefficients_of(series, "H").items():
+        j = e - (r - 1)
+        if 0 <= j <= out_wmax:
+            out = out + WSeries(out_wmax, qmax, part.terms) * segre[j]
+    return out

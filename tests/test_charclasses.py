@@ -7,6 +7,8 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ellgenus import (
     Poly,
@@ -21,7 +23,13 @@ from ellgenus import (
     power_sums_from_chern,
     todd_factor,
 )
-from helpers import evaluate_numeric
+from ellgenus.charclasses import lambda_y_inverse
+from helpers import (
+    evaluate_numeric,
+    reference_lambda_y_factor,
+    reference_lambda_y_inverse,
+    reference_todd_factor,
+)
 
 
 # -- todd_factor ------------------------------------------------------------
@@ -122,6 +130,56 @@ def test_lambda_y_multiplicative_and_second_exterior_power():
             s = (r1.series(wmax, qmax) + r2.series(wmax, qmax)).exp()
             direct = direct + s
         assert lhs == direct
+
+
+# -- the one-variable factors against their two-variable oracles ---------------
+
+_roots = st.builds(RootForm, st.integers(-3, 3), st.integers(-3, 3))
+_wmax = st.integers(0, 10)
+_qmax = st.integers(0, 8)
+_sign = st.sampled_from((1, -1))
+
+
+@given(_roots, _wmax, _qmax)
+def test_todd_factor_equals_newton_inverse(root, wmax, qmax):
+    assert todd_factor(root, wmax, qmax) == reference_todd_factor(root, wmax, qmax)
+
+
+@given(_roots, _sign, _wmax, _qmax)
+def test_lambda_y_factor_equals_exp_route(root, sign, wmax, qmax):
+    got = lambda_y_factor(root, sign, wmax, qmax)
+    assert got == reference_lambda_y_factor(root, sign, wmax, qmax)
+
+
+@given(_roots, _sign, _wmax, _qmax)
+def test_lambda_y_inverse_equals_exp_route_and_inverts(root, sign, wmax, qmax):
+    got = lambda_y_inverse(root, sign, wmax, qmax)
+    assert got == reference_lambda_y_inverse(root, sign, wmax, qmax)
+    assert got * lambda_y_factor(root, sign, wmax, qmax) == WSeries.const(
+        1, wmax, qmax
+    )
+
+
+@pytest.mark.parametrize("sign", [0, 2, -2, F(1, 2)])
+def test_lambda_y_factors_reject_bad_sign(sign):
+    with pytest.raises(ValueError):
+        lambda_y_factor(RootForm(1, 1), sign, 3, 2)
+    with pytest.raises(ValueError):
+        lambda_y_inverse(RootForm(1, 1), sign, 3, 2)
+
+
+def test_zero_root_factors():
+    assert todd_factor(RootForm(0, 0), 5, 3) == WSeries.const(1, 5, 3)
+    assert lambda_y_inverse(RootForm(0, 0), -1, 4, 3) == WSeries.from_y_poly(
+        [1, -1, 1, -1], 4, 3
+    )
+
+
+def test_factor_at_fractional_slope():
+    # 2H + 3L goes through H -> H + (3/2)L; the Todd series of 2H+3L at
+    # weight 2 is 1 + (2H+3L)/2 + (2H+3L)^2/12
+    v = RootForm(2, 3).series(2, 0)
+    assert todd_factor(RootForm(2, 3), 2) == 1 + v * F(1, 2) + v * v * F(1, 12)
 
 
 # -- power sums -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Catalog data, the fiber integrand, derived and closed genus factors,
 and the polynomial table."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -22,8 +23,8 @@ from ellgenus import (
     p_table_reference,
     pushforward,
     pushforward_class,
-    todd_factor,
 )
+from helpers import reference_fiber_integrand, reference_todd_factor
 
 
 def test_catalog_root_data():
@@ -86,8 +87,8 @@ def test_d5_integrand_matches_displayed_formula():
     e2 = (-2 * H - 2 * L).exp()
     numerator = (1 + y * eH) * (1 + y * eHL) ** 3 * (1 - e2) ** 2
     denominator = (1 + y * e2) ** 2 * (1 + y)
-    todd_part = todd_factor(RootForm(1, 0), wmax, qmax) * (
-        todd_factor(RootForm(1, 1), wmax, qmax) ** 3
+    todd_part = reference_todd_factor(RootForm(1, 0), wmax, qmax) * (
+        reference_todd_factor(RootForm(1, 1), wmax, qmax) ** 3
     )
     longhand = numerator * denominator.inverse() * todd_part
     assert fiber_integrand(CATALOG["D5"], wmax, qmax) == longhand
@@ -105,7 +106,7 @@ def test_integrand_y_zero_slice_is_todd_type():
     D = fiber_integrand(spec, wmax, 2)
     expected = WSeries.const(1, wmax, 0)
     for r in spec.f_roots:
-        expected = expected * todd_factor(r, wmax, 0)
+        expected = expected * reference_todd_factor(r, wmax, 0)
     for r in spec.n_roots:
         expected = expected * (1 - (-r.series(wmax, 0)).exp())
     assert D.y_slice(0).truncate(wmax, 0) == expected
@@ -120,11 +121,51 @@ def test_identity_fibration_pushes_to_one():
     H = WSeries.var("H", wmax, qmax)
     longhand = (
         (1 + y * (-H).exp())
-        * todd_factor(RootForm(1, 0), wmax, qmax)
+        * reference_todd_factor(RootForm(1, 0), wmax, qmax)
         * (1 + y).inverse()
     )
     assert D == longhand
     assert pushforward(D, spec.bundle) == WSeries.const(1, wmax, qmax)
+
+
+def _twisted(family, a, rng):
+    """The catalog family in P(E (x) L^a), roots in a shuffled order."""
+    cat = CATALOG[family]
+    exps = [m + a for m in cat.bundle.exps]
+    n_roots = [RootForm(r.a, r.b + r.a * a) for r in cat.n_roots]
+    rng.shuffle(exps)
+    rng.shuffle(n_roots)
+    return FibrationSpec(
+        name="%s~%d" % (family, a), bundle=BundleSpec(tuple(exps)), n_roots=n_roots
+    )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_integrand_equals_per_root_product_in_every_twist(family):
+    rng = random.Random(family)
+    for a in range(-2, 4):
+        spec = _twisted(family, a, rng)
+        assert fiber_integrand(spec, 6, 5) == reference_fiber_integrand(spec, 6, 5)
+
+
+@pytest.mark.parametrize(
+    "exps, n_roots",
+    [
+        ((0, 1, 2), ((2, 3),)),  # slope 3/2, shared with no F-root
+        ((0, 1, 3), ()),  # no normal roots: Y = P(E), fiber dimension 2
+        ((0, 1, 1, 2), ((1, 1),)),  # fiber dimension 2, N shares F's slope 1
+        ((-1, 2, 2), ((2, 4), (1, -1))),  # a negative slope; N roots on both F slopes
+    ],
+)
+def test_integrand_equals_per_root_product_on_custom_specs(exps, n_roots):
+    spec = FibrationSpec(
+        name="custom",
+        bundle=BundleSpec(exps),
+        n_roots=tuple(RootForm(a, b) for a, b in n_roots),
+    )
+    for wmax, qmax in ((len(n_roots), 0), (5, 4), (7, 6)):
+        got = fiber_integrand(spec, wmax, qmax)
+        assert got == reference_fiber_integrand(spec, wmax, qmax)
 
 
 def test_integrand_rejects_tiny_wmax():

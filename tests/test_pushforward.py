@@ -5,17 +5,21 @@ from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ellgenus import (
+    CATALOG,
     BundleSpec,
     TruncationDeficitError,
     UnsupportedOracleError,
     WSeries,
     derivative_pushforward_d5,
+    fiber_integrand,
     pushforward,
     segre_series,
 )
-from helpers import random_series
+from helpers import random_series, reference_pushforward
 
 
 def test_segre_trivial_bundle():
@@ -91,6 +95,31 @@ def test_pushforward_truncation_deficit():
         pushforward(D, BundleSpec((0, 1, 1, 1)))
     with pytest.raises(TruncationDeficitError):
         pushforward(D, BundleSpec((0, 1)), out_wmax=2)
+
+
+@st.composite
+def _pushforward_cases(draw):
+    exps = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+    wmax = draw(st.integers(len(exps) - 1, 10))
+    qmax = draw(st.integers(0, 4))
+    out_wmax = draw(st.integers(0, wmax - (len(exps) - 1)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    D = random_series(rng, ("H", "L", "c1", "c2"), wmax, qmax, nterms=30)
+    return D, BundleSpec(exps), out_wmax
+
+
+@given(_pushforward_cases())
+def test_pushforward_equals_product_per_h_power(case):
+    D, bundle, out_wmax = case
+    assert pushforward(D, bundle, out_wmax) == reference_pushforward(
+        D, bundle, out_wmax
+    )
+
+
+def test_pushforward_of_d5_integrand_equals_product_per_h_power():
+    D = fiber_integrand(CATALOG["D5"], 9, 6)
+    b = CATALOG["D5"].bundle
+    assert pushforward(D, b) == reference_pushforward(D, b, 6)
 
 
 # -- derivative oracle -------------------------------------------------------

@@ -17,7 +17,7 @@ from ellgenus import (
     var_weight,
 )
 from ellgenus.cli import emit_series_json
-from helpers import random_series, reference_mul
+from helpers import random_series, reference_coefficients_of, reference_mul
 
 
 def S(wmax, qmax):
@@ -373,6 +373,12 @@ def _same_orders(draw, count):
 def test_kernel_equals_oracle(pair):
     a, b = pair
     assert a * b == reference_mul(a, b)
+
+
+@given(_same_orders(1), st.sampled_from(KERNEL_VARS))
+def test_coefficients_of_equals_dict_split(single, var):
+    (a,) = single
+    assert a.coefficients_of(var) == reference_coefficients_of(a, var)
 
 
 @given(_same_orders(3))
