@@ -11,7 +11,6 @@ of its own (under-truncation raises).
 
 from .charclasses import (
     RootForm,
-    YFrac,
     chi_y_log_coefficients,
     hadamard_apply,
     hirzebruch_class,
@@ -79,7 +78,6 @@ __all__ = [
     "UnsupportedOracleError",
     "VerificationError",
     "WSeries",
-    "YFrac",
     "catalog_spec",
     "chi_q",
     "chi_series",

@@ -9,10 +9,12 @@ coefficient is ch(Omega^q) td(X).  Writing ``f = ln g = a_0 + a_1 t + ...``
     (1+y)^d * exp( sum_k a_k p_k )
 
 where p_k are the power sums of the roots, i.e. the coefficients of
--tC'/C for C = 1 - c1 t + c2 t^2 - ....  The a_k for k >= 1 live in the
-localization Q[y][(1+y)^{-1}] and are carried exactly as :class:`YFrac`
-values; ln(1+y) itself is never expanded (the (1+y)^d power is handled
-structurally).
+-tC'/C for C = 1 - c1 t + c2 t^2 - ....  The a_k for k >= 1 have powers
+of 1+y in their denominators, but the weight-k part of the class carries
+(1+y)^d, and d >= k, so only the polynomials b_k = (1+y)^k a_k are ever
+needed: the weight-k part of the class is (1+y)^(d-k) times the weight-k
+part of exp(sum_k b_k p_k).  Every t-series here has coefficients in Q[y]
+(lists of :class:`Poly`), and ln(1+y) is never expanded.
 """
 
 from __future__ import annotations
@@ -22,10 +24,8 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .poly import Poly
+from .poly import Poly, truncated_mul
 from .series import WSeries
-
-ONE_PLUS_Y = Poly((1, 1))
 
 
 @dataclass(frozen=True)
@@ -58,91 +58,6 @@ class RootForm:
         for sign, body in parts[1:]:
             text += "%s%s" % (sign, body)
         return text
-
-
-class YFrac:
-    """num / (1+y)^dpow with (1+y) not dividing num (exact division test)."""
-
-    __slots__ = ("num", "dpow")
-
-    def __init__(self, num, dpow=0):
-        if not isinstance(num, Poly):
-            num = Poly((num,))
-        if dpow < 0:
-            raise ValueError("dpow must be >= 0")
-        while dpow > 0 and not num.is_zero():
-            q, r = num.divmod(ONE_PLUS_Y)
-            if not r.is_zero():
-                break
-            num, dpow = q, dpow - 1
-        if num.is_zero():
-            dpow = 0
-        self.num = num
-        self.dpow = dpow
-
-    @classmethod
-    def zero(cls):
-        return cls(Poly())
-
-    @classmethod
-    def one(cls):
-        return cls(Poly.one())
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = YFrac(Poly((other,)))
-        if not isinstance(other, YFrac):
-            return NotImplemented
-        return self.num == other.num and self.dpow == other.dpow
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = YFrac(Poly((other,)))
-        d = max(self.dpow, other.dpow)
-        n = self.num * ONE_PLUS_Y ** (d - self.dpow) + other.num * ONE_PLUS_Y ** (
-            d - other.dpow
-        )
-        return YFrac(n, d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return YFrac(-self.num, self.dpow)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = YFrac(Poly((other,)))
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return YFrac(self.num * other, self.dpow)
-        return YFrac(self.num * other.num, self.dpow + other.dpow)
-
-    __rmul__ = __mul__
-
-    def scale(self, r):
-        return YFrac(self.num * r, self.dpow)
-
-    def absorbed(self, k):
-        """num * (1+y)^(k - dpow) as a plain polynomial (needs dpow <= k)."""
-        if self.dpow > k:
-            raise ValueError("dpow %d exceeds t-order %d" % (self.dpow, k))
-        return self.num * ONE_PLUS_Y ** (k - self.dpow)
-
-    def at_y_zero(self):
-        return self.num[0]
-
-    def __repr__(self):
-        if self.dpow == 0:
-            return "YFrac(%s)" % self.num.to_text(var="y", descending=False)
-        return "YFrac((%s)/(1+y)^%d)" % (
-            self.num.to_text(var="y", descending=False),
-            self.dpow,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -266,19 +181,6 @@ def power_sum_series(kmax, qmax=0, cmax=None):
 # log-coefficients of the chi_y factor g(t)
 
 
-def _t_mul(a, b, order):
-    out = [YFrac.zero() for _ in range(order + 1)]
-    for i, ai in enumerate(a):
-        if ai.is_zero():
-            continue
-        for j in range(0, order + 1 - i):
-            bj = b[j]
-            if bj.is_zero():
-                continue
-            out[i + j] = out[i + j] + ai * bj
-    return out
-
-
 def _invert_fraction_series(coeffs):
     """Term-by-term inverse of a rational t-series with unit constant term."""
     inv = [Fraction(1) / coeffs[0]]
@@ -291,36 +193,34 @@ def _invert_fraction_series(coeffs):
 
 
 def chi_y_log_coefficients(kmax):
-    """a_1..a_kmax of f = ln((1 + y e^{-t}) t/(1 - e^{-t})), as YFracs.
+    """b_1..b_kmax: the t-coefficients of ln[g((1+y)t)/(1+y)], as y-Polys.
 
-    The split ln g = ln((1+y e^{-t})/(1+y)) + ln(t/(1-e^{-t})) + ln(1+y)
-    keeps everything in Q[y][(1+y)^{-1}]; the a_0 = ln(1+y) summand is
-    dropped (handled structurally by the (1+y)-power bookkeeping).  Each
-    a_k satisfies dpow <= k.
+    With ln g = ln(1+y) + a_1 t + a_2 t^2 + ..., the substitution
+    t -> (1+y)t makes b_k = (1+y)^k a_k, and the division by 1+y drops
+    a_0 = ln(1+y).  Both factors of g((1+y)t)/(1+y) have coefficients in
+    Q[y], so the logarithm is taken there; deg b_k <= k.
 
-    Returns a list with entry k-1 holding a_k.
+    Returns a list with entry k-1 holding b_k.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    order = kmax
-    # (1 + y e^{-t})/(1+y) = 1 + sum_{k>=1} ((-1)^k/k!) * y/(1+y) * t^k
-    g1 = [YFrac.one()]
-    for k in range(1, order + 1):
-        g1.append(YFrac(Poly((0, Fraction((-1) ** k, factorial(k)))), 1))
-    # t/(1 - e^{-t}), rational coefficients by series inversion
-    g2 = [YFrac(Poly((c,))) for c in _todd_numbers(order)]
-    g = _t_mul(g1, g2, order)
-    # ln(1 + u) with u = g - 1 (u has no constant term)
-    u = list(g)
-    u[0] = YFrac.zero()
-    result = [YFrac.zero() for _ in range(order + 1)]
-    power = [YFrac.one()] + [YFrac.zero() for _ in range(order)]
-    for m in range(1, order + 1):
-        power = _t_mul(power, u, order)
+    one_plus_y = Poly((1, 1))
+    # (1 + y e^{-(1+y)t})/(1+y) = 1 + sum_{k>=1} ((-1)^k/k!) y (1+y)^(k-1) t^k
+    g1 = [Poly.one()] + [
+        Poly.monomial(Fraction((-1) ** k, factorial(k)), 1) * one_plus_y ** (k - 1)
+        for k in range(1, kmax + 1)
+    ]
+    # (1+y)t/(1 - e^{-(1+y)t}) = sum_k tau_k (1+y)^k t^k
+    g2 = [one_plus_y**k * tau for k, tau in enumerate(_todd_numbers(kmax))]
+    # ln(1 + u) with u = g1*g2 - 1 (u has no constant term)
+    u = truncated_mul(g1, g2, kmax)
+    u[0] = Poly()
+    result = [Poly() for _ in range(kmax + 1)]
+    power = [Poly.one()] + [Poly() for _ in range(kmax)]
+    for m in range(1, kmax + 1):
+        power = truncated_mul(power, u, kmax)
         r = Fraction((-1) ** (m + 1), m)
-        for k in range(order + 1):
-            if not power[k].is_zero():
-                result[k] = result[k] + power[k].scale(r)
+        result = [acc + p * r for acc, p in zip(result, power)]
     return result[1:]
 
 
@@ -328,16 +228,16 @@ def chi_y_log_coefficients(kmax):
 # Hadamard application and the base class
 
 
-def hadamard_apply(coeffs, series, absorb):
-    """sum_k a~_k * S_k over the weight components S_k of ``series``.
+def hadamard_apply(coeffs, series):
+    """sum_k b_k * S_k over the weight components S_k of ``series``, with
+    b_k = coeffs[k-1] a Poly in y.
 
-    With ``absorb`` set, a~_k = num_k * (1+y)^(k - dpow_k): the weight-k
-    reweighting by (1+y)^k is folded in, so the result is polynomial in y.
-    Otherwise a~_k = num_k / (1+y)^dpow_k with the denominator expanded as
-    a truncated y-series.
+    On the power-sum series with the b_k of :func:`chi_y_log_coefficients`
+    this is sum_k (1+y)^k a_k p_k: the log of the chi_y class with its
+    weight-k part reweighted by (1+y)^k, polynomial in y.
 
-    ``series`` must have no weight-0 component (the a_0 coefficient is
-    handled structurally, never through here).
+    ``series`` must have no weight-0 component (a_0 = ln(1+y) never enters;
+    :func:`hirzebruch_class` puts its (1+y)-powers back by weight).
     """
     if not series.weight_component(0).is_zero():
         raise ValueError("weight-0 content is not handled by hadamard_apply")
@@ -347,43 +247,36 @@ def hadamard_apply(coeffs, series, absorb):
         )
     wmax, qmax = series.wmax, series.qmax
     out = WSeries.zero(wmax, qmax)
-    inv_1py = None
     for k in range(1, wmax + 1):
         comp = series.weight_component(k)
-        if comp.is_zero():
-            continue
-        a = coeffs[k - 1]
-        if absorb:
-            mult = WSeries.from_y_poly(a.absorbed(k).coeffs, wmax, qmax)
-        else:
-            if inv_1py is None:
-                inv_1py = (WSeries.y(wmax, qmax) + 1).inverse()
-            mult = WSeries.from_y_poly(a.num.coeffs, wmax, qmax) * inv_1py**a.dpow
-        out = out + comp * mult
+        if not comp.is_zero():
+            b = WSeries.from_y_poly(coeffs[k - 1].coeffs, wmax, qmax)
+            out = out + comp * b
     return out
 
 
-@cache
-def _hirzebruch_exp(tmax, qmax):
-    """exp(sum_k b_k p_k) to (tmax, qmax), with the (1+y)^k reweighting of
-    weight k absorbed into the log-coefficients (tmax >= 1).
-
-    It depends on nothing but the two orders, so it is built once per pair
-    and shared by ``chi_series`` and ``hirzebruch_class(top_only=True)``;
-    callers must not mutate it.
-    """
-    acoeffs = chi_y_log_coefficients(tmax)
+def _chi_y_exp(tmax, qmax):
+    """exp(sum_k b_k p_k) to (tmax, qmax), tmax >= 1: the chi_y class of an
+    abstract base with its weight-k part reweighted by (1+y)^k.  It depends
+    on nothing but the two orders."""
+    bcoeffs = chi_y_log_coefficients(tmax)
     psums = power_sum_series(tmax, qmax=qmax)
-    return hadamard_apply(acoeffs, psums, absorb=True).exp()
+    return hadamard_apply(bcoeffs, psums).exp()
 
 
-def hirzebruch_class(dim, qmax=None, top_only=False):
+# The same factor, built once per (tmax, qmax) and read by ``chi_series``
+# alone; callers must not mutate it.  ``hirzebruch_class`` builds its own,
+# so the class route stays an independent check of the series route.
+_hirzebruch_exp = cache(_chi_y_exp)
+
+
+def hirzebruch_class(dim, qmax=None):
     """The chi_y class of an abstract dim-dimensional base.
 
-    Full form (default): sum_q ch(Omega^q) td * y^q as a mixed-weight
-    series in c1..c_dim, exact in every retained y-degree.  With
-    ``top_only``, just the weight-dim part, with all (1+y)-powers resolved
-    into y-polynomials.
+    sum_q ch(Omega^q) td * y^q as a mixed-weight series in c1..c_dim, exact
+    in every retained y-degree.  It equals (1+y)^dim exp(sum_k a_k p_k), so
+    its weight-k part is (1+y)^(dim-k) times the weight-k part E_k of
+    exp(sum_k b_k p_k).
     """
     if dim < 0:
         raise ValueError("dimension must be >= 0")
@@ -391,13 +284,10 @@ def hirzebruch_class(dim, qmax=None, top_only=False):
         qmax = dim + 2
     if dim == 0:
         return WSeries.const(1, 0, qmax)
-    if top_only:
-        # (1+y)^dim * [weight dim] exp(sum a_k p_k) == [weight dim] of the
-        # absorbed exponential: each weight-dim product of a_k's picks up
-        # exactly (1+y)^dim distributed over its factors.
-        return _hirzebruch_exp(dim, qmax).weight_component(dim)
-    acoeffs = chi_y_log_coefficients(dim)
-    psums = power_sum_series(dim, qmax=qmax)
-    body = hadamard_apply(acoeffs, psums, absorb=False).exp()
+    body = _chi_y_exp(dim, qmax)
     one_plus_y = WSeries.y(dim, qmax) + 1
-    return body * one_plus_y**dim
+    # Horner in 1+y: sum_k (1+y)^(dim-k) E_k = (..(E_0 (1+y) + E_1)..)(1+y) + E_dim
+    out = body.weight_component(0)
+    for k in range(1, dim + 1):
+        out = out * one_plus_y + body.weight_component(k)
+    return out

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .charclasses import RootForm
@@ -41,26 +40,17 @@ class UsageError(ValueError):
 # JSON record schema for series
 
 
-@dataclass
-class OutputRecord:
-    """One homogeneous (t-degree, y-degree) block of a series."""
-
-    t_deg: int
-    y_deg: int
-    terms: list  # [{"exps": {var: exp}, "coeff": "num/den"}], sorted
-
-    def to_json(self):
-        return {"t_deg": self.t_deg, "y_deg": self.y_deg, "terms": self.terms}
-
-
 def series_to_records(series):
+    """One {"t_deg", "y_deg", "terms"} record per homogeneous block, with
+    terms [{"exps": {var: exp}, "coeff": "num/den"}] in sorted order."""
     blocks = {}
     for (mono, q), coeff in series.sorted_items():
         blocks.setdefault((mono_weight(mono), q), []).append(
             {"exps": {v: e for v, e in mono}, "coeff": str(coeff)}
         )
     return [
-        OutputRecord(k, q, terms) for (k, q), terms in sorted(blocks.items())
+        {"t_deg": k, "y_deg": q, "terms": terms}
+        for (k, q), terms in sorted(blocks.items())
     ]
 
 
@@ -68,7 +58,7 @@ def emit_series_json(series):
     return {
         "wmax": series.wmax,
         "qmax": series.qmax,
-        "records": [r.to_json() for r in series_to_records(series)],
+        "records": series_to_records(series),
     }
 
 

@@ -33,7 +33,7 @@ from .charclasses import (
     lambda_y_inverse,
     todd_factor,
 )
-from .poly import Poly
+from .poly import Poly, truncated_mul
 from .pushforward import BundleSpec, pushforward
 from .series import WSeries
 
@@ -218,31 +218,19 @@ def _q_y_expansion(family, nmax):
     if data is None:
         raise KeyError("unknown family %r" % (family,))
     s = data["s"]
-
-    def ymul(a, b):
-        out = [Poly() for _ in range(nmax + 1)]
-        for i, ai in enumerate(a):
-            if ai.is_zero():
-                continue
-            for j in range(0, nmax + 1 - i):
-                if not b[j].is_zero():
-                    out[i + j] = out[i + j] + ai * b[j]
-        return out
-
     inv = [Poly.monomial(Fraction((-1) ** m), s * m) for m in range(nmax + 1)]
     numer = [Poly() for _ in range(nmax + 1)]
     for (yd, ud), coeff in data["numer"].items():
         if yd <= nmax:
             numer[yd] = numer[yd] + Poly.monomial(Fraction(coeff), ud)
-    y_plus_1 = [Poly.one(), Poly.one()] + [Poly() for _ in range(nmax - 1)]
-    y_plus_1 = y_plus_1[: nmax + 1]
-    out = ymul(ymul(y_plus_1, numer), inv)
+    y_plus_1 = [Poly.one(), Poly.one()]
+    out = truncated_mul(truncated_mul(y_plus_1, numer, nmax), inv, nmax)
     out[0] = out[0] + data["lead"]
     if nmax >= 1:
         out[1] = out[1] - 1
     if data.get("extra"):
-        sq = ymul(y_plus_1, y_plus_1)
-        extra = ymul(ymul(sq, inv), inv)
+        sq = truncated_mul(y_plus_1, y_plus_1, nmax)
+        extra = truncated_mul(truncated_mul(sq, inv, nmax), inv, nmax)
         for n in range(nmax + 1):
             out[n] = out[n] - Poly.x() * extra[n]
     return out

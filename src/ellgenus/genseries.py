@@ -3,9 +3,10 @@
 chi(t, y) is assembled so that integrating its (t^k, y^q) coefficient over
 a base of dimension k gives chi_q of the fibration: take the genus factor
 with U = exp(-L) (t-degree is weight, so no substitution is needed),
-reweight it by (1+y)-powers, and multiply by the exponential of the
-absorbed Hadamard product of the chi_y log-coefficients with the power
-sums of the formal base Chern classes.
+reweight its weight-k part by (1+y)^k, and multiply by exp(sum_k b_k p_k):
+the exponential of the Hadamard product of the polynomial chi_y
+log-coefficients b_k with the power sums p_k of the formal base Chern
+classes.
 """
 
 from __future__ import annotations

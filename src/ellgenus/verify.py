@@ -10,9 +10,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement
 
-from .charclasses import chi_y_log_coefficients
+from .charclasses import (
+    chi_y_log_coefficients,
+    hadamard_apply,
+    power_sum_series,
+    power_sums_from_chern,
+)
 from .fibrations import (
     CATALOG,
     FAMILIES,
@@ -26,7 +31,7 @@ from .fibrations import (
 from .genseries import BaseSpec, chi_q, chi_series, chi_values, euler_series_e8
 from .poly import Poly
 from .pushforward import BundleSpec, derivative_pushforward_d5, pushforward
-from .series import WSeries, mono_from_dict
+from .series import WSeries, mono_from_dict, mono_weight
 
 
 def first_mismatch(a, b):
@@ -120,40 +125,58 @@ def check_d5_derivative_oracle(wmax=6, qmax=7, nrandom=50, seed=20230517):
     return failures
 
 
-def check_hadamard_identity(max_abs_root=3, max_d=4, order=6):
-    """sum_i f(l_i t) - d*a_0 == f (.) (-tC'/C) for integer root tuples.
+def _elementary_symmetric(roots):
+    """[e_0, e_1, ..., e_len(roots)] of integer roots."""
+    e = [1]
+    for lam in roots:
+        e = [a + lam * b for a, b in zip(e + [0], [0] + e)]
+    return e
 
-    Left side from explicit power sums, right side from exact series
-    division of the polynomial C; both sides as exact y-fractions per
-    t-order.
+
+def _evaluate_by_weight(series, values):
+    """{weight k: the weight-k part as a y-Poly} at values[var] per variable."""
+    rows = {}
+    for (mono, q), c in series.terms.items():
+        at = 1
+        for var, e in mono:
+            at *= values[var] ** e
+        rows.setdefault(mono_weight(mono), [0] * (series.qmax + 1))[q] += c * at
+    return {k: Poly(row) for k, row in rows.items()}
+
+
+def check_hadamard_identity(max_abs_root=3, max_d=4, order=6):
+    """The library's power sums and Hadamard product at integer roots.
+
+    For every multiset of 1..max_d roots in [-max_abs_root, max_abs_root],
+    put c_i := e_i(roots) into ``power_sums_from_chern`` and into
+    ``hadamard_apply(chi_y_log_coefficients(order), power_sum_series(...))``;
+    the weight-k values must be sum_i l_i^k and b_k * sum_i l_i^k.  The c_i
+    are symmetric in the roots, so multisets cover every ordered tuple.
     """
-    acoeffs = chi_y_log_coefficients(order)
+    bcoeffs = chi_y_log_coefficients(order)
+    psums = power_sums_from_chern(order)
+    hadamard = hadamard_apply(bcoeffs, power_sum_series(order, qmax=order))
     failures = []
     root_range = range(-max_abs_root, max_abs_root + 1)
     for d in range(1, max_d + 1):
-        for roots in product(root_range, repeat=d):
-            # C = prod (1 - l t) as a Fraction list
-            C = [Fraction(1)] + [Fraction(0)] * order
-            for lam in roots:
-                C = [
-                    C[k] - (lam * C[k - 1] if k else Fraction(0))
-                    for k in range(order + 1)
-                ]
-            # -tC'/C by term-by-term division
-            minus_tCp = [-k * C[k] for k in range(order + 1)]
-            ps = [Fraction(0)] * (order + 1)
+        for roots in combinations_with_replacement(root_range, d):
+            e = _elementary_symmetric(roots)
+            values = {"c%d" % i: e[i] if i <= d else 0 for i in range(1, order + 1)}
+            got_h = _evaluate_by_weight(hadamard, values)
             for k in range(1, order + 1):
-                acc = minus_tCp[k]
-                for i in range(1, k + 1):
-                    acc -= C[i] * ps[k - i]
-                ps[k] = acc
-            for k in range(1, order + 1):
-                direct = sum(Fraction(lam) ** k for lam in roots)
-                lhs = acoeffs[k - 1].scale(direct)
-                rhs = acoeffs[k - 1].scale(ps[k])
-                if lhs != rhs:
+                direct = sum(lam**k for lam in roots)
+                got_p = _evaluate_by_weight(psums[k - 1], values).get(k, Poly())
+                if got_p != direct:
                     failures.append(
-                        "roots %s, order %d: %r vs %r" % (roots, k, lhs, rhs)
+                        "roots %s: p_%d gives %s, sum of l^%d is %s"
+                        % (roots, k, got_p.to_text(), k, direct)
+                    )
+                got, want = got_h.get(k, Poly()), bcoeffs[k - 1] * direct
+                if got != want:
+                    failures.append(
+                        "roots %s, weight %d: hadamard_apply gives %s, b_%d p_%d is %s"
+                        % (roots, k, got.to_text("y", False), k, k,
+                           want.to_text("y", False))
                     )
     return failures
 

@@ -2,12 +2,22 @@
 numeric evaluator used as a brute-force oracle, the plain dict/``Fraction``
 series multiply used as the oracle of the packed kernel, and the two-variable
 exp/Newton-inverse local factors, fiber integrand and Segre pushforward used
-as oracles of the one-variable constructions."""
+as oracles of the one-variable constructions, and the chi_y class of a base
+from a series logarithm."""
 
 from fractions import Fraction
 from math import factorial
 
-from ellgenus import WSeries, mono_from_dict, mono_weight, segre_series
+from ellgenus import (
+    RootForm,
+    WSeries,
+    lambda_y_factor,
+    mono_from_dict,
+    mono_weight,
+    power_sums_from_chern,
+    segre_series,
+    todd_factor,
+)
 
 
 def random_series(rng, variables, wmax, qmax, nterms=10, allow_const=True):
@@ -155,3 +165,21 @@ def reference_pushforward(series, bundle, out_wmax):
         if 0 <= j <= out_wmax:
             out = out + WSeries(out_wmax, qmax, part.terms) * segre[j]
     return out
+
+
+def reference_hirzebruch_class(d, qmax):
+    """(1+y)^d exp(sum_k a_k p_k), with a_k the L^k coefficients of
+    ln(g(L)/(1+y)) for g(t) = (1 + y e^{-t}) t/(1 - e^{-t}), taken by
+    ``WSeries.log`` with 1/(1+y) as a truncated y-series; no log-coefficient
+    or Hadamard code of the engine is used."""
+    if d == 0:
+        return WSeries.const(1, 0, qmax)
+    L = RootForm(0, 1)
+    g = lambda_y_factor(L, -1, d, qmax) * todd_factor(L, d, qmax)
+    inv_1py = WSeries.from_y_poly([(-1) ** m for m in range(qmax + 1)], d, qmax)
+    a = (g * inv_1py).log().coefficients_of("L")
+    exponent = WSeries.zero(d, qmax)
+    for k, p in enumerate(power_sums_from_chern(d, qmax), start=1):
+        if k in a:
+            exponent = exponent + p * a[k]
+    return exponent.exp() * (WSeries.y(d, qmax) + 1) ** d

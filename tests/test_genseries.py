@@ -289,6 +289,19 @@ def test_verify_route_does_not_read_the_memo(monkeypatch):
     assert chi_q("E8", base, 2, verify=True) == -270
 
 
+def test_verify_route_does_not_read_the_shared_factor():
+    # corrupt the memoized exp(sum b_k p_k) that chi_series reads, in its
+    # (c1, y^0) term: the plain values move, the class route does not
+    base = BaseSpec.projective_space(2, 3)
+    want = chi_values("E8", base)
+    genseries._chi_series.cache_clear()
+    shared = charclasses._hirzebruch_exp(2, 4)
+    shared.terms[(mono_from_dict({"c1": 1}), 0)] += 1
+    assert chi_q("E8", base, 1) != want[1]
+    with pytest.raises(VerificationError, match="route mismatch for q=1"):
+        chi_q("E8", base, 1, verify=True)
+
+
 # -- the Euler series -----------------------------------------------------------
 
 

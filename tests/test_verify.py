@@ -1,7 +1,7 @@
 """The self-verification suites, including corrupted catalog data as a
 negative control."""
 
-from ellgenus import BundleSpec, FibrationSpec, RootForm
+from ellgenus import BundleSpec, FibrationSpec, Poly, RootForm, WSeries, verify
 from ellgenus.verify import (
     SUITES,
     check_d5_derivative_oracle,
@@ -55,3 +55,31 @@ def test_first_mismatch_reports_lowest_block():
     assert (k, q) == (2, 0)
     assert ca.is_zero() and not cb.is_zero()
     assert first_mismatch(a, a) is None
+
+
+def test_hadamard_suite_catches_corrupted_power_sums(monkeypatch):
+    real = verify.power_sums_from_chern
+
+    def corrupted(kmax, qmax=0, cmax=None):
+        p = real(kmax, qmax, cmax)
+        p[2] = p[2] + WSeries.var("c3", kmax, qmax)  # p_3 + c3
+        return p
+
+    monkeypatch.setattr(verify, "power_sums_from_chern", corrupted)
+    failures = check_hadamard_identity(max_abs_root=1, max_d=3, order=4)
+    assert "roots (1, 1, 1): p_3 gives 4, sum of l^3 is 3" in failures
+    assert all(": p_3 gives" in line for line in failures)
+
+
+def test_hadamard_suite_catches_corrupted_hadamard_apply(monkeypatch):
+    real = verify.hadamard_apply
+
+    def corrupted(coeffs, series):
+        coeffs = list(coeffs)
+        coeffs[1] = coeffs[1] + Poly.x()  # b_2 + y
+        return real(coeffs, series)
+
+    monkeypatch.setattr(verify, "hadamard_apply", corrupted)
+    failures = check_hadamard_identity(max_abs_root=1, max_d=2, order=4)
+    assert any(line.startswith("roots (1,), weight 2: ") for line in failures)
+    assert all("weight 2: hadamard_apply" in line for line in failures)
