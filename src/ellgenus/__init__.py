@@ -29,6 +29,7 @@ from .fibrations import (
     derived_q,
     fiber_integrand,
     p_polynomial,
+    p_polynomials,
     p_table_reference,
     pushforward_class,
 )
@@ -96,6 +97,7 @@ __all__ = [
     "mono_from_dict",
     "mono_weight",
     "p_polynomial",
+    "p_polynomials",
     "p_table_reference",
     "power_sum_series",
     "power_sums_from_chern",

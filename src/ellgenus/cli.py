@@ -23,7 +23,7 @@ from .fibrations import (
     closed_form_q,
     closed_form_text,
     derived_q,
-    p_polynomial,
+    p_polynomials,
     p_table_reference,
 )
 from .genseries import BaseSpec, chi_series, integrate
@@ -225,8 +225,7 @@ def cmd_ptable(args):
     if args.nmax < 0:
         raise UsageError("--nmax must be >= 0")
     mismatches = []
-    for n in range(0, args.nmax + 1):
-        poly = p_polynomial(args.family, n)
+    for n, poly in enumerate(p_polynomials(args.family, args.nmax)):
         print("P%d = %s" % (n, poly.to_text()))
         if args.check and poly != p_table_reference(args.family, n):
             mismatches.append(n)

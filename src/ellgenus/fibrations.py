@@ -212,11 +212,13 @@ def closed_form_q(family, wmax=DEFAULT_WMAX, qmax=DEFAULT_QMAX):
 # y-expansion of the closed forms: the P_n(U) polynomials
 
 
-def _q_y_expansion(family, nmax):
+def p_polynomials(family, nmax):
     """[P_0..P_nmax] as exact U-polynomials, via the geometric y-expansion."""
     data = _CLOSED.get(family)
     if data is None:
         raise KeyError("unknown family %r" % (family,))
+    if nmax < 0:
+        raise ValueError("nmax must be >= 0")
     s = data["s"]
     inv = [Poly.monomial(Fraction((-1) ** m), s * m) for m in range(nmax + 1)]
     numer = [Poly() for _ in range(nmax + 1)]
@@ -238,9 +240,7 @@ def _q_y_expansion(family, nmax):
 
 def p_polynomial(family, n):
     """y^n coefficient of the genus factor as an exact polynomial in U."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return _q_y_expansion(family, n)[n]
+    return p_polynomials(family, n)[n]
 
 
 _P1_TABLE = {
@@ -274,25 +274,20 @@ def p_table_reference(family, n):
 
 
 # ---------------------------------------------------------------------------
-# pushed-forward classes, y-degree by y-degree
+# the pushed-forward class
 
 
-def pushforward_class(family_or_spec, q, d, qmax=None):
-    """sum_{i<=q} P_{q-i}(U) * H_i(B): the y^q part of Q * H_y(B), to weight d.
+def pushforward_class(family_or_spec, d, qmax=None):
+    """Q * H_y(B) to weight d: the pushed-forward chi_y class of the fibration.
 
-    H_i(B) is the y^i slice of the full chi_y class of a d-dimensional
-    base; the result is a y-free mixed-weight series in L and c1..c_d.
+    H_y(B) is the full chi_y class of a d-dimensional base, so the y^q slice
+    is sum_{i<=q} P_{q-i}(U) * H_i(B), a y-free mixed-weight series in L and
+    c1..c_d.  The y-degree bound defaults to d + 2, as for ``chi_series``.
     """
-    if q < 0:
-        raise ValueError("q must be >= 0")
     if qmax is None:
-        qmax = max(q, d + 2)
+        qmax = d + 2
     if isinstance(family_or_spec, str):
         Q = closed_form_q(family_or_spec, d, qmax)
     else:
         Q = derived_q(family_or_spec, d, qmax)
-    base = hirzebruch_class(d, qmax)  # already truncated at (d, qmax)
-    out = WSeries.zero(d, qmax)
-    for i in range(0, q + 1):
-        out = out + Q.y_slice(q - i) * base.y_slice(i)
-    return out
+    return Q * hirzebruch_class(d, qmax)

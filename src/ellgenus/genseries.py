@@ -163,7 +163,7 @@ def chi_q(family_or_spec, base, q, verify=False):
     """chi_q of the family over ``base``, as an exact rational.
 
     With ``verify`` set, the same number is recomputed along the
-    class-by-class route (sum of P_{q-i} H_i(B)) and integrality is
+    class route (the weight-d, y^q part of Q * H_y(B)) and integrality is
     asserted; a mismatch raises :class:`VerificationError`.
     """
     d = base.dim
@@ -171,12 +171,9 @@ def chi_q(family_or_spec, base, q, verify=False):
         raise ValueError(
             "q=%d out of range: the fibration has dimension %d" % (q, d + 1)
         )
-    qmax = d + 2
-    cls = chi_series(family_or_spec, d, qmax).coeff(d, q)
-    value = integrate(cls, base)
+    value = integrate(chi_series(family_or_spec, d, d + 2).coeff(d, q), base)
     if verify:
-        other = pushforward_class(family_or_spec, q, d, qmax).weight_component(d)
-        check = integrate(other, base)
+        check = integrate(pushforward_class(family_or_spec, d).coeff(d, q), base)
         if check != value:
             raise VerificationError(
                 "route mismatch for q=%d: %s (series) vs %s (classes)"

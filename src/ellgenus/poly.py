@@ -137,9 +137,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def derivative(self):
-        return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
-
     def to_text(self, var="U", descending=True):
         """Compact rendering: '2U^3-U-4' style.
 

@@ -24,7 +24,8 @@ from .fibrations import (
     closed_form_q,
     derived_q,
     fiber_integrand,
-    p_polynomial,
+    _CLOSED,
+    p_polynomials,
     p_table_reference,
     pushforward_class,
 )
@@ -67,9 +68,9 @@ def check_p_table(families=FAMILIES, nmax=6):
     failures = []
     one_minus_u = 1 - Poly.x()
     for fam in families:
-        s = {"D5": 2, "E6": 3, "E7": 4, "E8": 6}[fam]
-        for n in range(0, nmax + 1):
-            got = p_polynomial(fam, n)
+        s = _CLOSED[fam]["s"]
+        table = p_polynomials(fam, nmax)
+        for n, got in enumerate(table):
             want = p_table_reference(fam, n)
             if got != want:
                 failures.append(
@@ -84,7 +85,7 @@ def check_p_table(families=FAMILIES, nmax=6):
                     "%s: P_%d has U-degree %d, expected %d"
                     % (fam, n, got.degree(), s * n + 1)
                 )
-        if p_polynomial(fam, 0) != one_minus_u:
+        if table[0] != one_minus_u:
             failures.append("%s: P_0 != 1 - U" % fam)
     return failures
 
@@ -252,15 +253,16 @@ def check_integrality(families=FAMILIES, max_dim=3):
 
 
 def check_route_consistency(families=FAMILIES, max_dim=4):
-    """Generating-series classes against sum P_(q-i) H_i(B), exactly."""
+    """Generating-series classes against the weight-d part of Q * H_y(B),
+    exactly."""
     failures = []
     for fam in families:
         for d in range(0, max_dim + 1):
-            qmax = d + 2
-            chi = chi_series(fam, d, qmax)
+            chi = chi_series(fam, d)
+            pushed = pushforward_class(fam, d)
             for q in range(0, d + 2):
                 lhs = chi.coeff(d, q)
-                rhs = pushforward_class(fam, q, d, qmax).weight_component(d)
+                rhs = pushed.coeff(d, q)
                 if lhs != rhs:
                     failures.append(
                         "%s, d=%d, q=%d: series class %s vs pushforward class %s"

@@ -2,8 +2,9 @@
 numeric evaluator used as a brute-force oracle, the plain dict/``Fraction``
 series multiply used as the oracle of the packed kernel, and the two-variable
 exp/Newton-inverse local factors, fiber integrand and Segre pushforward used
-as oracles of the one-variable constructions, and the chi_y class of a base
-from a series logarithm."""
+as oracles of the one-variable constructions, the chi_y class of a base
+from a series logarithm, the pushed-forward class convolved y-degree by
+y-degree, and a call counter for monkeypatched library functions."""
 
 from fractions import Fraction
 from math import factorial
@@ -11,6 +12,9 @@ from math import factorial
 from ellgenus import (
     RootForm,
     WSeries,
+    closed_form_q,
+    derived_q,
+    hirzebruch_class,
     lambda_y_factor,
     mono_from_dict,
     mono_weight,
@@ -183,3 +187,31 @@ def reference_hirzebruch_class(d, qmax):
         if k in a:
             exponent = exponent + p * a[k]
     return exponent.exp() * (WSeries.y(d, qmax) + 1) ** d
+
+
+def reference_pushforward_class(family_or_spec, q, d, qmax):
+    """sum_{i<=q} P_{q-i}(U) * H_i(B): the y^q part of Q * H_y(B) to weight d,
+    convolved from the y-slices of the two factors one pair at a time."""
+    if isinstance(family_or_spec, str):
+        Q = closed_form_q(family_or_spec, d, qmax)
+    else:
+        Q = derived_q(family_or_spec, d, qmax)
+    base = hirzebruch_class(d, qmax)
+    out = WSeries.zero(d, qmax)
+    for i in range(0, q + 1):
+        out = out + Q.y_slice(q - i) * base.y_slice(i)
+    return out
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records the arguments of
+    every call; returns the (live) list of argument tuples."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls

@@ -106,9 +106,10 @@ def test_criterion_5_route_consistency():
         for d in range(0, 5):
             qmax = d + 2
             chi = chi_series(fam, d, qmax)
+            pushed = pushforward_class(fam, d, qmax)
             for q in range(0, d + 2):
                 lhs = chi.coeff(d, q)
-                rhs = pushforward_class(fam, q, d, qmax).weight_component(d)
+                rhs = pushed.coeff(d, q)
                 if lhs != rhs:
                     _report(5, label, "%s d=%d q=%d" % (fam, d, q))
     _report(5, label)

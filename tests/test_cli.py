@@ -15,7 +15,7 @@ from ellgenus.cli import (
     main,
     parse_series_json,
 )
-from helpers import random_series
+from helpers import count_calls, random_series
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +103,17 @@ def test_ptable_check_passes(capsys):
     code, out, _ = run_cli(capsys, "ptable", "E7", "--nmax", "5", "--check")
     assert code == 0
     assert "check: PASS (n <= 5)" in out
+
+
+def test_ptable_expands_the_table_once(capsys, monkeypatch):
+    from ellgenus import cli
+
+    calls = count_calls(monkeypatch, cli, "p_polynomials")
+    code, out, _ = run_cli(capsys, "ptable", "D5", "--nmax", "12", "--check")
+    assert code == 0
+    assert calls == [("D5", 12)]
+    assert out.splitlines()[-1] == "check: PASS (n <= 12)"
+    assert len(out.splitlines()) == 14
 
 
 # -- chi ----------------------------------------------------------------------

@@ -20,11 +20,16 @@ from ellgenus import (
     fiber_integrand,
     hirzebruch_class,
     p_polynomial,
+    p_polynomials,
     p_table_reference,
     pushforward,
     pushforward_class,
 )
-from helpers import reference_fiber_integrand, reference_todd_factor
+from helpers import (
+    reference_fiber_integrand,
+    reference_pushforward_class,
+    reference_todd_factor,
+)
 
 
 def test_catalog_root_data():
@@ -260,6 +265,22 @@ def test_root_locations():
         assert p.evaluate(F(n - 2, n + 1)) == 0
 
 
+@pytest.mark.parametrize("fam", FAMILIES)
+def test_p_polynomials_rows_do_not_depend_on_nmax(fam):
+    full = p_polynomials(fam, 12)
+    assert len(full) == 13
+    for n in range(0, 13):
+        assert full[: n + 1] == p_polynomials(fam, n)
+
+
+def test_p_polynomials_rejects_negative_nmax():
+    for fam in FAMILIES:
+        with pytest.raises(ValueError):
+            p_polynomials(fam, -1)
+    with pytest.raises(KeyError):
+        p_polynomials("A1", 3)
+
+
 def test_u_degree_structure():
     widths = {"D5": 2, "E6": 3, "E7": 4, "E8": 6}
     for fam in FAMILIES:
@@ -272,7 +293,7 @@ def test_u_degree_structure():
 
 def test_pushforward_class_q0_is_one_minus_u_times_todd():
     d, qmax = 3, 5
-    got = pushforward_class("E6", 0, d, qmax)
+    got = pushforward_class("E6", d, qmax).y_slice(0)
     one_minus_u = (1 - (-WSeries.var("L", d, qmax)).exp()).y_slice(0)
     td = hirzebruch_class(d, qmax).y_slice(0)
     assert got == one_minus_u * td
@@ -282,17 +303,24 @@ def test_pushforward_class_e8_anticanonical_integral_vanishes():
     # weight-2 part of (1 - U) td(B) over (P^2, L = 3h) integrates to 0
     from ellgenus import BaseSpec, integrate
 
-    cls = pushforward_class("E8", 0, 2).weight_component(2)
+    cls = pushforward_class("E8", 2).coeff(2, 0)
     base = BaseSpec.projective_space(2, 3)
     assert integrate(cls, base) == 0
 
 
-def test_pushforward_class_matches_product_slices():
-    # y^q slice of Q * H_y(B), both factors expanded directly
-    d, qmax = 2, 4
-    for fam in ("D5", "E8"):
-        Q = closed_form_q(fam, d, qmax)
-        base = hirzebruch_class(d, qmax)
-        product = Q * base
-        for q in range(0, 4):
-            assert pushforward_class(fam, q, d, qmax) == product.y_slice(q)
+def test_pushforward_class_default_qmax_is_d_plus_two():
+    assert pushforward_class("D5", 3) == pushforward_class("D5", 3, 5)
+    assert pushforward_class("D5", 3).qmax == 5
+
+
+@pytest.mark.parametrize("target", FAMILIES + ("E6~2",))
+def test_pushforward_class_slices_equal_the_per_q_convolution(target):
+    # every y^q slice of the one product against sum_i P_(q-i) H_i(B)
+    if target == "E6~2":
+        target = _twisted("E6", 2, random.Random(target))
+    for d in range(0, 6):
+        for qmax in (d + 2, d + 4):
+            pushed = pushforward_class(target, d, qmax)
+            for q in range(0, qmax + 1):
+                want = reference_pushforward_class(target, q, d, qmax)
+                assert pushed.y_slice(q) == want, (d, qmax, q)

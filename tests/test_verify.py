@@ -1,7 +1,16 @@
 """The self-verification suites, including corrupted catalog data as a
 negative control."""
 
-from ellgenus import BundleSpec, FibrationSpec, Poly, RootForm, WSeries, verify
+from ellgenus import (
+    FAMILIES,
+    BundleSpec,
+    FibrationSpec,
+    Poly,
+    RootForm,
+    WSeries,
+    fibrations,
+    verify,
+)
 from ellgenus.verify import (
     SUITES,
     check_d5_derivative_oracle,
@@ -15,6 +24,7 @@ from ellgenus.verify import (
     first_mismatch,
     run_suites,
 )
+from helpers import count_calls
 
 
 def test_suite_smoke_one_family():
@@ -33,6 +43,19 @@ def test_individual_suites_pass_quickly():
     assert check_serre_duality(("E6",), max_dim=2) == []
     assert check_integrality(("E7",), max_dim=2) == []
     assert check_route_consistency(("D5",), max_dim=2) == []
+
+
+def test_route_consistency_builds_one_pushed_class_per_family_and_dim(monkeypatch):
+    builds = count_calls(monkeypatch, fibrations, "hirzebruch_class")
+    assert check_route_consistency(FAMILIES, 4) == []
+    assert len(builds) == 20
+    assert sorted(set(builds)) == [(d, d + 2) for d in range(0, 5)]
+
+
+def test_p_table_expands_each_family_once(monkeypatch):
+    calls = count_calls(monkeypatch, verify, "p_polynomials")
+    assert check_p_table(nmax=12) == []
+    assert calls == [(fam, 12) for fam in FAMILIES]
 
 
 def test_corrupted_root_is_caught_with_counterexample():
