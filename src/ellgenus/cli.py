@@ -343,10 +343,15 @@ def build_parser():
     return parser
 
 
+_PARSER = None  # build_parser() once per process; parsing does not change it
+
+
 def main(argv=None):
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other exits
         return exc.code if isinstance(exc.code, int) else 2

@@ -90,10 +90,11 @@ class Poly:
         if self.is_zero() or other.is_zero():
             return Poly()
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        right = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in right:
                 out[i + j] += a * b
         return Poly(out)
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, zip_longest
+from math import lcm
 
 from .charclasses import (
     chi_y_log_coefficients,
@@ -134,15 +135,72 @@ def _elementary_symmetric(roots):
     return e
 
 
-def _evaluate_by_weight(series, values):
-    """{weight k: the weight-k part as a y-Poly} at values[var] per variable."""
-    rows = {}
+def _compile_chern_series(series):
+    """``series`` in the Chern classes c_i, ready for int evaluation.
+
+    Returns (denominator, y-row width, {weight: [(y-degree, numerator,
+    ((i, exponent), ...))]}): every coefficient is numerator/denominator
+    over one common int denominator.  A variable other than c_i (i >= 1)
+    raises ValueError; it is never skipped.
+    """
+    den = lcm(*(c.denominator for c in series.terms.values()))
+    by_weight = {}
     for (mono, q), c in series.terms.items():
-        at = 1
+        factors = []
         for var, e in mono:
-            at *= values[var] ** e
-        rows.setdefault(mono_weight(mono), [0] * (series.qmax + 1))[q] += c * at
-    return {k: Poly(row) for k, row in rows.items()}
+            i = int(var[1:]) if var[:1] == "c" and var[1:].isdigit() else 0
+            if i < 1:
+                raise ValueError("%r is not a Chern class c_i" % var)
+            factors.append((i, e))
+        by_weight.setdefault(mono_weight(mono), []).append(
+            (q, c.numerator * (den // c.denominator), tuple(factors))
+        )
+    return den, series.qmax + 1, by_weight
+
+
+def _top_exponents(compiled):
+    """{i: the largest exponent of c_i} over the terms of compiled series."""
+    top = {}
+    for _den, _width, by_weight in compiled:
+        for terms in by_weight.values():
+            for _q, _num, factors in terms:
+                for i, x in factors:
+                    top[i] = max(top.get(i, 0), x)
+    return top
+
+
+def _chern_powers(e, top):
+    """powers[i][x] = c_i ** x for x <= top[i], with c_i := e[i] (0 past the
+    roots)."""
+    return {
+        i: [(e[i] if i < len(e) else 0) ** x for x in range(n + 1)]
+        for i, n in top.items()
+    }
+
+
+def _weight_row(compiled, k, powers):
+    """The weight-k part of a compiled series as an int y-row, to be read
+    over its denominator."""
+    _den, width, by_weight = compiled
+    row = [0] * width
+    for q, num, factors in by_weight.get(k, ()):
+        for i, x in factors:
+            num *= powers[i][x]
+        row[q] += num
+    return row
+
+
+def _row_poly(row, den):
+    return Poly([Fraction(x, den) for x in row])
+
+
+def _row_equals(row, den, want, scale):
+    """Whether row/den == scale * want, for a y-row ``want`` of ints or
+    Fractions."""
+    return all(
+        r * w.denominator == w.numerator * scale * den
+        for r, w in zip_longest(row, want, fillvalue=0)
+    )
 
 
 def check_hadamard_identity(max_abs_root=3, max_d=4, order=6):
@@ -153,30 +211,38 @@ def check_hadamard_identity(max_abs_root=3, max_d=4, order=6):
     ``hadamard_apply(chi_y_log_coefficients(order), power_sum_series(...))``;
     the weight-k values must be sum_i l_i^k and b_k * sum_i l_i^k.  The c_i
     are symmetric in the roots, so multisets cover every ordered tuple.
+
+    Each series is compiled once to int numerators over one denominator, so
+    every value is an exact int computation; a failure line shows the
+    rational y-polynomial.
     """
     bcoeffs = chi_y_log_coefficients(order)
     psums = power_sums_from_chern(order)
     hadamard = hadamard_apply(bcoeffs, power_sum_series(order, qmax=order))
+    compiled_h = _compile_chern_series(hadamard)
+    compiled_p = [_compile_chern_series(p) for p in psums]
+    top = _top_exponents([compiled_h] + compiled_p)
+    h_den = compiled_h[0]
     failures = []
     root_range = range(-max_abs_root, max_abs_root + 1)
     for d in range(1, max_d + 1):
         for roots in combinations_with_replacement(root_range, d):
-            e = _elementary_symmetric(roots)
-            values = {"c%d" % i: e[i] if i <= d else 0 for i in range(1, order + 1)}
-            got_h = _evaluate_by_weight(hadamard, values)
+            powers = _chern_powers(_elementary_symmetric(roots), top)
             for k in range(1, order + 1):
                 direct = sum(lam**k for lam in roots)
-                got_p = _evaluate_by_weight(psums[k - 1], values).get(k, Poly())
-                if got_p != direct:
+                p_den = compiled_p[k - 1][0]
+                row = _weight_row(compiled_p[k - 1], k, powers)
+                if not _row_equals(row, p_den, (1,), direct):
                     failures.append(
                         "roots %s: p_%d gives %s, sum of l^%d is %s"
-                        % (roots, k, got_p.to_text(), k, direct)
+                        % (roots, k, _row_poly(row, p_den).to_text(), k, direct)
                     )
-                got, want = got_h.get(k, Poly()), bcoeffs[k - 1] * direct
-                if got != want:
+                row = _weight_row(compiled_h, k, powers)
+                if not _row_equals(row, h_den, bcoeffs[k - 1].coeffs, direct):
+                    want = bcoeffs[k - 1] * direct
                     failures.append(
                         "roots %s, weight %d: hadamard_apply gives %s, b_%d p_%d is %s"
-                        % (roots, k, got.to_text("y", False), k, k,
+                        % (roots, k, _row_poly(row, h_den).to_text("y", False), k, k,
                            want.to_text("y", False))
                     )
     return failures

@@ -4,12 +4,15 @@ series multiply used as the oracle of the packed kernel, and the two-variable
 exp/Newton-inverse local factors, fiber integrand and Segre pushforward used
 as oracles of the one-variable constructions, the chi_y class of a base
 from a series logarithm, the pushed-forward class convolved y-degree by
-y-degree, and a call counter for monkeypatched library functions."""
+y-degree, the Fraction evaluator that is the oracle of the hadamard-identity
+suite's int evaluator, the dense ``Poly`` product, and a call counter for
+monkeypatched library functions."""
 
 from fractions import Fraction
 from math import factorial
 
 from ellgenus import (
+    Poly,
     RootForm,
     WSeries,
     closed_form_q,
@@ -201,6 +204,34 @@ def reference_pushforward_class(family_or_spec, q, d, qmax):
     for i in range(0, q + 1):
         out = out + Q.y_slice(q - i) * base.y_slice(i)
     return out
+
+
+def evaluate_by_weight(series, values):
+    """{weight k: the weight-k part as a y-Poly} at values[var] per variable,
+    one ``Fraction`` term at a time."""
+    rows = {}
+    for (mono, q), c in series.terms.items():
+        at = 1
+        for var, e in mono:
+            at *= values[var] ** e
+        rows.setdefault(mono_weight(mono), [0] * (series.qmax + 1))[q] += c * at
+    return {k: Poly(row) for k, row in rows.items()}
+
+
+def dense_poly_mul(a, b):
+    """a * b over every coefficient pair, zeros included; a scalar b scales a.
+    Patched in as ``Poly.__mul__`` it gives the dense product."""
+    if isinstance(b, (int, Fraction)):
+        return Poly([c * b for c in a.coeffs])
+    if not isinstance(b, Poly):
+        return NotImplemented
+    if a.is_zero() or b.is_zero():
+        return Poly()
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return Poly(out)
 
 
 def count_calls(monkeypatch, module, name):

@@ -1,12 +1,14 @@
 """The command-line surface: output contents, exit codes, JSON round
 trips, and input-file handling."""
 
+import contextlib
+import io
 import json
 from fractions import Fraction as F
 
 import pytest
 
-from ellgenus import WSeries, closed_form_q, derived_q
+from ellgenus import BaseSpec, WSeries, cli, closed_form_q, derived_q
 from ellgenus.cli import (
     UsageError,
     emit_series_json,
@@ -348,3 +350,47 @@ def test_usage_exit_code(capsys):
     capsys.readouterr()
     assert main(["q"]) == 2
     capsys.readouterr()
+
+
+def _redirected(argv):
+    """(exit code, stdout, stderr) of one ``main`` call, with both streams
+    redirected the way an embedding program would."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_main_builds_the_parser_once_and_answers_as_a_fresh_one(tmp_path, monkeypatch):
+    monomials = [
+        {"exps": {v: e for v, e in mono}, "value": str(value)}
+        for mono, value in BaseSpec.projective_space(2, 3).table.items()
+    ]
+    base_file = tmp_path / "p2.json"
+    base_file.write_text(json.dumps({"dim": 2, "monomials": monomials}))
+    argvs = [
+        ["q", "E6", "--wmax", "3", "--qmax", "2"],
+        ["q", "E6", "--wmax", "3", "--qmax", "2", "--format", "json"],
+        ["q", "E6", "--wmax", "3", "--qmax", "2", "--format", "latex"],
+        ["ptable", "D5", "--check", "--nmax", "4"],
+        ["chi", "E8", "--base", "pd:2:3"],
+        ["chi", "D5", "--base-file", str(base_file), "--q", "1"],
+        ["verify", "--family", "E8"],
+        [],
+        ["q"],
+        ["q", "nosuch"],
+    ]
+    fresh = []
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(_redirected(argv))
+    codes = [code for code, _out, _err in fresh]
+    assert codes == [0, 0, 0, 0, 0, 0, 0, 2, 2, 2]
+    assert "the following arguments are required" in fresh[7][2]  # argparse's text
+    assert fresh[9][2].startswith("error: unknown family")
+
+    builds = count_calls(monkeypatch, cli, "build_parser")
+    monkeypatch.setattr(cli, "_PARSER", None)
+    for _round in range(3):
+        assert [_redirected(argv) for argv in argvs] == fresh
+    assert len(builds) == 1

@@ -5,8 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from ellgenus import Poly
+from ellgenus import FAMILIES, Poly, p_polynomials, p_table_reference
 from ellgenus.poly import truncated_mul
+from helpers import dense_poly_mul
 
 
 def test_construction_strips_trailing_zeros():
@@ -69,3 +70,32 @@ def test_truncated_mul_against_evaluated_product():
             pb = Poly([c.evaluate(z) for c in b])
             want = Poly((pa * pb).coeffs[: order + 1])
             assert Poly([c.evaluate(z) for c in got]) == want
+
+
+def test_sparse_product_equals_dense_product():
+    # interior zeros on both sides, and zero/constant/scalar factors
+    rng = random.Random(11)
+
+    def rand_poly():
+        n = rng.randrange(0, 9)
+        return Poly([
+            0 if rng.random() < 0.5 else F(rng.randrange(-5, 6), rng.randrange(1, 4))
+            for _ in range(n)
+        ])
+
+    for _ in range(300):
+        a, b = rand_poly(), rand_poly()
+        assert a * b == dense_poly_mul(a, b)
+        assert b * a == dense_poly_mul(b, a)
+    assert Poly((1, 0, 0, 2)) * Poly((0, 0, 3)) == Poly((0, 0, 3, 0, 0, 6))
+    assert Poly((0, 1, 0, 1)) * F(1, 2) == Poly((0, F(1, 2), 0, F(1, 2)))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_p_table_unchanged_by_the_sparse_product(family, monkeypatch):
+    sparse = p_polynomials(family, 12)
+    sparse_ref = [p_table_reference(family, n) for n in range(13)]
+    monkeypatch.setattr(Poly, "__mul__", dense_poly_mul)
+    monkeypatch.setattr(Poly, "__rmul__", dense_poly_mul)
+    assert sparse == p_polynomials(family, 12)
+    assert sparse_ref == [p_table_reference(family, n) for n in range(13)]

@@ -1,6 +1,11 @@
 """The self-verification suites, including corrupted catalog data as a
 negative control."""
 
+from fractions import Fraction
+from itertools import combinations_with_replacement
+
+import pytest
+
 from ellgenus import (
     FAMILIES,
     BundleSpec,
@@ -8,11 +13,20 @@ from ellgenus import (
     Poly,
     RootForm,
     WSeries,
+    chi_y_log_coefficients,
     fibrations,
+    hadamard_apply,
+    power_sum_series,
+    power_sums_from_chern,
     verify,
 )
 from ellgenus.verify import (
     SUITES,
+    _chern_powers,
+    _compile_chern_series,
+    _elementary_symmetric,
+    _top_exponents,
+    _weight_row,
     check_d5_derivative_oracle,
     check_derived_vs_closed,
     check_euler_e8,
@@ -24,7 +38,7 @@ from ellgenus.verify import (
     first_mismatch,
     run_suites,
 )
-from helpers import count_calls
+from helpers import count_calls, evaluate_by_weight
 
 
 def test_suite_smoke_one_family():
@@ -106,3 +120,56 @@ def test_hadamard_suite_catches_corrupted_hadamard_apply(monkeypatch):
     failures = check_hadamard_identity(max_abs_root=1, max_d=2, order=4)
     assert any(line.startswith("roots (1,), weight 2: ") for line in failures)
     assert all("weight 2: hadamard_apply" in line for line in failures)
+
+
+def test_compiled_int_evaluator_matches_fraction_oracle():
+    # the hadamard series and every p_k, at every multiset the suite would
+    # visit with max_abs_root=2, max_d=3, order=6
+    order = 6
+    series = [hadamard_apply(chi_y_log_coefficients(order),
+                             power_sum_series(order, qmax=order))]
+    series += power_sums_from_chern(order)
+    compiled = [_compile_chern_series(s) for s in series]
+    top = _top_exponents(compiled)
+    visited = 0
+    for d in range(1, 4):
+        for roots in combinations_with_replacement(range(-2, 3), d):
+            e = _elementary_symmetric(roots)
+            values = {"c%d" % i: e[i] if i <= d else 0 for i in range(1, order + 1)}
+            powers = _chern_powers(e, top)
+            for s, c in zip(series, compiled):
+                den, _width, by_weight = c
+                got = {
+                    k: Poly([Fraction(x, den) for x in _weight_row(c, k, powers)])
+                    for k in by_weight
+                }
+                assert got == evaluate_by_weight(s, values)
+            visited += 1
+    assert visited == 5 + 15 + 35
+
+
+def test_default_hadamard_suite_visits_every_multiset_in_order(monkeypatch):
+    calls = count_calls(monkeypatch, verify, "_elementary_symmetric")
+    assert check_hadamard_identity() == []
+    want = [
+        (roots,)
+        for d in range(1, 5)
+        for roots in combinations_with_replacement(range(-3, 4), d)
+    ]
+    assert len(want) == 329
+    assert calls == want
+
+
+def test_hadamard_suite_refuses_a_variable_other_than_c_i(monkeypatch):
+    with pytest.raises(ValueError, match="'L' is not a Chern class"):
+        _compile_chern_series(WSeries.var("c1", 3, 0) + WSeries.var("L", 3, 0))
+    real = verify.power_sums_from_chern
+
+    def with_stray_term(kmax, qmax=0, cmax=None):
+        p = real(kmax, qmax, cmax)
+        p[1] = p[1] + WSeries.var("H", kmax, qmax) ** 2
+        return p
+
+    monkeypatch.setattr(verify, "power_sums_from_chern", with_stray_term)
+    with pytest.raises(ValueError, match="'H' is not a Chern class"):
+        check_hadamard_identity(max_abs_root=1, max_d=1, order=4)

@@ -1,0 +1,117 @@
+"""Paired parent/change runs of the benchmark, summarised in one JSON file.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json
+
+``--parent`` and ``--change`` are two checkouts of the repository (for
+example made with ``git archive``) that hold the same ``bench/``.  For each
+workload (cli, chi, derive), pair i = 1..10 runs seed i on both checkouts
+with ``python3 bench/run.py --workload W --seed i --seconds 25 --trace 0``:
+the parent first when i is odd, the change first when i is even.  The output
+file is rewritten after every pair, so an interrupted session keeps the
+pairs it finished; a workload gets its summary only once all ten are done.
+
+For every end-to-end metric of ``BENCHMARK.json`` (and ``verify_s`` on
+``cli``) the summary gives each side's median and quartiles, the pairs the
+change won (ties count for neither side) and ``gain``: the change won at
+least nine tenths of the pairs and the medians differ by more than the
+distance between the parent's quartiles.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+WORKLOADS = ("cli", "chi", "derive")
+PAIRS = 10
+SECONDS = 25
+
+
+def run_once(checkout, workload, seed):
+    """The end-to-end metrics of one untraced run, plus verify_s on cli."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(SECONDS), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    report = os.path.join(checkout, ".bench_work", "%s-seed%d-trace0.json" % (workload, seed))
+    with open(report) as fh:
+        extra = json.load(fh)["extra"]
+    if "verify_s" in extra:
+        metrics["verify_s"] = extra["verify_s"]
+    return {"correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"], "metrics": metrics}
+
+
+def quartiles(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def summarise(pairs, better):
+    """Per metric: both sides' quartiles, the change's wins, and the gain rule."""
+    out = {}
+    for name, direction in better.items():
+        done = [p for p in pairs if name in p["parent"]["metrics"]]
+        if not done:
+            continue
+        parent = [p["parent"]["metrics"][name] for p in done]
+        change = [p["change"]["metrics"][name] for p in done]
+        sign = 1 if direction == "higher" else -1
+        wins = sum(1 for a, b in zip(parent, change) if sign * (b - a) > 0)
+        ps, cs = quartiles(parent), quartiles(change)
+        out[name] = {
+            "better": direction,
+            "parent": ps,
+            "change": cs,
+            "change_vs_parent_median": cs["median"] / ps["median"] - 1 if ps["median"] else None,
+            "change_wins": wins,
+            "pairs": len(done),
+            "gain": wins >= 0.9 * len(done)
+            and sign * (cs["median"] - ps["median"]) > ps["q3"] - ps["q1"],
+        }
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True)
+    ap.add_argument("--change", required=True)
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args(argv)
+    with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    better["verify_s"] = "lower"
+    doc = {
+        "command": "python3 bench/run.py --workload W --seed i --seconds %d --trace 0"
+                   % SECONDS,
+        "pairing": "pair i runs seed i on both sides; parent first for odd i",
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "workloads": {},
+    }
+    for workload in WORKLOADS:
+        pairs = []
+        doc["workloads"][workload] = {"pairs": pairs}
+        for seed in range(1, PAIRS + 1):
+            sides = ("parent", "change") if seed % 2 else ("change", "parent")
+            pair = {"seed": seed, "first": sides[0]}
+            for side in sides:
+                pair[side] = run_once(getattr(args, side), workload, seed)
+            pairs.append(pair)
+            if len(pairs) == PAIRS:
+                doc["workloads"][workload]["summary"] = summarise(pairs, better)
+            with open(args.out, "w") as fh:
+                json.dump(doc, fh, indent=1, sort_keys=True)
+                fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
