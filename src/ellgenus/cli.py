@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -178,8 +179,6 @@ def resolve_family_or_spec(token):
     """A catalog family name, or a path to a spec JSON file."""
     if token in FAMILIES:
         return token
-    import os
-
     if os.path.exists(token):
         return load_fibration_spec(token)
     raise UsageError(
@@ -357,9 +356,6 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except (KeyError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

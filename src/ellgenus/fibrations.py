@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial
 
 from .charclasses import (
     RootForm,
@@ -33,7 +34,7 @@ from .charclasses import (
     lambda_y_inverse,
     todd_factor,
 )
-from .poly import Poly, truncated_mul
+from .poly import Poly
 from .pushforward import BundleSpec, pushforward
 from .series import WSeries
 
@@ -184,28 +185,53 @@ _CLOSED_TEXT = {
 }
 
 
+def _check_family(family):
+    if family not in _CLOSED:
+        raise KeyError("unknown family %r" % (family,))
+
+
 def closed_form_text(family):
     """The unexpanded genus-factor expression, with U = exp(-L)."""
-    if family not in _CLOSED_TEXT:
-        raise KeyError("unknown family %r" % (family,))
+    _check_family(family)
     return _CLOSED_TEXT[family]
 
 
+def _p_rows(family, nmax):
+    """P_0..P_nmax as int lists, index = U-degree: the one expansion of
+    ``_CLOSED``.  Q is lead - y plus terms c y^a U^b (1 + y U^s)^-e, e = 1
+    or 2, and (1 + x)^-e = sum_m C(m+e-1, m) (-x)^m."""
+    data = _CLOSED[family]
+    s = data["s"]
+    terms = [(c, a + i, b, 1) for (a, b), c in data["numer"].items() for i in (0, 1)]
+    if data.get("extra"):  # - U (1 + y)^2 / (1 + y U^s)^2
+        terms += [(-1, 0, 1, 2), (-2, 1, 1, 2), (-1, 2, 1, 2)]
+    top = max(b for _, _, b, _ in terms)
+    rows = [[0] * (s * n + top + 1) for n in range(nmax + 1)]
+    rows[0][0] += data["lead"]
+    if nmax >= 1:
+        rows[1][0] -= 1
+    for c, a, b, e in terms:
+        for m in range(nmax - a + 1):
+            rows[a + m][b + s * m] += (-1) ** m * comb(m + e - 1, m) * c
+    return rows
+
+
 def closed_form_q(family, wmax=DEFAULT_WMAX, qmax=DEFAULT_QMAX):
-    """Expand the closed-form genus factor with U = exp(-L), exactly."""
-    data = _CLOSED.get(family)
-    if data is None:
-        raise KeyError("unknown family %r" % (family,))
-    y = WSeries.y(wmax, qmax)
-    U = (-WSeries.var("L", wmax, qmax)).exp()
-    numer = WSeries.zero(wmax, qmax)
-    for (yd, ud), coeff in data["numer"].items():
-        numer = numer + y**yd * U**ud * coeff
-    denom_inv = (y * U ** data["s"] + 1).inverse()
-    Q = data["lead"] - y + (y + 1) * numer * denom_inv
-    if data.get("extra"):
-        Q = Q - U * (y + 1) ** 2 * denom_inv**2
-    return Q
+    """Expand the closed-form genus factor with U = exp(-L), exactly: the
+    y^n L^j coefficient is sum_k P_n[k] (-k)^j / j!."""
+    _check_family(family)
+    if wmax < 0 or qmax < 0:
+        raise ValueError("truncation orders must be >= 0")
+    terms = {}
+    for n, row in enumerate(_p_rows(family, qmax)):
+        row = [(k, c) for k, c in enumerate(row) if c]  # (k, P_n[k] (-k)^j)
+        for j in range(wmax + 1):
+            total = sum(c for _, c in row)
+            if total:
+                mono = (("L", j),) if j else ()
+                terms[(mono, n)] = Fraction(total, factorial(j))
+            row = [(k, -k * c) for k, c in row]
+    return WSeries._trusted(wmax, qmax, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -213,29 +239,11 @@ def closed_form_q(family, wmax=DEFAULT_WMAX, qmax=DEFAULT_QMAX):
 
 
 def p_polynomials(family, nmax):
-    """[P_0..P_nmax] as exact U-polynomials, via the geometric y-expansion."""
-    data = _CLOSED.get(family)
-    if data is None:
-        raise KeyError("unknown family %r" % (family,))
+    """[P_0..P_nmax] as exact U-polynomials."""
+    _check_family(family)
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    s = data["s"]
-    inv = [Poly.monomial(Fraction((-1) ** m), s * m) for m in range(nmax + 1)]
-    numer = [Poly() for _ in range(nmax + 1)]
-    for (yd, ud), coeff in data["numer"].items():
-        if yd <= nmax:
-            numer[yd] = numer[yd] + Poly.monomial(Fraction(coeff), ud)
-    y_plus_1 = [Poly.one(), Poly.one()]
-    out = truncated_mul(truncated_mul(y_plus_1, numer, nmax), inv, nmax)
-    out[0] = out[0] + data["lead"]
-    if nmax >= 1:
-        out[1] = out[1] - 1
-    if data.get("extra"):
-        sq = truncated_mul(y_plus_1, y_plus_1, nmax)
-        extra = truncated_mul(truncated_mul(sq, inv, nmax), inv, nmax)
-        for n in range(nmax + 1):
-            out[n] = out[n] - Poly.x() * extra[n]
-    return out
+    return [Poly(row) for row in _p_rows(family, nmax)]
 
 
 def p_polynomial(family, n):
@@ -253,8 +261,7 @@ _P1_TABLE = {
 
 def p_table_reference(family, n):
     """Tabulated closed form of P_n: P_0, P_1, and the factored P_n, n > 1."""
-    if family not in _CLOSED:
-        raise KeyError("unknown family %r" % (family,))
+    _check_family(family)
     if n < 0:
         raise ValueError("n must be >= 0")
     U = Poly.x()

@@ -24,10 +24,6 @@ class Poly:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def one(cls):
         return cls((1,))
 

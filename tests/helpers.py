@@ -4,9 +4,10 @@ series multiply used as the oracle of the packed kernel, and the two-variable
 exp/Newton-inverse local factors, fiber integrand and Segre pushforward used
 as oracles of the one-variable constructions, the chi_y class of a base
 from a series logarithm, the pushed-forward class convolved y-degree by
-y-degree, the Fraction evaluator that is the oracle of the hadamard-identity
-suite's int evaluator, the dense ``Poly`` product, and a call counter for
-monkeypatched library functions."""
+y-degree, the ``WSeries`` expansion of the closed forms (series exp, powers
+and a Newton inverse), the Fraction evaluator that is the oracle of the
+hadamard-identity suite's int evaluator, the dense ``Poly`` product, and a
+call counter for monkeypatched library functions."""
 
 from fractions import Fraction
 from math import factorial
@@ -25,6 +26,7 @@ from ellgenus import (
     segre_series,
     todd_factor,
 )
+from ellgenus.fibrations import _CLOSED
 
 
 def random_series(rng, variables, wmax, qmax, nterms=10, allow_const=True):
@@ -190,6 +192,24 @@ def reference_hirzebruch_class(d, qmax):
         if k in a:
             exponent = exponent + p * a[k]
     return exponent.exp() * (WSeries.y(d, qmax) + 1) ** d
+
+
+def reference_closed_form_q(family, wmax, qmax):
+    """The closed-form genus factor expanded in the ``WSeries`` ring: U as a
+    series exp, its powers, and a Newton inverse of 1 + y U^s."""
+    data = _CLOSED.get(family)
+    if data is None:
+        raise KeyError("unknown family %r" % (family,))
+    y = WSeries.y(wmax, qmax)
+    U = (-WSeries.var("L", wmax, qmax)).exp()
+    numer = WSeries.zero(wmax, qmax)
+    for (yd, ud), coeff in data["numer"].items():
+        numer = numer + y**yd * U**ud * coeff
+    denom_inv = (y * U ** data["s"] + 1).inverse()
+    Q = data["lead"] - y + (y + 1) * numer * denom_inv
+    if data.get("extra"):
+        Q = Q - U * (y + 1) ** 2 * denom_inv**2
+    return Q
 
 
 def reference_pushforward_class(family_or_spec, q, d, qmax):

@@ -26,6 +26,7 @@ from ellgenus import (
     pushforward_class,
 )
 from helpers import (
+    reference_closed_form_q,
     reference_fiber_integrand,
     reference_pushforward_class,
     reference_todd_factor,
@@ -206,6 +207,26 @@ def test_closed_form_vanishes_at_u_equal_one():
             assert Q.coeff(0, q).is_zero()
 
 
+@pytest.mark.parametrize("fam", FAMILIES)
+def test_closed_form_q_equals_the_series_expansion(fam):
+    # the int route from the P_n rows against exp/powers/Newton inverse
+    for wmax in (0, 1, 3, 6, 10, 12):
+        for qmax in (0, 1, 3, 7, 11, 12):
+            assert closed_form_q(fam, wmax, qmax) == reference_closed_form_q(
+                fam, wmax, qmax
+            )
+
+
+def test_closed_form_q_errors():
+    with pytest.raises(KeyError, match="unknown family 'A1'"):
+        closed_form_q("A1", 3, 3)
+    with pytest.raises(KeyError, match="unknown family 'A1'"):
+        closed_form_q("A1", -1, 3)
+    for wmax, qmax in ((-1, 3), (3, -1), (-1, -1)):
+        with pytest.raises(ValueError, match="^truncation orders must be >= 0$"):
+            closed_form_q("E8", wmax, qmax)
+
+
 def test_closed_form_text_mentions_all_families():
     for fam in FAMILIES:
         text = closed_form_text(fam)
@@ -273,11 +294,17 @@ def test_p_polynomials_rows_do_not_depend_on_nmax(fam):
         assert full[: n + 1] == p_polynomials(fam, n)
 
 
+@pytest.mark.parametrize("fam", FAMILIES)
+def test_p_polynomials_match_reference_forms_to_n_20(fam):
+    # D5's (1 + y U^2)^-2 binomials grow past the n <= 6 rows checked above
+    assert p_polynomials(fam, 20) == [p_table_reference(fam, n) for n in range(21)]
+
+
 def test_p_polynomials_rejects_negative_nmax():
     for fam in FAMILIES:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^nmax must be >= 0$"):
             p_polynomials(fam, -1)
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="unknown family 'A1'"):
         p_polynomials("A1", 3)
 
 
