@@ -25,7 +25,7 @@ from functools import cache
 from math import factorial
 
 from .poly import Poly, truncated_mul
-from .series import WSeries
+from .series import WSeries, _shift_h
 
 
 @dataclass(frozen=True)
@@ -67,14 +67,18 @@ class RootForm:
 # evaluated at a Chern root l = a*H + b*L.  Its t-coefficients are written
 # down from closed forms (Todd numbers, s^k/k!) as {y-degree: rational}
 # maps, and :func:`_at_form` fills them in at the root: t -> a*H (or b*L
-# when a = 0), then, when both a and b are nonzero, one substitution
+# when a = 0), then, when both a and b are nonzero, the binomial shear
 # H -> H + (b/a)*L.  No local factor takes an exp or an inverse.
 
 
+@cache
 def _todd_numbers(order):
-    """t/(1 - e^{-t}) = sum_k tau_k t^k: [tau_0..tau_order]."""
-    return _invert_fraction_series(
-        [Fraction((-1) ** j, factorial(j + 1)) for j in range(order + 1)]
+    """t/(1 - e^{-t}) = sum_k tau_k t^k: (tau_0, ..., tau_order), solved
+    once per order."""
+    return tuple(
+        _invert_fraction_series(
+            [Fraction((-1) ** j, factorial(j + 1)) for j in range(order + 1)]
+        )
     )
 
 
@@ -98,8 +102,7 @@ def _at_form(coeffs, root, wmax, qmax):
                 terms[(mono, q)] = c * scale**k
     series = WSeries(wmax, qmax, terms)
     if a and b:
-        H, L = WSeries.var("H", wmax, qmax), WSeries.var("L", wmax, qmax)
-        series = series.substitute("H", H + L * Fraction(b, a))
+        series = _shift_h(series, Fraction(b, a))
     return series
 
 

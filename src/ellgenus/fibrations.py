@@ -36,7 +36,7 @@ from .charclasses import (
 )
 from .poly import Poly
 from .pushforward import BundleSpec, pushforward
-from .series import WSeries
+from .series import WSeries, _shift_h
 
 FAMILIES = ("D5", "E6", "E7", "E8")
 
@@ -119,11 +119,12 @@ def fiber_integrand(spec, wmax, qmax):
 
     Every factor of D is a one-variable function at a root a*H + b*L, and a
     root's slope b/a fixes how its H-part turns into the whole root: the
-    substitution H -> H + (b/a)*L.  So the roots are grouped by slope; each
-    group's factors are built at their H-parts a*H and multiplied in the
-    small ring with H alone, the group product is moved to its slope with one
-    substitution, and D is the product of the placed groups (at most three
-    for the catalog families, in any twist).  1/(1+y) rides in the first group.
+    shear H -> H + (b/a)*L.  So the roots are grouped by slope; each group's
+    factors are built at their H-parts a*H and multiplied in the small ring
+    with H alone, the group product is moved to its slope by the binomial
+    shear ``series._shift_h`` (no series product), and D is the product of
+    the placed groups (at most three for the catalog families, in any
+    twist).  1/(1+y) rides in the first group.
     """
     if wmax < len(spec.n_roots):
         raise ValueError(
@@ -147,11 +148,9 @@ def fiber_integrand(spec, wmax, qmax):
         put(root, _one_minus_exp(h, wmax, qmax))
         put(root, lambda_y_inverse(h, -1, wmax, qmax))
     D = None
-    H = WSeries.var("H", wmax, qmax)
-    L = WSeries.var("L", wmax, qmax)
     for slope, group in groups.items():
         if slope:
-            group = group.substitute("H", H + L * slope)
+            group = _shift_h(group, slope)
         D = group if D is None else D * group
     return D
 

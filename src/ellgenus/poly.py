@@ -11,6 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+# the one zero every Poly shares (Fractions are immutable)
+_ZERO = Fraction(0)
+
 
 class Poly:
     """Coefficient list, index = exponent, trailing zeros stripped."""
@@ -18,7 +21,10 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = [
+            c if isinstance(c, Fraction) else Fraction(c) if c else _ZERO
+            for c in coeffs
+        ]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .series import TruncationDeficitError, WSeries, mono_from_dict, mono_weight
 
@@ -39,14 +40,25 @@ class BundleSpec:
         return len(self.exps)
 
 
-def segre_series(bundle, wmax, qmax=0):
-    """s_0..s_wmax with sum_k s_k = prod_j (1 + m_j L)^{-1}; s_0 = 1."""
-    L = WSeries.var("L", wmax, qmax)
-    total = WSeries.const(1, wmax, qmax)
+def _segre_numbers(bundle, wmax):
+    """[sigma_0..sigma_wmax] as ints: prod_j (1 + m_j L)^{-1} = sum_k sigma_k L^k.
+
+    Dividing by 1 + m L is the recurrence sigma_k -= m sigma_(k-1), run in
+    ascending k so that sigma_(k-1) is already divided."""
+    sigma = [1] + [0] * wmax
     for m in bundle.exps:
         if m:
-            total = total * (L * m + 1).inverse()
-    return [total.weight_component(k) for k in range(0, wmax + 1)]
+            for k in range(1, wmax + 1):
+                sigma[k] -= m * sigma[k - 1]
+    return sigma
+
+
+def segre_series(bundle, wmax, qmax=0):
+    """s_0..s_wmax with sum_k s_k = prod_j (1 + m_j L)^{-1}; s_0 = 1."""
+    return [
+        WSeries(wmax, qmax, {((("L", k),) if k else (), 0): sigma})
+        for k, sigma in enumerate(_segre_numbers(bundle, wmax))
+    ]
 
 
 def pushforward(series, bundle, out_wmax=None):
@@ -56,8 +68,12 @@ def pushforward(series, bundle, out_wmax=None):
     raises :class:`TruncationDeficitError` rather than silently truncating
     wrong.
 
-    Each s_j(E) is a single term sigma_j * L^j, so the part of H-power
-    r-1+j needs no series product: each of its monomials just gains L^j.
+    Each s_j(E) is a single term sigma_j * L^j with sigma_j an int (see
+    :func:`_segre_numbers`), so a term of H-power r-1+j needs no series
+    product: its monomial loses the H-power and gains L^j, and its numerator
+    over the common denominator of ``series`` is multiplied by sigma_j.
+    Terms that land on the same monomial are summed as ints, and each output
+    term becomes one ``Fraction`` at the end.
     """
     r = bundle.rank
     supported = series.wmax - (r - 1)
@@ -68,12 +84,11 @@ def pushforward(series, bundle, out_wmax=None):
             "pushforward to weight %d needs input weight %d, have %d"
             % (out_wmax, out_wmax + r - 1, series.wmax)
         )
-    qmax = series.qmax
-    sigma = [
-        s.get((("L", j),) if j else ())
-        for j, s in enumerate(segre_series(bundle, out_wmax, qmax))
-    ]
-    out = {}
+    if out_wmax < 0:
+        raise ValueError("truncation orders must be >= 0")
+    sigma = _segre_numbers(bundle, out_wmax)
+    den = lcm(*{c.denominator for c in series.terms.values()})
+    acc = {}
     for e, part in series.coefficients_of("H").items():
         j = e - (r - 1)
         if j < 0 or j > out_wmax or not sigma[j]:
@@ -86,8 +101,10 @@ def pushforward(series, bundle, out_wmax=None):
             elif j:
                 mono = (("L", j),) + mono
             key = (mono, q)
-            out[key] = out.get(key, 0) + c * sigma[j]
-    return WSeries(out_wmax, qmax, out)
+            n = c.numerator * (den // c.denominator) * sigma[j]
+            acc[key] = acc.get(key, 0) + n
+    terms = {key: Fraction(n, den) for key, n in acc.items() if n}
+    return WSeries._trusted(out_wmax, series.qmax, terms)
 
 
 _D5_BUNDLE = BundleSpec((0, 1, 1, 1))

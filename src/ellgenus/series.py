@@ -491,6 +491,43 @@ class WSeries:
         return "WSeries(wmax=%d, qmax=%d: %s)" % (self.wmax, self.qmax, body)
 
 
+def _shift_h(series, s):
+    """``series`` at H -> H + s*L, for a series in H and y alone.
+
+    By the binomial theorem H^k y^q spreads to sum_j C(k, j) s^j H^(k-j) L^j
+    y^q; the shear keeps every weight, so nothing is truncated and no series
+    product is needed.  With s = p/r, every coefficient is held over the
+    common denominator d*r^wmax (d the lcm of the input denominators), so a
+    term takes int products only and becomes one ``Fraction`` at the end.
+    Equal to ``series.substitute("H", H + L*s)``.
+    """
+    s = _as_fraction(s)
+    wmax, qmax = series.wmax, series.qmax
+    for mono, _q in series.terms:
+        if mono and (len(mono) > 1 or mono[0][0] != "H"):
+            raise ValueError("_shift_h needs a series in H and y alone")
+    if not s:
+        return WSeries._trusted(wmax, qmax, dict(series.terms))
+    p, r = s.numerator, s.denominator
+    # scale[j] = p^j r^(wmax - j): s^j over the denominator r^wmax
+    scale = [p**j * r ** (wmax - j) for j in range(wmax + 1)]
+    d = lcm(*{c.denominator for c in series.terms.values()})
+    den = d * r**wmax
+    terms = {}
+    for (mono, q), c in series.terms.items():
+        k = mono[0][1] if mono else 0
+        n = c.numerator * (d // c.denominator)
+        for j in range(k + 1):
+            if j == 0:
+                key = mono
+            elif j == k:
+                key = (("L", k),)
+            else:
+                key = (("L", j), ("H", k - j))
+            terms[(key, q)] = Fraction(n * comb(k, j) * scale[j], den)
+    return WSeries._trusted(wmax, qmax, terms)
+
+
 # -- the series x series multiply kernel ---------------------------------------
 
 

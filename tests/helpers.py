@@ -1,10 +1,10 @@
 """Shared test utilities: random series generators, an independent
 numeric evaluator used as a brute-force oracle, the plain dict/``Fraction``
 series multiply used as the oracle of the packed kernel, and the two-variable
-exp/Newton-inverse local factors, fiber integrand and Segre pushforward used
-as oracles of the one-variable constructions, the chi_y class of a base
-from a series logarithm, the pushed-forward class convolved y-degree by
-y-degree, the ``WSeries`` expansion of the closed forms (series exp, powers
+exp/Newton-inverse local factors, fiber integrand, Segre series and Segre
+pushforward used as oracles of the one-variable constructions and the
+integer Segre numbers, the chi_y class of a base from a series logarithm,
+the pushed-forward class convolved y-degree by y-degree, the ``WSeries`` expansion of the closed forms (series exp, powers
 and a Newton inverse), the Fraction evaluator that is the oracle of the
 hadamard-identity suite's int evaluator, the dense ``Poly`` product, and a
 call counter for monkeypatched library functions."""
@@ -23,7 +23,6 @@ from ellgenus import (
     mono_from_dict,
     mono_weight,
     power_sums_from_chern,
-    segre_series,
     todd_factor,
 )
 from ellgenus.fibrations import _CLOSED
@@ -164,10 +163,21 @@ def reference_coefficients_of(series, var):
     return {e: WSeries(series.wmax, series.qmax, t) for e, t in split.items()}
 
 
+def reference_segre_series(bundle, wmax, qmax=0):
+    """s_0..s_wmax of prod_j (1 + m_j L)^{-1}, one Newton inverse per
+    exponent; the engine's Segre series before the integer recurrence."""
+    L = WSeries.var("L", wmax, qmax)
+    total = WSeries.const(1, wmax, qmax)
+    for m in bundle.exps:
+        if m:
+            total = total * (L * m + 1).inverse()
+    return [total.weight_component(k) for k in range(0, wmax + 1)]
+
+
 def reference_pushforward(series, bundle, out_wmax):
     """H^(r-1+j) -> s_j(E) as one series product per H-power."""
     r, qmax = bundle.rank, series.qmax
-    segre = segre_series(bundle, out_wmax, qmax)
+    segre = reference_segre_series(bundle, out_wmax, qmax)
     out = WSeries.zero(out_wmax, qmax)
     for e, part in reference_coefficients_of(series, "H").items():
         j = e - (r - 1)

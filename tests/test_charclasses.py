@@ -5,6 +5,7 @@ evaluated at explicit integer roots, and the Hodge theory of P^1/P^2."""
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -55,6 +56,30 @@ def _fact(n):
     for i in range(2, n + 1):
         out *= i
     return out
+
+
+def test_todd_numbers_are_solved_once_per_order():
+    for n in range(15):
+        got = charclasses._todd_numbers(n)
+        assert isinstance(got, tuple)
+        assert got == tuple(
+            charclasses._invert_fraction_series(
+                [F((-1) ** j, factorial(j + 1)) for j in range(n + 1)]
+            )
+        )
+        assert charclasses._todd_numbers(n) is got
+
+
+def test_chi_y_log_coefficients_unchanged_by_the_todd_cache(monkeypatch):
+    cached = chi_y_log_coefficients(10)
+    monkeypatch.setattr(
+        charclasses,
+        "_todd_numbers",
+        lambda order: charclasses._invert_fraction_series(
+            [F((-1) ** j, factorial(j + 1)) for j in range(order + 1)]
+        ),
+    )
+    assert chi_y_log_coefficients(10) == cached
 
 
 def test_todd_zero_root_is_one():

@@ -187,6 +187,16 @@ def test_derived_equals_closed_smoke():
         assert derived_q(fam, 3, 3) == closed_form_q(fam, 3, 3)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_derived_equals_closed_in_every_twist_at_benchmark_orders(family):
+    # twists -2..3 need up to three slope groups, each placed by the shear
+    rng = random.Random("derive:" + family)
+    for a in range(-2, 4):
+        spec = _twisted(family, a, rng)
+        for w in (7, 8, 9):
+            assert derived_q(spec, w, w + 1) == closed_form_q(family, w, w + 1)
+
+
 def test_derived_q_accepts_family_name_or_spec():
     assert derived_q("E6", 2, 2) == derived_q(CATALOG["E6"], 2, 2)
 

@@ -16,6 +16,13 @@ def test_construction_strips_trailing_zeros():
     assert Poly().degree() == -1
 
 
+def test_construction_converts_every_slot_to_fraction():
+    p = Poly((0, 3, F(0), F(1, 2), 0, -1, 0))
+    assert p.coeffs == (F(0), F(3), F(0), F(1, 2), F(0), F(-1))
+    assert all(type(c) is F for c in p.coeffs)
+    assert p == Poly([F(c) for c in (0, 3, 0, F(1, 2), 0, -1)])
+
+
 def test_arithmetic():
     U = Poly.x()
     p = (U - 1) * (U + 1)

@@ -5,12 +5,14 @@ from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellgenus import (
     CATALOG,
     BundleSpec,
+    FibrationSpec,
+    RootForm,
     TruncationDeficitError,
     UnsupportedOracleError,
     WSeries,
@@ -19,7 +21,8 @@ from ellgenus import (
     pushforward,
     segre_series,
 )
-from helpers import random_series, reference_pushforward
+from ellgenus.pushforward import _segre_numbers
+from helpers import random_series, reference_pushforward, reference_segre_series
 
 
 def test_segre_trivial_bundle():
@@ -41,6 +44,25 @@ def test_segre_rank_two_geometric():
     s = segre_series(BundleSpec((0, 6)), 3)
     for k in range(0, 4):
         assert s[k] == ((-6) ** k) * L**k
+
+
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=5), st.integers(0, 12))
+@settings(max_examples=100)
+def test_segre_numbers_equal_newton_inverse(exps, wmax):
+    bundle = BundleSpec(exps)
+    reference = reference_segre_series(bundle, wmax, 2)
+    sigma = _segre_numbers(bundle, wmax)
+    assert all(isinstance(n, int) for n in sigma)
+    assert sigma == [s.get((("L", k),) if k else ()) for k, s in enumerate(reference)]
+    assert segre_series(bundle, wmax, 2) == reference
+    assert segre_series(bundle, wmax) == reference_segre_series(bundle, wmax)
+
+
+def test_segre_series_rejects_negative_orders():
+    with pytest.raises(ValueError):
+        segre_series(BundleSpec((0, 1)), -1)
+    with pytest.raises(ValueError):
+        segre_series(BundleSpec((0, 1)), 2, -1)
 
 
 def test_pushforward_of_h_powers():
@@ -114,6 +136,36 @@ def test_pushforward_equals_product_per_h_power(case):
     assert pushforward(D, bundle, out_wmax) == reference_pushforward(
         D, bundle, out_wmax
     )
+
+
+@st.composite
+def _integrands(draw):
+    exps = draw(st.lists(st.integers(-2, 3), min_size=1, max_size=4))
+    n_roots = draw(
+        st.lists(
+            st.tuples(st.integers(1, 3), st.integers(-3, 6)), max_size=len(exps) - 1
+        )
+    )
+    spec = FibrationSpec(
+        name="random",
+        bundle=BundleSpec(exps),
+        n_roots=tuple(RootForm(a, b) for a, b in n_roots),
+    )
+    wmax = draw(st.integers(max(len(n_roots), len(exps) - 1), 8))
+    qmax = draw(st.integers(0, 4))
+    return fiber_integrand(spec, wmax, qmax), spec.bundle, wmax - (len(exps) - 1)
+
+
+@given(_integrands())
+def test_pushforward_of_random_integrands_equals_product_per_h_power(case):
+    D, bundle, out_wmax = case
+    assert pushforward(D, bundle) == reference_pushforward(D, bundle, out_wmax)
+
+
+def test_pushforward_rejects_negative_out_wmax():
+    D = WSeries.var("H", 4, 0) ** 3
+    with pytest.raises(ValueError):
+        pushforward(D, BundleSpec((0, 1)), out_wmax=-1)
 
 
 def test_pushforward_of_d5_integrand_equals_product_per_h_power():

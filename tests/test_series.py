@@ -17,6 +17,7 @@ from ellgenus import (
     var_weight,
 )
 from ellgenus.cli import emit_series_json
+from ellgenus.series import _shift_h
 from helpers import random_series, reference_coefficients_of, reference_mul
 
 
@@ -175,6 +176,68 @@ def test_substitute_rejects_weight_zero_replacement():
 def test_substitute_zero_replacement():
     v = S(4, 0)
     assert (v["H"] + v["L"]).substitute("H", WSeries.zero(4, 0)) == v["L"]
+
+
+# -- the binomial shear H -> H + s*L -------------------------------------------
+
+
+@st.composite
+def _h_only_series(draw):
+    wmax = draw(st.integers(0, 10))
+    qmax = draw(st.integers(0, 6))
+    coeff = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+    terms = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, wmax), st.integers(0, qmax)), coeff, max_size=20
+        )
+    )
+    return WSeries(
+        wmax, qmax, {((("H", k),) if k else (), q): c for (k, q), c in terms.items()}
+    )
+
+
+_slopes = st.builds(F, st.integers(-4, 4), st.integers(-4, 4).filter(bool))
+
+
+@given(_h_only_series(), _slopes)
+def test_shift_h_equals_substitute(G, s):
+    H, L = WSeries.var("H", G.wmax, G.qmax), WSeries.var("L", G.wmax, G.qmax)
+    assert _shift_h(G, s) == G.substitute("H", H + L * s)
+
+
+@pytest.mark.parametrize("s", [F(-4), F(-3, 2), F(-1, 3), F(1, 4), F(3, 4), F(2)])
+def test_shift_h_equals_substitute_on_a_dense_series(s):
+    # every H-power up to wmax = 10 at every y-degree, so each C(k, j) is used
+    rng = random.Random(23)
+    G = WSeries(
+        10,
+        3,
+        {
+            ((("H", k),) if k else (), q): F(rng.randrange(-9, 10), rng.randrange(1, 7))
+            for k in range(11)
+            for q in range(4)
+        },
+    )
+    H, L = WSeries.var("H", 10, 3), WSeries.var("L", 10, 3)
+    assert _shift_h(G, s) == G.substitute("H", H + L * s)
+
+
+def test_shift_h_binomial_example():
+    v = S(3, 1)
+    G = v["H"] ** 3 * v["y"] + 2
+    H, L = v["H"], v["L"]
+    expected = (H**3 + H**2 * L * F(-9, 2) + H * L**2 * F(27, 4) - L**3 * F(27, 8)) * v[
+        "y"
+    ] + 2
+    assert _shift_h(G, F(-3, 2)) == expected
+
+
+@pytest.mark.parametrize("extra", ["L", "c1"])
+def test_shift_h_rejects_terms_beyond_h_and_y(extra):
+    v = S(4, 1)
+    G = v["H"] ** 2 + WSeries.var(extra, 4, 1) * v["H"]
+    with pytest.raises(ValueError):
+        _shift_h(G, F(1, 2))
 
 
 # -- reweight -----------------------------------------------------------------
