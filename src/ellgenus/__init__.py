@@ -46,7 +46,6 @@ from .genseries import (
 from .poly import Poly
 from .pushforward import (
     BundleSpec,
-    UnsupportedOracleError,
     derivative_pushforward_d5,
     pushforward,
     segre_series,
@@ -76,7 +75,6 @@ __all__ = [
     "RootForm",
     "TruncationDeficitError",
     "TruncationMismatchError",
-    "UnsupportedOracleError",
     "VerificationError",
     "WSeries",
     "catalog_spec",

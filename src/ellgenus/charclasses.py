@@ -111,24 +111,22 @@ def todd_factor(root, wmax, qmax=0):
     return _at_form([{0: c} for c in _todd_numbers(wmax)], root, wmax, qmax)
 
 
-def lambda_y_factor(root, sign, wmax, qmax):
-    """1 + y*exp(sign * (a*H + b*L)); sign -1 realizes dualized bundles."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    coeffs = [{1: c} for c in _exp_numbers(sign, wmax)]
+def lambda_y_factor(root, wmax, qmax):
+    """1 + y*exp(-l) at l = a*H + b*L: the dual character of the paper's
+    integrand.  For 1 + y*exp(+l), pass the negated root."""
+    coeffs = [{1: c} for c in _exp_numbers(-1, wmax)]
     coeffs[0] = {0: 1, 1: 1}
     return _at_form(coeffs, root, wmax, qmax)
 
 
-def lambda_y_inverse(root, sign, wmax, qmax):
-    """(1 + y*exp(sign*l))^{-1} = sum_m (-y)^m exp(sign*m*l).
+def lambda_y_inverse(root, wmax, qmax):
+    """(1 + y*exp(-l))^{-1} = sum_m (-y)^m exp(-m*l); negate the root for
+    exp(+l).
 
     The geometric y-sum terminates at y^qmax; its t^k coefficient is
-    sum_m (-1)^m (sign*m)^k/k! y^m.  Equal to ``lambda_y_factor(...).inverse()``.
+    sum_m (-1)^m (-m)^k/k! y^m.  Equal to ``lambda_y_factor(...).inverse()``.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    by_m = [_exp_numbers(sign * m, wmax) for m in range(qmax + 1)]
+    by_m = [_exp_numbers(-m, wmax) for m in range(qmax + 1)]
     coeffs = [
         {m: (-1) ** m * by_m[m][k] for m in range(qmax + 1)} for k in range(wmax + 1)
     ]
@@ -147,22 +145,18 @@ def _one_minus_exp(root, wmax, qmax):
 # power sums of the base's Chern roots
 
 
-def power_sums_from_chern(kmax, qmax=0, cmax=None):
+def power_sums_from_chern(kmax, qmax=0):
     """p_1..p_kmax as weight-homogeneous series in the formal c_i.
 
     Computed as the weight-graded components of -tC'/C with
     C = 1 - c1 + c2 - ... (t-degree is weight), using exact series
-    division; Newton's identities come out for free.  ``cmax`` caps the
-    Chern-class index (default: fully formal up to kmax).
+    division; Newton's identities come out for free.
 
     Returns a list with entry k-1 holding p_k.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    if cmax is None:
-        cmax = kmax
-    c_top = min(kmax, cmax)
-    cvars = [WSeries.var("c%d" % i, kmax, qmax) for i in range(1, c_top + 1)]
+    cvars = [WSeries.var("c%d" % i, kmax, qmax) for i in range(1, kmax + 1)]
     C = WSeries.const(1, kmax, qmax)
     minus_tCp = WSeries.zero(kmax, qmax)
     for i, ci in enumerate(cvars, start=1):
@@ -172,10 +166,10 @@ def power_sums_from_chern(kmax, qmax=0, cmax=None):
     return [p_all.weight_component(k) for k in range(1, kmax + 1)]
 
 
-def power_sum_series(kmax, qmax=0, cmax=None):
+def power_sum_series(kmax, qmax=0):
     """The full series p_1 + p_2 + ... (-tC'/C) in one value."""
     acc = WSeries.zero(kmax, qmax)
-    for p in power_sums_from_chern(kmax, qmax, cmax):
+    for p in power_sums_from_chern(kmax, qmax):
         acc = acc + p
     return acc
 

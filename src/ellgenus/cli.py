@@ -131,12 +131,16 @@ def load_fibration_spec(path):
             tuple(_json_int(m, "bundle exponent") for m in data["bundle"])
         )
         n_roots = _json_roots(data["n_roots"], "n_roots")
-        f_roots = None
-        if "f_roots" in data:
+        if "f_roots" in data:  # optional; the bundle fixes the F-roots
             f_roots = _json_roots(data["f_roots"], "f_roots")
-        return FibrationSpec(
-            name=str(data["name"]), bundle=bundle, n_roots=n_roots, f_roots=f_roots
-        )
+            if sorted((r.a, r.b) for r in f_roots) != sorted(
+                (1, m) for m in bundle.exps
+            ):
+                raise ValueError(
+                    "f_roots must be {H + m*L} for the bundle exponents %s"
+                    % (bundle.exps,)
+                )
+        return FibrationSpec(name=str(data["name"]), bundle=bundle, n_roots=n_roots)
     except (TypeError, ValueError) as exc:
         raise UsageError("spec file %s: %s" % (path, exc))
 
@@ -156,7 +160,7 @@ def load_base_spec(path):
         for entry in data["monomials"]:
             mono = _json_mono(entry["exps"])
             table[mono] = _json_rational(entry["value"], "value")
-        return BaseSpec(dim=dim, mode="table", table=table)
+        return BaseSpec(dim=dim, table=table)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError("base file %s: %s" % (path, exc))
 

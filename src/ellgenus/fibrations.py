@@ -48,9 +48,9 @@ DEFAULT_QMAX = 7
 class FibrationSpec:
     """Relative data of a fibration inside P(E).
 
-    f_roots must equal {H + m L : m in bundle.exps} (checked); n_roots are
-    the normal-bundle roots, each with positive H-coefficient so that its
-    top Chern factor survives the fiber integral.  Catalog entries have
+    n_roots are the normal-bundle roots, each with positive H-coefficient
+    so that its top Chern factor survives the fiber integral.  The F-roots
+    are fixed by the bundle (see :attr:`f_roots`).  Catalog entries have
     fiber dimension exactly 1; custom specs may have any fiber dimension
     >= 0 (n_roots may be empty: Y = P(E) itself).
     """
@@ -58,21 +58,9 @@ class FibrationSpec:
     name: str
     bundle: BundleSpec
     n_roots: tuple
-    f_roots: tuple = None
-    family: str = None  # catalog key when this spec has a closed form
 
     def __post_init__(self):
         object.__setattr__(self, "n_roots", tuple(self.n_roots))
-        expected = tuple(RootForm(1, m) for m in self.bundle.exps)
-        f_roots = expected if self.f_roots is None else tuple(self.f_roots)
-        object.__setattr__(self, "f_roots", f_roots)
-        if sorted((r.a, r.b) for r in self.f_roots) != sorted(
-            (r.a, r.b) for r in expected
-        ):
-            raise ValueError(
-                "f_roots must be {H + m*L} for the bundle exponents %s"
-                % (self.bundle.exps,)
-            )
         for r in self.n_roots:
             if r.a <= 0:
                 raise ValueError("normal-bundle roots need a positive H part")
@@ -80,8 +68,13 @@ class FibrationSpec:
             raise ValueError("more normal roots than fiber directions")
 
     @property
+    def f_roots(self):
+        """The Chern roots of F = pi^* E (x) O(1): H + m L for m in bundle.exps."""
+        return tuple(RootForm(1, m) for m in self.bundle.exps)
+
+    @property
     def fiber_dim(self):
-        return len(self.f_roots) - 1 - len(self.n_roots)
+        return self.bundle.rank - 1 - len(self.n_roots)
 
 
 def _catalog_entry(family, exps, n_roots):
@@ -89,7 +82,6 @@ def _catalog_entry(family, exps, n_roots):
         name=family,
         bundle=BundleSpec(exps),
         n_roots=tuple(RootForm(a, b) for a, b in n_roots),
-        family=family,
     )
     assert spec.fiber_dim == 1
     return spec
@@ -141,12 +133,12 @@ def fiber_integrand(spec, wmax, qmax):
 
     for root in spec.f_roots:
         h = RootForm(root.a, 0)
-        put(root, lambda_y_factor(h, -1, wmax, qmax))
+        put(root, lambda_y_factor(h, wmax, qmax))
         put(root, todd_factor(h, wmax, qmax))
     for root in spec.n_roots:
         h = RootForm(root.a, 0)
         put(root, _one_minus_exp(h, wmax, qmax))
-        put(root, lambda_y_inverse(h, -1, wmax, qmax))
+        put(root, lambda_y_inverse(h, wmax, qmax))
     D = None
     for slope, group in groups.items():
         if slope:

@@ -31,37 +31,29 @@ class VerificationError(AssertionError):
 
 @dataclass(frozen=True)
 class BaseSpec:
-    """A base variety: dimension plus (for numeric work) an intersection table.
+    """A base variety: its dimension and its intersection table.
 
-    Table mode maps every relevant weight-``dim`` monomial in L, c1..c_dim
+    The table maps every relevant weight-``dim`` monomial in L, c1..c_dim
     to its intersection number; a missing monomial is an error, never an
-    implicit zero.  Symbolic mode carries only the dimension.
+    implicit zero.  Two bases are equal when both dimension and table are.
     """
 
     dim: int
-    mode: str = "symbolic"
-    table: dict = field(default=None, compare=False)
+    table: dict = field(hash=False)
 
     def __post_init__(self):
         if self.dim < 0:
             raise ValueError("dimension must be >= 0")
-        if self.mode not in ("symbolic", "table"):
-            raise ValueError("mode must be 'symbolic' or 'table'")
-        if self.mode == "table":
-            if self.table is None:
-                raise ValueError("table mode needs an intersection table")
-            clean = {}
-            for mono, value in self.table.items():
-                if isinstance(mono, dict):
-                    mono = mono_from_dict(mono)
-                if mono_weight(mono) != self.dim:
-                    raise ValueError(
-                        "table monomial %r has weight != %d" % (mono, self.dim)
-                    )
-                clean[mono] = (
-                    value if isinstance(value, Fraction) else Fraction(value)
+        if self.table is None:
+            raise ValueError("a base needs an intersection table")
+        clean = {}
+        for mono, value in self.table.items():
+            if mono_weight(mono) != self.dim:
+                raise ValueError(
+                    "table monomial %r has weight != %d" % (mono, self.dim)
                 )
-            object.__setattr__(self, "table", clean)
+            clean[mono] = value if isinstance(value, Fraction) else Fraction(value)
+        object.__setattr__(self, "table", clean)
 
     @classmethod
     def projective_space(cls, d, n):
@@ -82,7 +74,7 @@ class BaseSpec:
                 else:
                     value *= Fraction(comb(d + 1, w)) ** e
             table[mono_from_dict(mono)] = value
-        return cls(dim=d, mode="table", table=table)
+        return cls(dim=d, table=table)
 
 
 def _weighted_exponents(vars_weights, total):
@@ -137,8 +129,6 @@ def _chi_series(family_or_spec, tmax, qmax):
 
 def integrate(cls, base):
     """Pair a y-free weight-``base.dim`` class with the intersection table."""
-    if base.mode != "table":
-        raise ValueError("integration needs a table-mode base")
     if cls.is_zero():
         return Fraction(0)
     total = Fraction(0)

@@ -16,12 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import index
 
 from .series import TruncationDeficitError, WSeries, mono_from_dict, mono_weight
-
-
-class UnsupportedOracleError(ValueError):
-    """The derivative-formula oracle only covers the (0,1,1,1) bundle."""
 
 
 @dataclass(frozen=True)
@@ -31,7 +28,7 @@ class BundleSpec:
     exps: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "exps", tuple(int(m) for m in self.exps))
+        object.__setattr__(self, "exps", tuple(index(m) for m in self.exps))
         if len(self.exps) < 1:
             raise ValueError("bundle needs rank >= 1")
 
@@ -107,19 +104,12 @@ def pushforward(series, bundle, out_wmax=None):
     return WSeries._trusted(out_wmax, series.qmax, terms)
 
 
-_D5_BUNDLE = BundleSpec((0, 1, 1, 1))
-
-
-def derivative_pushforward_d5(series, bundle=_D5_BUNDLE):
+def derivative_pushforward_d5(series):
     """The displayed derivative instance of pi_* for the (0,1,1,1) bundle.
 
     (1/2) d^2/dH^2 [ (D - (a0 + a1 H + a2 H^2)) / H ] at H = -L, where the
     a_i are the low H-coefficients of D.  Exact to series.wmax - 3.
     """
-    if sorted(bundle.exps) != [0, 1, 1, 1]:
-        raise UnsupportedOracleError(
-            "derivative oracle only supports the (0,1,1,1) bundle"
-        )
     if series.wmax < 3:
         raise TruncationDeficitError("need input weight >= 3")
     qmax = series.qmax

@@ -43,7 +43,7 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import cache
 from math import comb, lcm
-from operator import itemgetter
+from operator import index, itemgetter
 
 
 class TruncationMismatchError(ValueError):
@@ -69,12 +69,17 @@ def var_weight(name):
     raise ValueError("unknown variable %r" % (name,))
 
 
-def _var_key(name):
-    if name == "L":
-        return (0, 0)
-    if name == "H":
-        return (1, 0)
-    return (2, int(name[1:]))
+@cache
+def _field(name):
+    """(bit-field index, weight) of a variable; field 0 holds the y-degree.
+    The field index is also the canonical variable order L < H < c1 < ...."""
+    w = var_weight(name)
+    return (1 if name == "L" else 2 if name == "H" else 2 + w), w
+
+
+@cache
+def _field_name(f):
+    return ("L", "H")[f - 1] if f < 3 else "c%d" % (f - 2)
 
 
 def mono_from_dict(exps):
@@ -82,11 +87,12 @@ def mono_from_dict(exps):
     items = []
     for v, e in exps.items():
         var_weight(v)  # validates the name
+        e = index(e)
         if e < 0:
             raise ValueError("negative exponent for %r" % (v,))
         if e:
-            items.append((v, int(e)))
-    items.sort(key=lambda it: _var_key(it[0]))
+            items.append((v, e))
+    items.sort(key=lambda it: _field(it[0])[0])
     return tuple(items)
 
 
@@ -95,7 +101,7 @@ def mono_weight(mono):
 
 
 def _mono_sort_key(mono):
-    return tuple((_var_key(v), e) for v, e in mono)
+    return tuple((_field(v)[0], e) for v, e in mono)
 
 
 def _as_fraction(value):
@@ -119,8 +125,8 @@ class WSeries:
     def __init__(self, wmax, qmax, terms=None):
         if wmax < 0 or qmax < 0:
             raise ValueError("truncation orders must be >= 0")
-        self.wmax = int(wmax)
-        self.qmax = int(qmax)
+        self.wmax = index(wmax)
+        self.qmax = index(qmax)
         clean = {}
         if terms:
             for (mono, q), coeff in terms.items():
@@ -529,18 +535,6 @@ def _shift_h(series, s):
 
 
 # -- the series x series multiply kernel ---------------------------------------
-
-
-@cache
-def _field(name):
-    """(bit-field index, weight) of a variable; field 0 holds the y-degree."""
-    w = var_weight(name)
-    return (1 if name == "L" else 2 if name == "H" else 2 + w), w
-
-
-@cache
-def _field_name(f):
-    return ("L", "H")[f - 1] if f < 3 else "c%d" % (f - 2)
 
 
 def _pack(terms, width):

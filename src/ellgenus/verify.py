@@ -112,7 +112,7 @@ def check_d5_derivative_oracle(wmax=6, qmax=7, nrandom=50, seed=20230517):
     bundle = CATALOG["D5"].bundle
     D = fiber_integrand(CATALOG["D5"], wmax, qmax)
     via_segre = pushforward(D, bundle)
-    via_deriv = derivative_pushforward_d5(D, bundle)
+    via_deriv = derivative_pushforward_d5(D)
     if via_segre != via_deriv:
         k, q, ca, cb = first_mismatch(via_segre, via_deriv)
         failures.append(
@@ -122,7 +122,7 @@ def check_d5_derivative_oracle(wmax=6, qmax=7, nrandom=50, seed=20230517):
     rng = random.Random(seed)
     for i in range(nrandom):
         s = _random_h_series(rng, wmax, qmax)
-        if pushforward(s, bundle) != derivative_pushforward_d5(s, bundle):
+        if pushforward(s, bundle) != derivative_pushforward_d5(s):
             failures.append("random series #%d: routes disagree" % i)
     return failures
 

@@ -194,7 +194,7 @@ def reference_hirzebruch_class(d, qmax):
     if d == 0:
         return WSeries.const(1, 0, qmax)
     L = RootForm(0, 1)
-    g = lambda_y_factor(L, -1, d, qmax) * todd_factor(L, d, qmax)
+    g = lambda_y_factor(L, d, qmax) * todd_factor(L, d, qmax)
     inv_1py = WSeries.from_y_poly([(-1) ** m for m in range(qmax + 1)], d, qmax)
     a = (g * inv_1py).log().coefficients_of("L")
     exponent = WSeries.zero(d, qmax)

@@ -107,13 +107,13 @@ def test_todd_of_general_root():
 
 
 def test_lambda_y_trivial_bundle():
-    got = lambda_y_factor(RootForm(0, 0), 1, 3, 3)
+    got = lambda_y_factor(RootForm(0, 0), 3, 3)
     assert got == 1 + WSeries.y(3, 3)
 
 
 def test_lambda_y_dual_line_bundle():
     v = WSeries.var("L", 3, 2)
-    got = lambda_y_factor(RootForm(0, 1), -1, 3, 2)
+    got = lambda_y_factor(RootForm(0, 1), 3, 2)
     assert got == 1 + WSeries.y(3, 2) * (-v).exp()
 
 
@@ -123,15 +123,16 @@ def test_lambda_y_d5_numerator_product():
     H = WSeries.var("H", wmax, qmax)
     L = WSeries.var("L", wmax, qmax)
     longhand = (1 + y * (-H).exp()) * (1 + y * (-H - L).exp()) ** 3
-    built = lambda_y_factor(RootForm(1, 0), -1, wmax, qmax) * lambda_y_factor(
-        RootForm(1, 1), -1, wmax, qmax
-    ) ** 3
+    built = (
+        lambda_y_factor(RootForm(1, 0), wmax, qmax)
+        * lambda_y_factor(RootForm(1, 1), wmax, qmax) ** 3
+    )
     assert built == longhand
 
 
 def test_lambda_y_multiplicative_and_second_exterior_power():
     # ch(Lambda^2(A + C)) = sum_i ch(Lambda^i A) ch(Lambda^(2-i) C),
-    # with an independent route: sum over root pairs of exp(l_j + l_k).
+    # with an independent route: sum over root pairs of exp(-(l_j + l_k)).
     rng = random.Random(7)
     wmax, qmax = 4, 3
     for _ in range(10):
@@ -141,7 +142,7 @@ def test_lambda_y_multiplicative_and_second_exterior_power():
         def prod(roots):
             out = WSeries.const(1, wmax, qmax)
             for r in roots:
-                out = out * lambda_y_factor(r, 1, wmax, qmax)
+                out = out * lambda_y_factor(r, wmax, qmax)
             return out
 
         whole, pa, pc = prod(A + C), prod(A), prod(C)
@@ -153,7 +154,7 @@ def test_lambda_y_multiplicative_and_second_exterior_power():
         assert lhs == rhs
         direct = WSeries.zero(wmax, qmax)
         for r1, r2 in combinations(A + C, 2):
-            s = (r1.series(wmax, qmax) + r2.series(wmax, qmax)).exp()
+            s = (-(r1.series(wmax, qmax) + r2.series(wmax, qmax))).exp()
             direct = direct + s
         assert lhs == direct
 
@@ -163,7 +164,6 @@ def test_lambda_y_multiplicative_and_second_exterior_power():
 _roots = st.builds(RootForm, st.integers(-3, 3), st.integers(-3, 3))
 _wmax = st.integers(0, 10)
 _qmax = st.integers(0, 8)
-_sign = st.sampled_from((1, -1))
 
 
 @given(_roots, _wmax, _qmax)
@@ -171,32 +171,36 @@ def test_todd_factor_equals_newton_inverse(root, wmax, qmax):
     assert todd_factor(root, wmax, qmax) == reference_todd_factor(root, wmax, qmax)
 
 
-@given(_roots, _sign, _wmax, _qmax)
-def test_lambda_y_factor_equals_exp_route(root, sign, wmax, qmax):
-    got = lambda_y_factor(root, sign, wmax, qmax)
-    assert got == reference_lambda_y_factor(root, sign, wmax, qmax)
+@given(_roots, _wmax, _qmax)
+def test_lambda_y_factor_equals_exp_route(root, wmax, qmax):
+    got = lambda_y_factor(root, wmax, qmax)
+    assert got == reference_lambda_y_factor(root, -1, wmax, qmax)
 
 
-@given(_roots, _sign, _wmax, _qmax)
-def test_lambda_y_inverse_equals_exp_route_and_inverts(root, sign, wmax, qmax):
-    got = lambda_y_inverse(root, sign, wmax, qmax)
-    assert got == reference_lambda_y_inverse(root, sign, wmax, qmax)
-    assert got * lambda_y_factor(root, sign, wmax, qmax) == WSeries.const(
+@given(_roots, _wmax, _qmax)
+def test_lambda_y_inverse_equals_exp_route_and_inverts(root, wmax, qmax):
+    got = lambda_y_inverse(root, wmax, qmax)
+    assert got == reference_lambda_y_inverse(root, -1, wmax, qmax)
+    assert got * lambda_y_factor(root, wmax, qmax) == WSeries.const(
         1, wmax, qmax
     )
 
 
-@pytest.mark.parametrize("sign", [0, 2, -2, F(1, 2)])
-def test_lambda_y_factors_reject_bad_sign(sign):
-    with pytest.raises(ValueError):
-        lambda_y_factor(RootForm(1, 1), sign, 3, 2)
-    with pytest.raises(ValueError):
-        lambda_y_inverse(RootForm(1, 1), sign, 3, 2)
+@given(_roots, _wmax, _qmax)
+def test_lambda_y_factors_at_the_negated_root_give_exp_plus_l(root, wmax, qmax):
+    # 1 + y e^{+l} is the dual character at -l
+    negated = RootForm(-root.a, -root.b)
+    assert lambda_y_factor(negated, wmax, qmax) == reference_lambda_y_factor(
+        root, 1, wmax, qmax
+    )
+    assert lambda_y_inverse(negated, wmax, qmax) == reference_lambda_y_inverse(
+        root, 1, wmax, qmax
+    )
 
 
 def test_zero_root_factors():
     assert todd_factor(RootForm(0, 0), 5, 3) == WSeries.const(1, 5, 3)
-    assert lambda_y_inverse(RootForm(0, 0), -1, 4, 3) == WSeries.from_y_poly(
+    assert lambda_y_inverse(RootForm(0, 0), 4, 3) == WSeries.from_y_poly(
         [1, -1, 1, -1], 4, 3
     )
 

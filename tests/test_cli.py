@@ -194,6 +194,24 @@ def test_spec_file_with_explicit_f_roots(tmp_path):
     assert spec.fiber_dim == 1
 
 
+def test_spec_file_with_mismatched_f_roots(tmp_path, capsys):
+    spec_file = tmp_path / "bad.json"
+    spec_file.write_text(
+        json.dumps(
+            {
+                "name": "bad",
+                "bundle": [0, 1],
+                "n_roots": [],
+                "f_roots": [[1, 0], [1, 2]],
+            }
+        )
+    )
+    code, out, err = run_cli(capsys, "q", str(spec_file))
+    assert code == 2 and out == ""
+    assert err.startswith("error: spec file ")
+    assert "f_roots must be {H + m*L} for the bundle exponents (0, 1)" in err
+
+
 def test_malformed_spec_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"name": "x", "bundle": [0, 1]}))

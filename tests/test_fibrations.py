@@ -50,16 +50,6 @@ def test_catalog_root_data():
         assert spec.fiber_dim == 1
 
 
-def test_spec_validates_f_roots():
-    with pytest.raises(ValueError):
-        FibrationSpec(
-            name="bad",
-            bundle=BundleSpec((0, 1)),
-            n_roots=(),
-            f_roots=(RootForm(1, 0), RootForm(1, 2)),
-        )
-
-
 def test_spec_rejects_nonpositive_normal_roots():
     with pytest.raises(ValueError):
         FibrationSpec(

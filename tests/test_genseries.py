@@ -118,7 +118,7 @@ def test_integrate_requires_homogeneous_y_free():
 
 def test_integrate_missing_entry_is_an_error():
     table = {mono_from_dict({"L": 2}): F(1)}
-    base = BaseSpec(dim=2, mode="table", table=table)
+    base = BaseSpec(dim=2, table=table)
     L = WSeries.var("L", 2, 0)
     c1 = WSeries.var("c1", 2, 0)
     assert integrate(L**2, base) == 1
@@ -128,11 +128,18 @@ def test_integrate_missing_entry_is_an_error():
 
 def test_base_spec_validation():
     with pytest.raises(ValueError):
-        BaseSpec(dim=2, mode="table", table=None)
+        BaseSpec(dim=2, table=None)
     with pytest.raises(ValueError):
-        BaseSpec(dim=2, mode="table", table={mono_from_dict({"L": 1}): F(1)})
-    with pytest.raises(ValueError):
-        BaseSpec(dim=1, mode="nonsense")
+        BaseSpec(dim=2, table={mono_from_dict({"L": 1}): F(1)})
+
+
+def test_base_spec_equality_compares_the_table():
+    p2_o3 = BaseSpec.projective_space(2, 3)
+    assert p2_o3 != BaseSpec.projective_space(2, 1)
+    # int values are read as Fractions, so this table equals p2_o3's
+    same = BaseSpec(dim=2, table={m: v.numerator for m, v in p2_o3.table.items()})
+    assert p2_o3 == same and hash(p2_o3) == hash(same)
+    assert len({p2_o3, same, BaseSpec.projective_space(2, 1)}) == 2
 
 
 # -- chi_q ----------------------------------------------------------------------
@@ -184,15 +191,13 @@ def test_chi_q_rational_elliptic_surface():
 
 def test_spec_from_lists_is_hashable_and_equal():
     lists = FibrationSpec(
-        name="weierstrass", bundle=BundleSpec([0, 2, 3]), n_roots=[RootForm(3, 6)],
-        f_roots=[RootForm(1, 3), RootForm(1, 0), RootForm(1, 2)],
+        name="weierstrass", bundle=BundleSpec([0, 2, 3]), n_roots=[RootForm(3, 6)]
     )
     tuples = FibrationSpec(
-        name="weierstrass", bundle=BundleSpec((0, 2, 3)), n_roots=(RootForm(3, 6),),
-        f_roots=(RootForm(1, 3), RootForm(1, 0), RootForm(1, 2)),
+        name="weierstrass", bundle=BundleSpec((0, 2, 3)), n_roots=(RootForm(3, 6),)
     )
     assert lists == tuples and hash(lists) == hash(tuples)
-    assert isinstance(lists.n_roots, tuple) and isinstance(lists.f_roots, tuple)
+    assert isinstance(lists.n_roots, tuple) and isinstance(lists.bundle.exps, tuple)
     base = BaseSpec.projective_space(2, 3)
     assert chi_values(lists, base) == chi_values(tuples, base) == [0, 270, -270, 0]
 

@@ -372,6 +372,18 @@ def test_monomial_canonicalization():
         mono_from_dict({"L": -1})
 
 
+@pytest.mark.parametrize("exponent", [1.5, 2.0, F(2)])
+def test_mono_from_dict_refuses_non_integer_exponents(exponent):
+    with pytest.raises(TypeError):
+        mono_from_dict({"L": exponent})
+
+
+@pytest.mark.parametrize("wmax, qmax", [(6.7, 2), (6, 2.5), (F(6), 2)])
+def test_truncation_orders_must_be_integers(wmax, qmax):
+    with pytest.raises(TypeError):
+        WSeries(wmax, qmax)
+
+
 def test_rational_coefficient_invariants():
     # coefficients stay in lowest terms with positive denominators, and
     # exact zeros are dropped from the term map entirely

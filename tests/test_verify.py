@@ -97,8 +97,8 @@ def test_first_mismatch_reports_lowest_block():
 def test_hadamard_suite_catches_corrupted_power_sums(monkeypatch):
     real = verify.power_sums_from_chern
 
-    def corrupted(kmax, qmax=0, cmax=None):
-        p = real(kmax, qmax, cmax)
+    def corrupted(kmax, qmax=0):
+        p = real(kmax, qmax)
         p[2] = p[2] + WSeries.var("c3", kmax, qmax)  # p_3 + c3
         return p
 
@@ -165,8 +165,8 @@ def test_hadamard_suite_refuses_a_variable_other_than_c_i(monkeypatch):
         _compile_chern_series(WSeries.var("c1", 3, 0) + WSeries.var("L", 3, 0))
     real = verify.power_sums_from_chern
 
-    def with_stray_term(kmax, qmax=0, cmax=None):
-        p = real(kmax, qmax, cmax)
+    def with_stray_term(kmax, qmax=0):
+        p = real(kmax, qmax)
         p[1] = p[1] + WSeries.var("H", kmax, qmax) ** 2
         return p
 
