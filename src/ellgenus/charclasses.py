@@ -88,8 +88,9 @@ def _exp_numbers(s, order):
 
 
 def _at_form(coeffs, root, wmax, qmax):
-    """sum_k coeffs[k] * (a*H + b*L)^k, with coeffs[k] a {y-degree: rational}
-    map; entries past wmax or qmax are dropped."""
+    """sum_k coeffs[k] * (a*H + b*L)^k, with coeffs[k] a {y-degree: Fraction}
+    map; entries past wmax or qmax are dropped.  The keys are canonical and
+    in range by construction, so the series is built as it stands."""
     a, b = root.a, root.b
     var, scale = ("H", a) if a else ("L", b)
     terms = {}
@@ -100,7 +101,7 @@ def _at_form(coeffs, root, wmax, qmax):
         for q, c in ck.items():
             if q <= qmax and c:
                 terms[(mono, q)] = c * scale**k
-    series = WSeries(wmax, qmax, terms)
+    series = WSeries._trusted(wmax, qmax, terms)
     if a and b:
         series = _shift_h(series, Fraction(b, a))
     return series
@@ -115,7 +116,7 @@ def lambda_y_factor(root, wmax, qmax):
     """1 + y*exp(-l) at l = a*H + b*L: the dual character of the paper's
     integrand.  For 1 + y*exp(+l), pass the negated root."""
     coeffs = [{1: c} for c in _exp_numbers(-1, wmax)]
-    coeffs[0] = {0: 1, 1: 1}
+    coeffs[0] = {0: Fraction(1), 1: Fraction(1)}
     return _at_form(coeffs, root, wmax, qmax)
 
 

@@ -36,7 +36,7 @@ from .charclasses import (
 )
 from .poly import Poly
 from .pushforward import BundleSpec, pushforward
-from .series import WSeries, _shift_h
+from .series import WSeries, _pack, _packed_mul, _packed_shear, _unpack
 
 FAMILIES = ("D5", "E6", "E7", "E8")
 
@@ -111,12 +111,19 @@ def fiber_integrand(spec, wmax, qmax):
 
     Every factor of D is a one-variable function at a root a*H + b*L, and a
     root's slope b/a fixes how its H-part turns into the whole root: the
-    shear H -> H + (b/a)*L.  So the roots are grouped by slope; each group's
-    factors are built at their H-parts a*H and multiplied in the small ring
-    with H alone, the group product is moved to its slope by the binomial
-    shear ``series._shift_h`` (no series product), and D is the product of
-    the placed groups (at most three for the catalog families, in any
-    twist).  1/(1+y) rides in the first group.
+    shear S_s, H -> H + s*L with s = b/a.  So the roots are grouped by slope;
+    each group's factors are built at their H-parts a*H and multiplied in
+    the small ring with H alone (``WSeries`` products), and 1/(1+y) rides in
+    the first group.  S_s keeps every weight and is a ring map of the
+    truncated ring, so with slopes s1 < s2 < ... < sk the placed groups
+    multiply as nested shears,
+
+        D = S_s1(G1 * S_(s2-s1)(G2 * ... S_(sk-s(k-1))(Gk))),
+
+    and each large product is an (H, y) group times a dense series.  The
+    groups are packed once, the nested shears and products run on packed
+    ints (``series._packed_shear`` and ``series._packed_mul``), and D is
+    unpacked once; a smallest slope of 0 needs no final shear.
     """
     if wmax < len(spec.n_roots):
         raise ValueError(
@@ -139,12 +146,13 @@ def fiber_integrand(spec, wmax, qmax):
         h = RootForm(root.a, 0)
         put(root, _one_minus_exp(h, wmax, qmax))
         put(root, lambda_y_inverse(h, wmax, qmax))
-    D = None
-    for slope, group in groups.items():
-        if slope:
-            group = _shift_h(group, slope)
-        D = group if D is None else D * group
-    return D
+    slopes = sorted(groups, reverse=True)
+    D = _pack(groups[slopes[0]])
+    for above, slope in zip(slopes, slopes[1:]):
+        D = _packed_shear(D, above - slope, wmax, qmax)
+        # the dense series first, see _packed_mul
+        D = _packed_mul(D, _pack(groups[slope]), wmax, qmax)
+    return _unpack(_packed_shear(D, slopes[-1], wmax, qmax), wmax, qmax)
 
 
 def derived_q(spec, wmax=DEFAULT_WMAX, qmax=DEFAULT_QMAX):

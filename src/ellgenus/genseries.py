@@ -18,7 +18,7 @@ from math import comb
 
 from .charclasses import _hirzebruch_exp
 from .fibrations import closed_form_q, derived_q, pushforward_class
-from .series import WSeries, mono_from_dict, mono_weight
+from .series import WSeries, _as_fraction, mono_from_dict, mono_weight
 
 
 class MissingIntersectionError(ValueError):
@@ -34,8 +34,10 @@ class BaseSpec:
     """A base variety: its dimension and its intersection table.
 
     The table maps every relevant weight-``dim`` monomial in L, c1..c_dim
-    to its intersection number; a missing monomial is an error, never an
-    implicit zero.  Two bases are equal when both dimension and table are.
+    to its intersection number, an int or a Fraction (anything else, a
+    float included, raises ``TypeError``); a missing monomial is an error,
+    never an implicit zero.  Two bases are equal when both dimension and
+    table are.
     """
 
     dim: int
@@ -52,7 +54,7 @@ class BaseSpec:
                 raise ValueError(
                     "table monomial %r has weight != %d" % (mono, self.dim)
                 )
-            clean[mono] = value if isinstance(value, Fraction) else Fraction(value)
+            clean[mono] = _as_fraction(value)  # a float is refused, never rounded
         object.__setattr__(self, "table", clean)
 
     @classmethod

@@ -83,6 +83,8 @@ def pushforward(series, bundle, out_wmax=None):
         )
     if out_wmax < 0:
         raise ValueError("truncation orders must be >= 0")
+    # a term H^(r-1+j) m has weight <= wmax, so m L^j has weight <= supported
+    truncating = out_wmax < supported
     sigma = _segre_numbers(bundle, out_wmax)
     den = lcm(*{c.denominator for c in series.terms.values()})
     acc = {}
@@ -91,7 +93,7 @@ def pushforward(series, bundle, out_wmax=None):
         if j < 0 or j > out_wmax or not sigma[j]:
             continue
         for (mono, q), c in part.terms.items():
-            if mono_weight(mono) + j > out_wmax:
+            if truncating and mono_weight(mono) + j > out_wmax:
                 continue
             if j and mono and mono[0][0] == "L":  # L leads a canonical monomial
                 mono = (("L", mono[0][1] + j),) + mono[1:]

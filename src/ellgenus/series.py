@@ -16,22 +16,31 @@ Monomials are canonical tuples of ``(variable, exponent)`` pairs with
 positive exponents, ordered L < H < c1 < c2 < ...; the empty tuple is the
 constant monomial.
 
-The series x series product runs in one kernel, ``_mul``, that never builds
-a ``Fraction`` or a monomial tuple per term pair:
+Products and the shear H -> H + s*L run on packed series, never building a
+``Fraction`` or a monomial tuple per term pair.  A packed series is a dict
+from int key to int numerator plus one common denominator; three steps make
+the series x series product, and ``WSeries.__mul__`` runs all three:
 
-- Each term is packed once into an int key that holds the y-degree and the
-  exponents in bit-fields of equal width: field 0 is y, field 1 L, field 2 H
-  and field 2+i ci.  The width is ``max(wmax, qmax).bit_length()`` bits
-  (at least 1), so adding two keys adds every exponent at once.  No field
-  can carry into the next: a kept pair has q1 + q2 <= qmax, and every
-  variable has weight >= 1, so its exponent sum is at most w1 + w2 <= wmax.
-- Each operand is put over the lcm of its denominators, leaving int
-  numerators; a pair contributes the int product n1*n2, and each result
-  coefficient is one ``Fraction(n, da*db)`` at the end.
-- The right operand is bucketed by weight and each bucket ordered by
-  y-degree, so the partners of a left term of weight w1 and y-degree q1 are
-  one prefix of each bucket of weight <= wmax - w1.
-- The keys are unpacked into canonical monomial tuples, zero sums dropped.
+- ``_pack`` puts every term over the lcm of the denominators and packs it
+  into an int key of bit-fields of equal width: field 0 holds the y-degree,
+  field 1 the weight, field 2 L, field 3 H and field 3+i ci.  The width is
+  ``max(wmax, qmax).bit_length()`` bits (at least 1), so adding two keys
+  adds the y-degrees, the weights and every exponent at once.  No field can
+  carry into the next: a kept pair has q1 + q2 <= qmax and w1 + w2 <= wmax,
+  and every variable has weight >= 1, so no exponent exceeds wmax.
+- ``_packed_mul`` buckets the right operand by weight, each bucket ordered
+  by y-degree, so the partners of the left terms of one (weight, y-degree)
+  are one prefix of each bucket the weight leaves room for; a pair adds its
+  keys and the int product of its numerators.
+- ``_unpack`` turns each key into a canonical monomial tuple and each
+  numerator into one ``Fraction`` over the common denominator.
+
+``_packed_shear`` moves H^k to sum_j C(k, j) s^j H^(k-j) L^j by adding j
+times (L field - H field) to the key, in ints over one denominator.  After
+every packed multiply or shear, the numerators and the denominator are
+divided by their gcd, so the denominator is the lcm of the reduced
+coefficient denominators, not a product of the inputs' denominators.
+``_shift_h`` is the shear between one pack and one unpack.
 
 ``WSeries.terms`` stays the public (monomial, y-degree) -> Fraction map.
 """
@@ -42,8 +51,8 @@ from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
 from functools import cache
-from math import comb, lcm
-from operator import index, itemgetter
+from math import comb, gcd, lcm
+from operator import index
 
 
 class TruncationMismatchError(ValueError):
@@ -71,15 +80,16 @@ def var_weight(name):
 
 @cache
 def _field(name):
-    """(bit-field index, weight) of a variable; field 0 holds the y-degree.
-    The field index is also the canonical variable order L < H < c1 < ...."""
+    """(bit-field index, weight) of a variable in a packed key, whose fields
+    0 and 1 hold the y-degree and the weight.  The field index is also the
+    canonical variable order L < H < c1 < ...."""
     w = var_weight(name)
-    return (1 if name == "L" else 2 if name == "H" else 2 + w), w
+    return (2 if name == "L" else 3 if name == "H" else 3 + w), w
 
 
 @cache
 def _field_name(f):
-    return ("L", "H")[f - 1] if f < 3 else "c%d" % (f - 2)
+    return ("L", "H")[f - 2] if f < 4 else "c%d" % (f - 3)
 
 
 def mono_from_dict(exps):
@@ -272,7 +282,8 @@ class WSeries:
         if not isinstance(other, WSeries):
             return NotImplemented
         self._require_same(other)
-        return _mul(self, other)
+        wmax, qmax = self.wmax, self.qmax
+        return _unpack(_packed_mul(_pack(self), _pack(other), wmax, qmax), wmax, qmax)
 
     __rmul__ = __mul__
 
@@ -498,109 +509,140 @@ class WSeries:
 
 
 def _shift_h(series, s):
-    """``series`` at H -> H + s*L, for a series in H and y alone.
-
-    By the binomial theorem H^k y^q spreads to sum_j C(k, j) s^j H^(k-j) L^j
-    y^q; the shear keeps every weight, so nothing is truncated and no series
-    product is needed.  With s = p/r, every coefficient is held over the
-    common denominator d*r^wmax (d the lcm of the input denominators), so a
-    term takes int products only and becomes one ``Fraction`` at the end.
-    Equal to ``series.substitute("H", H + L*s)``.
+    """``series`` at H -> H + s*L, for a series in H and y alone: the packed
+    shear :func:`_packed_shear` between one pack and one unpack.  Equal to
+    ``series.substitute("H", H + L*s)``.
     """
-    s = _as_fraction(s)
-    wmax, qmax = series.wmax, series.qmax
     for mono, _q in series.terms:
         if mono and (len(mono) > 1 or mono[0][0] != "H"):
             raise ValueError("_shift_h needs a series in H and y alone")
-    if not s:
-        return WSeries._trusted(wmax, qmax, dict(series.terms))
-    p, r = s.numerator, s.denominator
-    # scale[j] = p^j r^(wmax - j): s^j over the denominator r^wmax
-    scale = [p**j * r ** (wmax - j) for j in range(wmax + 1)]
-    d = lcm(*{c.denominator for c in series.terms.values()})
-    den = d * r**wmax
-    terms = {}
+    wmax, qmax = series.wmax, series.qmax
+    sheared = _packed_shear(_pack(series), _as_fraction(s), wmax, qmax)
+    return _unpack(sheared, wmax, qmax)
+
+
+# -- the packed kernels: multiply and shear ------------------------------------
+
+
+def _width(wmax, qmax):
+    """Bits per field of a packed key at truncation (wmax, qmax)."""
+    return max(wmax, qmax, 1).bit_length()
+
+
+def _pack(series):
+    """The packed form of ``series``: ({key: numerator}, den), den the lcm of
+    the coefficient denominators."""
+    width = _width(series.wmax, series.qmax)
+    den = lcm(*{c.denominator for c in series.terms.values()})
+    units = {}  # variable -> its unit in the key, weight field included
+    packed = {}
     for (mono, q), c in series.terms.items():
-        k = mono[0][1] if mono else 0
-        n = c.numerator * (d // c.denominator)
-        for j in range(k + 1):
-            if j == 0:
-                key = mono
-            elif j == k:
-                key = (("L", k),)
-            else:
-                key = (("L", j), ("H", k - j))
-            terms[(key, q)] = Fraction(n * comb(k, j) * scale[j], den)
-    return WSeries._trusted(wmax, qmax, terms)
-
-
-# -- the series x series multiply kernel ---------------------------------------
-
-
-def _pack(terms, width):
-    """Packed terms [(key, weight, y-degree, numerator)] over the common
-    denominator of all coefficients, and that denominator."""
-    den = lcm(*{c.denominator for c in terms.values()})
-    packed = []
-    for (mono, q), c in terms.items():
-        key, w = q, 0
+        key = q
         for v, e in mono:
-            f, vw = _field(v)
-            key += e << (f * width)
-            w += vw * e
-        packed.append((key, w, q, c.numerator * (den // c.denominator)))
+            u = units.get(v)
+            if u is None:
+                f, vw = _field(v)
+                u = units[v] = (1 << f * width) + (vw << width)
+            key += e * u
+        packed[key] = c.numerator * (den // c.denominator)
     return packed, den
 
 
-def _unpack(key, width, mask):
-    """Canonical monomial of a packed key whose y field is shifted out."""
-    items = []
-    f = 1
-    while key:
-        e = key & mask
-        if e:
-            items.append((_field_name(f), e))
-        key >>= width
-        f += 1
-    return tuple(items)
+def _reduced(acc, den):
+    """The nonzero numerators of ``acc`` over ``den``, both divided by their
+    common gcd, so ``den`` is the lcm of the reduced coefficient denominators."""
+    g = gcd(den, *acc.values())
+    if g > 1:
+        return {key: n // g for key, n in acc.items() if n}, den // g
+    if 0 in acc.values():
+        return {key: n for key, n in acc.items() if n}, den
+    return dict(acc), den
 
 
-def _mul(a, b):
-    """Product of two series of equal truncation (see the module docstring)."""
-    wmax, qmax = a.wmax, a.qmax
-    if not a.terms or not b.terms:
-        return WSeries._trusted(wmax, qmax, {})
-    width = max(wmax, qmax, 1).bit_length()
-    left, da = _pack(a.terms, width)
-    right, db = _pack(b.terms, width)
-    # the right terms by weight, in order of y-degree: the partners of a left
-    # term are one prefix of each bucket its weight leaves room for
+def _packed_mul(a, b, wmax, qmax):
+    """Product of two packed series at truncation (wmax, qmax).
+
+    The terms of ``b`` are bucketed by weight, each bucket in order of
+    y-degree, so the partners of the ``a`` terms of one weight w1 and
+    y-degree q1 are one prefix of each bucket of weight <= wmax - w1.  Put the
+    operand with more terms per (weight, y-degree) first.
+    """
+    (left, da), (right, db) = a, b
+    width = _width(wmax, qmax)
+    mask = (1 << width) - 1
     buckets = [[] for _ in range(wmax + 1)]
     ydegs = [[] for _ in range(wmax + 1)]
-    for key, w, q, n in sorted(right, key=itemgetter(2)):
-        buckets[w].append((key, n))
-        ydegs[w].append(q)
+    for key in sorted(right, key=mask.__and__):
+        w = key >> width & mask
+        buckets[w].append((key, right[key]))
+        ydegs[w].append(key & mask)
     groups = {}
-    for key, w, q, n in left:
-        groups.setdefault((w, q), []).append((key, n))
+    low = (1 << 2 * width) - 1  # the y and weight fields
+    for key, n in left.items():
+        groups.setdefault(key & low, []).append((key, n))
     acc = defaultdict(int)
-    for (w1, q1), group in groups.items():
-        qroom = qmax - q1
+    for wq, group in groups.items():
+        w1 = wq >> width
+        qroom = qmax - (wq & mask)
         partners = []
         for w2 in range(wmax - w1 + 1):
             partners += buckets[w2][: bisect_right(ydegs[w2], qroom)]
         for k1, n1 in group:
             for k2, n2 in partners:
                 acc[k1 + k2] += n1 * n2
-    den = da * db
+    return _reduced(acc, da * db)
+
+
+def _packed_shear(a, s, wmax, qmax):
+    """A packed series at H -> H + s*L, any other variables kept.
+
+    By the binomial theorem H^k spreads to sum_j C(k, j) s^j H^(k-j) L^j,
+    which keeps every weight, so nothing is truncated and no product is
+    needed: moving j from the H field to the L field is one int addition to
+    the key.  With s = p/r and k at most K, the numerators take
+    C(k, j) p^j r^(K-j) over the denominator den * r^K.
+    """
+    nums, den = a
+    if not s or not nums:
+        return a
+    width = _width(wmax, qmax)
     mask = (1 << width) - 1
+    hshift = _field("H")[0] * width
+    step = (1 << _field("L")[0] * width) - (1 << hshift)  # one unit from H to L
+    top = max(key >> hshift & mask for key in nums)
+    p, r = s.numerator, s.denominator
+    rows = [
+        [(j * step, comb(k, j) * p**j * r ** (top - j)) for j in range(k + 1)]
+        for k in range(top + 1)
+    ]
+    acc = defaultdict(int)
+    for key, n in nums.items():
+        for offset, c in rows[key >> hshift & mask]:
+            acc[key + offset] += n * c
+    return _reduced(acc, den * r**top)
+
+
+def _unpack(a, wmax, qmax):
+    """The ``WSeries`` of a packed series: one canonical monomial per distinct
+    variable part of a key, one ``Fraction`` per term."""
+    nums, den = a
+    width = _width(wmax, qmax)
+    mask = (1 << width) - 1
+    vshift = 2 * width  # past the y and weight fields
     monos = {}
     terms = {}
-    for key, n in acc.items():
-        if n:
-            mk = key >> width
-            mono = monos.get(mk)
-            if mono is None:
-                mono = monos[mk] = _unpack(mk, width, mask)
-            terms[(mono, key & mask)] = Fraction(n, den)
+    for key, n in nums.items():
+        mk = key >> vshift
+        mono = monos.get(mk)
+        if mono is None:
+            items = []
+            f, rest = 2, mk
+            while rest:
+                e = rest & mask
+                if e:
+                    items.append((_field_name(f), e))
+                rest >>= width
+                f += 1
+            mono = monos[mk] = tuple(items)
+        terms[(mono, key & mask)] = Fraction(n, den)
     return WSeries._trusted(wmax, qmax, terms)

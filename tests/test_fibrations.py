@@ -151,6 +151,10 @@ def test_integrand_equals_per_root_product_in_every_twist(family):
         ((0, 1, 3), ()),  # no normal roots: Y = P(E), fiber dimension 2
         ((0, 1, 1, 2), ((1, 1),)),  # fiber dimension 2, N shares F's slope 1
         ((-1, 2, 2), ((2, 4), (1, -1))),  # a negative slope; N roots on both F slopes
+        ((0, 1, 2), ((2, 1),)),  # four slope groups: 0, 1/2, 1, 2
+        # slopes 1/3, 1, 3/2, 2: every nested shear (1/3, 2/3, 1/2, 1/2) is a
+        # nonzero non-integer
+        ((1, 2, 2, 2), ((3, 1), (2, 3))),
     ],
 )
 def test_integrand_equals_per_root_product_on_custom_specs(exps, n_roots):
@@ -185,6 +189,13 @@ def test_derived_equals_closed_in_every_twist_at_benchmark_orders(family):
         spec = _twisted(family, a, rng)
         for w in (7, 8, 9):
             assert derived_q(spec, w, w + 1) == closed_form_q(family, w, w + 1)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_derived_equals_closed_on_the_catalog_up_to_12(family):
+    for wmax in (0, 1, 3, 6, 10, 12):
+        for qmax in (0, 1, 3, 7, 11, 12):
+            assert derived_q(family, wmax, qmax) == closed_form_q(family, wmax, qmax)
 
 
 def test_derived_q_accepts_family_name_or_spec():

@@ -133,6 +133,15 @@ def test_base_spec_validation():
         BaseSpec(dim=2, table={mono_from_dict({"L": 1}): F(1)})
 
 
+@pytest.mark.parametrize("value", [0.1, 1.0])
+def test_base_spec_refuses_float_values(value):
+    # 0.1 would become 3602879701896397/36028797018963968, and 1.0 is no exact
+    # input either
+    table = {mono_from_dict({"L": 1}): value}
+    with pytest.raises(TypeError):
+        BaseSpec(dim=1, table=table)
+
+
 def test_base_spec_equality_compares_the_table():
     p2_o3 = BaseSpec.projective_space(2, 3)
     assert p2_o3 != BaseSpec.projective_space(2, 1)

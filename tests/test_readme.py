@@ -1,4 +1,5 @@
-"""Every python block of README's library tour runs as it stands."""
+"""Every python block of README's library tour runs as it stands, and each
+``print(...)  # text`` line of a block writes exactly ``text``."""
 
 import os
 import re
@@ -13,6 +14,7 @@ README = (ROOT / "README.md").read_text()
 _START = README.index("## Library tour")
 TOUR = README[_START : README.index("\n## ", _START)]
 BLOCKS = re.findall(r"```python\n(.*?)```", TOUR, re.S)
+PRINTED = re.compile(r"print\(.*\)\s+# (.*)")
 
 
 def test_the_tour_has_python_blocks():
@@ -30,3 +32,7 @@ def test_tour_block_runs_in_a_fresh_interpreter(index):
         timeout=120,
     )
     assert run.returncode == 0 and run.stderr == "", run.stderr
+    lines = [line for line in BLOCKS[index].splitlines() if line.startswith("print(")]
+    expected = [PRINTED.fullmatch(line) for line in lines]
+    assert all(expected), "a print line has no comment with its output"
+    assert run.stdout.splitlines() == [m.group(1) for m in expected]

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given
@@ -16,9 +17,15 @@ from ellgenus import (
     mono_from_dict,
     var_weight,
 )
+from ellgenus import series as series_module
 from ellgenus.cli import emit_series_json
-from ellgenus.series import _shift_h
-from helpers import random_series, reference_coefficients_of, reference_mul
+from ellgenus.series import _pack, _packed_mul, _packed_shear, _shift_h, _unpack
+from helpers import (
+    count_calls,
+    random_series,
+    reference_coefficients_of,
+    reference_mul,
+)
 
 
 def S(wmax, qmax):
@@ -421,18 +428,18 @@ _coeffs = st.builds(
 
 
 @st.composite
-def _monomials(draw, wmax):
+def _monomials(draw, wmax, variables=KERNEL_VARS):
     room = draw(st.integers(0, wmax))
     exps = {}
-    for v in draw(st.permutations(KERNEL_VARS)):
+    for v in draw(st.permutations(variables)):
         e = draw(st.integers(0, room // var_weight(v)))
         exps[v] = e
         room -= e * var_weight(v)
     return mono_from_dict(exps)
 
 
-def _series_at(wmax, qmax):
-    term = st.tuples(_monomials(wmax), st.integers(0, qmax))
+def _series_at(wmax, qmax, variables=KERNEL_VARS):
+    term = st.tuples(_monomials(wmax, variables), st.integers(0, qmax))
     terms = st.dictionaries(term, _coeffs, max_size=14)
     return terms.map(lambda t: WSeries(wmax, qmax, t))
 
@@ -448,6 +455,55 @@ def _same_orders(draw, count):
 def test_kernel_equals_oracle(pair):
     a, b = pair
     assert a * b == reference_mul(a, b)
+
+
+def _is_reduced(packed, terms):
+    """No factor divides the packed denominator and every numerator, so the
+    denominator is the lcm of the reduced denominators of ``terms``."""
+    nums, den = packed
+    return gcd(den, *nums.values()) == 1 and den == lcm(
+        *(c.denominator for c in terms.values())
+    )
+
+
+@given(_same_orders(4))
+def test_packed_chain_equals_oracle(series):
+    # three packed multiplies in a row, one unpack at the end
+    wmax, qmax = series[0].wmax, series[0].qmax
+    packed, want = _pack(series[0]), series[0]
+    for factor in series[1:]:
+        packed = _packed_mul(packed, _pack(factor), wmax, qmax)
+        want = reference_mul(want, factor)
+        assert _is_reduced(packed, want.terms)
+    assert _unpack(packed, wmax, qmax) == want
+
+
+@st.composite
+def _h_l_y_series(draw):
+    wmax = draw(st.integers(0, 8))
+    qmax = draw(st.integers(0, 4))
+    return draw(_series_at(wmax, qmax, ("L", "H")))
+
+
+@given(_h_l_y_series(), _slopes)
+def test_packed_shear_equals_substitute(G, s):
+    H, L = WSeries.var("H", G.wmax, G.qmax), WSeries.var("L", G.wmax, G.qmax)
+    want = G.substitute("H", H + L * s)
+    packed = _packed_shear(_pack(G), s, G.wmax, G.qmax)
+    assert _is_reduced(packed, want.terms)
+    assert _unpack(packed, G.wmax, G.qmax) == want
+
+
+def test_mul_and_shift_h_run_on_the_packed_kernels(monkeypatch):
+    muls = count_calls(monkeypatch, series_module, "_packed_mul")
+    shears = count_calls(monkeypatch, series_module, "_packed_shear")
+    v = S(4, 2)
+    product = (v["H"] + v["y"]) * (v["H"] - 1)
+    H2 = _mono_series(4, 2, H=2)
+    sheared = _shift_h(H2, F(1, 2))
+    assert (len(muls), len(shears)) == (1, 1)
+    assert product == H2 + v["H"] * v["y"] - v["H"] - v["y"]
+    assert sheared == (v["H"] + v["L"] * F(1, 2)) ** 2
 
 
 @given(_same_orders(1), st.sampled_from(KERNEL_VARS))
