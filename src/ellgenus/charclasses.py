@@ -13,8 +13,9 @@ where p_k are the power sums of the roots, i.e. the coefficients of
 of 1+y in their denominators, but the weight-k part of the class carries
 (1+y)^d, and d >= k, so only the polynomials b_k = (1+y)^k a_k are ever
 needed: the weight-k part of the class is (1+y)^(d-k) times the weight-k
-part of exp(sum_k b_k p_k).  Every t-series here has coefficients in Q[y]
-(lists of :class:`Poly`), and ln(1+y) is never expanded.
+part of exp(sum_k b_k p_k).  Every t-series here is a :class:`WSeries`
+whose weight is the t-degree, with coefficients in Q[y], and ln(1+y) is
+never expanded.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .poly import Poly, truncated_mul
+from .poly import Poly
 from .series import WSeries, _shift_h
 
 
@@ -68,18 +69,26 @@ class RootForm:
 # down from closed forms (Todd numbers, s^k/k!) as {y-degree: rational}
 # maps, and :func:`_at_form` fills them in at the root: t -> a*H (or b*L
 # when a = 0), then, when both a and b are nonzero, the binomial shear
-# H -> H + (b/a)*L.  No local factor takes an exp or an inverse.
+# H -> H + (b/a)*L.  No local factor takes an exp, and the one inverse,
+# of the Todd numbers, is taken once per order.
+
+
+def _h_powers(order):
+    """The monomials 1, H, H^2, ..., H^order: t^k of a one-variable series
+    written in H."""
+    return [((("H", k),) if k else ()) for k in range(order + 1)]
 
 
 @cache
 def _todd_numbers(order):
     """t/(1 - e^{-t}) = sum_k tau_k t^k: (tau_0, ..., tau_order), solved
-    once per order."""
-    return tuple(
-        _invert_fraction_series(
-            [Fraction((-1) ** j, factorial(j + 1)) for j in range(order + 1)]
-        )
-    )
+    once per order as the inverse of sum_j (-1)^j t^j/(j+1)!."""
+    powers = _h_powers(order)
+    terms = {
+        (m, 0): Fraction((-1) ** j, factorial(j + 1)) for j, m in enumerate(powers)
+    }
+    todd = WSeries(order, 0, terms).inverse()
+    return tuple(todd.get(m) for m in powers)
 
 
 def _exp_numbers(s, order):
@@ -147,13 +156,20 @@ def _one_minus_exp(root, wmax, qmax):
 
 
 def power_sums_from_chern(kmax, qmax=0):
-    """p_1..p_kmax as weight-homogeneous series in the formal c_i.
-
-    Computed as the weight-graded components of -tC'/C with
-    C = 1 - c1 + c2 - ... (t-degree is weight), using exact series
-    division; Newton's identities come out for free.
+    """p_1..p_kmax as weight-homogeneous series in the formal c_i: the
+    weight components of :func:`power_sum_series`.
 
     Returns a list with entry k-1 holding p_k.
+    """
+    p_all = power_sum_series(kmax, qmax)
+    return [p_all.weight_component(k) for k in range(1, kmax + 1)]
+
+
+def power_sum_series(kmax, qmax=0):
+    """The full series p_1 + p_2 + ... in one value.
+
+    Computed as -tC'/C with C = 1 - c1 + c2 - ... (t-degree is weight),
+    using exact series division; Newton's identities come out for free.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
@@ -163,31 +179,11 @@ def power_sums_from_chern(kmax, qmax=0):
     for i, ci in enumerate(cvars, start=1):
         C = C + ci * Fraction((-1) ** i)
         minus_tCp = minus_tCp + ci * Fraction(i * (-1) ** (i + 1))
-    p_all = minus_tCp * C.inverse()
-    return [p_all.weight_component(k) for k in range(1, kmax + 1)]
-
-
-def power_sum_series(kmax, qmax=0):
-    """The full series p_1 + p_2 + ... (-tC'/C) in one value."""
-    acc = WSeries.zero(kmax, qmax)
-    for p in power_sums_from_chern(kmax, qmax):
-        acc = acc + p
-    return acc
+    return minus_tCp * C.inverse()
 
 
 # ---------------------------------------------------------------------------
 # log-coefficients of the chi_y factor g(t)
-
-
-def _invert_fraction_series(coeffs):
-    """Term-by-term inverse of a rational t-series with unit constant term."""
-    inv = [Fraction(1) / coeffs[0]]
-    for k in range(1, len(coeffs)):
-        s = Fraction(0)
-        for i in range(1, k + 1):
-            s += coeffs[i] * inv[k - i]
-        inv.append(-s / coeffs[0])
-    return inv
 
 
 def chi_y_log_coefficients(kmax):
@@ -195,31 +191,25 @@ def chi_y_log_coefficients(kmax):
 
     With ln g = ln(1+y) + a_1 t + a_2 t^2 + ..., the substitution
     t -> (1+y)t makes b_k = (1+y)^k a_k, and the division by 1+y drops
-    a_0 = ln(1+y).  Both factors of g((1+y)t)/(1+y) have coefficients in
-    Q[y], so the logarithm is taken there; deg b_k <= k.
+    a_0 = ln(1+y).  g is the local factor product
+    ``lambda_y_factor * todd_factor`` at t = H, the substitution is
+    :meth:`WSeries.reweight_by_one_plus_y`, 1/(1+y) is its truncated
+    y-series, and the log is :meth:`WSeries.log`.  All of it runs at
+    y-order kmax, which is exact: truncating at y^(kmax+1) is a ring map,
+    and deg b_k <= k.
 
     Returns a list with entry k-1 holding b_k.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    one_plus_y = Poly((1, 1))
-    # (1 + y e^{-(1+y)t})/(1+y) = 1 + sum_{k>=1} ((-1)^k/k!) y (1+y)^(k-1) t^k
-    g1 = [Poly.one()] + [
-        Poly.monomial(Fraction((-1) ** k, factorial(k)), 1) * one_plus_y ** (k - 1)
-        for k in range(1, kmax + 1)
+    t = RootForm(1, 0)
+    g = lambda_y_factor(t, kmax, kmax) * todd_factor(t, kmax, kmax)
+    alternating = [(-1) ** q for q in range(kmax + 1)]
+    inv_one_plus_y = WSeries.from_y_poly(alternating, kmax, kmax)
+    logs = (g.reweight_by_one_plus_y() * inv_one_plus_y).log()
+    return [
+        Poly([logs.get(m, q) for q in range(kmax + 1)]) for m in _h_powers(kmax)[1:]
     ]
-    # (1+y)t/(1 - e^{-(1+y)t}) = sum_k tau_k (1+y)^k t^k
-    g2 = [one_plus_y**k * tau for k, tau in enumerate(_todd_numbers(kmax))]
-    # ln(1 + u) with u = g1*g2 - 1 (u has no constant term)
-    u = truncated_mul(g1, g2, kmax)
-    u[0] = Poly()
-    result = [Poly() for _ in range(kmax + 1)]
-    power = [Poly.one()] + [Poly() for _ in range(kmax)]
-    for m in range(1, kmax + 1):
-        power = truncated_mul(power, u, kmax)
-        r = Fraction((-1) ** (m + 1), m)
-        result = [acc + p * r for acc, p in zip(result, power)]
-    return result[1:]
 
 
 # ---------------------------------------------------------------------------

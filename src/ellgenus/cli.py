@@ -73,9 +73,9 @@ def parse_series_json(data):
             for term in record["terms"]:
                 mono = _json_mono(term["exps"])
                 terms[(mono, q)] = _json_rational(term["coeff"], "coeff")
+        return WSeries(wmax, qmax, terms)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError("malformed series JSON: %s" % exc)
-    return WSeries(wmax, qmax, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import index
 
 from .charclasses import _hirzebruch_exp
 from .fibrations import closed_form_q, derived_q, pushforward_class
@@ -59,7 +60,9 @@ class BaseSpec:
 
     @classmethod
     def projective_space(cls, d, n):
-        """P^d with L = O(n): c_i -> C(d+1, i) h^i, L -> n h, int h^d = 1."""
+        """P^d with L = O(n): c_i -> C(d+1, i) h^i, L -> n h, int h^d = 1.
+        ``d`` and ``n`` are integers; a float raises ``TypeError``."""
+        d, n = index(d), index(n)
         if d < 0:
             raise ValueError("dimension must be >= 0")
         table = {}

@@ -1,10 +1,10 @@
 """Dense univariate polynomials over exact rationals.
 
-Small helper ring used in two places: polynomials in y (the
+The type of two kinds of polynomial: polynomials in y (the
 log-coefficients of the chi_y factor) and polynomials in U = exp(-L) (the
-y-coefficients of the closed-form genus factors).  A list of Polys is a
-truncated power series in one more variable (t or y) with Poly
-coefficients; :func:`truncated_mul` is its product.
+y-coefficients of the closed-form genus factors).  There is no t-series
+product here: a truncated t-series with Q[y] coefficients is a
+:class:`~ellgenus.series.WSeries`.
 """
 
 from __future__ import annotations
@@ -36,10 +36,6 @@ class Poly:
     @classmethod
     def x(cls):
         return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, coeff, exp):
-        return cls((0,) * exp + (coeff,))
 
     def degree(self):
         return len(self.coeffs) - 1
@@ -171,19 +167,3 @@ class Poly:
 
     def __repr__(self):
         return "Poly(%s)" % (self.to_text(var="x", descending=False),)
-
-
-def truncated_mul(a, b, order):
-    """Product of two series given as coefficient lists of Polys, to ``order``.
-
-    Entry k of each list is the coefficient of x^k; the result has exactly
-    ``order + 1`` entries and drops everything past x^order.
-    """
-    out = [Poly() for _ in range(order + 1)]
-    for i, ai in enumerate(a[: order + 1]):
-        if ai.is_zero():
-            continue
-        for j, bj in enumerate(b[: order + 1 - i]):
-            if not bj.is_zero():
-                out[i + j] = out[i + j] + ai * bj
-    return out

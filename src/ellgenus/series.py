@@ -127,7 +127,10 @@ class WSeries:
 
     Instances are immutable by convention; every operation returns a new
     series.  Two series are equal iff their truncation orders and term maps
-    agree, so tests compare exactly, never approximately.
+    agree, so tests compare exactly, never approximately.  The constructor
+    drops zero coefficients and terms past the truncation, and raises
+    ``ValueError`` on a key that is not canonical: a negative y-degree, or a
+    monomial that :func:`mono_from_dict` would not return unchanged.
     """
 
     __slots__ = ("wmax", "qmax", "terms")
@@ -140,6 +143,11 @@ class WSeries:
         clean = {}
         if terms:
             for (mono, q), coeff in terms.items():
+                q = index(q)
+                if q < 0:
+                    raise ValueError("negative y-degree %d" % q)
+                if mono_from_dict(dict(mono)) != mono:
+                    raise ValueError("monomial %r is not canonical" % (mono,))
                 if q > self.qmax or mono_weight(mono) > self.wmax:
                     continue
                 c = _as_fraction(coeff)
@@ -405,7 +413,7 @@ class WSeries:
         for (m, qq), c in self.terms.items():
             if qq == q and mono_weight(m) == k:
                 out[(m, 0)] = c
-        return WSeries(self.wmax, self.qmax, out)
+        return WSeries._trusted(self.wmax, self.qmax, out)
 
     def y_slice(self, q):
         """Coefficient of y^q over all weights, as a y-free series."""
@@ -415,7 +423,7 @@ class WSeries:
         for (m, qq), c in self.terms.items():
             if qq == q:
                 out[(m, 0)] = c
-        return WSeries(self.wmax, self.qmax, out)
+        return WSeries._trusted(self.wmax, self.qmax, out)
 
     def weight_component(self, k):
         """Weight-k homogeneous part, keeping the y-direction."""
@@ -425,7 +433,7 @@ class WSeries:
         for (m, q), c in self.terms.items():
             if mono_weight(m) == k:
                 out[(m, q)] = c
-        return WSeries(self.wmax, self.qmax, out)
+        return WSeries._trusted(self.wmax, self.qmax, out)
 
     def coefficients_of(self, var):
         """Decompose by powers of ``var``: {exponent: series with var removed}."""

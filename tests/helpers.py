@@ -4,7 +4,9 @@ series multiply used as the oracle of the packed kernel, and the two-variable
 exp/Newton-inverse local factors, fiber integrand, Segre series and Segre
 pushforward used as oracles of the one-variable constructions and the
 integer Segre numbers, the chi_y class of a base from a series logarithm,
-the pushed-forward class convolved y-degree by y-degree, the ``WSeries`` expansion of the closed forms (series exp, powers
+the pushed-forward class convolved y-degree by y-degree, the chi_y
+log-coefficients from lists of y-``Poly`` (with their truncated product),
+the ``WSeries`` expansion of the closed forms (series exp, powers
 and a Newton inverse), the Fraction evaluator that is the oracle of the
 hadamard-identity suite's int evaluator, the dense ``Poly`` product, and a
 call counter for monkeypatched library functions."""
@@ -19,11 +21,9 @@ from ellgenus import (
     closed_form_q,
     derived_q,
     hirzebruch_class,
-    lambda_y_factor,
     mono_from_dict,
     mono_weight,
     power_sums_from_chern,
-    todd_factor,
 )
 from ellgenus.fibrations import _CLOSED
 
@@ -189,12 +189,13 @@ def reference_pushforward(series, bundle, out_wmax):
 def reference_hirzebruch_class(d, qmax):
     """(1+y)^d exp(sum_k a_k p_k), with a_k the L^k coefficients of
     ln(g(L)/(1+y)) for g(t) = (1 + y e^{-t}) t/(1 - e^{-t}), taken by
-    ``WSeries.log`` with 1/(1+y) as a truncated y-series; no log-coefficient
-    or Hadamard code of the engine is used."""
+    ``WSeries.log`` with 1/(1+y) as a truncated y-series; g is built from
+    the reference local factors, and no log-coefficient, local-factor or
+    Hadamard code of the engine is used."""
     if d == 0:
         return WSeries.const(1, 0, qmax)
     L = RootForm(0, 1)
-    g = lambda_y_factor(L, d, qmax) * todd_factor(L, d, qmax)
+    g = reference_lambda_y_factor(L, -1, d, qmax) * reference_todd_factor(L, d, qmax)
     inv_1py = WSeries.from_y_poly([(-1) ** m for m in range(qmax + 1)], d, qmax)
     a = (g * inv_1py).log().coefficients_of("L")
     exponent = WSeries.zero(d, qmax)
@@ -202,6 +203,62 @@ def reference_hirzebruch_class(d, qmax):
         if k in a:
             exponent = exponent + p * a[k]
     return exponent.exp() * (WSeries.y(d, qmax) + 1) ** d
+
+
+def truncated_mul(a, b, order):
+    """Product of two series given as coefficient lists of Polys, to ``order``.
+
+    Entry k of each list is the coefficient of x^k; the result has exactly
+    ``order + 1`` entries and drops everything past x^order.
+    """
+    out = [Poly() for _ in range(order + 1)]
+    for i, ai in enumerate(a[: order + 1]):
+        if ai.is_zero():
+            continue
+        for j, bj in enumerate(b[: order + 1 - i]):
+            if not bj.is_zero():
+                out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def _invert_fraction_series(coeffs):
+    """Term-by-term inverse of a rational t-series with unit constant term."""
+    inv = [Fraction(1) / coeffs[0]]
+    for k in range(1, len(coeffs)):
+        s = Fraction(0)
+        for i in range(1, k + 1):
+            s += coeffs[i] * inv[k - i]
+        inv.append(-s / coeffs[0])
+    return inv
+
+
+def reference_chi_y_log_coefficients(kmax):
+    """b_1..b_kmax as the engine computed them before it used its own local
+    factors: both factors of g((1+y)t)/(1+y) as lists of y-Polys, multiplied
+    by ``truncated_mul``, and ln(1 + u) summed term by term."""
+    if kmax < 1:
+        raise ValueError("kmax must be >= 1")
+    one_plus_y = Poly((1, 1))
+    todd = _invert_fraction_series(
+        [Fraction((-1) ** j, factorial(j + 1)) for j in range(kmax + 1)]
+    )
+    # (1 + y e^{-(1+y)t})/(1+y) = 1 + sum_{k>=1} ((-1)^k/k!) y (1+y)^(k-1) t^k
+    g1 = [Poly.one()] + [
+        Poly((0, Fraction((-1) ** k, factorial(k)))) * one_plus_y ** (k - 1)
+        for k in range(1, kmax + 1)
+    ]
+    # (1+y)t/(1 - e^{-(1+y)t}) = sum_k tau_k (1+y)^k t^k
+    g2 = [one_plus_y**k * tau for k, tau in enumerate(todd)]
+    # ln(1 + u) with u = g1*g2 - 1 (u has no constant term)
+    u = truncated_mul(g1, g2, kmax)
+    u[0] = Poly()
+    result = [Poly() for _ in range(kmax + 1)]
+    power = [Poly.one()] + [Poly() for _ in range(kmax)]
+    for m in range(1, kmax + 1):
+        power = truncated_mul(power, u, kmax)
+        r = Fraction((-1) ** (m + 1), m)
+        result = [acc + p * r for acc, p in zip(result, power)]
+    return result[1:]
 
 
 def reference_closed_form_q(family, wmax, qmax):

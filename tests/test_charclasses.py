@@ -1,11 +1,11 @@
 """Characteristic-class builders against independent oracles: classical
 Todd coefficients solved by hand-rolled convolution, Newton identities
-evaluated at explicit integer roots, and the Hodge theory of P^1/P^2."""
+evaluated at explicit integer roots, the chi_y log-coefficients from lists of
+y-Polys, and the Hodge theory of P^1/P^2."""
 
 import random
 from fractions import Fraction as F
 from itertools import combinations
-from math import factorial
 
 import pytest
 from hypothesis import given
@@ -26,11 +26,14 @@ from ellgenus import (
 from ellgenus import charclasses
 from ellgenus.charclasses import lambda_y_inverse
 from helpers import (
+    count_calls,
     evaluate_numeric,
+    reference_chi_y_log_coefficients,
     reference_hirzebruch_class,
     reference_lambda_y_factor,
     reference_lambda_y_inverse,
     reference_todd_factor,
+    truncated_mul,
 )
 
 
@@ -62,23 +65,13 @@ def test_todd_numbers_are_solved_once_per_order():
     for n in range(15):
         got = charclasses._todd_numbers(n)
         assert isinstance(got, tuple)
-        assert got == tuple(
-            charclasses._invert_fraction_series(
-                [F((-1) ** j, factorial(j + 1)) for j in range(n + 1)]
-            )
-        )
+        assert got == tuple(_todd_coefficients(n))
         assert charclasses._todd_numbers(n) is got
 
 
 def test_chi_y_log_coefficients_unchanged_by_the_todd_cache(monkeypatch):
     cached = chi_y_log_coefficients(10)
-    monkeypatch.setattr(
-        charclasses,
-        "_todd_numbers",
-        lambda order: charclasses._invert_fraction_series(
-            [F((-1) ** j, factorial(j + 1)) for j in range(order + 1)]
-        ),
-    )
+    monkeypatch.setattr(charclasses, "_todd_numbers", _todd_coefficients)
     assert chi_y_log_coefficients(10) == cached
 
 
@@ -270,6 +263,41 @@ def test_second_log_coefficient_via_hodge_oracles():
     # the value is pinned by chi_y of P^1 and P^2 below; frozen here
     b = chi_y_log_coefficients(2)
     assert b[1] == Poly((F(-1, 24), F(5, 12), F(-1, 24)))
+
+
+def test_log_coefficients_equal_the_poly_list_route():
+    for kmax in range(1, 13):
+        assert chi_y_log_coefficients(kmax) == reference_chi_y_log_coefficients(kmax)
+
+
+def test_log_coefficients_build_each_local_factor_once(monkeypatch):
+    lambdas = count_calls(monkeypatch, charclasses, "lambda_y_factor")
+    todds = count_calls(monkeypatch, charclasses, "todd_factor")
+    chi_y_log_coefficients(6)
+    assert (len(lambdas), len(todds)) == (1, 1)
+
+
+def test_truncated_mul_against_evaluated_product():
+    # at x = z each list of Polys in x is a Poly in the outer variable, and
+    # the truncated product must evaluate to the truncated Poly product
+    rng = random.Random(5)
+
+    def rand_series(n):
+        return [
+            Poly([F(rng.randrange(-4, 5), rng.randrange(1, 3)) for _ in range(3)])
+            for _ in range(n)
+        ]
+
+    for _ in range(20):
+        a, b = rand_series(rng.randrange(0, 5)), rand_series(rng.randrange(0, 5))
+        order = rng.randrange(0, 6)
+        got = truncated_mul(a, b, order)
+        assert len(got) == order + 1
+        for z in (F(-2), F(1, 3)):
+            pa = Poly([c.evaluate(z) for c in a])
+            pb = Poly([c.evaluate(z) for c in b])
+            want = Poly((pa * pb).coeffs[: order + 1])
+            assert Poly([c.evaluate(z) for c in got]) == want
 
 
 def test_log_coefficient_degree_bounded_by_order():

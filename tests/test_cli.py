@@ -326,6 +326,12 @@ def test_series_json_rejects_inexact_numbers():
             parse_series_json(bad)
 
 
+def test_series_json_rejects_negative_y_degree():
+    block = {"t_deg": 0, "y_deg": -1, "terms": [{"exps": {}, "coeff": "1"}]}
+    with pytest.raises(UsageError, match="negative y-degree"):
+        parse_series_json({"wmax": 1, "qmax": 1, "records": [block]})
+
+
 # -- verify ---------------------------------------------------------------------
 
 

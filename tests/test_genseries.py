@@ -142,6 +142,13 @@ def test_base_spec_refuses_float_values(value):
         BaseSpec(dim=1, table=table)
 
 
+@pytest.mark.parametrize("d, n", [(2, 0.1), (2, 3.0), (2.0, 3)])
+def test_projective_space_refuses_float_arguments(d, n):
+    # n = 0.1 would put L.c1 = 10808639105689191/36028797018963968 in the table
+    with pytest.raises(TypeError):
+        BaseSpec.projective_space(d, n)
+
+
 def test_base_spec_equality_compares_the_table():
     p2_o3 = BaseSpec.projective_space(2, 3)
     assert p2_o3 != BaseSpec.projective_space(2, 1)

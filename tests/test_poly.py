@@ -6,7 +6,6 @@ from fractions import Fraction as F
 import pytest
 
 from ellgenus import FAMILIES, Poly, p_polynomials, p_table_reference
-from ellgenus.poly import truncated_mul
 from helpers import dense_poly_mul
 
 
@@ -54,29 +53,6 @@ def test_to_text_rules():
     assert (U**4 + 2 * U**3 - U - 3).to_text() == "U^4+2U^3-U-3"
     assert Poly().to_text() == "0"
     assert (-3 * U**2).to_text() == "-3U^2"
-
-
-def test_truncated_mul_against_evaluated_product():
-    # at x = z each list of Polys in x is a Poly in the outer variable, and
-    # the truncated product must evaluate to the truncated Poly product
-    rng = random.Random(5)
-
-    def rand_series(n):
-        return [
-            Poly([F(rng.randrange(-4, 5), rng.randrange(1, 3)) for _ in range(3)])
-            for _ in range(n)
-        ]
-
-    for _ in range(20):
-        a, b = rand_series(rng.randrange(0, 5)), rand_series(rng.randrange(0, 5))
-        order = rng.randrange(0, 6)
-        got = truncated_mul(a, b, order)
-        assert len(got) == order + 1
-        for z in (F(-2), F(1, 3)):
-            pa = Poly([c.evaluate(z) for c in a])
-            pb = Poly([c.evaluate(z) for c in b])
-            want = Poly((pa * pb).coeffs[: order + 1])
-            assert Poly([c.evaluate(z) for c in got]) == want
 
 
 def test_sparse_product_equals_dense_product():

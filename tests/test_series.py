@@ -391,6 +391,21 @@ def test_truncation_orders_must_be_integers(wmax, qmax):
         WSeries(wmax, qmax)
 
 
+@pytest.mark.parametrize(
+    "key",
+    [
+        ((), -1),  # negative y-degree
+        (((("H", 1), ("L", 1))), 0),  # wrong order
+        (((("H", 1), ("H", 2))), 0),  # repeated variable
+        (((("H", 0),)), 0),  # zero exponent
+        (((("L", 1), ("H", -1))), 0),  # negative exponent
+    ],
+)
+def test_constructor_refuses_non_canonical_keys(key):
+    with pytest.raises(ValueError):
+        WSeries(3, 3, {key: 1})
+
+
 def test_rational_coefficient_invariants():
     # coefficients stay in lowest terms with positive denominators, and
     # exact zeros are dropped from the term map entirely
