@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial
+from operator import index
 
 from .poly import Poly
 from .series import WSeries, _shift_h
@@ -36,6 +37,11 @@ class RootForm:
     a: int
     b: int
 
+    def __post_init__(self):
+        # a float would make every coefficient built at the root inexact
+        object.__setattr__(self, "a", index(self.a))
+        object.__setattr__(self, "b", index(self.b))
+
     def is_zero(self):
         return self.a == 0 and self.b == 0
 
@@ -46,19 +52,6 @@ class RootForm:
         if self.b:
             terms[((("L", 1),), 0)] = Fraction(self.b)
         return WSeries(wmax, qmax, terms)
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for coeff, var in ((self.a, "H"), (self.b, "L")):
-            if coeff:
-                body = var if abs(coeff) == 1 else "%d%s" % (abs(coeff), var)
-                parts.append(("-" if coeff < 0 else "+", body))
-        text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-        for sign, body in parts[1:]:
-            text += "%s%s" % (sign, body)
-        return text
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from .charclasses import (
 from .poly import Poly
 from .pushforward import BundleSpec, pushforward
 from .series import WSeries, _pack, _packed_mul, _packed_shear, _unpack
+from .series import _TEXT, _signed_sum, _sum_text  # the text writer
 
 FAMILIES = ("D5", "E6", "E7", "E8")
 
@@ -161,26 +162,20 @@ def derived_q(spec, wmax=DEFAULT_WMAX, qmax=DEFAULT_QMAX):
         spec = catalog_spec(spec)
     r = spec.bundle.rank
     D = fiber_integrand(spec, wmax + r - 1, qmax)
-    return pushforward(D, spec.bundle, out_wmax=wmax)
+    return pushforward(D, spec.bundle)
 
 
 # ---------------------------------------------------------------------------
 # closed forms
 
 # Q = lead - y + (y+1) * numer(y, U) / (1 + y U^s) [ - U (y+1)^2/(1+y U^s)^2 ],
-# numer encoded as {(y-degree, U-degree): integer}.
+# numer encoded as {(y-degree, U-degree): integer}, in the order that
+# closed_form_text writes its terms.
 _CLOSED = {
     "D5": {"lead": 4, "s": 2, "numer": {(1, 1): 1, (0, 0): -3}, "extra": True},
     "E6": {"lead": 3, "s": 3, "numer": {(1, 2): 1, (0, 1): -1, (0, 0): -2}},
     "E7": {"lead": 2, "s": 4, "numer": {(1, 3): 1, (0, 1): -1, (0, 0): -1}},
     "E8": {"lead": 1, "s": 6, "numer": {(1, 5): 1, (0, 1): -1}},
-}
-
-_CLOSED_TEXT = {
-    "D5": "4 - y + (y+1)*(y*U - 3)/(y*U^2 + 1) - U*(y+1)^2/(y*U^2 + 1)^2",
-    "E6": "3 - y + (y+1)*(y*U^2 - U - 2)/(y*U^3 + 1)",
-    "E7": "2 - y + (y+1)*(y*U^3 - U - 1)/(y*U^4 + 1)",
-    "E8": "1 - y + (y+1)*(y*U^5 - U)/(y*U^6 + 1)",
 }
 
 
@@ -189,10 +184,28 @@ def _check_family(family):
         raise KeyError("unknown family %r" % (family,))
 
 
+def _yu_text(coeffs):
+    """A {(y-degree, U-degree): integer} map as text, in its own order."""
+    terms = [
+        ((tuple((v, e) for v, e in (("y", a), ("U", b)) if e), 0), c)
+        for (a, b), c in coeffs.items()
+    ]
+    return _sum_text(terms, _TEXT)
+
+
 def closed_form_text(family):
     """The unexpanded genus-factor expression, with U = exp(-L)."""
     _check_family(family)
-    return _CLOSED_TEXT[family]
+    data = _CLOSED[family]
+    den = _yu_text({(1, data["s"]): 1, (0, 0): 1})
+    parts = [
+        ("+", str(data["lead"])),
+        ("-", "y"),
+        ("+", "(y+1)*(%s)/(%s)" % (_yu_text(data["numer"]), den)),
+    ]
+    if data.get("extra"):
+        parts.append(("-", "U*(y+1)^2/(%s)^2" % den))
+    return _signed_sum(parts, " ")
 
 
 def _p_rows(family, nmax):

@@ -34,17 +34,19 @@ class VerificationError(AssertionError):
 class BaseSpec:
     """A base variety: its dimension and its intersection table.
 
-    The table maps every relevant weight-``dim`` monomial in L, c1..c_dim
-    to its intersection number, an int or a Fraction (anything else, a
-    float included, raises ``TypeError``); a missing monomial is an error,
-    never an implicit zero.  Two bases are equal when both dimension and
-    table are.
+    The dimension is an int (a float raises ``TypeError``).  The table maps
+    every relevant weight-``dim`` monomial in L, c1..c_dim to its
+    intersection number, an int or a Fraction (anything else, a float
+    included, raises ``TypeError``); a missing monomial is an error, never
+    an implicit zero.  Two bases are equal when both dimension and table
+    are.
     """
 
     dim: int
     table: dict = field(hash=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", index(self.dim))
         if self.dim < 0:
             raise ValueError("dimension must be >= 0")
         if self.table is None:
@@ -111,11 +113,13 @@ def chi_series(family_or_spec, tmax, qmax=None):
 
     The series depends only on the family and the orders, never on a base,
     so it is built once per key and shared; each call returns a fresh copy.
+    Both orders are integers: a float raises ``TypeError``, even where an
+    equal int key is already in the memo.
     """
+    tmax = index(tmax)
     if tmax < 0:
         raise ValueError("tmax must be >= 0")
-    if qmax is None:
-        qmax = tmax + 2
+    qmax = tmax + 2 if qmax is None else index(qmax)
     s = _chi_series(family_or_spec, tmax, qmax)
     return WSeries._trusted(s.wmax, s.qmax, dict(s.terms))
 

@@ -11,8 +11,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .series import _sum_text
+
 # the one zero every Poly shares (Fractions are immutable)
 _ZERO = Fraction(0)
+
+# plain text with no product sign and no space around a sign: '2U^3-U-4'
+_COMPACT = ("%s^%d", str, "%d/%d", "", "")
 
 
 class Poly:
@@ -142,25 +147,11 @@ class Poly:
         Falls back to ascending order when descending would lead with a
         minus sign but a positive constant term exists ('1-U', not '-U+1').
         """
-        if self.is_zero():
-            return "0"
         items = list(enumerate(self.coeffs))
-        if descending and not (self.coeffs[-1] < 0 < self[0]):
+        if descending and not (self and self.coeffs[-1] < 0 < self[0]):
             items.reverse()
-        parts = []
-        for e, c in items:
-            if not c:
-                continue
-            if e == 0:
-                body = str(abs(c))
-            else:
-                v = var if e == 1 else "%s^%d" % (var, e)
-                body = v if abs(c) == 1 else "%s%s" % (abs(c), v)
-            parts.append(("-" if c < 0 else "+", body))
-        text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-        for sign, body in parts[1:]:
-            text += "%s%s" % (sign, body)
-        return text
+        terms = [((((var, e),) if e else (), 0), c) for e, c in items if c]
+        return _sum_text(terms, _COMPACT)
 
     def __str__(self):
         return self.to_text()

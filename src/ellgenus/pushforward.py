@@ -58,12 +58,11 @@ def segre_series(bundle, wmax, qmax=0):
     ]
 
 
-def pushforward(series, bundle, out_wmax=None):
+def pushforward(series, bundle):
     """Replace H^(r-1+j) by s_j(E), dropping H^i for i < r-1.
 
-    The result is exact to ``series.wmax - (rank - 1)``; asking for more
-    raises :class:`TruncationDeficitError` rather than silently truncating
-    wrong.
+    The result is exact to ``series.wmax - (rank - 1)``; an input below
+    weight rank - 1 raises :class:`TruncationDeficitError`.
 
     Each s_j(E) is a single term sigma_j * L^j with sigma_j an int (see
     :func:`_segre_numbers`), so a term of H-power r-1+j needs no series
@@ -73,28 +72,21 @@ def pushforward(series, bundle, out_wmax=None):
     term becomes one ``Fraction`` at the end.
     """
     r = bundle.rank
-    supported = series.wmax - (r - 1)
-    if out_wmax is None:
-        out_wmax = supported
-    if out_wmax > supported or supported < 0:
-        raise TruncationDeficitError(
-            "pushforward to weight %d needs input weight %d, have %d"
-            % (out_wmax, out_wmax + r - 1, series.wmax)
-        )
+    out_wmax = series.wmax - (r - 1)
     if out_wmax < 0:
-        raise ValueError("truncation orders must be >= 0")
-    # a term H^(r-1+j) m has weight <= wmax, so m L^j has weight <= supported
-    truncating = out_wmax < supported
+        raise TruncationDeficitError(
+            "pushforward along a rank-%d bundle needs input weight %d, have %d"
+            % (r, r - 1, series.wmax)
+        )
+    # a term H^(r-1+j) m has weight <= wmax, so m L^j has weight <= out_wmax
     sigma = _segre_numbers(bundle, out_wmax)
     den = lcm(*{c.denominator for c in series.terms.values()})
     acc = {}
     for e, part in series.coefficients_of("H").items():
         j = e - (r - 1)
-        if j < 0 or j > out_wmax or not sigma[j]:
+        if j < 0 or not sigma[j]:
             continue
         for (mono, q), c in part.terms.items():
-            if truncating and mono_weight(mono) + j > out_wmax:
-                continue
             if j and mono and mono[0][0] == "L":  # L leads a canonical monomial
                 mono = (("L", mono[0][1] + j),) + mono[1:]
             elif j:

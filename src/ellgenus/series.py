@@ -455,56 +455,10 @@ class WSeries:
     # -- display --------------------------------------------------------
 
     def to_text(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (m, q), c in self.sorted_items():
-            factors = ["%s^%d" % (v, e) if e > 1 else v for v, e in m]
-            if q:
-                factors.append("y^%d" % q if q > 1 else "y")
-            if not factors:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(abs(c))] + factors)
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += " %s %s" % (sign, body)
-        return text
+        return _sum_text(self.sorted_items(), _TEXT)
 
     def to_latex(self):
-        if not self.terms:
-            return "0"
-
-        def coeff_tex(c):
-            if c.denominator == 1:
-                return str(abs(c.numerator))
-            return r"\frac{%d}{%d}" % (abs(c.numerator), c.denominator)
-
-        def var_tex(v, e):
-            base = "c_{%s}" % v[1:] if v.startswith("c") else v
-            return base if e == 1 else "%s^{%d}" % (base, e)
-
-        parts = []
-        for (m, q), c in self.sorted_items():
-            factors = [var_tex(v, e) for v, e in m]
-            if q:
-                factors.append("y" if q == 1 else "y^{%d}" % q)
-            body = " ".join(factors)
-            if not body:
-                body = coeff_tex(c)
-            elif abs(c) != 1:
-                body = coeff_tex(c) + " " + body
-            parts.append(("-" if c < 0 else "+", body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += " %s %s" % (sign, body)
-        return text
+        return _sum_text(self.sorted_items(), _LATEX)
 
     def __str__(self):
         return self.to_text()
@@ -514,6 +468,48 @@ class WSeries:
         if len(body) > 120:
             body = body[:117] + "..."
         return "WSeries(wmax=%d, qmax=%d: %s)" % (self.wmax, self.qmax, body)
+
+
+# -- rendering: one term walk and one signed-sum join ---------------------------
+
+
+@cache
+def _tex_name(v):
+    return "c_{%s}" % v[1:] if v.startswith("c") else v
+
+
+# The format data of a rendered sum: the power format, the variable names,
+# the format of a non-integer coefficient, the product sign, and the space
+# around each sign after the first.
+_TEXT = ("%s^%d", str, "%d/%d", "*", " ")
+_LATEX = ("%s^{%d}", _tex_name, r"\frac{%d}{%d}", " ", " ")
+
+
+def _sum_text(terms, style):
+    """The signed sum of ``((monomial, y-degree), coefficient)`` terms in
+    ``style`` (see ``_TEXT``): a coefficient of absolute value 1 is written
+    only when the term has no factor, and y follows the monomial."""
+    pow_fmt, name, frac_fmt, mul, sep = style
+    parts = []
+    for (mono, q), c in terms:
+        factors = [name(v) if e == 1 else pow_fmt % (name(v), e) for v, e in mono]
+        if q:
+            factors.append("y" if q == 1 else pow_fmt % ("y", q))
+        n, d = c.numerator, c.denominator
+        coeff = "%d" % abs(n) if d == 1 else frac_fmt % (abs(n), d)
+        body = mul.join(factors if factors and coeff == "1" else [coeff] + factors)
+        parts.append(("-" if n < 0 else "+", body))
+    return _signed_sum(parts, sep)
+
+
+def _signed_sum(parts, sep):
+    """'a - b + c' from (sign, body) pairs, sign '+' or '-': the first body
+    takes a bare '-' and no '+', each later sign stands between two ``sep``,
+    and no parts give '0'."""
+    if not parts:
+        return "0"
+    head = parts[0][1] if parts[0][0] == "+" else "-" + parts[0][1]
+    return head + "".join(sep + sign + sep + body for sign, body in parts[1:])
 
 
 def _shift_h(series, s):

@@ -6,8 +6,8 @@ pushforward used as oracles of the one-variable constructions and the
 integer Segre numbers, the chi_y class of a base from a series logarithm,
 the pushed-forward class convolved y-degree by y-degree, the chi_y
 log-coefficients from lists of y-``Poly`` (with their truncated product),
-the ``WSeries`` expansion of the closed forms (series exp, powers
-and a Newton inverse), the Fraction evaluator that is the oracle of the
+the closed-form texts as the paper writes them, the ``WSeries``
+expansion of the closed forms (series exp, powers and a Newton inverse), the Fraction evaluator that is the oracle of the
 hadamard-identity suite's int evaluator, the dense ``Poly`` product, and a
 call counter for monkeypatched library functions."""
 
@@ -259,6 +259,15 @@ def reference_chi_y_log_coefficients(kmax):
         r = Fraction((-1) ** (m + 1), m)
         result = [acc + p * r for acc, p in zip(result, power)]
     return result[1:]
+
+
+# The paper's genus factors as written out, independently of ``_CLOSED``.
+PAPER_CLOSED_TEXT = {
+    "D5": "4 - y + (y+1)*(y*U - 3)/(y*U^2 + 1) - U*(y+1)^2/(y*U^2 + 1)^2",
+    "E6": "3 - y + (y+1)*(y*U^2 - U - 2)/(y*U^3 + 1)",
+    "E7": "2 - y + (y+1)*(y*U^3 - U - 1)/(y*U^4 + 1)",
+    "E8": "1 - y + (y+1)*(y*U^5 - U)/(y*U^6 + 1)",
+}
 
 
 def reference_closed_form_q(family, wmax, qmax):

@@ -198,6 +198,20 @@ def test_zero_root_factors():
     )
 
 
+def test_root_form_refuses_a_float_h_part():
+    # todd_factor(RootForm(0.5, 0), 3) would return float coefficients
+    with pytest.raises(TypeError):
+        RootForm(0.5, 0)
+
+
+def test_root_form_refuses_a_float_l_part():
+    # lambda_y_factor(RootForm(1, 0.5), 3, 1) would fail inside fractions
+    with pytest.raises(TypeError):
+        RootForm(1, 0.5)
+    with pytest.raises(TypeError):
+        RootForm(3, 6.0)
+
+
 def test_factor_at_fractional_slope():
     # 2H + 3L goes through H -> H + (3/2)L; the Todd series of 2H+3L at
     # weight 2 is 1 + (2H+3L)/2 + (2H+3L)^2/12

@@ -17,7 +17,7 @@ from ellgenus.cli import (
     main,
     parse_series_json,
 )
-from helpers import count_calls, random_series
+from helpers import PAPER_CLOSED_TEXT, count_calls, random_series
 
 
 def run_cli(capsys, *argv):
@@ -37,12 +37,10 @@ def test_q_text_output(capsys):
 
 
 def test_q_closed_form(capsys):
-    code, out, _ = run_cli(capsys, "q", "D5", "--closed")
-    assert code == 0
-    assert (
-        "4 - y + (y+1)*(y*U - 3)/(y*U^2 + 1) - U*(y+1)^2/(y*U^2 + 1)^2" in out
-    )
-    assert "U = exp(-L)" in out
+    for fam, text in PAPER_CLOSED_TEXT.items():
+        code, out, _ = run_cli(capsys, "q", fam, "--closed")
+        assert code == 0
+        assert out == "Q(%s) = %s   [U = exp(-L)]\n" % (fam, text)
 
 
 def test_q_unknown_family(capsys):

@@ -26,6 +26,7 @@ from ellgenus import (
     pushforward_class,
 )
 from helpers import (
+    PAPER_CLOSED_TEXT,
     reference_closed_form_q,
     reference_fiber_integrand,
     reference_pushforward_class,
@@ -240,8 +241,7 @@ def test_closed_form_q_errors():
 
 def test_closed_form_text_mentions_all_families():
     for fam in FAMILIES:
-        text = closed_form_text(fam)
-        assert "U" in text and "y" in text
+        assert closed_form_text(fam) == PAPER_CLOSED_TEXT[fam]
 
 
 def test_derived_y_zero_slice_anticanonical_row():

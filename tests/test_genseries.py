@@ -149,6 +149,16 @@ def test_projective_space_refuses_float_arguments(d, n):
         BaseSpec.projective_space(d, n)
 
 
+def test_base_spec_refuses_a_float_dimension():
+    with pytest.raises(TypeError):
+        BaseSpec(1.5, {})
+    # an integral float too: the dimension bounds ranges and keys memos
+    with pytest.raises(TypeError):
+        BaseSpec(2.0, BaseSpec.projective_space(2, 1).table)
+    with pytest.raises(ValueError):
+        BaseSpec(-1, {})
+
+
 def test_base_spec_equality_compares_the_table():
     p2_o3 = BaseSpec.projective_space(2, 3)
     assert p2_o3 != BaseSpec.projective_space(2, 1)
@@ -250,6 +260,17 @@ def test_mutating_a_returned_series_leaves_later_results_unchanged():
     first.terms.clear()
     assert chi_values("E8", base) == [0, 270, -270, 0]
     assert chi_series("E8", 2) == chi_series("E8", 2, 4) != first
+
+
+def test_float_orders_are_refused_on_a_warm_memo():
+    want = chi_series("E8", 2)
+    for args in (("E8", 2.0), ("E8", 2, 4.0), ("E8", 2.0, 4)):
+        with pytest.raises(TypeError):
+            chi_series(*args)
+    for args in (("E8", -1), ("E8", 2, -1)):
+        with pytest.raises(ValueError):
+            chi_series(*args)
+    assert chi_series("E8", 2, 4) == want
 
 
 def test_name_catalog_spec_and_twist_are_separate_entries():

@@ -120,8 +120,6 @@ def test_pushforward_truncation_deficit():
     D = WSeries.var("H", 2, 0) ** 2
     with pytest.raises(TruncationDeficitError):
         pushforward(D, BundleSpec((0, 1, 1, 1)))
-    with pytest.raises(TruncationDeficitError):
-        pushforward(D, BundleSpec((0, 1)), out_wmax=2)
 
 
 @st.composite
@@ -138,9 +136,8 @@ def _pushforward_cases(draw):
 @given(_pushforward_cases())
 def test_pushforward_equals_product_per_h_power(case):
     D, bundle, out_wmax = case
-    assert pushforward(D, bundle, out_wmax) == reference_pushforward(
-        D, bundle, out_wmax
-    )
+    D = D.truncate(out_wmax + bundle.rank - 1, D.qmax)
+    assert pushforward(D, bundle) == reference_pushforward(D, bundle, out_wmax)
 
 
 @st.composite
@@ -165,12 +162,6 @@ def _integrands(draw):
 def test_pushforward_of_random_integrands_equals_product_per_h_power(case):
     D, bundle, out_wmax = case
     assert pushforward(D, bundle) == reference_pushforward(D, bundle, out_wmax)
-
-
-def test_pushforward_rejects_negative_out_wmax():
-    D = WSeries.var("H", 4, 0) ** 3
-    with pytest.raises(ValueError):
-        pushforward(D, BundleSpec((0, 1)), out_wmax=-1)
 
 
 def test_pushforward_of_d5_integrand_equals_product_per_h_power():

@@ -294,6 +294,53 @@ def test_coeff_range_errors():
         s.coeff(0, 3)
 
 
+# -- display ----------------------------------------------------------------------
+
+
+def _display_series(wmax, qmax, terms):
+    return WSeries(wmax, qmax, {(mono_from_dict(m), q): c for (m, q), c in terms})
+
+
+# Golden strings; each case's id names the rendering rules it pins.
+_DISPLAY_CASES = [
+    pytest.param(WSeries.zero(3, 2), "0", "0", id="zero series"),
+    pytest.param(
+        WSeries.const(F(-7, 2), 3, 2), "-7/2", r"-\frac{7}{2}", id="fractional constant"
+    ),
+    pytest.param(WSeries.const(1, 3, 2), "1", "1", id="constant 1"),
+    pytest.param(
+        _display_series(4, 3, [
+            (({}, 0), -1),
+            (({"c1": 1}, 0), 1),
+            (({"L": 2}, 1), F(-3, 2)),
+            (({"H": 1, "c2": 1}, 3), 1),
+            (({"L": 1}, 2), 5),
+        ]),
+        "-1 + c1 + 5*L*y^2 - 3/2*L^2*y + H*c2*y^3",
+        r"-1 + c_{1} + 5 L y^{2} - \frac{3}{2} L^{2} y + H c_{2} y^{3}",
+        id="-1 constant first, +1 with a factor, y^k",
+    ),
+    pytest.param(
+        _display_series(4, 2, [
+            (({}, 1), -1),
+            (({}, 2), F(2, 3)),
+            (({"L": 1, "H": 1}, 0), -1),
+            (({"c3": 1}, 0), F(-1, 4)),
+            (({"c1": 2}, 1), -2),
+        ]),
+        "-y + 2/3*y^2 - L*H - 2*c1^2*y - 1/4*c3",
+        r"-y + \frac{2}{3} y^{2} - L H - 2 c_{1}^{2} y - \frac{1}{4} c_{3}",
+        id="-y first, -1 with factors, c_i powers",
+    ),
+]
+
+
+@pytest.mark.parametrize("series, text, latex", _DISPLAY_CASES)
+def test_rendered_text_and_latex(series, text, latex):
+    assert series.to_text() == text == str(series)
+    assert series.to_latex() == latex
+
+
 # -- randomized ring laws ------------------------------------------------------
 
 
