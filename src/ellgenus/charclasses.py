@@ -245,9 +245,9 @@ def _chi_y_exp(tmax, qmax):
     return hadamard_apply(bcoeffs, psums).exp()
 
 
-# The same factor, built once per (tmax, qmax) and read by ``chi_series``
-# alone; callers must not mutate it.  ``hirzebruch_class`` builds its own,
-# so the class route stays an independent check of the series route.
+# The same factor, built once per (tmax, qmax), read-only like every series,
+# and read by ``chi_series`` alone.  ``hirzebruch_class`` builds its own, so
+# the class route stays an independent check of the series route.
 _hirzebruch_exp = cache(_chi_y_exp)
 
 

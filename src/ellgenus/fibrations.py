@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from operator import index
 
 from .charclasses import (
     RootForm,
@@ -274,6 +275,7 @@ _P1_TABLE = {
 def p_table_reference(family, n):
     """Tabulated closed form of P_n: P_0, P_1, and the factored P_n, n > 1."""
     _check_family(family)
+    n = index(n)
     if n < 0:
         raise ValueError("n must be >= 0")
     U = Poly.x()

@@ -14,12 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm, prod
 from operator import index
+from types import MappingProxyType
 
 from .charclasses import _hirzebruch_exp
 from .fibrations import closed_form_q, derived_q, pushforward_class
-from .series import WSeries, _as_fraction, mono_from_dict, mono_weight
+from .series import WSeries, _as_fraction, mono_weight
 
 
 class MissingIntersectionError(ValueError):
@@ -38,7 +39,8 @@ class BaseSpec:
     every relevant weight-``dim`` monomial in L, c1..c_dim to its
     intersection number, an int or a Fraction (anything else, a float
     included, raises ``TypeError``); a missing monomial is an error, never
-    an implicit zero.  Two bases are equal when both dimension and table
+    an implicit zero.  The stored table is a read-only mapping of
+    ``Fraction`` values.  Two bases are equal when both dimension and table
     are.
     """
 
@@ -58,7 +60,7 @@ class BaseSpec:
                     "table monomial %r has weight != %d" % (mono, self.dim)
                 )
             clean[mono] = _as_fraction(value)  # a float is refused, never rounded
-        object.__setattr__(self, "table", clean)
+        object.__setattr__(self, "table", MappingProxyType(clean))
 
     @classmethod
     def projective_space(cls, d, n):
@@ -67,33 +69,23 @@ class BaseSpec:
         d, n = index(d), index(n)
         if d < 0:
             raise ValueError("dimension must be >= 0")
-        table = {}
-        vars_weights = [("L", 1)] + [("c%d" % i, i) for i in range(1, d + 1)]
-        for exps in _weighted_exponents(vars_weights, d):
-            value = Fraction(1)
-            mono = {}
-            for (name, w), e in zip(vars_weights, exps):
-                if not e:
-                    continue
-                mono[name] = e
-                if name == "L":
-                    value *= Fraction(n) ** e
-                else:
-                    value *= Fraction(comb(d + 1, w)) ** e
-            table[mono_from_dict(mono)] = value
+        x = {"c%d" % i: comb(d + 1, i) for i in range(1, d + 1)}
+        x["L"] = n
+        table = {m: prod(x[v] ** e for v, e in m) for m in _weight_d_monomials(d)}
         return cls(dim=d, table=table)
 
 
-def _weighted_exponents(vars_weights, total):
-    """All exponent tuples with sum(e_i * w_i) == total."""
-    if not vars_weights:
-        if total == 0:
-            yield ()
-        return
-    (name, w), rest = vars_weights[0], vars_weights[1:]
-    for e in range(0, total // w + 1):
-        for tail in _weighted_exponents(rest, total - e * w):
-            yield (e,) + tail
+@lru_cache(maxsize=16)
+def _weight_d_monomials(d):
+    """Every canonical monomial of weight ``d`` in L, c1..c_d."""
+    monos = [((), 0)]  # (monomial, weight), extended variable by variable
+    for v, w in [("L", 1)] + [("c%d" % i, i) for i in range(1, d + 1)]:
+        monos = [
+            (m + ((v, e),) if e else m, mw + e * w)
+            for m, mw in monos
+            for e in range((d - mw) // w + 1)
+        ]
+    return tuple(m for m, mw in monos if mw == d)
 
 
 # ---------------------------------------------------------------------------
@@ -112,16 +104,15 @@ def chi_series(family_or_spec, tmax, qmax=None):
     y^(k+1) is exactly zero.
 
     The series depends only on the family and the orders, never on a base,
-    so it is built once per key and shared; each call returns a fresh copy.
-    Both orders are integers: a float raises ``TypeError``, even where an
-    equal int key is already in the memo.
+    so it is built once per key, and every call returns that one read-only
+    series.  Both orders are integers: a float raises ``TypeError``, even
+    where an equal int key is already in the memo.
     """
     tmax = index(tmax)
     if tmax < 0:
         raise ValueError("tmax must be >= 0")
     qmax = tmax + 2 if qmax is None else index(qmax)
-    s = _chi_series(family_or_spec, tmax, qmax)
-    return WSeries._trusted(s.wmax, s.qmax, dict(s.terms))
+    return _chi_series(family_or_spec, tmax, qmax)
 
 
 @lru_cache(maxsize=CHI_SERIES_CACHE_SIZE)
@@ -137,25 +128,26 @@ def _chi_series(family_or_spec, tmax, qmax):
 
 
 def integrate(cls, base):
-    """Pair a y-free weight-``base.dim`` class with the intersection table."""
-    if cls.is_zero():
-        return Fraction(0)
-    total = Fraction(0)
+    """Pair a y-free weight-``base.dim`` class with the intersection table:
+    int numerators over one common denominator, one ``Fraction`` at the end."""
+    pairs = []
     for (mono, q), coeff in cls.terms.items():
         if q != 0:
             raise ValueError("cannot integrate a class with y-content")
-        if mono_weight(mono) != base.dim:
-            raise ValueError(
-                "class is not weight-homogeneous of weight %d" % base.dim
-            )
         value = base.table.get(mono)
-        if value is None:
+        if value is None:  # a table monomial has weight base.dim
+            if mono_weight(mono) != base.dim:
+                raise ValueError(
+                    "class is not weight-homogeneous of weight %d" % base.dim
+                )
             raise MissingIntersectionError(
                 "no intersection number for monomial %s"
                 % (dict(mono) if mono else "1",)
             )
-        total += coeff * value
-    return total
+        n, d = coeff.numerator * value.numerator, coeff.denominator * value.denominator
+        pairs.append((n, d))
+    den = lcm(*{d for _n, d in pairs})
+    return Fraction(sum(n * (den // d) for n, d in pairs), den)
 
 
 def chi_q(family_or_spec, base, q, verify=False):
@@ -165,7 +157,7 @@ def chi_q(family_or_spec, base, q, verify=False):
     class route (the weight-d, y^q part of Q * H_y(B)) and integrality is
     asserted; a mismatch raises :class:`VerificationError`.
     """
-    d = base.dim
+    d, q = base.dim, index(q)
     if not (0 <= q <= d + 1):
         raise ValueError(
             "q=%d out of range: the fibration has dimension %d" % (q, d + 1)

@@ -42,7 +42,8 @@ divided by their gcd, so the denominator is the lcm of the reduced
 coefficient denominators, not a product of the inputs' denominators.
 ``_shift_h`` is the shear between one pack and one unpack.
 
-``WSeries.terms`` stays the public (monomial, y-degree) -> Fraction map.
+``WSeries.terms`` is the public (monomial, y-degree) -> Fraction map, a
+read-only view of the private dict that the kernels read.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, gcd, lcm
 from operator import index
+from types import MappingProxyType
 
 
 class TruncationMismatchError(ValueError):
@@ -107,7 +109,7 @@ def mono_from_dict(exps):
 
 
 def mono_weight(mono):
-    return sum(var_weight(v) * e for v, e in mono)
+    return sum(_field(v)[1] * e for v, e in mono)
 
 
 def _mono_sort_key(mono):
@@ -125,15 +127,16 @@ def _as_fraction(value):
 class WSeries:
     """A truncated series: map from (monomial, y-degree) to nonzero Fraction.
 
-    Instances are immutable by convention; every operation returns a new
-    series.  Two series are equal iff their truncation orders and term maps
-    agree, so tests compare exactly, never approximately.  The constructor
+    Instances are immutable: ``terms`` is a read-only mapping, so writing
+    to it raises ``TypeError``, and every operation returns a new series.
+    Two series are equal iff their truncation orders and term maps agree,
+    so tests compare exactly, never approximately.  The constructor
     drops zero coefficients and terms past the truncation, and raises
     ``ValueError`` on a key that is not canonical: a negative y-degree, or a
     monomial that :func:`mono_from_dict` would not return unchanged.
     """
 
-    __slots__ = ("wmax", "qmax", "terms")
+    __slots__ = ("wmax", "qmax", "_terms", "terms", "_slices")
 
     def __init__(self, wmax, qmax, terms=None):
         if wmax < 0 or qmax < 0:
@@ -153,16 +156,20 @@ class WSeries:
                 c = _as_fraction(coeff)
                 if c:
                     clean[(mono, q)] = c
-        self.terms = clean
+        self._terms = clean
+        self.terms = MappingProxyType(clean)
+        self._slices = None
 
     @classmethod
     def _trusted(cls, wmax, qmax, terms):
-        """A series over ``terms`` taken as they are: every key already in
-        range and every coefficient a nonzero Fraction."""
+        """A series over ``terms`` taken as they are, and owned from now on:
+        every key already in range and every coefficient a nonzero Fraction."""
         series = object.__new__(cls)
         series.wmax = wmax
         series.qmax = qmax
-        series.terms = terms
+        series._terms = terms
+        series.terms = MappingProxyType(terms)
+        series._slices = None
         return series
 
     # -- constructors -------------------------------------------------
@@ -198,10 +205,10 @@ class WSeries:
             )
 
     def is_zero(self):
-        return not self.terms
+        return not self._terms
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __eq__(self, other):
         if not isinstance(other, WSeries):
@@ -209,30 +216,30 @@ class WSeries:
         return (
             self.wmax == other.wmax
             and self.qmax == other.qmax
-            and self.terms == other.terms
+            and self._terms == other._terms
         )
 
     def get(self, mono=(), q=0):
         """Coefficient of a single (monomial, y^q) term (0 if absent)."""
-        return self.terms.get((mono, q), Fraction(0))
+        return self._terms.get((mono, q), Fraction(0))
 
     def constant_term(self):
-        return self.terms.get(((), 0), Fraction(0))
+        return self._terms.get(((), 0), Fraction(0))
 
     def min_weight(self):
         """Smallest weight carried by any term, or None for the zero series."""
-        if not self.terms:
+        if not self._terms:
             return None
-        return min(mono_weight(m) for (m, _q) in self.terms)
+        return min(mono_weight(m) for (m, _q) in self._terms)
 
     def max_y_degree(self):
-        if not self.terms:
+        if not self._terms:
             return -1
-        return max(q for (_m, q) in self.terms)
+        return max(q for (_m, q) in self._terms)
 
     def sorted_items(self):
         return sorted(
-            self.terms.items(),
+            self._terms.items(),
             key=lambda kv: (mono_weight(kv[0][0]), kv[0][1], _mono_sort_key(kv[0][0])),
         )
 
@@ -245,7 +252,7 @@ class WSeries:
                 "cannot extend truncation (%d, %d) to (%d, %d)"
                 % (self.wmax, self.qmax, w, q)
             )
-        return WSeries(w, q, self.terms)
+        return WSeries(w, q, self._terms)
 
     # -- ring operations ----------------------------------------------
 
@@ -255,8 +262,8 @@ class WSeries:
         elif not isinstance(other, WSeries):
             return NotImplemented
         self._require_same(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
+        out = dict(self._terms)
+        for key, c in other._terms.items():
             s = out.get(key, 0) + c
             if s:
                 out[key] = s
@@ -268,7 +275,7 @@ class WSeries:
 
     def __neg__(self):
         return WSeries._trusted(
-            self.wmax, self.qmax, {k: -c for k, c in self.terms.items()}
+            self.wmax, self.qmax, {k: -c for k, c in self._terms.items()}
         )
 
     def __sub__(self, other):
@@ -285,7 +292,7 @@ class WSeries:
             if not c:
                 return WSeries.zero(self.wmax, self.qmax)
             return WSeries._trusted(
-                self.wmax, self.qmax, {k: v * c for k, v in self.terms.items()}
+                self.wmax, self.qmax, {k: v * c for k, v in self._terms.items()}
             )
         if not isinstance(other, WSeries):
             return NotImplemented
@@ -329,7 +336,7 @@ class WSeries:
 
     def exp(self):
         """exp of a series with no weight-0 content (pure-y terms included)."""
-        if any(mono_weight(m) == 0 for (m, _q) in self.terms):
+        if any(mono_weight(m) == 0 for (m, _q) in self._terms):
             raise ValueError("exp needs every term to have weight >= 1")
         result = WSeries.const(1, self.wmax, self.qmax)
         term = WSeries.const(1, self.wmax, self.qmax)
@@ -343,7 +350,7 @@ class WSeries:
     def log(self):
         """log of 1 + (weight >= 1 terms); inverse of :meth:`exp`."""
         u = self - 1
-        if any(mono_weight(m) == 0 for (m, _q) in u.terms):
+        if any(mono_weight(m) == 0 for (m, _q) in u._terms):
             raise ValueError("log needs constant term 1 and no other weight-0 terms")
         result = WSeries.zero(self.wmax, self.qmax)
         power = WSeries.const(1, self.wmax, self.qmax)
@@ -379,7 +386,7 @@ class WSeries:
     def reweight_by_one_plus_y(self):
         """Multiply the weight-k component by (1+y)^k; the t -> t(1+y) map."""
         out = {}
-        for (m, q), c in self.terms.items():
+        for (m, q), c in self._terms.items():
             k = mono_weight(m)
             for j in range(0, min(k, self.qmax - q) + 1):
                 key = (m, q + j)
@@ -391,7 +398,7 @@ class WSeries:
     def diff_h(self):
         """Formal d/dH.  The weight bound is kept; callers track validity."""
         out = {}
-        for (m, q), c in self.terms.items():
+        for (m, q), c in self._terms.items():
             d = dict(m)
             e = d.get("H", 0)
             if not e:
@@ -403,43 +410,52 @@ class WSeries:
             out[(mono_from_dict(d), q)] = c * e
         return WSeries(self.wmax, self.qmax, out)
 
+    def _slice_index(self):
+        """{(weight, y-degree): {(monomial, 0): coefficient}}, built on first
+        use; its dicts are shared by the results of ``coeff``."""
+        if self._slices is None:
+            slices = self._slices = defaultdict(dict)
+            for (m, q), c in self._terms.items():
+                slices[mono_weight(m), q][(m, 0)] = c
+        return self._slices
+
+    def _orders(self, k=0, q=0):
+        """``k`` and ``q`` read as ints and checked against the truncation."""
+        k, q = index(k), index(q)
+        if not 0 <= k <= self.wmax:
+            raise ValueError("weight %d out of range (wmax=%d)" % (k, self.wmax))
+        if not 0 <= q <= self.qmax:
+            raise ValueError("y-degree %d out of range (qmax=%d)" % (q, self.qmax))
+        return k, q
+
     def coeff(self, k, q):
         """Weight-k, y^q homogeneous part as a y-free series."""
-        if not (0 <= k <= self.wmax):
-            raise ValueError("weight %d out of range (wmax=%d)" % (k, self.wmax))
-        if not (0 <= q <= self.qmax):
-            raise ValueError("y-degree %d out of range (qmax=%d)" % (q, self.qmax))
-        out = {}
-        for (m, qq), c in self.terms.items():
-            if qq == q and mono_weight(m) == k:
-                out[(m, 0)] = c
-        return WSeries._trusted(self.wmax, self.qmax, out)
+        part = self._slice_index().get(self._orders(k, q), {})
+        return WSeries._trusted(self.wmax, self.qmax, part)
 
     def y_slice(self, q):
         """Coefficient of y^q over all weights, as a y-free series."""
-        if not (0 <= q <= self.qmax):
-            raise ValueError("y-degree %d out of range (qmax=%d)" % (q, self.qmax))
+        _k, q = self._orders(q=q)
         out = {}
-        for (m, qq), c in self.terms.items():
+        for (_w, qq), part in self._slice_index().items():
             if qq == q:
-                out[(m, 0)] = c
+                out.update(part)
         return WSeries._trusted(self.wmax, self.qmax, out)
 
     def weight_component(self, k):
         """Weight-k homogeneous part, keeping the y-direction."""
-        if not (0 <= k <= self.wmax):
-            raise ValueError("weight %d out of range (wmax=%d)" % (k, self.wmax))
+        k, _q = self._orders(k=k)
         out = {}
-        for (m, q), c in self.terms.items():
-            if mono_weight(m) == k:
-                out[(m, q)] = c
+        for (w, q), part in self._slice_index().items():
+            if w == k:
+                out.update({(m, q): c for (m, _q), c in part.items()})
         return WSeries._trusted(self.wmax, self.qmax, out)
 
     def coefficients_of(self, var):
         """Decompose by powers of ``var``: {exponent: series with var removed}."""
         var_weight(var)
         split = {}
-        for (m, q), c in self.terms.items():
+        for (m, q), c in self._terms.items():
             # cutting one pair out of a canonical monomial leaves it canonical
             e, rest = 0, m
             for i, (v, x) in enumerate(m):
@@ -517,7 +533,7 @@ def _shift_h(series, s):
     shear :func:`_packed_shear` between one pack and one unpack.  Equal to
     ``series.substitute("H", H + L*s)``.
     """
-    for mono, _q in series.terms:
+    for mono, _q in series._terms:
         if mono and (len(mono) > 1 or mono[0][0] != "H"):
             raise ValueError("_shift_h needs a series in H and y alone")
     wmax, qmax = series.wmax, series.qmax
@@ -537,10 +553,10 @@ def _pack(series):
     """The packed form of ``series``: ({key: numerator}, den), den the lcm of
     the coefficient denominators."""
     width = _width(series.wmax, series.qmax)
-    den = lcm(*{c.denominator for c in series.terms.values()})
+    den = lcm(*{c.denominator for c in series._terms.values()})
     units = {}  # variable -> its unit in the key, weight field included
     packed = {}
-    for (mono, q), c in series.terms.items():
+    for (mono, q), c in series._terms.items():
         key = q
         for v, e in mono:
             u = units.get(v)

@@ -8,11 +8,13 @@ the pushed-forward class convolved y-degree by y-degree, the chi_y
 log-coefficients from lists of y-``Poly`` (with their truncated product),
 the closed-form texts as the paper writes them, the ``WSeries``
 expansion of the closed forms (series exp, powers and a Newton inverse), the Fraction evaluator that is the oracle of the
-hadamard-identity suite's int evaluator, the dense ``Poly`` product, and a
-call counter for monkeypatched library functions."""
+hadamard-identity suite's int evaluator, the dense ``Poly`` product, a
+call counter for monkeypatched library functions, and term-scan, ``Fraction``
+sum and ``Fraction``-power oracles of ``coeff``/``y_slice``/``weight_component``,
+``integrate`` and the P^d table."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from ellgenus import (
     Poly,
@@ -342,3 +344,51 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def _scan_weight(mono):
+    """Weight of a monomial, read off the variable names."""
+    return sum((1 if v in ("L", "H") else int(v[1:])) * e for v, e in mono)
+
+
+def reference_part(series, k=None, q=None):
+    """The terms of weight ``k`` and y-degree ``q`` (None: any), found by a
+    scan of every term.  With ``q`` given the y-degree is dropped, as
+    ``coeff`` and ``y_slice`` drop it."""
+    out = {}
+    for (mono, qq), c in series.terms.items():
+        if k in (None, _scan_weight(mono)) and q in (None, qq):
+            out[(mono, qq if q is None else 0)] = c
+    return WSeries(series.wmax, series.qmax, out)
+
+
+def reference_integrate(cls, table):
+    """sum of coefficient * table value, one ``Fraction`` operation at a time."""
+    total = Fraction(0)
+    for (mono, _q), c in cls.terms.items():
+        total += c * table[mono]
+    return total
+
+
+def _weighted_exponents(weights, total):
+    if not weights:
+        if total == 0:
+            yield ()
+        return
+    for e in range(0, total // weights[0] + 1):
+        for tail in _weighted_exponents(weights[1:], total - e * weights[0]):
+            yield (e,) + tail
+
+
+def reference_projective_space_table(d, n):
+    """The P^d, L = O(n) table from ``Fraction`` powers: L -> n, c_i ->
+    C(d+1, i), over every exponent tuple of weight d."""
+    names = ["L"] + ["c%d" % i for i in range(1, d + 1)]
+    values = [Fraction(n)] + [Fraction(comb(d + 1, i)) for i in range(1, d + 1)]
+    table = {}
+    for exps in _weighted_exponents([1] + list(range(1, d + 1)), d):
+        value = Fraction(1)
+        for x, e in zip(values, exps):
+            value *= x**e
+        table[mono_from_dict(dict(zip(names, exps)))] = value
+    return table

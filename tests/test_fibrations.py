@@ -311,6 +311,19 @@ def test_p_polynomials_match_reference_forms_to_n_20(fam):
     assert p_polynomials(fam, 20) == [p_table_reference(fam, n) for n in range(21)]
 
 
+def test_p_table_reference_refuses_float_orders():
+    # 0.0 and 1.0 would reach the tabulated rows, 2.0 the power of U^s
+    for fam in FAMILIES:
+        for n in (0.0, 1.0, 2.0):
+            with pytest.raises(TypeError):
+                p_table_reference(fam, n)
+        assert p_table_reference(fam, 2) == p_polynomial(fam, 2)
+        with pytest.raises(TypeError):
+            p_table_reference(fam, 2.0)
+    with pytest.raises(ValueError, match="^n must be >= 0$"):
+        p_table_reference("E8", -1)
+
+
 def test_p_polynomials_rejects_negative_nmax():
     for fam in FAMILIES:
         with pytest.raises(ValueError, match="^nmax must be >= 0$"):

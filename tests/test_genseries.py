@@ -1,8 +1,11 @@
 """The chi(t, y) generating series and numeric evaluation over bases."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ellgenus import (
     CATALOG,
@@ -26,6 +29,7 @@ from ellgenus import (
     mono_from_dict,
     pushforward_class,
 )
+from helpers import reference_integrate, reference_projective_space_table
 
 
 def test_e6_dimension_four_class():
@@ -87,9 +91,81 @@ def test_projective_space_table():
     assert base.table[mono_from_dict({"c2": 1})] == 3
 
 
+@pytest.mark.parametrize("d", range(0, 7))
+def test_projective_space_equals_the_fraction_power_table(d):
+    for n in range(-2, 8):
+        table = BaseSpec.projective_space(d, n).table
+        assert table == reference_projective_space_table(d, n), (d, n)
+        assert all(type(v) is F for v in table.values())
+
+
+def test_projective_space_negative_control():
+    # the P^3 table with c1 -> C(3, 1) in place of C(4, 1) is not P^3's
+    wrong = {
+        m: v * F(3, 4) ** dict(m).get("c1", 0)
+        for m, v in reference_projective_space_table(3, 2).items()
+    }
+    assert BaseSpec.projective_space(3, 2).table != wrong
+
+
+def test_base_spec_table_is_read_only():
+    base = BaseSpec.projective_space(2, 3)
+    with pytest.raises(TypeError):
+        base.table[mono_from_dict({"L": 2})] = F(1)
+    assert base == BaseSpec.projective_space(2, 3)
+
+
 def test_integrate_zero_class():
     base = BaseSpec.projective_space(2, 1)
     assert integrate(WSeries.zero(2, 0), base) == 0
+    assert type(integrate(WSeries.zero(2, 0), base)) is F
+
+
+_fractions = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=60)
+
+
+@st.composite
+def _class_and_base(draw):
+    d = draw(st.integers(0, 4))
+    monos = sorted(reference_projective_space_table(d, 1))
+    table = {m: draw(_fractions) for m in monos}
+    terms = draw(st.dictionaries(st.sampled_from(monos), _fractions, max_size=12))
+    return WSeries(d, 0, {(m, 0): c for m, c in terms.items()}), BaseSpec(d, table)
+
+
+@given(_class_and_base())
+def test_integrate_equals_the_fraction_sum(case):
+    cls, base = case
+    assert integrate(cls, base) == reference_integrate(cls, base.table)
+
+
+def test_integrate_fractional_example():
+    # 1/2 * 1/5 + 1/3 * 3/4 = 7/20: both coefficients and values fractional
+    L, c1 = WSeries.var("L", 2, 0), WSeries.var("c1", 2, 0)
+    base = BaseSpec(
+        2, {mono_from_dict({"L": 2}): F(1, 5), mono_from_dict({"L": 1, "c1": 1}): F(3, 4)}
+    )
+    assert integrate(L**2 * F(1, 2) + L * c1 * F(1, 3), base) == F(7, 20)
+
+
+def test_integrate_error_classes_and_messages():
+    base = BaseSpec(dim=2, table={mono_from_dict({"L": 2}): F(1, 2)})
+    L = WSeries.var("L", 2, 1)
+    c1 = WSeries.var("c1", 2, 1)
+    cases = [
+        (L**2 * WSeries.y(2, 1), ValueError, "cannot integrate a class with y-content"),
+        (L, ValueError, "class is not weight-homogeneous of weight 2"),
+        (L * c1, MissingIntersectionError,
+         "no intersection number for monomial {'L': 1, 'c1': 1}"),
+        (WSeries.const(1, 2, 1), ValueError,
+         "class is not weight-homogeneous of weight 2"),
+    ]
+    for cls, error, message in cases:
+        with pytest.raises(error, match="^%s$" % re.escape(message)):
+            integrate(cls, base)
+    point = BaseSpec(dim=0, table={})
+    with pytest.raises(MissingIntersectionError, match="for monomial 1$"):
+        integrate(WSeries.const(1, 0, 0), point)
 
 
 def test_integrate_euler_coefficient_p3():
@@ -255,11 +331,30 @@ def test_cold_and_warm_chi_q_equal_the_class_route(fam):
 def test_mutating_a_returned_series_leaves_later_results_unchanged():
     base = BaseSpec.projective_space(2, 3)
     first = chi_series("E8", 2)
+    want = dict(first.terms)
     key = next(iter(first.terms))
-    first.terms[key] += 1
-    first.terms.clear()
+    with pytest.raises(TypeError):
+        first.terms[key] += 1
+    with pytest.raises(TypeError):
+        first.terms[(mono_from_dict({"L": 1}), 0)] = F(1)
+    with pytest.raises(AttributeError):
+        first.terms.clear()
     assert chi_values("E8", base) == [0, 270, -270, 0]
-    assert chi_series("E8", 2) == chi_series("E8", 2, 4) != first
+    assert chi_series("E8", 2) is chi_series("E8", 2, 4) is first
+    assert first.terms == want
+
+
+def test_chi_q_refuses_a_float_order_on_a_cold_and_a_warm_memo():
+    base = BaseSpec.projective_space(2, 1)
+    with pytest.raises(TypeError):
+        chi_q("E8", base, 1.0)
+    assert genseries._chi_series.cache_info().currsize == 0
+    assert chi_q("E8", base, 1) == 19
+    for q in (1.0, 0.0, F(1)):
+        with pytest.raises(TypeError):
+            chi_q("E8", base, q)
+    with pytest.raises(ValueError):
+        chi_q("E8", base, 4)
 
 
 def test_float_orders_are_refused_on_a_warm_memo():
@@ -312,6 +407,41 @@ def test_memo_stays_within_its_bound():
     assert chi_series(*keys[0]) == first  # evicted, rebuilt, unchanged
 
 
+# chi_0..chi_(d+1) over (P^d, O(d+1)).  (P^1, O(2)) gives the K3 row for
+# every family.  Over (P^3, O(4)) only E8's chi = 23328 is a literature value
+# (Sethi-Vafa-Witten); D5, E6 and E7 are engine values, checked by two routes.
+PINNED_CHI = {
+    (1, 2): {fam: [2, -20, 2] for fam in FAMILIES},
+    (2, 3): {
+        "D5": [0, 72, -72, 0],
+        "E6": [0, 108, -108, 0],
+        "E7": [0, 162, -162, 0],
+        "E8": [0, 270, -270, 0],
+    },
+    (3, 4): {
+        "D5": [2, -424, 1740, -424, 2],
+        "E6": [2, -808, 3276, -808, 2],
+        "E7": [2, -1576, 6348, -1576, 2],
+        "E8": [2, -3880, 15564, -3880, 2],
+    },
+}
+PINNED_EULER = {
+    (1, 2): {fam: 24 for fam in FAMILIES},
+    (2, 3): {"D5": -144, "E6": -216, "E7": -324, "E8": -540},
+    (3, 4): {"D5": 2592, "E6": 4896, "E7": 9504, "E8": 23328},
+}
+
+
+@pytest.mark.parametrize("where", sorted(PINNED_CHI))
+@pytest.mark.parametrize("fam", FAMILIES)
+def test_pinned_chi_values(fam, where):
+    base = BaseSpec.projective_space(*where)
+    want = PINNED_CHI[where][fam]
+    assert chi_values(fam, base) == want
+    assert [chi_q(fam, base, q, verify=True) for q in range(len(want))] == want
+    assert sum((-1) ** q * v for q, v in enumerate(want)) == PINNED_EULER[where][fam]
+
+
 def test_verify_route_does_not_read_the_memo(monkeypatch):
     # perturb the memoized series in one (weight 2, y^1) class: the plain
     # value moves by int L^2 = 9 over (P^2, O(3)); verify mode must refuse it
@@ -329,14 +459,20 @@ def test_verify_route_does_not_read_the_memo(monkeypatch):
     assert chi_q("E8", base, 2, verify=True) == -270
 
 
-def test_verify_route_does_not_read_the_shared_factor():
-    # corrupt the memoized exp(sum b_k p_k) that chi_series reads, in its
-    # (c1, y^0) term: the plain values move, the class route does not
+def test_verify_route_does_not_read_the_shared_factor(monkeypatch):
+    # put a corrupted copy of the shared exp(sum b_k p_k) where chi_series
+    # reads it, one more in its (c1, y^0) term: the plain values move, the
+    # class route does not
     base = BaseSpec.projective_space(2, 3)
     want = chi_values("E8", base)
     genseries._chi_series.cache_clear()
-    shared = charclasses._hirzebruch_exp(2, 4)
-    shared.terms[(mono_from_dict({"c1": 1}), 0)] += 1
+    shared = charclasses._hirzebruch_exp
+
+    def corrupted(tmax, qmax):
+        bump = WSeries(tmax, qmax, {(mono_from_dict({"c1": 1}), 0): F(1)})
+        return shared(tmax, qmax) + bump
+
+    monkeypatch.setattr(genseries, "_hirzebruch_exp", corrupted)
     assert chi_q("E8", base, 1) != want[1]
     with pytest.raises(VerificationError, match="route mismatch for q=1"):
         chi_q("E8", base, 1, verify=True)

@@ -25,6 +25,7 @@ from helpers import (
     random_series,
     reference_coefficients_of,
     reference_mul,
+    reference_part,
 )
 
 
@@ -292,6 +293,67 @@ def test_coeff_range_errors():
         s.coeff(3, 0)
     with pytest.raises(ValueError):
         s.coeff(0, 3)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_float_orders_are_refused_by_the_slices(warm):
+    s = 1 + WSeries.y(2, 2) + WSeries.var("L", 2, 2)
+    if warm:
+        assert s.coeff(1, 0) == WSeries.var("L", 2, 2)  # builds the index
+    for call in (
+        lambda: s.coeff(1.0, 0),
+        lambda: s.coeff(1, 0.0),
+        lambda: s.y_slice(1.0),
+        lambda: s.weight_component(1.0),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    with pytest.raises(ValueError):
+        s.y_slice(-1)
+
+
+def test_terms_are_read_only():
+    s = WSeries.var("L", 2, 1)
+    with pytest.raises(TypeError):
+        s.terms[((), 0)] = F(1)
+    with pytest.raises(TypeError):
+        del s.terms[(mono_from_dict({"L": 1}), 0)]
+    assert s == WSeries.var("L", 2, 1)
+
+
+@st.composite
+def _slice_calls(draw):
+    (a,) = draw(_same_orders(1))
+    call = st.one_of(
+        st.tuples(st.just("coeff"), st.integers(0, a.wmax), st.integers(0, a.qmax)),
+        st.tuples(st.just("y_slice"), st.none(), st.integers(0, a.qmax)),
+        st.tuples(st.just("weight_component"), st.integers(0, a.wmax), st.none()),
+    )
+    return a, draw(st.lists(call, min_size=1, max_size=8))
+
+
+@given(_slice_calls())
+def test_slices_equal_a_term_scan(case):
+    # the first call builds the (weight, y-degree) index on a cold series and
+    # the later ones read it warm, in any order of the three methods
+    a, calls = case
+    snapshot = dict(a.terms)
+    for name, k, q in calls:
+        args = [x for x in (k, q) if x is not None]
+        got = getattr(a, name)(*args)
+        assert got == reference_part(a, k, q)
+        assert got + got == reference_mul(got, WSeries.const(2, a.wmax, a.qmax))
+    assert a.terms == snapshot
+
+
+def test_slices_negative_control():
+    # an index that files every term one y-degree too high fails the scan
+    s = WSeries.var("L", 2, 2) * (1 + 2 * WSeries.y(2, 2))
+    shifted = WSeries._trusted(2, 2, {(m, q + 1): c for (m, q), c in s.terms.items()})
+    s._slices = shifted._slice_index()
+    assert s.coeff(1, 1) != reference_part(s, 1, 1)
+    assert s.y_slice(1) != reference_part(s, q=1)
+    assert s.weight_component(1) != reference_part(s, 1)
 
 
 # -- display ----------------------------------------------------------------------
