@@ -23,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import comb, factorial
 from operator import index
 
 from .poly import Poly
-from .series import WSeries, _shift_h
+from .series import WSeries, _sheared_product, _truncation_orders
 
 
 @dataclass(frozen=True)
@@ -105,18 +105,20 @@ def _at_form(coeffs, root, wmax, qmax):
                 terms[(mono, q)] = c * scale**k
     series = WSeries._trusted(wmax, qmax, terms)
     if a and b:
-        series = _shift_h(series, Fraction(b, a))
+        series = _sheared_product({Fraction(b, a): series}, wmax, qmax)
     return series
 
 
 def todd_factor(root, wmax, qmax=0):
     """Expansion of l/(1 - e^{-l}) at l = a*H + b*L; the zero form gives 1."""
+    wmax, qmax = _truncation_orders(wmax, qmax)
     return _at_form([{0: c} for c in _todd_numbers(wmax)], root, wmax, qmax)
 
 
 def lambda_y_factor(root, wmax, qmax):
     """1 + y*exp(-l) at l = a*H + b*L: the dual character of the paper's
     integrand.  For 1 + y*exp(+l), pass the negated root."""
+    wmax, qmax = _truncation_orders(wmax, qmax)
     coeffs = [{1: c} for c in _exp_numbers(-1, wmax)]
     coeffs[0] = {0: Fraction(1), 1: Fraction(1)}
     return _at_form(coeffs, root, wmax, qmax)
@@ -129,6 +131,7 @@ def lambda_y_inverse(root, wmax, qmax):
     The geometric y-sum terminates at y^qmax; its t^k coefficient is
     sum_m (-1)^m (-m)^k/k! y^m.  Equal to ``lambda_y_factor(...).inverse()``.
     """
+    wmax, qmax = _truncation_orders(wmax, qmax)
     by_m = [_exp_numbers(-m, wmax) for m in range(qmax + 1)]
     coeffs = [
         {m: (-1) ** m * by_m[m][k] for m in range(qmax + 1)} for k in range(wmax + 1)
@@ -139,6 +142,7 @@ def lambda_y_inverse(root, wmax, qmax):
 def _one_minus_exp(root, wmax, qmax):
     """1 - exp(-l) at l = a*H + b*L: the top Chern character factor of a
     normal-bundle root."""
+    wmax, qmax = _truncation_orders(wmax, qmax)
     coeffs = [{0: -c} for c in _exp_numbers(-1, wmax)]
     coeffs[0] = {}
     return _at_form(coeffs, root, wmax, qmax)
@@ -166,13 +170,9 @@ def power_sum_series(kmax, qmax=0):
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    cvars = [WSeries.var("c%d" % i, kmax, qmax) for i in range(1, kmax + 1)]
-    C = WSeries.const(1, kmax, qmax)
-    minus_tCp = WSeries.zero(kmax, qmax)
-    for i, ci in enumerate(cvars, start=1):
-        C = C + ci * Fraction((-1) ** i)
-        minus_tCp = minus_tCp + ci * Fraction(i * (-1) ** (i + 1))
-    return minus_tCp * C.inverse()
+    terms = {((("c%d" % i, 1),) if i else (), 0): (-1) ** i for i in range(kmax + 1)}
+    C = WSeries(kmax, qmax, terms)  # -tC' scales its weight-k part by -k
+    return C._scale_weights([[-k] for k in range(kmax + 1)]) * C.inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +185,9 @@ def chi_y_log_coefficients(kmax):
     With ln g = ln(1+y) + a_1 t + a_2 t^2 + ..., the substitution
     t -> (1+y)t makes b_k = (1+y)^k a_k, and the division by 1+y drops
     a_0 = ln(1+y).  g is the local factor product
-    ``lambda_y_factor * todd_factor`` at t = H, the substitution is
-    :meth:`WSeries.reweight_by_one_plus_y`, 1/(1+y) is its truncated
-    y-series, and the log is :meth:`WSeries.log`.  All of it runs at
+    ``lambda_y_factor * todd_factor`` at t = H, the substitution and the
+    division scale its weight-k part by (1+y)^(k-1) (the truncated 1/(1+y)
+    at k = 0), and the log is :meth:`WSeries.log`.  All of it runs at
     y-order kmax, which is exact: truncating at y^(kmax+1) is a ring map,
     and deg b_k <= k.
 
@@ -197,9 +197,9 @@ def chi_y_log_coefficients(kmax):
         raise ValueError("kmax must be >= 1")
     t = RootForm(1, 0)
     g = lambda_y_factor(t, kmax, kmax) * todd_factor(t, kmax, kmax)
-    alternating = [(-1) ** q for q in range(kmax + 1)]
-    inv_one_plus_y = WSeries.from_y_poly(alternating, kmax, kmax)
-    logs = (g.reweight_by_one_plus_y() * inv_one_plus_y).log()
+    rows = [[(-1) ** q for q in range(kmax + 1)]]
+    rows += [[comb(k - 1, j) for j in range(k)] for k in range(1, kmax + 1)]
+    logs = g._scale_weights(rows).log()
     return [
         Poly([logs.get(m, q) for q in range(kmax + 1)]) for m in _h_powers(kmax)[1:]
     ]
@@ -210,8 +210,8 @@ def chi_y_log_coefficients(kmax):
 
 
 def hadamard_apply(coeffs, series):
-    """sum_k b_k * S_k over the weight components S_k of ``series``, with
-    b_k = coeffs[k-1] a Poly in y.
+    """sum_k b_k * S_k, each weight component S_k of ``series`` scaled by
+    the y-Poly b_k = coeffs[k-1], with no series product.
 
     On the power-sum series with the b_k of :func:`chi_y_log_coefficients`
     this is sum_k (1+y)^k a_k p_k: the log of the chi_y class with its
@@ -226,20 +226,15 @@ def hadamard_apply(coeffs, series):
         raise ValueError(
             "need %d coefficients, got %d" % (series.wmax, len(coeffs))
         )
-    wmax, qmax = series.wmax, series.qmax
-    out = WSeries.zero(wmax, qmax)
-    for k in range(1, wmax + 1):
-        comp = series.weight_component(k)
-        if not comp.is_zero():
-            b = WSeries.from_y_poly(coeffs[k - 1].coeffs, wmax, qmax)
-            out = out + comp * b
-    return out
+    return series._scale_weights([()] + [b.coeffs for b in coeffs])
 
 
 def _chi_y_exp(tmax, qmax):
-    """exp(sum_k b_k p_k) to (tmax, qmax), tmax >= 1: the chi_y class of an
-    abstract base with its weight-k part reweighted by (1+y)^k.  It depends
-    on nothing but the two orders."""
+    """exp(sum_k b_k p_k) to (tmax, qmax): the chi_y class of an abstract
+    base with its weight-k part reweighted by (1+y)^k.  It depends on
+    nothing but the two orders, and is 1 at tmax 0."""
+    if tmax == 0:
+        return WSeries.const(1, 0, qmax)
     bcoeffs = chi_y_log_coefficients(tmax)
     psums = power_sum_series(tmax, qmax=qmax)
     return hadamard_apply(bcoeffs, psums).exp()
@@ -263,12 +258,5 @@ def hirzebruch_class(dim, qmax=None):
         raise ValueError("dimension must be >= 0")
     if qmax is None:
         qmax = dim + 2
-    if dim == 0:
-        return WSeries.const(1, 0, qmax)
-    body = _chi_y_exp(dim, qmax)
-    one_plus_y = WSeries.y(dim, qmax) + 1
-    # Horner in 1+y: sum_k (1+y)^(dim-k) E_k = (..(E_0 (1+y) + E_1)..)(1+y) + E_dim
-    out = body.weight_component(0)
-    for k in range(1, dim + 1):
-        out = out * one_plus_y + body.weight_component(k)
-    return out
+    rows = [[comb(dim - k, j) for j in range(dim - k + 1)] for k in range(dim + 1)]
+    return _chi_y_exp(dim, qmax)._scale_weights(rows)

@@ -37,7 +37,7 @@ from .charclasses import (
 )
 from .poly import Poly
 from .pushforward import BundleSpec, pushforward
-from .series import WSeries, _pack, _packed_mul, _packed_shear, _unpack
+from .series import WSeries, _sheared_product, _truncation_orders
 from .series import _TEXT, _signed_sum, _sum_text  # the text writer
 
 FAMILIES = ("D5", "E6", "E7", "E8")
@@ -115,17 +115,8 @@ def fiber_integrand(spec, wmax, qmax):
     root's slope b/a fixes how its H-part turns into the whole root: the
     shear S_s, H -> H + s*L with s = b/a.  So the roots are grouped by slope;
     each group's factors are built at their H-parts a*H and multiplied in
-    the small ring with H alone (``WSeries`` products), and 1/(1+y) rides in
-    the first group.  S_s keeps every weight and is a ring map of the
-    truncated ring, so with slopes s1 < s2 < ... < sk the placed groups
-    multiply as nested shears,
-
-        D = S_s1(G1 * S_(s2-s1)(G2 * ... S_(sk-s(k-1))(Gk))),
-
-    and each large product is an (H, y) group times a dense series.  The
-    groups are packed once, the nested shears and products run on packed
-    ints (``series._packed_shear`` and ``series._packed_mul``), and D is
-    unpacked once; a smallest slope of 0 needs no final shear.
+    the small ring with H alone (``WSeries`` products), 1/(1+y) riding in
+    the first group, and ``series._sheared_product`` shears and multiplies.
     """
     if wmax < len(spec.n_roots):
         raise ValueError(
@@ -148,13 +139,7 @@ def fiber_integrand(spec, wmax, qmax):
         h = RootForm(root.a, 0)
         put(root, _one_minus_exp(h, wmax, qmax))
         put(root, lambda_y_inverse(h, wmax, qmax))
-    slopes = sorted(groups, reverse=True)
-    D = _pack(groups[slopes[0]])
-    for above, slope in zip(slopes, slopes[1:]):
-        D = _packed_shear(D, above - slope, wmax, qmax)
-        # the dense series first, see _packed_mul
-        D = _packed_mul(D, _pack(groups[slope]), wmax, qmax)
-    return _unpack(_packed_shear(D, slopes[-1], wmax, qmax), wmax, qmax)
+    return _sheared_product(groups, wmax, qmax)
 
 
 def derived_q(spec, wmax=DEFAULT_WMAX, qmax=DEFAULT_QMAX):
@@ -233,8 +218,7 @@ def closed_form_q(family, wmax=DEFAULT_WMAX, qmax=DEFAULT_QMAX):
     """Expand the closed-form genus factor with U = exp(-L), exactly: the
     y^n L^j coefficient is sum_k P_n[k] (-k)^j / j!."""
     _check_family(family)
-    if wmax < 0 or qmax < 0:
-        raise ValueError("truncation orders must be >= 0")
+    wmax, qmax = _truncation_orders(wmax, qmax)
     terms = {}
     for n, row in enumerate(_p_rows(family, qmax)):
         row = [(k, c) for k, c in enumerate(row) if c]  # (k, P_n[k] (-k)^j)

@@ -20,7 +20,7 @@ from types import MappingProxyType
 
 from .charclasses import _hirzebruch_exp
 from .fibrations import closed_form_q, derived_q, pushforward_class
-from .series import WSeries, _as_fraction, mono_weight
+from .series import WSeries, _as_fraction, _check_canonical, mono_weight
 
 
 class MissingIntersectionError(ValueError):
@@ -36,7 +36,7 @@ class BaseSpec:
     """A base variety: its dimension and its intersection table.
 
     The dimension is an int (a float raises ``TypeError``).  The table maps
-    every relevant weight-``dim`` monomial in L, c1..c_dim to its
+    every relevant canonical weight-``dim`` monomial in L, c1..c_dim to its
     intersection number, an int or a Fraction (anything else, a float
     included, raises ``TypeError``); a missing monomial is an error, never
     an implicit zero.  The stored table is a read-only mapping of
@@ -55,6 +55,7 @@ class BaseSpec:
             raise ValueError("a base needs an intersection table")
         clean = {}
         for mono, value in self.table.items():
+            _check_canonical(mono)  # else integrate would never match it
             if mono_weight(mono) != self.dim:
                 raise ValueError(
                     "table monomial %r has weight != %d" % (mono, self.dim)
@@ -121,10 +122,7 @@ def _chi_series(family_or_spec, tmax, qmax):
         Qt = closed_form_q(family_or_spec, tmax, qmax)
     else:
         Qt = derived_q(family_or_spec, tmax, qmax)
-    Qt = Qt.reweight_by_one_plus_y()
-    if tmax == 0:
-        return Qt
-    return Qt * _hirzebruch_exp(tmax, qmax)
+    return Qt.reweight_by_one_plus_y() * _hirzebruch_exp(tmax, qmax)
 
 
 def integrate(cls, base):

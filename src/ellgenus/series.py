@@ -40,7 +40,7 @@ times (L field - H field) to the key, in ints over one denominator.  After
 every packed multiply or shear, the numerators and the denominator are
 divided by their gcd, so the denominator is the lcm of the reduced
 coefficient denominators, not a product of the inputs' denominators.
-``_shift_h`` is the shear between one pack and one unpack.
+``_sheared_product`` multiplies series, each at its own shear.
 
 ``WSeries.terms`` is the public (monomial, y-degree) -> Fraction map, a
 read-only view of the private dict that the kernels read.
@@ -124,11 +124,34 @@ def _as_fraction(value):
     raise TypeError("expected an int or Fraction, got %r" % (value,))
 
 
+def _truncation_orders(wmax, qmax):
+    """``wmax`` and ``qmax`` as ints (a float raises ``TypeError``), >= 0."""
+    wmax, qmax = index(wmax), index(qmax)
+    if wmax < 0 or qmax < 0:
+        raise ValueError("truncation orders must be >= 0")
+    return wmax, qmax
+
+
+def _check_canonical(mono):
+    """Raise ``ValueError`` unless :func:`mono_from_dict` would return ``mono``."""
+    last = 1  # the field of L is 2
+    for v, e in mono:
+        field = _field(v)[0]
+        if field <= last or index(e) < 1:
+            break
+        last = field
+    else:
+        if isinstance(mono, tuple):
+            return
+    raise ValueError("monomial %r is not canonical" % (mono,))
+
+
 class WSeries:
     """A truncated series: map from (monomial, y-degree) to nonzero Fraction.
 
     Instances are immutable: ``terms`` is a read-only mapping, so writing
-    to it raises ``TypeError``, and every operation returns a new series.
+    to it raises ``TypeError``, rebinding or deleting an attribute raises
+    ``AttributeError``, and every operation returns a new series.
     Two series are equal iff their truncation orders and term maps agree,
     so tests compare exactly, never approximately.  The constructor
     drops zero coefficients and terms past the truncation, and raises
@@ -138,39 +161,36 @@ class WSeries:
 
     __slots__ = ("wmax", "qmax", "_terms", "terms", "_slices")
 
-    def __init__(self, wmax, qmax, terms=None):
-        if wmax < 0 or qmax < 0:
-            raise ValueError("truncation orders must be >= 0")
-        self.wmax = index(wmax)
-        self.qmax = index(qmax)
+    def __new__(cls, wmax, qmax, terms=None):
+        wmax, qmax = _truncation_orders(wmax, qmax)
         clean = {}
         if terms:
             for (mono, q), coeff in terms.items():
                 q = index(q)
                 if q < 0:
                     raise ValueError("negative y-degree %d" % q)
-                if mono_from_dict(dict(mono)) != mono:
-                    raise ValueError("monomial %r is not canonical" % (mono,))
-                if q > self.qmax or mono_weight(mono) > self.wmax:
+                _check_canonical(mono)
+                if q > qmax or mono_weight(mono) > wmax:
                     continue
                 c = _as_fraction(coeff)
                 if c:
                     clean[(mono, q)] = c
-        self._terms = clean
-        self.terms = MappingProxyType(clean)
-        self._slices = None
+        return cls._trusted(wmax, qmax, clean)
 
     @classmethod
     def _trusted(cls, wmax, qmax, terms):
         """A series over ``terms`` taken as they are, and owned from now on:
         every key already in range and every coefficient a nonzero Fraction."""
         series = object.__new__(cls)
-        series.wmax = wmax
-        series.qmax = qmax
-        series._terms = terms
-        series.terms = MappingProxyType(terms)
-        series._slices = None
+        values = (wmax, qmax, terms, MappingProxyType(terms), None)
+        for slot, value in zip(cls.__slots__, values):
+            object.__setattr__(series, slot, value)
         return series
+
+    def __setattr__(self, *args):
+        raise AttributeError("WSeries is immutable")
+
+    __delattr__ = __setattr__
 
     # -- constructors -------------------------------------------------
 
@@ -385,15 +405,22 @@ class WSeries:
 
     def reweight_by_one_plus_y(self):
         """Multiply the weight-k component by (1+y)^k; the t -> t(1+y) map."""
-        out = {}
+        return self._scale_weights(
+            [[comb(k, j) for j in range(k + 1)] for k in range(self.wmax + 1)]
+        )
+
+    def _scale_weights(self, rows):
+        """The weight-k component times the y-polynomial ``rows[k]`` (ints or
+        Fractions, index = y-degree) for every k, truncated at qmax."""
+        qmax = self.qmax
+        rows = [[(j, r) for j, r in enumerate(row[: qmax + 1]) if r] for row in rows]
+        out = defaultdict(int)
         for (m, q), c in self._terms.items():
-            k = mono_weight(m)
-            for j in range(0, min(k, self.qmax - q) + 1):
-                key = (m, q + j)
-                add = c * comb(k, j)
-                prev = out.get(key)
-                out[key] = add if prev is None else prev + add
-        return WSeries(self.wmax, self.qmax, out)
+            for j, r in rows[mono_weight(m)]:
+                if q + j > qmax:
+                    break
+                out[m, q + j] += c * r
+        return WSeries._trusted(self.wmax, qmax, {k: c for k, c in out.items() if c})
 
     def diff_h(self):
         """Formal d/dH.  The weight bound is kept; callers track validity."""
@@ -414,9 +441,9 @@ class WSeries:
         """{(weight, y-degree): {(monomial, 0): coefficient}}, built on first
         use; its dicts are shared by the results of ``coeff``."""
         if self._slices is None:
-            slices = self._slices = defaultdict(dict)
+            object.__setattr__(self, "_slices", defaultdict(dict))
             for (m, q), c in self._terms.items():
-                slices[mono_weight(m), q][(m, 0)] = c
+                self._slices[mono_weight(m), q][(m, 0)] = c
         return self._slices
 
     def _orders(self, k=0, q=0):
@@ -528,19 +555,6 @@ def _signed_sum(parts, sep):
     return head + "".join(sep + sign + sep + body for sign, body in parts[1:])
 
 
-def _shift_h(series, s):
-    """``series`` at H -> H + s*L, for a series in H and y alone: the packed
-    shear :func:`_packed_shear` between one pack and one unpack.  Equal to
-    ``series.substitute("H", H + L*s)``.
-    """
-    for mono, _q in series._terms:
-        if mono and (len(mono) > 1 or mono[0][0] != "H"):
-            raise ValueError("_shift_h needs a series in H and y alone")
-    wmax, qmax = series.wmax, series.qmax
-    sheared = _packed_shear(_pack(series), _as_fraction(s), wmax, qmax)
-    return _unpack(sheared, wmax, qmax)
-
-
 # -- the packed kernels: multiply and shear ------------------------------------
 
 
@@ -640,6 +654,22 @@ def _packed_shear(a, s, wmax, qmax):
         for offset, c in rows[key >> hshift & mask]:
             acc[key + offset] += n * c
     return _reduced(acc, den * r**top)
+
+
+def _sheared_product(groups, wmax, qmax):
+    """The product of the series ``groups[s]``, each at H -> H + s*L.
+
+    The shear S_s keeps weights, is a ring map, and S_a S_b = S_(a+b), so
+    with slopes s1 < ... < sk this is S_s1(G1 * S_(s2-s1)(G2 * ...(Gk))),
+    run on packed ints: each product a group times a dense series.
+    """
+    slopes = sorted(groups, reverse=True)
+    acc = _pack(groups[slopes[0]])
+    for above, slope in zip(slopes, slopes[1:]):
+        acc = _packed_shear(acc, above - slope, wmax, qmax)
+        # the dense series first, see _packed_mul
+        acc = _packed_mul(acc, _pack(groups[slope]), wmax, qmax)
+    return _unpack(_packed_shear(acc, slopes[-1], wmax, qmax), wmax, qmax)
 
 
 def _unpack(a, wmax, qmax):

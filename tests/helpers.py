@@ -6,7 +6,9 @@ pushforward used as oracles of the one-variable constructions and the
 integer Segre numbers, the chi_y class of a base from a series logarithm,
 the pushed-forward class convolved y-degree by y-degree, the chi_y
 log-coefficients from lists of y-``Poly`` (with their truncated product),
-the closed-form texts as the paper writes them, the ``WSeries``
+the closed-form texts as the paper writes them, the weight-by-weight
+y-scalings (the (1+y)-reweight loop, the per-weight Hadamard products, the
+Horner chi_y class and -tC'/C from two accumulations), the ``WSeries``
 expansion of the closed forms (series exp, powers and a Newton inverse), the Fraction evaluator that is the oracle of the
 hadamard-identity suite's int evaluator, the dense ``Poly`` product, a
 call counter for monkeypatched library functions, and term-scan, ``Fraction``
@@ -205,6 +207,70 @@ def reference_hirzebruch_class(d, qmax):
         if k in a:
             exponent = exponent + p * a[k]
     return exponent.exp() * (WSeries.y(d, qmax) + 1) ** d
+
+
+# -- the y-scalings of the weight parts, each by its own route
+
+
+def reference_scale_weights(series, rows):
+    """sum_k (weight-k part) * rows[k], each row a y-series, by
+    ``reference_mul``."""
+    wmax, qmax = series.wmax, series.qmax
+    out = WSeries.zero(wmax, qmax)
+    for k in range(wmax + 1):
+        row = WSeries.from_y_poly(rows[k], wmax, qmax)
+        out = out + reference_mul(series.weight_component(k), row)
+    return out
+
+
+def reference_reweight_by_one_plus_y(series):
+    """The weight-k part times (1+y)^k, one binomial term at a time."""
+    out = {}
+    for (m, q), c in series.terms.items():
+        k = mono_weight(m)
+        for j in range(0, min(k, series.qmax - q) + 1):
+            key = (m, q + j)
+            out[key] = out.get(key, 0) + c * comb(k, j)
+    return WSeries(series.wmax, series.qmax, out)
+
+
+def reference_hadamard_apply(coeffs, series):
+    """sum_k b_k * S_k as one series product per nonzero weight component."""
+    wmax, qmax = series.wmax, series.qmax
+    out = WSeries.zero(wmax, qmax)
+    for k in range(1, wmax + 1):
+        comp = series.weight_component(k)
+        if not comp.is_zero():
+            out = out + comp * WSeries.from_y_poly(coeffs[k - 1].coeffs, wmax, qmax)
+    return out
+
+
+def reference_power_sum_series(kmax, qmax):
+    """-tC' and C = 1 - c1 + c2 - ... accumulated variable by variable, then
+    one series division."""
+    C = WSeries.const(1, kmax, qmax)
+    minus_tCp = WSeries.zero(kmax, qmax)
+    for i in range(1, kmax + 1):
+        ci = WSeries.var("c%d" % i, kmax, qmax)
+        C = C + ci * Fraction((-1) ** i)
+        minus_tCp = minus_tCp + ci * Fraction(i * (-1) ** (i + 1))
+    return minus_tCp * C.inverse()
+
+
+def horner_hirzebruch_class(dim, qmax):
+    """sum_k (1+y)^(dim-k) E_k by Horner in 1+y, E_k the weight-k part of
+    exp(sum_k b_k p_k), with the b_k, the power sums and the Hadamard product
+    taken by the references above."""
+    if dim == 0:
+        return WSeries.const(1, 0, qmax)
+    bcoeffs = reference_chi_y_log_coefficients(dim)
+    body = reference_hadamard_apply(bcoeffs, reference_power_sum_series(dim, qmax))
+    body = body.exp()
+    one_plus_y = WSeries.y(dim, qmax) + 1
+    out = body.weight_component(0)
+    for k in range(1, dim + 1):
+        out = out * one_plus_y + body.weight_component(k)
+    return out
 
 
 def truncated_mul(a, b, order):

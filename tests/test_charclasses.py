@@ -28,8 +28,12 @@ from ellgenus.charclasses import lambda_y_inverse
 from helpers import (
     count_calls,
     evaluate_numeric,
+    horner_hirzebruch_class,
+    random_series,
     reference_chi_y_log_coefficients,
+    reference_hadamard_apply,
     reference_hirzebruch_class,
+    reference_power_sum_series,
     reference_lambda_y_factor,
     reference_lambda_y_inverse,
     reference_todd_factor,
@@ -191,6 +195,21 @@ def test_lambda_y_factors_at_the_negated_root_give_exp_plus_l(root, wmax, qmax):
     )
 
 
+@pytest.mark.parametrize(
+    "factor",
+    [todd_factor, lambda_y_factor, lambda_y_inverse, charclasses._one_minus_exp],
+)
+@pytest.mark.parametrize(
+    "orders, error",
+    [((-1, 2), ValueError), ((2, -1), ValueError), ((2.0, 1), TypeError),
+     ((2, 1.0), TypeError)],
+    ids=["w-1", "q-1", "w2.0", "q1.0"],
+)
+def test_local_factors_check_their_orders(factor, orders, error):
+    with pytest.raises(error):
+        factor(RootForm(1, 0), *orders)
+
+
 def test_zero_root_factors():
     assert todd_factor(RootForm(0, 0), 5, 3) == WSeries.const(1, 5, 3)
     assert lambda_y_inverse(RootForm(0, 0), 4, 3) == WSeries.from_y_poly(
@@ -252,6 +271,12 @@ def test_power_sums_symbolic_two_roots():
     L, H = WSeries.var("L", w, q), WSeries.var("H", w, q)
     got = p2.substitute("c1", L + H).substitute("c2", L * H)
     assert got == L**2 + H**2
+
+
+@pytest.mark.parametrize("qmax", [0, 2, 5])
+def test_power_sums_equal_the_two_accumulations(qmax):
+    for kmax in range(1, 8):
+        assert power_sum_series(kmax, qmax) == reference_power_sum_series(kmax, qmax)
 
 
 def _elementary_symmetric(roots):
@@ -366,6 +391,12 @@ def test_class_equals_log_oracle(d):
         assert hirzebruch_class(d, qmax) == reference_hirzebruch_class(d, qmax)
 
 
+@pytest.mark.parametrize("d", range(0, 8))
+def test_class_equals_the_horner_route(d):
+    for qmax in range(0, d + 4):
+        assert hirzebruch_class(d, qmax) == horner_hirzebruch_class(d, qmax)
+
+
 def test_y_degree_bound():
     for d in range(0, 5):
         assert hirzebruch_class(d, d + 2).max_y_degree() <= d
@@ -407,6 +438,22 @@ def test_hadamard_rejects_weight_zero_content():
 def test_hadamard_missing_coefficients():
     with pytest.raises(ValueError):
         hadamard_apply(chi_y_log_coefficients(1), power_sum_series(3, qmax=1))
+
+
+def test_hadamard_equals_the_per_weight_products():
+    for kmax, qmax in [(1, 0), (3, 2), (6, 8)]:
+        b, p = chi_y_log_coefficients(kmax), power_sum_series(kmax, qmax)
+        assert hadamard_apply(b, p) == reference_hadamard_apply(b, p)
+    rng = random.Random(41)
+    for _ in range(20):
+        wmax, qmax = rng.randrange(1, 7), rng.randrange(0, 7)
+        s = random_series(rng, ("L", "c1", "c2", "c3"), wmax, qmax, nterms=15)
+        s = s - s.weight_component(0)
+        b = [
+            Poly([F(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(n)])
+            for n in (rng.randrange(0, qmax + 3) for _ in range(wmax + 1))
+        ]
+        assert hadamard_apply(b, s) == reference_hadamard_apply(b, s)
 
 
 def test_log_identity_for_explicit_roots():

@@ -209,6 +209,23 @@ def test_base_spec_validation():
         BaseSpec(dim=2, table={mono_from_dict({"L": 1}): F(1)})
 
 
+@pytest.mark.parametrize(
+    "dim, key",
+    [
+        (2, (("c1", 1), ("L", 1))),  # out of order
+        (2, (("L", 2), ("c1", 0))),  # a zero exponent
+        (1, (("L", -1), ("c1", 2))),  # a negative exponent, summing to weight 1
+    ],
+)
+def test_base_spec_refuses_a_non_canonical_monomial(dim, key):
+    # integrate looks up canonical monomials only, so such a key would never
+    # be read, and the later error would name the very monomial supplied
+    table = dict(BaseSpec.projective_space(dim, 1).table)
+    table[key] = 1
+    with pytest.raises(ValueError, match="not canonical|negative exponent"):
+        BaseSpec(dim, table)
+
+
 @pytest.mark.parametrize("value", [0.1, 1.0])
 def test_base_spec_refuses_float_values(value):
     # 0.1 would become 3602879701896397/36028797018963968, and 1.0 is no exact
@@ -342,6 +359,22 @@ def test_mutating_a_returned_series_leaves_later_results_unchanged():
     assert chi_values("E8", base) == [0, 270, -270, 0]
     assert chi_series("E8", 2) is chi_series("E8", 2, 4) is first
     assert first.terms == want
+
+
+@pytest.mark.parametrize("name", ["terms", "wmax", "qmax"])
+def test_rebinding_or_deleting_a_memo_attribute_raises(name):
+    # a rebound wmax made every later chi_values raise, and a rebound terms
+    # emptied every later .terms while == still held
+    base = BaseSpec.projective_space(2, 3)
+    shared = chi_series("E8", 2, 4)
+    want = (shared.wmax, shared.qmax, dict(shared.terms))
+    with pytest.raises(AttributeError):
+        setattr(shared, name, {} if name == "terms" else 0)
+    with pytest.raises(AttributeError):
+        delattr(shared, name)
+    assert chi_values("E8", base) == [0, 270, -270, 0]
+    later = chi_series("E8", 2, 4)
+    assert (later.wmax, later.qmax, dict(later.terms)) == want
 
 
 def test_chi_q_refuses_a_float_order_on_a_cold_and_a_warm_memo():

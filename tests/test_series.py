@@ -19,13 +19,15 @@ from ellgenus import (
 )
 from ellgenus import series as series_module
 from ellgenus.cli import emit_series_json
-from ellgenus.series import _pack, _packed_mul, _packed_shear, _shift_h, _unpack
+from ellgenus.series import _pack, _packed_mul, _packed_shear, _sheared_product, _unpack
 from helpers import (
     count_calls,
     random_series,
     reference_coefficients_of,
     reference_mul,
     reference_part,
+    reference_reweight_by_one_plus_y,
+    reference_scale_weights,
 )
 
 
@@ -190,62 +192,85 @@ def test_substitute_zero_replacement():
 
 
 @st.composite
-def _h_only_series(draw):
+def _shear_series(draw):
+    # every term H^h L^l c1^c y^q, so the shear meets L and c1 beside H
     wmax = draw(st.integers(0, 10))
     qmax = draw(st.integers(0, 6))
     coeff = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+    exps = st.tuples(*[st.integers(0, wmax)] * 3).filter(lambda e: sum(e) <= wmax)
     terms = draw(
-        st.dictionaries(
-            st.tuples(st.integers(0, wmax), st.integers(0, qmax)), coeff, max_size=20
-        )
+        st.dictionaries(st.tuples(exps, st.integers(0, qmax)), coeff, max_size=20)
     )
     return WSeries(
-        wmax, qmax, {((("H", k),) if k else (), q): c for (k, q), c in terms.items()}
+        wmax,
+        qmax,
+        {
+            (mono_from_dict({"H": h, "L": l, "c1": c}), q): x
+            for ((h, l, c), q), x in terms.items()
+        },
     )
 
 
 _slopes = st.builds(F, st.integers(-4, 4), st.integers(-4, 4).filter(bool))
 
 
-@given(_h_only_series(), _slopes)
-def test_shift_h_equals_substitute(G, s):
+def _sheared(G, s):
     H, L = WSeries.var("H", G.wmax, G.qmax), WSeries.var("L", G.wmax, G.qmax)
-    assert _shift_h(G, s) == G.substitute("H", H + L * s)
+    return G.substitute("H", H + L * s)
+
+
+@given(_shear_series(), _slopes)
+def test_shift_h_equals_substitute(G, s):
+    assert _sheared_product({s: G}, G.wmax, G.qmax) == _sheared(G, s)
 
 
 @pytest.mark.parametrize("s", [F(-4), F(-3, 2), F(-1, 3), F(1, 4), F(3, 4), F(2)])
 def test_shift_h_equals_substitute_on_a_dense_series(s):
-    # every H-power up to wmax = 10 at every y-degree, so each C(k, j) is used
+    # every H-power up to wmax = 10 at every y-degree, so each C(k, j) is used,
+    # and each times 1, L and c1
     rng = random.Random(23)
     G = WSeries(
         10,
         3,
         {
-            ((("H", k),) if k else (), q): F(rng.randrange(-9, 10), rng.randrange(1, 7))
+            (mono_from_dict({"H": k, **extra}), q): F(
+                rng.randrange(-9, 10), rng.randrange(1, 7)
+            )
             for k in range(11)
             for q in range(4)
+            for extra in ({}, {"L": 1}, {"c1": 1})
         },
     )
-    H, L = WSeries.var("H", 10, 3), WSeries.var("L", 10, 3)
-    assert _shift_h(G, s) == G.substitute("H", H + L * s)
+    assert _sheared_product({s: G}, 10, 3) == _sheared(G, s)
 
 
 def test_shift_h_binomial_example():
     v = S(3, 1)
-    G = v["H"] ** 3 * v["y"] + 2
     H, L = v["H"], v["L"]
+    G = H**3 * v["y"] + L * H + 2
     expected = (H**3 + H**2 * L * F(-9, 2) + H * L**2 * F(27, 4) - L**3 * F(27, 8)) * v[
         "y"
-    ] + 2
-    assert _shift_h(G, F(-3, 2)) == expected
+    ] + L * (H - L * F(3, 2)) + 2
+    assert _sheared_product({F(-3, 2): G}, 3, 1) == expected
 
 
-@pytest.mark.parametrize("extra", ["L", "c1"])
-def test_shift_h_rejects_terms_beyond_h_and_y(extra):
-    v = S(4, 1)
-    G = v["H"] ** 2 + WSeries.var(extra, 4, 1) * v["H"]
-    with pytest.raises(ValueError):
-        _shift_h(G, F(1, 2))
+@st.composite
+def _sheared_groups(draw):
+    wmax = draw(st.integers(0, 6))
+    qmax = draw(st.integers(0, 4))
+    slopes = draw(st.lists(_slopes | st.just(F(0)), min_size=1, max_size=3, unique=True))
+    return {s: draw(_series_at(wmax, qmax, ("L", "H", "c1"))) for s in slopes}
+
+
+@given(_sheared_groups())
+def test_sheared_product_equals_the_product_of_substitutes(groups):
+    # the nested shears of any slopes, in any order, against one substitute
+    # per group and the oracle multiply
+    (wmax, qmax), = {(G.wmax, G.qmax) for G in groups.values()}
+    want = WSeries.const(1, wmax, qmax)
+    for s, G in groups.items():
+        want = reference_mul(want, _sheared(G, s))
+    assert _sheared_product(groups, wmax, qmax) == want
 
 
 # -- reweight -----------------------------------------------------------------
@@ -350,7 +375,7 @@ def test_slices_negative_control():
     # an index that files every term one y-degree too high fails the scan
     s = WSeries.var("L", 2, 2) * (1 + 2 * WSeries.y(2, 2))
     shifted = WSeries._trusted(2, 2, {(m, q + 1): c for (m, q), c in s.terms.items()})
-    s._slices = shifted._slice_index()
+    object.__setattr__(s, "_slices", shifted._slice_index())
     assert s.coeff(1, 1) != reference_part(s, 1, 1)
     assert s.y_slice(1) != reference_part(s, q=1)
     assert s.weight_component(1) != reference_part(s, 1)
@@ -624,10 +649,47 @@ def test_mul_and_shift_h_run_on_the_packed_kernels(monkeypatch):
     v = S(4, 2)
     product = (v["H"] + v["y"]) * (v["H"] - 1)
     H2 = _mono_series(4, 2, H=2)
-    sheared = _shift_h(H2, F(1, 2))
+    sheared = _sheared_product({F(1, 2): H2}, 4, 2)
     assert (len(muls), len(shears)) == (1, 1)
     assert product == H2 + v["H"] * v["y"] - v["H"] - v["y"]
     assert sheared == (v["H"] + v["L"] * F(1, 2)) ** 2
+
+
+# -- the y-scaling kernel --------------------------------------------------------
+
+
+@st.composite
+def _scaled(draw):
+    # rows of ints or Fractions, each shorter or longer than qmax + 1
+    (a,) = draw(_same_orders(1))
+    entry = st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=7)
+    row = st.lists(entry, max_size=a.qmax + 3)
+    return a, draw(st.lists(row, min_size=a.wmax + 1, max_size=a.wmax + 1))
+
+
+@given(_scaled())
+def test_scale_weights_equals_the_per_weight_products(case):
+    a, rows = case
+    assert a._scale_weights(rows) == reference_scale_weights(a, rows)
+
+
+@given(_same_orders(1))
+def test_reweight_equals_the_binomial_loop(single):
+    (a,) = single
+    assert a.reweight_by_one_plus_y() == reference_reweight_by_one_plus_y(a)
+
+
+def test_scale_weights_negative_controls():
+    # a kernel that reads rows[k + 1], or that keeps y-degrees past qmax,
+    # fails the comparison with the per-weight products
+    v = S(3, 2)
+    a = v["one"] + v["L"] * v["y"] + WSeries.var("c2", 3, 2)
+    rows = [[1, 1], [2, 0, 1], [F(1, 2), 3], [5]]
+    want = reference_scale_weights(a, rows)
+    assert a._scale_weights(rows) == want
+    assert a._scale_weights(rows[1:] + [[]]) != want
+    wide = WSeries(3, 4, a.terms)._scale_weights(rows)
+    assert WSeries._trusted(3, 2, dict(wide.terms)) != want
 
 
 @given(_same_orders(1), st.sampled_from(KERNEL_VARS))
