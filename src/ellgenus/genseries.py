@@ -20,7 +20,7 @@ from types import MappingProxyType
 
 from .charclasses import _hirzebruch_exp
 from .fibrations import closed_form_q, derived_q, pushforward_class
-from .series import WSeries, _as_fraction, _check_canonical, mono_weight
+from .series import WSeries, _as_fraction, _canonical_weight, mono_weight
 
 
 class MissingIntersectionError(ValueError):
@@ -55,8 +55,7 @@ class BaseSpec:
             raise ValueError("a base needs an intersection table")
         clean = {}
         for mono, value in self.table.items():
-            _check_canonical(mono)  # else integrate would never match it
-            if mono_weight(mono) != self.dim:
+            if _canonical_weight(mono) != self.dim:
                 raise ValueError(
                     "table monomial %r has weight != %d" % (mono, self.dim)
                 )

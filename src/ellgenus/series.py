@@ -132,17 +132,17 @@ def _truncation_orders(wmax, qmax):
     return wmax, qmax
 
 
-def _check_canonical(mono):
-    """Raise ``ValueError`` unless :func:`mono_from_dict` would return ``mono``."""
-    last = 1  # the field of L is 2
+def _canonical_weight(mono):
+    """The weight of ``mono``, or ``ValueError`` unless it is canonical."""
+    last, weight = 1, 0  # the field of L is 2
     for v, e in mono:
-        field = _field(v)[0]
+        field, w = _field(v)
         if field <= last or index(e) < 1:
             break
-        last = field
+        last, weight = field, weight + w * e
     else:
         if isinstance(mono, tuple):
-            return
+            return weight
     raise ValueError("monomial %r is not canonical" % (mono,))
 
 
@@ -169,8 +169,7 @@ class WSeries:
                 q = index(q)
                 if q < 0:
                     raise ValueError("negative y-degree %d" % q)
-                _check_canonical(mono)
-                if q > qmax or mono_weight(mono) > wmax:
+                if _canonical_weight(mono) > wmax or q > qmax:
                     continue
                 c = _as_fraction(coeff)
                 if c:
@@ -182,9 +181,11 @@ class WSeries:
         """A series over ``terms`` taken as they are, and owned from now on:
         every key already in range and every coefficient a nonzero Fraction."""
         series = object.__new__(cls)
-        values = (wmax, qmax, terms, MappingProxyType(terms), None)
-        for slot, value in zip(cls.__slots__, values):
-            object.__setattr__(series, slot, value)
+        object.__setattr__(series, "wmax", wmax)
+        object.__setattr__(series, "qmax", qmax)
+        object.__setattr__(series, "_terms", terms)
+        object.__setattr__(series, "terms", MappingProxyType(terms))
+        object.__setattr__(series, "_slices", None)
         return series
 
     def __setattr__(self, *args):
