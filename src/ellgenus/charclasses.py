@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import comb, factorial
 from operator import index
 
@@ -45,14 +45,6 @@ class RootForm:
     def is_zero(self):
         return self.a == 0 and self.b == 0
 
-    def series(self, wmax, qmax):
-        terms = {}
-        if self.a:
-            terms[((("H", 1),), 0)] = Fraction(self.a)
-        if self.b:
-            terms[((("L", 1),), 0)] = Fraction(self.b)
-        return WSeries(wmax, qmax, terms)
-
 
 # ---------------------------------------------------------------------------
 # local factors
@@ -60,7 +52,7 @@ class RootForm:
 # Each local factor is a one-variable function f(t) = sum_k f_k(y) t^k,
 # evaluated at a Chern root l = a*H + b*L.  Its t-coefficients are written
 # down from closed forms (Todd numbers, s^k/k!) as {y-degree: rational}
-# maps, and :func:`_at_form` fills them in at the root: t -> a*H (or b*L
+# maps, and :func:`_local_factor` fills them in at the root: t -> a*H (or b*L
 # when a = 0), then, when both a and b are nonzero, the binomial shear
 # H -> H + (b/a)*L.  No local factor takes an exp, and the one inverse,
 # of the Todd numbers, is taken once per order.
@@ -89,11 +81,25 @@ def _exp_numbers(s, order):
     return [Fraction(s**k, factorial(k)) for k in range(order + 1)]
 
 
-def _at_form(coeffs, root, wmax, qmax):
-    """sum_k coeffs[k] * (a*H + b*L)^k, with coeffs[k] a {y-degree: Fraction}
-    map; entries past wmax or qmax are dropped.  The keys are canonical and
-    in range by construction, so the series is built as it stands."""
-    a, b = root.a, root.b
+# Bound of the local-factor memo; a derive block needs a few dozen keys.
+LOCAL_FACTOR_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=LOCAL_FACTOR_CACHE_SIZE)
+def _local_factor(kind, root, wmax, qmax):
+    """The local factor ``kind`` at ``root``, built once per key and shared."""
+    if kind == "todd":
+        coeffs = [{0: c} for c in _todd_numbers(wmax)]
+    elif kind == "lambda_y":
+        coeffs = [{1: c} for c in _exp_numbers(-1, wmax)]
+        coeffs[0] = {0: Fraction(1), 1: Fraction(1)}
+    elif kind == "lambda_y_inverse":
+        rows = [_exp_numbers(-m, wmax) for m in range(qmax + 1)]  # exp(-m t)
+        coeffs = [{m: (-1) ** m * c for m, c in enumerate(col)} for col in zip(*rows)]
+    else:  # "one_minus_exp"
+        coeffs = [{0: -c} for c in _exp_numbers(-1, wmax)]
+        coeffs[0] = {}
+    a, b = root.a, root.b  # at the root; the keys are canonical and in range
     var, scale = ("H", a) if a else ("L", b)
     terms = {}
     for k, ck in enumerate(coeffs[: wmax + 1]):
@@ -111,17 +117,13 @@ def _at_form(coeffs, root, wmax, qmax):
 
 def todd_factor(root, wmax, qmax=0):
     """Expansion of l/(1 - e^{-l}) at l = a*H + b*L; the zero form gives 1."""
-    wmax, qmax = _truncation_orders(wmax, qmax)
-    return _at_form([{0: c} for c in _todd_numbers(wmax)], root, wmax, qmax)
+    return _local_factor("todd", root, *_truncation_orders(wmax, qmax))
 
 
 def lambda_y_factor(root, wmax, qmax):
     """1 + y*exp(-l) at l = a*H + b*L: the dual character of the paper's
     integrand.  For 1 + y*exp(+l), pass the negated root."""
-    wmax, qmax = _truncation_orders(wmax, qmax)
-    coeffs = [{1: c} for c in _exp_numbers(-1, wmax)]
-    coeffs[0] = {0: Fraction(1), 1: Fraction(1)}
-    return _at_form(coeffs, root, wmax, qmax)
+    return _local_factor("lambda_y", root, *_truncation_orders(wmax, qmax))
 
 
 def lambda_y_inverse(root, wmax, qmax):
@@ -131,21 +133,13 @@ def lambda_y_inverse(root, wmax, qmax):
     The geometric y-sum terminates at y^qmax; its t^k coefficient is
     sum_m (-1)^m (-m)^k/k! y^m.  Equal to ``lambda_y_factor(...).inverse()``.
     """
-    wmax, qmax = _truncation_orders(wmax, qmax)
-    by_m = [_exp_numbers(-m, wmax) for m in range(qmax + 1)]
-    coeffs = [
-        {m: (-1) ** m * by_m[m][k] for m in range(qmax + 1)} for k in range(wmax + 1)
-    ]
-    return _at_form(coeffs, root, wmax, qmax)
+    return _local_factor("lambda_y_inverse", root, *_truncation_orders(wmax, qmax))
 
 
 def _one_minus_exp(root, wmax, qmax):
     """1 - exp(-l) at l = a*H + b*L: the top Chern character factor of a
     normal-bundle root."""
-    wmax, qmax = _truncation_orders(wmax, qmax)
-    coeffs = [{0: -c} for c in _exp_numbers(-1, wmax)]
-    coeffs[0] = {}
-    return _at_form(coeffs, root, wmax, qmax)
+    return _local_factor("one_minus_exp", root, *_truncation_orders(wmax, qmax))
 
 
 # ---------------------------------------------------------------------------

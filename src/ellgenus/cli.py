@@ -1,7 +1,8 @@
 """Command-line surface: catalog inspection, formula emission, numeric
 chi_q evaluation, and the self-verification suite.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
+3 internal error (a fault of the program, never of the input).
 All numbers are emitted as exact rational strings; series round-trip
 losslessly through the JSON record schema.
 """
@@ -20,14 +21,14 @@ from .fibrations import (
     DEFAULT_QMAX,
     DEFAULT_WMAX,
     FibrationSpec,
-    catalog_spec,
+    _total_dim,
     closed_form_q,
     closed_form_text,
     derived_q,
     p_polynomials,
     p_table_reference,
 )
-from .genseries import BaseSpec, chi_series, integrate
+from .genseries import BaseSpec, MissingIntersectionError, chi_series, integrate
 from .pushforward import BundleSpec
 from .series import WSeries, mono_from_dict, mono_weight
 from .verify import run_suites
@@ -114,15 +115,23 @@ def _json_roots(entries, what):
     )
 
 
-def load_fibration_spec(path):
-    """{"name": str, "bundle": [int], "n_roots": [[a,b]], "f_roots"?: [[a,b]]}"""
+def _load_json_object(path, what):
+    """The JSON object in the file at ``path``; ``what`` names the file."""
     try:
         with open(path) as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise UsageError("cannot read spec file %s: %s" % (path, exc))
+        raise UsageError("cannot read %s file %s: %s" % (what, path, exc))
     except json.JSONDecodeError as exc:
-        raise UsageError("spec file %s is not valid JSON: %s" % (path, exc))
+        raise UsageError("%s file %s is not valid JSON: %s" % (what, path, exc))
+    if not isinstance(data, dict):
+        raise UsageError("%s file %s does not hold a JSON object" % (what, path))
+    return data
+
+
+def load_fibration_spec(path):
+    """{"name": str, "bundle": [int], "n_roots": [[a,b]], "f_roots"?: [[a,b]]}"""
+    data = _load_json_object(path, "spec")
     for field_name in ("name", "bundle", "n_roots"):
         if field_name not in data:
             raise UsageError("spec file %s: missing field %r" % (path, field_name))
@@ -147,13 +156,7 @@ def load_fibration_spec(path):
 
 def load_base_spec(path):
     """{"dim": d, "monomials": [{"exps": {...}, "value": "num/den"}]}"""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise UsageError("cannot read base file %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
-        raise UsageError("base file %s is not valid JSON: %s" % (path, exc))
+    data = _load_json_object(path, "base")
     try:
         dim = _json_int(data["dim"], "dim")
         table = {}
@@ -225,8 +228,6 @@ def cmd_q(args):
 def cmd_ptable(args):
     if args.family not in FAMILIES:
         raise UsageError("unknown family %r" % args.family)
-    if args.nmax < 0:
-        raise UsageError("--nmax must be >= 0")
     mismatches = []
     for n, poly in enumerate(p_polynomials(args.family, args.nmax)):
         print("P%d = %s" % (n, poly.to_text()))
@@ -249,18 +250,17 @@ def cmd_chi(args):
     else:
         raise UsageError("a base is required (--base pd:<d>:<n> or --base-file)")
     d = base.dim
+    top = _total_dim(target, d)
     if args.q == "all":
-        qs = list(range(0, d + 2))
+        qs = list(range(0, top + 1))
     else:
         try:
             qs = [int(args.q)]
         except ValueError:
             raise UsageError("--q expects an integer or 'all'")
-        if not (0 <= qs[0] <= d + 1):
-            raise UsageError(
-                "q=%d exceeds dim Y = %d for this base" % (qs[0], d + 1)
-            )
-    series = chi_series(target, d, d + 2)
+        if not (0 <= qs[0] <= top):
+            raise UsageError("q=%d exceeds dim Y = %d for this base" % (qs[0], top))
+    series = chi_series(target, d, top + 1)
     values = []
     for q in qs:
         cls = series.coeff(d, q)
@@ -298,6 +298,13 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 
+def _order(text):
+    """An order option (--wmax, --qmax, --nmax): an integer >= 0."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %s" % text)
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ellgenus",
@@ -308,8 +315,8 @@ def build_parser():
 
     p_q = sub.add_parser("q", help="emit the genus factor Q of a family")
     p_q.add_argument("family", help="catalog family (D5/E6/E7/E8) or spec file")
-    p_q.add_argument("--wmax", type=int, default=DEFAULT_WMAX)
-    p_q.add_argument("--qmax", type=int, default=DEFAULT_QMAX)
+    p_q.add_argument("--wmax", type=_order, default=DEFAULT_WMAX)
+    p_q.add_argument("--qmax", type=_order, default=DEFAULT_QMAX)
     p_q.add_argument("--format", choices=("text", "json", "latex"), default="text")
     p_q.add_argument(
         "--closed", action="store_true", help="print the unexpanded closed form"
@@ -318,7 +325,7 @@ def build_parser():
 
     p_pt = sub.add_parser("ptable", help="print the P_n polynomials in U")
     p_pt.add_argument("family")
-    p_pt.add_argument("--nmax", type=int, default=6)
+    p_pt.add_argument("--nmax", type=_order, default=6)
     p_pt.add_argument(
         "--check", action="store_true", help="compare against the tabulated forms"
     )
@@ -339,8 +346,8 @@ def build_parser():
 
     p_v = sub.add_parser("verify", help="run the self-verification suites")
     p_v.add_argument("--family", default="all", choices=("all",) + FAMILIES)
-    p_v.add_argument("--wmax", type=int, default=DEFAULT_WMAX)
-    p_v.add_argument("--qmax", type=int, default=DEFAULT_QMAX)
+    p_v.add_argument("--wmax", type=_order, default=DEFAULT_WMAX)
+    p_v.add_argument("--qmax", type=_order, default=DEFAULT_QMAX)
     p_v.set_defaults(func=cmd_verify)
 
     return parser
@@ -360,9 +367,12 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (KeyError, ValueError) as exc:
+    except (UsageError, MissingIntersectionError) as exc:  # bad input
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 3
 
 
 def run():

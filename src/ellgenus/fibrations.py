@@ -104,6 +104,11 @@ def catalog_spec(family):
         raise KeyError("unknown family %r (expected one of %s)" % (family, FAMILIES))
 
 
+def _total_dim(family_or_spec, d):
+    """dim Y over a d-dimensional base; every catalog fiber is a curve."""
+    return d + (1 if isinstance(family_or_spec, str) else family_or_spec.fiber_dim)
+
+
 # ---------------------------------------------------------------------------
 # integrand and derived genus factor
 
@@ -287,10 +292,10 @@ def pushforward_class(family_or_spec, d, qmax=None):
 
     H_y(B) is the full chi_y class of a d-dimensional base, so the y^q slice
     is sum_{i<=q} P_{q-i}(U) * H_i(B), a y-free mixed-weight series in L and
-    c1..c_d.  The y-degree bound defaults to d + 2, as for ``chi_series``.
+    c1..c_d.  The y-degree bound defaults to dim Y + 1, as for ``chi_series``.
     """
     if qmax is None:
-        qmax = d + 2
+        qmax = _total_dim(family_or_spec, d) + 1
     if isinstance(family_or_spec, str):
         Q = closed_form_q(family_or_spec, d, qmax)
     else:

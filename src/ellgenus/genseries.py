@@ -19,7 +19,7 @@ from operator import index
 from types import MappingProxyType
 
 from .charclasses import _hirzebruch_exp
-from .fibrations import closed_form_q, derived_q, pushforward_class
+from .fibrations import _total_dim, closed_form_q, derived_q, pushforward_class
 from .series import WSeries, _as_fraction, _canonical_weight, mono_weight
 
 
@@ -99,9 +99,9 @@ CHI_SERIES_CACHE_SIZE = 64
 def chi_series(family_or_spec, tmax, qmax=None):
     """chi(t, y) to weight tmax (t-degree equals weight throughout).
 
-    The y-degree bound defaults to tmax + 2: over a base of dimension k the
-    fibration has dimension k + 1, so every retained coefficient beyond
-    y^(k+1) is exactly zero.
+    The y-degree bound defaults to dim Y + 1 = tmax + fiber_dim + 1: over a
+    base of dimension k the fibration has dimension k + fiber_dim, so every
+    retained coefficient beyond y^(k+fiber_dim) is exactly zero.
 
     The series depends only on the family and the orders, never on a base,
     so it is built once per key, and every call returns that one read-only
@@ -111,7 +111,7 @@ def chi_series(family_or_spec, tmax, qmax=None):
     tmax = index(tmax)
     if tmax < 0:
         raise ValueError("tmax must be >= 0")
-    qmax = tmax + 2 if qmax is None else index(qmax)
+    qmax = _total_dim(family_or_spec, tmax) + 1 if qmax is None else index(qmax)
     return _chi_series(family_or_spec, tmax, qmax)
 
 
@@ -155,11 +155,10 @@ def chi_q(family_or_spec, base, q, verify=False):
     asserted; a mismatch raises :class:`VerificationError`.
     """
     d, q = base.dim, index(q)
-    if not (0 <= q <= d + 1):
-        raise ValueError(
-            "q=%d out of range: the fibration has dimension %d" % (q, d + 1)
-        )
-    value = integrate(chi_series(family_or_spec, d, d + 2).coeff(d, q), base)
+    top = _total_dim(family_or_spec, d)
+    if not (0 <= q <= top):
+        raise ValueError("q=%d out of range: the fibration has dimension %d" % (q, top))
+    value = integrate(chi_series(family_or_spec, d, top + 1).coeff(d, q), base)
     if verify:
         check = integrate(pushforward_class(family_or_spec, d).coeff(d, q), base)
         if check != value:
@@ -173,8 +172,9 @@ def chi_q(family_or_spec, base, q, verify=False):
 
 
 def chi_values(family_or_spec, base):
-    """[chi_0, ..., chi_(d+1)] of the family over a d-dimensional base."""
-    return [chi_q(family_or_spec, base, q) for q in range(0, base.dim + 2)]
+    """[chi_0, ..., chi_(dim Y)] of the family over a d-dimensional base."""
+    top = _total_dim(family_or_spec, base.dim)
+    return [chi_q(family_or_spec, base, q) for q in range(0, top + 1)]
 
 
 def euler_series_e8(dmax, qmax=0):

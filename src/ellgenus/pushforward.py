@@ -13,12 +13,13 @@ evaluate at H = -L.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import index
 
-from .series import TruncationDeficitError, WSeries, mono_from_dict, mono_weight
+from .series import TruncationDeficitError, WSeries, mono_from_dict
+from .series import _field, _pack, _unpack, _width  # the packed form
 
 
 @dataclass(frozen=True)
@@ -65,37 +66,36 @@ def pushforward(series, bundle):
     weight rank - 1 raises :class:`TruncationDeficitError`.
 
     Each s_j(E) is a single term sigma_j * L^j with sigma_j an int (see
-    :func:`_segre_numbers`), so a term of H-power r-1+j needs no series
-    product: its monomial loses the H-power and gains L^j, and its numerator
-    over the common denominator of ``series`` is multiplied by sigma_j.
-    Terms that land on the same monomial are summed as ints, and each output
-    term becomes one ``Fraction`` at the end.
+    :func:`_segre_numbers`), so the map runs on the packed form of ``series``:
+    a key with H field r-1+j loses it and gains j in its L field, and its
+    numerator takes a factor sigma_j.  The summed keys are decoded at the
+    input's width, which reads no weight field, into one ``Fraction`` each.
     """
     r = bundle.rank
-    out_wmax = series.wmax - (r - 1)
+    wmax, qmax = series.wmax, series.qmax
+    out_wmax = wmax - (r - 1)
     if out_wmax < 0:
         raise TruncationDeficitError(
             "pushforward along a rank-%d bundle needs input weight %d, have %d"
-            % (r, r - 1, series.wmax)
+            % (r, r - 1, wmax)
         )
     # a term H^(r-1+j) m has weight <= wmax, so m L^j has weight <= out_wmax
-    sigma = _segre_numbers(bundle, out_wmax)
-    den = lcm(*{c.denominator for c in series.terms.values()})
-    acc = {}
-    for e, part in series.coefficients_of("H").items():
-        j = e - (r - 1)
-        if j < 0 or not sigma[j]:
-            continue
-        for (mono, q), c in part.terms.items():
-            if j and mono and mono[0][0] == "L":  # L leads a canonical monomial
-                mono = (("L", mono[0][1] + j),) + mono[1:]
-            elif j:
-                mono = (("L", j),) + mono
-            key = (mono, q)
-            n = c.numerator * (den // c.denominator) * sigma[j]
-            acc[key] = acc.get(key, 0) + n
-    terms = {key: Fraction(n, den) for key, n in acc.items() if n}
-    return WSeries._trusted(out_wmax, series.qmax, terms)
+    width = _width(wmax, qmax)
+    hshift = _field("H")[0] * width
+    lshift = _field("L")[0] * width
+    # by H field e = r-1+j: (key offset from H^e to L^j, sigma_j)
+    rows = [(0, 0)] * (r - 1) + [
+        ((j << lshift) - (r - 1 + j << hshift), sigma)
+        for j, sigma in enumerate(_segre_numbers(bundle, out_wmax))
+    ]
+    nums, den = _pack(series)
+    acc = defaultdict(int)
+    for key, n in nums.items():
+        offset, sigma = rows[key >> hshift & (1 << width) - 1]
+        if sigma:
+            acc[key + offset] += n * sigma
+    terms = _unpack(({key: n for key, n in acc.items() if n}, den), wmax, qmax)
+    return WSeries._trusted(out_wmax, qmax, terms)
 
 
 def derivative_pushforward_d5(series):

@@ -18,8 +18,7 @@ constant monomial.
 
 Products and the shear H -> H + s*L run on packed series, never building a
 ``Fraction`` or a monomial tuple per term pair.  A packed series is a dict
-from int key to int numerator plus one common denominator; three steps make
-the series x series product, and ``WSeries.__mul__`` runs all three:
+from int key to int numerator plus one common denominator:
 
 - ``_pack`` puts every term over the lcm of the denominators and packs it
   into an int key of bit-fields of equal width: field 0 holds the y-degree,
@@ -42,8 +41,10 @@ divided by their gcd, so the denominator is the lcm of the reduced
 coefficient denominators, not a product of the inputs' denominators.
 ``_sheared_product`` multiplies series, each at its own shear.
 
-``WSeries.terms`` is the public (monomial, y-degree) -> Fraction map, a
-read-only view of the private dict that the kernels read.
+A series keeps two reduced forms of one value, each built at most once: its
+terms (read-only as ``WSeries.terms``) and its packed form.  A product is
+born packed and builds its ``Fraction``s when its terms are first read;
+any other series is born with its terms, and is packed for its first product.
 """
 
 from __future__ import annotations
@@ -151,7 +152,8 @@ class WSeries:
 
     Instances are immutable: ``terms`` is a read-only mapping, so writing
     to it raises ``TypeError``, rebinding or deleting an attribute raises
-    ``AttributeError``, and every operation returns a new series.
+    ``AttributeError``, and every operation returns a new series (a copy is
+    the series itself).
     Two series are equal iff their truncation orders and term maps agree,
     so tests compare exactly, never approximately.  The constructor
     drops zero coefficients and terms past the truncation, and raises
@@ -159,7 +161,7 @@ class WSeries:
     monomial that :func:`mono_from_dict` would not return unchanged.
     """
 
-    __slots__ = ("wmax", "qmax", "_terms", "terms", "_slices")
+    __slots__ = ("wmax", "qmax", "_terms", "terms", "_packed", "_slices")
 
     def __new__(cls, wmax, qmax, terms=None):
         wmax, qmax = _truncation_orders(wmax, qmax)
@@ -177,14 +179,17 @@ class WSeries:
         return cls._trusted(wmax, qmax, clean)
 
     @classmethod
-    def _trusted(cls, wmax, qmax, terms):
+    def _trusted(cls, wmax, qmax, terms, packed=None):
         """A series over ``terms`` taken as they are, and owned from now on:
-        every key already in range and every coefficient a nonzero Fraction."""
-        series = object.__new__(cls)
+        every key already in range and every coefficient a nonzero Fraction;
+        or, with ``terms`` None, over the reduced packed form ``packed``."""
+        series = object.__new__(cls if terms is not None else _PackedSeries)
         object.__setattr__(series, "wmax", wmax)
         object.__setattr__(series, "qmax", qmax)
-        object.__setattr__(series, "_terms", terms)
-        object.__setattr__(series, "terms", MappingProxyType(terms))
+        if terms is not None:
+            object.__setattr__(series, "_terms", terms)
+            object.__setattr__(series, "terms", MappingProxyType(terms))
+        object.__setattr__(series, "_packed", packed)
         object.__setattr__(series, "_slices", None)
         return series
 
@@ -192,6 +197,14 @@ class WSeries:
         raise AttributeError("WSeries is immutable")
 
     __delattr__ = __setattr__
+
+    def __copy__(self, memo=None):
+        return self
+
+    __deepcopy__ = __copy__
+
+    def __reduce__(self):
+        return WSeries._trusted, (self.wmax, self.qmax, dict(self.terms))
 
     # -- constructors -------------------------------------------------
 
@@ -234,11 +247,8 @@ class WSeries:
     def __eq__(self, other):
         if not isinstance(other, WSeries):
             return NotImplemented
-        return (
-            self.wmax == other.wmax
-            and self.qmax == other.qmax
-            and self._terms == other._terms
-        )
+        same = self.wmax == other.wmax and self.qmax == other.qmax
+        return same and self._terms == other._terms
 
     def get(self, mono=(), q=0):
         """Coefficient of a single (monomial, y^q) term (0 if absent)."""
@@ -246,17 +256,6 @@ class WSeries:
 
     def constant_term(self):
         return self._terms.get(((), 0), Fraction(0))
-
-    def min_weight(self):
-        """Smallest weight carried by any term, or None for the zero series."""
-        if not self._terms:
-            return None
-        return min(mono_weight(m) for (m, _q) in self._terms)
-
-    def max_y_degree(self):
-        if not self._terms:
-            return -1
-        return max(q for (_m, q) in self._terms)
 
     def sorted_items(self):
         return sorted(
@@ -319,7 +318,8 @@ class WSeries:
             return NotImplemented
         self._require_same(other)
         wmax, qmax = self.wmax, self.qmax
-        return _unpack(_packed_mul(_pack(self), _pack(other), wmax, qmax), wmax, qmax)
+        packed = _packed_mul(_pack(self), _pack(other), wmax, qmax)
+        return WSeries._trusted(wmax, qmax, None, packed)
 
     __rmul__ = __mul__
 
@@ -388,8 +388,7 @@ class WSeries:
         """Replace ``var`` by a series of minimal weight >= 1, re-truncating."""
         var_weight(var)
         self._require_same(replacement)
-        mw = replacement.min_weight()
-        if mw is not None and mw < 1:
+        if any(mono_weight(m) == 0 for (m, _q) in replacement._terms):
             raise ValueError(
                 "substitution would create negative-weight content: "
                 "replacement has weight-0 terms"
@@ -514,6 +513,22 @@ class WSeries:
         return "WSeries(wmax=%d, qmax=%d: %s)" % (self.wmax, self.qmax, body)
 
 
+class _PackedSeries(WSeries):
+    """A series born packed: the first read of its unset terms slots fills
+    them and makes it a plain :class:`WSeries` (``__getattr__`` slows reads)."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name != "_terms" and name != "terms":
+            raise AttributeError(name)
+        terms = _unpack(self._packed, self.wmax, self.qmax)
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "terms", MappingProxyType(terms))
+        object.__setattr__(self, "__class__", WSeries)
+        return getattr(self, name)
+
+
 # -- rendering: one term walk and one signed-sum join ---------------------------
 
 
@@ -566,7 +581,9 @@ def _width(wmax, qmax):
 
 def _pack(series):
     """The packed form of ``series``: ({key: numerator}, den), den the lcm of
-    the coefficient denominators."""
+    the coefficient denominators; built from the terms once, then kept."""
+    if series._packed is not None:
+        return series._packed
     width = _width(series.wmax, series.qmax)
     den = lcm(*{c.denominator for c in series._terms.values()})
     units = {}  # variable -> its unit in the key, weight field included
@@ -580,6 +597,7 @@ def _pack(series):
                 u = units[v] = (1 << f * width) + (vw << width)
             key += e * u
         packed[key] = c.numerator * (den // c.denominator)
+    object.__setattr__(series, "_packed", (packed, den))
     return packed, den
 
 
@@ -670,12 +688,13 @@ def _sheared_product(groups, wmax, qmax):
         acc = _packed_shear(acc, above - slope, wmax, qmax)
         # the dense series first, see _packed_mul
         acc = _packed_mul(acc, _pack(groups[slope]), wmax, qmax)
-    return _unpack(_packed_shear(acc, slopes[-1], wmax, qmax), wmax, qmax)
+    acc = _packed_shear(acc, slopes[-1], wmax, qmax)
+    return WSeries._trusted(wmax, qmax, None, acc)
 
 
 def _unpack(a, wmax, qmax):
-    """The ``WSeries`` of a packed series: one canonical monomial per distinct
-    variable part of a key, one ``Fraction`` per term."""
+    """The terms of a packed series at the width of (wmax, qmax): one monomial
+    per distinct variable part of a key, one ``Fraction`` per term."""
     nums, den = a
     width = _width(wmax, qmax)
     mask = (1 << width) - 1
@@ -696,4 +715,4 @@ def _unpack(a, wmax, qmax):
                 f += 1
             mono = monos[mk] = tuple(items)
         terms[(mono, key & mask)] = Fraction(n, den)
-    return WSeries._trusted(wmax, qmax, terms)
+    return terms

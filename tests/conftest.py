@@ -1,5 +1,5 @@
 """Test-suite settings: one deterministic, bounded hypothesis profile, and
-empty chi_series and Todd-number memos at the start of every test."""
+empty chi_series, Todd-number and local-factor memos at the start of every test."""
 
 import pytest
 from hypothesis import settings
@@ -17,4 +17,5 @@ def _cold_memos():
     """No test can pass on a value that an earlier test left in a memo."""
     charclasses._hirzebruch_exp.cache_clear()
     charclasses._todd_numbers.cache_clear()
+    charclasses._local_factor.cache_clear()
     genseries._chi_series.cache_clear()

@@ -2,21 +2,22 @@
 numeric evaluator used as a brute-force oracle, the plain dict/``Fraction``
 series multiply used as the oracle of the packed kernel, and the two-variable
 exp/Newton-inverse local factors, fiber integrand, Segre series and Segre
-pushforward used as oracles of the one-variable constructions and the
-integer Segre numbers, the chi_y class of a base from a series logarithm,
-the pushed-forward class convolved y-degree by y-degree, the chi_y
-log-coefficients from lists of y-``Poly`` (with their truncated product),
-the closed-form texts as the paper writes them, the weight-by-weight
-y-scalings (the (1+y)-reweight loop, the per-weight Hadamard products, the
-Horner chi_y class and -tC'/C from two accumulations), the ``WSeries``
-expansion of the closed forms (series exp, powers and a Newton inverse), the Fraction evaluator that is the oracle of the
-hadamard-identity suite's int evaluator, the dense ``Poly`` product, a
-call counter for monkeypatched library functions, and term-scan, ``Fraction``
-sum and ``Fraction``-power oracles of ``coeff``/``y_slice``/``weight_component``,
-``integrate`` and the P^d table."""
+pushforward (and the term-by-term int Segre pushforward) used as oracles of
+the one-variable constructions and the integer Segre numbers, the chi_y
+class of a base from a series logarithm, the pushed-forward class convolved
+y-degree by y-degree, the chi_y log-coefficients from lists of y-``Poly``
+(with their truncated product), the closed-form texts as the paper writes
+them, a Chern root as a series, the weight-by-weight y-scalings (the
+(1+y)-reweight loop, the per-weight Hadamard products, the Horner chi_y class
+and -tC'/C from two accumulations), the ``WSeries`` expansion of the closed
+forms (series exp, powers and a Newton inverse), the Fraction evaluator that
+is the oracle of the hadamard-identity suite's int evaluator, the dense
+``Poly`` product, a call counter for monkeypatched library functions, and
+term-scan, ``Fraction`` sum and ``Fraction``-power oracles of
+``coeff``/``y_slice``/``weight_component``, ``integrate`` and the P^d table."""
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from ellgenus import (
     Poly,
@@ -30,6 +31,7 @@ from ellgenus import (
     power_sums_from_chern,
 )
 from ellgenus.fibrations import _CLOSED
+from ellgenus.pushforward import _segre_numbers
 
 
 def random_series(rng, variables, wmax, qmax, nterms=10, allow_const=True):
@@ -114,11 +116,17 @@ def reference_mul(a, b):
 # -- the local factors, the integrand and the pushforward as two-variable series
 
 
+def root_series(root, wmax, qmax):
+    """The Chern root a*H + b*L as a series."""
+    terms = {((("H", 1),), 0): Fraction(root.a), ((("L", 1),), 0): Fraction(root.b)}
+    return WSeries(wmax, qmax, terms)
+
+
 def reference_todd_factor(root, wmax, qmax=0):
     """l/(1 - e^{-l}) as the Newton inverse of sum_j (-1)^j l^j/(j+1)!."""
     if root.is_zero():
         return WSeries.const(1, wmax, qmax)
-    lam = root.series(wmax, qmax)
+    lam = root_series(root, wmax, qmax)
     acc = WSeries.zero(wmax, qmax)
     power = WSeries.const(1, wmax, qmax)
     for j in range(0, wmax + 1):
@@ -131,7 +139,7 @@ def reference_todd_factor(root, wmax, qmax=0):
 
 def reference_lambda_y_factor(root, sign, wmax, qmax):
     """1 + y*exp(sign*l), with the exp taken as a series."""
-    lam = root.series(wmax, qmax)
+    lam = root_series(root, wmax, qmax)
     return WSeries.y(wmax, qmax) * (lam * sign).exp() + 1
 
 
@@ -139,7 +147,7 @@ def reference_lambda_y_inverse(root, sign, wmax, qmax):
     """sum_m (-y)^m exp(sign*m*l): one series exp per y-degree."""
     out = WSeries.zero(wmax, qmax)
     for m in range(0, qmax + 1):
-        e = (root.series(wmax, qmax) * (sign * m)).exp()
+        e = (root_series(root, wmax, qmax) * (sign * m)).exp()
         out = out + e * WSeries(wmax, qmax, {((), m): Fraction((-1) ** m)})
     return out
 
@@ -152,7 +160,7 @@ def reference_fiber_integrand(spec, wmax, qmax):
         D = D * reference_lambda_y_factor(root, -1, wmax, qmax)
         D = D * reference_todd_factor(root, wmax, qmax)
     for root in spec.n_roots:
-        D = D * (1 - (root.series(wmax, qmax) * -1).exp())
+        D = D * (1 - (root_series(root, wmax, qmax) * -1).exp())
         D = D * reference_lambda_y_inverse(root, -1, wmax, qmax)
     return D
 
@@ -176,6 +184,30 @@ def reference_segre_series(bundle, wmax, qmax=0):
         if m:
             total = total * (L * m + 1).inverse()
     return [total.weight_component(k) for k in range(0, wmax + 1)]
+
+
+def reference_term_pushforward(series, bundle):
+    """H^(r-1+j) -> sigma_j L^j term by term on the ``Fraction`` terms, split
+    by ``coefficients_of("H")``; the engine's pushforward before it read the
+    packed form."""
+    r = bundle.rank
+    out_wmax = series.wmax - (r - 1)
+    sigma = _segre_numbers(bundle, out_wmax)
+    den = lcm(*{c.denominator for c in series.terms.values()})
+    acc = {}
+    for e, part in series.coefficients_of("H").items():
+        j = e - (r - 1)
+        if j < 0 or not sigma[j]:
+            continue
+        for (mono, q), c in part.terms.items():
+            if j and mono and mono[0][0] == "L":  # L leads a canonical monomial
+                mono = (("L", mono[0][1] + j),) + mono[1:]
+            elif j:
+                mono = (("L", j),) + mono
+            n = c.numerator * (den // c.denominator) * sigma[j]
+            acc[(mono, q)] = acc.get((mono, q), 0) + n
+    terms = {key: Fraction(n, den) for key, n in acc.items() if n}
+    return WSeries(out_wmax, series.qmax, terms)
 
 
 def reference_pushforward(series, bundle, out_wmax):

@@ -37,6 +37,7 @@ from helpers import (
     reference_lambda_y_factor,
     reference_lambda_y_inverse,
     reference_todd_factor,
+    root_series,
     truncated_mul,
 )
 
@@ -76,6 +77,7 @@ def test_todd_numbers_are_solved_once_per_order():
 def test_chi_y_log_coefficients_unchanged_by_the_todd_cache(monkeypatch):
     cached = chi_y_log_coefficients(10)
     monkeypatch.setattr(charclasses, "_todd_numbers", _todd_coefficients)
+    charclasses._local_factor.cache_clear()  # rebuild the factors from the patch
     assert chi_y_log_coefficients(10) == cached
 
 
@@ -95,7 +97,7 @@ def test_todd_of_L_matches_convolution_oracle():
 
 def test_todd_of_general_root():
     lam = RootForm(2, 2)
-    v = lam.series(2, 0)
+    v = root_series(lam, 2, 0)
     expected = 1 + v * F(1, 2) + v * v * F(1, 12)
     assert todd_factor(lam, 2) == expected
 
@@ -151,7 +153,7 @@ def test_lambda_y_multiplicative_and_second_exterior_power():
         assert lhs == rhs
         direct = WSeries.zero(wmax, qmax)
         for r1, r2 in combinations(A + C, 2):
-            s = (-(r1.series(wmax, qmax) + r2.series(wmax, qmax))).exp()
+            s = (-(root_series(r1, wmax, qmax) + root_series(r2, wmax, qmax))).exp()
             direct = direct + s
         assert lhs == direct
 
@@ -210,6 +212,31 @@ def test_local_factors_check_their_orders(factor, orders, error):
         factor(RootForm(1, 0), *orders)
 
 
+@pytest.mark.parametrize(
+    "factor",
+    [todd_factor, lambda_y_factor, lambda_y_inverse, charclasses._one_minus_exp],
+)
+def test_local_factors_are_built_once_per_key_and_still_check_orders(factor):
+    root = RootForm(2, 0)
+    first = factor(root, 4, 3)
+    assert factor(RootForm(2, 0), 4, 3) is first
+    assert factor(root, 4, 2) == first.truncate(4, 2)
+    for orders in ((4.0, 3), (4, 3.0)):  # the equal int key is in the memo
+        with pytest.raises(TypeError):
+            factor(root, *orders)
+    assert factor(root, 4, 3) is first
+
+
+def test_local_factor_memo_keeps_kinds_apart_and_stays_bounded():
+    h = RootForm(1, 0)
+    factors = [f(h, 3, 2) for f in (todd_factor, lambda_y_factor, lambda_y_inverse)]
+    assert factors[0] != factors[1] != factors[2] != factors[0]
+    bound = charclasses.LOCAL_FACTOR_CACHE_SIZE
+    for a in range(1, bound + 3):
+        todd_factor(RootForm(a, 0), 1)
+    assert charclasses._local_factor.cache_info().currsize == bound
+
+
 def test_zero_root_factors():
     assert todd_factor(RootForm(0, 0), 5, 3) == WSeries.const(1, 5, 3)
     assert lambda_y_inverse(RootForm(0, 0), 4, 3) == WSeries.from_y_poly(
@@ -234,7 +261,7 @@ def test_root_form_refuses_a_float_l_part():
 def test_factor_at_fractional_slope():
     # 2H + 3L goes through H -> H + (3/2)L; the Todd series of 2H+3L at
     # weight 2 is 1 + (2H+3L)/2 + (2H+3L)^2/12
-    v = RootForm(2, 3).series(2, 0)
+    v = root_series(RootForm(2, 3), 2, 0)
     assert todd_factor(RootForm(2, 3), 2) == 1 + v * F(1, 2) + v * v * F(1, 12)
 
 
@@ -399,7 +426,7 @@ def test_class_equals_the_horner_route(d):
 
 def test_y_degree_bound():
     for d in range(0, 5):
-        assert hirzebruch_class(d, d + 2).max_y_degree() <= d
+        assert max(q for _m, q in hirzebruch_class(d, d + 2).terms) <= d
 
 
 def test_todd_slice_of_full_class():

@@ -367,6 +367,79 @@ def test_verify_fails_on_corrupted_catalog(capsys, monkeypatch):
     assert "FAIL (1 of 8 suites)" in out
 
 
+# -- exit codes: 2 for bad input, 3 for a fault of the program --------------------
+
+
+def _engine_fault(*_args, **_kwargs):
+    raise ValueError("injected engine fault")
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("closed_form_q", ["q", "E8", "--wmax", "2"]),
+        ("derived_q", ["q", "SPEC", "--wmax", "2"]),
+        ("chi_series", ["chi", "E8", "--base", "pd:2:3"]),
+        ("integrate", ["chi", "E6", "--base", "pd:1:1", "--q", "1"]),
+        ("run_suites", ["verify", "--family", "E8"]),
+    ],
+)
+def test_an_engine_fault_exits_3(tmp_path, capsys, monkeypatch, name, argv):
+    spec_file = tmp_path / "e8.json"
+    spec = {"name": "w", "bundle": [0, 2, 3], "n_roots": [[3, 6]]}
+    spec_file.write_text(json.dumps(spec))
+    monkeypatch.setattr(cli, name, _engine_fault)
+    argv = [str(spec_file) if a == "SPEC" else a for a in argv]
+    code, _out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert err == "internal error: ValueError: injected engine fault\n"
+
+
+# every kind of invalid call in the benchmark's cli stream
+_INVALID_CALLS = [
+    ["q", "E9"], ["ptable", "F4"], ["chi", "G2", "--base", "pd:2:3"], ["q", "D4"],
+] + [
+    ["chi", "E7", "--base", base]
+    for base in ("pd:x:3", "pd:3", "pq:2:3", "pd:2:3:4", "pd:-1:2", "pd:2:y")
+]
+
+
+@pytest.mark.parametrize("argv", _INVALID_CALLS, ids=" ".join)
+def test_invalid_calls_exit_2_with_one_error_line(capsys, argv):
+    _assert_usage_error(capsys, argv, argv[-1] if argv[0] != "chi" else "")
+
+
+@pytest.mark.parametrize("option", ["--wmax", "--qmax"])
+@pytest.mark.parametrize("command", ["q E8", "verify"])
+def test_negative_orders_are_usage_errors(capsys, command, option):
+    code, out, err = run_cli(capsys, *command.split(), option, "-1")
+    assert code == 2 and out == ""
+    assert "argument %s: must be >= 0" % option in err
+
+
+def test_input_files_that_are_not_objects_or_lack_an_entry_exit_2(tmp_path, capsys):
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[3]")
+    for argv in (["q", str(not_object)], ["chi", "E8", "--base-file", str(not_object)]):
+        _assert_usage_error(capsys, argv, "does not hold a JSON object")
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps({"dim": 2, "monomials": _p2_monomials("3")[:1]}))
+    _assert_usage_error(
+        capsys, ["chi", "E8", "--base-file", str(partial)], "no intersection number"
+    )
+
+
+def test_chi_of_a_spec_file_lists_every_q_up_to_dim_y(tmp_path, capsys):
+    spec_file = tmp_path / "fd2.json"
+    spec = {"name": "fd2", "bundle": [0, 0, 1, 2, 5], "n_roots": [[1, 1], [2, 5]]}
+    spec_file.write_text(json.dumps(spec))
+    argv = ["chi", str(spec_file), "--base", "pd:1:1"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[-2:] == ["chi_3 = -1", "alternating sum = 2"]
+    assert run_cli(capsys, *argv, "--q", "3")[:2] == (0, "chi_3 = -1\n")
+
+
 def test_usage_exit_code(capsys):
     assert main([]) == 2
     capsys.readouterr()

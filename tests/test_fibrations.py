@@ -31,6 +31,7 @@ from helpers import (
     reference_fiber_integrand,
     reference_pushforward_class,
     reference_todd_factor,
+    root_series,
 )
 
 
@@ -105,7 +106,7 @@ def test_integrand_y_zero_slice_is_todd_type():
     for r in spec.f_roots:
         expected = expected * reference_todd_factor(r, wmax, 0)
     for r in spec.n_roots:
-        expected = expected * (1 - (-r.series(wmax, 0)).exp())
+        expected = expected * (1 - (-root_series(r, wmax, 0)).exp())
     assert D.y_slice(0).truncate(wmax, 0) == expected
 
 

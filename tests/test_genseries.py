@@ -278,6 +278,47 @@ def test_chi_q_out_of_range():
         chi_q("E8", base, 3)
 
 
+def _fiber_dimension_two_spec():
+    # two normal roots in a rank-5 bundle: Y has dimension d + 2 over P^d
+    spec = FibrationSpec(
+        name="fd2",
+        bundle=BundleSpec((0, 0, 1, 2, 5)),
+        n_roots=(RootForm(1, 1), RootForm(2, 5)),
+    )
+    assert spec.fiber_dim == 2
+    return spec
+
+
+def test_chi_q_reads_its_range_from_the_fiber_dimension():
+    spec = _fiber_dimension_two_spec()
+    base = BaseSpec.projective_space(1, 1)
+    assert chi_values(spec, base) == [1, 0, 0, -1]  # was [1, 0, 0]
+    assert chi_q(spec, base, 3, verify=True) == -1  # raised
+    with pytest.raises(ValueError, match="dimension 3"):
+        chi_q(spec, base, 4)
+    assert chi_series(spec, 1).qmax == 4
+    assert chi_series(spec, 1) is chi_series(spec, 1, 4)
+    assert chi_series("E8", 2).qmax == 4  # catalog keys unchanged
+
+
+@pytest.mark.parametrize("d, n", [(1, 2), (2, 1), (2, 3)])
+def test_fiber_dimension_two_satisfies_serre_duality(d, n):
+    base = BaseSpec.projective_space(d, n)
+    values = chi_values(_fiber_dimension_two_spec(), base)
+    dim_y = d + 2
+    assert len(values) == dim_y + 1
+    for q in range(dim_y + 1):
+        assert values[q] == (-1) ** dim_y * values[dim_y - q]
+
+
+def test_fiber_dimension_zero_gives_the_chi_y_of_the_base():
+    # Y = P(O) = B = P^2: chi_q = (-1)^q, with no trailing chi_3 = 0
+    spec = FibrationSpec(name="base", bundle=BundleSpec((0,)), n_roots=())
+    assert chi_values(spec, BaseSpec.projective_space(2, 1)) == [1, -1, 1]
+    with pytest.raises(ValueError):
+        chi_q(spec, BaseSpec.projective_space(2, 1), 3)
+
+
 def test_chi_q_verify_mode_catches_non_integers():
     # a custom spec needn't define a smooth variety; fractional output is
     # legal with verify off and an error with verify on

@@ -21,7 +21,13 @@ from ellgenus import (
     segre_series,
 )
 from ellgenus.pushforward import _segre_numbers
-from helpers import random_series, reference_pushforward, reference_segre_series
+from ellgenus.series import _PackedSeries
+from helpers import (
+    random_series,
+    reference_pushforward,
+    reference_segre_series,
+    reference_term_pushforward,
+)
 
 
 def test_segre_trivial_bundle():
@@ -162,6 +168,28 @@ def _integrands(draw):
 def test_pushforward_of_random_integrands_equals_product_per_h_power(case):
     D, bundle, out_wmax = case
     assert pushforward(D, bundle) == reference_pushforward(D, bundle, out_wmax)
+
+
+@given(_integrands())
+def test_pushforward_of_the_packed_integrand_equals_the_term_loop(case):
+    # D comes out of the packed kernels and is pushed forward before its terms
+    # are read; its copy built from those terms is packed by _pack
+    D, bundle, _out_wmax = case
+    assert isinstance(D, _PackedSeries)
+    got = pushforward(D, bundle)
+    copy = WSeries(D.wmax, D.qmax, dict(D.terms))
+    want = reference_term_pushforward(copy, bundle)
+    assert got == want
+    assert pushforward(copy, bundle) == want
+
+
+@pytest.mark.parametrize("family", ["D5", "E7"])
+def test_pushforward_decodes_at_the_input_width(family):
+    # input weight 10 takes 4-bit fields, the output weight 7 only 3
+    D = fiber_integrand(CATALOG[family], 10, 7)
+    got = pushforward(D, CATALOG[family].bundle)
+    assert got.wmax == 7
+    assert got == reference_term_pushforward(D, CATALOG[family].bundle)
 
 
 def test_pushforward_of_d5_integrand_equals_product_per_h_power():

@@ -1,5 +1,7 @@
 """The exact series kernel: spec'd examples plus randomized ring laws."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 from math import gcd, lcm
@@ -19,7 +21,13 @@ from ellgenus import (
 )
 from ellgenus import series as series_module
 from ellgenus.cli import emit_series_json
-from ellgenus.series import _pack, _packed_mul, _packed_shear, _sheared_product, _unpack
+from ellgenus.series import (
+    _pack,
+    _packed_mul,
+    _packed_shear,
+    _PackedSeries,
+    _sheared_product,
+)
 from helpers import (
     count_calls,
     random_series,
@@ -624,7 +632,7 @@ def test_packed_chain_equals_oracle(series):
         packed = _packed_mul(packed, _pack(factor), wmax, qmax)
         want = reference_mul(want, factor)
         assert _is_reduced(packed, want.terms)
-    assert _unpack(packed, wmax, qmax) == want
+    assert WSeries._trusted(wmax, qmax, None, packed) == want
 
 
 @st.composite
@@ -640,7 +648,41 @@ def test_packed_shear_equals_substitute(G, s):
     want = G.substitute("H", H + L * s)
     packed = _packed_shear(_pack(G), s, G.wmax, G.qmax)
     assert _is_reduced(packed, want.terms)
-    assert _unpack(packed, G.wmax, G.qmax) == want
+    assert WSeries._trusted(G.wmax, G.qmax, None, packed) == want
+
+
+@given(_same_orders(2))
+def test_a_product_keeps_its_packed_form_and_builds_its_terms_once(pair):
+    a, b = pair
+    product = a * b
+    assert isinstance(product, _PackedSeries)
+    born = _pack(product)
+    copy_ = WSeries(product.wmax, product.qmax, dict(product.terms))
+    # the first read of the terms made it a plain series holding both forms
+    assert type(product) is WSeries and product.terms is product.terms
+    assert product == copy_ == reference_mul(a, b)
+    assert _pack(product) is born
+    assert _pack(copy_) == born and _pack(copy_) is _pack(copy_)
+
+
+def test_copy_deepcopy_and_pickle_round_trips():
+    v = S(3, 2)
+    made = (
+        lambda: v["L"] * F(1, 2) + v["H"] * v["H"] + v["y"] - 3,  # from terms
+        lambda: (v["L"] + v["y"]) * (v["H"] - F(2, 3)),  # a product, unread
+    )
+    pickles = [
+        lambda s, p=p: pickle.loads(pickle.dumps(s, p))
+        for p in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for make in made:
+        want = make()
+        assert copy.copy(make()) == want and copy.deepcopy(make()) == want
+        series = make()
+        assert copy.copy(series) is series and copy.deepcopy([series])[0] is series
+        for round_trip in pickles:
+            got = round_trip(make())
+            assert got == want and got * got == want * want
 
 
 def test_mul_and_shift_h_run_on_the_packed_kernels(monkeypatch):
