@@ -214,7 +214,7 @@ def hadamard_apply(coeffs, series):
     ``series`` must have no weight-0 component (a_0 = ln(1+y) never enters;
     :func:`hirzebruch_class` puts its (1+y)-powers back by weight).
     """
-    if not series.weight_component(0).is_zero():
+    if series._has_weight_zero():
         raise ValueError("weight-0 content is not handled by hadamard_apply")
     if len(coeffs) < series.wmax:
         raise ValueError(

@@ -259,7 +259,7 @@ def cmd_chi(args):
         except ValueError:
             raise UsageError("--q expects an integer or 'all'")
         if not (0 <= qs[0] <= top):
-            raise UsageError("q=%d exceeds dim Y = %d for this base" % (qs[0], top))
+            raise UsageError("q=%d is out of range 0..dim Y = 0..%d" % (qs[0], top))
     series = chi_series(target, d, top + 1)
     values = []
     for q in qs:

@@ -16,9 +16,9 @@ Monomials are canonical tuples of ``(variable, exponent)`` pairs with
 positive exponents, ordered L < H < c1 < c2 < ...; the empty tuple is the
 constant monomial.
 
-Products and the shear H -> H + s*L run on packed series, never building a
-``Fraction`` or a monomial tuple per term pair.  A packed series is a dict
-from int key to int numerator plus one common denominator:
+Sums, products, scalar multiples, shears and y-scalings run on packed
+series, never building a ``Fraction`` or a monomial tuple per term.  A packed
+series is a dict from int key to int numerator plus one common denominator:
 
 - ``_pack`` puts every term over the lcm of the denominators and packs it
   into an int key of bit-fields of equal width: field 0 holds the y-degree,
@@ -34,17 +34,19 @@ from int key to int numerator plus one common denominator:
 - ``_unpack`` turns each key into a canonical monomial tuple and each
   numerator into one ``Fraction`` over the common denominator.
 
-``_packed_shear`` moves H^k to sum_j C(k, j) s^j H^(k-j) L^j by adding j
-times (L field - H field) to the key, in ints over one denominator.  After
-every packed multiply or shear, the numerators and the denominator are
-divided by their gcd, so the denominator is the lcm of the reduced
-coefficient denominators, not a product of the inputs' denominators.
-``_sheared_product`` multiplies series, each at its own shear.
+A sum puts both numerator maps over the lcm of the denominators; a scalar
+p/r scales the numerators by p and the denominator by r; ``_scale_weights``
+adds j to a key for y^j, and ``_packed_shear`` adds j times (L field - H
+field) for the H^(k-j) L^j of H^k at H -> H + s*L.  ``_reduced`` then
+divides the numerators and the denominator by their gcd, so a value has one
+packed form, its denominator the lcm of the reduced coefficient denominators.
 
 A series keeps two reduced forms of one value, each built at most once: its
-terms (read-only as ``WSeries.terms``) and its packed form.  A product is
-born packed and builds its ``Fraction``s when its terms are first read;
-any other series is born with its terms, and is packed for its first product.
+terms (read-only as ``WSeries.terms``) and its packed form.  Each of those
+results is born packed and builds its ``Fraction``s on the first read of
+its terms; a series made from terms is packed for its first operation.
+``==``, the zero and weight-0 checks, ``constant_term`` and ``get`` read the
+packed form without building the terms.
 """
 
 from __future__ import annotations
@@ -239,15 +241,17 @@ class WSeries:
             )
 
     def is_zero(self):
-        return not self._terms
+        return not (self._terms if self._packed is None else self._packed[0])
 
     def __bool__(self):
-        return bool(self._terms)
+        return not self.is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, WSeries):
             return NotImplemented
         same = self.wmax == other.wmax and self.qmax == other.qmax
+        if _PackedSeries in (type(self), type(other)):  # one packed form per value
+            return same and _pack(self) == _pack(other)
         return same and self._terms == other._terms
 
     def get(self, mono=(), q=0):
@@ -255,7 +259,12 @@ class WSeries:
         return self._terms.get((mono, q), Fraction(0))
 
     def constant_term(self):
-        return self._terms.get(((), 0), Fraction(0))
+        return Fraction(_pack(self)[0].get(0, 0), self._packed[1])
+
+    def _has_weight_zero(self):
+        """Whether a term has weight 0: a constant or a pure power of y."""
+        limit = 1 << _width(self.wmax, self.qmax)  # past the y field
+        return any(key < limit for key in _pack(self)[0])
 
     def sorted_items(self):
         return sorted(
@@ -276,31 +285,32 @@ class WSeries:
 
     # -- ring operations ----------------------------------------------
 
+    def _born(self, packed):
+        return WSeries._trusted(self.wmax, self.qmax, None, packed)
+
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = WSeries.const(other, self.wmax, self.qmax)
-        elif not isinstance(other, WSeries):
+            other = ({0: other.numerator} if other else {}, other.denominator)
+        elif isinstance(other, WSeries):
+            self._require_same(other)
+            other = _pack(other)
+        else:
             return NotImplemented
-        self._require_same(other)
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return WSeries._trusted(self.wmax, self.qmax, out)
+        (left, da), (right, db) = _pack(self), other
+        den = lcm(da, db)
+        sa, sb = den // da, den // db
+        acc = {key: n * sa for key, n in left.items()}
+        for key, n in right.items():
+            acc[key] = acc.get(key, 0) + n * sb
+        return self._born(_reduced(acc, den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return WSeries._trusted(
-            self.wmax, self.qmax, {k: -c for k, c in self._terms.items()}
-        )
+        nums, den = _pack(self)
+        return self._born(({key: -n for key, n in nums.items()}, den))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = WSeries.const(other, self.wmax, self.qmax)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -308,18 +318,14 @@ class WSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if not c:
-                return WSeries.zero(self.wmax, self.qmax)
-            return WSeries._trusted(
-                self.wmax, self.qmax, {k: v * c for k, v in self._terms.items()}
-            )
+            nums, den = _pack(self)
+            p = other.numerator
+            scaled = {key: n * p for key, n in nums.items()}
+            return self._born(_reduced(scaled, den * other.denominator))
         if not isinstance(other, WSeries):
             return NotImplemented
         self._require_same(other)
-        wmax, qmax = self.wmax, self.qmax
-        packed = _packed_mul(_pack(self), _pack(other), wmax, qmax)
-        return WSeries._trusted(wmax, qmax, None, packed)
+        return self._born(_packed_mul(_pack(self), _pack(other), self.wmax, self.qmax))
 
     __rmul__ = __mul__
 
@@ -346,10 +352,9 @@ class WSeries:
         c = self.constant_term()
         if not c:
             raise NotAUnitError("constant (weight-0, y^0) term is zero")
-        one = WSeries.const(1, self.wmax, self.qmax)
-        x = WSeries.const(Fraction(1, 1) / c, self.wmax, self.qmax)
+        x = WSeries.const(1 / c, self.wmax, self.qmax)
         for _ in range(self.wmax + self.qmax + 2):
-            err = one - self * x
+            err = 1 - self * x
             if err.is_zero():
                 return x
             x = x + x * err
@@ -357,10 +362,9 @@ class WSeries:
 
     def exp(self):
         """exp of a series with no weight-0 content (pure-y terms included)."""
-        if any(mono_weight(m) == 0 for (m, _q) in self._terms):
+        if self._has_weight_zero():
             raise ValueError("exp needs every term to have weight >= 1")
-        result = WSeries.const(1, self.wmax, self.qmax)
-        term = WSeries.const(1, self.wmax, self.qmax)
+        result = term = WSeries.const(1, self.wmax, self.qmax)
         for k in range(1, self.wmax + 1):
             term = term * self * Fraction(1, k)
             if term.is_zero():
@@ -371,7 +375,7 @@ class WSeries:
     def log(self):
         """log of 1 + (weight >= 1 terms); inverse of :meth:`exp`."""
         u = self - 1
-        if any(mono_weight(m) == 0 for (m, _q) in u._terms):
+        if u._has_weight_zero():
             raise ValueError("log needs constant term 1 and no other weight-0 terms")
         result = WSeries.zero(self.wmax, self.qmax)
         power = WSeries.const(1, self.wmax, self.qmax)
@@ -388,7 +392,7 @@ class WSeries:
         """Replace ``var`` by a series of minimal weight >= 1, re-truncating."""
         var_weight(var)
         self._require_same(replacement)
-        if any(mono_weight(m) == 0 for (m, _q) in replacement._terms):
+        if replacement._has_weight_zero():
             raise ValueError(
                 "substitution would create negative-weight content: "
                 "replacement has weight-0 terms"
@@ -414,28 +418,28 @@ class WSeries:
         Fractions, index = y-degree) for every k, truncated at qmax."""
         qmax = self.qmax
         rows = [[(j, r) for j, r in enumerate(row[: qmax + 1]) if r] for row in rows]
-        out = defaultdict(int)
-        for (m, q), c in self._terms.items():
-            for j, r in rows[mono_weight(m)]:
+        rden = lcm(*(r.denominator for row in rows for _j, r in row))
+        rows = [[(j, int(r * rden)) for j, r in row] for row in rows]  # exact
+        nums, den = _pack(self)
+        width = _width(self.wmax, qmax)
+        mask = (1 << width) - 1
+        acc = defaultdict(int)
+        for key, n in nums.items():  # y^j adds j to the y field, field 0
+            q = key & mask
+            for j, r in rows[key >> width & mask]:
                 if q + j > qmax:
                     break
-                out[m, q + j] += c * r
-        return WSeries._trusted(self.wmax, qmax, {k: c for k, c in out.items() if c})
+                acc[key + j] += n * r
+        return self._born(_reduced(acc, den * rden))
 
     def diff_h(self):
         """Formal d/dH.  The weight bound is kept; callers track validity."""
-        out = {}
-        for (m, q), c in self._terms.items():
-            d = dict(m)
-            e = d.get("H", 0)
-            if not e:
-                continue
-            if e == 1:
-                d.pop("H")
-            else:
-                d["H"] = e - 1
-            out[(mono_from_dict(d), q)] = c * e
-        return WSeries(self.wmax, self.qmax, out)
+        nums, den = _pack(self)
+        width = _width(self.wmax, self.qmax)
+        mask, hshift = (1 << width) - 1, _field("H")[0] * width
+        one = (1 << hshift) + (1 << width)  # H^e -> e H^(e-1); e = 0 gives 0
+        acc = {key - one: n * (key >> hshift & mask) for key, n in nums.items()}
+        return self._born(_reduced(acc, den))
 
     def _slice_index(self):
         """{(weight, y-degree): {(monomial, 0): coefficient}}, built on first
@@ -518,6 +522,16 @@ class _PackedSeries(WSeries):
     them and makes it a plain :class:`WSeries` (``__getattr__`` slows reads)."""
 
     __slots__ = ()
+
+    def get(self, mono=(), q=0):
+        """Read from the packed form when the key is canonical and in range."""
+        try:
+            weight, q = self._orders(_canonical_weight(mono), q)
+        except (TypeError, ValueError):
+            return WSeries.get(self, mono, q)
+        width = _width(self.wmax, self.qmax)
+        key = sum(e << _field(v)[0] * width for v, e in mono) + (weight << width) + q
+        return Fraction(self._packed[0].get(key, 0), self._packed[1])
 
     def __getattr__(self, name):
         if name != "_terms" and name != "terms":
@@ -605,11 +619,9 @@ def _reduced(acc, den):
     """The nonzero numerators of ``acc`` over ``den``, both divided by their
     common gcd, so ``den`` is the lcm of the reduced coefficient denominators."""
     g = gcd(den, *acc.values())
-    if g > 1:
-        return {key: n // g for key, n in acc.items() if n}, den // g
-    if 0 in acc.values():
-        return {key: n for key, n in acc.items() if n}, den
-    return dict(acc), den
+    if g == 1 and 0 not in acc.values():  # most products: keep the dict as it is
+        return dict(acc), den
+    return {key: n // g for key, n in acc.items() if n}, den // g
 
 
 def _packed_mul(a, b, wmax, qmax):

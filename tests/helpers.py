@@ -11,7 +11,9 @@ them, a Chern root as a series, the weight-by-weight y-scalings (the
 (1+y)-reweight loop, the per-weight Hadamard products, the Horner chi_y class
 and -tC'/C from two accumulations), the ``WSeries`` expansion of the closed
 forms (series exp, powers and a Newton inverse), the Fraction evaluator that
-is the oracle of the hadamard-identity suite's int evaluator, the dense
+is the oracle of the hadamard-identity suite's int evaluator, the ring
+operations on plain ``Fraction`` dicts (add, scalar, y-scaling, exp, log and
+inverse, the oracles of the packed ones), the dense
 ``Poly`` product, a call counter for monkeypatched library functions, and
 term-scan, ``Fraction`` sum and ``Fraction``-power oracles of
 ``coeff``/``y_slice``/``weight_component``, ``integrate`` and the P^d table."""
@@ -111,6 +113,79 @@ def reference_mul(a, b):
                 prev = out.get(key)
                 out[key] = c1 * c2 if prev is None else prev + c1 * c2
     return WSeries(wmax, qmax, out)
+
+
+# -- the ring operations on plain {(monomial, y-degree): Fraction} dicts, with no
+# packed form anywhere: the oracles of the packed add, scalar, y-scaling, exp,
+# log and inverse
+
+
+def dict_terms(series):
+    """The terms of a series as a plain dict."""
+    return dict(series.terms)
+
+
+def dict_add(a, b, sign=1):
+    """a + sign * b, dropping the zeros."""
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, 0) + sign * c
+    return {key: c for key, c in out.items() if c}
+
+
+def dict_scale(a, c):
+    return {key: v * c for key, v in a.items() if v * c}
+
+
+def dict_mul(a, b, wmax, qmax):
+    """a * b one term pair at a time, truncated at (wmax, qmax)."""
+    out = {}
+    for (m1, q1), c1 in a.items():
+        for (m2, q2), c2 in b.items():
+            if mono_weight(m1) + mono_weight(m2) <= wmax and q1 + q2 <= qmax:
+                key = (mono_mul(m1, m2), q1 + q2)
+                out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def dict_scale_weights(a, rows, qmax):
+    """The weight-k terms times the y-polynomial rows[k], truncated at qmax."""
+    out = {}
+    for (m, q), c in a.items():
+        for j, r in enumerate(rows[mono_weight(m)]):
+            if q + j <= qmax:
+                out[(m, q + j)] = out.get((m, q + j), 0) + c * Fraction(r)
+    return {key: c for key, c in out.items() if c}
+
+
+def _dict_power_sum(u, weights, wmax, qmax):
+    """sum_k weights(k) u^k over k = 0..wmax + qmax + 1, as far as u^k is
+    nonzero; u must have no constant term, so u^k vanishes for large k."""
+    out, power = {}, {((), 0): Fraction(1)}
+    for k in range(wmax + qmax + 2):
+        out = dict_add(out, dict_scale(power, weights(k)))
+        power = dict_mul(power, u, wmax, qmax)
+    return out
+
+
+def dict_exp(a, wmax, qmax):
+    """sum_k a^k / k!."""
+    return _dict_power_sum(a, lambda k: Fraction(1, factorial(k)), wmax, qmax)
+
+
+def dict_log(a, wmax, qmax):
+    """sum_k (-1)^(k+1) u^k / k with u = a - 1."""
+    u = dict_add(a, {((), 0): Fraction(1)}, -1)
+    return _dict_power_sum(
+        u, lambda k: Fraction((-1) ** (k + 1), k) if k else 0, wmax, qmax
+    )
+
+
+def dict_inverse(a, wmax, qmax):
+    """1/a = (1/c) sum_k u^k with c the constant term and u = 1 - a/c."""
+    c = a[((), 0)]
+    u = dict_add({((), 0): Fraction(1)}, dict_scale(a, 1 / c), -1)
+    return dict_scale(_dict_power_sum(u, lambda k: 1, wmax, qmax), 1 / c)
 
 
 # -- the local factors, the integrand and the pushforward as two-variable series

@@ -143,9 +143,11 @@ def test_chi_single_q_with_class(capsys):
 
 
 def test_chi_q_out_of_range(capsys):
-    code, _, err = run_cli(capsys, "chi", "E8", "--base", "pd:1:1", "--q", "3")
-    assert code == 2
-    assert "exceeds dim Y" in err
+    # dim Y = 2 over P^1; a negative q is out of range too, not "past dim Y"
+    for q in ("-1", "3"):
+        code, out, err = run_cli(capsys, "chi", "E8", "--base", "pd:1:1", "--q", q)
+        assert code == 2 and not out
+        assert err == "error: q=%s is out of range 0..dim Y = 0..2\n" % q
 
 
 def test_chi_requires_base(capsys):

@@ -29,7 +29,13 @@ from ellgenus import (
     mono_from_dict,
     pushforward_class,
 )
-from helpers import reference_integrate, reference_projective_space_table
+from ellgenus import series as series_module
+from ellgenus.series import _PackedSeries
+from helpers import (
+    count_calls,
+    reference_integrate,
+    reference_projective_space_table,
+)
 
 
 def test_e6_dimension_four_class():
@@ -479,6 +485,20 @@ def test_memo_stays_within_its_bound():
         assert genseries._chi_series.cache_info().currsize <= bound
     assert genseries._chi_series.cache_info().currsize == bound
     assert chi_series(*keys[0]) == first  # evicted, rebuilt, unchanged
+
+
+def test_a_cold_chi_series_unpacks_only_the_memoized_series(monkeypatch):
+    # every intermediate of the build stays packed: the reweight, the Hadamard
+    # product, exp, log and the inverse; the memoized series builds its terms
+    # on the first coeff, after which it is a plain series, fast to read
+    unpacks = count_calls(monkeypatch, series_module, "_unpack")
+    charclasses._chi_y_exp(4, 6)
+    assert unpacks == []
+    series = chi_series("E7", 4)
+    assert unpacks == [] and type(series) is _PackedSeries
+    series.coeff(4, 2)
+    assert len(unpacks) == 1 and type(series) is WSeries
+    assert chi_series("E7", 4) is series
 
 
 # chi_0..chi_(d+1) over (P^d, O(d+1)).  (P^1, O(2)) gives the K3 row for

@@ -30,6 +30,13 @@ from ellgenus.series import (
 )
 from helpers import (
     count_calls,
+    dict_add,
+    dict_exp,
+    dict_inverse,
+    dict_log,
+    dict_scale,
+    dict_scale_weights,
+    dict_terms,
     random_series,
     reference_coefficients_of,
     reference_mul,
@@ -840,3 +847,120 @@ def test_public_constructor_still_validates():
         WSeries(1, 0, {((), 0): 0.5})
     with pytest.raises(ValueError):
         WSeries(1, 0, {((("x", 1),), 0): F(1)})
+
+
+# -- the packed ring operations ------------------------------------------------
+
+
+RING_VARS = ("L", "H", "c1", "c2", "c3")
+
+
+@st.composite
+def _ring_operands(draw, count, wmax_top=10, qmax_top=8):
+    # each operand either holds its terms or is born packed with none built
+    wmax = draw(st.integers(0, wmax_top))
+    qmax = draw(st.integers(0, qmax_top))
+    out = []
+    for _ in range(count):
+        a = draw(_series_at(wmax, qmax, RING_VARS))
+        out.append(a * 1 if draw(st.booleans()) else a)
+    return out
+
+
+def _terms_and_reduced(result, want):
+    """``result`` has the terms ``want``, and its packed form is reduced."""
+    packed = _pack(result)
+    assert dict(result.terms) == want
+    assert _is_reduced(packed, want)
+
+
+@given(_ring_operands(2), _coeffs)
+def test_packed_add_sub_neg_and_scalars_equal_the_dict_oracles(pair, c):
+    a, b = pair
+    A, B, C = dict_terms(a), dict_terms(b), {((), 0): c}
+    for result, want in (
+        (a + b, dict_add(A, B)),
+        (a - b, dict_add(A, B, -1)),
+        (-a, dict_scale(A, -1)),
+        (a + c, dict_add(A, C)),
+        (c + a, dict_add(A, C)),
+        (a - c, dict_add(A, C, -1)),
+        (c - a, dict_add(C, A, -1)),
+        (a * c, dict_scale(A, c)),
+        (c * a, dict_scale(A, c)),
+        (a * int(c), dict_scale(A, int(c))),
+        (a - a, {}),  # every numerator cancels
+        (a * F(1, 2) + a * F(1, 2), A),  # a common factor of 2 to divide out
+    ):
+        assert type(result) is _PackedSeries
+        _terms_and_reduced(result, want)
+
+
+@given(_scaled())
+def test_packed_scale_weights_equals_the_dict_oracle(case):
+    a, rows = case
+    for operand in (a, a * 1):
+        result = operand._scale_weights(rows)
+        assert type(result) is _PackedSeries
+        _terms_and_reduced(result, dict_scale_weights(dict_terms(a), rows, a.qmax))
+
+
+@given(_ring_operands(1, wmax_top=5, qmax_top=3), _coeffs.filter(bool))
+def test_packed_exp_log_and_inverse_equal_the_dict_oracles(single, c):
+    (a,) = single
+    w, q = a.wmax, a.qmax
+    positive = {key: v for key, v in dict_terms(a).items() if key[0]}
+    one_plus = dict_add({((), 0): F(1)}, positive)
+    unit = dict_terms(a) | {((), 0): c}
+    _terms_and_reduced(WSeries(w, q, positive).exp(), dict_exp(positive, w, q))
+    _terms_and_reduced(WSeries(w, q, one_plus).log(), dict_log(one_plus, w, q))
+    _terms_and_reduced(WSeries(w, q, unit).inverse(), dict_inverse(unit, w, q))
+
+
+def test_packed_operations_keep_their_error_classes():
+    v = S(3, 2)
+    born = (v["L"] + v["y"]) * (v["H"] + 1)  # L*H + L + y*H + y, unread
+    for other in (WSeries.var("L", 3, 3), v["L"].truncate(2)):
+        with pytest.raises(TruncationMismatchError):
+            born + other
+        with pytest.raises(TruncationMismatchError):
+            born - other
+    for bad in (lambda: born + 0.5, lambda: 0.5 - born, lambda: born * 0.5):
+        with pytest.raises(TypeError):
+            bad()
+    with pytest.raises(NotAUnitError):
+        born.inverse()
+    with pytest.raises(ValueError, match="exp needs"):
+        born.exp()
+    for bad in (born + 1, born + 2 - v["y"]):  # a y term, a constant 2
+        with pytest.raises(ValueError, match="log needs"):
+            bad.log()
+    assert born and not (born - born) and (born - born).is_zero()
+    assert born.constant_term() == 0 and (born - F(1, 3)).constant_term() == F(-1, 3)
+    assert type(born) is _PackedSeries  # no check read its terms
+
+
+@given(_same_orders(1), st.data())
+def test_packed_equality_agrees_with_the_terms(single, data):
+    (a,) = single
+    key = data.draw(st.tuples(_monomials(a.wmax), st.integers(0, a.qmax)))
+    b_terms = dict_add(dict_terms(a), {key: data.draw(_coeffs)})
+    b = WSeries(a.wmax, a.qmax, b_terms)
+    want = dict_terms(a) == b_terms  # the two differ in at most one coefficient
+    assert (a * 1 == b * 1) is want  # both packed
+    assert (a * 1 == b) is want and (a == b * 1) is want  # one packed
+    assert (a == b) is want  # both from their terms
+    assert (a * 1 == WSeries(a.wmax + 1, a.qmax, dict_terms(a)) * 1) is False
+
+
+@given(_same_orders(2))
+def test_get_on_a_product_reads_its_packed_form(pair):
+    a, b = pair
+    product, want = a * b, reference_mul(a, b)
+    for mono, q in list(want.terms) + [((), 0), ((), a.qmax)]:
+        assert product.get(mono, q) == want.get(mono, q)
+    assert type(product) is _PackedSeries
+    # a key out of range or not canonical is looked up in the terms
+    for mono, q in (((), a.qmax + 1), ((("H", 1), ("L", 1)), 0), ((("x", 1),), 0)):
+        assert product.get(mono, q) == 0
+    assert type(product) is WSeries

@@ -14,7 +14,9 @@ For every end-to-end metric of ``BENCHMARK.json`` (and ``verify_s`` on
 ``cli``) the summary gives each side's median and quartiles, the pairs the
 change won (ties count for neither side) and ``gain``: the change won at
 least nine tenths of the pairs and the medians differ by more than the
-distance between the parent's quartiles.
+distance between the parent's quartiles.  A run whose outputs are not all
+correct, or that failed a request, stops the tool with exit status 1 and
+names the run on stderr.
 """
 
 from __future__ import annotations
@@ -103,7 +105,13 @@ def main(argv=None):
             sides = ("parent", "change") if seed % 2 else ("change", "parent")
             pair = {"seed": seed, "first": sides[0]}
             for side in sides:
-                pair[side] = run_once(getattr(args, side), workload, seed)
+                run = pair[side] = run_once(getattr(args, side), workload, seed)
+                if run["correct"] is not True or run["failed"]:
+                    # the speed of wrong outputs is no measurement
+                    what = (side, workload, seed, run["correct"], run["failed"])
+                    print("bench_pairs: the %s run of %s seed %d is wrong: "
+                          "correct=%r, failed=%d" % what, file=sys.stderr)
+                    return 1
             pairs.append(pair)
             if len(pairs) == PAIRS:
                 doc["workloads"][workload]["summary"] = summarise(pairs, better)
