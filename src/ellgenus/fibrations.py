@@ -272,7 +272,7 @@ def p_table_reference(family, n):
         return 1 - U
     if n == 1:
         return _P1_TABLE[family]
-    tail = (-(U ** _CLOSED[family]["s"])) ** (n - 2)
+    tail = Poly([0] * (_CLOSED[family]["s"] * (n - 2)) + [(-1) ** n])  # (-U^s)^(n - 2)
     if family == "D5":
         # anomalous rational root at (n-2)/(n+1)
         return -U * ((n + 1) * U - (n - 2)) * (U - 1) * (U + 1) ** 2 * tail

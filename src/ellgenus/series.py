@@ -27,19 +27,25 @@ series is a dict from int key to int numerator plus one common denominator:
   adds the y-degrees, the weights and every exponent at once.  No field can
   carry into the next: a kept pair has q1 + q2 <= qmax and w1 + w2 <= wmax,
   and every variable has weight >= 1, so no exponent exceeds wmax.
-- ``_packed_mul`` buckets the right operand by weight, each bucket ordered
-  by y-degree, so the partners of the left terms of one (weight, y-degree)
-  are one prefix of each bucket the weight leaves room for; a pair adds its
-  keys and the int product of its numerators.
+- ``_packed_mul`` and ``_sheared_product`` fold each monomial's y-polynomial
+  into one int, the sum of n_q 2^(B*q) (``_fold``), so one int product of two
+  monomials is their y-convolution, done in C; ``_unfold`` reads the slots
+  0..qmax back as signed digits.  Each slot holds its sum: in a product each
+  term of one operand has at most one partner in the other, so a slot sums at
+  most min(#terms) products and B = bits(max|a|) + bits(max|b|) +
+  bit_length(min #terms) + 1.  Along the chain of ``_sheared_product`` a
+  shear adds the bits of its largest row entry and bit_length(top + 1), a
+  product those of its group's largest numerator and term count.  Only y is
+  folded: a y-polynomial is dense (at most qmax + 1 slots, nearly all
+  filled), while the sparse (y, L, H, ci) box would need far more slots.
 - ``_unpack`` turns each key into a canonical monomial tuple and each
   numerator into one ``Fraction`` over the common denominator.
 
 A sum puts both numerator maps over the lcm of the denominators; a scalar
 p/r scales the numerators by p and the denominator by r; ``_scale_weights``
-adds j to a key for y^j, and ``_packed_shear`` adds j times (L field - H
-field) for the H^(k-j) L^j of H^k at H -> H + s*L.  ``_reduced`` then
-divides the numerators and the denominator by their gcd, so a value has one
-packed form, its denominator the lcm of the reduced coefficient denominators.
+adds j to a key for y^j.  ``_reduced`` then divides the numerators and the
+denominator by their gcd, so a value has one packed form, its denominator
+the lcm of the reduced coefficient denominators.
 
 A series keeps two reduced forms of one value, each built at most once: its
 terms (read-only as ``WSeries.terms``) and its packed form.  Each of those
@@ -51,10 +57,10 @@ packed form without building the terms.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from math import comb, gcd, lcm
 from operator import index
 from types import MappingProxyType
@@ -625,66 +631,14 @@ def _reduced(acc, den):
 
 
 def _packed_mul(a, b, wmax, qmax):
-    """Product of two packed series at truncation (wmax, qmax).
-
-    The terms of ``b`` are bucketed by weight, each bucket in order of
-    y-degree, so the partners of the ``a`` terms of one weight w1 and
-    y-degree q1 are one prefix of each bucket of weight <= wmax - w1.  Put the
-    operand with more terms per (weight, y-degree) first.
-    """
+    """Product of two packed series at truncation (wmax, qmax), with each
+    monomial's y-polynomial folded into one int (see the module docstring)."""
     (left, da), (right, db) = a, b
     width = _width(wmax, qmax)
-    mask = (1 << width) - 1
-    buckets = [[] for _ in range(wmax + 1)]
-    ydegs = [[] for _ in range(wmax + 1)]
-    for key in sorted(right, key=mask.__and__):
-        w = key >> width & mask
-        buckets[w].append((key, right[key]))
-        ydegs[w].append(key & mask)
-    groups = {}
-    low = (1 << 2 * width) - 1  # the y and weight fields
-    for key, n in left.items():
-        groups.setdefault(key & low, []).append((key, n))
-    acc = defaultdict(int)
-    for wq, group in groups.items():
-        w1 = wq >> width
-        qroom = qmax - (wq & mask)
-        partners = []
-        for w2 in range(wmax - w1 + 1):
-            partners += buckets[w2][: bisect_right(ydegs[w2], qroom)]
-        for k1, n1 in group:
-            for k2, n2 in partners:
-                acc[k1 + k2] += n1 * n2
-    return _reduced(acc, da * db)
-
-
-def _packed_shear(a, s, wmax, qmax):
-    """A packed series at H -> H + s*L, any other variables kept.
-
-    By the binomial theorem H^k spreads to sum_j C(k, j) s^j H^(k-j) L^j,
-    which keeps every weight, so nothing is truncated and no product is
-    needed: moving j from the H field to the L field is one int addition to
-    the key.  With s = p/r and k at most K, the numerators take
-    C(k, j) p^j r^(K-j) over the denominator den * r^K.
-    """
-    nums, den = a
-    if not s or not nums:
-        return a
-    width = _width(wmax, qmax)
-    mask = (1 << width) - 1
-    hshift = _field("H")[0] * width
-    step = (1 << _field("L")[0] * width) - (1 << hshift)  # one unit from H to L
-    top = max(key >> hshift & mask for key in nums)
-    p, r = s.numerator, s.denominator
-    rows = [
-        [(j * step, comb(k, j) * p**j * r ** (top - j)) for j in range(k + 1)]
-        for k in range(top + 1)
-    ]
-    acc = defaultdict(int)
-    for key, n in nums.items():
-        for offset, c in rows[key >> hshift & mask]:
-            acc[key + offset] += n * c
-    return _reduced(acc, den * r**top)
+    slot = _bits(left) + _bits(right) + min(len(left), len(right)).bit_length() + 1
+    left, right = _fold(left, width, slot), _fold(right, width, slot)
+    product = _folded_mul(left, right, wmax, (1 << width) - 1, slot * (qmax + 1))
+    return _unfold(product, width, slot, qmax, da * db)
 
 
 def _sheared_product(groups, wmax, qmax):
@@ -692,16 +646,92 @@ def _sheared_product(groups, wmax, qmax):
 
     The shear S_s keeps weights, is a ring map, and S_a S_b = S_(a+b), so
     with slopes s1 < ... < sk this is S_s1(G1 * S_(s2-s1)(G2 * ...(Gk))),
-    run on packed ints: each product a group times a dense series.
+    run on folded ints from one fold to one unfold.  By the binomial theorem
+    S_s spreads H^k to sum_j C(k, j) s^j H^(k-j) L^j, moving j from the H
+    field to the L field of the key: with s = p/r and H-degree at most top,
+    a folded int times C(k, j) p^j r^(top-j), over the denominator r^top.
     """
     slopes = sorted(groups, reverse=True)
-    acc = _pack(groups[slopes[0]])
-    for above, slope in zip(slopes, slopes[1:]):
-        acc = _packed_shear(acc, above - slope, wmax, qmax)
-        # the dense series first, see _packed_mul
-        acc = _packed_mul(acc, _pack(groups[slope]), wmax, qmax)
-    acc = _packed_shear(acc, slopes[-1], wmax, qmax)
-    return WSeries._trusted(wmax, qmax, None, acc)
+    shifts = [a - b for a, b in zip(slopes, slopes[1:])] + [slopes[-1]]
+    packed = [_pack(groups[s]) for s in slopes]
+    width = _width(wmax, qmax)
+    mask = (1 << width) - 1
+    hshift = (_field("H")[0] - 1) * width  # in a key without its y field
+    step = (1 << (_field("L")[0] - 1) * width) - (1 << hshift)  # an H to an L
+    # the shear rows, the denominator and the slot width (module docstring)
+    shears, bits, top, den = [], 0, 0, 1
+    for i, ((nums, d), s) in enumerate(zip(packed, shifts)):
+        bits += _bits(nums) + (len(nums).bit_length() if i else 0)
+        h = max((key >> width + hshift & mask for key in nums), default=0)
+        top, den = min(wmax, top + h), den * d
+        p, r = s.numerator, s.denominator
+        rows = [
+            [(j * step, comb(k, j) * p**j * r ** (top - j)) for j in range(k + 1)]
+            for k in range(top + 1)
+        ] if s else None
+        if rows:  # the largest entries are in the row of H^top
+            bits += _bits(dict(rows[-1])) + (top + 1).bit_length()
+            den *= r**top
+        shears.append(rows)
+    slot = bits + 1
+    acc = _fold(packed[0][0], width, slot)
+    for i, rows in enumerate(shears):
+        if i:
+            right = _fold(packed[i][0], width, slot)
+            acc = _folded_mul(acc, right, wmax, mask, slot * (qmax + 1))
+        if rows:
+            sheared = defaultdict(int)
+            for rest, f in acc.items():
+                for offset, c in rows[rest >> hshift & mask]:
+                    sheared[rest + offset] += f * c
+            acc = sheared
+    return WSeries._trusted(wmax, qmax, None, _unfold(acc, width, slot, qmax, den))
+
+
+def _bits(nums):
+    """Bits of the largest absolute value in a dict."""
+    return max(map(abs, nums.values()), default=0).bit_length()
+
+
+def _fold(nums, width, slot):
+    """Each monomial's y-polynomial as one int: a key without its y field
+    maps to the sum of n * 2^(slot*q) over its terms n y^q."""
+    mask = (1 << width) - 1
+    folded = defaultdict(int)
+    for key, n in nums.items():
+        folded[key >> width] += n << slot * (key & mask)
+    return folded
+
+
+def _folded_mul(a, b, wmax, mask, cut):
+    """Product of two folded series: one int product per monomial pair within
+    wmax, each sum cut to its signed residue mod 2^cut (the slots kept)."""
+    buckets = [[] for _ in range(wmax + 1)]
+    for item in b.items():
+        buckets[item[0] & mask].append(item)
+    prefixes = list(accumulate(buckets))  # [w]: the b monomials of weight <= w
+    acc = defaultdict(int)
+    for r1, f1 in a.items():
+        for r2, f2 in prefixes[wmax - (r1 & mask)]:
+            acc[r1 + r2] += f1 * f2
+    sign, low = 1 << cut - 1, (1 << cut) - 1
+    return {rest: (f + sign & low) - sign for rest, f in acc.items()}
+
+
+def _unfold(folded, width, slot, qmax, den):
+    """The reduced packed series of a folded one over ``den``: slots 0..qmax
+    read as signed digits, each slot biased by half its range."""
+    half, smask = 1 << slot - 1, (1 << slot) - 1
+    bias = sum(half << slot * q for q in range(qmax + 1))
+    acc = {}
+    for rest, f in folded.items():
+        key, f = rest << width, f + bias
+        for q in range(qmax + 1):
+            n = (f & smask) - half
+            if n:
+                acc[key + q] = n
+            f >>= slot
+    return _reduced(acc, den)
 
 
 def _unpack(a, wmax, qmax):

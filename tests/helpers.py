@@ -13,13 +13,17 @@ and -tC'/C from two accumulations), the ``WSeries`` expansion of the closed
 forms (series exp, powers and a Newton inverse), the Fraction evaluator that
 is the oracle of the hadamard-identity suite's int evaluator, the ring
 operations on plain ``Fraction`` dicts (add, scalar, y-scaling, exp, log and
-inverse, the oracles of the packed ones), the dense
-``Poly`` product, a call counter for monkeypatched library functions, and
+inverse, the oracles of the packed ones), the packed multiply, shear and
+sheared product one numerator pair at a time (the oracles of the folded
+kernels, with no code from the engine), the dense ``Poly`` product, a call
+counter for monkeypatched library functions, and
 term-scan, ``Fraction`` sum and ``Fraction``-power oracles of
 ``coeff``/``y_slice``/``weight_component``, ``integrate`` and the P^d table."""
 
+from bisect import bisect_right
+from collections import defaultdict
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 from ellgenus import (
     Poly,
@@ -565,3 +569,105 @@ def reference_projective_space_table(d, n):
             value *= x**e
         table[mono_from_dict(dict(zip(names, exps)))] = value
     return table
+
+
+# -- the packed multiply and shear one numerator pair at a time: the oracles of
+# the folded kernels, copied from the engine before its y-polynomials were
+# folded into ints, with their helpers; nothing here comes from ``ellgenus``.
+# A packed series is ({key: numerator}, den), its key of bit-fields y-degree,
+# weight, L, H, c1, c2, ... of ``_width`` bits each.
+
+
+def _field(name):
+    """(bit-field index, weight) of L, H or ci in a packed key."""
+    if name in ("L", "H"):
+        return (2 if name == "L" else 3), 1
+    return 3 + int(name[1:]), int(name[1:])
+
+
+def _width(wmax, qmax):
+    """Bits per field of a packed key at truncation (wmax, qmax)."""
+    return max(wmax, qmax, 1).bit_length()
+
+
+def _reduced(acc, den):
+    """The nonzero numerators of ``acc`` over ``den``, both divided by their
+    common gcd, so ``den`` is the lcm of the reduced coefficient denominators."""
+    g = gcd(den, *acc.values())
+    if g == 1 and 0 not in acc.values():  # most products: keep the dict as it is
+        return dict(acc), den
+    return {key: n // g for key, n in acc.items() if n}, den // g
+
+
+def pair_loop_packed_mul(a, b, wmax, qmax):
+    """Product of two packed series at truncation (wmax, qmax).
+
+    The terms of ``b`` are bucketed by weight, each bucket in order of
+    y-degree, so the partners of the ``a`` terms of one weight w1 and
+    y-degree q1 are one prefix of each bucket of weight <= wmax - w1.  Put the
+    operand with more terms per (weight, y-degree) first.
+    """
+    (left, da), (right, db) = a, b
+    width = _width(wmax, qmax)
+    mask = (1 << width) - 1
+    buckets = [[] for _ in range(wmax + 1)]
+    ydegs = [[] for _ in range(wmax + 1)]
+    for key in sorted(right, key=mask.__and__):
+        w = key >> width & mask
+        buckets[w].append((key, right[key]))
+        ydegs[w].append(key & mask)
+    groups = {}
+    low = (1 << 2 * width) - 1  # the y and weight fields
+    for key, n in left.items():
+        groups.setdefault(key & low, []).append((key, n))
+    acc = defaultdict(int)
+    for wq, group in groups.items():
+        w1 = wq >> width
+        qroom = qmax - (wq & mask)
+        partners = []
+        for w2 in range(wmax - w1 + 1):
+            partners += buckets[w2][: bisect_right(ydegs[w2], qroom)]
+        for k1, n1 in group:
+            for k2, n2 in partners:
+                acc[k1 + k2] += n1 * n2
+    return _reduced(acc, da * db)
+
+
+def pair_loop_packed_shear(a, s, wmax, qmax):
+    """A packed series at H -> H + s*L, any other variables kept.
+
+    By the binomial theorem H^k spreads to sum_j C(k, j) s^j H^(k-j) L^j,
+    which keeps every weight, so nothing is truncated and no product is
+    needed: moving j from the H field to the L field is one int addition to
+    the key.  With s = p/r and k at most K, the numerators take
+    C(k, j) p^j r^(K-j) over the denominator den * r^K.
+    """
+    nums, den = a
+    if not s or not nums:
+        return a
+    width = _width(wmax, qmax)
+    mask = (1 << width) - 1
+    hshift = _field("H")[0] * width
+    step = (1 << _field("L")[0] * width) - (1 << hshift)  # one unit from H to L
+    top = max(key >> hshift & mask for key in nums)
+    p, r = s.numerator, s.denominator
+    rows = [
+        [(j * step, comb(k, j) * p**j * r ** (top - j)) for j in range(k + 1)]
+        for k in range(top + 1)
+    ]
+    acc = defaultdict(int)
+    for key, n in nums.items():
+        for offset, c in rows[key >> hshift & mask]:
+            acc[key + offset] += n * c
+    return _reduced(acc, den * r**top)
+
+
+def pair_loop_sheared_product(groups, wmax, qmax):
+    """The nested shears and products of ``series._sheared_product`` on the
+    pair-loop kernels, over the packed groups {slope: packed series}."""
+    slopes = sorted(groups, reverse=True)
+    acc = groups[slopes[0]]
+    for above, slope in zip(slopes, slopes[1:]):
+        acc = pair_loop_packed_shear(acc, above - slope, wmax, qmax)
+        acc = pair_loop_packed_mul(acc, groups[slope], wmax, qmax)
+    return pair_loop_packed_shear(acc, slopes[-1], wmax, qmax)

@@ -22,11 +22,13 @@ from ellgenus import (
 from ellgenus import series as series_module
 from ellgenus.cli import emit_series_json
 from ellgenus.series import (
+    _fold,
     _pack,
     _packed_mul,
-    _packed_shear,
     _PackedSeries,
     _sheared_product,
+    _unfold,
+    _width,
 )
 from helpers import (
     count_calls,
@@ -36,7 +38,11 @@ from helpers import (
     dict_log,
     dict_scale,
     dict_scale_weights,
+    dict_mul,
     dict_terms,
+    pair_loop_packed_mul,
+    pair_loop_packed_shear,
+    pair_loop_sheared_product,
     random_series,
     reference_coefficients_of,
     reference_mul,
@@ -602,9 +608,9 @@ def _monomials(draw, wmax, variables=KERNEL_VARS):
     return mono_from_dict(exps)
 
 
-def _series_at(wmax, qmax, variables=KERNEL_VARS):
+def _series_at(wmax, qmax, variables=KERNEL_VARS, coeffs=_coeffs):
     term = st.tuples(_monomials(wmax, variables), st.integers(0, qmax))
-    terms = st.dictionaries(term, _coeffs, max_size=14)
+    terms = st.dictionaries(term, coeffs, max_size=14)
     return terms.map(lambda t: WSeries(wmax, qmax, t))
 
 
@@ -642,6 +648,114 @@ def test_packed_chain_equals_oracle(series):
     assert WSeries._trusted(wmax, qmax, None, packed) == want
 
 
+# -- the folded kernels against the pair-loop oracles ------------------------------
+
+# numerators up to 2^300 of either sign
+_big_coeffs = st.builds(
+    F,
+    st.one_of(st.integers(-9, 9), st.integers(-(2**300), 2**300)),
+    st.sampled_from((1, 2, 3, 10, 2**61 - 1)),
+)
+
+
+@st.composite
+def _big_pair(draw):
+    # qmax 0 and empty operands are in range, and so are single terms
+    wmax = draw(st.integers(0, 8))
+    qmax = draw(st.integers(0, 5))
+    return [draw(_series_at(wmax, qmax, coeffs=_big_coeffs)) for _ in range(2)]
+
+
+def _assert_folded_mul(a, b):
+    wmax, qmax = a.wmax, a.qmax
+    packed = _packed_mul(_pack(a), _pack(b), wmax, qmax)
+    assert packed == pair_loop_packed_mul(_pack(a), _pack(b), wmax, qmax)
+    want = dict_mul(dict_terms(a), dict_terms(b), wmax, qmax)
+    assert WSeries._trusted(wmax, qmax, None, packed).terms == want
+    assert _is_reduced(packed, want)
+
+
+@given(_big_pair())
+def test_folded_mul_equals_the_pair_loop_and_dict_oracles(pair):
+    _assert_folded_mul(*pair)
+    assert pair[0] * pair[1] == reference_mul(*pair)
+
+
+def _series(wmax, qmax, terms):
+    return WSeries(wmax, qmax, {(mono_from_dict(m), q): c for m, q, c in terms})
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # qmax 0
+        (_series(3, 0, [({"H": 1}, 0, 2**300 - 1), ({}, 0, -3)]),
+         _series(3, 0, [({"L": 2}, 0, -(2**299)), ({"H": 1}, 0, F(1, 3))])),
+        # an empty operand, on either side
+        (_series(4, 2, []), _series(4, 2, [({"H": 2}, 1, 5)])),
+        (_series(4, 2, [({"c1": 1}, 2, -(2**200))]), _series(4, 2, [])),
+        # a single term times a dense y-polynomial
+        (_series(2, 4, [({"L": 1}, 1, -(2**300))]),
+         _series(2, 4, [({"H": 1}, q, (-1) ** q * (2**300 - q)) for q in range(5)])),
+        # y-degree 1 operands: every slot past y^1 is cut
+        (_series(3, 1, [({"H": 1}, 1, 7), ({}, 1, -(2**150))]),
+         _series(3, 1, [({"L": 1}, 1, 2**150), ({"H": 2}, 1, -1)])),
+    ],
+)
+def test_folded_mul_edge_cases(a, b):
+    _assert_folded_mul(a, b)
+    _assert_folded_mul(b, a)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("bits", [8, 40, 300])
+def test_folded_mul_slot_sums_near_the_bound(sign, bits):
+    # n = 7 terms a side, every pair landing on H^6 y: that slot sums 7
+    # products of the largest numerators, past half the slot's signed range
+    n, top = 7, 2**bits - 1
+    a = _series(n - 1, 2, [({"H": i}, 0, sign * top) for i in range(n)])
+    b = _series(n - 1, 2, [({"H": n - 1 - i}, 1, top) for i in range(n)])
+    _assert_folded_mul(a, b)
+    slot = 2 * bits + n.bit_length() + 1
+    assert (a * b).get((("H", n - 1),), 1) == sign * n * top**2
+    assert n * top**2 >= 2 ** (slot - 2)
+
+
+@pytest.mark.parametrize("slot", [2, 3, 64, 301])
+def test_fold_unfold_round_trip_at_the_slot_extremes(slot):
+    # signed digits +-(2^(slot-1) - 1) next to each other, and +-1 and 0
+    wmax, qmax = 3, 4
+    width = _width(wmax, qmax)
+    edge = 2 ** (slot - 1) - 1
+    digits = [(edge, -edge, 1, -1, 0), (-edge, edge, -edge, 0, 1), (0, 0, 0, 0, -edge)]
+    nums = {
+        (rest << 2 * width | rest << width) + q: n  # the weight field holds rest
+        for rest, row in enumerate(digits, 1)
+        for q, n in enumerate(row)
+        if n
+    }
+    assert _unfold(_fold(nums, width, slot), width, slot, qmax, 1) == (nums, 1)
+
+
+@st.composite
+def _big_sheared_groups(draw):
+    wmax = draw(st.integers(0, 6))
+    qmax = draw(st.integers(0, 4))
+    slopes = draw(st.lists(_slopes | st.just(F(0)), min_size=1, max_size=3, unique=True))
+    variables = ("L", "H", "c1")
+    return {s: draw(_series_at(wmax, qmax, variables, _big_coeffs)) for s in slopes}
+
+
+@given(_big_sheared_groups())
+def test_sheared_product_equals_the_pair_loop_chain(groups):
+    # fractional slopes and numerators up to 2^300: one fold, a chain of
+    # shears and products, one unfold, against a reduction after every step
+    (wmax, qmax), = {(G.wmax, G.qmax) for G in groups.values()}
+    packed = _pack(_sheared_product(groups, wmax, qmax))
+    want = {s: _pack(G) for s, G in groups.items()}
+    assert packed == pair_loop_sheared_product(want, wmax, qmax)
+
+
 @st.composite
 def _h_l_y_series(draw):
     wmax = draw(st.integers(0, 8))
@@ -651,9 +765,10 @@ def _h_l_y_series(draw):
 
 @given(_h_l_y_series(), _slopes)
 def test_packed_shear_equals_substitute(G, s):
-    H, L = WSeries.var("H", G.wmax, G.qmax), WSeries.var("L", G.wmax, G.qmax)
-    want = G.substitute("H", H + L * s)
-    packed = _packed_shear(_pack(G), s, G.wmax, G.qmax)
+    # a one-group sheared product is the folded shear alone
+    want = _sheared(G, s)
+    packed = _pack(_sheared_product({s: G}, G.wmax, G.qmax))
+    assert packed == pair_loop_packed_shear(_pack(G), s, G.wmax, G.qmax)
     assert _is_reduced(packed, want.terms)
     assert WSeries._trusted(G.wmax, G.qmax, None, packed) == want
 
@@ -694,14 +809,19 @@ def test_copy_deepcopy_and_pickle_round_trips():
 
 def test_mul_and_shift_h_run_on_the_packed_kernels(monkeypatch):
     muls = count_calls(monkeypatch, series_module, "_packed_mul")
-    shears = count_calls(monkeypatch, series_module, "_packed_shear")
+    unfolds = count_calls(monkeypatch, series_module, "_unfold")
     v = S(4, 2)
     product = (v["H"] + v["y"]) * (v["H"] - 1)
     H2 = _mono_series(4, 2, H=2)
     sheared = _sheared_product({F(1, 2): H2}, 4, 2)
-    assert (len(muls), len(shears)) == (1, 1)
+    assert (len(muls), len(unfolds)) == (1, 2)
+    # three groups: two products and three shears, folded to the end
+    chain = _sheared_product({F(1, 2): H2, F(-1): v["H"], F(3): v["H"] + v["y"]}, 4, 2)
+    assert (len(muls), len(unfolds)) == (1, 3)
     assert product == H2 + v["H"] * v["y"] - v["H"] - v["y"]
     assert sheared == (v["H"] + v["L"] * F(1, 2)) ** 2
+    shears = [v["H"] + v["L"] * s for s in (F(1, 2), F(-1), F(3))]
+    assert chain == shears[0] ** 2 * shears[1] * (shears[2] + v["y"])
 
 
 # -- the y-scaling kernel --------------------------------------------------------
