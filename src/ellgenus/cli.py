@@ -28,7 +28,7 @@ from .fibrations import (
     p_polynomials,
     p_table_reference,
 )
-from .genseries import BaseSpec, MissingIntersectionError, chi_series, integrate
+from .genseries import BaseSpec, MissingIntersectionError, chi_q, chi_series
 from .pushforward import BundleSpec
 from .series import WSeries, mono_from_dict, mono_weight
 from .verify import run_suites
@@ -260,13 +260,12 @@ def cmd_chi(args):
             raise UsageError("--q expects an integer or 'all'")
         if not (0 <= qs[0] <= top):
             raise UsageError("q=%d is out of range 0..dim Y = 0..%d" % (qs[0], top))
-    series = chi_series(target, d, top + 1)
     values = []
     for q in qs:
-        cls = series.coeff(d, q)
         if args.show_class:
+            cls = chi_series(target, d, top + 1).coeff(d, q)
             print("class for q=%d (weight %d): %s" % (q, d, cls.to_text()))
-        value = integrate(cls, base)
+        value = chi_q(target, base, q)
         values.append(value)
         print("chi_%d = %s" % (q, value))
     if args.q == "all":

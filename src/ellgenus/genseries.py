@@ -7,6 +7,11 @@ reweight its weight-k part by (1+y)^k, and multiply by exp(sum_k b_k p_k):
 the exponential of the Hadamard product of the polynomial chi_y
 log-coefficients b_k with the power sums p_k of the formal base Chern
 classes.
+
+Every chi_q is one pairing: the weight-d, y^q row of the memoized chi(t, y),
+read from its packed form, against the base's table, both int numerators
+over one denominator, with one ``Fraction`` at the end; ``integrate`` pairs
+any y-free class the same way.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from types import MappingProxyType
 
 from .charclasses import _hirzebruch_exp
 from .fibrations import _total_dim, closed_form_q, derived_q, pushforward_class
-from .series import WSeries, _as_fraction, _canonical_weight, mono_weight
+from .series import WSeries, _as_fraction, _canonical_weight, _pack, _width
 
 
 class MissingIntersectionError(ValueError):
@@ -40,8 +45,9 @@ class BaseSpec:
     intersection number, an int or a Fraction (anything else, a float
     included, raises ``TypeError``); a missing monomial is an error, never
     an implicit zero.  The stored table is a read-only mapping of
-    ``Fraction`` values.  Two bases are equal when both dimension and table
-    are.
+    ``Fraction`` values, kept beside the same table as int numerators over
+    one denominator for the pairing.  Two bases are equal when both
+    dimension and table are.
     """
 
     dim: int
@@ -60,7 +66,10 @@ class BaseSpec:
                     "table monomial %r has weight != %d" % (mono, self.dim)
                 )
             clean[mono] = _as_fraction(value)  # a float is refused, never rounded
+        den = lcm(*{v.denominator for v in clean.values()})
+        ints = {m: v.numerator * (den // v.denominator) for m, v in clean.items()}
         object.__setattr__(self, "table", MappingProxyType(clean))
+        object.__setattr__(self, "_ints", (ints, den))
 
     @classmethod
     def projective_space(cls, d, n):
@@ -69,15 +78,17 @@ class BaseSpec:
         d, n = index(d), index(n)
         if d < 0:
             raise ValueError("dimension must be >= 0")
-        x = {"c%d" % i: comb(d + 1, i) for i in range(1, d + 1)}
-        x["L"] = n
-        table = {m: prod(x[v] ** e for v, e in m) for m in _weight_d_monomials(d)}
-        return cls(dim=d, table=table)
+        ints = {m: c * n**e for m, c, e in _projective_monomials(d)}
+        base = object.__new__(cls)  # generated canonical: no checks to repeat
+        table = MappingProxyType({m: Fraction(v) for m, v in ints.items()})
+        base.__dict__.update(dim=d, table=table, _ints=(ints, 1))
+        return base
 
 
 @lru_cache(maxsize=16)
-def _weight_d_monomials(d):
-    """Every canonical monomial of weight ``d`` in L, c1..c_d."""
+def _projective_monomials(d):
+    """(monomial, product of C(d+1, i)^e over its factors c_i^e, exponent of
+    L) for every canonical weight-``d`` monomial in L, c1..c_d."""
     monos = [((), 0)]  # (monomial, weight), extended variable by variable
     for v, w in [("L", 1)] + [("c%d" % i, i) for i in range(1, d + 1)]:
         monos = [
@@ -85,7 +96,12 @@ def _weight_d_monomials(d):
             for m, mw in monos
             for e in range((d - mw) // w + 1)
         ]
-    return tuple(m for m, mw in monos if mw == d)
+    c = {"c%d" % i: comb(d + 1, i) for i in range(1, d + 1)}
+    return tuple(
+        (m, prod(c.get(v, 1) ** e for v, e in m), dict(m).get("L", 0))
+        for m, mw in monos
+        if mw == d
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -126,29 +142,34 @@ def _chi_series(family_or_spec, tmax, qmax):
 
 def integrate(cls, base):
     """Pair a y-free weight-``base.dim`` class with the intersection table:
-    int numerators over one common denominator, one ``Fraction`` at the end."""
-    pairs = []
-    for (mono, q), coeff in cls.terms.items():
-        if q != 0:
+    its packed numerators against the base's ints, one ``Fraction`` at the end."""
+    width = _width(cls.wmax, cls.qmax)
+    mask = (1 << width) - 1
+    for key in _pack(cls)[0]:  # field 0 holds the y-degree, field 1 the weight
+        if key & mask:
             raise ValueError("cannot integrate a class with y-content")
-        value = base.table.get(mono)
-        if value is None:  # a table monomial has weight base.dim
-            if mono_weight(mono) != base.dim:
-                raise ValueError(
-                    "class is not weight-homogeneous of weight %d" % base.dim
-                )
-            raise MissingIntersectionError(
-                "no intersection number for monomial %s"
-                % (dict(mono) if mono else "1",)
-            )
-        n, d = coeff.numerator * value.numerator, coeff.denominator * value.denominator
-        pairs.append((n, d))
-    den = lcm(*{d for _n, d in pairs})
-    return Fraction(sum(n * (den // d) for n, d in pairs), den)
+        if key >> width & mask != base.dim:
+            raise ValueError("class is not weight-homogeneous of weight %d" % base.dim)
+    rows, den = cls._weight_rows(base.dim)
+    return _pairing(rows[0], den, base)
+
+
+def _pairing(row, den, base):
+    """sum n * t over a row of (monomial, int numerator n over ``den``), t the
+    base's int value of the monomial, as one ``Fraction``."""
+    ints, base_den = base._ints
+    try:
+        total = sum(n * ints[m] for m, n in row)
+    except KeyError as exc:  # the first monomial of the row not in the table
+        raise MissingIntersectionError(
+            "no intersection number for monomial %s" % (dict(exc.args[0]) or "1",)
+        ) from None
+    return Fraction(total, den * base_den)
 
 
 def chi_q(family_or_spec, base, q, verify=False):
-    """chi_q of the family over ``base``, as an exact rational.
+    """chi_q of the family over ``base``, as an exact rational: the weight-d,
+    y^q row of the memoized ``chi_series`` paired with the base's table.
 
     With ``verify`` set, the same number is recomputed along the
     class route (the weight-d, y^q part of Q * H_y(B)) and integrality is
@@ -158,7 +179,8 @@ def chi_q(family_or_spec, base, q, verify=False):
     top = _total_dim(family_or_spec, d)
     if not (0 <= q <= top):
         raise ValueError("q=%d out of range: the fibration has dimension %d" % (q, top))
-    value = integrate(chi_series(family_or_spec, d, top + 1).coeff(d, q), base)
+    rows, den = chi_series(family_or_spec, d, top + 1)._weight_rows(d)
+    value = _pairing(rows[q], den, base)
     if verify:
         check = integrate(pushforward_class(family_or_spec, d).coeff(d, q), base)
         if check != value:

@@ -52,7 +52,8 @@ terms (read-only as ``WSeries.terms``) and its packed form.  Each of those
 results is born packed and builds its ``Fraction``s on the first read of
 its terms; a series made from terms is packed for its first operation.
 ``==``, the zero and weight-0 checks, ``constant_term`` and ``get`` read the
-packed form without building the terms.
+packed form without building the terms; so do the int rows of ``_weight_rows``
+that ``genseries`` pairs with a base.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ class WSeries:
     monomial that :func:`mono_from_dict` would not return unchanged.
     """
 
-    __slots__ = ("wmax", "qmax", "_terms", "terms", "_packed", "_slices")
+    __slots__ = ("wmax", "qmax", "_terms", "terms", "_packed", "_slices", "_rows")
 
     def __new__(cls, wmax, qmax, terms=None):
         wmax, qmax = _truncation_orders(wmax, qmax)
@@ -199,6 +200,7 @@ class WSeries:
             object.__setattr__(series, "terms", MappingProxyType(terms))
         object.__setattr__(series, "_packed", packed)
         object.__setattr__(series, "_slices", None)
+        object.__setattr__(series, "_rows", None)
         return series
 
     def __setattr__(self, *args):
@@ -464,6 +466,24 @@ class WSeries:
         if not 0 <= q <= self.qmax:
             raise ValueError("y-degree %d out of range (qmax=%d)" % (q, self.qmax))
         return k, q
+
+    def _weight_rows(self, k):
+        """The weight-k terms read from the packed form, built once per k:
+        for each y-degree 0..qmax a list of (monomial, int numerator), and
+        the packed denominator they share."""
+        if self._rows is None:
+            object.__setattr__(self, "_rows", {})
+        rows = self._rows.get(k)
+        if rows is None:
+            nums, den = _pack(self)
+            width = _width(self.wmax, self.qmax)
+            mask = (1 << width) - 1
+            split = [[] for _q in range(self.qmax + 1)]
+            for key, n in nums.items():
+                if key >> width & mask == k:
+                    split[key & mask].append((_key_mono(key >> 2 * width, width), n))
+            rows = self._rows[k] = (split, den)
+        return rows
 
     def coeff(self, k, q):
         """Weight-k, y^q homogeneous part as a y-free series."""
@@ -741,20 +761,18 @@ def _unpack(a, wmax, qmax):
     width = _width(wmax, qmax)
     mask = (1 << width) - 1
     vshift = 2 * width  # past the y and weight fields
-    monos = {}
-    terms = {}
-    for key, n in nums.items():
-        mk = key >> vshift
-        mono = monos.get(mk)
-        if mono is None:
-            items = []
-            f, rest = 2, mk
-            while rest:
-                e = rest & mask
-                if e:
-                    items.append((_field_name(f), e))
-                rest >>= width
-                f += 1
-            mono = monos[mk] = tuple(items)
-        terms[(mono, key & mask)] = Fraction(n, den)
-    return terms
+    monos = {mk: _key_mono(mk, width) for mk in {key >> vshift for key in nums}}
+    return {
+        (monos[key >> vshift], key & mask): Fraction(n, den) for key, n in nums.items()
+    }
+
+
+def _key_mono(mk, width):
+    """The canonical monomial of the variable fields ``mk`` of a key (the key
+    shifted past its y and weight fields)."""
+    mask, items, f = (1 << width) - 1, [], 2
+    while mk:
+        if mk & mask:
+            items.append((_field_name(f), mk & mask))
+        mk, f = mk >> width, f + 1
+    return tuple(items)

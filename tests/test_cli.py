@@ -4,11 +4,22 @@ trips, and input-file handling."""
 import contextlib
 import io
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
 
-from ellgenus import BaseSpec, WSeries, cli, closed_form_q, derived_q
+from ellgenus import (
+    BaseSpec,
+    MissingIntersectionError,
+    WSeries,
+    chi_q,
+    chi_series,
+    cli,
+    closed_form_q,
+    derived_q,
+    integrate,
+)
 from ellgenus.cli import (
     UsageError,
     emit_series_json,
@@ -376,14 +387,18 @@ def _engine_fault(*_args, **_kwargs):
     raise ValueError("injected engine fault")
 
 
+# every engine call of each command: for chi, chi_q on each path and
+# chi_series, which only --class calls
 @pytest.mark.parametrize(
     "name, argv",
     [
         ("closed_form_q", ["q", "E8", "--wmax", "2"]),
         ("derived_q", ["q", "SPEC", "--wmax", "2"]),
-        ("chi_series", ["chi", "E8", "--base", "pd:2:3"]),
-        ("integrate", ["chi", "E6", "--base", "pd:1:1", "--q", "1"]),
+        ("chi_series", ["chi", "E8", "--base", "pd:2:3", "--class"]),
+        ("chi_q", ["chi", "E6", "--base", "pd:1:1", "--q", "1"]),
         ("run_suites", ["verify", "--family", "E8"]),
+        ("chi_q", ["chi", "E8", "--base", "pd:2:3"]),
+        ("_total_dim", ["chi", "E8", "--base", "pd:2:3"]),
     ],
 )
 def test_an_engine_fault_exits_3(tmp_path, capsys, monkeypatch, name, argv):
@@ -429,6 +444,42 @@ def test_input_files_that_are_not_objects_or_lack_an_entry_exit_2(tmp_path, caps
     _assert_usage_error(
         capsys, ["chi", "E8", "--base-file", str(partial)], "no intersection number"
     )
+
+
+def test_chi_reads_a_class_only_under_the_class_option(capsys, monkeypatch):
+    coeffs = count_calls(monkeypatch, WSeries, "coeff")
+    code, out, _ = run_cli(capsys, "chi", "E8", "--base", "pd:3:4")
+    assert code == 0 and "alternating sum = 23328" in out
+    assert coeffs == []
+    code, out, _ = run_cli(capsys, "chi", "E8", "--base", "pd:3:4", "--class")
+    assert code == 0 and out.count("class for q=") == len(coeffs) == 5
+
+
+def test_a_table_missing_several_monomials_names_the_same_one_everywhere(
+    tmp_path, capsys
+):
+    # four monomials of the P^3 table are gone; the one named is the first
+    # missing one in the class's term order, whichever way the table is read
+    full = BaseSpec.projective_space(3, 4).table
+    gone = [{"L": 3}, {"L": 1, "c1": 2}, {"c1": 1, "c2": 1}, {"c3": 1}]
+    monomials = [
+        {"exps": dict(mono), "value": str(value)}
+        for mono, value in full.items()
+        if dict(mono) not in gone
+    ]
+    base_file = tmp_path / "holes.json"
+    base_file.write_text(json.dumps({"dim": 3, "monomials": monomials}))
+    base = load_base_spec(str(base_file))
+    message = "no intersection number for monomial {'L': 1, 'c1': 2}"
+    exact = "^%s$" % re.escape(message)
+    for q in range(5):
+        with pytest.raises(MissingIntersectionError, match=exact):
+            chi_q("E8", base, q)
+        with pytest.raises(MissingIntersectionError, match=exact):
+            integrate(chi_series("E8", 3, 5).coeff(3, q), base)
+    for extra in ([], ["--q", "2"]):
+        argv = ["chi", "E8", "--base-file", str(base_file)] + extra
+        assert run_cli(capsys, *argv) == (2, "", "error: %s\n" % message)
 
 
 def test_chi_of_a_spec_file_lists_every_q_up_to_dim_y(tmp_path, capsys):

@@ -145,6 +145,46 @@ def test_integrate_equals_the_fraction_sum(case):
     assert integrate(cls, base) == reference_integrate(cls, base.table)
 
 
+# table values: zero, integers and fractions with a denominator > 1, both signs
+_table_values = st.one_of(
+    st.just(F(0)),
+    st.integers(-10**6, 10**6).map(F),
+    st.builds(F, st.integers(-10**6, 10**6), st.integers(2, 97)),
+)
+
+
+@st.composite
+def _class_and_fraction_table(draw):
+    d = draw(st.integers(0, 4))
+    monos = sorted(reference_projective_space_table(d, 1))
+    table = {m: draw(_table_values) for m in monos}
+    terms = draw(st.dictionaries(st.sampled_from(monos), _fractions, max_size=12))
+    qmax = draw(st.integers(0, 3))  # the y field of the packed keys is unused
+    return WSeries(d, qmax, {(m, 0): c for m, c in terms.items()}), BaseSpec(d, table)
+
+
+@given(_class_and_fraction_table())
+def test_the_int_pairing_equals_the_fraction_sum(case):
+    cls, base = case
+    want = reference_integrate(cls, base.table)
+    rows, den = cls._weight_rows(base.dim)
+    assert not any(rows[1:])
+    assert genseries._pairing(rows[0], den, base) == want
+    value = integrate(cls, base)
+    assert value == want and type(value) is F
+
+
+@pytest.mark.parametrize("d", range(0, 7))
+def test_projective_space_equals_the_validated_base(d):
+    # projective_space skips the checks of the constructor on the monomials it
+    # generates; both the Fraction table and the int table are the same
+    for n in range(-2, d + 4):
+        fast = BaseSpec.projective_space(d, n)
+        checked = BaseSpec(d, fast.table)
+        assert fast == checked and fast.table == checked.table, (d, n)
+        assert fast._ints == checked._ints == (dict(fast.table), 1), (d, n)
+
+
 def test_integrate_fractional_example():
     # 1/2 * 1/5 + 1/3 * 3/4 = 7/20: both coefficients and values fractional
     L, c1 = WSeries.var("L", 2, 0), WSeries.var("c1", 2, 0)
@@ -489,8 +529,9 @@ def test_memo_stays_within_its_bound():
 
 def test_a_cold_chi_series_unpacks_only_the_memoized_series(monkeypatch):
     # every intermediate of the build stays packed: the reweight, the Hadamard
-    # product, exp, log and the inverse; the memoized series builds its terms
-    # on the first coeff, after which it is a plain series, fast to read
+    # product, exp, log and the inverse; chi_q reads the memoized series
+    # packed, and only a coeff call builds its terms, after which it is a
+    # plain series, fast to slice
     unpacks = count_calls(monkeypatch, series_module, "_unpack")
     charclasses._chi_y_exp(4, 6)
     assert unpacks == []
@@ -499,6 +540,54 @@ def test_a_cold_chi_series_unpacks_only_the_memoized_series(monkeypatch):
     series.coeff(4, 2)
     assert len(unpacks) == 1 and type(series) is WSeries
     assert chi_series("E7", 4) is series
+
+
+def test_chi_q_reads_the_memoized_series_packed(monkeypatch):
+    unpacks = count_calls(monkeypatch, series_module, "_unpack")
+    base = BaseSpec.projective_space(4, 5)
+    cold = chi_values("E7", base)
+    warm = chi_values("E7", base)
+    assert cold == warm == [0, 15475, -170225, 170225, -15475, 0]  # class route too
+    assert unpacks == [] and type(chi_series("E7", 4)) is _PackedSeries
+
+
+def _chi_q_by_the_class(family_or_spec, base):
+    """chi_0..chi_top as the weight-d, y^q class of chi_series, integrated."""
+    d = base.dim
+    top = len(chi_values(family_or_spec, base)) - 1
+    series = chi_series(family_or_spec, d, top + 1)
+    return [integrate(series.coeff(d, q), base) for q in range(top + 1)]
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+def test_chi_q_equals_integrate_of_the_class(fam):
+    for d in range(0, 7):
+        bases = [BaseSpec.projective_space(d, n) for n in range(-1, d + 4)]
+        packed = [chi_values(fam, base) for base in bases]  # before any coeff
+        for base, values in zip(bases, packed):
+            assert values == _chi_q_by_the_class(fam, base), (fam, d, base.table)
+
+
+@pytest.mark.parametrize("d", range(0, 5))
+def test_chi_q_of_custom_specs_equals_integrate_of_the_class(d):
+    point_fiber = FibrationSpec(name="base", bundle=BundleSpec((0,)), n_roots=())
+    for spec in (point_fiber, _fiber_dimension_two_spec()):
+        for n in range(-1, d + 4):
+            base = BaseSpec.projective_space(d, n)
+            values = chi_values(spec, base)
+            assert values == _chi_q_by_the_class(spec, base), (spec.name, d, n)
+
+
+def test_chi_q_over_a_fraction_table_equals_integrate_of_the_class():
+    # not the table of a variety: every value a different fraction
+    for fam in FAMILIES:
+        for d in range(1, 5):
+            monos = sorted(BaseSpec.projective_space(d, 1).table)
+            table = {m: F(3 * i - 7, 2 * i + 3) for i, m in enumerate(monos)}
+            base = BaseSpec(d, table)
+            values = chi_values(fam, base)
+            assert any(v.denominator != 1 for v in values)
+            assert values == _chi_q_by_the_class(fam, base), (fam, d)
 
 
 # chi_0..chi_(d+1) over (P^d, O(d+1)).  (P^1, O(2)) gives the K3 row for
