@@ -99,7 +99,7 @@ def _local_factor(kind, root, wmax, qmax):
     else:  # "one_minus_exp"
         coeffs = [{0: -c} for c in _exp_numbers(-1, wmax)]
         coeffs[0] = {}
-    a, b = root.a, root.b  # at the root; the keys are canonical and in range
+    a, b = root.a, root.b  # at the root; the constructor drops q > qmax and zeros
     var, scale = ("H", a) if a else ("L", b)
     terms = {}
     for k, ck in enumerate(coeffs[: wmax + 1]):
@@ -107,9 +107,8 @@ def _local_factor(kind, root, wmax, qmax):
             break
         mono = ((var, k),) if k else ()
         for q, c in ck.items():
-            if q <= qmax and c:
-                terms[(mono, q)] = c * scale**k
-    series = WSeries._trusted(wmax, qmax, terms)
+            terms[(mono, q)] = c * scale**k
+    series = WSeries(wmax, qmax, terms)
     if a and b:
         series = _sheared_product({Fraction(b, a): series}, wmax, qmax)
     return series

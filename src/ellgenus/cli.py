@@ -46,9 +46,10 @@ def series_to_records(series):
     """One {"t_deg", "y_deg", "terms"} record per homogeneous block, with
     terms [{"exps": {var: exp}, "coeff": "num/den"}] in sorted order."""
     blocks = {}
-    for (mono, q), coeff in series.sorted_items():
+    for mono, q, n, d in series.sorted_terms():
+        coeff = "%d" % n if d == 1 else "%d/%d" % (n, d)  # as str(Fraction)
         blocks.setdefault((mono_weight(mono), q), []).append(
-            {"exps": {v: e for v, e in mono}, "coeff": str(coeff)}
+            {"exps": {v: e for v, e in mono}, "coeff": coeff}
         )
     return [
         {"t_deg": k, "y_deg": q, "terms": terms}
@@ -106,6 +107,9 @@ def _json_rational(value, what):
 
 
 def _json_mono(exps):
+    """A monomial from a JSON object of {variable: integer exponent}."""
+    if not isinstance(exps, dict):
+        raise UsageError("exps must be a JSON object, got %s" % json.dumps(exps))
     return mono_from_dict({v: _json_int(e, "exponent") for v, e in exps.items()})
 
 

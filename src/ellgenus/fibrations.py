@@ -38,6 +38,7 @@ from .charclasses import (
 from .poly import Poly
 from .pushforward import BundleSpec, pushforward
 from .series import WSeries, _sheared_product, _truncation_orders
+from .series import _field, _reduced, _width  # the packed form
 from .series import _TEXT, _signed_sum, _sum_text  # the text writer
 
 FAMILIES = ("D5", "E6", "E7", "E8")
@@ -178,7 +179,7 @@ def _check_family(family):
 def _yu_text(coeffs):
     """A {(y-degree, U-degree): integer} map as text, in its own order."""
     terms = [
-        ((tuple((v, e) for v, e in (("y", a), ("U", b)) if e), 0), c)
+        (tuple((v, e) for v, e in (("y", a), ("U", b)) if e), 0, c, 1)
         for (a, b), c in coeffs.items()
     ]
     return _sum_text(terms, _TEXT)
@@ -224,16 +225,17 @@ def closed_form_q(family, wmax=DEFAULT_WMAX, qmax=DEFAULT_QMAX):
     y^n L^j coefficient is sum_k P_n[k] (-k)^j / j!."""
     _check_family(family)
     wmax, qmax = _truncation_orders(wmax, qmax)
-    terms = {}
+    width = _width(wmax, qmax)
+    unit = (1 << _field("L")[0] * width) + (1 << width)  # L, weight 1
+    den, nums = factorial(wmax), {}
     for n, row in enumerate(_p_rows(family, qmax)):
         row = [(k, c) for k, c in enumerate(row) if c]  # (k, P_n[k] (-k)^j)
+        scale = den  # wmax!/j!
         for j in range(wmax + 1):
-            total = sum(c for _, c in row)
-            if total:
-                mono = (("L", j),) if j else ()
-                terms[(mono, n)] = Fraction(total, factorial(j))
+            scale //= j or 1
+            nums[j * unit + n] = sum(c for _, c in row) * scale
             row = [(k, -k * c) for k, c in row]
-    return WSeries._trusted(wmax, qmax, terms)
+    return WSeries._trusted(wmax, qmax, _reduced(nums, den))
 
 
 # ---------------------------------------------------------------------------

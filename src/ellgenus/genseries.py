@@ -25,7 +25,7 @@ from types import MappingProxyType
 
 from .charclasses import _hirzebruch_exp
 from .fibrations import _total_dim, closed_form_q, derived_q, pushforward_class
-from .series import WSeries, _as_fraction, _canonical_weight, _pack, _width
+from .series import WSeries, _as_fraction, _canonical_weight, _width
 
 
 class MissingIntersectionError(ValueError):
@@ -145,26 +145,26 @@ def integrate(cls, base):
     its packed numerators against the base's ints, one ``Fraction`` at the end."""
     width = _width(cls.wmax, cls.qmax)
     mask = (1 << width) - 1
-    for key in _pack(cls)[0]:  # field 0 holds the y-degree, field 1 the weight
+    for key in cls._packed[0]:  # field 0 holds the y-degree, field 1 the weight
         if key & mask:
             raise ValueError("cannot integrate a class with y-content")
         if key >> width & mask != base.dim:
             raise ValueError("class is not weight-homogeneous of weight %d" % base.dim)
-    rows, den = cls._weight_rows(base.dim)
-    return _pairing(rows[0], den, base)
+    return _pairing(cls, base.dim, 0, base)
 
 
-def _pairing(row, den, base):
-    """sum n * t over a row of (monomial, int numerator n over ``den``), t the
-    base's int value of the monomial, as one ``Fraction``."""
+def _pairing(series, k, q, base):
+    """sum n * t over the weight-k, y^q slice of ``series``, n a packed int
+    numerator and t the base's int value of its monomial, as one ``Fraction``."""
     ints, base_den = base._ints
+    row = series._by_slice().get((k, q), ())
     try:
-        total = sum(n * ints[m] for m, n in row)
+        total = sum(n * ints[m] for _key, m, n in row)
     except KeyError as exc:  # the first monomial of the row not in the table
         raise MissingIntersectionError(
             "no intersection number for monomial %s" % (dict(exc.args[0]) or "1",)
         ) from None
-    return Fraction(total, den * base_den)
+    return Fraction(total, series._packed[1] * base_den)
 
 
 def chi_q(family_or_spec, base, q, verify=False):
@@ -179,8 +179,7 @@ def chi_q(family_or_spec, base, q, verify=False):
     top = _total_dim(family_or_spec, d)
     if not (0 <= q <= top):
         raise ValueError("q=%d out of range: the fibration has dimension %d" % (q, top))
-    rows, den = chi_series(family_or_spec, d, top + 1)._weight_rows(d)
-    value = _pairing(rows[q], den, base)
+    value = _pairing(chi_series(family_or_spec, d, top + 1), d, q, base)
     if verify:
         check = integrate(pushforward_class(family_or_spec, d).coeff(d, q), base)
         if check != value:

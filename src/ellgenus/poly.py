@@ -150,7 +150,9 @@ class Poly:
         items = list(enumerate(self.coeffs))
         if descending and not (self and self.coeffs[-1] < 0 < self[0]):
             items.reverse()
-        terms = [((((var, e),) if e else (), 0), c) for e, c in items if c]
+        terms = [
+            (((var, e),) if e else (), 0, *c.as_integer_ratio()) for e, c in items if c
+        ]
         return _sum_text(terms, _COMPACT)
 
     def __str__(self):

@@ -19,7 +19,7 @@ from fractions import Fraction
 from operator import index
 
 from .series import TruncationDeficitError, WSeries, mono_from_dict
-from .series import _field, _pack, _unpack, _width  # the packed form
+from .series import _field, _unpack, _width  # the packed form
 
 
 @dataclass(frozen=True)
@@ -88,14 +88,13 @@ def pushforward(series, bundle):
         ((j << lshift) - (r - 1 + j << hshift), sigma)
         for j, sigma in enumerate(_segre_numbers(bundle, out_wmax))
     ]
-    nums, den = _pack(series)
+    nums, den = series._packed
     acc = defaultdict(int)
     for key, n in nums.items():
         offset, sigma = rows[key >> hshift & (1 << width) - 1]
         if sigma:
             acc[key + offset] += n * sigma
-    terms = _unpack(({key: n for key, n in acc.items() if n}, den), wmax, qmax)
-    return WSeries._trusted(out_wmax, qmax, terms)
+    return WSeries(out_wmax, qmax, _unpack((acc, den), wmax, qmax))
 
 
 def derivative_pushforward_d5(series):

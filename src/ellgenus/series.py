@@ -16,17 +16,19 @@ Monomials are canonical tuples of ``(variable, exponent)`` pairs with
 positive exponents, ordered L < H < c1 < c2 < ...; the empty tuple is the
 constant monomial.
 
-Sums, products, scalar multiples, shears and y-scalings run on packed
-series, never building a ``Fraction`` or a monomial tuple per term.  A packed
-series is a dict from int key to int numerator plus one common denominator:
+A series stores one form of its value, the reduced packed form: a dict from
+int key to int numerator plus one common denominator.  The operations read
+and write that form; only the ``terms`` view and ``truncate`` build a
+``Fraction`` per term:
 
-- ``_pack`` puts every term over the lcm of the denominators and packs it
-  into an int key of bit-fields of equal width: field 0 holds the y-degree,
-  field 1 the weight, field 2 L, field 3 H and field 3+i ci.  The width is
-  ``max(wmax, qmax).bit_length()`` bits (at least 1), so adding two keys
-  adds the y-degrees, the weights and every exponent at once.  No field can
-  carry into the next: a kept pair has q1 + q2 <= qmax and w1 + w2 <= wmax,
-  and every variable has weight >= 1, so no exponent exceeds wmax.
+- ``_pack`` is the one route from terms to ints: it puts every term over the
+  lcm of the denominators and packs it into an int key of bit-fields of
+  equal width: field 0 holds the y-degree, field 1 the weight, field 2 L,
+  field 3 H and field 3+i ci.  The width is ``max(wmax, qmax).bit_length()``
+  bits (at least 1), so adding two keys adds the y-degrees, the weights and
+  every exponent at once.  No field can carry into the next: a kept pair has
+  q1 + q2 <= qmax and w1 + w2 <= wmax, and every variable has weight >= 1,
+  so no exponent exceeds wmax.
 - ``_packed_mul`` and ``_sheared_product`` fold each monomial's y-polynomial
   into one int, the sum of n_q 2^(B*q) (``_fold``), so one int product of two
   monomials is their y-convolution, done in C; ``_unfold`` reads the slots
@@ -45,15 +47,12 @@ A sum puts both numerator maps over the lcm of the denominators; a scalar
 p/r scales the numerators by p and the denominator by r; ``_scale_weights``
 adds j to a key for y^j.  ``_reduced`` then divides the numerators and the
 denominator by their gcd, so a value has one packed form, its denominator
-the lcm of the reduced coefficient denominators.
-
-A series keeps two reduced forms of one value, each built at most once: its
-terms (read-only as ``WSeries.terms``) and its packed form.  Each of those
-results is born packed and builds its ``Fraction``s on the first read of
-its terms; a series made from terms is packed for its first operation.
-``==``, the zero and weight-0 checks, ``constant_term`` and ``get`` read the
-packed form without building the terms; so do the int rows of ``_weight_rows``
-that ``genseries`` pairs with a base.
+the lcm of the reduced coefficient denominators, and ``==`` compares packed
+forms.  ``WSeries.terms`` is a read-only ``Fraction`` view of the packed
+form, built on its first read and kept.  The slices (``coeff``, ``y_slice``,
+``weight_component``), the display (``sorted_terms``) and the pairing of
+``genseries`` with a base read one split of the packed keys by (weight,
+y-degree), built on first use with each distinct monomial decoded once.
 """
 
 from __future__ import annotations
@@ -159,18 +158,20 @@ def _canonical_weight(mono):
 class WSeries:
     """A truncated series: map from (monomial, y-degree) to nonzero Fraction.
 
-    Instances are immutable: ``terms`` is a read-only mapping, so writing
-    to it raises ``TypeError``, rebinding or deleting an attribute raises
+    A series stores its value once, as its reduced packed form (see the
+    module docstring); ``terms`` is a read-only ``Fraction`` view of it,
+    built on first read.  Instances are immutable: writing to ``terms``
+    raises ``TypeError``, rebinding or deleting an attribute raises
     ``AttributeError``, and every operation returns a new series (a copy is
     the series itself).
-    Two series are equal iff their truncation orders and term maps agree,
-    so tests compare exactly, never approximately.  The constructor
-    drops zero coefficients and terms past the truncation, and raises
-    ``ValueError`` on a key that is not canonical: a negative y-degree, or a
-    monomial that :func:`mono_from_dict` would not return unchanged.
+    Two series are equal iff their truncation orders and terms agree, so
+    tests compare exactly, never approximately.  The constructor drops zero
+    coefficients and terms past the truncation, and raises ``ValueError`` on
+    a key that is not canonical: a negative y-degree, or a monomial that
+    :func:`mono_from_dict` would not return unchanged.
     """
 
-    __slots__ = ("wmax", "qmax", "_terms", "terms", "_packed", "_slices", "_rows")
+    __slots__ = ("wmax", "qmax", "_packed", "_terms", "_split")
 
     def __new__(cls, wmax, qmax, terms=None):
         wmax, qmax = _truncation_orders(wmax, qmax)
@@ -185,23 +186,27 @@ class WSeries:
                 c = _as_fraction(coeff)
                 if c:
                     clean[(mono, q)] = c
-        return cls._trusted(wmax, qmax, clean)
+        return cls._trusted(wmax, qmax, _pack(clean, wmax, qmax))
 
     @classmethod
-    def _trusted(cls, wmax, qmax, terms, packed=None):
-        """A series over ``terms`` taken as they are, and owned from now on:
-        every key already in range and every coefficient a nonzero Fraction;
-        or, with ``terms`` None, over the reduced packed form ``packed``."""
-        series = object.__new__(cls if terms is not None else _PackedSeries)
+    def _trusted(cls, wmax, qmax, packed):
+        """A series over the reduced packed form ``packed`` at the width of
+        (wmax, qmax), taken as it is and owned from now on."""
+        series = object.__new__(cls)
         object.__setattr__(series, "wmax", wmax)
         object.__setattr__(series, "qmax", qmax)
-        if terms is not None:
-            object.__setattr__(series, "_terms", terms)
-            object.__setattr__(series, "terms", MappingProxyType(terms))
         object.__setattr__(series, "_packed", packed)
-        object.__setattr__(series, "_slices", None)
-        object.__setattr__(series, "_rows", None)
+        object.__setattr__(series, "_terms", None)
+        object.__setattr__(series, "_split", None)
         return series
+
+    @property
+    def terms(self):
+        """The read-only {(monomial, y-degree): Fraction} view of the series."""
+        if self._terms is None:
+            terms = _unpack(self._packed, self.wmax, self.qmax)
+            object.__setattr__(self, "_terms", MappingProxyType(terms))
+        return self._terms
 
     def __setattr__(self, *args):
         raise AttributeError("WSeries is immutable")
@@ -214,7 +219,7 @@ class WSeries:
     __deepcopy__ = __copy__
 
     def __reduce__(self):
-        return WSeries._trusted, (self.wmax, self.qmax, dict(self.terms))
+        return WSeries._trusted, (self.wmax, self.qmax, self._packed)
 
     # -- constructors -------------------------------------------------
 
@@ -249,7 +254,7 @@ class WSeries:
             )
 
     def is_zero(self):
-        return not (self._terms if self._packed is None else self._packed[0])
+        return not self._packed[0]
 
     def __bool__(self):
         return not self.is_zero()
@@ -258,27 +263,37 @@ class WSeries:
         if not isinstance(other, WSeries):
             return NotImplemented
         same = self.wmax == other.wmax and self.qmax == other.qmax
-        if _PackedSeries in (type(self), type(other)):  # one packed form per value
-            return same and _pack(self) == _pack(other)
-        return same and self._terms == other._terms
+        return same and self._packed == other._packed  # one packed form per value
 
     def get(self, mono=(), q=0):
-        """Coefficient of a single (monomial, y^q) term (0 if absent)."""
-        return self._terms.get((mono, q), Fraction(0))
+        """Coefficient of a single (monomial, y^q) term: 0 if absent, out of
+        range or not canonical.  A float ``q`` raises ``TypeError``."""
+        q = index(q)
+        try:
+            weight, q = self._orders(_canonical_weight(mono), q)
+        except (TypeError, ValueError):
+            return Fraction(0)
+        width = _width(self.wmax, self.qmax)
+        key = sum(e << _field(v)[0] * width for v, e in mono) + (weight << width) + q
+        return Fraction(self._packed[0].get(key, 0), self._packed[1])
 
     def constant_term(self):
-        return Fraction(_pack(self)[0].get(0, 0), self._packed[1])
+        return Fraction(self._packed[0].get(0, 0), self._packed[1])
 
     def _has_weight_zero(self):
         """Whether a term has weight 0: a constant or a pure power of y."""
         limit = 1 << _width(self.wmax, self.qmax)  # past the y field
-        return any(key < limit for key in _pack(self)[0])
+        return any(key < limit for key in self._packed[0])
 
-    def sorted_items(self):
-        return sorted(
-            self._terms.items(),
-            key=lambda kv: (mono_weight(kv[0][0]), kv[0][1], _mono_sort_key(kv[0][0])),
-        )
+    def sorted_terms(self):
+        """(monomial, y-degree, numerator, denominator) of every term, each
+        fraction in lowest terms, ordered by weight, y-degree and monomial."""
+        den, out = self._packed[1], []
+        for (_w, q), row in sorted(self._by_slice().items()):
+            for _key, mono, n in sorted(row, key=lambda e: _mono_sort_key(e[1])):
+                g = gcd(n, den)
+                out.append((mono, q, n // g, den // g))
+        return out
 
     def truncate(self, wmax=None, qmax=None):
         """Re-truncate to (possibly) smaller orders."""
@@ -289,22 +304,22 @@ class WSeries:
                 "cannot extend truncation (%d, %d) to (%d, %d)"
                 % (self.wmax, self.qmax, w, q)
             )
-        return WSeries(w, q, self._terms)
+        return WSeries(w, q, self.terms)
 
     # -- ring operations ----------------------------------------------
 
     def _born(self, packed):
-        return WSeries._trusted(self.wmax, self.qmax, None, packed)
+        return WSeries._trusted(self.wmax, self.qmax, packed)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = ({0: other.numerator} if other else {}, other.denominator)
         elif isinstance(other, WSeries):
             self._require_same(other)
-            other = _pack(other)
+            other = other._packed
         else:
             return NotImplemented
-        (left, da), (right, db) = _pack(self), other
+        (left, da), (right, db) = self._packed, other
         den = lcm(da, db)
         sa, sb = den // da, den // db
         acc = {key: n * sa for key, n in left.items()}
@@ -315,7 +330,7 @@ class WSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        nums, den = _pack(self)
+        nums, den = self._packed
         return self._born(({key: -n for key, n in nums.items()}, den))
 
     def __sub__(self, other):
@@ -326,14 +341,15 @@ class WSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            nums, den = _pack(self)
+            nums, den = self._packed
             p = other.numerator
             scaled = {key: n * p for key, n in nums.items()}
             return self._born(_reduced(scaled, den * other.denominator))
         if not isinstance(other, WSeries):
             return NotImplemented
         self._require_same(other)
-        return self._born(_packed_mul(_pack(self), _pack(other), self.wmax, self.qmax))
+        packed = _packed_mul(self._packed, other._packed, self.wmax, self.qmax)
+        return self._born(packed)
 
     __rmul__ = __mul__
 
@@ -428,7 +444,7 @@ class WSeries:
         rows = [[(j, r) for j, r in enumerate(row[: qmax + 1]) if r] for row in rows]
         rden = lcm(*(r.denominator for row in rows for _j, r in row))
         rows = [[(j, int(r * rden)) for j, r in row] for row in rows]  # exact
-        nums, den = _pack(self)
+        nums, den = self._packed
         width = _width(self.wmax, qmax)
         mask = (1 << width) - 1
         acc = defaultdict(int)
@@ -442,21 +458,12 @@ class WSeries:
 
     def diff_h(self):
         """Formal d/dH.  The weight bound is kept; callers track validity."""
-        nums, den = _pack(self)
+        nums, den = self._packed
         width = _width(self.wmax, self.qmax)
         mask, hshift = (1 << width) - 1, _field("H")[0] * width
         one = (1 << hshift) + (1 << width)  # H^e -> e H^(e-1); e = 0 gives 0
         acc = {key - one: n * (key >> hshift & mask) for key, n in nums.items()}
         return self._born(_reduced(acc, den))
-
-    def _slice_index(self):
-        """{(weight, y-degree): {(monomial, 0): coefficient}}, built on first
-        use; its dicts are shared by the results of ``coeff``."""
-        if self._slices is None:
-            object.__setattr__(self, "_slices", defaultdict(dict))
-            for (m, q), c in self._terms.items():
-                self._slices[mono_weight(m), q][(m, 0)] = c
-        return self._slices
 
     def _orders(self, k=0, q=0):
         """``k`` and ``q`` read as ints and checked against the truncation."""
@@ -467,71 +474,63 @@ class WSeries:
             raise ValueError("y-degree %d out of range (qmax=%d)" % (q, self.qmax))
         return k, q
 
-    def _weight_rows(self, k):
-        """The weight-k terms read from the packed form, built once per k:
-        for each y-degree 0..qmax a list of (monomial, int numerator), and
-        the packed denominator they share."""
-        if self._rows is None:
-            object.__setattr__(self, "_rows", {})
-        rows = self._rows.get(k)
-        if rows is None:
-            nums, den = _pack(self)
+    def _by_slice(self):
+        """{(weight, y-degree): [(key, monomial, int numerator)]} over the
+        packed form, built in one pass on first use: each distinct monomial
+        is decoded once, and every numerator is over the packed denominator."""
+        if self._split is None:
             width = _width(self.wmax, self.qmax)
-            mask = (1 << width) - 1
-            split = [[] for _q in range(self.qmax + 1)]
+            mask, vshift = (1 << width) - 1, 2 * width  # past the y and weight
+            nums, split = self._packed[0], defaultdict(list)
+            monos = {mk: _key_mono(mk, width) for mk in {key >> vshift for key in nums}}
             for key, n in nums.items():
-                if key >> width & mask == k:
-                    split[key & mask].append((_key_mono(key >> 2 * width, width), n))
-            rows = self._rows[k] = (split, den)
-        return rows
+                entry = (key, monos[key >> vshift], n)
+                split[key >> width & mask, key & mask].append(entry)
+            object.__setattr__(self, "_split", dict(split))
+        return self._split
+
+    def _part(self, slices, drop_y):
+        """The series of the keys in the (weight, y-degree) ``slices`` of
+        :meth:`_by_slice`, each y field zeroed when ``drop_y`` is set."""
+        split, den = self._by_slice(), self._packed[1]
+        mask = (1 << _width(self.wmax, self.qmax)) - 1 if drop_y else 0
+        part = {key & ~mask: n for s in slices for key, _m, n in split.get(s, ())}
+        return self._born(_reduced(part, den))
 
     def coeff(self, k, q):
         """Weight-k, y^q homogeneous part as a y-free series."""
-        part = self._slice_index().get(self._orders(k, q), {})
-        return WSeries._trusted(self.wmax, self.qmax, part)
+        return self._part([self._orders(k, q)], True)
 
     def y_slice(self, q):
         """Coefficient of y^q over all weights, as a y-free series."""
         _k, q = self._orders(q=q)
-        out = {}
-        for (_w, qq), part in self._slice_index().items():
-            if qq == q:
-                out.update(part)
-        return WSeries._trusted(self.wmax, self.qmax, out)
+        return self._part([(k, q) for k in range(self.wmax + 1)], True)
 
     def weight_component(self, k):
         """Weight-k homogeneous part, keeping the y-direction."""
         k, _q = self._orders(k=k)
-        out = {}
-        for (w, q), part in self._slice_index().items():
-            if w == k:
-                out.update({(m, q): c for (m, _q), c in part.items()})
-        return WSeries._trusted(self.wmax, self.qmax, out)
+        return self._part([(k, q) for q in range(self.qmax + 1)], False)
 
     def coefficients_of(self, var):
         """Decompose by powers of ``var``: {exponent: series with var removed}."""
-        var_weight(var)
-        split = {}
-        for (m, q), c in self._terms.items():
-            # cutting one pair out of a canonical monomial leaves it canonical
-            e, rest = 0, m
-            for i, (v, x) in enumerate(m):
-                if v == var:
-                    e, rest = x, m[:i] + m[i + 1 :]
-                    break
-            split.setdefault(e, {})[(rest, q)] = c
-        return {
-            e: WSeries._trusted(self.wmax, self.qmax, terms)
-            for e, terms in split.items()
-        }
+        field, weight = _field(var)  # validates the name
+        width = _width(self.wmax, self.qmax)
+        shift, mask = field * width, (1 << width) - 1
+        unit = (1 << shift) + (weight << width)  # var^1, weight field included
+        split = defaultdict(dict)
+        for key, n in self._packed[0].items():
+            e = key >> shift & mask
+            split[e][key - e * unit] = n
+        den = self._packed[1]
+        return {e: self._born(_reduced(nums, den)) for e, nums in split.items()}
 
     # -- display --------------------------------------------------------
 
     def to_text(self):
-        return _sum_text(self.sorted_items(), _TEXT)
+        return _sum_text(self.sorted_terms(), _TEXT)
 
     def to_latex(self):
-        return _sum_text(self.sorted_items(), _LATEX)
+        return _sum_text(self.sorted_terms(), _LATEX)
 
     def __str__(self):
         return self.to_text()
@@ -541,32 +540,6 @@ class WSeries:
         if len(body) > 120:
             body = body[:117] + "..."
         return "WSeries(wmax=%d, qmax=%d: %s)" % (self.wmax, self.qmax, body)
-
-
-class _PackedSeries(WSeries):
-    """A series born packed: the first read of its unset terms slots fills
-    them and makes it a plain :class:`WSeries` (``__getattr__`` slows reads)."""
-
-    __slots__ = ()
-
-    def get(self, mono=(), q=0):
-        """Read from the packed form when the key is canonical and in range."""
-        try:
-            weight, q = self._orders(_canonical_weight(mono), q)
-        except (TypeError, ValueError):
-            return WSeries.get(self, mono, q)
-        width = _width(self.wmax, self.qmax)
-        key = sum(e << _field(v)[0] * width for v, e in mono) + (weight << width) + q
-        return Fraction(self._packed[0].get(key, 0), self._packed[1])
-
-    def __getattr__(self, name):
-        if name != "_terms" and name != "terms":
-            raise AttributeError(name)
-        terms = _unpack(self._packed, self.wmax, self.qmax)
-        object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "terms", MappingProxyType(terms))
-        object.__setattr__(self, "__class__", WSeries)
-        return getattr(self, name)
 
 
 # -- rendering: one term walk and one signed-sum join ---------------------------
@@ -585,16 +558,16 @@ _LATEX = ("%s^{%d}", _tex_name, r"\frac{%d}{%d}", " ", " ")
 
 
 def _sum_text(terms, style):
-    """The signed sum of ``((monomial, y-degree), coefficient)`` terms in
-    ``style`` (see ``_TEXT``): a coefficient of absolute value 1 is written
-    only when the term has no factor, and y follows the monomial."""
+    """The signed sum of ``(monomial, y-degree, numerator, denominator)``
+    terms, each fraction in lowest terms, in ``style`` (see ``_TEXT``): a
+    coefficient of absolute value 1 is written only when the term has no
+    factor, and y follows the monomial."""
     pow_fmt, name, frac_fmt, mul, sep = style
     parts = []
-    for (mono, q), c in terms:
+    for mono, q, n, d in terms:
         factors = [name(v) if e == 1 else pow_fmt % (name(v), e) for v, e in mono]
         if q:
             factors.append("y" if q == 1 else pow_fmt % ("y", q))
-        n, d = c.numerator, c.denominator
         coeff = "%d" % abs(n) if d == 1 else frac_fmt % (abs(n), d)
         body = mul.join(factors if factors and coeff == "1" else [coeff] + factors)
         parts.append(("-" if n < 0 else "+", body))
@@ -619,16 +592,15 @@ def _width(wmax, qmax):
     return max(wmax, qmax, 1).bit_length()
 
 
-def _pack(series):
-    """The packed form of ``series``: ({key: numerator}, den), den the lcm of
-    the coefficient denominators; built from the terms once, then kept."""
-    if series._packed is not None:
-        return series._packed
-    width = _width(series.wmax, series.qmax)
-    den = lcm(*{c.denominator for c in series._terms.values()})
+def _pack(terms, wmax, qmax):
+    """The reduced packed form of ``terms`` (nonzero Fractions, every key
+    canonical and in range) at the width of (wmax, qmax): ({key: numerator},
+    den), den the lcm of the coefficient denominators."""
+    width = _width(wmax, qmax)
+    den = lcm(*{c.denominator for c in terms.values()})
     units = {}  # variable -> its unit in the key, weight field included
     packed = {}
-    for (mono, q), c in series._terms.items():
+    for (mono, q), c in terms.items():
         key = q
         for v, e in mono:
             u = units.get(v)
@@ -637,7 +609,6 @@ def _pack(series):
                 u = units[v] = (1 << f * width) + (vw << width)
             key += e * u
         packed[key] = c.numerator * (den // c.denominator)
-    object.__setattr__(series, "_packed", (packed, den))
     return packed, den
 
 
@@ -673,7 +644,7 @@ def _sheared_product(groups, wmax, qmax):
     """
     slopes = sorted(groups, reverse=True)
     shifts = [a - b for a, b in zip(slopes, slopes[1:])] + [slopes[-1]]
-    packed = [_pack(groups[s]) for s in slopes]
+    packed = [groups[s]._packed for s in slopes]
     width = _width(wmax, qmax)
     mask = (1 << width) - 1
     hshift = (_field("H")[0] - 1) * width  # in a key without its y field
@@ -705,7 +676,7 @@ def _sheared_product(groups, wmax, qmax):
                 for offset, c in rows[rest >> hshift & mask]:
                     sheared[rest + offset] += f * c
             acc = sheared
-    return WSeries._trusted(wmax, qmax, None, _unfold(acc, width, slot, qmax, den))
+    return WSeries._trusted(wmax, qmax, _unfold(acc, width, slot, qmax, den))
 
 
 def _bits(nums):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, zip_longest
-from math import lcm
 
 from .charclasses import (
     chi_y_log_coefficients,
@@ -33,7 +32,7 @@ from .fibrations import (
 from .genseries import BaseSpec, chi_q, chi_series, chi_values, euler_series_e8
 from .poly import Poly
 from .pushforward import BundleSpec, derivative_pushforward_d5, pushforward
-from .series import WSeries, mono_from_dict, mono_weight
+from .series import WSeries, mono_from_dict
 
 
 def first_mismatch(a, b):
@@ -143,19 +142,17 @@ def _compile_chern_series(series):
     over one common int denominator.  A variable other than c_i (i >= 1)
     raises ValueError; it is never skipped.
     """
-    den = lcm(*(c.denominator for c in series.terms.values()))
     by_weight = {}
-    for (mono, q), c in series.terms.items():
-        factors = []
-        for var, e in mono:
-            i = int(var[1:]) if var[:1] == "c" and var[1:].isdigit() else 0
-            if i < 1:
-                raise ValueError("%r is not a Chern class c_i" % var)
-            factors.append((i, e))
-        by_weight.setdefault(mono_weight(mono), []).append(
-            (q, c.numerator * (den // c.denominator), tuple(factors))
-        )
-    return den, series.qmax + 1, by_weight
+    for (k, q), row in series._by_slice().items():  # its packed numerators
+        for _key, mono, n in row:
+            factors = []
+            for var, e in mono:
+                i = int(var[1:]) if var[:1] == "c" and var[1:].isdigit() else 0
+                if i < 1:
+                    raise ValueError("%r is not a Chern class c_i" % var)
+                factors.append((i, e))
+            by_weight.setdefault(k, []).append((q, n, tuple(factors)))
+    return series._packed[1], series.qmax + 1, by_weight
 
 
 def _top_exponents(compiled):

@@ -337,6 +337,18 @@ def test_series_json_rejects_inexact_numbers():
             parse_series_json(bad)
 
 
+def test_exps_that_are_not_an_object_are_usage_errors(tmp_path, capsys):
+    # a base file and a series record read their monomials the same way
+    base_file = tmp_path / "exps.json"
+    monomial = {"exps": ["L"], "value": "1"}
+    base_file.write_text(json.dumps({"dim": 1, "monomials": [monomial]}))
+    argv = ["chi", "E8", "--base-file", str(base_file)]
+    _assert_usage_error(capsys, argv, "exps must be a JSON object")
+    block = {"t_deg": 1, "y_deg": 0, "terms": [{"exps": ["L"], "coeff": "1"}]}
+    with pytest.raises(UsageError, match="exps must be a JSON object"):
+        parse_series_json({"wmax": 1, "qmax": 0, "records": [block]})
+
+
 def test_series_json_rejects_negative_y_degree():
     block = {"t_deg": 0, "y_deg": -1, "terms": [{"exps": {}, "coeff": "1"}]}
     with pytest.raises(UsageError, match="negative y-degree"):

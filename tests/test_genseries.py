@@ -30,10 +30,11 @@ from ellgenus import (
     pushforward_class,
 )
 from ellgenus import series as series_module
-from ellgenus.series import _PackedSeries
 from helpers import (
     count_calls,
+    reference_coefficients_of,
     reference_integrate,
+    reference_part,
     reference_projective_space_table,
 )
 
@@ -167,9 +168,8 @@ def _class_and_fraction_table(draw):
 def test_the_int_pairing_equals_the_fraction_sum(case):
     cls, base = case
     want = reference_integrate(cls, base.table)
-    rows, den = cls._weight_rows(base.dim)
-    assert not any(rows[1:])
-    assert genseries._pairing(rows[0], den, base) == want
+    assert all(q == 0 for _k, q in cls._by_slice())
+    assert genseries._pairing(cls, base.dim, 0, base) == want
     value = integrate(cls, base)
     assert value == want and type(value) is F
 
@@ -527,19 +527,24 @@ def test_memo_stays_within_its_bound():
     assert chi_series(*keys[0]) == first  # evicted, rebuilt, unchanged
 
 
-def test_a_cold_chi_series_unpacks_only_the_memoized_series(monkeypatch):
+def test_a_cold_chi_series_and_its_slices_unpack_nothing(monkeypatch):
     # every intermediate of the build stays packed: the reweight, the Hadamard
-    # product, exp, log and the inverse; chi_q reads the memoized series
-    # packed, and only a coeff call builds its terms, after which it is a
-    # plain series, fast to slice
+    # product, exp, log and the inverse; chi_q, the slices and the split by a
+    # variable of the memoized series read its packed form, and none of them
+    # builds a Fraction view
     unpacks = count_calls(monkeypatch, series_module, "_unpack")
     charclasses._chi_y_exp(4, 6)
     assert unpacks == []
     series = chi_series("E7", 4)
-    assert unpacks == [] and type(series) is _PackedSeries
-    series.coeff(4, 2)
-    assert len(unpacks) == 1 and type(series) is WSeries
+    assert chi_q("E7", BaseSpec.projective_space(4, 5), 2) == -170225
+    parts = [series.coeff(4, 2), series.y_slice(1), series.weight_component(3)]
+    by_l = series.coefficients_of("L")
+    assert unpacks == [] and series._terms is None
     assert chi_series("E7", 4) is series
+    # the parts equal the term scans of the series, made once all is read
+    want = [reference_part(series, 4, 2), reference_part(series, q=1)]
+    assert parts == want + [reference_part(series, 3)]
+    assert by_l == reference_coefficients_of(series, "L")
 
 
 def test_chi_q_reads_the_memoized_series_packed(monkeypatch):
@@ -548,7 +553,7 @@ def test_chi_q_reads_the_memoized_series_packed(monkeypatch):
     cold = chi_values("E7", base)
     warm = chi_values("E7", base)
     assert cold == warm == [0, 15475, -170225, 170225, -15475, 0]  # class route too
-    assert unpacks == [] and type(chi_series("E7", 4)) is _PackedSeries
+    assert unpacks == [] and chi_series("E7", 4)._terms is None
 
 
 def _chi_q_by_the_class(family_or_spec, base):

@@ -25,7 +25,6 @@ from ellgenus.series import (
     _fold,
     _pack,
     _packed_mul,
-    _PackedSeries,
     _sheared_product,
     _unfold,
     _width,
@@ -351,6 +350,7 @@ def test_float_orders_are_refused_by_the_slices(warm):
         lambda: s.coeff(1, 0.0),
         lambda: s.y_slice(1.0),
         lambda: s.weight_component(1.0),
+        lambda: s.get((), 1.0),
     ):
         with pytest.raises(TypeError):
             call()
@@ -393,10 +393,13 @@ def test_slices_equal_a_term_scan(case):
 
 
 def test_slices_negative_control():
-    # an index that files every term one y-degree too high fails the scan
+    # a split that files every key one y-degree too high fails the scan
     s = WSeries.var("L", 2, 2) * (1 + 2 * WSeries.y(2, 2))
-    shifted = WSeries._trusted(2, 2, {(m, q + 1): c for (m, q), c in s.terms.items()})
-    object.__setattr__(s, "_slices", shifted._slice_index())
+    shifted = {
+        (k, q + 1): [(key + 1, m, n) for key, m, n in row]
+        for (k, q), row in s._by_slice().items()
+    }
+    object.__setattr__(s, "_split", shifted)
     assert s.coeff(1, 1) != reference_part(s, 1, 1)
     assert s.y_slice(1) != reference_part(s, q=1)
     assert s.weight_component(1) != reference_part(s, 1)
@@ -640,12 +643,12 @@ def _is_reduced(packed, terms):
 def test_packed_chain_equals_oracle(series):
     # three packed multiplies in a row, one unpack at the end
     wmax, qmax = series[0].wmax, series[0].qmax
-    packed, want = _pack(series[0]), series[0]
+    packed, want = series[0]._packed, series[0]
     for factor in series[1:]:
-        packed = _packed_mul(packed, _pack(factor), wmax, qmax)
+        packed = _packed_mul(packed, factor._packed, wmax, qmax)
         want = reference_mul(want, factor)
         assert _is_reduced(packed, want.terms)
-    assert WSeries._trusted(wmax, qmax, None, packed) == want
+    assert WSeries._trusted(wmax, qmax, packed) == want
 
 
 # -- the folded kernels against the pair-loop oracles ------------------------------
@@ -668,10 +671,10 @@ def _big_pair(draw):
 
 def _assert_folded_mul(a, b):
     wmax, qmax = a.wmax, a.qmax
-    packed = _packed_mul(_pack(a), _pack(b), wmax, qmax)
-    assert packed == pair_loop_packed_mul(_pack(a), _pack(b), wmax, qmax)
+    packed = _packed_mul(a._packed, b._packed, wmax, qmax)
+    assert packed == pair_loop_packed_mul(a._packed, b._packed, wmax, qmax)
     want = dict_mul(dict_terms(a), dict_terms(b), wmax, qmax)
-    assert WSeries._trusted(wmax, qmax, None, packed).terms == want
+    assert WSeries._trusted(wmax, qmax, packed).terms == want
     assert _is_reduced(packed, want)
 
 
@@ -751,8 +754,8 @@ def test_sheared_product_equals_the_pair_loop_chain(groups):
     # fractional slopes and numerators up to 2^300: one fold, a chain of
     # shears and products, one unfold, against a reduction after every step
     (wmax, qmax), = {(G.wmax, G.qmax) for G in groups.values()}
-    packed = _pack(_sheared_product(groups, wmax, qmax))
-    want = {s: _pack(G) for s, G in groups.items()}
+    packed = _sheared_product(groups, wmax, qmax)._packed
+    want = {s: G._packed for s, G in groups.items()}
     assert packed == pair_loop_sheared_product(want, wmax, qmax)
 
 
@@ -767,24 +770,24 @@ def _h_l_y_series(draw):
 def test_packed_shear_equals_substitute(G, s):
     # a one-group sheared product is the folded shear alone
     want = _sheared(G, s)
-    packed = _pack(_sheared_product({s: G}, G.wmax, G.qmax))
-    assert packed == pair_loop_packed_shear(_pack(G), s, G.wmax, G.qmax)
+    packed = _sheared_product({s: G}, G.wmax, G.qmax)._packed
+    assert packed == pair_loop_packed_shear(G._packed, s, G.wmax, G.qmax)
     assert _is_reduced(packed, want.terms)
-    assert WSeries._trusted(G.wmax, G.qmax, None, packed) == want
+    assert WSeries._trusted(G.wmax, G.qmax, packed) == want
 
 
 @given(_same_orders(2))
 def test_a_product_keeps_its_packed_form_and_builds_its_terms_once(pair):
     a, b = pair
     product = a * b
-    assert isinstance(product, _PackedSeries)
-    born = _pack(product)
+    assert product._terms is None  # born packed, with no view built
+    born = product._packed
     copy_ = WSeries(product.wmax, product.qmax, dict(product.terms))
-    # the first read of the terms made it a plain series holding both forms
-    assert type(product) is WSeries and product.terms is product.terms
+    # the first read built the view once and kept it; the packed form stays
+    assert product.terms is product.terms and product._packed is born
     assert product == copy_ == reference_mul(a, b)
-    assert _pack(product) is born
-    assert _pack(copy_) == born and _pack(copy_) is _pack(copy_)
+    # the constructor packs the terms to the same reduced form
+    assert copy_._packed == born == _pack(dict(product.terms), a.wmax, a.qmax)
 
 
 def test_copy_deepcopy_and_pickle_round_trips():
@@ -858,7 +861,9 @@ def test_scale_weights_negative_controls():
     assert a._scale_weights(rows) == want
     assert a._scale_weights(rows[1:] + [[]]) != want
     wide = WSeries(3, 4, a.terms)._scale_weights(rows)
-    assert WSeries._trusted(3, 2, dict(wide.terms)) != want
+    kept = wide.truncate(3, 2)
+    assert WSeries._trusted(3, 2, _pack(dict(kept.terms), 3, 2)) == want
+    assert WSeries._trusted(3, 2, _pack(dict(wide.terms), 3, 2)) != want
 
 
 @given(_same_orders(1), st.sampled_from(KERNEL_VARS))
@@ -989,7 +994,7 @@ def _ring_operands(draw, count, wmax_top=10, qmax_top=8):
 
 def _terms_and_reduced(result, want):
     """``result`` has the terms ``want``, and its packed form is reduced."""
-    packed = _pack(result)
+    packed = result._packed
     assert dict(result.terms) == want
     assert _is_reduced(packed, want)
 
@@ -997,22 +1002,21 @@ def _terms_and_reduced(result, want):
 @given(_ring_operands(2), _coeffs)
 def test_packed_add_sub_neg_and_scalars_equal_the_dict_oracles(pair, c):
     a, b = pair
+    with pytest.MonkeyPatch.context() as mp:
+        unpacks = count_calls(mp, series_module, "_unpack")
+        results = (
+            a + b, a - b, -a, a + c, c + a, a - c, c - a, a * c, c * a, a * int(c),
+            a - a,  # every numerator cancels
+            a * F(1, 2) + a * F(1, 2),  # a common factor of 2 to divide out
+        )
+    assert unpacks == []  # no operation built a Fraction
     A, B, C = dict_terms(a), dict_terms(b), {((), 0): c}
-    for result, want in (
-        (a + b, dict_add(A, B)),
-        (a - b, dict_add(A, B, -1)),
-        (-a, dict_scale(A, -1)),
-        (a + c, dict_add(A, C)),
-        (c + a, dict_add(A, C)),
-        (a - c, dict_add(A, C, -1)),
-        (c - a, dict_add(C, A, -1)),
-        (a * c, dict_scale(A, c)),
-        (c * a, dict_scale(A, c)),
-        (a * int(c), dict_scale(A, int(c))),
-        (a - a, {}),  # every numerator cancels
-        (a * F(1, 2) + a * F(1, 2), A),  # a common factor of 2 to divide out
-    ):
-        assert type(result) is _PackedSeries
+    wants = (
+        dict_add(A, B), dict_add(A, B, -1), dict_scale(A, -1), dict_add(A, C),
+        dict_add(A, C), dict_add(A, C, -1), dict_add(C, A, -1), dict_scale(A, c),
+        dict_scale(A, c), dict_scale(A, int(c)), {}, A,
+    )
+    for result, want in zip(results, wants, strict=True):
         _terms_and_reduced(result, want)
 
 
@@ -1020,8 +1024,10 @@ def test_packed_add_sub_neg_and_scalars_equal_the_dict_oracles(pair, c):
 def test_packed_scale_weights_equals_the_dict_oracle(case):
     a, rows = case
     for operand in (a, a * 1):
-        result = operand._scale_weights(rows)
-        assert type(result) is _PackedSeries
+        with pytest.MonkeyPatch.context() as mp:
+            unpacks = count_calls(mp, series_module, "_unpack")
+            result = operand._scale_weights(rows)
+        assert unpacks == []
         _terms_and_reduced(result, dict_scale_weights(dict_terms(a), rows, a.qmax))
 
 
@@ -1037,10 +1043,12 @@ def test_packed_exp_log_and_inverse_equal_the_dict_oracles(single, c):
     _terms_and_reduced(WSeries(w, q, unit).inverse(), dict_inverse(unit, w, q))
 
 
-def test_packed_operations_keep_their_error_classes():
+def test_packed_operations_keep_their_error_classes(monkeypatch):
     v = S(3, 2)
+    others = (WSeries.var("L", 3, 3), v["L"].truncate(2))
+    unpacks = count_calls(monkeypatch, series_module, "_unpack")
     born = (v["L"] + v["y"]) * (v["H"] + 1)  # L*H + L + y*H + y, unread
-    for other in (WSeries.var("L", 3, 3), v["L"].truncate(2)):
+    for other in others:
         with pytest.raises(TruncationMismatchError):
             born + other
         with pytest.raises(TruncationMismatchError):
@@ -1057,7 +1065,7 @@ def test_packed_operations_keep_their_error_classes():
             bad.log()
     assert born and not (born - born) and (born - born).is_zero()
     assert born.constant_term() == 0 and (born - F(1, 3)).constant_term() == F(-1, 3)
-    assert type(born) is _PackedSeries  # no check read its terms
+    assert unpacks == []  # no check read the terms
 
 
 @given(_same_orders(1), st.data())
@@ -1067,9 +1075,9 @@ def test_packed_equality_agrees_with_the_terms(single, data):
     b_terms = dict_add(dict_terms(a), {key: data.draw(_coeffs)})
     b = WSeries(a.wmax, a.qmax, b_terms)
     want = dict_terms(a) == b_terms  # the two differ in at most one coefficient
-    assert (a * 1 == b * 1) is want  # both packed
-    assert (a * 1 == b) is want and (a == b * 1) is want  # one packed
-    assert (a == b) is want  # both from their terms
+    assert (a * 1 == b * 1) is want  # both born of a kernel
+    assert (a * 1 == b) is want and (a == b * 1) is want  # one born of a kernel
+    assert (a == b) is want  # both packed from their terms
     assert (a * 1 == WSeries(a.wmax + 1, a.qmax, dict_terms(a)) * 1) is False
 
 
@@ -1077,10 +1085,12 @@ def test_packed_equality_agrees_with_the_terms(single, data):
 def test_get_on_a_product_reads_its_packed_form(pair):
     a, b = pair
     product, want = a * b, reference_mul(a, b)
-    for mono, q in list(want.terms) + [((), 0), ((), a.qmax)]:
-        assert product.get(mono, q) == want.get(mono, q)
-    assert type(product) is _PackedSeries
-    # a key out of range or not canonical is looked up in the terms
-    for mono, q in (((), a.qmax + 1), ((("H", 1), ("L", 1)), 0), ((("x", 1),), 0)):
-        assert product.get(mono, q) == 0
-    assert type(product) is WSeries
+    keys = list(want.terms) + [((), 0), ((), a.qmax)]
+    with pytest.MonkeyPatch.context() as mp:
+        unpacks = count_calls(mp, series_module, "_unpack")
+        for mono, q in keys:
+            assert product.get(mono, q) == want.get(mono, q)
+        # a key out of range or not canonical has the coefficient 0
+        for mono, q in (((), a.qmax + 1), ((("H", 1), ("L", 1)), 0), ((("x", 1),), 0)):
+            assert product.get(mono, q) == 0
+    assert unpacks == []

@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py: a run with a wrong output stops the tool."""
+"""tools/bench_pairs.py: a run with a wrong output stops the tool, and the
+output file counts the program lines of both checkouts."""
 
 import importlib.util
 import json
@@ -25,8 +26,12 @@ def test_a_wrong_run_stops_bench_pairs(
 ):
     tool = _bench_pairs()
     parent, change = tmp_path / "parent", tmp_path / "change"
-    for checkout in (parent, change):
-        checkout.mkdir()
+    for checkout, lines in ((parent, 3), (change, 2)):
+        src = checkout / "src" / "ellgenus"
+        src.mkdir(parents=True)
+        (src / "a.py").write_text("x = 1\n" * lines)
+        (src / "b.py").write_text("y = 2\n")
+        (src / "notes.txt").write_text("not a program file\n" * 5)
     shutil.copy(ROOT / "BENCHMARK.json", change / "BENCHMARK.json")
     metrics = {"ops_per_s": 1.0}
 
@@ -45,5 +50,7 @@ def test_a_wrong_run_stops_bench_pairs(
     assert tool.main(argv) == 1
     assert "the change run of cli seed 2 is wrong" in capsys.readouterr().err
     # the pair before it is kept, and no summary is written
-    cli = json.loads(out.read_text())["workloads"]["cli"]
+    doc = json.loads(out.read_text())
+    cli = doc["workloads"]["cli"]
     assert [p["seed"] for p in cli["pairs"]] == [1] and "summary" not in cli
+    assert doc["src_lines"] == {"parent": 4, "change": 3}

@@ -16,12 +16,14 @@ change won (ties count for neither side) and ``gain``: the change won at
 least nine tenths of the pairs and the medians differ by more than the
 distance between the parent's quartiles.  A run whose outputs are not all
 correct, or that failed a request, stops the tool with exit status 1 and
-names the run on stderr.
+names the run on stderr.  ``src_lines`` gives the lines of
+``src/ellgenus/*.py`` in each checkout, counted as ``wc -l`` counts them.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import platform
@@ -48,6 +50,15 @@ def run_once(checkout, workload, seed):
         metrics["verify_s"] = extra["verify_s"]
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"], "metrics": metrics}
+
+
+def src_lines(checkout):
+    """The newlines in the program files ``src/ellgenus/*.py`` of a checkout."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "ellgenus", "*.py")):
+        with open(path) as fh:
+            total += fh.read().count("\n")
+    return total
 
 
 def quartiles(values):
@@ -89,6 +100,7 @@ def main(argv=None):
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
     better["verify_s"] = "lower"
+    lines = {"parent": src_lines(args.parent), "change": src_lines(args.change)}
     doc = {
         "command": "python3 bench/run.py --workload W --seed i --seconds %d --trace 0"
                    % SECONDS,
@@ -96,6 +108,7 @@ def main(argv=None):
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
+        "src_lines": lines,
         "workloads": {},
     }
     for workload in WORKLOADS:
