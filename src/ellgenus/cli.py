@@ -30,7 +30,7 @@ from .fibrations import (
 )
 from .genseries import BaseSpec, MissingIntersectionError, chi_q, chi_series
 from .pushforward import BundleSpec
-from .series import WSeries, mono_from_dict, mono_weight
+from .series import WSeries, _TEXT, _sum_text, mono_from_dict, mono_weight
 from .verify import run_suites
 
 
@@ -221,11 +221,12 @@ def cmd_q(args):
         print(series.to_latex())
     else:
         print("Q(%s) expanded to weight %d, y-degree %d:" % (label, args.wmax, args.qmax))
-        for q in range(0, args.qmax + 1):
-            part = series.y_slice(q)
-            if part.is_zero() and q > args.wmax + 1:
-                continue
-            print("  y^%d: %s" % (q, part.to_text()))
+        rows = [[] for _ in range(args.qmax + 1)]  # the y^q coefficient's terms
+        for mono, q, n, d in series.sorted_terms():
+            rows[q].append((mono, 0, n, d))
+        for q, row in enumerate(rows):
+            if row or q <= args.wmax + 1:
+                print("  y^%d: %s" % (q, _sum_text(row, _TEXT)))
     return 0
 
 
@@ -269,7 +270,10 @@ def cmd_chi(args):
         if args.show_class:
             cls = chi_series(target, d, top + 1).coeff(d, q)
             print("class for q=%d (weight %d): %s" % (q, d, cls.to_text()))
-        value = chi_q(target, base, q)
+        try:
+            value = chi_q(target, base, q)
+        except MissingIntersectionError as exc:  # bad input only in a base file
+            raise UsageError(exc) if args.base_file else exc
         values.append(value)
         print("chi_%d = %s" % (q, value))
     if args.q == "all":
@@ -370,7 +374,7 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (UsageError, MissingIntersectionError) as exc:  # bad input
+    except UsageError as exc:  # bad input
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except Exception as exc:  # a fault of the program

@@ -37,8 +37,7 @@ from .charclasses import (
 )
 from .poly import Poly
 from .pushforward import BundleSpec, pushforward
-from .series import WSeries, _sheared_product, _truncation_orders
-from .series import _field, _reduced, _width  # the packed form
+from .series import WSeries, _pack, _reduced, _sheared_product, _truncation_orders
 from .series import _TEXT, _signed_sum, _sum_text  # the text writer
 
 FAMILIES = ("D5", "E6", "E7", "E8")
@@ -225,17 +224,15 @@ def closed_form_q(family, wmax=DEFAULT_WMAX, qmax=DEFAULT_QMAX):
     y^n L^j coefficient is sum_k P_n[k] (-k)^j / j!."""
     _check_family(family)
     wmax, qmax = _truncation_orders(wmax, qmax)
-    width = _width(wmax, qmax)
-    unit = (1 << _field("L")[0] * width) + (1 << width)  # L, weight 1
     den, nums = factorial(wmax), {}
     for n, row in enumerate(_p_rows(family, qmax)):
         row = [(k, c) for k, c in enumerate(row) if c]  # (k, P_n[k] (-k)^j)
         scale = den  # wmax!/j!
         for j in range(wmax + 1):
             scale //= j or 1
-            nums[j * unit + n] = sum(c for _, c in row) * scale
+            nums[(("L", j),), n] = sum(c for _, c in row) * scale
             row = [(k, -k * c) for k, c in row]
-    return WSeries._trusted(wmax, qmax, _reduced(nums, den))
+    return WSeries._trusted(wmax, qmax, _reduced(_pack(nums, wmax, qmax), den))
 
 
 # ---------------------------------------------------------------------------

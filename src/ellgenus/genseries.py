@@ -25,7 +25,7 @@ from types import MappingProxyType
 
 from .charclasses import _hirzebruch_exp
 from .fibrations import _total_dim, closed_form_q, derived_q, pushforward_class
-from .series import WSeries, _as_fraction, _canonical_weight, _width
+from .series import WSeries, _as_fraction, _canonical_weight
 
 
 class MissingIntersectionError(ValueError):
@@ -143,13 +143,11 @@ def _chi_series(family_or_spec, tmax, qmax):
 def integrate(cls, base):
     """Pair a y-free weight-``base.dim`` class with the intersection table:
     its packed numerators against the base's ints, one ``Fraction`` at the end."""
-    width = _width(cls.wmax, cls.qmax)
-    mask = (1 << width) - 1
-    for key in cls._packed[0]:  # field 0 holds the y-degree, field 1 the weight
-        if key & mask:
-            raise ValueError("cannot integrate a class with y-content")
-        if key >> width & mask != base.dim:
-            raise ValueError("class is not weight-homogeneous of weight %d" % base.dim)
+    slices = cls._by_slice()  # {(weight, y-degree): its terms}
+    if any(q for _k, q in slices):
+        raise ValueError("cannot integrate a class with y-content")
+    if any(k != base.dim for k, _q in slices):
+        raise ValueError("class is not weight-homogeneous of weight %d" % base.dim)
     return _pairing(cls, base.dim, 0, base)
 
 

@@ -13,13 +13,11 @@ evaluate at H = -L.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
 
 from .series import TruncationDeficitError, WSeries, mono_from_dict
-from .series import _field, _unpack, _width  # the packed form
 
 
 @dataclass(frozen=True)
@@ -67,34 +65,21 @@ def pushforward(series, bundle):
 
     Each s_j(E) is a single term sigma_j * L^j with sigma_j an int (see
     :func:`_segre_numbers`), so the map runs on the packed form of ``series``:
-    a key with H field r-1+j loses it and gains j in its L field, and its
-    numerator takes a factor sigma_j.  The summed keys are decoded at the
-    input's width, which reads no weight field, into one ``Fraction`` each.
+    a term of H-degree r-1+j takes the factor sigma_j H^-(r-1+j) L^j, which
+    lowers its weight by r-1, to at most the output weight it is truncated to.
     """
     r = bundle.rank
-    wmax, qmax = series.wmax, series.qmax
-    out_wmax = wmax - (r - 1)
+    out_wmax = series.wmax - (r - 1)
     if out_wmax < 0:
         raise TruncationDeficitError(
             "pushforward along a rank-%d bundle needs input weight %d, have %d"
-            % (r, r - 1, wmax)
+            % (r, r - 1, series.wmax)
         )
-    # a term H^(r-1+j) m has weight <= wmax, so m L^j has weight <= out_wmax
-    width = _width(wmax, qmax)
-    hshift = _field("H")[0] * width
-    lshift = _field("L")[0] * width
-    # by H field e = r-1+j: (key offset from H^e to L^j, sigma_j)
-    rows = [(0, 0)] * (r - 1) + [
-        ((j << lshift) - (r - 1 + j << hshift), sigma)
+    rows = [[]] * (r - 1) + [
+        [((("H", -(r - 1 + j)), ("L", j)), sigma)]
         for j, sigma in enumerate(_segre_numbers(bundle, out_wmax))
     ]
-    nums, den = series._packed
-    acc = defaultdict(int)
-    for key, n in nums.items():
-        offset, sigma = rows[key >> hshift & (1 << width) - 1]
-        if sigma:
-            acc[key + offset] += n * sigma
-    return WSeries(out_wmax, qmax, _unpack((acc, den), wmax, qmax))
+    return series._map_powers("H", rows).truncate(out_wmax)
 
 
 def derivative_pushforward_d5(series):

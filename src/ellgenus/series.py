@@ -17,18 +17,18 @@ positive exponents, ordered L < H < c1 < c2 < ...; the empty tuple is the
 constant monomial.
 
 A series stores one form of its value, the reduced packed form: a dict from
-int key to int numerator plus one common denominator.  The operations read
-and write that form; only the ``terms`` view and ``truncate`` build a
-``Fraction`` per term:
+int key to int numerator plus one common denominator.  This module alone
+reads or writes the bits of a key.  The operations run on the packed form;
+only the ``terms`` view builds a ``Fraction`` per term:
 
-- ``_pack`` is the one route from terms to ints: it puts every term over the
-  lcm of the denominators and packs it into an int key of bit-fields of
-  equal width: field 0 holds the y-degree, field 1 the weight, field 2 L,
-  field 3 H and field 3+i ci.  The width is ``max(wmax, qmax).bit_length()``
-  bits (at least 1), so adding two keys adds the y-degrees, the weights and
-  every exponent at once.  No field can carry into the next: a kept pair has
-  q1 + q2 <= qmax and w1 + w2 <= wmax, and every variable has weight >= 1,
-  so no exponent exceeds wmax.
+- ``_pack`` is the one encoder: it packs int numerators keyed by (monomial,
+  y-degree) into int keys of bit-fields of equal width: field 0 holds the
+  y-degree, field 1 the weight, field 2 L, field 3 H and field 3+i ci.  The
+  width is ``max(wmax, qmax).bit_length()`` bits (at least 1), so adding two
+  keys adds the y-degrees, the weights and every exponent at once.  No field
+  can carry into the next: a kept pair has q1 + q2 <= qmax and w1 + w2 <=
+  wmax, and every variable has weight >= 1, so no exponent exceeds wmax.
+  The constructor and ``truncate`` pack int numerators over one denominator.
 - ``_packed_mul`` and ``_sheared_product`` fold each monomial's y-polynomial
   into one int, the sum of n_q 2^(B*q) (``_fold``), so one int product of two
   monomials is their y-convolution, done in C; ``_unfold`` reads the slots
@@ -40,19 +40,18 @@ and write that form; only the ``terms`` view and ``truncate`` build a
   product those of its group's largest numerator and term count.  Only y is
   folded: a y-polynomial is dense (at most qmax + 1 slots, nearly all
   filled), while the sparse (y, L, H, ci) box would need far more slots.
-- ``_unpack`` turns each key into a canonical monomial tuple and each
-  numerator into one ``Fraction`` over the common denominator.
+- ``_unpack`` decodes for the ``terms`` view only: each key into a canonical
+  monomial tuple and each numerator into one ``Fraction``.
 
 A sum puts both numerator maps over the lcm of the denominators; a scalar
 p/r scales the numerators by p and the denominator by r; ``_scale_weights``
 adds j to a key for y^j.  ``_reduced`` then divides the numerators and the
 denominator by their gcd, so a value has one packed form, its denominator
 the lcm of the reduced coefficient denominators, and ``==`` compares packed
-forms.  ``WSeries.terms`` is a read-only ``Fraction`` view of the packed
-form, built on its first read and kept.  The slices (``coeff``, ``y_slice``,
-``weight_component``), the display (``sorted_terms``) and the pairing of
-``genseries`` with a base read one split of the packed keys by (weight,
-y-degree), built on first use with each distinct monomial decoded once.
+forms.  The slices (``coeff``, ``y_slice``, ``weight_component``), the
+display (``sorted_terms``) and the pairing of ``genseries`` with a base read
+one split of the packed keys by (weight, y-degree), built on first use with
+each distinct monomial decoded once.
 """
 
 from __future__ import annotations
@@ -186,7 +185,9 @@ class WSeries:
                 c = _as_fraction(coeff)
                 if c:
                     clean[(mono, q)] = c
-        return cls._trusted(wmax, qmax, _pack(clean, wmax, qmax))
+        den = lcm(*{c.denominator for c in clean.values()})
+        nums = {key: c.numerator * (den // c.denominator) for key, c in clean.items()}
+        return cls._trusted(wmax, qmax, (_pack(nums, wmax, qmax), den))  # lowest terms
 
     @classmethod
     def _trusted(cls, wmax, qmax, packed):
@@ -270,11 +271,10 @@ class WSeries:
         range or not canonical.  A float ``q`` raises ``TypeError``."""
         q = index(q)
         try:
-            weight, q = self._orders(_canonical_weight(mono), q)
+            self._orders(_canonical_weight(mono), q)
         except (TypeError, ValueError):
             return Fraction(0)
-        width = _width(self.wmax, self.qmax)
-        key = sum(e << _field(v)[0] * width for v, e in mono) + (weight << width) + q
+        (key,) = _pack({(mono, q): 1}, self.wmax, self.qmax)
         return Fraction(self._packed[0].get(key, 0), self._packed[1])
 
     def constant_term(self):
@@ -296,7 +296,7 @@ class WSeries:
         return out
 
     def truncate(self, wmax=None, qmax=None):
-        """Re-truncate to (possibly) smaller orders."""
+        """Re-truncate to (possibly) smaller orders, packed at their width."""
         w = self.wmax if wmax is None else wmax
         q = self.qmax if qmax is None else qmax
         if w > self.wmax or q > self.qmax:
@@ -304,7 +304,10 @@ class WSeries:
                 "cannot extend truncation (%d, %d) to (%d, %d)"
                 % (self.wmax, self.qmax, w, q)
             )
-        return WSeries(w, q, self.terms)
+        w, q = _truncation_orders(w, q)
+        split = self._by_slice().items()
+        kept = {(m, j): n for (k, j), r in split if k <= w and j <= q for _, m, n in r}
+        return WSeries._trusted(w, q, _reduced(_pack(kept, w, q), self._packed[1]))
 
     # -- ring operations ----------------------------------------------
 
@@ -456,6 +459,20 @@ class WSeries:
                 acc[key + j] += n * r
         return self._born(_reduced(acc, den * rden))
 
+    def _map_powers(self, var, rows):
+        """Each term of ``var``-degree e times the sum of the (monomial, int)
+        entries of ``rows[e]``; an entry's negative exponents divide the term."""
+        w, q = self.wmax, self.qmax
+        offsets = [_pack({(m, 0): c for m, c in row}, w, q).items() for row in rows]
+        width = _width(w, q)
+        shift, mask = _field(var)[0] * width, (1 << width) - 1
+        nums, den = self._packed
+        acc = defaultdict(int)
+        for key, n in nums.items():
+            for offset, c in offsets[key >> shift & mask]:
+                acc[key + offset] += n * c
+        return self._born(_reduced(acc, den))
+
     def diff_h(self):
         """Formal d/dH.  The weight bound is kept; callers track validity."""
         nums, den = self._packed
@@ -513,10 +530,9 @@ class WSeries:
 
     def coefficients_of(self, var):
         """Decompose by powers of ``var``: {exponent: series with var removed}."""
-        field, weight = _field(var)  # validates the name
         width = _width(self.wmax, self.qmax)
-        shift, mask = field * width, (1 << width) - 1
-        unit = (1 << shift) + (weight << width)  # var^1, weight field included
+        shift, mask = _field(var)[0] * width, (1 << width) - 1  # validates the name
+        (unit,) = _pack({(((var, 1),), 0): 1}, self.wmax, self.qmax)  # var^1
         split = defaultdict(dict)
         for key, n in self._packed[0].items():
             e = key >> shift & mask
@@ -592,15 +608,15 @@ def _width(wmax, qmax):
     return max(wmax, qmax, 1).bit_length()
 
 
-def _pack(terms, wmax, qmax):
-    """The reduced packed form of ``terms`` (nonzero Fractions, every key
-    canonical and in range) at the width of (wmax, qmax): ({key: numerator},
-    den), den the lcm of the coefficient denominators."""
+def _pack(nums, wmax, qmax):
+    """{key: n} of the int numerators ``nums`` {(monomial, y-degree): n} at
+    the width of (wmax, qmax).  A key is q plus the sum of the units of the
+    exponents (weight field included), so a monomial with a zero or negative
+    exponent packs to the offset that multiplies a key by it."""
     width = _width(wmax, qmax)
-    den = lcm(*{c.denominator for c in terms.values()})
     units = {}  # variable -> its unit in the key, weight field included
     packed = {}
-    for (mono, q), c in terms.items():
+    for (mono, q), n in nums.items():
         key = q
         for v, e in mono:
             u = units.get(v)
@@ -608,8 +624,8 @@ def _pack(terms, wmax, qmax):
                 f, vw = _field(v)
                 u = units[v] = (1 << f * width) + (vw << width)
             key += e * u
-        packed[key] = c.numerator * (den // c.denominator)
-    return packed, den
+        packed[key] = n
+    return packed
 
 
 def _reduced(acc, den):

@@ -10,6 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 from ellgenus import (
+    FAMILIES,
     BaseSpec,
     MissingIntersectionError,
     WSeries,
@@ -20,6 +21,7 @@ from ellgenus import (
     derived_q,
     integrate,
 )
+from ellgenus import series as series_module
 from ellgenus.cli import (
     UsageError,
     emit_series_json,
@@ -45,6 +47,30 @@ def test_q_text_output(capsys):
     assert code == 0
     assert "y^0: L - 1/2*L^2" in out
     assert "y^1: -11*L + 73/2*L^2" in out
+
+
+def _per_slice_q_text(family, wmax, qmax):
+    """The output of ``q FAMILY`` rendered from one ``y_slice`` per y-degree,
+    a zero slice past y^(wmax+1) skipped."""
+    series = closed_form_q(family, wmax, qmax)
+    lines = ["Q(%s) expanded to weight %d, y-degree %d:" % (family, wmax, qmax)]
+    for q in range(qmax + 1):
+        part = series.y_slice(q)
+        if not part.is_zero() or q <= wmax + 1:
+            lines.append("  y^%d: %s" % (q, part.to_text()))
+    return "".join(line + "\n" for line in lines)
+
+
+def test_q_text_equals_the_per_slice_rendering(capsys):
+    skipped = 0
+    for family in FAMILIES:
+        for wmax in range(9):
+            for qmax in range(12):
+                argv = ("q", family, "--wmax", str(wmax), "--qmax", str(qmax))
+                want = _per_slice_q_text(family, wmax, qmax)
+                assert run_cli(capsys, *argv) == (0, want, "")
+                skipped += qmax + 2 - want.count("\n")
+    assert skipped > 0  # the grid has zero rows past y^(wmax+1)
 
 
 def test_q_closed_form(capsys):
@@ -422,6 +448,20 @@ def test_an_engine_fault_exits_3(tmp_path, capsys, monkeypatch, name, argv):
     code, _out, err = run_cli(capsys, *argv)
     assert code == 3
     assert err == "internal error: ValueError: injected engine fault\n"
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["chi", "E8", "--base", "pd:2:3"]])
+def test_a_monomial_missing_from_a_table_the_program_built_exits_3(
+    capsys, monkeypatch, argv
+):
+    # a key decoder that reads the field of ci as c(i+1): the pairing then
+    # asks the table for a monomial it cannot hold, a fault of the program
+    # when the table is not a --base-file
+    names = lambda f: ("L", "H")[f - 2] if f < 4 else "c%d" % (f - 2)  # noqa: E731
+    monkeypatch.setattr(series_module, "_field_name", names)
+    code, _out, err = run_cli(capsys, *argv)
+    assert (code, err) == (3, "internal error: MissingIntersectionError: "
+                           "no intersection number for monomial {'L': 1, 'c2': 1}\n")
 
 
 # every kind of invalid call in the benchmark's cli stream

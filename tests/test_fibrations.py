@@ -2,6 +2,7 @@
 and the polynomial table."""
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -25,8 +26,10 @@ from ellgenus import (
     pushforward,
     pushforward_class,
 )
+from ellgenus import series as series_module
 from helpers import (
     PAPER_CLOSED_TEXT,
+    count_calls,
     reference_closed_form_q,
     reference_fiber_integrand,
     reference_pushforward_class,
@@ -198,6 +201,22 @@ def test_derived_equals_closed_on_the_catalog_up_to_12(family):
     for wmax in (0, 1, 3, 6, 10, 12):
         for qmax in (0, 1, 3, 7, 11, 12):
             assert derived_q(family, wmax, qmax) == closed_form_q(family, wmax, qmax)
+
+
+def test_derived_q_unpacks_nothing(monkeypatch):
+    # the integrand, its pushforward and the truncation to the output weight
+    # all run on the packed form: no Fraction view is built
+    unpacks = count_calls(monkeypatch, series_module, "_unpack")
+    for module in list(sys.modules.values()):  # any module that imported it
+        if module.__name__.startswith("ellgenus.") and hasattr(module, "_unpack"):
+            monkeypatch.setattr(module, "_unpack", series_module._unpack)
+    rng = random.Random("unpack")
+    for family in FAMILIES:
+        for w in (0, 3, 7):
+            derived_q(family, w, w + 1)
+        for a in range(-2, 4):
+            derived_q(_twisted(family, a, rng), 7, 8)
+    assert unpacks == []
 
 
 def test_derived_q_accepts_family_name_or_spec():

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from ellgenus import (
     NotAUnitError,
+    TruncationDeficitError,
     TruncationMismatchError,
     WSeries,
     catalog_spec,
     fiber_integrand,
     mono_from_dict,
+    mono_weight,
     var_weight,
 )
 from ellgenus import series as series_module
@@ -630,6 +632,14 @@ def test_kernel_equals_oracle(pair):
     assert a * b == reference_mul(a, b)
 
 
+def _packed_terms(terms, wmax, qmax):
+    """The packed form of Fraction ``terms``: their numerators over the lcm
+    of their denominators, each packed by ``_pack``."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    nums = {key: c.numerator * (den // c.denominator) for key, c in terms.items()}
+    return _pack(nums, wmax, qmax), den
+
+
 def _is_reduced(packed, terms):
     """No factor divides the packed denominator and every numerator, so the
     denominator is the lcm of the reduced denominators of ``terms``."""
@@ -759,6 +769,81 @@ def test_sheared_product_equals_the_pair_loop_chain(groups):
     assert packed == pair_loop_sheared_product(want, wmax, qmax)
 
 
+# -- the slot budget at its edge: same-sign numerators in every slot --------------
+
+_EDGE_QMAX = 2
+_EDGE_SLOPES = ((F(7, 3),), (F(-5, 2), F(11, 3)), (F(7, 3), F(-5, 2), F(11, 3)))
+_EDGE_CASES = [
+    (wmax, sign * c)
+    for wmax in range(3, 9)
+    for c in (1, 7, 2**40 - 1)
+    for sign in (1, -1)
+]
+
+
+def _full_support(wmax, c):
+    """c at every H^a L^b y^q within (wmax, _EDGE_QMAX): every slot of every
+    fold is filled with one sign, so no slot sum cancels."""
+    return WSeries(wmax, _EDGE_QMAX, {
+        (mono_from_dict({"H": a, "L": b}), q): c
+        for a in range(wmax + 1)
+        for b in range(wmax + 1 - a)
+        for q in range(_EDGE_QMAX + 1)
+    })
+
+
+def _edge_mul_and_chains(wmax, c):
+    """(kernel, pair-loop oracle) for the square of the full-support series
+    and for its sheared product over each slope set of ``_EDGE_SLOPES``."""
+    G = _full_support(wmax, c)
+    out = [(_packed_mul(G._packed, G._packed, wmax, _EDGE_QMAX),
+            pair_loop_packed_mul(G._packed, G._packed, wmax, _EDGE_QMAX))]
+    for slopes in _EDGE_SLOPES:
+        groups = dict.fromkeys(slopes, G)
+        packed = {s: G._packed for s in slopes}
+        out.append((_sheared_product(groups, wmax, _EDGE_QMAX)._packed,
+                    pair_loop_sheared_product(packed, wmax, _EDGE_QMAX)))
+    return out
+
+
+@pytest.mark.parametrize("wmax, c", _EDGE_CASES)
+def test_the_slot_budget_holds_at_worst_case_magnitudes(wmax, c):
+    # the largest slot sums of both kernels; a budget that subtracts the
+    # shear's bit_length(top + 1) instead of adding it fails a third of these
+    for got, want in _edge_mul_and_chains(wmax, c):
+        assert got == want
+
+
+def _narrower_slots(monkeypatch, bits):
+    """Make every fold, folded product and unfold use slots ``bits`` narrower
+    than the kernels' budget."""
+    fold, mul, unfold = _fold, series_module._folded_mul, _unfold
+    cut = bits * (_EDGE_QMAX + 1)
+    monkeypatch.setattr(series_module, "_fold", lambda n, w, s: fold(n, w, s - bits))
+    monkeypatch.setattr(
+        series_module, "_folded_mul", lambda a, b, w, m, c: mul(a, b, w, m, c - cut)
+    )
+    monkeypatch.setattr(
+        series_module, "_unfold", lambda f, w, s, q, d: unfold(f, w, s - bits, q, d)
+    )
+
+
+def test_slot_budget_negative_controls(monkeypatch):
+    # the product's budget is tight here: one bit less gives a wrong square;
+    # the shear chain keeps two bits of slack on these inputs, so three bits
+    # less give a wrong one-slope chain
+    with monkeypatch.context() as mp:
+        _narrower_slots(mp, 1)
+        got, want = _edge_mul_and_chains(3, 2**40 - 1)[0]
+        assert got != want
+    with monkeypatch.context() as mp:
+        _narrower_slots(mp, 3)
+        got, want = _edge_mul_and_chains(3, 2**40 - 1)[1]
+        assert got != want
+    for got, want in _edge_mul_and_chains(3, 2**40 - 1):  # positive control
+        assert got == want
+
+
 @st.composite
 def _h_l_y_series(draw):
     wmax = draw(st.integers(0, 8))
@@ -787,7 +872,7 @@ def test_a_product_keeps_its_packed_form_and_builds_its_terms_once(pair):
     assert product.terms is product.terms and product._packed is born
     assert product == copy_ == reference_mul(a, b)
     # the constructor packs the terms to the same reduced form
-    assert copy_._packed == born == _pack(dict(product.terms), a.wmax, a.qmax)
+    assert copy_._packed == born == _packed_terms(product.terms, a.wmax, a.qmax)
 
 
 def test_copy_deepcopy_and_pickle_round_trips():
@@ -862,8 +947,8 @@ def test_scale_weights_negative_controls():
     assert a._scale_weights(rows[1:] + [[]]) != want
     wide = WSeries(3, 4, a.terms)._scale_weights(rows)
     kept = wide.truncate(3, 2)
-    assert WSeries._trusted(3, 2, _pack(dict(kept.terms), 3, 2)) == want
-    assert WSeries._trusted(3, 2, _pack(dict(wide.terms), 3, 2)) != want
+    assert WSeries._trusted(3, 2, _packed_terms(kept.terms, 3, 2)) == want
+    assert WSeries._trusted(3, 2, _packed_terms(wide.terms, 3, 2)) != want
 
 
 @given(_same_orders(1), st.sampled_from(KERNEL_VARS))
@@ -1066,6 +1151,51 @@ def test_packed_operations_keep_their_error_classes(monkeypatch):
     assert born and not (born - born) and (born - born).is_zero()
     assert born.constant_term() == 0 and (born - F(1, 3)).constant_term() == F(-1, 3)
     assert unpacks == []  # no check read the terms
+
+
+# (orders, truncated orders): each crosses a field-width boundary (8 -> 7,
+# 16 -> 15, 4 -> 3, 2 -> 1) or truncates to (0, 0)
+_WIDTH_EDGES = [
+    ((8, 3), (7, 3)),
+    ((5, 16), (5, 15)),
+    ((4, 4), (3, 3)),
+    ((2, 2), (1, 1)),
+    ((8, 16), (7, 15)),
+    ((8, 16), (0, 0)),
+    ((3, 2), (0, 0)),
+]
+
+
+@pytest.mark.parametrize("orders, cut", _WIDTH_EDGES)
+@given(data=st.data())
+def test_truncate_equals_a_term_filter(orders, cut, data):
+    a = data.draw(_series_at(*orders))
+    w, q = cut
+    with pytest.MonkeyPatch.context() as mp:
+        unpacks = count_calls(mp, series_module, "_unpack")
+        got = a.truncate(w, q)  # before any read of a's terms builds the view
+        assert (got.wmax, got.qmax) == cut and unpacks == []
+    want = {
+        (m, j): c
+        for (m, j), c in dict_terms(a).items()
+        if mono_weight(m) <= w and j <= q
+    }
+    assert dict_terms(got) == want and got == WSeries(w, q, want)
+    assert a.truncate() == a and a.truncate(qmax=q) == WSeries(a.wmax, q, a.terms)
+
+
+def test_truncate_keeps_its_error_classes():
+    a = WSeries.var("L", 3, 2) + WSeries.y(3, 2)
+    for orders in ((2.0,), (3, 1.0), (2.0, 2)):
+        with pytest.raises(TypeError):
+            a.truncate(*orders)
+    for orders in ((-1,), (3, -1)):
+        with pytest.raises(ValueError) as caught:
+            a.truncate(*orders)
+        assert caught.type is ValueError
+    for orders in ((4,), (3, 3), (0, 3)):
+        with pytest.raises(TruncationDeficitError):
+            a.truncate(*orders)
 
 
 @given(_same_orders(1), st.data())
