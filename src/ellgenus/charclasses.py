@@ -20,14 +20,15 @@ never expanded.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import index
 
 from .poly import Poly
-from .series import WSeries, _sheared_product, _truncation_orders
+from .series import WSeries, _pack, _reduced, _sheared_product, _truncation_orders
 
 
 @dataclass(frozen=True)
@@ -51,11 +52,11 @@ class RootForm:
 #
 # Each local factor is a one-variable function f(t) = sum_k f_k(y) t^k,
 # evaluated at a Chern root l = a*H + b*L.  Its t-coefficients are written
-# down from closed forms (Todd numbers, s^k/k!) as {y-degree: rational}
-# maps, and :func:`_local_factor` fills them in at the root: t -> a*H (or b*L
-# when a = 0), then, when both a and b are nonzero, the binomial shear
-# H -> H + (b/a)*L.  No local factor takes an exp, and the one inverse,
-# of the Todd numbers, is taken once per order.
+# down from closed forms (Todd numbers, s^k/k!) as int numerators over one
+# denominator, and :func:`_local_factor` fills them in at the root: t -> a*H
+# (or b*L when a = 0), then, when both a and b are nonzero, the binomial
+# shear H -> H + (b/a)*L.  No local factor takes an exp or an inverse: the
+# Todd numbers come from the Bernoulli recurrence, once per order.
 
 
 def _h_powers(order):
@@ -66,19 +67,13 @@ def _h_powers(order):
 
 @cache
 def _todd_numbers(order):
-    """t/(1 - e^{-t}) = sum_k tau_k t^k: (tau_0, ..., tau_order), solved
-    once per order as the inverse of sum_j (-1)^j t^j/(j+1)!."""
-    powers = _h_powers(order)
-    terms = {
-        (m, 0): Fraction((-1) ** j, factorial(j + 1)) for j, m in enumerate(powers)
-    }
-    todd = WSeries(order, 0, terms).inverse()
-    return tuple(todd.get(m) for m in powers)
-
-
-def _exp_numbers(s, order):
-    """e^{s t} = sum_k (s^k/k!) t^k: [1, s, s^2/2, ..., s^order/order!]."""
-    return [Fraction(s**k, factorial(k)) for k in range(order + 1)]
+    """t/(1 - e^{-t}) = sum_k tau_k t^k: (tau_0, ..., tau_order), with
+    tau_k = B_k/k! for the Bernoulli numbers of sum_j C(m+1, j) B_j = 0
+    (m >= 1), B_1 taken as +1/2."""
+    bern = [Fraction(1)]  # B_0, B_1 = -1/2, B_2, ...
+    for m in range(1, order + 1):
+        bern.append(-sum(comb(m + 1, j) * b for j, b in enumerate(bern)) / (m + 1))
+    return tuple((-b if k == 1 else b) / factorial(k) for k, b in enumerate(bern))
 
 
 # Bound of the local-factor memo; a derive block needs a few dozen keys.
@@ -87,28 +82,36 @@ LOCAL_FACTOR_CACHE_SIZE = 128
 
 @lru_cache(maxsize=LOCAL_FACTOR_CACHE_SIZE)
 def _local_factor(kind, root, wmax, qmax):
-    """The local factor ``kind`` at ``root``, built once per key and shared."""
+    """The local factor ``kind`` at ``root``, built once per key and shared.
+
+    ``coeffs[k]`` maps a y-degree to the int numerator of its t^k coefficient
+    over ``den``: the lcm of the Todd numbers' denominators for Todd, and
+    wmax! for the other kinds, sums of terms c y^q e^{s t} whose t^k
+    coefficient is c s^k/k! y^q."""
     if kind == "todd":
-        coeffs = [{0: c} for c in _todd_numbers(wmax)]
-    elif kind == "lambda_y":
-        coeffs = [{1: c} for c in _exp_numbers(-1, wmax)]
-        coeffs[0] = {0: Fraction(1), 1: Fraction(1)}
-    elif kind == "lambda_y_inverse":
-        rows = [_exp_numbers(-m, wmax) for m in range(qmax + 1)]  # exp(-m t)
-        coeffs = [{m: (-1) ** m * c for m, c in enumerate(col)} for col in zip(*rows)]
-    else:  # "one_minus_exp"
-        coeffs = [{0: -c} for c in _exp_numbers(-1, wmax)]
-        coeffs[0] = {}
-    a, b = root.a, root.b  # at the root; the constructor drops q > qmax and zeros
+        todd = _todd_numbers(wmax)
+        den = lcm(*(c.denominator for c in todd))
+        coeffs = [{0: c.numerator * (den // c.denominator)} for c in todd]
+    else:
+        den, coeffs = factorial(wmax), [defaultdict(int) for _ in range(wmax + 1)]
+        terms = {  # (c, q, s) of each term
+            "lambda_y": [(1, 0, 0), (1, 1, -1)],  # 1 + y e^{-t}
+            "lambda_y_inverse": [((-1) ** m, m, -m) for m in range(qmax + 1)],
+            "one_minus_exp": [(1, 0, 0), (-1, 0, -1)],  # 1 - e^{-t}
+        }[kind]
+        for k, ck in enumerate(coeffs):
+            fall = den // factorial(k)
+            for c, q, s in terms:
+                ck[q] += c * s**k * fall
+    a, b = root.a, root.b  # at the root; _reduced drops the zeros
     var, scale = ("H", a) if a else ("L", b)
-    terms = {}
-    for k, ck in enumerate(coeffs[: wmax + 1]):
-        if k and not scale:
-            break
-        mono = ((var, k),) if k else ()
-        for q, c in ck.items():
-            terms[(mono, q)] = c * scale**k
-    series = WSeries(wmax, qmax, terms)
+    nums = {
+        (((var, k),) if k else (), q): n * scale**k
+        for k, ck in enumerate(coeffs)
+        for q, n in ck.items()
+        if q <= qmax
+    }
+    series = WSeries._trusted(wmax, qmax, _reduced(_pack(nums, wmax, qmax), den))
     if a and b:
         series = _sheared_product({Fraction(b, a): series}, wmax, qmax)
     return series

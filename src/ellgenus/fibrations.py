@@ -119,9 +119,11 @@ def fiber_integrand(spec, wmax, qmax):
     Every factor of D is a one-variable function at a root a*H + b*L, and a
     root's slope b/a fixes how its H-part turns into the whole root: the
     shear S_s, H -> H + s*L with s = b/a.  So the roots are grouped by slope;
-    each group's factors are built at their H-parts a*H and multiplied in
-    the small ring with H alone (``WSeries`` products), 1/(1+y) riding in
-    the first group, and ``series._sheared_product`` shears and multiplies.
+    each root's pair of factors (lambda_y * Todd for an F-root, (1 - e^-l) /
+    lambda_y for an N-root) is built at its H-part a*H and multiplied once
+    per H-part in the small ring with H alone (``WSeries`` products), each
+    group is the product of its pairs, 1/(1+y) riding in the first group, and
+    ``series._sheared_product`` shears and multiplies.
     """
     if wmax < len(spec.n_roots):
         raise ValueError(
@@ -131,29 +133,40 @@ def fiber_integrand(spec, wmax, qmax):
     alternating = [Fraction((-1) ** m) for m in range(qmax + 1)]
     first = spec.f_roots[0]
     groups = {Fraction(first.b, first.a): WSeries.from_y_poly(alternating, wmax, qmax)}
+    pairs = {}  # (factors, H-part): the pair's product, made once per call
 
-    def put(root, factor):
-        slope = Fraction(root.b, root.a)
-        groups[slope] = groups[slope] * factor if slope in groups else factor
+    def put(root, factors):
+        h, slope = RootForm(root.a, 0), Fraction(root.b, root.a)
+        left, right = (factor(h, wmax, qmax) for factor in factors)  # memo lookups
+        if (factors, h) not in pairs:
+            pairs[factors, h] = left * right
+        pair = pairs[factors, h]
+        groups[slope] = groups[slope] * pair if slope in groups else pair
 
     for root in spec.f_roots:
-        h = RootForm(root.a, 0)
-        put(root, lambda_y_factor(h, wmax, qmax))
-        put(root, todd_factor(h, wmax, qmax))
+        put(root, (lambda_y_factor, todd_factor))
     for root in spec.n_roots:
-        h = RootForm(root.a, 0)
-        put(root, _one_minus_exp(h, wmax, qmax))
-        put(root, lambda_y_inverse(h, wmax, qmax))
+        put(root, (_one_minus_exp, lambda_y_inverse))
     return _sheared_product(groups, wmax, qmax)
 
 
 def derived_q(spec, wmax=DEFAULT_WMAX, qmax=DEFAULT_QMAX):
-    """Genus factor by pushing the integrand down the projective bundle."""
+    """Genus factor by pushing the integrand down the projective bundle.
+
+    P(E) and P(E (x) L^(-c)) are the same bundle (Hartshorne, II.7.9), with
+    H + c*L on the first the hyperplane class H of the second.  With c the
+    least bundle exponent, the second has exponents m - c >= 0 and normal
+    roots a*H + (b - a*c)*L, so its F-roots start at slope 0, where the
+    integrand needs no shear.
+    """
     if isinstance(spec, str):
         spec = catalog_spec(spec)
-    r = spec.bundle.rank
-    D = fiber_integrand(spec, wmax + r - 1, qmax)
-    return pushforward(D, spec.bundle)
+    c = min(spec.bundle.exps)
+    bundle = BundleSpec(tuple(m - c for m in spec.bundle.exps))
+    n_roots = tuple(RootForm(r.a, r.b - r.a * c) for r in spec.n_roots)
+    untwisted = FibrationSpec(spec.name, bundle, n_roots)
+    D = fiber_integrand(untwisted, wmax + bundle.rank - 1, qmax)
+    return pushforward(D, bundle)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ only the ``terms`` view builds a ``Fraction`` per term:
   keys adds the y-degrees, the weights and every exponent at once.  No field
   can carry into the next: a kept pair has q1 + q2 <= qmax and w1 + w2 <=
   wmax, and every variable has weight >= 1, so no exponent exceeds wmax.
-  The constructor and ``truncate`` pack int numerators over one denominator.
+  The constructor and a ``truncate`` that narrows the width pack int numerators.
 - ``_packed_mul`` and ``_sheared_product`` fold each monomial's y-polynomial
   into one int, the sum of n_q 2^(B*q) (``_fold``), so one int product of two
   monomials is their y-convolution, done in C; ``_unfold`` reads the slots
@@ -296,18 +296,29 @@ class WSeries:
         return out
 
     def truncate(self, wmax=None, qmax=None):
-        """Re-truncate to (possibly) smaller orders, packed at their width."""
-        w = self.wmax if wmax is None else wmax
-        q = self.qmax if qmax is None else qmax
+        """Re-truncate to (possibly) smaller orders, packed at their width:
+        at an unchanged width the kept keys are the old ones."""
+        w, q = _truncation_orders(
+            self.wmax if wmax is None else wmax, self.qmax if qmax is None else qmax
+        )
         if w > self.wmax or q > self.qmax:
             raise TruncationDeficitError(
                 "cannot extend truncation (%d, %d) to (%d, %d)"
                 % (self.wmax, self.qmax, w, q)
             )
-        w, q = _truncation_orders(w, q)
-        split = self._by_slice().items()
-        kept = {(m, j): n for (k, j), r in split if k <= w and j <= q for _, m, n in r}
-        return WSeries._trusted(w, q, _reduced(_pack(kept, w, q), self._packed[1]))
+        (nums, den), width = self._packed, _width(w, q)
+        if width != _width(self.wmax, self.qmax):
+            split = self._by_slice().items()
+            kept = {
+                (m, j): n for (k, j), r in split if k <= w and j <= q for _, m, n in r
+            }
+            return WSeries._trusted(w, q, _reduced(_pack(kept, w, q), den))
+        mask = (1 << width) - 1
+        kept = {
+            k: n for k, n in nums.items() if k >> width & mask <= w and k & mask <= q
+        }
+        packed = self._packed if len(kept) == len(nums) else _reduced(kept, den)
+        return WSeries._trusted(w, q, packed)
 
     # -- ring operations ----------------------------------------------
 

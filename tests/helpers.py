@@ -231,6 +231,11 @@ def reference_lambda_y_inverse(root, sign, wmax, qmax):
     return out
 
 
+def reference_one_minus_exp(root, wmax, qmax):
+    """1 - exp(-l), with the exp taken as a series."""
+    return 1 - (root_series(root, wmax, qmax) * -1).exp()
+
+
 def reference_fiber_integrand(spec, wmax, qmax):
     """D as one two-variable product per factor and root, in root order."""
     alternating = [Fraction((-1) ** m) for m in range(qmax + 1)]
@@ -239,7 +244,7 @@ def reference_fiber_integrand(spec, wmax, qmax):
         D = D * reference_lambda_y_factor(root, -1, wmax, qmax)
         D = D * reference_todd_factor(root, wmax, qmax)
     for root in spec.n_roots:
-        D = D * (1 - (root_series(root, wmax, qmax) * -1).exp())
+        D = D * reference_one_minus_exp(root, wmax, qmax)
         D = D * reference_lambda_y_inverse(root, -1, wmax, qmax)
     return D
 

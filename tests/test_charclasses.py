@@ -36,6 +36,7 @@ from helpers import (
     reference_power_sum_series,
     reference_lambda_y_factor,
     reference_lambda_y_inverse,
+    reference_one_minus_exp,
     reference_todd_factor,
     root_series,
     truncated_mul,
@@ -67,7 +68,8 @@ def _fact(n):
 
 
 def test_todd_numbers_are_solved_once_per_order():
-    for n in range(15):
+    # the Bernoulli recurrence against the convolution, to order 24
+    for n in range(25):
         got = charclasses._todd_numbers(n)
         assert isinstance(got, tuple)
         assert got == tuple(_todd_coefficients(n))
@@ -195,6 +197,24 @@ def test_lambda_y_factors_at_the_negated_root_give_exp_plus_l(root, wmax, qmax):
     assert lambda_y_inverse(negated, wmax, qmax) == reference_lambda_y_inverse(
         root, 1, wmax, qmax
     )
+
+
+@pytest.mark.parametrize(
+    "factor, reference",
+    [
+        (todd_factor, reference_todd_factor),
+        (lambda_y_factor, lambda r, w, q: reference_lambda_y_factor(r, -1, w, q)),
+        (lambda_y_inverse, lambda r, w, q: reference_lambda_y_inverse(r, -1, w, q)),
+        (charclasses._one_minus_exp, reference_one_minus_exp),
+    ],
+    ids=["todd", "lambda_y", "lambda_y_inverse", "one_minus_exp"],
+)
+def test_local_factors_equal_the_references_at_mixed_roots(factor, reference):
+    # int numerators over one denominator, sheared when both parts are nonzero
+    for a, b in ((2, 3), (-1, 2), (3, -6), (0, -3), (-2, 0), (1, 1), (0, 0)):
+        for w, q in ((9, 8), (13, 2), (1, 0)):
+            root = RootForm(a, b)
+            assert factor(root, w, q) == reference(root, w, q)
 
 
 @pytest.mark.parametrize(

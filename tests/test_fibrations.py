@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ellgenus import (
     CATALOG,
@@ -26,6 +28,7 @@ from ellgenus import (
     pushforward,
     pushforward_class,
 )
+from ellgenus import fibrations as fibrations_module
 from ellgenus import series as series_module
 from helpers import (
     PAPER_CLOSED_TEXT,
@@ -217,6 +220,93 @@ def test_derived_q_unpacks_nothing(monkeypatch):
         for a in range(-2, 4):
             derived_q(_twisted(family, a, rng), 7, 8)
     assert unpacks == []
+
+
+# -- the twist divided out: P(E) = P(E (x) L^(-c)) ------------------------------
+
+
+def _route_as_given(spec, w, q):
+    """Q from the integrand of ``spec`` itself, pushed down its own bundle, with
+    the twist left in."""
+    D = fiber_integrand(spec, w + spec.bundle.rank - 1, q)
+    return pushforward(D, spec.bundle)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_derived_q_equals_the_route_as_given_in_every_twist(family):
+    rng = random.Random("twist:" + family)
+    for a in range(-2, 4):
+        spec = _twisted(family, a, rng)
+        for w in (7, 8, 9):
+            assert derived_q(spec, w, w + 1) == _route_as_given(spec, w, w + 1)
+        if a:  # the control: roots shifted by +a*c with the bundle shifted by -c
+            wrong = FibrationSpec(
+                name="wrong",
+                bundle=BundleSpec(tuple(m - a for m in spec.bundle.exps)),
+                n_roots=tuple(RootForm(r.a, r.b + r.a * a) for r in spec.n_roots),
+            )
+            assert _route_as_given(wrong, 7, 8) != derived_q(spec, 7, 8)
+
+
+@st.composite
+def _specs_with_a_negative_exponent(draw):
+    exps = [draw(st.integers(-3, -1))]
+    exps += draw(st.lists(st.integers(-3, 4), max_size=3))
+    n_roots = draw(
+        st.lists(
+            st.tuples(st.integers(1, 3), st.integers(-4, 6)), max_size=len(exps) - 1
+        )
+    )
+    spec = FibrationSpec(
+        name="negative",
+        bundle=BundleSpec(draw(st.permutations(exps))),
+        n_roots=tuple(RootForm(a, b) for a, b in n_roots),
+    )
+    return spec, draw(st.integers(0, 6)), draw(st.integers(0, 5))
+
+
+@given(_specs_with_a_negative_exponent())
+def test_derived_q_equals_the_route_as_given_on_custom_specs(case):
+    spec, w, q = case
+    assert derived_q(spec, w, q) == _route_as_given(spec, w, q)
+
+
+@pytest.mark.parametrize(
+    "family, products", [("D5", 7), ("E6", 5), ("E7", 6), ("E8", 4)]
+)
+def test_integrand_makes_one_product_per_factor_pair(monkeypatch, family, products):
+    # one lambda_y * Todd per F-root H-part and one (1 - e^-l) / lambda_y per
+    # N-root H-part, then one product per further member of a slope group
+    warm = fiber_integrand(CATALOG[family], 9, 8)  # every local factor memoized
+    calls = count_calls(monkeypatch, WSeries, "__mul__")
+    assert fiber_integrand(CATALOG[family], 9, 8) == warm
+    assert len(calls) == products
+
+
+def test_twisted_e7_looks_up_todd_once_per_summand(monkeypatch):
+    # the traced E7 derive request makes one todd_factor call per bundle
+    # summand and at least one series product, with no memo shared across calls
+    spec = _twisted("E7", 2, random.Random("E7"))
+    want = closed_form_q("E7", 3, 4)
+    todds = count_calls(monkeypatch, fibrations_module, "todd_factor")
+    products = count_calls(monkeypatch, WSeries, "__mul__")
+    for _ in range(2):  # the second request repeats the first one's calls
+        todds.clear()
+        products.clear()
+        assert derived_q(spec, 3, 4) == want
+        assert len(todds) == 4 and products
+
+
+@pytest.mark.parametrize("w", [7, 8, 9])
+def test_derived_q_decodes_no_key_at_the_benchmark_orders(monkeypatch, w):
+    # the pushforward's cut from (w + r - 1, w + 1) to (w, w + 1) keeps 4-bit
+    # fields, so its truncation keeps the keys
+    rng = random.Random("decode")
+    specs = [_twisted(family, 2, rng) for family in FAMILIES]
+    decodes = count_calls(monkeypatch, series_module, "_key_mono")
+    for spec in specs:
+        derived_q(spec, w, w + 1)
+    assert decodes == []
 
 
 def test_derived_q_accepts_family_name_or_spec():

@@ -1166,15 +1166,30 @@ _WIDTH_EDGES = [
 ]
 
 
-@pytest.mark.parametrize("orders, cut", _WIDTH_EDGES)
+# (orders, truncated orders) at one field width (4, 3, 2 or 1 bits): the
+# pushforward's cut from (w + 3, w + 1) to (w, w + 1), w 7..9, is the first
+_SAME_WIDTHS = [
+    ((12, 10), (9, 10)),
+    ((15, 8), (8, 8)),
+    ((7, 5), (4, 4)),
+    ((3, 2), (2, 2)),
+    ((1, 1), (1, 0)),
+    ((6, 6), (6, 6)),
+]
+
+
+@pytest.mark.parametrize("orders, cut", _WIDTH_EDGES + _SAME_WIDTHS)
 @given(data=st.data())
 def test_truncate_equals_a_term_filter(orders, cut, data):
     a = data.draw(_series_at(*orders))
     w, q = cut
     with pytest.MonkeyPatch.context() as mp:
         unpacks = count_calls(mp, series_module, "_unpack")
+        decodes = count_calls(mp, series_module, "_key_mono")
         got = a.truncate(w, q)  # before any read of a's terms builds the view
         assert (got.wmax, got.qmax) == cut and unpacks == []
+        if (orders, cut) in _SAME_WIDTHS:  # the kept keys are the old ones
+            assert decodes == []
     want = {
         (m, j): c
         for (m, j), c in dict_terms(a).items()
@@ -1182,12 +1197,14 @@ def test_truncate_equals_a_term_filter(orders, cut, data):
     }
     assert dict_terms(got) == want and got == WSeries(w, q, want)
     assert a.truncate() == a and a.truncate(qmax=q) == WSeries(a.wmax, q, a.terms)
+    if (orders, cut) in _SAME_WIDTHS:  # a cut that drops nothing keeps the dict
+        assert (got._packed is a._packed) == (len(want) == len(a.terms))
 
 
 def test_truncate_keeps_its_error_classes():
     a = WSeries.var("L", 3, 2) + WSeries.y(3, 2)
-    for orders in ((2.0,), (3, 1.0), (2.0, 2)):
-        with pytest.raises(TypeError):
+    for orders in ((2.0,), (3, 1.0), (2.0, 2), (4.5,), (3, 2.5)):
+        with pytest.raises(TypeError):  # above the truncation too
             a.truncate(*orders)
     for orders in ((-1,), (3, -1)):
         with pytest.raises(ValueError) as caught:
