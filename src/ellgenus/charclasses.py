@@ -20,11 +20,10 @@ never expanded.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial
 from operator import index
 
 from .poly import Poly
@@ -51,18 +50,13 @@ class RootForm:
 # local factors
 #
 # Each local factor is a one-variable function f(t) = sum_k f_k(y) t^k,
-# evaluated at a Chern root l = a*H + b*L.  Its t-coefficients are written
-# down from closed forms (Todd numbers, s^k/k!) as int numerators over one
-# denominator, and :func:`_local_factor` fills them in at the root: t -> a*H
-# (or b*L when a = 0), then, when both a and b are nonzero, the binomial
-# shear H -> H + (b/a)*L.  No local factor takes an exp or an inverse: the
-# Todd numbers come from the Bernoulli recurrence, once per order.
-
-
-def _h_powers(order):
-    """The monomials 1, H, H^2, ..., H^order: t^k of a one-variable series
-    written in H."""
-    return [((("H", k),) if k else ()) for k in range(order + 1)]
+# evaluated at a Chern root l = a*H + b*L.  Todd's t-coefficients are the
+# Todd numbers, from the Bernoulli recurrence once per order; every other
+# factor is a sum of exponentials c y^q e^{s t}, written down by
+# :func:`_exp_sum` with the root's scale folded into s.  Both are filled in
+# at t -> a*H (or b*L when a = 0), then, when both a and b are nonzero,
+# sheared by H -> H + (b/a)*L.  No local factor takes an exp, an inverse or
+# a series product.
 
 
 @cache
@@ -76,42 +70,46 @@ def _todd_numbers(order):
     return tuple((-b if k == 1 else b) / factorial(k) for k, b in enumerate(bern))
 
 
+def _exp_sum(rows, var, wmax, qmax):
+    """sum_q y^q sum_{(c, s) in rows[q]} c e^{s var} to (wmax, qmax).
+
+    The var^k coefficient of c e^{s var} is c s^k/k!: an int numerator n over
+    wmax!, which the step from k - 1 to k turns into n*s/k, exactly."""
+    den, nums = factorial(wmax), {}
+    for q, terms in enumerate(rows[: qmax + 1]):
+        ns = [c * den for c, _ in terms]
+        nums[(), q] = sum(ns)
+        for k in range(1, wmax + 1):
+            ns = [n * s // k for n, (_, s) in zip(ns, terms)]
+            nums[((var, k),), q] = sum(ns)
+    return WSeries._trusted(wmax, qmax, _reduced(_pack(nums, wmax, qmax), den))
+
+
 # Bound of the local-factor memo; a derive block needs a few dozen keys.
 LOCAL_FACTOR_CACHE_SIZE = 128
 
 
 @lru_cache(maxsize=LOCAL_FACTOR_CACHE_SIZE)
 def _local_factor(kind, root, wmax, qmax):
-    """The local factor ``kind`` at ``root``, built once per key and shared.
-
-    ``coeffs[k]`` maps a y-degree to the int numerator of its t^k coefficient
-    over ``den``: the lcm of the Todd numbers' denominators for Todd, and
-    wmax! for the other kinds, sums of terms c y^q e^{s t} whose t^k
-    coefficient is c s^k/k! y^q."""
-    if kind == "todd":
-        todd = _todd_numbers(wmax)
-        den = lcm(*(c.denominator for c in todd))
-        coeffs = [{0: c.numerator * (den // c.denominator)} for c in todd]
-    else:
-        den, coeffs = factorial(wmax), [defaultdict(int) for _ in range(wmax + 1)]
-        terms = {  # (c, q, s) of each term
-            "lambda_y": [(1, 0, 0), (1, 1, -1)],  # 1 + y e^{-t}
-            "lambda_y_inverse": [((-1) ** m, m, -m) for m in range(qmax + 1)],
-            "one_minus_exp": [(1, 0, 0), (-1, 0, -1)],  # 1 - e^{-t}
-        }[kind]
-        for k, ck in enumerate(coeffs):
-            fall = den // factorial(k)
-            for c, q, s in terms:
-                ck[q] += c * s**k * fall
-    a, b = root.a, root.b  # at the root; _reduced drops the zeros
+    """The local factor ``kind`` at ``root``, built once per key and shared:
+    Todd from its numbers, the other kinds as rows of (c, s) for
+    :func:`_exp_sum`, s already times the root's scale."""
+    a, b = root.a, root.b
     var, scale = ("H", a) if a else ("L", b)
-    nums = {
-        (((var, k),) if k else (), q): n * scale**k
-        for k, ck in enumerate(coeffs)
-        for q, n in ck.items()
-        if q <= qmax
-    }
-    series = WSeries._trusted(wmax, qmax, _reduced(_pack(nums, wmax, qmax), den))
+    if kind == "todd":
+        todd = enumerate(_todd_numbers(wmax))
+        series = WSeries(
+            wmax, qmax, {(((var, k),) if k else (), 0): c * scale**k for k, c in todd}
+        )
+    else:
+        alternating = [((-1) ** m, -m * scale) for m in range(qmax + 1)]
+        rows = {  # the (c, s) of the terms c y^q e^{s t}, by y-degree q
+            "lambda_y": [[(1, 0)], [(1, -scale)]],  # 1 + y e^{-t}
+            "lambda_y_inverse": [[t] for t in alternating],  # sum_m (-y)^m e^{-mt}
+            # (1 - e^{-t})/(1 + y e^{-t}) = sum_m (-y)^m (e^{-mt} - e^{-(m+1)t})
+            "normal": [[(c, s), (-c, s - scale)] for c, s in alternating],
+        }[kind]
+        series = _exp_sum(rows, var, wmax, qmax)
     if a and b:
         series = _sheared_product({Fraction(b, a): series}, wmax, qmax)
     return series
@@ -138,10 +136,11 @@ def lambda_y_inverse(root, wmax, qmax):
     return _local_factor("lambda_y_inverse", root, *_truncation_orders(wmax, qmax))
 
 
-def _one_minus_exp(root, wmax, qmax):
-    """1 - exp(-l) at l = a*H + b*L: the top Chern character factor of a
-    normal-bundle root."""
-    return _local_factor("one_minus_exp", root, *_truncation_orders(wmax, qmax))
+def _normal_factor(root, wmax, qmax):
+    """(1 - exp(-l))/(1 + y*exp(-l)) at l = a*H + b*L: a normal-bundle root's
+    factor of the integrand, the exponential sum
+    sum_m (-y)^m (exp(-m*l) - exp(-(m+1)*l))."""
+    return _local_factor("normal", root, *_truncation_orders(wmax, qmax))
 
 
 # ---------------------------------------------------------------------------
@@ -180,24 +179,21 @@ def chi_y_log_coefficients(kmax):
 
     With ln g = ln(1+y) + a_1 t + a_2 t^2 + ..., the substitution
     t -> (1+y)t makes b_k = (1+y)^k a_k, and the division by 1+y drops
-    a_0 = ln(1+y).  g is the local factor product
-    ``lambda_y_factor * todd_factor`` at t = H, the substitution and the
-    division scale its weight-k part by (1+y)^(k-1) (the truncated 1/(1+y)
-    at k = 0), and the log is :meth:`WSeries.log`.  All of it runs at
-    y-order kmax, which is exact: truncating at y^(kmax+1) is a ring map,
-    and deg b_k <= k.
+    a_0 = ln(1+y).  Hirzebruch's g(t) = (1+y) td(t) - y t gives
+    g((1+y)t)/(1+y) = td((1+y)t) - y t: the Todd factor at t = H,
+    reweighted, less y*H, and the log is :meth:`WSeries.log`.  All of it
+    runs at y-order kmax, which is exact: truncating at y^(kmax+1) is a
+    ring map, and deg b_k <= k.
 
     Returns a list with entry k-1 holding b_k.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    t = RootForm(1, 0)
-    g = lambda_y_factor(t, kmax, kmax) * todd_factor(t, kmax, kmax)
-    rows = [[(-1) ** q for q in range(kmax + 1)]]
-    rows += [[comb(k - 1, j) for j in range(k)] for k in range(1, kmax + 1)]
-    logs = g._scale_weights(rows).log()
+    todd = todd_factor(RootForm(1, 0), kmax, kmax).reweight_by_one_plus_y()
+    logs = (todd - WSeries(kmax, kmax, {((("H", 1),), 1): 1})).log()
     return [
-        Poly([logs.get(m, q) for q in range(kmax + 1)]) for m in _h_powers(kmax)[1:]
+        Poly([logs.get((("H", k),), q) for q in range(kmax + 1)])
+        for k in range(1, kmax + 1)
     ]
 
 

@@ -24,20 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from operator import index
 
-from .charclasses import (
-    RootForm,
-    _one_minus_exp,
-    hirzebruch_class,
-    lambda_y_factor,
-    lambda_y_inverse,
-    todd_factor,
-)
+from .charclasses import RootForm, hirzebruch_class, todd_factor
+from .charclasses import _exp_sum, _normal_factor  # the closed-form builders
 from .poly import Poly
 from .pushforward import BundleSpec, pushforward
-from .series import WSeries, _pack, _reduced, _sheared_product, _truncation_orders
+from .series import WSeries, _sheared_product, _truncation_orders
 from .series import _TEXT, _signed_sum, _sum_text  # the text writer
 
 FAMILIES = ("D5", "E6", "E7", "E8")
@@ -118,11 +112,13 @@ def fiber_integrand(spec, wmax, qmax):
 
     Every factor of D is a one-variable function at a root a*H + b*L, and a
     root's slope b/a fixes how its H-part turns into the whole root: the
-    shear S_s, H -> H + s*L with s = b/a.  So the roots are grouped by slope;
-    each root's pair of factors (lambda_y * Todd for an F-root, (1 - e^-l) /
-    lambda_y for an N-root) is built at its H-part a*H and multiplied once
-    per H-part in the small ring with H alone (``WSeries`` products), each
-    group is the product of its pairs, 1/(1+y) riding in the first group, and
+    shear S_s, H -> H + s*L with s = b/a.  So the roots are grouped by slope,
+    and each root's factor is built at its H-part, in the small ring with H
+    alone.  Every F-root is H + m*L, and its factor
+    (1 + y e^-H) H/(1 - e^-H) = (1+y) td(H) - y*H is built once per call
+    from ``todd_factor``; an N-root's (1 - e^-l)/(1 + y e^-l) is one
+    memoized local factor.  Each group is the product of its factors
+    (``WSeries`` products), 1/(1+y) riding in the first group, and
     ``series._sheared_product`` shears and multiplies.
     """
     if wmax < len(spec.n_roots):
@@ -133,20 +129,20 @@ def fiber_integrand(spec, wmax, qmax):
     alternating = [Fraction((-1) ** m) for m in range(qmax + 1)]
     first = spec.f_roots[0]
     groups = {Fraction(first.b, first.a): WSeries.from_y_poly(alternating, wmax, qmax)}
-    pairs = {}  # (factors, H-part): the pair's product, made once per call
 
-    def put(root, factors):
-        h, slope = RootForm(root.a, 0), Fraction(root.b, root.a)
-        left, right = (factor(h, wmax, qmax) for factor in factors)  # memo lookups
-        if (factors, h) not in pairs:
-            pairs[factors, h] = left * right
-        pair = pairs[factors, h]
-        groups[slope] = groups[slope] * pair if slope in groups else pair
+    def put(root, factor):
+        slope = Fraction(root.b, root.a)
+        groups[slope] = groups[slope] * factor if slope in groups else factor
 
+    f_factor = None  # (1+y) td(H) - y*H, the factor of every F-root
     for root in spec.f_roots:
-        put(root, (lambda_y_factor, todd_factor))
+        todd = todd_factor(RootForm(1, 0), wmax, qmax)  # one memo lookup per F-root
+        if f_factor is None:
+            y_h = WSeries(wmax, qmax, {((("H", 1),), 1): 1})
+            f_factor = todd._scale_weights([[1, 1]] * (wmax + 1)) - y_h
+        put(root, f_factor)
     for root in spec.n_roots:
-        put(root, (_one_minus_exp, lambda_y_inverse))
+        put(root, _normal_factor(RootForm(root.a, 0), wmax, qmax))
     return _sheared_product(groups, wmax, qmax)
 
 
@@ -161,6 +157,7 @@ def derived_q(spec, wmax=DEFAULT_WMAX, qmax=DEFAULT_QMAX):
     """
     if isinstance(spec, str):
         spec = catalog_spec(spec)
+    wmax, qmax = _truncation_orders(wmax, qmax)
     c = min(spec.bundle.exps)
     bundle = BundleSpec(tuple(m - c for m in spec.bundle.exps))
     n_roots = tuple(RootForm(r.a, r.b - r.a * c) for r in spec.n_roots)
@@ -234,34 +231,34 @@ def _p_rows(family, nmax):
 
 def closed_form_q(family, wmax=DEFAULT_WMAX, qmax=DEFAULT_QMAX):
     """Expand the closed-form genus factor with U = exp(-L), exactly: the
-    y^n L^j coefficient is sum_k P_n[k] (-k)^j / j!."""
+    sum over n and k of P_n[k] y^n e^(-k L)."""
     _check_family(family)
     wmax, qmax = _truncation_orders(wmax, qmax)
-    den, nums = factorial(wmax), {}
-    for n, row in enumerate(_p_rows(family, qmax)):
-        row = [(k, c) for k, c in enumerate(row) if c]  # (k, P_n[k] (-k)^j)
-        scale = den  # wmax!/j!
-        for j in range(wmax + 1):
-            scale //= j or 1
-            nums[(("L", j),), n] = sum(c for _, c in row) * scale
-            row = [(k, -k * c) for k, c in row]
-    return WSeries._trusted(wmax, qmax, _reduced(_pack(nums, wmax, qmax), den))
+    rows = [[(c, -k) for k, c in enumerate(row) if c] for row in _p_rows(family, qmax)]
+    return _exp_sum(rows, "L", wmax, qmax)
 
 
 # ---------------------------------------------------------------------------
 # y-expansion of the closed forms: the P_n(U) polynomials
 
 
+def _degree(family, n, name):
+    """The y-degree ``n`` as an int >= 0 for a known family; ``name`` names
+    it in the error."""
+    _check_family(family)
+    if index(n) < 0:
+        raise ValueError("%s must be >= 0" % name)
+    return index(n)
+
+
 def p_polynomials(family, nmax):
     """[P_0..P_nmax] as exact U-polynomials."""
-    _check_family(family)
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
-    return [Poly(row) for row in _p_rows(family, nmax)]
+    return [Poly(row) for row in _p_rows(family, _degree(family, nmax, "nmax"))]
 
 
 def p_polynomial(family, n):
     """y^n coefficient of the genus factor as an exact polynomial in U."""
+    n = _degree(family, n, "n")
     return p_polynomials(family, n)[n]
 
 
@@ -275,10 +272,7 @@ _P1_TABLE = {
 
 def p_table_reference(family, n):
     """Tabulated closed form of P_n: P_0, P_1, and the factored P_n, n > 1."""
-    _check_family(family)
-    n = index(n)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = _degree(family, n, "n")
     U = Poly.x()
     if n == 0:
         return 1 - U

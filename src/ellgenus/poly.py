@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import _sum_text
+from .series import _as_fraction, _sum_text
 
 # the one zero every Poly shares (Fractions are immutable)
 _ZERO = Fraction(0)
@@ -21,15 +21,13 @@ _COMPACT = ("%s^%d", str, "%d/%d", "", "")
 
 
 class Poly:
-    """Coefficient list, index = exponent, trailing zeros stripped."""
+    """Coefficient list, index = exponent, trailing zeros stripped; a
+    coefficient that is not an int or ``Fraction`` raises ``TypeError``."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [
-            c if isinstance(c, Fraction) else Fraction(c) if c else _ZERO
-            for c in coeffs
-        ]
+        cs = [_as_fraction(c) or _ZERO for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -69,6 +67,8 @@ class Poly:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly((other,))
+        elif not isinstance(other, Poly):
+            return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly([self[k] + other[k] for k in range(n)])
 
@@ -78,12 +78,12 @@ class Poly:
         return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly((other,))
+        if not isinstance(other, (int, Fraction, Poly)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -135,7 +135,7 @@ class Poly:
         return Poly(quot), Poly(rem)
 
     def evaluate(self, x):
-        x = x if isinstance(x, Fraction) else Fraction(x)
+        x = _as_fraction(x)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c

@@ -236,6 +236,13 @@ def reference_one_minus_exp(root, wmax, qmax):
     return 1 - (root_series(root, wmax, qmax) * -1).exp()
 
 
+def reference_normal_factor(root, wmax, qmax):
+    """(1 - exp(-l))/(1 + y*exp(-l)) as the product of its two exp-route
+    halves."""
+    inverse = reference_lambda_y_inverse(root, -1, wmax, qmax)
+    return reference_one_minus_exp(root, wmax, qmax) * inverse
+
+
 def reference_fiber_integrand(spec, wmax, qmax):
     """D as one two-variable product per factor and root, in root order."""
     alternating = [Fraction((-1) ** m) for m in range(qmax + 1)]

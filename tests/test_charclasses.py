@@ -36,7 +36,7 @@ from helpers import (
     reference_power_sum_series,
     reference_lambda_y_factor,
     reference_lambda_y_inverse,
-    reference_one_minus_exp,
+    reference_normal_factor,
     reference_todd_factor,
     root_series,
     truncated_mul,
@@ -199,18 +199,30 @@ def test_lambda_y_factors_at_the_negated_root_give_exp_plus_l(root, wmax, qmax):
     )
 
 
+@pytest.mark.parametrize("w, q", [(0, 0), (1, 3), (6, 2), (9, 8)])
+def test_lambda_y_times_todd_is_the_chi_y_closed_form(w, q):
+    # (1 + y e^-l) l/(1 - e^-l) = (1+y) td(l) - y*l, with the product as oracle
+    y = WSeries.y(w, q)
+    for a, b in ((1, 0), (2, 3), (-1, 2), (0, -3), (0, 0)):
+        root = RootForm(a, b)
+        todd = todd_factor(root, w, q)
+        product = lambda_y_factor(root, w, q) * todd
+        assert product == (1 + y) * todd - y * root_series(root, w, q)
+
+
 @pytest.mark.parametrize(
     "factor, reference",
     [
         (todd_factor, reference_todd_factor),
         (lambda_y_factor, lambda r, w, q: reference_lambda_y_factor(r, -1, w, q)),
         (lambda_y_inverse, lambda r, w, q: reference_lambda_y_inverse(r, -1, w, q)),
-        (charclasses._one_minus_exp, reference_one_minus_exp),
+        (charclasses._normal_factor, reference_normal_factor),
     ],
-    ids=["todd", "lambda_y", "lambda_y_inverse", "one_minus_exp"],
+    ids=["todd", "lambda_y", "lambda_y_inverse", "normal"],
 )
 def test_local_factors_equal_the_references_at_mixed_roots(factor, reference):
-    # int numerators over one denominator, sheared when both parts are nonzero
+    # int numerators over one denominator, sheared when both parts are nonzero;
+    # the normal factor against the product of its two exp-route halves
     for a, b in ((2, 3), (-1, 2), (3, -6), (0, -3), (-2, 0), (1, 1), (0, 0)):
         for w, q in ((9, 8), (13, 2), (1, 0)):
             root = RootForm(a, b)
@@ -219,7 +231,7 @@ def test_local_factors_equal_the_references_at_mixed_roots(factor, reference):
 
 @pytest.mark.parametrize(
     "factor",
-    [todd_factor, lambda_y_factor, lambda_y_inverse, charclasses._one_minus_exp],
+    [todd_factor, lambda_y_factor, lambda_y_inverse, charclasses._normal_factor],
 )
 @pytest.mark.parametrize(
     "orders, error",
@@ -234,7 +246,7 @@ def test_local_factors_check_their_orders(factor, orders, error):
 
 @pytest.mark.parametrize(
     "factor",
-    [todd_factor, lambda_y_factor, lambda_y_inverse, charclasses._one_minus_exp],
+    [todd_factor, lambda_y_factor, lambda_y_inverse, charclasses._normal_factor],
 )
 def test_local_factors_are_built_once_per_key_and_still_check_orders(factor):
     root = RootForm(2, 0)
@@ -249,8 +261,9 @@ def test_local_factors_are_built_once_per_key_and_still_check_orders(factor):
 
 def test_local_factor_memo_keeps_kinds_apart_and_stays_bounded():
     h = RootForm(1, 0)
-    factors = [f(h, 3, 2) for f in (todd_factor, lambda_y_factor, lambda_y_inverse)]
-    assert factors[0] != factors[1] != factors[2] != factors[0]
+    kinds = (todd_factor, lambda_y_factor, lambda_y_inverse, charclasses._normal_factor)
+    factors = [f(h, 3, 2) for f in kinds]
+    assert all(a != b for a, b in combinations(factors, 2))
     bound = charclasses.LOCAL_FACTOR_CACHE_SIZE
     for a in range(1, bound + 3):
         todd_factor(RootForm(a, 0), 1)
@@ -357,10 +370,11 @@ def test_log_coefficients_equal_the_poly_list_route():
 
 
 def test_log_coefficients_build_each_local_factor_once(monkeypatch):
+    # g((1+y)t)/(1+y) = td((1+y)t) - y*t: one Todd factor and no lambda_y
     lambdas = count_calls(monkeypatch, charclasses, "lambda_y_factor")
     todds = count_calls(monkeypatch, charclasses, "todd_factor")
     chi_y_log_coefficients(6)
-    assert (len(lambdas), len(todds)) == (1, 1)
+    assert (len(lambdas), len(todds)) == (0, 1)
 
 
 def test_truncated_mul_against_evaluated_product():

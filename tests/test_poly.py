@@ -22,6 +22,24 @@ def test_construction_converts_every_slot_to_fraction():
     assert p == Poly([F(c) for c in (0, 3, 0, F(1, 2), 0, -1)])
 
 
+@pytest.mark.parametrize("bad", [0.1, 0.0, 1.0, "1/2", None])
+def test_construction_and_evaluate_refuse_a_non_rational(bad):
+    # a float would become a binary fraction: Poly([0.1]) was 3602879701896397/2^55
+    with pytest.raises(TypeError):
+        Poly([1, bad])
+    with pytest.raises(TypeError):
+        Poly.x().evaluate(bad)
+
+
+@pytest.mark.parametrize("bad", [0.5, "x", None])
+def test_sums_with_a_non_rational_raise_type_error(bad):
+    p = Poly([1, 2])
+    for op in (lambda: p + bad, lambda: bad + p, lambda: p - bad, lambda: bad - p):
+        with pytest.raises(TypeError):
+            op()
+    assert p + F(1, 2) == Poly([F(3, 2), 2]) and 1 - p == Poly([0, -2])
+
+
 def test_arithmetic():
     U = Poly.x()
     p = (U - 1) * (U + 1)
