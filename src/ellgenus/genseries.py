@@ -8,6 +8,10 @@ the exponential of the Hadamard product of the polynomial chi_y
 log-coefficients b_k with the power sums p_k of the formal base Chern
 classes.
 
+Truncation is an exact ring map, so each family or spec keeps one build at
+the highest orders asked so far (``_chi_tops``): lower keys are truncated
+from it, and a key past it builds again at the join of both orders.
+
 Every chi_q is one pairing: the weight-d, y^q row of the memoized chi(t, y),
 read from its packed form, against the base's table, both int numerators
 over one denominator, with one ``Fraction`` at the end; ``integrate`` pairs
@@ -47,7 +51,8 @@ class BaseSpec:
     an implicit zero.  The stored table is a read-only mapping of
     ``Fraction`` values, kept beside the same table as int numerators over
     one denominator for the pairing.  Two bases are equal when both
-    dimension and table are.
+    dimension and table are.  ``projective_space`` keeps only the ints and
+    builds the ``Fraction`` table on its first read.
     """
 
     dim: int
@@ -71,6 +76,14 @@ class BaseSpec:
         object.__setattr__(self, "table", MappingProxyType(clean))
         object.__setattr__(self, "_ints", (ints, den))
 
+    def __getattr__(self, name):  # only a table that was never set is missing
+        if name != "table":
+            raise AttributeError(name)
+        ints, den = self._ints
+        table = MappingProxyType({m: Fraction(v, den) for m, v in ints.items()})
+        self.__dict__["table"] = table
+        return table
+
     @classmethod
     def projective_space(cls, d, n):
         """P^d with L = O(n): c_i -> C(d+1, i) h^i, L -> n h, int h^d = 1.
@@ -80,8 +93,7 @@ class BaseSpec:
             raise ValueError("dimension must be >= 0")
         ints = {m: c * n**e for m, c, e in _projective_monomials(d)}
         base = object.__new__(cls)  # generated canonical: no checks to repeat
-        table = MappingProxyType({m: Fraction(v) for m, v in ints.items()})
-        base.__dict__.update(dim=d, table=table, _ints=(ints, 1))
+        base.__dict__.update(dim=d, _ints=(ints, 1))  # the table on first read
         return base
 
 
@@ -108,8 +120,14 @@ def _projective_monomials(d):
 
 
 # Bound of the chi_series memo: the distinct (family or spec, tmax, qmax)
-# keys it keeps.  A catalog family over P^2..P^6 needs five keys.
+# keys it keeps, each a truncation of the family's entry in ``_chi_tops``.
+# A catalog family over P^2..P^6 needs five keys.
 CHI_SERIES_CACHE_SIZE = 64
+
+# Bound of ``_chi_tops``: the families and specs whose highest-order
+# chi(t, y) it keeps, the one built last evicting the oldest.
+CHI_TOPS_SIZE = 16
+_chi_tops = {}
 
 
 def chi_series(family_or_spec, tmax, qmax=None):
@@ -120,9 +138,10 @@ def chi_series(family_or_spec, tmax, qmax=None):
     retained coefficient beyond y^(k+fiber_dim) is exactly zero.
 
     The series depends only on the family and the orders, never on a base,
-    so it is built once per key, and every call returns that one read-only
-    series.  Both orders are integers: a float raises ``TypeError``, even
-    where an equal int key is already in the memo.
+    so it is truncated once per key from the family's highest-order build,
+    and every call returns that one read-only series.  Both orders are
+    integers: a float raises ``TypeError``, even where an equal int key is
+    already in the memo.
     """
     tmax = index(tmax)
     if tmax < 0:
@@ -133,11 +152,19 @@ def chi_series(family_or_spec, tmax, qmax=None):
 
 @lru_cache(maxsize=CHI_SERIES_CACHE_SIZE)
 def _chi_series(family_or_spec, tmax, qmax):
-    if isinstance(family_or_spec, str):
-        Qt = closed_form_q(family_or_spec, tmax, qmax)
-    else:
-        Qt = derived_q(family_or_spec, tmax, qmax)
-    return Qt.reweight_by_one_plus_y() * _hirzebruch_exp(tmax, qmax)
+    top = _chi_tops.get(family_or_spec)
+    if top is None or top.wmax < tmax or top.qmax < qmax:
+        w, q = (tmax, qmax) if top is None else (max(top.wmax, tmax), max(top.qmax, qmax))
+        if isinstance(family_or_spec, str):
+            Qt = closed_form_q(family_or_spec, w, q)
+        else:
+            Qt = derived_q(family_or_spec, w, q)
+        top = Qt.reweight_by_one_plus_y() * _hirzebruch_exp(w, q)
+    _chi_tops.pop(family_or_spec, None)
+    _chi_tops[family_or_spec] = top  # now the newest entry
+    if len(_chi_tops) > CHI_TOPS_SIZE:
+        del _chi_tops[next(iter(_chi_tops))]
+    return top.truncate(tmax, qmax)
 
 
 def integrate(cls, base):

@@ -61,7 +61,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate
 from math import comb, gcd, lcm
-from operator import index
+from operator import index, mul
 from types import MappingProxyType
 
 
@@ -383,46 +383,24 @@ class WSeries:
     def inverse(self):
         """Multiplicative inverse, exact to (wmax, qmax).
 
-        Graded Newton iteration: the error 1 - a*x lies in the ideal of
-        positive (weight + y-degree) terms and squares each step, so
-        convergence needs only log2(wmax + qmax + 1) rounds.
+        With c the constant term, graded by weight plus y-degree: X_0 = 1/c
+        and X_n = -(1/c) sum_(j >= 1) A_j X_(n-j) (``_graded``).
         """
-        c = self.constant_term()
-        if not c:
+        if not self._packed[0].get(0):
             raise NotAUnitError("constant (weight-0, y^0) term is zero")
-        x = WSeries.const(1 / c, self.wmax, self.qmax)
-        for _ in range(self.wmax + self.qmax + 2):
-            err = 1 - self * x
-            if err.is_zero():
-                return x
-            x = x + x * err
-        raise ArithmeticError("inverse iteration failed to terminate")
+        return self._born(_graded("inverse", self._packed, self.wmax, self.qmax))
 
     def exp(self):
         """exp of a series with no weight-0 content (pure-y terms included)."""
         if self._has_weight_zero():
             raise ValueError("exp needs every term to have weight >= 1")
-        result = term = WSeries.const(1, self.wmax, self.qmax)
-        for k in range(1, self.wmax + 1):
-            term = term * self * Fraction(1, k)
-            if term.is_zero():
-                break
-            result = result + term
-        return result
+        return self._born(_graded("exp", self._packed, self.wmax, self.qmax))
 
     def log(self):
         """log of 1 + (weight >= 1 terms); inverse of :meth:`exp`."""
-        u = self - 1
-        if u._has_weight_zero():
+        if (self - 1)._has_weight_zero():
             raise ValueError("log needs constant term 1 and no other weight-0 terms")
-        result = WSeries.zero(self.wmax, self.qmax)
-        power = WSeries.const(1, self.wmax, self.qmax)
-        for k in range(1, self.wmax + 1):
-            power = power * u
-            if power.is_zero():
-                break
-            result = result + power * Fraction((-1) ** (k + 1), k)
-        return result
+        return self._born(_graded("log", self._packed, self.wmax, self.qmax))
 
     # -- structural operations ------------------------------------------
 
@@ -704,6 +682,61 @@ def _sheared_product(groups, wmax, qmax):
                     sheared[rest + offset] += f * c
             acc = sheared
     return WSeries._trusted(wmax, qmax, _unfold(acc, width, slot, qmax, den))
+
+
+def _graded(kind, a, wmax, qmax):
+    """exp, log or inverse of the packed series ``a``, grade by grade.
+    A term's grade is its weight, plus its y-degree for the inverse, whose
+    weight-0 part may hold y; grading is a derivation and a_0 is 0, 1 or c.
+    So n E_n = sum_j j a_j E_(n-j), n G_n = n a_n - sum_(j<n) j G_j a_(n-j)
+    and c X_n = -sum_(j>=1) a_j X_(n-j): int numerators over D_n =
+    D_(n-1) * m_n, m_n = n * den (c's numerator for X), one ``_reduced`` at
+    the end.  Slice pairs are checked against wmax and qmax before their
+    keys add: a sum past a field's width carries into the next field.
+    """
+    nums, den = a
+    width = _width(wmax, qmax)
+    mask, ydeg = (1 << width) - 1, kind == "inverse"
+    top = wmax + qmax * ydeg
+    grades = [defaultdict(list) for _ in range(top + 1)]  # [grade][w, q]: (key, n)
+    for key, n in nums.items():
+        w, q = key >> width & mask, key & mask
+        grades[w + q * ydeg][w, q].append((key, n))
+    if ydeg:
+        steps, out = [nums[0]] * (top + 1), [{(0, 0): [(0, den)]}]
+    else:
+        steps = [n * den or 1 for n in range(top + 1)]
+        out = [{(0, 0): [(0, 1)]} if kind == "exp" else {}]
+    dens = list(accumulate(steps, mul))  # D_0 = m_0
+    for n in range(1, top + 1):
+        acc = defaultdict(int)
+        if kind == "log":
+            for row in grades[n].values():
+                for key, x in row:
+                    acc[key] = x * n * dens[n - 1]
+        for j in range(1, n if kind == "log" else n + 1):
+            f = -1 if ydeg else j if kind == "exp" else j - n
+            f *= dens[n - 1] // dens[n - j]
+            for (w1, q1), row1 in grades[j].items():
+                for (w2, q2), row2 in out[n - j].items():
+                    if w1 + w2 <= wmax and q1 + q2 <= qmax:  # before the keys add
+                        for k1, x1 in row1:
+                            fx = f * x1
+                            for k2, x2 in row2:
+                                acc[k1 + k2] += fx * x2
+        grade = defaultdict(list)
+        for key, x in acc.items():
+            if x:
+                grade[key >> width & mask, key & mask].append((key, x))
+        out.append(grade)
+    d = abs(dens[top])
+    total = {
+        key: x * (d // dens[n])
+        for n, grade in enumerate(out)
+        for row in grade.values()
+        for key, x in row
+    }
+    return _reduced(total, d)
 
 
 def _bits(nums):

@@ -1,5 +1,6 @@
 """Test-suite settings: one deterministic, bounded hypothesis profile, and
-empty chi_series, Todd-number and local-factor memos at the start of every test."""
+empty chi_series (per key and per family), Todd-number and local-factor
+memos at the start of every test."""
 
 import pytest
 from hypothesis import settings
@@ -19,3 +20,4 @@ def _cold_memos():
     charclasses._todd_numbers.cache_clear()
     charclasses._local_factor.cache_clear()
     genseries._chi_series.cache_clear()
+    genseries._chi_tops.clear()

@@ -1,7 +1,7 @@
 """Shared test utilities: random series generators, an independent
 numeric evaluator used as a brute-force oracle, the plain dict/``Fraction``
 series multiply used as the oracle of the packed kernel, and the two-variable
-exp/Newton-inverse local factors, fiber integrand, Segre series and Segre
+exp/inverse local factors, fiber integrand, Segre series and Segre
 pushforward (and the term-by-term int Segre pushforward) used as oracles of
 the one-variable constructions and the integer Segre numbers, the chi_y
 class of a base from a series logarithm, the pushed-forward class convolved
@@ -10,11 +10,13 @@ y-degree by y-degree, the chi_y log-coefficients from lists of y-``Poly``
 them, a Chern root as a series, the weight-by-weight y-scalings (the
 (1+y)-reweight loop, the per-weight Hadamard products, the Horner chi_y class
 and -tC'/C from two accumulations), the ``WSeries`` expansion of the closed
-forms (series exp, powers and a Newton inverse), the Fraction evaluator that
+forms (series exp, powers and an inverse), the Fraction evaluator that
 is the oracle of the hadamard-identity suite's int evaluator, the ring
 operations on plain ``Fraction`` dicts (add, scalar, y-scaling, exp, log and
-inverse, the oracles of the packed ones), the packed multiply, shear and
-sheared product one numerator pair at a time (the oracles of the folded
+inverse, the oracles of the packed ones), the Taylor exp and log and the
+Newton inverse by whole-series products (the oracles of the graded
+kernel), the packed multiply, shear and sheared product one numerator pair
+at a time (the oracles of the folded
 kernels, with no code from the engine), the dense ``Poly`` product, a call
 counter for monkeypatched library functions, and
 term-scan, ``Fraction`` sum and ``Fraction``-power oracles of
@@ -26,6 +28,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
 from ellgenus import (
+    NotAUnitError,
     Poly,
     RootForm,
     WSeries,
@@ -192,6 +195,57 @@ def dict_inverse(a, wmax, qmax):
     return dict_scale(_dict_power_sum(u, lambda k: 1, wmax, qmax), 1 / c)
 
 
+# -- WSeries exp, log and inverse by whole-series products: the Taylor sums and
+# the Newton iteration, the oracles of the graded kernel
+
+
+def reference_inverse(self):
+    """Multiplicative inverse, exact to (wmax, qmax).
+
+    Graded Newton iteration: the error 1 - a*x lies in the ideal of
+    positive (weight + y-degree) terms and squares each step, so
+    convergence needs only log2(wmax + qmax + 1) rounds.
+    """
+    c = self.constant_term()
+    if not c:
+        raise NotAUnitError("constant (weight-0, y^0) term is zero")
+    x = WSeries.const(1 / c, self.wmax, self.qmax)
+    for _ in range(self.wmax + self.qmax + 2):
+        err = 1 - self * x
+        if err.is_zero():
+            return x
+        x = x + x * err
+    raise ArithmeticError("inverse iteration failed to terminate")
+
+
+def reference_exp(self):
+    """exp of a series with no weight-0 content (pure-y terms included)."""
+    if self._has_weight_zero():
+        raise ValueError("exp needs every term to have weight >= 1")
+    result = term = WSeries.const(1, self.wmax, self.qmax)
+    for k in range(1, self.wmax + 1):
+        term = term * self * Fraction(1, k)
+        if term.is_zero():
+            break
+        result = result + term
+    return result
+
+
+def reference_log(self):
+    """log of 1 + (weight >= 1 terms); inverse of :meth:`exp`."""
+    u = self - 1
+    if u._has_weight_zero():
+        raise ValueError("log needs constant term 1 and no other weight-0 terms")
+    result = WSeries.zero(self.wmax, self.qmax)
+    power = WSeries.const(1, self.wmax, self.qmax)
+    for k in range(1, self.wmax + 1):
+        power = power * u
+        if power.is_zero():
+            break
+        result = result + power * Fraction((-1) ** (k + 1), k)
+    return result
+
+
 # -- the local factors, the integrand and the pushforward as two-variable series
 
 
@@ -267,7 +321,7 @@ def reference_coefficients_of(series, var):
 
 
 def reference_segre_series(bundle, wmax, qmax=0):
-    """s_0..s_wmax of prod_j (1 + m_j L)^{-1}, one Newton inverse per
+    """s_0..s_wmax of prod_j (1 + m_j L)^{-1}, one series inverse per
     exponent; the engine's Segre series before the integer recurrence."""
     L = WSeries.var("L", wmax, qmax)
     total = WSeries.const(1, wmax, qmax)
@@ -463,7 +517,7 @@ PAPER_CLOSED_TEXT = {
 
 def reference_closed_form_q(family, wmax, qmax):
     """The closed-form genus factor expanded in the ``WSeries`` ring: U as a
-    series exp, its powers, and a Newton inverse of 1 + y U^s."""
+    series exp, its powers, and a series inverse of 1 + y U^s."""
     data = _CLOSED.get(family)
     if data is None:
         raise KeyError("unknown family %r" % (family,))

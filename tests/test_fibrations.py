@@ -333,7 +333,7 @@ def test_closed_form_vanishes_at_u_equal_one():
 
 @pytest.mark.parametrize("fam", FAMILIES)
 def test_closed_form_q_equals_the_series_expansion(fam):
-    # the int route from the P_n rows against exp/powers/Newton inverse
+    # the int route from the P_n rows against series exp, powers and inverse
     for wmax in (0, 1, 3, 6, 10, 12):
         for qmax in (0, 1, 3, 7, 11, 12):
             assert closed_form_q(fam, wmax, qmax) == reference_closed_form_q(

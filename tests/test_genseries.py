@@ -1,5 +1,6 @@
 """The chi(t, y) generating series and numeric evaluation over bases."""
 
+import random
 import re
 from fractions import Fraction as F
 
@@ -22,6 +23,7 @@ from ellgenus import (
     chi_series,
     chi_values,
     closed_form_q,
+    derived_q,
     euler_series_e8,
     genseries,
     hirzebruch_class,
@@ -527,6 +529,27 @@ def test_memo_stays_within_its_bound():
     assert chi_series(*keys[0]) == first  # evicted, rebuilt, unchanged
 
 
+def test_the_highest_order_memo_stays_within_its_bound():
+    # one entry per family or spec: many specs evict the oldest, and a
+    # family's entry is the join of the orders asked of it
+    bound = genseries.CHI_TOPS_SIZE
+    specs = [
+        FibrationSpec(name="w%d" % a, bundle=BundleSpec((a, a + 2, a + 3)),
+                      n_roots=(RootForm(3, 6 + 3 * a),))
+        for a in range(bound + 4)
+    ]
+    first = chi_series(specs[0], 2)
+    for spec in specs:
+        chi_series(spec, 2)
+        assert len(genseries._chi_tops) <= bound
+    assert list(genseries._chi_tops) == specs[-bound:]
+    assert chi_series(specs[0], 2) is first  # still in the per-key memo
+    chi_series("E6", 2, 7)
+    chi_series("E6", 4)
+    top = genseries._chi_tops["E6"]
+    assert (top.wmax, top.qmax) == (4, 7) and len(genseries._chi_tops) == bound
+
+
 def test_a_cold_chi_series_and_its_slices_unpack_nothing(monkeypatch):
     # every intermediate of the build stays packed: the reweight, the Hadamard
     # product, exp, log and the inverse; chi_q, the slices and the split by a
@@ -654,6 +677,7 @@ def test_verify_route_does_not_read_the_shared_factor(monkeypatch):
     base = BaseSpec.projective_space(2, 3)
     want = chi_values("E8", base)
     genseries._chi_series.cache_clear()
+    genseries._chi_tops.clear()
     shared = charclasses._hirzebruch_exp
 
     def corrupted(tmax, qmax):
@@ -683,3 +707,64 @@ def test_euler_series_coefficients():
 def test_euler_series_requires_positive_order():
     with pytest.raises(ValueError):
         euler_series_e8(0)
+
+
+# -- one build per family at the highest order asked ------------------------------
+
+_TWISTED_WEIERSTRASS = FibrationSpec(
+    name="weierstrass~1", bundle=BundleSpec((1, 3, 4)), n_roots=(RootForm(3, 9),)
+)
+
+
+def _one_build_per_key(family_or_spec, tmax, qmax):
+    """chi(t, y) built at its own key, with no memo: the Q series of the
+    family reweighted, times the chi_y factor built at the same orders."""
+    if isinstance(family_or_spec, str):
+        Qt = closed_form_q(family_or_spec, tmax, qmax)
+    else:
+        Qt = derived_q(family_or_spec, tmax, qmax)
+    return Qt.reweight_by_one_plus_y() * charclasses._chi_y_exp(tmax, qmax)
+
+
+_REQUEST_ORDERS = {
+    "ascending": list(range(9)),
+    "descending": list(range(8, -1, -1)),
+    "shuffled": random.Random(24).sample(range(9), 9),
+}
+
+
+@pytest.mark.parametrize("order", sorted(_REQUEST_ORDERS))
+@pytest.mark.parametrize(
+    "family_or_spec", [*FAMILIES, _TWISTED_WEIERSTRASS], ids=[*FAMILIES, "custom"]
+)
+def test_chi_series_does_not_depend_on_the_request_order(family_or_spec, order):
+    # every key is a truncation of the family's highest-order build, rebuilt
+    # at the join when a request is past it; each equals the build at its key
+    got = {t: chi_series(family_or_spec, t) for t in _REQUEST_ORDERS[order]}
+    for t, series in got.items():
+        q = series.qmax
+        assert series == _one_build_per_key(family_or_spec, t, q), (t, q)
+        assert chi_series(family_or_spec, t) is series
+    for d in range(1, 7):
+        classes = [got[d].coeff(d, q) for q in range(d + 2)]  # checked above
+        for n in range(-1, d + 4):
+            base = BaseSpec.projective_space(d, n)
+            want = [integrate(cls, base) for cls in classes]
+            assert chi_values(family_or_spec, base) == want, (d, n)
+
+
+@pytest.mark.parametrize(
+    "family_or_spec", ["E7", _TWISTED_WEIERSTRASS], ids=["E7", "custom"]
+)
+def test_a_larger_qmax_then_a_higher_tmax_builds_at_the_join(family_or_spec):
+    wide = chi_series(family_or_spec, 3, 9)
+    top = genseries._chi_tops[family_or_spec]
+    assert (top.wmax, top.qmax) == (3, 9)
+    high = chi_series(family_or_spec, 6)  # default qmax 8: the join is (6, 9)
+    top = genseries._chi_tops[family_or_spec]
+    assert (top.wmax, top.qmax) == (6, 9)
+    low = chi_series(family_or_spec, 2, 4)  # covered: no new build
+    assert genseries._chi_tops[family_or_spec] is top
+    for series in (wide, high, low):
+        want = _one_build_per_key(family_or_spec, series.wmax, series.qmax)
+        assert series == want, (series.wmax, series.qmax)

@@ -1,8 +1,10 @@
 """The exact series kernel: spec'd examples plus randomized ring laws."""
 
 import copy
+import inspect
 import pickle
 import random
+import textwrap
 from fractions import Fraction as F
 from math import gcd, lcm
 
@@ -46,6 +48,9 @@ from helpers import (
     pair_loop_sheared_product,
     random_series,
     reference_coefficients_of,
+    reference_exp,
+    reference_inverse,
+    reference_log,
     reference_mul,
     reference_part,
     reference_reweight_by_one_plus_y,
@@ -1241,3 +1246,94 @@ def test_get_on_a_product_reads_its_packed_form(pair):
         for mono, q in (((), a.qmax + 1), ((("H", 1), ("L", 1)), 0), ((("x", 1),), 0)):
             assert product.get(mono, q) == 0
     assert unpacks == []
+
+
+# -- the graded kernel of exp, log and inverse ------------------------------------
+
+_GRADED_VARS = ("L", "H", "c1", "c2")
+
+
+@st.composite
+def _graded_operands(draw):
+    # orders 4..7 have fields of 3 bits, where two weights or two y-degrees
+    # can sum past the field; a has weight-0 y terms, so the unit has them too
+    wmax, qmax = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    a = draw(_series_at(wmax, qmax, _GRADED_VARS))
+    return a, a - a.weight_component(0)
+
+
+@given(_graded_operands(), _coeffs.filter(bool))
+def test_graded_kernel_equals_the_taylor_and_newton_loops(operands, c):
+    a, positive = operands
+    assert positive.exp() == reference_exp(positive)
+    assert (1 + positive).log() == reference_log(1 + positive)
+    unit = a - a.constant_term() + c
+    assert unit.inverse() == reference_inverse(unit)
+
+
+def _carrying_operands():
+    """Series at (4, 4), 3-bit fields, whose products sum two y-degrees or
+    two weights to 8, one past the field: (exp input, log input, unit)."""
+    v = S(4, 4)
+    y4, L2 = v["y"] ** 4, v["L"] ** 2
+    positive = v["L"] * y4 + F(2, 3) * v["H"] * v["y"] ** 3 + L2 * v["y"]
+    unit = 1 + y4 - F(1, 2) * v["y"] ** 3 + WSeries.var("c2", 4, 4) * v["y"]
+    return positive, 1 + positive - 3 * L2 * L2, unit
+
+
+def test_graded_kernel_at_sums_past_the_key_field():
+    positive, one_plus, unit = _carrying_operands()
+    assert positive.exp() == reference_exp(positive)
+    assert one_plus.log() == reference_log(one_plus)
+    assert unit.inverse() == reference_inverse(unit)
+    assert (1 + WSeries.y(4, 4) ** 4).inverse() == 1 - WSeries.y(4, 4) ** 4
+
+
+def _graded_with(check):
+    """``series._graded`` with the slice check replaced by ``check`` on the
+    summed key: the check made after two keys add, or none at all."""
+    src = textwrap.dedent(inspect.getsource(series_module._graded))
+    pre, add = "if w1 + w2 <= wmax and q1 + q2 <= qmax:", "acc[k1 + k2] += fx * x2"
+    assert src.count(pre) == 1 and src.count(add) == 1
+    src = src.replace(pre, "if True:").replace(add, add + " * (%s)" % check)
+    namespace = dict(vars(series_module))
+    exec(src, namespace)
+    return namespace["_graded"]
+
+
+@pytest.mark.parametrize(
+    "check",
+    ["k1 + k2 >> width & mask <= wmax and k1 + k2 & mask <= qmax", "True"],
+    ids=["after-the-add", "dropped"],
+)
+def test_graded_kernel_negative_controls(monkeypatch, check):
+    # reading the fields of the summed key lets a carry through: y^4 * y^4
+    # at 3 bits is a term of weight 1 and y-degree 0
+    operands = _carrying_operands()
+    wants = [reference_exp(operands[0]), reference_log(operands[1])]
+    wants.append(reference_inverse(operands[2]))
+    methods = (WSeries.exp, WSeries.log, WSeries.inverse)
+    assert [m(x) for m, x in zip(methods, operands)] == wants  # positive control
+    monkeypatch.setattr(series_module, "_graded", _graded_with(check))
+    for method, x, want in zip(methods, operands, wants):
+        assert method(x) != want
+
+
+def test_graded_kernel_keeps_the_error_classes():
+    v = S(4, 4)
+    c2 = WSeries.var("c2", 4, 4)
+    cases = [
+        (WSeries.inverse, reference_inverse, v["y"] + c2, NotAUnitError),
+        (WSeries.inverse, reference_inverse, c2 - c2, NotAUnitError),
+        (WSeries.exp, reference_exp, v["y"] + c2, ValueError),
+        (WSeries.exp, reference_exp, 1 + c2, ValueError),
+        (WSeries.log, reference_log, 2 + c2, ValueError),
+        (WSeries.log, reference_log, 1 + v["y"] + c2, ValueError),
+        (WSeries.log, reference_log, c2, ValueError),
+    ]
+    for method, reference, operand, error in cases:
+        with pytest.raises(error) as got:
+            method(operand)
+        with pytest.raises(error) as want:
+            reference(operand)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
