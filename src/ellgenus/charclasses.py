@@ -18,29 +18,26 @@ whose weight is the t-degree, with coefficients in Q[y], and ln(1+y) is
 never expanded.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import comb, factorial
 from operator import index
 
 from .poly import Poly
-from .series import WSeries, _pack, _reduced, _sheared_product, _truncation_orders
+from .series import WSeries, _pack, _Record, _reduced, _sheared_product
+from .series import _truncation_orders
 
 
-@dataclass(frozen=True)
-class RootForm:
-    """An integer linear form a*H + b*L used as a Chern root."""
+class RootForm(_Record):
+    """An integer linear form a*H + b*L used as a Chern root: a frozen
+    record, equal and hashed by (a, b)."""
 
-    a: int
-    b: int
+    __match_args__ = ("a", "b")
 
-    def __post_init__(self):
+    def __init__(self, a, b):
         # a float would make every coefficient built at the root inexact
-        object.__setattr__(self, "a", index(self.a))
-        object.__setattr__(self, "b", index(self.b))
+        a, b = index(a), index(b)
+        self.__dict__.update(a=a, b=b, _key=(a, b))
 
     def is_zero(self):
         return self.a == 0 and self.b == 0
@@ -230,12 +227,6 @@ def _chi_y_exp(tmax, qmax):
     bcoeffs = chi_y_log_coefficients(tmax)
     psums = power_sum_series(tmax, qmax=qmax)
     return hadamard_apply(bcoeffs, psums).exp()
-
-
-# The same factor, built once per (tmax, qmax), read-only like every series,
-# and read by ``chi_series`` alone.  ``hirzebruch_class`` builds its own, so
-# the class route stays an independent check of the series route.
-_hirzebruch_exp = cache(_chi_y_exp)
 
 
 def hirzebruch_class(dim, qmax=None):

@@ -20,9 +20,6 @@ the complete-intersection model in an honest P^3-bundle instead (twists
 because its derived Q matches the closed form exactly.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from operator import index
@@ -31,7 +28,7 @@ from .charclasses import RootForm, hirzebruch_class, todd_factor
 from .charclasses import _exp_sum, _normal_factor  # the closed-form builders
 from .poly import Poly
 from .pushforward import BundleSpec, pushforward
-from .series import WSeries, _sheared_product, _truncation_orders
+from .series import WSeries, _Record, _sheared_product, _truncation_orders
 from .series import _TEXT, _signed_sum, _sum_text  # the text writer
 
 FAMILIES = ("D5", "E6", "E7", "E8")
@@ -40,9 +37,9 @@ DEFAULT_WMAX = 6
 DEFAULT_QMAX = 7
 
 
-@dataclass(frozen=True)
-class FibrationSpec:
-    """Relative data of a fibration inside P(E).
+class FibrationSpec(_Record):
+    """Relative data of a fibration inside P(E): a frozen record, equal and
+    hashed by (name, bundle, n_roots).
 
     n_roots are the normal-bundle roots, each with positive H-coefficient
     so that its top Chern factor survives the fiber integral.  The F-roots
@@ -51,13 +48,13 @@ class FibrationSpec:
     >= 0 (n_roots may be empty: Y = P(E) itself).
     """
 
-    name: str
-    bundle: BundleSpec
-    n_roots: tuple
+    __match_args__ = ("name", "bundle", "n_roots")
 
-    def __post_init__(self):
-        object.__setattr__(self, "n_roots", tuple(self.n_roots))
-        for r in self.n_roots:
+    def __init__(self, name, bundle, n_roots):
+        n_roots = tuple(n_roots)
+        key = (name, bundle, n_roots)
+        self.__dict__.update(name=name, bundle=bundle, n_roots=n_roots, _key=key)
+        for r in n_roots:
             if r.a <= 0:
                 raise ValueError("normal-bundle roots need a positive H part")
         if self.fiber_dim < 0:

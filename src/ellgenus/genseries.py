@@ -18,18 +18,15 @@ over one denominator, with one ``Fraction`` at the end; ``integrate`` pairs
 any y-free class the same way.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm, prod
 from operator import index
 from types import MappingProxyType
 
-from .charclasses import _hirzebruch_exp
+from .charclasses import _chi_y_exp
 from .fibrations import _total_dim, closed_form_q, derived_q, pushforward_class
-from .series import WSeries, _as_fraction, _canonical_weight
+from .series import WSeries, _as_fraction, _canonical_weight, _Record
 
 
 class MissingIntersectionError(ValueError):
@@ -40,9 +37,8 @@ class VerificationError(AssertionError):
     """A cross-route check requested in verify mode failed."""
 
 
-@dataclass(frozen=True)
-class BaseSpec:
-    """A base variety: its dimension and its intersection table.
+class BaseSpec(_Record):
+    """A base variety: a frozen record of its dimension and intersection table.
 
     The dimension is an int (a float raises ``TypeError``).  The table maps
     every relevant canonical weight-``dim`` monomial in L, c1..c_dim to its
@@ -51,30 +47,32 @@ class BaseSpec:
     an implicit zero.  The stored table is a read-only mapping of
     ``Fraction`` values, kept beside the same table as int numerators over
     one denominator for the pairing.  Two bases are equal when both
-    dimension and table are.  ``projective_space`` keeps only the ints and
-    builds the ``Fraction`` table on its first read.
+    dimension and table are, which those ints tell, since their denominator
+    is the lcm of the table's; the hash reads the dimension only.
+    ``projective_space`` keeps only the ints and builds the ``Fraction``
+    table on its first read.
     """
 
-    dim: int
-    table: dict = field(hash=False)
+    __match_args__ = ("dim", "table")
 
-    def __post_init__(self):
-        object.__setattr__(self, "dim", index(self.dim))
-        if self.dim < 0:
+    def __init__(self, dim, table):
+        dim = index(dim)
+        if dim < 0:
             raise ValueError("dimension must be >= 0")
-        if self.table is None:
+        if table is None:
             raise ValueError("a base needs an intersection table")
         clean = {}
-        for mono, value in self.table.items():
-            if _canonical_weight(mono) != self.dim:
-                raise ValueError(
-                    "table monomial %r has weight != %d" % (mono, self.dim)
-                )
+        for mono, value in table.items():
+            if _canonical_weight(mono) != dim:
+                raise ValueError("table monomial %r has weight != %d" % (mono, dim))
             clean[mono] = _as_fraction(value)  # a float is refused, never rounded
         den = lcm(*{v.denominator for v in clean.values()})
         ints = {m: v.numerator * (den // v.denominator) for m, v in clean.items()}
-        object.__setattr__(self, "table", MappingProxyType(clean))
-        object.__setattr__(self, "_ints", (ints, den))
+        self.__dict__.update(dim=dim, table=MappingProxyType(clean))
+        self.__dict__.update(_ints=(ints, den), _key=(dim, ints, den))
+
+    def __hash__(self):
+        return hash(self.dim)
 
     def __getattr__(self, name):  # only a table that was never set is missing
         if name != "table":
@@ -93,7 +91,7 @@ class BaseSpec:
             raise ValueError("dimension must be >= 0")
         ints = {m: c * n**e for m, c, e in _projective_monomials(d)}
         base = object.__new__(cls)  # generated canonical: no checks to repeat
-        base.__dict__.update(dim=d, _ints=(ints, 1))  # the table on first read
+        base.__dict__.update(dim=d, _ints=(ints, 1), _key=(d, ints, 1))  # no table yet
         return base
 
 
@@ -128,6 +126,14 @@ CHI_SERIES_CACHE_SIZE = 64
 # chi(t, y) it keeps, the one built last evicting the oldest.
 CHI_TOPS_SIZE = 16
 _chi_tops = {}
+
+# Bound of ``_hirzebruch_exp``, the factor exp(sum b_k p_k) of a top build,
+# one per (tmax, qmax) and read-only like every series.  A family asked at
+# rising orders leaves one per join, most never read again.  It is read by
+# ``_chi_series`` alone: ``hirzebruch_class`` builds its own, so the class
+# route stays an independent check of the series route.
+HIRZEBRUCH_EXP_CACHE_SIZE = 16
+_hirzebruch_exp = lru_cache(maxsize=HIRZEBRUCH_EXP_CACHE_SIZE)(_chi_y_exp)
 
 
 def chi_series(family_or_spec, tmax, qmax=None):

@@ -11,25 +11,23 @@ oracle: strip the H^0..H^2 part, divide by H, apply (1/2) d^2/dH^2 and
 evaluate at H = -L.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
 
-from .series import TruncationDeficitError, WSeries, mono_from_dict
+from .series import TruncationDeficitError, WSeries, _Record, mono_from_dict
 
 
-@dataclass(frozen=True)
-class BundleSpec:
-    """E = O(m_1 L) + ... + O(m_r L); order of the exponents is irrelevant."""
+class BundleSpec(_Record):
+    """E = O(m_1 L) + ... + O(m_r L); order of the exponents is irrelevant.
+    A frozen record of the int exponents, equal and hashed by them."""
 
-    exps: tuple
+    __match_args__ = ("exps",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "exps", tuple(index(m) for m in self.exps))
-        if len(self.exps) < 1:
+    def __init__(self, exps):
+        exps = tuple(index(m) for m in exps)
+        if len(exps) < 1:
             raise ValueError("bundle needs rank >= 1")
+        self.__dict__.update(exps=exps, _key=exps)
 
     @property
     def rank(self):

@@ -54,8 +54,6 @@ one split of the packed keys by (weight, y-degree), built on first use with
 each distinct monomial decoded once.
 """
 
-from __future__ import annotations
-
 from collections import defaultdict
 from fractions import Fraction
 from functools import cache
@@ -152,6 +150,29 @@ def _canonical_weight(mono):
         if isinstance(mono, tuple):
             return weight
     raise ValueError("monomial %r is not canonical" % (mono,))
+
+
+class _Record:
+    """A frozen value record, the base of the spec classes.  ``__init__``
+    sets the fields once, through ``__dict__``, and ``_key``, the tuple that
+    ``==`` and ``hash`` compare; ``repr`` shows ``__match_args__``."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        fields = ("%s=%r" % (f, getattr(self, f)) for f in self.__match_args__)
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(fields))
+
+    def __setattr__(self, name, *value):  # and __delattr__, with no value
+        raise AttributeError("%r of a %s cannot change" % (name, type(self).__name__))
+
+    __delattr__ = __setattr__
 
 
 class WSeries:

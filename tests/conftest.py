@@ -16,7 +16,7 @@ settings.load_profile("ellgenus")
 @pytest.fixture(autouse=True)
 def _cold_memos():
     """No test can pass on a value that an earlier test left in a memo."""
-    charclasses._hirzebruch_exp.cache_clear()
+    genseries._hirzebruch_exp.cache_clear()
     charclasses._todd_numbers.cache_clear()
     charclasses._local_factor.cache_clear()
     genseries._chi_series.cache_clear()

@@ -3,6 +3,7 @@
 import random
 import re
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
 from hypothesis import given
@@ -426,7 +427,7 @@ def test_cold_and_warm_chi_q_equal_the_class_route(fam):
             base = BaseSpec.projective_space(d, n)
             want = _class_route_values(fam, base)
             genseries._chi_series.cache_clear()
-            charclasses._hirzebruch_exp.cache_clear()
+            genseries._hirzebruch_exp.cache_clear()
             cold = chi_values(fam, base)
             hits = genseries._chi_series.cache_info().hits
             warm = chi_values(fam, base)
@@ -548,6 +549,22 @@ def test_the_highest_order_memo_stays_within_its_bound():
     chi_series("E6", 4)
     top = genseries._chi_tops["E6"]
     assert (top.wmax, top.qmax) == (4, 7) and len(genseries._chi_tops) == bound
+
+
+def test_the_exp_memo_stays_within_its_bound(monkeypatch):
+    # E8 asked at rising orders leaves one exp(sum b_k p_k) per join, more
+    # keys than the bound; each result equals one built with no bound
+    keys = [(t, q) for t in range(8) for q in range(t, t + 12)]
+    bounded = []
+    for t, q in keys:
+        bounded.append(chi_series("E8", t, q))
+        info = genseries._hirzebruch_exp.cache_info()
+        assert info.currsize <= genseries.HIRZEBRUCH_EXP_CACHE_SIZE
+    assert info.misses == 26 > genseries.HIRZEBRUCH_EXP_CACHE_SIZE
+    genseries._chi_series.cache_clear()
+    genseries._chi_tops.clear()
+    monkeypatch.setattr(genseries, "_hirzebruch_exp", cache(charclasses._chi_y_exp))
+    assert [chi_series("E8", t, q) for t, q in keys] == bounded
 
 
 def test_a_cold_chi_series_and_its_slices_unpack_nothing(monkeypatch):
@@ -678,7 +695,7 @@ def test_verify_route_does_not_read_the_shared_factor(monkeypatch):
     want = chi_values("E8", base)
     genseries._chi_series.cache_clear()
     genseries._chi_tops.clear()
-    shared = charclasses._hirzebruch_exp
+    shared = genseries._hirzebruch_exp
 
     def corrupted(tmax, qmax):
         bump = WSeries(tmax, qmax, {(mono_from_dict({"c1": 1}), 0): F(1)})
