@@ -7,8 +7,6 @@ All numbers are emitted as exact rational strings; series round-trip
 losslessly through the JSON record schema.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os
@@ -63,6 +61,29 @@ def emit_series_json(series):
         "qmax": series.qmax,
         "records": series_to_records(series),
     }
+
+
+_RECORD = ('    {\n      "t_deg": %d,\n      "terms": [\n%s\n      ],\n'
+           '      "y_deg": %d\n    }')
+_TERM = '        {\n          "coeff": "%s",\n          "exps": %s\n        }'
+_EXP = '            "%s": %d'
+
+
+def _series_json_text(series):
+    """``json.dumps(emit_series_json(series), indent=2, sort_keys=True)``,
+    written directly: the schema's keys are fixed and already in sorted
+    order, and its variable names and coefficients need no escaping."""
+    records = []
+    for r in series_to_records(series):
+        terms = []
+        for t in r["terms"]:
+            exps = ",\n".join(_EXP % ve for ve in sorted(t["exps"].items()))
+            exps = "{\n%s\n          }" % exps if exps else "{}"
+            terms.append(_TERM % (t["coeff"], exps))
+        records.append(_RECORD % (r["t_deg"], ",\n".join(terms), r["y_deg"]))
+    records = "[\n%s\n  ]" % ",\n".join(records) if records else "[]"
+    return '{\n  "qmax": %d,\n  "records": %s,\n  "wmax": %d\n}' % (
+        series.qmax, records, series.wmax)
 
 
 def parse_series_json(data):
@@ -216,7 +237,7 @@ def cmd_q(args):
         series = derived_q(target, args.wmax, args.qmax)
         label = target.name
     if args.format == "json":
-        print(json.dumps(emit_series_json(series), indent=2, sort_keys=True))
+        print(_series_json_text(series))
     elif args.format == "latex":
         print(series.to_latex())
     else:

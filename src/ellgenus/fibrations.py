@@ -21,12 +21,13 @@ because its derived Q matches the closed form exactly.
 """
 
 from fractions import Fraction
+from functools import reduce
 from math import comb
 from operator import index
 
 from .charclasses import RootForm, hirzebruch_class, todd_factor
 from .charclasses import _exp_sum, _normal_factor  # the closed-form builders
-from .poly import Poly
+from .poly import Poly, _convolve
 from .pushforward import BundleSpec, pushforward
 from .series import WSeries, _Record, _sheared_product, _truncation_orders
 from .series import _TEXT, _signed_sum, _sum_text  # the text writer
@@ -266,24 +267,30 @@ _P1_TABLE = {
     "E8": Poly((-1, -1, 0, 0, 0, 1, 0, 1)),
 }
 
+# the factors of P_n, n > 1, as int rows (index = U-degree), D5's depending on n:
+# U^2 (U^3 - 1) (U + 1)^2, U^3 (U^4 - 1) (U^2 + U + 1), U^5 (U^6 - 1) (U^2 + 1)
+_P_FACTORS = {
+    "E6": ((0, 0, 1), (-1, 0, 0, 1), (1, 2, 1)),
+    "E7": ((0, 0, 0, 1), (-1, 0, 0, 0, 1), (1, 1, 1)),
+    "E8": ((0, 0, 0, 0, 0, 1), (-1, 0, 0, 0, 0, 0, 1), (1, 0, 1)),
+}
+
 
 def p_table_reference(family, n):
-    """Tabulated closed form of P_n: P_0, P_1, and the factored P_n, n > 1."""
+    """Tabulated closed form of P_n: P_0, P_1, and the factored P_n, n > 1,
+    which is -(its factors) * (-U^s)^(n - 2)."""
     n = _degree(family, n, "n")
-    U = Poly.x()
     if n == 0:
-        return 1 - U
+        return Poly((1, -1))
     if n == 1:
         return _P1_TABLE[family]
-    tail = Poly([0] * (_CLOSED[family]["s"] * (n - 2)) + [(-1) ** n])  # (-U^s)^(n - 2)
     if family == "D5":
-        # anomalous rational root at (n-2)/(n+1)
-        return -U * ((n + 1) * U - (n - 2)) * (U - 1) * (U + 1) ** 2 * tail
-    if family == "E6":
-        return -(U**2) * (U**3 - 1) * (U + 1) ** 2 * tail
-    if family == "E7":
-        return -(U**3) * (U**4 - 1) * (U**2 + U + 1) * tail
-    return -(U**5) * (U**6 - 1) * (U**2 + 1) * tail
+        # U ((n+1)U - (n-2)) (U - 1) (U + 1)^2: anomalous rational root (n-2)/(n+1)
+        factors = ((0, 1), (2 - n, n + 1), (-1, 1), (1, 2, 1))
+    else:
+        factors = _P_FACTORS[family]
+    tail = Poly([0] * (_CLOSED[family]["s"] * (n - 2)) + [(-1) ** (n - 1)])
+    return Poly(reduce(_convolve, factors)) * tail
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,9 @@ class BaseSpec(_Record):
     def __hash__(self):
         return hash(self.dim)
 
+    def __reduce__(self):  # the read-only table itself does not pickle
+        return (BaseSpec, (self.dim, dict(self.table)))
+
     def __getattr__(self, name):  # only a table that was never set is missing
         if name != "table":
             raise AttributeError(name)

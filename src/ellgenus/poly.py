@@ -7,9 +7,8 @@ product here: a truncated t-series with Q[y] coefficients is a
 :class:`~ellgenus.series.WSeries`.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
+from math import lcm
 
 from .series import _as_fraction, _sum_text
 
@@ -20,6 +19,17 @@ _ZERO = Fraction(0)
 _COMPACT = ("%s^%d", str, "%d/%d", "", "")
 
 
+def _convolve(a, b):
+    """The product of two int coefficient lists, index = exponent."""
+    out = [0] * (len(a) + len(b) - 1)
+    right = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in right:
+                out[i + j] += x * y
+    return out
+
+
 class Poly:
     """Coefficient list, index = exponent, trailing zeros stripped; a
     coefficient that is not an int or ``Fraction`` raises ``TypeError``."""
@@ -27,7 +37,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_as_fraction(c) or _ZERO for c in coeffs]
+        cs = [_ZERO if type(c) is int and not c else _as_fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -90,16 +100,12 @@ class Poly:
             return Poly([c * other for c in self.coeffs])
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        right = [(j, b) for j, b in enumerate(other.coeffs) if b]
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in right:
-                out[i + j] += a * b
-        return Poly(out)
+        # int numerators over each side's lcm denominator
+        da = lcm(*(c.denominator for c in self.coeffs))
+        db = lcm(*(c.denominator for c in other.coeffs))
+        out = _convolve([c.numerator * (da // c.denominator) for c in self.coeffs],
+                        [c.numerator * (db // c.denominator) for c in other.coeffs])
+        return Poly(out if da * db == 1 else [Fraction(n, da * db) for n in out])
 
     __rmul__ = __mul__
 

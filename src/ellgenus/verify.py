@@ -6,8 +6,6 @@ suite inputs default to the catalog but accept substitutes so that tests
 can inject corrupted data as negative controls.
 """
 
-from __future__ import annotations
-
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, zip_longest
@@ -137,10 +135,11 @@ def _elementary_symmetric(roots):
 def _compile_chern_series(series):
     """``series`` in the Chern classes c_i, ready for int evaluation.
 
-    Returns (denominator, y-row width, {weight: [(y-degree, numerator,
-    ((i, exponent), ...))]}): every coefficient is numerator/denominator
-    over one common int denominator.  A variable other than c_i (i >= 1)
-    raises ValueError; it is never skipped.
+    Returns (denominator, y-row width, {weight: {((i, exponent), ...):
+    [(y-degree, numerator), ...]}}): the terms of each weight grouped by
+    their c-monomial, every coefficient numerator/denominator over one
+    common int denominator.  A variable other than c_i (i >= 1) raises
+    ValueError; it is never skipped.
     """
     by_weight = {}
     for (k, q), row in series._by_slice().items():  # its packed numerators
@@ -151,7 +150,7 @@ def _compile_chern_series(series):
                 if i < 1:
                     raise ValueError("%r is not a Chern class c_i" % var)
                 factors.append((i, e))
-            by_weight.setdefault(k, []).append((q, n, tuple(factors)))
+            by_weight.setdefault(k, {}).setdefault(tuple(factors), []).append((q, n))
     return series._packed[1], series.qmax + 1, by_weight
 
 
@@ -159,8 +158,8 @@ def _top_exponents(compiled):
     """{i: the largest exponent of c_i} over the terms of compiled series."""
     top = {}
     for _den, _width, by_weight in compiled:
-        for terms in by_weight.values():
-            for _q, _num, factors in terms:
+        for monos in by_weight.values():
+            for factors in monos:
                 for i, x in factors:
                     top[i] = max(top.get(i, 0), x)
     return top
@@ -177,13 +176,16 @@ def _chern_powers(e, top):
 
 def _weight_row(compiled, k, powers):
     """The weight-k part of a compiled series as an int y-row, to be read
-    over its denominator."""
+    over its denominator; each c-monomial is evaluated once."""
     _den, width, by_weight = compiled
     row = [0] * width
-    for q, num, factors in by_weight.get(k, ()):
+    for factors, terms in by_weight.get(k, {}).items():
+        value = 1
         for i, x in factors:
-            num *= powers[i][x]
-        row[q] += num
+            value *= powers[i][x]
+        if value:
+            for q, num in terms:
+                row[q] += num * value
     return row
 
 

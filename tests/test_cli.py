@@ -4,15 +4,20 @@ trips, and input-file handling."""
 import contextlib
 import io
 import json
+import random
 import re
 from fractions import Fraction as F
 
 import pytest
 
 from ellgenus import (
+    CATALOG,
     FAMILIES,
     BaseSpec,
+    BundleSpec,
+    FibrationSpec,
     MissingIntersectionError,
+    RootForm,
     WSeries,
     chi_q,
     chi_series,
@@ -21,6 +26,7 @@ from ellgenus import (
     derived_q,
     integrate,
 )
+from ellgenus import fibrations
 from ellgenus import series as series_module
 from ellgenus.cli import (
     UsageError,
@@ -105,12 +111,33 @@ def test_q_latex_is_deterministic(capsys):
 
 
 def test_series_json_round_trip_random():
-    import random
-
     rng = random.Random(23)
     for _ in range(10):
         s = random_series(rng, ("L", "H", "c1", "c2"), 4, 3)
         assert parse_series_json(emit_series_json(s)) == s
+
+
+def test_q_json_text_equals_the_json_module():
+    # the direct writer byte for byte against the dict route through json;
+    # writing the variables in field order (c2 before c10) fails it
+    rng = random.Random(23)
+    cases = [random_series(rng, ("L", "H", "c1", "c2"), 4, 3) for _ in range(10)]
+    c = [WSeries.var("c%d" % i, 12, 1) for i in range(1, 11)]
+    e6 = CATALOG["E6"]
+    twisted = FibrationSpec(  # E6 in P(E (x) L^2)
+        "E6~2",
+        BundleSpec(tuple(m + 2 for m in e6.bundle.exps)),
+        tuple(RootForm(r.a, r.b + 2 * r.a) for r in e6.n_roots),
+    )
+    zero, const = WSeries.zero(3, 2), WSeries.const(F(-5, 3), 3, 2)
+    chern = c[9] * c[1] + F(2, 7) * c[0] * c[2] ** 3 - WSeries.var("L", 12, 1) * c[9]
+    cases += [zero, const, chern, derived_q(twisted, 4, 5)]
+    for s in cases:
+        want = json.dumps(emit_series_json(s), indent=2, sort_keys=True)
+        assert cli._series_json_text(s) == want
+    assert '"records": []' in cli._series_json_text(zero)
+    assert '"exps": {}' in cli._series_json_text(const)
+    assert '"c10": 1,\n            "c2": 1' in cli._series_json_text(chern)
 
 
 # -- ptable -------------------------------------------------------------------
@@ -151,6 +178,17 @@ def test_ptable_expands_the_table_once(capsys, monkeypatch):
     assert calls == [("D5", 12)]
     assert out.splitlines()[-1] == "check: PASS (n <= 12)"
     assert len(out.splitlines()) == 14
+
+
+def test_ptable_check_fails_on_a_wrong_closed_form(capsys, monkeypatch):
+    # the y U coefficient of D5's numerator doubled: every row from P_1 on
+    # leaves the table, P_0 keeps it
+    d5 = dict(fibrations._CLOSED["D5"], numer={(1, 1): 2, (0, 0): -3})
+    monkeypatch.setitem(fibrations._CLOSED, "D5", d5)
+    code, out, _ = run_cli(capsys, "ptable", "D5", "--check", "--nmax", "6")
+    assert code == 1
+    assert out.splitlines()[0] == "P0 = 1-U"
+    assert out.splitlines()[-1] == "check: FAIL at n = [1, 2, 3, 4, 5, 6]"
 
 
 # -- chi ----------------------------------------------------------------------
@@ -402,9 +440,6 @@ def test_verify_smoke(capsys):
 
 
 def test_verify_fails_on_corrupted_catalog(capsys, monkeypatch):
-    from ellgenus import BundleSpec, FibrationSpec, RootForm
-    from ellgenus.fibrations import CATALOG
-
     bad = FibrationSpec(
         name="D5",
         bundle=BundleSpec((0, 1, 1, 1)),

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ellgenus import FAMILIES, Poly, p_polynomials, p_table_reference
 from helpers import dense_poly_mul
@@ -20,6 +23,13 @@ def test_construction_converts_every_slot_to_fraction():
     assert p.coeffs == (F(0), F(3), F(0), F(1, 2), F(0), F(-1))
     assert all(type(c) is F for c in p.coeffs)
     assert p == Poly([F(c) for c in (0, 3, 0, F(1, 2), 0, -1)])
+
+
+@pytest.mark.parametrize("coeffs", [["", 1], [0.0], [1.5], [0, 0.0], [False, 0.5]])
+def test_construction_refuses_a_non_rational_beside_zero_ints(coeffs):
+    # a zero int skips the conversion; nothing else does, a falsy one included
+    with pytest.raises(TypeError):
+        Poly(coeffs)
 
 
 @pytest.mark.parametrize("bad", [0.1, 0.0, 1.0, "1/2", None])
@@ -90,6 +100,24 @@ def test_sparse_product_equals_dense_product():
         assert b * a == dense_poly_mul(b, a)
     assert Poly((1, 0, 0, 2)) * Poly((0, 0, 3)) == Poly((0, 0, 3, 0, 0, 6))
     assert Poly((0, 1, 0, 1)) * F(1, 2) == Poly((0, F(1, 2), 0, F(1, 2)))
+
+
+# zero slots, int slots and Fractions over several denominators
+_coeff = st.one_of(
+    st.just(0),
+    st.integers(-30, 30),
+    st.builds(F, st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 6, 9, 35])),
+)
+_poly = st.lists(_coeff, max_size=9).map(Poly)
+
+
+@given(_poly, _poly)
+def test_int_convolution_equals_the_dense_product(a, b):
+    got = a * b
+    assert got == dense_poly_mul(a, b) and got.coeffs == dense_poly_mul(a, b).coeffs
+    assert all(type(c) is F for c in got.coeffs)
+    assert all(gcd(c.numerator, c.denominator) == 1 for c in got.coeffs)  # lowest terms
+    assert not got.coeffs or got.coeffs[-1]
 
 
 @pytest.mark.parametrize("family", FAMILIES)

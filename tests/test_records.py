@@ -1,7 +1,8 @@
 """The four spec records, ``RootForm``, ``BundleSpec``, ``FibrationSpec`` and
 ``BaseSpec``: value equality and hashing, their repr, keyword construction,
 frozen fields, copies, positional ``match``, and an import of the package
-that loads none of the stdlib's code-introspection modules."""
+that loads none of the stdlib's code-introspection modules, nor
+``__future__``."""
 
 import copy
 import os
@@ -129,8 +130,19 @@ def test_copies_and_pickles_are_equal():
         ):
             assert clone == record and hash(clone) == hash(record)
             assert repr(clone) == repr(record)
-    for base in (BaseSpec.projective_space(2, 3), BaseSpec(2, P2_O3)):
-        assert copy.copy(base) == base
+    read = BaseSpec.projective_space(2, 3)
+    read.table  # builds the lazy table, which a fresh one does not hold yet
+    bases = [BaseSpec.projective_space(2, 3), read, BaseSpec(2, P2_O3)]
+    bases.append(BaseSpec(0, {(): 1}))
+    assert "table" not in vars(bases[0]) and "table" in vars(read)
+    for base in bases:
+        for clone in (
+            copy.copy(base),
+            copy.deepcopy(base),
+            pickle.loads(pickle.dumps(base)),
+        ):
+            assert clone == base and hash(clone) == hash(base)
+            assert dict(clone.table) == dict(base.table)
 
 
 def test_positional_match():
@@ -156,7 +168,7 @@ def test_base_hash_ignores_the_table():
     assert len({lazy, other, eager}) == 2
 
 
-INTROSPECTION = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+INTROSPECTION = ("dataclasses", "inspect", "ast", "dis", "tokenize", "__future__")
 
 
 def test_import_loads_no_introspection_module():
