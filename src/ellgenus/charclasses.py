@@ -19,13 +19,12 @@ never expanded.
 """
 
 from fractions import Fraction
-from functools import cache, lru_cache
 from math import comb, factorial
 from operator import index
 
 from .poly import Poly
 from .series import WSeries, _pack, _Record, _reduced, _sheared_product
-from .series import _truncation_orders
+from .series import _top_memo, _truncation_orders
 
 
 class RootForm(_Record):
@@ -47,16 +46,14 @@ class RootForm(_Record):
 # local factors
 #
 # Each local factor is a one-variable function f(t) = sum_k f_k(y) t^k,
-# evaluated at a Chern root l = a*H + b*L.  Todd's t-coefficients are the
-# Todd numbers, from the Bernoulli recurrence once per order; every other
-# factor is a sum of exponentials c y^q e^{s t}, written down by
-# :func:`_exp_sum` with the root's scale folded into s.  Both are filled in
-# at t -> a*H (or b*L when a = 0), then, when both a and b are nonzero,
-# sheared by H -> H + (b/a)*L.  No local factor takes an exp, an inverse or
-# a series product.
+# evaluated at a Chern root l = a*H + b*L: Todd's t-coefficients are the
+# Todd numbers, and every other factor is a sum of exponentials c y^q
+# e^{s t}, written by :func:`_exp_sum` with the root's scale folded into s.
+# Both are filled in at t -> a*H (or b*L when a = 0), then sheared by
+# H -> H + (b/a)*L when both a and b are nonzero.  No local factor takes an
+# exp, an inverse or a series product.
 
 
-@cache
 def _todd_numbers(order):
     """t/(1 - e^{-t}) = sum_k tau_k t^k: (tau_0, ..., tau_order), with
     tau_k = B_k/k! for the Bernoulli numbers of sum_j C(m+1, j) B_j = 0
@@ -82,15 +79,12 @@ def _exp_sum(rows, var, wmax, qmax):
     return WSeries._trusted(wmax, qmax, _reduced(_pack(nums, wmax, qmax), den))
 
 
-# Bound of the local-factor memo; a derive block needs a few dozen keys.
-LOCAL_FACTOR_CACHE_SIZE = 128
-
-
-@lru_cache(maxsize=LOCAL_FACTOR_CACHE_SIZE)
-def _local_factor(kind, root, wmax, qmax):
-    """The local factor ``kind`` at ``root``, built once per key and shared:
-    Todd from its numbers, the other kinds as rows of (c, s) for
-    :func:`_exp_sum`, s already times the root's scale."""
+@_top_memo
+def _local_factor(key, wmax, qmax):
+    """The local factor of ``key`` = (kind, root): Todd from its numbers,
+    the other kinds as rows of (c, s) for :func:`_exp_sum`, s already times
+    the root's scale."""
+    kind, root = key
     a, b = root.a, root.b
     var, scale = ("H", a) if a else ("L", b)
     if kind == "todd":
@@ -114,13 +108,13 @@ def _local_factor(kind, root, wmax, qmax):
 
 def todd_factor(root, wmax, qmax=0):
     """Expansion of l/(1 - e^{-l}) at l = a*H + b*L; the zero form gives 1."""
-    return _local_factor("todd", root, *_truncation_orders(wmax, qmax))
+    return _local_factor(("todd", root), *_truncation_orders(wmax, qmax))
 
 
 def lambda_y_factor(root, wmax, qmax):
     """1 + y*exp(-l) at l = a*H + b*L: the dual character of the paper's
     integrand.  For 1 + y*exp(+l), pass the negated root."""
-    return _local_factor("lambda_y", root, *_truncation_orders(wmax, qmax))
+    return _local_factor(("lambda_y", root), *_truncation_orders(wmax, qmax))
 
 
 def lambda_y_inverse(root, wmax, qmax):
@@ -130,14 +124,14 @@ def lambda_y_inverse(root, wmax, qmax):
     The geometric y-sum terminates at y^qmax; its t^k coefficient is
     sum_m (-1)^m (-m)^k/k! y^m.  Equal to ``lambda_y_factor(...).inverse()``.
     """
-    return _local_factor("lambda_y_inverse", root, *_truncation_orders(wmax, qmax))
+    return _local_factor(("lambda_y_inverse", root), *_truncation_orders(wmax, qmax))
 
 
 def _normal_factor(root, wmax, qmax):
     """(1 - exp(-l))/(1 + y*exp(-l)) at l = a*H + b*L: a normal-bundle root's
     factor of the integrand, the exponential sum
     sum_m (-y)^m (exp(-m*l) - exp(-(m+1)*l))."""
-    return _local_factor("normal", root, *_truncation_orders(wmax, qmax))
+    return _local_factor(("normal", root), *_truncation_orders(wmax, qmax))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from types import MappingProxyType
 
 from .charclasses import _chi_y_exp
 from .fibrations import _total_dim, closed_form_q, derived_q, pushforward_class
-from .series import WSeries, _as_fraction, _canonical_weight, _Record
+from .series import WSeries, _as_fraction, _canonical_weight, _Record, _top_memo
 
 
 class MissingIntersectionError(ValueError):
@@ -120,23 +120,9 @@ def _projective_monomials(d):
 # ---------------------------------------------------------------------------
 
 
-# Bound of the chi_series memo: the distinct (family or spec, tmax, qmax)
-# keys it keeps, each a truncation of the family's entry in ``_chi_tops``.
-# A catalog family over P^2..P^6 needs five keys.
-CHI_SERIES_CACHE_SIZE = 64
-
-# Bound of ``_chi_tops``: the families and specs whose highest-order
-# chi(t, y) it keeps, the one built last evicting the oldest.
-CHI_TOPS_SIZE = 16
-_chi_tops = {}
-
-# Bound of ``_hirzebruch_exp``, the factor exp(sum b_k p_k) of a top build,
-# one per (tmax, qmax) and read-only like every series.  A family asked at
-# rising orders leaves one per join, most never read again.  It is read by
-# ``_chi_series`` alone: ``hirzebruch_class`` builds its own, so the class
-# route stays an independent check of the series route.
-HIRZEBRUCH_EXP_CACHE_SIZE = 16
-_hirzebruch_exp = lru_cache(maxsize=HIRZEBRUCH_EXP_CACHE_SIZE)(_chi_y_exp)
+# exp(sum b_k p_k) under the one key None, read by ``_chi_series`` alone:
+# ``hirzebruch_class`` builds its own, an independent check of this route.
+_hirzebruch_exp = _top_memo(lambda _key, tmax, qmax: _chi_y_exp(tmax, qmax))
 
 
 def chi_series(family_or_spec, tmax, qmax=None):
@@ -159,21 +145,16 @@ def chi_series(family_or_spec, tmax, qmax=None):
     return _chi_series(family_or_spec, tmax, qmax)
 
 
-@lru_cache(maxsize=CHI_SERIES_CACHE_SIZE)
+@_top_memo
 def _chi_series(family_or_spec, tmax, qmax):
-    top = _chi_tops.get(family_or_spec)
-    if top is None or top.wmax < tmax or top.qmax < qmax:
-        w, q = (tmax, qmax) if top is None else (max(top.wmax, tmax), max(top.qmax, qmax))
-        if isinstance(family_or_spec, str):
-            Qt = closed_form_q(family_or_spec, w, q)
-        else:
-            Qt = derived_q(family_or_spec, w, q)
-        top = Qt.reweight_by_one_plus_y() * _hirzebruch_exp(w, q)
-    _chi_tops.pop(family_or_spec, None)
-    _chi_tops[family_or_spec] = top  # now the newest entry
-    if len(_chi_tops) > CHI_TOPS_SIZE:
-        del _chi_tops[next(iter(_chi_tops))]
-    return top.truncate(tmax, qmax)
+    if isinstance(family_or_spec, str):
+        Qt = closed_form_q(family_or_spec, tmax, qmax)
+    else:
+        Qt = derived_q(family_or_spec, tmax, qmax)
+    return Qt.reweight_by_one_plus_y() * _hirzebruch_exp(None, tmax, qmax)
+
+
+_chi_tops = _chi_series.tops
 
 
 def integrate(cls, base):

@@ -56,7 +56,7 @@ each distinct monomial decoded once.
 
 from collections import defaultdict
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate
 from math import comb, gcd, lcm
 from operator import index, mul
@@ -76,13 +76,12 @@ class TruncationDeficitError(ValueError):
 
 
 def var_weight(name):
-    """Weight of a variable: 1 for L and H, i for ci."""
+    """Weight of a variable: 1 for L and H, i for ci (ASCII, no leading 0)."""
     if name == "L" or name == "H":
         return 1
-    if name.startswith("c") and name[1:].isdigit():
-        i = int(name[1:])
-        if i >= 1:
-            return i
+    digits = name[1:] if name.startswith("c") else ""
+    if digits.isascii() and digits.isdigit() and digits[0] != "0":
+        return int(digits)
     raise ValueError("unknown variable %r" % (name,))
 
 
@@ -136,6 +135,37 @@ def _truncation_orders(wmax, qmax):
     if wmax < 0 or qmax < 0:
         raise ValueError("truncation orders must be >= 0")
     return wmax, qmax
+
+
+# Bounds of every ``_top_memo``: the requests, and the keys whose top it keeps.
+MEMO_SIZE, MEMO_TOPS = 64, 16
+
+
+def _top_memo(build):
+    """A memo of ``build(key, wmax, qmax)``, a series that truncates exactly:
+    ``.tops`` keeps, for the latest keys, the build at the highest orders
+    asked, replaced once a build at the join of a request past it succeeds;
+    each request gets one truncation of it.  ``cache_clear`` empties both."""
+    tops = {}
+
+    @lru_cache(maxsize=MEMO_SIZE)
+    def memo(key, wmax, qmax):
+        top = tops.get(key)
+        w, q = (wmax, qmax) if top is None else (top.wmax, top.qmax)
+        if top is None or w < wmax or q < qmax:
+            top = build(key, max(w, wmax), max(q, qmax))
+        tops.pop(key, None)
+        tops[key] = top  # now the newest entry
+        if len(tops) > MEMO_TOPS:
+            del tops[next(iter(tops))]
+        return top.truncate(wmax, qmax)
+
+    def cache_clear(clear=memo.cache_clear):
+        clear()
+        tops.clear()
+
+    memo.tops, memo.cache_clear = tops, cache_clear
+    return memo
 
 
 def _canonical_weight(mono):

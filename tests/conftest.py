@@ -1,6 +1,6 @@
 """Test-suite settings: one deterministic, bounded hypothesis profile, and
-empty chi_series (per key and per family), Todd-number and local-factor
-memos at the start of every test."""
+empty series memos (chi_series, its exp factor and the local factors, each
+per request and per key) at the start of every test."""
 
 import pytest
 from hypothesis import settings
@@ -17,7 +17,5 @@ settings.load_profile("ellgenus")
 def _cold_memos():
     """No test can pass on a value that an earlier test left in a memo."""
     genseries._hirzebruch_exp.cache_clear()
-    charclasses._todd_numbers.cache_clear()
     charclasses._local_factor.cache_clear()
     genseries._chi_series.cache_clear()
-    genseries._chi_tops.clear()

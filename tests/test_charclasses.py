@@ -23,7 +23,7 @@ from ellgenus import (
     power_sums_from_chern,
     todd_factor,
 )
-from ellgenus import charclasses, genseries
+from ellgenus import charclasses, genseries, series
 from ellgenus.charclasses import lambda_y_inverse
 from helpers import (
     count_calls,
@@ -67,13 +67,18 @@ def _fact(n):
     return out
 
 
-def test_todd_numbers_are_solved_once_per_order():
+def test_todd_numbers_are_solved_once_per_top_build(monkeypatch):
     # the Bernoulli recurrence against the convolution, to order 24
     for n in range(25):
         got = charclasses._todd_numbers(n)
         assert isinstance(got, tuple)
         assert got == tuple(_todd_coefficients(n))
-        assert charclasses._todd_numbers(n) is got
+    # a Todd factor below its root's top order truncates and solves nothing
+    solved = count_calls(monkeypatch, charclasses, "_todd_numbers")
+    for w in (6, 3, 0, 6, 8, 7):
+        todd_factor(RootForm(1, 0), w)
+        todd_factor(RootForm(2, 3), w)
+    assert solved == [(6,), (6,), (8,), (8,)]
 
 
 def test_chi_y_log_coefficients_unchanged_by_the_todd_cache(monkeypatch):
@@ -264,10 +269,47 @@ def test_local_factor_memo_keeps_kinds_apart_and_stays_bounded():
     kinds = (todd_factor, lambda_y_factor, lambda_y_inverse, charclasses._normal_factor)
     factors = [f(h, 3, 2) for f in kinds]
     assert all(a != b for a, b in combinations(factors, 2))
-    bound = charclasses.LOCAL_FACTOR_CACHE_SIZE
-    for a in range(1, bound + 3):
+    assert len(charclasses._local_factor.tops) == 4
+    for a in range(1, series.MEMO_SIZE + 3):
         todd_factor(RootForm(a, 0), 1)
-    assert charclasses._local_factor.cache_info().currsize == bound
+    assert charclasses._local_factor.cache_info().currsize == series.MEMO_SIZE
+    assert len(charclasses._local_factor.tops) == series.MEMO_TOPS
+
+
+_FACTOR_KINDS = {
+    "todd": todd_factor,
+    "lambda_y": lambda_y_factor,
+    "lambda_y_inverse": lambda_y_inverse,
+    "normal": charclasses._normal_factor,
+}
+_FACTOR_ORDERS = [(w, q) for w in range(0, 9, 2) for q in range(0, 5, 2)]
+_FACTOR_REQUEST_ORDERS = {
+    "ascending": _FACTOR_ORDERS,
+    "descending": _FACTOR_ORDERS[::-1],
+    "shuffled": random.Random(29).sample(_FACTOR_ORDERS, len(_FACTOR_ORDERS)),
+}
+
+
+@pytest.mark.parametrize("order", sorted(_FACTOR_REQUEST_ORDERS))
+@pytest.mark.parametrize("kind", sorted(_FACTOR_KINDS))
+def test_local_factors_do_not_depend_on_the_request_order(kind, order):
+    # every key is a truncation of its root's highest-order build, rebuilt at
+    # the join when a request is past it; each equals the build at its key
+    factor, roots = _FACTOR_KINDS[kind], (RootForm(1, 0), RootForm(-2, 3))
+    want = {}
+    for root in roots:
+        for w, q in _FACTOR_ORDERS:
+            charclasses._local_factor.cache_clear()
+            want[root, w, q] = factor(root, w, q)
+    charclasses._local_factor.cache_clear()
+    got = {(r, w, q): factor(r, w, q) for w, q in _FACTOR_REQUEST_ORDERS[order]
+           for r in roots}
+    for (root, w, q), value in got.items():
+        assert value == want[root, w, q], (root, w, q)
+        assert factor(root, w, q) is value
+    for root in roots:
+        top = charclasses._local_factor.tops[kind, root]
+        assert (top.wmax, top.qmax) == (8, 4)
 
 
 def test_zero_root_factors():
@@ -442,7 +484,7 @@ def test_top_matches_full_weight_part():
     # the top weight, where every (1+y)-power is absorbed
     for d in range(1, 6):
         full = hirzebruch_class(d, d + 2)
-        top = genseries._hirzebruch_exp(d, d + 2).weight_component(d)
+        top = genseries._hirzebruch_exp(None, d, d + 2).weight_component(d)
         assert top == full.weight_component(d)
 
 

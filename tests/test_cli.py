@@ -352,6 +352,17 @@ def test_base_file_rejects_zero_denominator(tmp_path, capsys):
     )
 
 
+def test_base_file_rejects_a_non_canonical_chern_name(tmp_path, capsys):
+    # c01 was read as c1 and kept as c01, so the table missed L*c1
+    base_file = tmp_path / "c01.json"
+    monomials = _p2_monomials("3")
+    monomials[1]["exps"] = {"L": 1, "c01": 1}
+    base_file.write_text(json.dumps({"dim": 2, "monomials": monomials}))
+    _assert_usage_error(
+        capsys, ["chi", "E8", "--base-file", str(base_file)], "unknown variable 'c01'"
+    )
+
+
 def test_base_file_rejects_non_integer_dim_and_exponent(tmp_path, capsys):
     base_file = tmp_path / "dim.json"
     base_file.write_text(json.dumps({"dim": 2.0, "monomials": _p2_monomials("3")}))

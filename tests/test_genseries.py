@@ -3,7 +3,6 @@
 import random
 import re
 from fractions import Fraction as F
-from functools import cache
 
 import pytest
 from hypothesis import given
@@ -514,7 +513,7 @@ def test_default_and_explicit_qmax_share_one_entry():
 
 
 def test_memo_stays_within_its_bound():
-    bound = genseries.CHI_SERIES_CACHE_SIZE
+    bound = series_module.MEMO_SIZE
     keys = [
         (fam, tmax, qmax)
         for fam in FAMILIES
@@ -533,7 +532,7 @@ def test_memo_stays_within_its_bound():
 def test_the_highest_order_memo_stays_within_its_bound():
     # one entry per family or spec: many specs evict the oldest, and a
     # family's entry is the join of the orders asked of it
-    bound = genseries.CHI_TOPS_SIZE
+    bound = series_module.MEMO_TOPS
     specs = [
         FibrationSpec(name="w%d" % a, bundle=BundleSpec((a, a + 2, a + 3)),
                       n_roots=(RootForm(3, 6 + 3 * a),))
@@ -552,19 +551,89 @@ def test_the_highest_order_memo_stays_within_its_bound():
 
 
 def test_the_exp_memo_stays_within_its_bound(monkeypatch):
-    # E8 asked at rising orders leaves one exp(sum b_k p_k) per join, more
-    # keys than the bound; each result equals one built with no bound
+    # E8 asked at rising orders builds exp(sum b_k p_k) once per join of its
+    # chi(t, y), 26 times, and keeps one top; E7 at the same keys truncates
+    # that top and builds none.  Each result equals one whose exp is built anew
+    builds = count_calls(monkeypatch, genseries, "_chi_y_exp")
     keys = [(t, q) for t in range(8) for q in range(t, t + 12)]
-    bounded = []
-    for t, q in keys:
-        bounded.append(chi_series("E8", t, q))
-        info = genseries._hirzebruch_exp.cache_info()
-        assert info.currsize <= genseries.HIRZEBRUCH_EXP_CACHE_SIZE
-    assert info.misses == 26 > genseries.HIRZEBRUCH_EXP_CACHE_SIZE
+    memoized = {}
+    for fam in ("E8", "E7"):
+        memoized[fam] = [chi_series(fam, t, q) for t, q in keys]
+        assert genseries._hirzebruch_exp.cache_info().currsize <= series_module.MEMO_SIZE
+        assert len(builds) == 26 and builds[-1] == (7, 18)
+        assert list(genseries._hirzebruch_exp.tops) == [None]
     genseries._chi_series.cache_clear()
-    genseries._chi_tops.clear()
-    monkeypatch.setattr(genseries, "_hirzebruch_exp", cache(charclasses._chi_y_exp))
-    assert [chi_series("E8", t, q) for t, q in keys] == bounded
+    monkeypatch.setattr(
+        genseries, "_hirzebruch_exp", lambda _key, t, q: charclasses._chi_y_exp(t, q)
+    )
+    for fam, want in memoized.items():
+        assert [chi_series(fam, t, q) for t, q in keys] == want, fam
+
+
+def test_a_failed_build_leaves_the_top(monkeypatch):
+    # a request past the top whose build raises keeps the old top and caches
+    # nothing; a lower request then truncates that top
+    chi_series("E7", 3, 5)
+
+    def broken(family, tmax, qmax):
+        raise ArithmeticError("no build at (%d, %d)" % (tmax, qmax))
+
+    monkeypatch.setattr(genseries, "closed_form_q", broken)
+    old = genseries._chi_tops["E7"]
+    with pytest.raises(ArithmeticError, match=r"\(4, 6\)"):
+        chi_series("E7", 4, 6)
+    assert genseries._chi_tops["E7"] is old
+    assert genseries._chi_series.cache_info().currsize == 1
+    low = chi_series("E7", 2, 4)  # covered: no build
+    assert low == _one_build_per_key("E7", 2, 4)
+    monkeypatch.undo()
+    assert chi_series("E7", 4, 6) == _one_build_per_key("E7", 4, 6)
+    assert genseries._chi_tops["E7"].wmax == 4
+    genseries._chi_series.cache_clear()  # one call empties both levels
+    assert genseries._chi_tops == {} and genseries._chi_series.cache_info().currsize == 0
+
+
+def _random_factor(rng):
+    kind = rng.choice([charclasses.todd_factor, charclasses._normal_factor])
+    root = RootForm(rng.randrange(-3, 4), rng.randrange(-3, 4))
+    return kind, (root, rng.randrange(6), rng.randrange(4))
+
+
+def _random_chi(rng):
+    fam = rng.choice(FAMILIES + ("twisted",))
+    if fam == "twisted":
+        a = rng.randrange(20)
+        fam = FibrationSpec(name="w%d" % a, bundle=BundleSpec((a, a + 2, a + 3)),
+                            n_roots=(RootForm(3, 6 + 3 * a),))
+    t = rng.randrange(3)
+    return chi_series, (fam, t, t + rng.randrange(4))
+
+
+def _random_exp(rng):
+    return genseries._hirzebruch_exp, (None, rng.randrange(6), rng.randrange(13))
+
+
+@pytest.mark.parametrize(
+    "memo, draw",
+    [(charclasses._local_factor, _random_factor),
+     (genseries._chi_series, _random_chi),
+     (genseries._hirzebruch_exp, _random_exp)],
+    ids=["local-factor", "chi", "exp"],
+)
+def test_each_series_memo_stays_within_both_bounds(memo, draw):
+    # 300 seeded random requests: the memo never holds more than MEMO_SIZE
+    # requests or MEMO_TOPS tops, and a sample of its results equals a
+    # build from a cold memo
+    rng, got = random.Random(29), []
+    for _ in range(300):
+        fn, args = draw(rng)
+        got.append((fn, args, fn(*args)))
+        assert memo.cache_info().currsize <= series_module.MEMO_SIZE
+        assert len(memo.tops) <= series_module.MEMO_TOPS
+    assert memo.cache_info().currsize == series_module.MEMO_SIZE
+    for fn, args, value in got[::30]:
+        memo.cache_clear()
+        assert fn(*args) == value, args
 
 
 def test_a_cold_chi_series_and_its_slices_unpack_nothing(monkeypatch):
@@ -694,12 +763,11 @@ def test_verify_route_does_not_read_the_shared_factor(monkeypatch):
     base = BaseSpec.projective_space(2, 3)
     want = chi_values("E8", base)
     genseries._chi_series.cache_clear()
-    genseries._chi_tops.clear()
     shared = genseries._hirzebruch_exp
 
-    def corrupted(tmax, qmax):
+    def corrupted(key, tmax, qmax):
         bump = WSeries(tmax, qmax, {(mono_from_dict({"c1": 1}), 0): F(1)})
-        return shared(tmax, qmax) + bump
+        return shared(key, tmax, qmax) + bump
 
     monkeypatch.setattr(genseries, "_hirzebruch_exp", corrupted)
     assert chi_q("E8", base, 1) != want[1]

@@ -544,6 +544,24 @@ def test_monomial_canonicalization():
         mono_from_dict({"L": -1})
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["c01", "c\u0663", "c\uff11", "c\u00b2", "c0", "c", "c+1", "c 1", "C1"],
+    ids=["leading-zero", "arabic-indic-3", "fullwidth-1", "superscript-2", "c0",
+         "bare-c", "sign", "space", "upper-case"],
+)
+def test_only_canonical_chern_names_are_variables(name):
+    # c01, c\u0663 and c\uff11 were read as c1, c3 and c1 and kept their
+    # name, so a table using one compared unequal to the canonical table;
+    # c\u00b2 failed inside int()
+    for read in (var_weight, lambda v: mono_from_dict({v: 1})):
+        with pytest.raises(ValueError, match="unknown variable"):
+            read(name)
+    assert [var_weight(v) for v in ("L", "H", "c1", "c9", "c10", "c123")] == [
+        1, 1, 1, 9, 10, 123
+    ]
+
+
 @pytest.mark.parametrize("exponent", [1.5, 2.0, F(2)])
 def test_mono_from_dict_refuses_non_integer_exponents(exponent):
     with pytest.raises(TypeError):
