@@ -29,7 +29,7 @@ from .charclasses import RootForm, hirzebruch_class, todd_factor
 from .charclasses import _exp_sum, _normal_factor  # the closed-form builders
 from .poly import Poly, _convolve
 from .pushforward import BundleSpec, pushforward
-from .series import WSeries, _Record, _sheared_product, _truncation_orders
+from .series import WSeries, _Product, _Record, _truncation_orders
 from .series import _TEXT, _signed_sum, _sum_text  # the text writer
 
 FAMILIES = ("D5", "E6", "E7", "E8")
@@ -116,8 +116,10 @@ def fiber_integrand(spec, wmax, qmax):
     (1 + y e^-H) H/(1 - e^-H) = (1+y) td(H) - y*H is built once per call
     from ``todd_factor``; an N-root's (1 - e^-l)/(1 + y e^-l) is one
     memoized local factor.  Each group is the product of its factors
-    (``WSeries`` products), 1/(1+y) riding in the first group, and
-    ``series._sheared_product`` shears and multiplies.
+    (``WSeries`` products), 1/(1+y) riding in the first group.  The groups'
+    sheared product is returned deferred (``series._Product``): it is built
+    on its first read, while ``pushforward`` of it before then ends the
+    folded chain in the Segre map and unfolds only Q.
     """
     if wmax < len(spec.n_roots):
         raise ValueError(
@@ -141,7 +143,7 @@ def fiber_integrand(spec, wmax, qmax):
         put(root, f_factor)
     for root in spec.n_roots:
         put(root, _normal_factor(RootForm(root.a, 0), wmax, qmax))
-    return _sheared_product(groups, wmax, qmax)
+    return _Product(groups, wmax, qmax)
 
 
 def derived_q(spec, wmax=DEFAULT_WMAX, qmax=DEFAULT_QMAX):

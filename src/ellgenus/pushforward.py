@@ -62,9 +62,12 @@ def pushforward(series, bundle):
     weight rank - 1 raises :class:`TruncationDeficitError`.
 
     Each s_j(E) is a single term sigma_j * L^j with sigma_j an int (see
-    :func:`_segre_numbers`), so the map runs on the packed form of ``series``:
-    a term of H-degree r-1+j takes the factor sigma_j H^-(r-1+j) L^j, which
-    lowers its weight by r-1, to at most the output weight it is truncated to.
+    :func:`_segre_numbers`), so the map runs on packed ints: a term of
+    H-degree r-1+j takes the factor sigma_j H^-(r-1+j) L^j, which lowers its
+    weight by r-1, to at most the output weight it is truncated to.  On an
+    unread ``fiber_integrand`` the map is the last step of its folded chain
+    of products and shears, so only the result is unfolded; on any other
+    series it maps the packed terms one by one.
     """
     r = bundle.rank
     out_wmax = series.wmax - (r - 1)

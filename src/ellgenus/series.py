@@ -37,9 +37,18 @@ only the ``terms`` view builds a ``Fraction`` per term:
   most min(#terms) products and B = bits(max|a|) + bits(max|b|) +
   bit_length(min #terms) + 1.  Along the chain of ``_sheared_product`` a
   shear adds the bits of its largest row entry and bit_length(top + 1), a
-  product those of its group's largest numerator and term count.  Only y is
-  folded: a y-polynomial is dense (at most qmax + 1 slots, nearly all
-  filled), while the sparse (y, L, H, ci) box would need far more slots.
+  product those of its group's largest numerator and term count.  The chain
+  may end in a map of H-powers by rows of int entries (``_map_powers``,
+  the Segre map of ``pushforward``): an output key takes at most one term
+  per entry, so the map adds the bits of the sum of the entries' absolute
+  values.  The shears, the map and ``_map_powers``' per-term loop are one
+  helper, ``_map_rows``.  Only y is folded: a y-polynomial is dense (at
+  most qmax + 1 slots, nearly all filled), while the sparse (y, L, H, ci)
+  box would need far more slots.
+- ``_Product`` defers a ``_sheared_product``: it holds the slope groups,
+  builds the packed form on its first read and becomes a plain ``WSeries``;
+  an H-map of it before that runs as the last step of its chain, so the
+  product is never unfolded.
 - ``_unpack`` decodes for the ``terms`` view only: each key into a canonical
   monomial tuple and each numerator into one ``Fraction``.
 
@@ -221,7 +230,7 @@ class WSeries:
     :func:`mono_from_dict` would not return unchanged.
     """
 
-    __slots__ = ("wmax", "qmax", "_packed", "_terms", "_split")
+    __slots__ = ("wmax", "qmax", "_packed", "_terms", "_split", "_groups")
 
     def __new__(cls, wmax, qmax, terms=None):
         wmax, qmax = _truncation_orders(wmax, qmax)
@@ -501,17 +510,17 @@ class WSeries:
 
     def _map_powers(self, var, rows):
         """Each term of ``var``-degree e times the sum of the (monomial, int)
-        entries of ``rows[e]``; an entry's negative exponents divide the term."""
+        entries of ``rows[e]``; an entry's negative exponents divide the term.
+        An H-map of an unread :class:`_Product` is the last step of its chain
+        (``_sheared_product``); any other series maps its packed terms."""
         w, q = self.wmax, self.qmax
         offsets = [_pack({(m, 0): c for m, c in row}, w, q).items() for row in rows]
+        if self.__class__ is _Product and var == "H":
+            return _sheared_product(self._groups, w, q, then=offsets)
         width = _width(w, q)
         shift, mask = _field(var)[0] * width, (1 << width) - 1
         nums, den = self._packed
-        acc = defaultdict(int)
-        for key, n in nums.items():
-            for offset, c in offsets[key >> shift & mask]:
-                acc[key + offset] += n * c
-        return self._born(_reduced(acc, den))
+        return self._born(_reduced(_map_rows(nums.items(), shift, mask, offsets), den))
 
     def diff_h(self):
         """Formal d/dH.  The weight bound is kept; callers track validity."""
@@ -596,6 +605,33 @@ class WSeries:
         if len(body) > 120:
             body = body[:117] + "..."
         return "WSeries(wmax=%d, qmax=%d: %s)" % (self.wmax, self.qmax, body)
+
+
+class _Product(WSeries):
+    """The product ``_sheared_product(groups, wmax, qmax)``, deferred: it
+    holds the slope groups until its packed form is first read, then builds
+    it and becomes a plain ``WSeries``.  Before that, an H-map of it
+    (``_map_powers``) runs as the last step of the chain instead.  The
+    ``__getattr__`` lives here, not on ``WSeries``, whose every attribute
+    read it would slow."""
+
+    __slots__ = ()
+
+    def __new__(cls, groups, wmax, qmax):
+        series = object.__new__(cls)
+        for name, value in (("wmax", wmax), ("qmax", qmax), ("_terms", None),
+                            ("_split", None), ("_groups", groups)):
+            object.__setattr__(series, name, value)
+        return series
+
+    def __getattr__(self, name):
+        if name != "_packed":
+            raise AttributeError(name)
+        product = _sheared_product(self._groups, self.wmax, self.qmax)
+        object.__setattr__(self, "_packed", product._packed)
+        object.__setattr__(self, "_groups", None)
+        object.__setattr__(self, "__class__", WSeries)
+        return self._packed
 
 
 # -- rendering: one term walk and one signed-sum join ---------------------------
@@ -688,7 +724,7 @@ def _packed_mul(a, b, wmax, qmax):
     return _unfold(product, width, slot, qmax, da * db)
 
 
-def _sheared_product(groups, wmax, qmax):
+def _sheared_product(groups, wmax, qmax, then=None):
     """The product of the series ``groups[s]``, each at H -> H + s*L.
 
     The shear S_s keeps weights, is a ring map, and S_a S_b = S_(a+b), so
@@ -697,6 +733,11 @@ def _sheared_product(groups, wmax, qmax):
     S_s spreads H^k to sum_j C(k, j) s^j H^(k-j) L^j, moving j from the H
     field to the L field of the key: with s = p/r and H-degree at most top,
     a folded int times C(k, j) p^j r^(top-j), over the denominator r^top.
+
+    ``then``, if given, is a last step on the folded ints: the rows of
+    (packed key offset, int) entries of ``WSeries._map_powers`` by H-power.
+    An output key takes at most one term per entry, so the map adds the
+    bits of the sum of the entries' absolute values to the slot.
     """
     slopes = sorted(groups, reverse=True)
     shifts = [a - b for a, b in zip(slopes, slopes[1:])] + [slopes[-1]]
@@ -720,6 +761,9 @@ def _sheared_product(groups, wmax, qmax):
             bits += _bits(dict(rows[-1])) + (top + 1).bit_length()
             den *= r**top
         shears.append(rows)
+    if then is not None:  # offsets without the y field, which they leave 0
+        then = [[(offset >> width, c) for offset, c in row] for row in then]
+        bits += sum(abs(c) for row in then for _o, c in row).bit_length()
     slot = bits + 1
     acc = _fold(packed[0][0], width, slot)
     for i, rows in enumerate(shears):
@@ -727,12 +771,20 @@ def _sheared_product(groups, wmax, qmax):
             right = _fold(packed[i][0], width, slot)
             acc = _folded_mul(acc, right, wmax, mask, slot * (qmax + 1))
         if rows:
-            sheared = defaultdict(int)
-            for rest, f in acc.items():
-                for offset, c in rows[rest >> hshift & mask]:
-                    sheared[rest + offset] += f * c
-            acc = sheared
+            acc = _map_rows(acc.items(), hshift, mask, rows)
+    if then is not None:
+        acc = _map_rows(acc.items(), hshift, mask, then)
     return WSeries._trusted(wmax, qmax, _unfold(acc, width, slot, qmax, den))
+
+
+def _map_rows(items, shift, mask, rows):
+    """{key + offset: sum of n * c} over the (key, n) ``items`` and the
+    (offset, c) entries of ``rows[e]``, e the field of a key at ``shift``."""
+    acc = defaultdict(int)
+    for key, n in items:
+        for offset, c in rows[key >> shift & mask]:
+            acc[key + offset] += n * c
+    return acc
 
 
 def _graded(kind, a, wmax, qmax):

@@ -367,6 +367,23 @@ def reference_pushforward(series, bundle, out_wmax):
     return out
 
 
+def reference_map_powers(series, var, rows):
+    """Each term of ``var``-degree e times each (monomial, int) entry of
+    ``rows[e]``, one ``Fraction`` term at a time: the exponents add, and a
+    variable whose exponent comes to 0 drops out."""
+    out = {}
+    for (mono, q), c in series.terms.items():
+        exps = dict(mono)
+        for m, k in rows[exps.get(var, 0)]:
+            prod = dict(exps)
+            for v, e in m:
+                prod[v] = prod.get(v, 0) + e
+            items = sorted(((v, e) for v, e in prod.items() if e), key=_var_order)
+            key = (tuple(items), q)
+            out[key] = out.get(key, 0) + c * k
+    return WSeries(series.wmax, series.qmax, out)
+
+
 def reference_hirzebruch_class(d, qmax):
     """(1+y)^d exp(sum_k a_k p_k), with a_k the L^k coefficients of
     ln(g(L)/(1+y)) for g(t) = (1 + y e^{-t}) t/(1 - e^{-t}), taken by

@@ -1,6 +1,8 @@
 """Catalog data, the fiber integrand, derived and closed genus factors,
 and the polynomial table."""
 
+import copy
+import pickle
 import random
 import sys
 from fractions import Fraction as F
@@ -31,6 +33,7 @@ from ellgenus import (
 )
 from ellgenus import fibrations as fibrations_module
 from ellgenus import series as series_module
+from ellgenus.series import _Product, _sheared_product, _width
 from helpers import (
     PAPER_CLOSED_TEXT,
     count_calls,
@@ -153,19 +156,19 @@ def test_integrand_equals_per_root_product_in_every_twist(family):
         assert fiber_integrand(spec, 6, 5) == reference_fiber_integrand(spec, 6, 5)
 
 
-@pytest.mark.parametrize(
-    "exps, n_roots",
-    [
-        ((0, 1, 2), ((2, 3),)),  # slope 3/2, shared with no F-root
-        ((0, 1, 3), ()),  # no normal roots: Y = P(E), fiber dimension 2
-        ((0, 1, 1, 2), ((1, 1),)),  # fiber dimension 2, N shares F's slope 1
-        ((-1, 2, 2), ((2, 4), (1, -1))),  # a negative slope; N roots on both F slopes
-        ((0, 1, 2), ((2, 1),)),  # four slope groups: 0, 1/2, 1, 2
-        # slopes 1/3, 1, 3/2, 2: every nested shear (1/3, 2/3, 1/2, 1/2) is a
-        # nonzero non-integer
-        ((1, 2, 2, 2), ((3, 1), (2, 3))),
-    ],
-)
+_CUSTOM_SPECS = [
+    ((0, 1, 2), ((2, 3),)),  # slope 3/2, shared with no F-root
+    ((0, 1, 3), ()),  # no normal roots: Y = P(E), fiber dimension 2
+    ((0, 1, 1, 2), ((1, 1),)),  # fiber dimension 2, N shares F's slope 1
+    ((-1, 2, 2), ((2, 4), (1, -1))),  # a negative slope; N roots on both F slopes
+    ((0, 1, 2), ((2, 1),)),  # four slope groups: 0, 1/2, 1, 2
+    # slopes 1/3, 1, 3/2, 2: every nested shear (1/3, 2/3, 1/2, 1/2) is a
+    # nonzero non-integer
+    ((1, 2, 2, 2), ((3, 1), (2, 3))),
+]
+
+
+@pytest.mark.parametrize("exps, n_roots", _CUSTOM_SPECS)
 def test_integrand_equals_per_root_product_on_custom_specs(exps, n_roots):
     spec = FibrationSpec(
         name="custom",
@@ -175,6 +178,94 @@ def test_integrand_equals_per_root_product_on_custom_specs(exps, n_roots):
     for wmax, qmax in ((len(n_roots), 0), (5, 4), (7, 6)):
         got = fiber_integrand(spec, wmax, qmax)
         assert got == reference_fiber_integrand(spec, wmax, qmax)
+
+
+# -- the deferred integrand: its product is built on first read ------------------
+
+
+def test_an_unread_integrand_is_its_groups_sheared_product():
+    spec = _twisted("E7", 2, random.Random("deferred"))
+    D = fiber_integrand(spec, 8, 6)
+    assert type(D) is _Product
+    groups = D._groups
+    assert D == _sheared_product(groups, 8, 6)  # the first read
+    assert type(D) is WSeries
+
+
+_READS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda D: pickle.loads(pickle.dumps(D)),
+    "repr": repr,
+    "truncate": lambda D: D.truncate(5, 3),  # from 4-bit fields to 3
+    "square": lambda D: D * D,
+    "terms": lambda D: dict(D.terms),
+}
+
+
+@pytest.mark.parametrize("read", _READS.values(), ids=_READS)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_the_integrand_reads_the_same_before_and_after_its_first_read(family, read):
+    spec = _twisted(family, 1, random.Random("reads:" + family))
+    before = fiber_integrand(spec, 9, 5)
+    assert type(before) is _Product
+    got = read(before)
+    after = fiber_integrand(spec, 9, 5)
+    after.terms
+    assert type(after) is WSeries
+    assert read(after) == got
+
+
+def _specs_and_orders():
+    """(spec, integrand weight, qmax): the 72 twisted catalog specs at the
+    benchmark orders, the custom specs, and the catalog at w 4..6 with
+    qmax 7, where the output fields narrow from 4 bits to 3."""
+    rng = random.Random("deferred pushforward")
+    for family in FAMILIES:
+        for a in range(-2, 4):
+            spec = _twisted(family, a, rng)
+            for w in (7, 8, 9):
+                yield spec, w + spec.bundle.rank - 1, w + 1
+        for w in (4, 5, 6):
+            yield CATALOG[family], w + CATALOG[family].bundle.rank - 1, 7
+    for exps, n_roots in _CUSTOM_SPECS:
+        spec = FibrationSpec(
+            name="custom",
+            bundle=BundleSpec(exps),
+            n_roots=tuple(RootForm(a, b) for a, b in n_roots),
+        )
+        for wmax, qmax in ((max(len(n_roots), len(exps) - 1), 0), (5, 4), (7, 6)):
+            yield spec, wmax, qmax
+
+
+def test_pushforward_of_an_unread_integrand_equals_that_of_the_read_one():
+    # unread, the Segre map is the last step of the folded chain; read, it
+    # maps the integrand's packed terms
+    for spec, wmax, qmax in _specs_and_orders():
+        D = fiber_integrand(spec, wmax, qmax)
+        deferred = pushforward(D, spec.bundle)
+        assert type(D) is _Product  # the map read nothing
+        D.terms
+        assert pushforward(D, spec.bundle) == deferred
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("w", [6, 9])
+def test_a_cold_derived_q_never_unfolds_the_integrand(monkeypatch, family, w):
+    # the unfolds are the local factors and group products, in the ring with
+    # H alone, and Q, whose folded monomials are L^0..L^w: none holds H and L
+    unfolds = count_calls(monkeypatch, series_module, "_unfold")
+    Q = derived_q(family, w, w + 1)
+    width = _width(w + CATALOG[family].bundle.rank - 1, w + 1)
+    mask = (1 << width) - 1
+    fields = [
+        {(rest >> width & mask, rest >> 2 * width & mask) for rest in folded}
+        for folded, *_ in unfolds
+    ]
+    assert all(not (ell and h) for f in fields for ell, h in f)
+    with_l = [f for f in fields if any(ell for ell, _h in f)]
+    assert len(with_l) == 1 and len(with_l[0]) <= w + 1
+    assert {ell for ell, _h in with_l[0]} >= {dict(m).get("L", 0) for m, _q in Q.terms}
 
 
 def test_integrand_rejects_tiny_wmax():

@@ -13,6 +13,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ellgenus import (
+    BundleSpec,
     NotAUnitError,
     TruncationDeficitError,
     TruncationMismatchError,
@@ -21,11 +22,13 @@ from ellgenus import (
     fiber_integrand,
     mono_from_dict,
     mono_weight,
+    pushforward,
     var_weight,
 )
 from ellgenus import series as series_module
 from ellgenus.cli import emit_series_json
 from ellgenus.series import (
+    _Product,
     _fold,
     _pack,
     _packed_mul,
@@ -51,6 +54,7 @@ from helpers import (
     reference_exp,
     reference_inverse,
     reference_log,
+    reference_map_powers,
     reference_mul,
     reference_part,
     reference_reweight_by_one_plus_y,
@@ -792,6 +796,52 @@ def test_sheared_product_equals_the_pair_loop_chain(groups):
     assert packed == pair_loop_sheared_product(want, wmax, qmax)
 
 
+# -- the H-map as the chain's last step --------------------------------------------
+
+
+_big_ints = st.one_of(st.integers(-9, 9), st.integers(-(2**300), 2**300))
+
+
+@st.composite
+def _h_rows(draw, wmax):
+    """Rows by H-power e of (monomial, int) entries, several to a row: H^-a
+    (a <= e, a negative exponent that divides the term) times L, c1 and c2
+    of weight at most a, so no entry raises a weight."""
+    rows = []
+    for e in range(wmax + 1):
+        row = {}
+        for _ in range(draw(st.integers(0, 3))):
+            a = draw(st.integers(0, e))
+            ell = draw(st.integers(0, a))
+            c1 = draw(st.integers(0, a - ell))
+            c2 = draw(st.integers(0, (a - ell - c1) // 2))
+            exps = (("L", ell), ("H", -a), ("c1", c1), ("c2", c2))
+            row[tuple((v, x) for v, x in exps if x)] = draw(_big_ints)
+        rows.append(list(row.items()))
+    return rows
+
+
+@st.composite
+def _groups_and_rows(draw):
+    groups = draw(_big_sheared_groups())
+    (wmax, _qmax), = {(G.wmax, G.qmax) for G in groups.values()}
+    return groups, draw(_h_rows(wmax))
+
+
+@given(_groups_and_rows())
+def test_the_map_as_the_chains_last_step_equals_the_map_of_the_product(case):
+    # the chain's map step, the deferred product's H-map and the per-term
+    # map of the eager product, against a Fraction term loop
+    groups, rows = case
+    (wmax, qmax), = {(G.wmax, G.qmax) for G in groups.values()}
+    eager = _sheared_product(groups, wmax, qmax)
+    want = reference_map_powers(eager, "H", rows)
+    assert eager._map_powers("H", rows) == want
+    then = [_pack({(m, 0): c for m, c in row}, wmax, qmax).items() for row in rows]
+    assert _sheared_product(groups, wmax, qmax, then=then) == want
+    assert _Product(groups, wmax, qmax)._map_powers("H", rows) == want
+
+
 # -- the slot budget at its edge: same-sign numerators in every slot --------------
 
 _EDGE_QMAX = 2
@@ -829,11 +879,32 @@ def _edge_mul_and_chains(wmax, c):
     return out
 
 
+# Segre numbers 1, -16, 193, ...: large sigma_j, on a bundle whose least
+# exponent is 0, as ``derived_q`` leaves every bundle
+_EDGE_BUNDLE = BundleSpec((0, 7, 9))
+
+
+def _edge_maps(wmax, c):
+    """(the pushforward along ``_EDGE_BUNDLE`` as the last step of a chain,
+    that of the eager chain) for the full-support series alone at slope 0
+    and for each slope set of ``_EDGE_SLOPES``."""
+    G = _full_support(wmax, c)
+    out = []
+    for slopes in ((F(0),),) + _EDGE_SLOPES:
+        groups = dict.fromkeys(slopes, G)
+        packed = pair_loop_sheared_product({s: G._packed for s in slopes}, wmax, _EDGE_QMAX)
+        eager = WSeries._trusted(wmax, _EDGE_QMAX, packed)
+        out.append((pushforward(_Product(groups, wmax, _EDGE_QMAX), _EDGE_BUNDLE),
+                    pushforward(eager, _EDGE_BUNDLE)))
+    return out
+
+
 @pytest.mark.parametrize("wmax, c", _EDGE_CASES)
 def test_the_slot_budget_holds_at_worst_case_magnitudes(wmax, c):
-    # the largest slot sums of both kernels; a budget that subtracts the
-    # shear's bit_length(top + 1) instead of adding it fails a third of these
-    for got, want in _edge_mul_and_chains(wmax, c):
+    # the largest slot sums of both kernels and of the chain's map step; a
+    # budget that subtracts the shear's bit_length(top + 1) instead of
+    # adding it fails a third of these
+    for got, want in _edge_mul_and_chains(wmax, c) + _edge_maps(wmax, c):
         assert got == want
 
 
@@ -854,7 +925,8 @@ def _narrower_slots(monkeypatch, bits):
 def test_slot_budget_negative_controls(monkeypatch):
     # the product's budget is tight here: one bit less gives a wrong square;
     # the shear chain keeps two bits of slack on these inputs, so three bits
-    # less give a wrong one-slope chain
+    # less give a wrong one-slope chain; the map step's bits are tight on a
+    # fold alone, so one bit less gives a wrong pushforward at weight 4
     with monkeypatch.context() as mp:
         _narrower_slots(mp, 1)
         got, want = _edge_mul_and_chains(3, 2**40 - 1)[0]
@@ -863,7 +935,12 @@ def test_slot_budget_negative_controls(monkeypatch):
         _narrower_slots(mp, 3)
         got, want = _edge_mul_and_chains(3, 2**40 - 1)[1]
         assert got != want
-    for got, want in _edge_mul_and_chains(3, 2**40 - 1):  # positive control
+    with monkeypatch.context() as mp:
+        _narrower_slots(mp, 1)
+        got, want = _edge_maps(4, 2**40 - 1)[0]
+        assert got != want
+    # positive control
+    for got, want in _edge_mul_and_chains(3, 2**40 - 1) + _edge_maps(4, 2**40 - 1):
         assert got == want
 
 
