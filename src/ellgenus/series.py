@@ -737,7 +737,9 @@ def _sheared_product(groups, wmax, qmax, then=None):
     ``then``, if given, is a last step on the folded ints: the rows of
     (packed key offset, int) entries of ``WSeries._map_powers`` by H-power.
     An output key takes at most one term per entry, so the map adds the
-    bits of the sum of the entries' absolute values to the slot.
+    bits of the sum of the entries' absolute values to the slot.  A shear
+    never raises an H-degree, so the last product skips every monomial pair
+    whose H-degrees sum below the first H-power with a nonempty row.
     """
     slopes = sorted(groups, reverse=True)
     shifts = [a - b for a, b in zip(slopes, slopes[1:])] + [slopes[-1]]
@@ -745,36 +747,49 @@ def _sheared_product(groups, wmax, qmax, then=None):
     width = _width(wmax, qmax)
     mask = (1 << width) - 1
     hshift = (_field("H")[0] - 1) * width  # in a key without its y field
-    step = (1 << (_field("L")[0] - 1) * width) - (1 << hshift)  # an H to an L
     # the shear rows, the denominator and the slot width (module docstring)
     shears, bits, top, den = [], 0, 0, 1
     for i, ((nums, d), s) in enumerate(zip(packed, shifts)):
         bits += _bits(nums) + (len(nums).bit_length() if i else 0)
         h = max((key >> width + hshift & mask for key in nums), default=0)
         top, den = min(wmax, top + h), den * d
-        p, r = s.numerator, s.denominator
-        rows = [
-            [(j * step, comb(k, j) * p**j * r ** (top - j)) for j in range(k + 1)]
-            for k in range(top + 1)
-        ] if s else None
-        if rows:  # the largest entries are in the row of H^top
-            bits += _bits(dict(rows[-1])) + (top + 1).bit_length()
-            den *= r**top
+        rows = None
+        if s:
+            rows, extra = _shear_rows(s, top, width)
+            bits, den = bits + extra, den * s.denominator**top
         shears.append(rows)
+    low = 0  # the first H-power the map keeps
     if then is not None:  # offsets without the y field, which they leave 0
         then = [[(offset >> width, c) for offset, c in row] for row in then]
         bits += sum(abs(c) for row in then for _o, c in row).bit_length()
+        low = next((e for e, row in enumerate(then) if row), len(then))
     slot = bits + 1
     acc = _fold(packed[0][0], width, slot)
     for i, rows in enumerate(shears):
         if i:
             right = _fold(packed[i][0], width, slot)
-            acc = _folded_mul(acc, right, wmax, mask, slot * (qmax + 1))
+            hmin = low if i == len(shears) - 1 else 0
+            acc = _folded_mul(acc, right, wmax, mask, slot * (qmax + 1), hmin, hshift)
         if rows:
             acc = _map_rows(acc.items(), hshift, mask, rows)
     if then is not None:
         acc = _map_rows(acc.items(), hshift, mask, then)
     return WSeries._trusted(wmax, qmax, _unfold(acc, width, slot, qmax, den))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _shear_rows(s, top, width):
+    """The rows of S_s up to H^top at key ``width``, and the bits they add
+    to a slot: with s = p/r, H^k takes C(k, j) p^j r^(top-j) to an entry
+    that moves j from the H field to the L field of a key without its y
+    field; the largest entries are in the row of H^top."""
+    step = (1 << (_field("L")[0] - 1) * width) - (1 << (_field("H")[0] - 1) * width)
+    p, r = s.numerator, s.denominator
+    rows = tuple(
+        tuple((j * step, comb(k, j) * p**j * r ** (top - j)) for j in range(k + 1))
+        for k in range(top + 1)
+    )
+    return rows, _bits(dict(rows[-1])) + (top + 1).bit_length()
 
 
 def _map_rows(items, shift, mask, rows):
@@ -857,16 +872,23 @@ def _fold(nums, width, slot):
     return folded
 
 
-def _folded_mul(a, b, wmax, mask, cut):
+def _folded_mul(a, b, wmax, mask, cut, hmin=0, hshift=0):
     """Product of two folded series: one int product per monomial pair within
-    wmax, each sum cut to its signed residue mod 2^cut (the slots kept)."""
+    wmax, each sum cut to its signed residue mod 2^cut (the slots kept).
+    With ``hmin``, a pair whose H-degrees (the field at ``hshift``) sum
+    below it is skipped."""
     buckets = [[] for _ in range(wmax + 1)]
     for item in b.items():
         buckets[item[0] & mask].append(item)
-    prefixes = list(accumulate(buckets))  # [w]: the b monomials of weight <= w
+    below = list(accumulate(buckets))  # [w]: the b monomials of weight <= w
+    prefixes = [below] + [  # [h][w]: ... of H-degree >= h as well
+        [[i for i in p if i[0] >> hshift & mask >= h] for p in below]
+        for h in range(1, hmin + 1)
+    ]
     acc = defaultdict(int)
     for r1, f1 in a.items():
-        for r2, f2 in prefixes[wmax - (r1 & mask)]:
+        h = max(hmin - (r1 >> hshift & mask), 0)
+        for r2, f2 in prefixes[h][wmax - (r1 & mask)]:
             acc[r1 + r2] += f1 * f2
     sign, low = 1 << cut - 1, (1 << cut) - 1
     return {rest: (f + sign & low) - sign for rest, f in acc.items()}

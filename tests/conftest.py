@@ -1,21 +1,28 @@
 """Test-suite settings: one deterministic, bounded hypothesis profile, and
-empty series memos (chi_series, its exp factor and the local factors, each
-per request and per key) at the start of every test."""
+empty series memos (every ``series._top_memo`` of the loaded library, found
+as ``tools/bench_pairs.py`` finds them for its cold passes) at the start of
+every test."""
+
+import importlib.util
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
-
-from ellgenus import charclasses, genseries
 
 settings.register_profile(
     "ellgenus", derandomize=True, deadline=None, database=None, max_examples=25
 )
 settings.load_profile("ellgenus")
 
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+)
+_bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_bench_pairs)
+
 
 @pytest.fixture(autouse=True)
 def _cold_memos():
     """No test can pass on a value that an earlier test left in a memo."""
-    genseries._hirzebruch_exp.cache_clear()
-    charclasses._local_factor.cache_clear()
-    genseries._chi_series.cache_clear()
+    for memo in _bench_pairs.top_memos():
+        memo.cache_clear()

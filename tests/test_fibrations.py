@@ -249,6 +249,42 @@ def test_pushforward_of_an_unread_integrand_equals_that_of_the_read_one():
         assert pushforward(D, spec.bundle) == deferred
 
 
+def _derive_cases():
+    """(spec, w, q, Q by the read integrand): the 72 twisted catalog specs at
+    the benchmark orders and the custom specs.  Reading the integrand builds
+    its whole product, with no pair skipped, before the Segre map."""
+    rng = random.Random("last link")
+    cases = [(_twisted(f, a, rng), w, w + 1) for f in FAMILIES for a in range(-2, 4)
+             for w in (7, 8, 9)]
+    for exps, n_roots in _CUSTOM_SPECS:
+        roots = tuple(RootForm(a, b) for a, b in n_roots)
+        spec = FibrationSpec(name="custom", bundle=BundleSpec(exps), n_roots=roots)
+        cases += [(spec, w, q) for w, q in ((0, 0), (3, 4), (6, 6))]
+    for spec, w, q in cases:
+        D = fiber_integrand(spec, w + spec.bundle.rank - 1, q)
+        D.terms
+        yield spec, w, q, pushforward(D, spec.bundle)
+
+
+def test_the_last_link_skips_only_pairs_that_the_segre_map_drops(monkeypatch):
+    # the last product of the chain skips the monomial pairs whose H-degrees
+    # sum below r - 1, which the Segre map kills; one H-power more skips kept
+    # terms, and every twisted spec changes
+    cases = list(_derive_cases())
+    skips = count_calls(monkeypatch, series_module, "_folded_mul")
+    for spec, w, q, want in cases:
+        assert derived_q(spec, w, q) == want
+    assert {args[5] for args in skips if len(args) > 5} > {0}
+    real = series_module._folded_mul
+
+    def one_too_high(a, b, wmax, mask, cut, hmin=0, hshift=0):
+        return real(a, b, wmax, mask, cut, hmin + 1 if hmin else 0, hshift)
+
+    monkeypatch.setattr(series_module, "_folded_mul", one_too_high)
+    for spec, w, q, want in cases[:72]:
+        assert derived_q(spec, w, q) != want
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("w", [6, 9])
 def test_a_cold_derived_q_never_unfolds_the_integrand(monkeypatch, family, w):
@@ -363,17 +399,50 @@ def test_derived_q_equals_the_route_as_given_on_custom_specs(case):
     assert derived_q(spec, w, q) == _route_as_given(spec, w, q)
 
 
+# the slope-group keys of each family: (F-roots, sorted N-root H-coefficients);
+# E8's groups at slopes 0 and 3 share the key (1, ())
+_GROUP_KEYS = {
+    "D5": {(1, ()), (3, (2, 2))},
+    "E6": {(1, ()), (2, (3,))},
+    "E7": {(1, ()), (1, (2,)), (2, (2,))},
+    "E8": {(1, ()), (1, (3,))},
+}
+
+
 @pytest.mark.parametrize(
     "family, products", [("D5", 5), ("E6", 3), ("E7", 4), ("E8", 2)]
 )
 def test_integrand_multiplies_only_within_slope_groups(monkeypatch, family, products):
-    # every local factor has a closed form, so the products are those of a
-    # slope group's members: 1/(1+y) times the slope-0 F factor, and one per
-    # further root of a slope
-    warm = fiber_integrand(CATALOG[family], 9, 8)  # every local factor memoized
+    # every local factor has a closed form, so a cold call's products are
+    # those of each distinct group key, built once (one product per further
+    # factor of the group), and 1/(1+y) times the first F-root's group; a
+    # warm call makes that one product alone
+    memo = fibrations_module._slope_group
     calls = count_calls(monkeypatch, WSeries, "__mul__")
-    assert fiber_integrand(CATALOG[family], 9, 8) == warm
+    cold = fiber_integrand(CATALOG[family], 9, 8)
     assert len(calls) == products
+    assert set(memo.tops) == _GROUP_KEYS[family]
+    assert memo.cache_info().misses == len(_GROUP_KEYS[family])
+    calls.clear()
+    assert fiber_integrand(CATALOG[family], 9, 8) == cold
+    assert len(calls) == 1
+    assert memo.cache_info().misses == len(_GROUP_KEYS[family])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_two_shuffled_twists_share_every_slope_group(family):
+    # the groups depend on the roots' H-parts, not on the twist or the order
+    # of the roots, so a second twist of a family builds no group
+    rng = random.Random("share:" + family)
+    memo = fibrations_module._slope_group
+    first, second = _twisted(family, -2, rng), _twisted(family, 3, rng)
+    assert derived_q(first, 8, 9) == closed_form_q(family, 8, 9)
+    entries = dict(memo.tops)
+    misses = memo.cache_info().misses
+    assert derived_q(second, 8, 9) == closed_form_q(family, 8, 9)
+    assert memo.cache_info().misses == misses
+    assert set(entries) == _GROUP_KEYS[family]
+    assert all(memo.tops[key] is top for key, top in entries.items())
 
 
 def test_twisted_e7_looks_up_todd_once_per_summand(monkeypatch):

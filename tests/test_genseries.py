@@ -25,6 +25,8 @@ from ellgenus import (
     closed_form_q,
     derived_q,
     euler_series_e8,
+    fiber_integrand,
+    fibrations,
     genseries,
     hirzebruch_class,
     integrate,
@@ -613,12 +615,21 @@ def _random_exp(rng):
     return genseries._hirzebruch_exp, (None, rng.randrange(6), rng.randrange(13))
 
 
+def _random_integrand(rng):
+    exps = [rng.randrange(-2, 4) for _ in range(rng.randrange(1, 5))]
+    n_roots = [RootForm(rng.randrange(1, 4), rng.randrange(-3, 5))
+               for _ in range(rng.randrange(len(exps)))]
+    spec = FibrationSpec(name="random", bundle=BundleSpec(exps), n_roots=n_roots)
+    return fiber_integrand, (spec, rng.randrange(len(n_roots), 7), rng.randrange(5))
+
+
 @pytest.mark.parametrize(
     "memo, draw",
     [(charclasses._local_factor, _random_factor),
      (genseries._chi_series, _random_chi),
-     (genseries._hirzebruch_exp, _random_exp)],
-    ids=["local-factor", "chi", "exp"],
+     (genseries._hirzebruch_exp, _random_exp),
+     (fibrations._slope_group, _random_integrand)],
+    ids=["local-factor", "chi", "exp", "slope-group"],
 )
 def test_each_series_memo_stays_within_both_bounds(memo, draw):
     # 300 seeded random requests: the memo never holds more than MEMO_SIZE

@@ -914,8 +914,9 @@ def _narrower_slots(monkeypatch, bits):
     fold, mul, unfold = _fold, series_module._folded_mul, _unfold
     cut = bits * (_EDGE_QMAX + 1)
     monkeypatch.setattr(series_module, "_fold", lambda n, w, s: fold(n, w, s - bits))
-    monkeypatch.setattr(
-        series_module, "_folded_mul", lambda a, b, w, m, c: mul(a, b, w, m, c - cut)
+    monkeypatch.setattr(  # the last link's H-degree cutoff passes through
+        series_module, "_folded_mul",
+        lambda a, b, w, m, c, *low: mul(a, b, w, m, c - cut, *low),
     )
     monkeypatch.setattr(
         series_module, "_unfold", lambda f, w, s, q, d: unfold(f, w, s - bits, q, d)

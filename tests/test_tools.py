@@ -1,5 +1,7 @@
-"""tools/bench_pairs.py: a run with a wrong output stops the tool, and the
-output file counts the program lines of both checkouts."""
+"""tools/bench_pairs.py: a run with a wrong output stops the tool, the
+output file counts the program lines of both checkouts, each mode keeps the
+other's entry of the file, and the in-process passes resolve a slower tree
+but claim no gain between identical ones."""
 
 import importlib.util
 import json
@@ -46,6 +48,7 @@ def test_a_wrong_run_stops_bench_pairs(
 
     monkeypatch.setattr(tool, "run_once", run_once)
     out = tmp_path / "pairs.json"
+    out.write_text(json.dumps({"passes": {"passes": 3}, "stale": 1}))
     argv = ["--parent", str(parent), "--change", str(change), "--out", str(out)]
     assert tool.main(argv) == 1
     assert "the change run of cli seed 2 is wrong" in capsys.readouterr().err
@@ -54,3 +57,63 @@ def test_a_wrong_run_stops_bench_pairs(
     cli = doc["workloads"]["cli"]
     assert [p["seed"] for p in cli["pairs"]] == [1] and "summary" not in cli
     assert doc["src_lines"] == {"parent": 4, "change": 3}
+    # in-process passes run earlier stay; any other old key goes
+    assert doc["passes"] == {"passes": 3} and "stale" not in doc
+
+
+def _derive_only(monkeypatch):
+    """The tool with its in-process passes cut to the ``derive`` workload."""
+    tool = _bench_pairs()
+    monkeypatch.setattr(tool, "WORKLOADS", ("derive",))
+    return tool
+
+
+def _passes(tmp_path, monkeypatch, parent, change, passes):
+    """The ``derive`` summary of in-process passes, written beside an
+    existing entry of the output file, which they keep."""
+    out = tmp_path / "pairs.json"
+    out.write_text(json.dumps({"src_lines": {"parent": 1, "change": 1}}))
+    argv = ["--parent", str(parent), "--change", str(change), "--out", str(out),
+            "--passes", str(passes)]
+    assert _derive_only(monkeypatch).main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert doc["src_lines"] == {"parent": 1, "change": 1}
+    derive = doc["passes"]["workloads"]["derive"]
+    assert [p["first"] for p in derive["pairs"]][:2] == ["parent", "change"]
+    return derive["summary"]["pass_s"]
+
+
+def test_two_identical_trees_claim_no_gain(tmp_path, monkeypatch):
+    summary = _passes(tmp_path, monkeypatch, ROOT, ROOT, 20)
+    assert summary["pairs"] == 20 and summary["gain"] is False
+
+
+def _edited_tree(tmp_path, old, new):
+    """A copy of ``src`` and ``bench`` with one line of ``fibrations.py`` edited."""
+    tree = tmp_path / "edited"
+    for part in ("src", "bench"):
+        shutil.copytree(ROOT / part, tree / part,
+                        ignore=shutil.ignore_patterns("__pycache__", ".bench_work"))
+    module = tree / "src" / "ellgenus" / "fibrations.py"
+    text = module.read_text()
+    assert old in text
+    module.write_text(text.replace(old, new))
+    return tree
+
+
+def test_a_tree_with_a_delay_in_derived_q_is_slower(tmp_path, monkeypatch):
+    # 20 ms per request, 24 requests a pass: far beyond the spread of a pass
+    head = "def derived_q(spec, wmax=DEFAULT_WMAX, qmax=DEFAULT_QMAX):\n"
+    slow = _edited_tree(tmp_path, head, head + "    __import__('time').sleep(0.02)\n")
+    summary = _passes(tmp_path, monkeypatch, slow, ROOT, 3)
+    assert summary["change_wins"] == 3 and summary["gain"] is True
+
+
+def test_a_pass_with_a_wrong_output_stops_the_passes(tmp_path, monkeypatch, capsys):
+    line = "    return pushforward(D, bundle)\n"
+    wrong = _edited_tree(tmp_path, line, line.replace("D, bundle)", "D, bundle) * 2"))
+    argv = ["--parent", str(ROOT), "--change", str(wrong), "--out",
+            str(tmp_path / "pairs.json"), "--passes", "1"]
+    assert _derive_only(monkeypatch).main(argv) == 1
+    assert "the change pass of derive seed 1: 24 wrong outputs" in capsys.readouterr().err
+    assert not (tmp_path / "pairs.json").exists()

@@ -9,6 +9,7 @@ with ``python3 bench/run.py --workload W --seed i --seconds 25 --trace 0``:
 the parent first when i is odd, the change first when i is even.  The output
 file is rewritten after every pair, so an interrupted session keeps the
 pairs it finished; a workload gets its summary only once all ten are done.
+A ``passes`` entry already in the file (see below) is kept.
 
 For every end-to-end metric of ``BENCHMARK.json`` (and ``verify_s`` on
 ``cli``) the summary gives each side's median and quartiles, the pairs the
@@ -18,6 +19,20 @@ distance between the parent's quartiles.  A run whose outputs are not all
 correct, or that failed a request, stops the tool with exit status 1 and
 names the run on stderr.  ``src_lines`` gives the lines of
 ``src/ellgenus/*.py`` in each checkout, counted as ``wc -l`` counts them.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json \
+        --passes N
+
+times in-process passes of the same workloads instead, which resolve gains
+of a few percent that a 25-second run cannot.  One worker process per
+checkout imports its ``ellgenus`` and its ``bench/workloads.py``.  Pass i of
+a workload sends the request list of seed i to both workers, the parent
+first when i is odd; a worker clears every series memo (each
+``series._top_memo`` that ``top_memos`` finds; the tests' ``_cold_memos``
+clears the same ones), times the requests and then checks their outputs.
+The result goes under the key ``passes`` of the output file and leaves its
+other keys as they are: per workload the pass seconds (``pass_s``) of every
+pair and their summary, with the same wins and gain rule as above.
 """
 
 from __future__ import annotations
@@ -30,6 +45,8 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
+from time import perf_counter
 
 WORKLOADS = ("cli", "chi", "derive")
 PAIRS = 10
@@ -91,12 +108,112 @@ def summarise(pairs, better):
     return out
 
 
+def top_memos():
+    """Every ``series._top_memo`` of the loaded ``ellgenus`` modules."""
+    return {
+        value
+        for name, module in list(sys.modules.items())
+        if name.startswith("ellgenus.")
+        for value in vars(module).values()
+        if hasattr(value, "tops") and hasattr(value, "cache_clear")
+    }
+
+
+def worker():
+    """Answer each ``WORKLOAD SEED`` line on stdin with the seconds of one
+    cold pass and the number of wrong outputs, on one line of stdout."""
+    import workloads  # bench/workloads.py of this checkout, on the path
+
+    where = os.path.dirname(os.path.abspath(workloads.ellgenus.__file__))
+    if where != os.path.join(os.getcwd(), "src", "ellgenus"):
+        print("bench_pairs: imported ellgenus from %s" % where, file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as workdir:
+        for line in sys.stdin:
+            workload, seed = line.split()
+            reqs = workloads.generate(workload, int(seed), SECONDS, workdir)
+            inputs = workloads.build_derive_inputs(reqs) if workload == "derive" else None
+            for memo in top_memos():
+                memo.cache_clear()
+            start = perf_counter()
+            outputs = [workloads.execute(req, inputs) for req in reqs]
+            seconds = perf_counter() - start
+            oracle = workloads.Oracle()
+            wrong = sum(1 for r, o in zip(reqs, outputs) if workloads.check(r, o, oracle))
+            print(seconds, len(reqs), wrong, flush=True)
+    return 0
+
+
+def start_worker(checkout):
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env["PYTHONPATH"] = os.pathsep.join(
+        os.path.join(checkout, d) for d in ("src", "bench")
+    )
+    return subprocess.Popen(
+        [sys.executable, os.path.abspath(__file__), "--worker"], cwd=checkout, env=env,
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+    )
+
+
+def in_process_passes(args):
+    """The ``passes`` entry: ``args.passes`` alternating cold passes per
+    workload, or None when a pass had a wrong output."""
+    workers = {side: start_worker(getattr(args, side)) for side in ("parent", "change")}
+    doc = {"passes": args.passes, "python": platform.python_version(),
+           "pairing": "pass i runs seed i on both sides; parent first for odd i",
+           "workloads": {}}
+    try:
+        for workload in WORKLOADS:
+            pairs = []
+            for seed in range(1, args.passes + 1):
+                sides = ("parent", "change") if seed % 2 else ("change", "parent")
+                pair = {"seed": seed, "first": sides[0]}
+                for side in sides:
+                    proc = workers[side]
+                    proc.stdin.write("%s %d\n" % (workload, seed))
+                    proc.stdin.flush()
+                    reply = proc.stdout.readline().split()
+                    wrong = int(reply[2]) if len(reply) == 3 else None
+                    if wrong != 0:
+                        what = "no reply" if wrong is None else "%d wrong outputs" % wrong
+                        print("bench_pairs: the %s pass of %s seed %d: %s"
+                              % (side, workload, seed, what), file=sys.stderr)
+                        return None
+                    seconds, requests, _ = reply
+                    pair[side] = {"requests": int(requests),
+                                  "metrics": {"pass_s": float(seconds)}}
+                pairs.append(pair)
+            doc["workloads"][workload] = {
+                "pairs": pairs, "summary": summarise(pairs, {"pass_s": "lower"})
+            }
+    finally:
+        for proc in workers.values():
+            proc.communicate()  # closes its stdin, so the worker ends
+    return doc
+
+
 def main(argv=None):
+    if argv is None and sys.argv[1:] == ["--worker"]:
+        return worker()
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True)
     ap.add_argument("--change", required=True)
     ap.add_argument("--out", required=True)
+    ap.add_argument("--passes", type=int, help="in-process passes per workload")
     args = ap.parse_args(argv)
+    if args.passes is not None:
+        passes = in_process_passes(args)
+        if passes is None:
+            return 1
+        doc = {}
+        if os.path.exists(args.out):
+            with open(args.out) as fh:
+                doc = json.load(fh)
+        doc["passes"] = passes
+        with open(args.out, "w") as fh:
+            json.dump(doc, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        return 0
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
     better["verify_s"] = "lower"
@@ -111,6 +228,11 @@ def main(argv=None):
         "src_lines": lines,
         "workloads": {},
     }
+    if os.path.exists(args.out):
+        with open(args.out) as fh:
+            passes = json.load(fh).get("passes")
+        if passes is not None:
+            doc["passes"] = passes
     for workload in WORKLOADS:
         pairs = []
         doc["workloads"][workload] = {"pairs": pairs}
