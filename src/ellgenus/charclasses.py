@@ -48,7 +48,8 @@ class RootForm(_Record):
 # Each local factor is a one-variable function f(t) = sum_k f_k(y) t^k,
 # evaluated at a Chern root l = a*H + b*L: Todd's t-coefficients are the
 # Todd numbers, and every other factor is a sum of exponentials c y^q
-# e^{s t}, written by :func:`_exp_sum` with the root's scale folded into s.
+# e^{s t} (c z^q e^{s t}, z = y/(1+y), for the normal factor), written by
+# :func:`_exp_sum` with the root's scale folded into s.
 # Both are filled in at t -> a*H (or b*L when a = 0), then sheared by
 # H -> H + (b/a)*L when both a and b are nonzero.  No local factor takes an
 # exp, an inverse or a series product.
@@ -97,8 +98,11 @@ def _local_factor(key, wmax, qmax):
         rows = {  # the (c, s) of the terms c y^q e^{s t}, by y-degree q
             "lambda_y": [[(1, 0)], [(1, -scale)]],  # 1 + y e^{-t}
             "lambda_y_inverse": [[t] for t in alternating],  # sum_m (-y)^m e^{-mt}
-            # (1 - e^{-t})/(1 + y e^{-t}) = sum_m (-y)^m (e^{-mt} - e^{-(m+1)t})
-            "normal": [[(c, s), (-c, s - scale)] for c, s in alternating],
+            # sum_n z^n (1 - e^{-t})^(n+1), by z-degree n in the y slots
+            "normal": [
+                [((-1) ** i * comb(n + 1, i), -i * scale) for i in range(n + 2)]
+                for n in range(qmax + 1)
+            ],
         }[kind]
         series = _exp_sum(rows, var, wmax, qmax)
     if a and b:
@@ -128,9 +132,11 @@ def lambda_y_inverse(root, wmax, qmax):
 
 
 def _normal_factor(root, wmax, qmax):
-    """(1 - exp(-l))/(1 + y*exp(-l)) at l = a*H + b*L: a normal-bundle root's
-    factor of the integrand, the exponential sum
-    sum_m (-y)^m (exp(-m*l) - exp(-(m+1)*l))."""
+    """sum_n z^n (1 - exp(-l))^(n+1) at l = a*H + b*L, a polynomial in
+    z = y/(1+y) held in the y slots: a normal-bundle root's factor of the
+    integrand, (1 - exp(-l))/(1 + y*exp(-l)) = (1+y)^{-1} times this, since
+    1 + y*exp(-l) = (1+y)(1 - z(1 - exp(-l))).  Its z^n terms have weight
+    >= n + 1."""
     return _local_factor(("normal", root), *_truncation_orders(wmax, qmax))
 
 

@@ -11,6 +11,16 @@ integrand
       * prod_{m in N-roots} (1 - e^{-m}) / (1 + y e^{-m})
       * (1 + y)^{-1}.
 
+With z = y/(1+y), 1 + y e^{-t} = (1+y)(1 - z(1 - e^{-t})), so
+
+    D = (1+y)^{fiber_dim} * prod_{l in F-roots} (td(l) - z l)
+      * prod_{m in N-roots} sum_n z^n (1 - e^{-m})^{n+1},
+
+and each z comes with a factor of weight >= 1: a weight-k term has z-degree
+<= k.  The integrand's products run in z, on folded ints of at most k + 1
+slots at weight k, and only Q is mapped back to y, z^n = y^n (1+y)^{-n}
+(which starts at y^n, so truncating at z^qmax is exact).
+
 For the catalog families Q also has a closed form in U = exp(-L); its y^n
 coefficients are genuine polynomials P_n(U), tabulated exactly here.
 
@@ -25,7 +35,7 @@ from functools import reduce
 from math import comb
 from operator import index, mul
 
-from .charclasses import RootForm, hirzebruch_class, lambda_y_inverse, todd_factor
+from .charclasses import RootForm, hirzebruch_class, lambda_y_factor, todd_factor
 from .charclasses import _exp_sum, _local_factor, _normal_factor  # closed forms
 from .poly import Poly, _convolve
 from .pushforward import BundleSpec, pushforward
@@ -107,15 +117,14 @@ def _total_dim(family_or_spec, d):
 
 @_top_memo
 def _slope_group(key, wmax, qmax):
-    """The product of one slope group's factors at the H-parts of its roots:
-    ``key`` = (number of F-roots, sorted H-coefficients of the N-roots).
-    Every F-root's factor is (1 + y e^-H) H/(1 - e^-H) = (1+y) td(H) - y*H,
-    made once from the Todd factor; an N-root's is a normal local factor."""
+    """The product of one slope group's factors at the H-parts of its roots,
+    in z = y/(1+y) (held in the y slots): ``key`` = (number of F-roots,
+    sorted H-coefficients of the N-roots).  Every F-root's factor is
+    td(H) - z*H, made once from the Todd factor; an N-root's is a normal
+    local factor.  So every weight-k term has z-degree <= k."""
     count, normals = key
     todd = _local_factor(("todd", RootForm(1, 0)), wmax, qmax)
-    f_factor = todd._scale_weights([[1, 1]] * (wmax + 1)) - WSeries(
-        wmax, qmax, {((("H", 1),), 1): 1}
-    )
+    f_factor = todd - WSeries(wmax, qmax, {((("H", 1),), 1): 1})
     factors = [f_factor] * count
     factors += [_normal_factor(RootForm(a, 0), wmax, qmax) for a in normals]
     return reduce(mul, factors)
@@ -129,12 +138,12 @@ def fiber_integrand(spec, wmax, qmax):
     shear S_s, H -> H + s*L with s = b/a.  So the roots are grouped by slope,
     and each group is the product of its factors at the roots' H-parts, a
     series in H alone that depends only on the group's F-root count and
-    N-root H-coefficients: a memoized ``_slope_group``.  The one series
-    product of a call is 1/(1+y) (``lambda_y_inverse`` at the zero root)
-    times the first F-root's group.  The groups' sheared product is
-    returned deferred (``series._Product``): it is built on its first read,
-    while ``pushforward`` of it before then ends the folded chain in the
-    Segre map and unfolds only Q.
+    N-root H-coefficients: a memoized ``_slope_group``, a polynomial in
+    z = y/(1+y).  The groups' sheared product and the prefactor
+    (1+y)^fiber_dim are returned deferred (``series._Product``): the
+    product is built on its first read, mapped to y and times the
+    prefactor, while ``pushforward`` of it before then ends the folded chain
+    in the Segre map and the map to y, and unfolds only Q.
     """
     if wmax < len(spec.n_roots):
         raise ValueError(
@@ -153,10 +162,8 @@ def fiber_integrand(spec, wmax, qmax):
         s: _slope_group((count, tuple(sorted(normals))), wmax, qmax)
         for s, (count, normals) in keys.items()
     }
-    first = spec.f_roots[0]
-    slope = Fraction(first.b, first.a)
-    groups[slope] = lambda_y_inverse(RootForm(0, 0), wmax, qmax) * groups[slope]
-    return _Product(groups, wmax, qmax)
+    prefactor = lambda_y_factor(RootForm(0, 0), wmax, qmax) ** spec.fiber_dim
+    return _Product(groups, wmax, qmax, prefactor)
 
 
 def derived_q(spec, wmax=DEFAULT_WMAX, qmax=DEFAULT_QMAX):

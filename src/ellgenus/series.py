@@ -48,7 +48,10 @@ only the ``terms`` view builds a ``Fraction`` per term:
 - ``_Product`` defers a ``_sheared_product``: it holds the slope groups,
   builds the packed form on its first read and becomes a plain ``WSeries``;
   an H-map of it before that runs as the last step of its chain, so the
-  product is never unfolded.
+  product is never unfolded.  With a prefactor its groups are polynomials
+  in z = y/(1+y), and the chain ends in the map z^k -> y^k (1+y)^-k on the
+  folded ints (``_map_slots``), whose slots grow by the bits of the map's
+  largest column sum; the prefactor then multiplies the result.
 - ``_unpack`` decodes for the ``terms`` view only: each key into a canonical
   monomial tuple and each numerator into one ``Fraction``.
 
@@ -230,7 +233,7 @@ class WSeries:
     :func:`mono_from_dict` would not return unchanged.
     """
 
-    __slots__ = ("wmax", "qmax", "_packed", "_terms", "_split", "_groups")
+    __slots__ = ("wmax", "qmax", "_packed", "_terms", "_split", "_groups", "_prefactor")
 
     def __new__(cls, wmax, qmax, terms=None):
         wmax, qmax = _truncation_orders(wmax, qmax)
@@ -430,15 +433,14 @@ class WSeries:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("series powers take nonnegative integer exponents")
-        result = WSeries.const(1, self.wmax, self.qmax)
-        base = self
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
             if n:
                 base = base * base
-        return result
+        return WSeries.const(1, self.wmax, self.qmax) if result is None else result
 
     def inverse(self):
         """Multiplicative inverse, exact to (wmax, qmax).
@@ -512,11 +514,11 @@ class WSeries:
         """Each term of ``var``-degree e times the sum of the (monomial, int)
         entries of ``rows[e]``; an entry's negative exponents divide the term.
         An H-map of an unread :class:`_Product` is the last step of its chain
-        (``_sheared_product``); any other series maps its packed terms."""
+        (``_Product._chain``); any other series maps its packed terms."""
         w, q = self.wmax, self.qmax
         offsets = [_pack({(m, 0): c for m, c in row}, w, q).items() for row in rows]
         if self.__class__ is _Product and var == "H":
-            return _sheared_product(self._groups, w, q, then=offsets)
+            return self._chain(offsets)
         width = _width(w, q)
         shift, mask = _field(var)[0] * width, (1 << width) - 1
         nums, den = self._packed
@@ -613,23 +615,36 @@ class _Product(WSeries):
     it and becomes a plain ``WSeries``.  Before that, an H-map of it
     (``_map_powers``) runs as the last step of the chain instead.  The
     ``__getattr__`` lives here, not on ``WSeries``, whose every attribute
-    read it would slow."""
+    read it would slow.
+
+    With a ``prefactor``, the groups are polynomials in z = y/(1+y), held in
+    the y slots, and the value is the prefactor times the chain's result
+    mapped to y (``_sheared_product``'s ``in_z``)."""
 
     __slots__ = ()
 
-    def __new__(cls, groups, wmax, qmax):
+    def __new__(cls, groups, wmax, qmax, prefactor=None):
         series = object.__new__(cls)
         for name, value in (("wmax", wmax), ("qmax", qmax), ("_terms", None),
-                            ("_split", None), ("_groups", groups)):
+                            ("_split", None), ("_groups", groups),
+                            ("_prefactor", prefactor)):
             object.__setattr__(series, name, value)
         return series
+
+    def _chain(self, then=None):
+        """The product, ended in the map ``then`` if given (``_sheared_product``)."""
+        if self._prefactor is None:
+            return _sheared_product(self._groups, self.wmax, self.qmax, then)
+        chain = _sheared_product(self._groups, self.wmax, self.qmax, then, in_z=True)
+        return chain * self._prefactor
 
     def __getattr__(self, name):
         if name != "_packed":
             raise AttributeError(name)
-        product = _sheared_product(self._groups, self.wmax, self.qmax)
+        product = self._chain()
         object.__setattr__(self, "_packed", product._packed)
         object.__setattr__(self, "_groups", None)
+        object.__setattr__(self, "_prefactor", None)
         object.__setattr__(self, "__class__", WSeries)
         return self._packed
 
@@ -724,7 +739,7 @@ def _packed_mul(a, b, wmax, qmax):
     return _unfold(product, width, slot, qmax, da * db)
 
 
-def _sheared_product(groups, wmax, qmax, then=None):
+def _sheared_product(groups, wmax, qmax, then=None, in_z=False):
     """The product of the series ``groups[s]``, each at H -> H + s*L.
 
     The shear S_s keeps weights, is a ring map, and S_a S_b = S_(a+b), so
@@ -740,6 +755,10 @@ def _sheared_product(groups, wmax, qmax, then=None):
     bits of the sum of the entries' absolute values to the slot.  A shear
     never raises an H-degree, so the last product skips every monomial pair
     whose H-degrees sum below the first H-power with a nonempty row.
+
+    ``in_z`` reads the groups' y slots as powers of z = y/(1+y) and maps the
+    folded result to y before the unfold, z^k -> y^k (1+y)^-k (``_z_rows``),
+    into slots as much wider as that map's column sums need (``_map_slots``).
     """
     slopes = sorted(groups, reverse=True)
     shifts = [a - b for a, b in zip(slopes, slopes[1:])] + [slopes[-1]]
@@ -774,6 +793,10 @@ def _sheared_product(groups, wmax, qmax, then=None):
             acc = _map_rows(acc.items(), hshift, mask, rows)
     if then is not None:
         acc = _map_rows(acc.items(), hshift, mask, then)
+    if in_z:
+        rows, extra = _z_rows(qmax)
+        acc = _map_slots(acc, slot, qmax, rows, slot + extra)
+        slot += extra
     return WSeries._trusted(wmax, qmax, _unfold(acc, width, slot, qmax, den))
 
 
@@ -790,6 +813,41 @@ def _shear_rows(s, top, width):
         for k in range(top + 1)
     )
     return rows, _bits(dict(rows[-1])) + (top + 1).bit_length()
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _z_rows(qmax):
+    """The rows of z^k = y^k (1+y)^-k = sum_j (-1)^(j-k) C(j-1, k-1) y^j for
+    k = 0..qmax (z^0 = 1), as (y-degree j <= qmax, int) entries, and the bits
+    they add to a slot: a slot of output j sums at most its column's absolute
+    entries, 2^(j-1) for j >= 1, times a digit below 2^(slot-1), so that
+    column sum less one takes its bit_length."""
+    rows = [((0, 1),)] + [
+        tuple((j, (-1) ** (j - k) * comb(j - 1, k - 1)) for j in range(k, qmax + 1))
+        for k in range(1, qmax + 1)
+    ]
+    columns = [0] * (qmax + 1)
+    for row in rows:
+        for j, c in row:
+            columns[j] += abs(c)
+    return tuple(rows), (max(columns) - 1).bit_length()
+
+
+def _map_slots(folded, slot, qmax, rows, out):
+    """Each folded int's slots 0..qmax, signed digits at ``slot``, mapped by
+    ``rows`` (the (slot j, int) entries of each input slot) into slots of
+    width ``out``: the sum of digit_k * (the row of k folded at ``out``)."""
+    half, smask = 1 << slot - 1, (1 << slot) - 1
+    bias = sum(half << slot * q for q in range(qmax + 1))
+    images = [sum(c << out * j for j, c in row) for row in rows]
+    mapped = {}
+    for rest, f in folded.items():
+        f, g = f + bias, 0
+        for image in images:
+            g += ((f & smask) - half) * image
+            f >>= slot
+        mapped[rest] = g
+    return mapped
 
 
 def _map_rows(items, shift, mask, rows):

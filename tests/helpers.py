@@ -39,6 +39,7 @@ from ellgenus import (
     mono_weight,
     power_sums_from_chern,
 )
+from ellgenus.charclasses import _normal_factor
 from ellgenus.fibrations import _CLOSED
 from ellgenus.pushforward import _segre_numbers
 
@@ -295,6 +296,28 @@ def reference_normal_factor(root, wmax, qmax):
     halves."""
     inverse = reference_lambda_y_inverse(root, -1, wmax, qmax)
     return reference_one_minus_exp(root, wmax, qmax) * inverse
+
+
+def reference_z_to_y(series):
+    """A series in z = y/(1+y), held in the y slots, rewritten in y term by
+    term in ``Fraction`` arithmetic: z^k = y^k (1+y)^-k = sum_i (-1)^i
+    C(k+i-1, i) y^(k+i), and z^0 = 1."""
+    out = defaultdict(Fraction)
+    for (m, k), c in series.terms.items():
+        if not k:
+            out[(m, 0)] += c
+            continue
+        for i in range(series.qmax - k + 1):
+            out[(m, k + i)] += c * (-1) ** i * comb(k + i - 1, i)
+    return WSeries(series.wmax, series.qmax, out)
+
+
+def normal_factor_in_y(root, wmax, qmax):
+    """The normal factor N_z, a polynomial in z = y/(1+y), as the function
+    of y it stands for: N_y = (1+y)^-1 N_z(y/(1+y)), by the Fraction term
+    loop."""
+    over = reference_lambda_y_inverse(RootForm(0, 0), -1, wmax, qmax)  # 1/(1+y)
+    return reference_mul(reference_z_to_y(_normal_factor(root, wmax, qmax)), over)
 
 
 def reference_fiber_integrand(spec, wmax, qmax):

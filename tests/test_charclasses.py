@@ -35,6 +35,7 @@ from helpers import (
     reference_hirzebruch_class,
     reference_power_sum_series,
     reference_lambda_y_factor,
+    normal_factor_in_y,
     reference_lambda_y_inverse,
     reference_normal_factor,
     reference_todd_factor,
@@ -221,13 +222,14 @@ def test_lambda_y_times_todd_is_the_chi_y_closed_form(w, q):
         (todd_factor, reference_todd_factor),
         (lambda_y_factor, lambda r, w, q: reference_lambda_y_factor(r, -1, w, q)),
         (lambda_y_inverse, lambda r, w, q: reference_lambda_y_inverse(r, -1, w, q)),
-        (charclasses._normal_factor, reference_normal_factor),
+        (normal_factor_in_y, reference_normal_factor),
     ],
     ids=["todd", "lambda_y", "lambda_y_inverse", "normal"],
 )
 def test_local_factors_equal_the_references_at_mixed_roots(factor, reference):
     # int numerators over one denominator, sheared when both parts are nonzero;
-    # the normal factor against the product of its two exp-route halves
+    # the normal factor, built in z, mapped to y against the product of its
+    # two exp-route halves
     for a, b in ((2, 3), (-1, 2), (3, -6), (0, -3), (-2, 0), (1, 1), (0, 0)):
         for w, q in ((9, 8), (13, 2), (1, 0)):
             root = RootForm(a, b)

@@ -25,6 +25,7 @@ from ellgenus import (
     derived_q,
     fiber_integrand,
     hirzebruch_class,
+    mono_weight,
     p_polynomial,
     p_polynomials,
     p_table_reference,
@@ -33,14 +34,20 @@ from ellgenus import (
 )
 from ellgenus import fibrations as fibrations_module
 from ellgenus import series as series_module
+from ellgenus.charclasses import _normal_factor
 from ellgenus.series import _Product, _sheared_product, _width
 from helpers import (
     PAPER_CLOSED_TEXT,
     count_calls,
+    normal_factor_in_y,
     reference_closed_form_q,
     reference_fiber_integrand,
+    reference_lambda_y_factor,
+    reference_mul,
+    reference_normal_factor,
     reference_pushforward_class,
     reference_todd_factor,
+    reference_z_to_y,
     root_series,
 )
 
@@ -184,11 +191,15 @@ def test_integrand_equals_per_root_product_on_custom_specs(exps, n_roots):
 
 
 def test_an_unread_integrand_is_its_groups_sheared_product():
+    # the groups' product in z = y/(1+y), mapped to y by the Fraction term
+    # loop, times the prefactor (1+y)^fiber_dim
     spec = _twisted("E7", 2, random.Random("deferred"))
     D = fiber_integrand(spec, 8, 6)
     assert type(D) is _Product
-    groups = D._groups
-    assert D == _sheared_product(groups, 8, 6)  # the first read
+    groups, prefactor = D._groups, D._prefactor
+    assert prefactor == WSeries.from_y_poly([1, 1], 8, 6) ** spec.fiber_dim
+    want = reference_mul(reference_z_to_y(_sheared_product(groups, 8, 6)), prefactor)
+    assert D == want  # the first read
     assert type(D) is WSeries
 
 
@@ -289,7 +300,8 @@ def test_the_last_link_skips_only_pairs_that_the_segre_map_drops(monkeypatch):
 @pytest.mark.parametrize("w", [6, 9])
 def test_a_cold_derived_q_never_unfolds_the_integrand(monkeypatch, family, w):
     # the unfolds are the local factors and group products, in the ring with
-    # H alone, and Q, whose folded monomials are L^0..L^w: none holds H and L
+    # H alone, and Q in z and Q times the prefactor, whose folded monomials
+    # are L^0..L^w: none holds H and L
     unfolds = count_calls(monkeypatch, series_module, "_unfold")
     Q = derived_q(family, w, w + 1)
     width = _width(w + CATALOG[family].bundle.rank - 1, w + 1)
@@ -300,8 +312,8 @@ def test_a_cold_derived_q_never_unfolds_the_integrand(monkeypatch, family, w):
     ]
     assert all(not (ell and h) for f in fields for ell, h in f)
     with_l = [f for f in fields if any(ell for ell, _h in f)]
-    assert len(with_l) == 1 and len(with_l[0]) <= w + 1
-    assert {ell for ell, _h in with_l[0]} >= {dict(m).get("L", 0) for m, _q in Q.terms}
+    assert with_l and all(len(f) <= w + 1 for f in with_l)
+    assert {ell for ell, _h in with_l[-1]} >= {dict(m).get("L", 0) for m, _q in Q.terms}
 
 
 def test_integrand_rejects_tiny_wmax():
@@ -413,20 +425,67 @@ _GROUP_KEYS = {
     "family, products", [("D5", 5), ("E6", 3), ("E7", 4), ("E8", 2)]
 )
 def test_integrand_multiplies_only_within_slope_groups(monkeypatch, family, products):
-    # every local factor has a closed form, so a cold call's products are
-    # those of each distinct group key, built once (one product per further
-    # factor of the group), and 1/(1+y) times the first F-root's group; a
-    # warm call makes that one product alone
+    # every local factor has a closed form, so a cold derived_q's products
+    # are those of each distinct group key, built once (one product per
+    # further factor of the group), and the prefactor (1+y)^fiber_dim times
+    # Q; a warm fiber_integrand makes none, a warm derived_q the last alone
     memo = fibrations_module._slope_group
     calls = count_calls(monkeypatch, WSeries, "__mul__")
-    cold = fiber_integrand(CATALOG[family], 9, 8)
+    cold = derived_q(family, 6, 8)
     assert len(calls) == products
     assert set(memo.tops) == _GROUP_KEYS[family]
     assert memo.cache_info().misses == len(_GROUP_KEYS[family])
     calls.clear()
-    assert fiber_integrand(CATALOG[family], 9, 8) == cold
+    fiber_integrand(CATALOG[family], 6 + CATALOG[family].bundle.rank - 1, 8)
+    assert calls == []
+    assert derived_q(family, 6, 8) == cold
     assert len(calls) == 1
     assert memo.cache_info().misses == len(_GROUP_KEYS[family])
+
+
+# -- the integrand in z = y/(1+y) ------------------------------------------------
+
+_roots = st.builds(RootForm, st.integers(-3, 3), st.integers(-4, 4))
+_orders = st.tuples(st.integers(0, 8), st.integers(0, 8))
+_group_keys = st.tuples(
+    st.integers(0, 3), st.lists(st.integers(1, 4), max_size=3).map(sorted).map(tuple)
+).filter(lambda key: key[0] or key[1])
+
+
+def _z_degrees_within_weights(series):
+    """Whether every term's z-degree (its y slot) is at most its weight."""
+    return all(q <= mono_weight(m) for m, q in series.terms)
+
+
+@given(_group_keys, _roots, _orders)
+def test_every_group_and_normal_factor_term_has_z_degree_at_most_its_weight(
+    key, root, orders
+):
+    # the bound that keeps the folded chain's ints short: at weight k a
+    # folded monomial fills at most the slots z^0..z^k
+    assert _z_degrees_within_weights(fibrations_module._slope_group(key, *orders))
+    assert _z_degrees_within_weights(_normal_factor(root, *orders))
+
+
+@given(_roots, _orders)
+def test_the_z_forms_map_back_to_the_y_references(root, orders):
+    # N_y = (1+y)^-1 N_z(y/(1+y)) and f_y = (1+y) f_z(y/(1+y)) for the
+    # F-root factor f = (1 + y e^-H) td(H), by the Fraction term loop
+    w, q = orders
+    assert normal_factor_in_y(root, w, q) == reference_normal_factor(root, w, q)
+    h = RootForm(1, 0)
+    f_z = fibrations_module._slope_group((1, ()), w, q)
+    f_y = reference_lambda_y_factor(h, -1, w, q) * reference_todd_factor(h, w, q)
+    assert reference_mul(reference_z_to_y(f_z), WSeries.from_y_poly([1, 1], w, q)) == f_y
+
+
+def test_a_y_form_normal_factor_breaks_the_z_degree_bound():
+    # the control: (1 - e^-2H)/(1 + y e^-2H) has y^q at weight 1 for every q
+    group = fibrations_module._slope_group((1, ()), 6, 5)
+    assert _z_degrees_within_weights(group * _normal_factor(RootForm(2, 0), 6, 5))
+    assert not _z_degrees_within_weights(
+        group * reference_normal_factor(RootForm(2, 0), 6, 5)
+    )
 
 
 @pytest.mark.parametrize("family", FAMILIES)

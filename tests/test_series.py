@@ -59,6 +59,7 @@ from helpers import (
     reference_part,
     reference_reweight_by_one_plus_y,
     reference_scale_weights,
+    reference_z_to_y,
 )
 
 
@@ -943,6 +944,67 @@ def test_slot_budget_negative_controls(monkeypatch):
     # positive control
     for got, want in _edge_mul_and_chains(3, 2**40 - 1) + _edge_maps(4, 2**40 - 1):
         assert got == want
+
+
+# -- the map from z = y/(1+y) to y at its edge ---------------------------------------
+
+_Z_CASES = [(qmax, fiber_dim) for qmax in (0, 1, 2, 5, 8) for fiber_dim in range(4)]
+# Segre numbers 1, 16, 193, ...: one sign, so the Segre map's sums do not
+# cancel either
+_Z_BUNDLE = BundleSpec((0, -7, -9))
+
+
+def _z_support(wmax, qmax, c, alternating):
+    """c at every H^a L^b z^q within (wmax, qmax), times (-1)^q if
+    ``alternating``.  A same-sign row of slots mostly cancels in the map to
+    y (its columns j >= 2 sum to 0); an alternating one reaches the
+    columns' sums of absolute entries."""
+    return WSeries(wmax, qmax, {
+        (mono_from_dict({"H": a, "L": b}), q): c * (-1) ** (q * alternating)
+        for a in range(wmax + 1)
+        for b in range(wmax + 1 - a)
+        for q in range(qmax + 1)
+    })
+
+
+def _z_products(wmax, qmax, fiber_dim, c):
+    """(the deferred z-product read, its Fraction oracle) and (their
+    pushforwards along ``_Z_BUNDLE``), for the full-support z-group alone
+    at slope 0 and at each of the first two slope sets of ``_EDGE_SLOPES``,
+    with same-sign and with alternating slots.  The oracle maps the pair-loop
+    chain to y term by term and multiplies it by (1+y)^fiber_dim."""
+    prefactor = WSeries.from_y_poly([1, 1], wmax, qmax) ** fiber_dim
+    out = []
+    for alternating in (True, False):
+        G = _z_support(wmax, qmax, c, alternating)
+        for slopes in ((F(0),),) + _EDGE_SLOPES[:2]:
+            groups = dict.fromkeys(slopes, G)
+            packed = pair_loop_sheared_product(
+                {s: G._packed for s in slopes}, wmax, qmax
+            )
+            chain = reference_z_to_y(WSeries._trusted(wmax, qmax, packed))
+            want = reference_mul(chain, prefactor)
+            out.append((_Product(groups, wmax, qmax, prefactor), want))
+            out.append((pushforward(_Product(groups, wmax, qmax, prefactor), _Z_BUNDLE),
+                        pushforward(want, _Z_BUNDLE)))
+    return out
+
+
+@pytest.mark.parametrize("qmax, fiber_dim", _Z_CASES)
+def test_the_map_to_y_holds_its_slots_at_worst_case_magnitudes(qmax, fiber_dim):
+    for c in (2**40 - 1, -(2**40 - 1)):
+        for got, want in _z_products(3, qmax, fiber_dim, c):
+            assert got == want
+
+
+def test_the_map_to_y_slot_negative_control(monkeypatch):
+    # an alternating fold alone fills its slots to the budget, and the map
+    # to y reaches its column sums: one bit less gives a wrong read and a
+    # wrong pushforward at qmax 8 (the case above passes at full width)
+    rows = series_module._z_rows
+    monkeypatch.setattr(series_module, "_z_rows", lambda q: (rows(q)[0], rows(q)[1] - 1))
+    read, pushed = _z_products(3, 8, 0, 2**40 - 1)[:2]
+    assert read[0] != read[1] and pushed[0] != pushed[1]
 
 
 @st.composite
