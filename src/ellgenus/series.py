@@ -795,7 +795,7 @@ def _sheared_product(groups, wmax, qmax, then=None, in_z=False):
         acc = _map_rows(acc.items(), hshift, mask, then)
     if in_z:
         rows, extra = _z_rows(qmax)
-        acc = _map_slots(acc, slot, qmax, rows, slot + extra)
+        acc = _map_slots(acc, slot, rows, slot + extra)
         slot += extra
     return WSeries._trusted(wmax, qmax, _unfold(acc, width, slot, qmax, den))
 
@@ -819,9 +819,9 @@ def _shear_rows(s, top, width):
 def _z_rows(qmax):
     """The rows of z^k = y^k (1+y)^-k = sum_j (-1)^(j-k) C(j-1, k-1) y^j for
     k = 0..qmax (z^0 = 1), as (y-degree j <= qmax, int) entries, and the bits
-    they add to a slot: a slot of output j sums at most its column's absolute
-    entries, 2^(j-1) for j >= 1, times a digit below 2^(slot-1), so that
-    column sum less one takes its bit_length."""
+    they add to a slot.  Output slot j sums digits below 2^(slot-1) times the
+    entries of column j, whose absolute values sum to C (2^(j-1) for j >= 1),
+    so it stays below 2^(slot-1) * 2^((C-1).bit_length()) for the largest C."""
     rows = [((0, 1),)] + [
         tuple((j, (-1) ** (j - k) * comb(j - 1, k - 1)) for j in range(k, qmax + 1))
         for k in range(1, qmax + 1)
@@ -833,12 +833,12 @@ def _z_rows(qmax):
     return tuple(rows), (max(columns) - 1).bit_length()
 
 
-def _map_slots(folded, slot, qmax, rows, out):
-    """Each folded int's slots 0..qmax, signed digits at ``slot``, mapped by
-    ``rows`` (the (slot j, int) entries of each input slot) into slots of
-    width ``out``: the sum of digit_k * (the row of k folded at ``out``)."""
+def _map_slots(folded, slot, rows, out):
+    """Each folded int's slots, signed digits at ``slot``, mapped by ``rows``
+    (the (slot j, int) entries of each input slot k) into slots of width
+    ``out``: the sum of digit_k * (row k folded at ``out``)."""
     half, smask = 1 << slot - 1, (1 << slot) - 1
-    bias = sum(half << slot * q for q in range(qmax + 1))
+    bias = sum(half << slot * k for k in range(len(rows)))
     images = [sum(c << out * j for j, c in row) for row in rows]
     mapped = {}
     for rest, f in folded.items():
