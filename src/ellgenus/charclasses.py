@@ -56,13 +56,15 @@ class RootForm(_Record):
 
 
 def _todd_numbers(order):
-    """t/(1 - e^{-t}) = sum_k tau_k t^k: (tau_0, ..., tau_order), with
-    tau_k = B_k/k! for the Bernoulli numbers of sum_j C(m+1, j) B_j = 0
-    (m >= 1), B_1 taken as +1/2."""
-    bern = [Fraction(1)]  # B_0, B_1 = -1/2, B_2, ...
-    for m in range(1, order + 1):
-        bern.append(-sum(comb(m + 1, j) * b for j, b in enumerate(bern)) / (m + 1))
-    return tuple((-b if k == 1 else b) / factorial(k) for k, b in enumerate(bern))
+    """t/(1 - e^{-t}) = sum_k tau_k t^k: (tau_0, ..., tau_order), the
+    inverse of sum_k (-1)^k t^k/(k+1)!, on ints.  Over N = (order+1)! that
+    series has the int coefficients (-1)^k N/(k+1)!, so x_n = tau_n N^n is
+    the int -sum_(j=1..n) b_j x_(n-j), with b_j = (-1)^j N^j/(j+1)!."""
+    big, xs, bs = factorial(order + 1), [1], []
+    for n in range(1, order + 1):
+        bs.append((-1) ** n * big**n // factorial(n + 1))
+        xs.append(-sum(b * x for b, x in zip(bs, reversed(xs))))
+    return tuple(Fraction(x, big**n) for n, x in enumerate(xs))
 
 
 def _exp_sum(rows, var, wmax, qmax):

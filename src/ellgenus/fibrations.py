@@ -142,8 +142,8 @@ def fiber_integrand(spec, wmax, qmax):
     z = y/(1+y).  The groups' sheared product and the prefactor
     (1+y)^fiber_dim are returned deferred (``series._Product``): the
     product is built on its first read, mapped to y and times the
-    prefactor, while ``pushforward`` of it before then ends the folded chain
-    in the Segre map and the map to y, and unfolds only Q.
+    prefactor, while ``pushforward`` of it before then runs by residues at
+    the bundle's exponents on the groups, and unfolds only Q.
     """
     if wmax < len(spec.n_roots):
         raise ValueError(

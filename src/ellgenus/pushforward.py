@@ -14,7 +14,7 @@ evaluate at H = -L.
 from fractions import Fraction
 from operator import index
 
-from .series import TruncationDeficitError, WSeries, _Record, mono_from_dict
+from .series import TruncationDeficitError, WSeries, _Product, _Record, mono_from_dict
 
 
 class BundleSpec(_Record):
@@ -64,10 +64,10 @@ def pushforward(series, bundle):
     Each s_j(E) is a single term sigma_j * L^j with sigma_j an int (see
     :func:`_segre_numbers`), so the map runs on packed ints: a term of
     H-degree r-1+j takes the factor sigma_j H^-(r-1+j) L^j, which lowers its
-    weight by r-1, to at most the output weight it is truncated to.  On an
-    unread ``fiber_integrand`` the map is the last step of its folded chain
-    of products and shears, so only the result is unfolded; on any other
-    series it maps the packed terms one by one.
+    weight by r-1, to at most the output weight it is truncated to.  An
+    unread ``fiber_integrand`` is not read: it is pushed forward by residues
+    at the bundle's exponents, the same map (``series._residues``), with
+    no shear and no product in H and L, and only the result is unfolded.
     """
     r = bundle.rank
     out_wmax = series.wmax - (r - 1)
@@ -76,6 +76,8 @@ def pushforward(series, bundle):
             "pushforward along a rank-%d bundle needs input weight %d, have %d"
             % (r, r - 1, series.wmax)
         )
+    if series.__class__ is _Product:
+        return series._pushforward(bundle.exps).truncate(out_wmax)
     rows = [[]] * (r - 1) + [
         [((("H", -(r - 1 + j)), ("L", j)), sigma)]
         for j, sigma in enumerate(_segre_numbers(bundle, out_wmax))

@@ -37,21 +37,21 @@ only the ``terms`` view builds a ``Fraction`` per term:
   most min(#terms) products and B = bits(max|a|) + bits(max|b|) +
   bit_length(min #terms) + 1.  Along the chain of ``_sheared_product`` a
   shear adds the bits of its largest row entry and bit_length(top + 1), a
-  product those of its group's largest numerator and term count.  The chain
-  may end in a map of H-powers by rows of int entries (``_map_powers``,
-  the Segre map of ``pushforward``): an output key takes at most one term
-  per entry, so the map adds the bits of the sum of the entries' absolute
-  values.  The shears, the map and ``_map_powers``' per-term loop are one
-  helper, ``_map_rows``.  Only y is folded: a y-polynomial is dense (at
-  most qmax + 1 slots, nearly all filled), while the sparse (y, L, H, ci)
-  box would need far more slots.
+  product those of its group's largest numerator and term count.  A shear
+  maps H-powers by rows of int entries (``_map_rows``), the helper that
+  also runs ``_map_powers``' per-term loop.  Only y is folded: a
+  y-polynomial is dense (at most qmax + 1 slots, nearly all filled), while
+  the sparse (y, L, H, ci) box would need far more slots.
 - ``_Product`` defers a ``_sheared_product``: it holds the slope groups,
-  builds the packed form on its first read and becomes a plain ``WSeries``;
-  an H-map of it before that runs as the last step of its chain, so the
-  product is never unfolded.  With a prefactor its groups are polynomials
-  in z = y/(1+y), and the chain ends in the map z^k -> y^k (1+y)^-k on the
-  folded ints (``_map_slots``), whose slots grow by the bits of the map's
-  largest column sum; the prefactor then multiplies the result.
+  builds the packed form on its first read and becomes a plain ``WSeries``.
+  Its pushforward before that runs by residues at the bundle's exponents
+  (``_residues``): at each pole the groups map by rows to jets in
+  eps = H/L + m, held in the H field, and multiply with no shear and no
+  dense (H, L) product; only the sum of the poles is unfolded.  With a
+  prefactor its groups are polynomials in z = y/(1+y), and the product or
+  pushforward ends in the map z^k -> y^k (1+y)^-k on the folded ints
+  (``_map_slots``), whose slots grow by the bits of the map's largest
+  column sum; the prefactor then multiplies the result.
 - ``_unpack`` decodes for the ``terms`` view only: each key into a canonical
   monomial tuple and each numerator into one ``Fraction``.
 
@@ -71,7 +71,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import accumulate
 from math import comb, gcd, lcm
-from operator import index, mul
+from operator import add, index, mul
 from types import MappingProxyType
 
 
@@ -512,13 +512,9 @@ class WSeries:
 
     def _map_powers(self, var, rows):
         """Each term of ``var``-degree e times the sum of the (monomial, int)
-        entries of ``rows[e]``; an entry's negative exponents divide the term.
-        An H-map of an unread :class:`_Product` is the last step of its chain
-        (``_Product._chain``); any other series maps its packed terms."""
+        entries of ``rows[e]``; an entry's negative exponents divide the term."""
         w, q = self.wmax, self.qmax
         offsets = [_pack({(m, 0): c for m, c in row}, w, q).items() for row in rows]
-        if self.__class__ is _Product and var == "H":
-            return self._chain(offsets)
         width = _width(w, q)
         shift, mask = _field(var)[0] * width, (1 << width) - 1
         nums, den = self._packed
@@ -612,14 +608,15 @@ class WSeries:
 class _Product(WSeries):
     """The product ``_sheared_product(groups, wmax, qmax)``, deferred: it
     holds the slope groups until its packed form is first read, then builds
-    it and becomes a plain ``WSeries``.  Before that, an H-map of it
-    (``_map_powers``) runs as the last step of the chain instead.  The
-    ``__getattr__`` lives here, not on ``WSeries``, whose every attribute
-    read it would slow.
+    it and becomes a plain ``WSeries``.  Before that, ``pushforward`` of it
+    runs by residues on the groups (``_pushforward``) and reads nothing.
+    The ``__getattr__`` lives here, not on ``WSeries``, whose every
+    attribute read it would slow.
 
-    With a ``prefactor``, the groups are polynomials in z = y/(1+y), held in
-    the y slots, and the value is the prefactor times the chain's result
-    mapped to y (``_sheared_product``'s ``in_z``)."""
+    With a ``prefactor``, free of H, the groups are polynomials in
+    z = y/(1+y), held in the y slots, and the value is the prefactor times
+    the product mapped to y (``in_z`` of ``_sheared_product`` and
+    ``_residues``)."""
 
     __slots__ = ()
 
@@ -631,17 +628,21 @@ class _Product(WSeries):
             object.__setattr__(series, name, value)
         return series
 
-    def _chain(self, then=None):
-        """The product, ended in the map ``then`` if given (``_sheared_product``)."""
-        if self._prefactor is None:
-            return _sheared_product(self._groups, self.wmax, self.qmax, then)
-        chain = _sheared_product(self._groups, self.wmax, self.qmax, then, in_z=True)
-        return chain * self._prefactor
+    def _run(self, build, *args):
+        """``build(groups, wmax, qmax, *args, in_z)`` times the prefactor."""
+        z = self._prefactor is not None
+        series = build(self._groups, self.wmax, self.qmax, *args, in_z=z)
+        return series * self._prefactor if z else series
+
+    def _pushforward(self, exps):
+        """pi_* of the product along P(sum_j L^(m_j)), m_j in ``exps``, at
+        the width of (wmax, qmax), by residues (``_residues``)."""
+        return self._run(_residues, exps)
 
     def __getattr__(self, name):
         if name != "_packed":
             raise AttributeError(name)
-        product = self._chain()
+        product = self._run(_sheared_product)
         object.__setattr__(self, "_packed", product._packed)
         object.__setattr__(self, "_groups", None)
         object.__setattr__(self, "_prefactor", None)
@@ -739,7 +740,7 @@ def _packed_mul(a, b, wmax, qmax):
     return _unfold(product, width, slot, qmax, da * db)
 
 
-def _sheared_product(groups, wmax, qmax, then=None, in_z=False):
+def _sheared_product(groups, wmax, qmax, in_z=False):
     """The product of the series ``groups[s]``, each at H -> H + s*L.
 
     The shear S_s keeps weights, is a ring map, and S_a S_b = S_(a+b), so
@@ -749,16 +750,8 @@ def _sheared_product(groups, wmax, qmax, then=None, in_z=False):
     field to the L field of the key: with s = p/r and H-degree at most top,
     a folded int times C(k, j) p^j r^(top-j), over the denominator r^top.
 
-    ``then``, if given, is a last step on the folded ints: the rows of
-    (packed key offset, int) entries of ``WSeries._map_powers`` by H-power.
-    An output key takes at most one term per entry, so the map adds the
-    bits of the sum of the entries' absolute values to the slot.  A shear
-    never raises an H-degree, so the last product skips every monomial pair
-    whose H-degrees sum below the first H-power with a nonempty row.
-
     ``in_z`` reads the groups' y slots as powers of z = y/(1+y) and maps the
-    folded result to y before the unfold, z^k -> y^k (1+y)^-k (``_z_rows``),
-    into slots as much wider as that map's column sums need (``_map_slots``).
+    folded result to y before the unfold (``_to_y``).
     """
     slopes = sorted(groups, reverse=True)
     shifts = [a - b for a, b in zip(slopes, slopes[1:])] + [slopes[-1]]
@@ -777,27 +770,132 @@ def _sheared_product(groups, wmax, qmax, then=None, in_z=False):
             rows, extra = _shear_rows(s, top, width)
             bits, den = bits + extra, den * s.denominator**top
         shears.append(rows)
-    low = 0  # the first H-power the map keeps
-    if then is not None:  # offsets without the y field, which they leave 0
-        then = [[(offset >> width, c) for offset, c in row] for row in then]
-        bits += sum(abs(c) for row in then for _o, c in row).bit_length()
-        low = next((e for e, row in enumerate(then) if row), len(then))
     slot = bits + 1
     acc = _fold(packed[0][0], width, slot)
     for i, rows in enumerate(shears):
         if i:
             right = _fold(packed[i][0], width, slot)
-            hmin = low if i == len(shears) - 1 else 0
-            acc = _folded_mul(acc, right, wmax, mask, slot * (qmax + 1), hmin, hshift)
+            acc = _folded_mul(acc, right, wmax, mask, slot * (qmax + 1))
         if rows:
             acc = _map_rows(acc.items(), hshift, mask, rows)
-    if then is not None:
-        acc = _map_rows(acc.items(), hshift, mask, then)
-    if in_z:
-        rows, extra = _z_rows(qmax)
-        acc = _map_slots(acc, slot, rows, slot + extra)
-        slot += extra
-    return WSeries._trusted(wmax, qmax, _unfold(acc, width, slot, qmax, den))
+    return _to_y(acc, slot, wmax, qmax, den, in_z)
+
+
+def _residues(groups, wmax, qmax, exps, in_z=False):
+    """pi_* of the product of the series ``groups[s]`` at H -> H + s*L (as
+    ``_sheared_product``) along P(E), E = sum_i L^(m_i) for m_i in ``exps``,
+    at the width of (wmax, qmax): the Segre map, as a sum of residues.
+
+    With H = u*L, pi_* f = L^(1-r) sum_m Res_(u=-m) f / prod_i (u + m_i)
+    over the distinct exponents m (Ellingsrud-Stromme, alg-geom/9411005).
+    At m, of multiplicity mu, set eps = u + m: prod_i (u + m_i) = eps^mu /
+    J_m with J_m = prod_(m_i != m) (m_i - m + eps)^-1, and the shear takes
+    H^a to L^a (eps + s - m)^a = L^a sum_k C(a, k) (s - m)^(a-k) eps^k, of
+    which only eps^0..eps^(mu-1) reach the residue.  So at each pole every
+    group maps by ``_pole_rows`` (eps in the H field, the weight kept true),
+    the mapped groups multiply keeping eps-degree < mu (``_folded_mul``), and
+    ``_read_pole`` sends a key of eps-degree k and L-degree A, times the
+    eps^(mu-1-k) coefficient of J_m, to L^(A+1-r).  It skips A < r - 1: the
+    residues of such a key sum to those of a polynomial in u of degree
+    <= A < r - 1 over one of degree r, which is 0.  The groups are folded
+    once, at one slot for every pole, and the poles sum into one folded
+    series, unfolded once by ``_to_y``.
+
+    The slot: a group's numerators are below 2^b and its mapped ones below
+    2^(b + x), x the bits of its rows.  A mapped group has at most mu terms
+    per term of the group, so a product by it adds b + x +
+    bit_length(mu * #terms).  A read key sums at most mu keys times J_m's
+    numerators, adding the bits of the sum of their absolute values; the
+    jets of all poles are over one denominator (``_poles``), so the poles
+    sum with no scaling and add bit_length(#poles).  The sign takes 1 bit.
+    """
+    width = _width(wmax, qmax)
+    mask = (1 << width) - 1
+    hshift = (_field("H")[0] - 1) * width  # in a key without its y field
+    poles, den = _poles(tuple(sorted(exps)))
+    slopes = sorted(groups)
+    packed = [groups[s]._packed for s in slopes]
+    tops = [max((key >> width + hshift & mask for key in nums), default=0)
+            for nums, _d in packed]
+    for s, top, (_nums, d) in zip(slopes, tops, packed):
+        den *= d * s.denominator**top
+    maps, bits = [], 0
+    for m, jet in poles:
+        mu = len(jet)
+        rows = [_pole_rows(s.numerator - m * s.denominator, s.denominator, top, mu, width)
+                for s, top in zip(slopes, tops)]
+        need = sum(map(abs, jet)).bit_length() + sum(
+            _bits(nums) + x + ((mu * len(nums)).bit_length() if i else 0)
+            for i, ((nums, _d), (_r, x)) in enumerate(zip(packed, rows))
+        )
+        bits = max(bits, need)
+        maps.append([r for r, _x in rows])
+    slot = bits + len(poles).bit_length() + 1
+    folded = [_fold(nums, width, slot).items() for nums, _d in packed]
+    out = defaultdict(int)
+    for (_m, jet), rows in zip(poles, maps):
+        acc = None
+        for items, row in zip(folded, rows):
+            mapped = _map_rows(items, hshift, mask, row)
+            acc = mapped if acc is None else _folded_mul(
+                acc, mapped, wmax, mask, slot * (qmax + 1), len(jet), hshift
+            )
+        _read_pole(acc, jet, len(exps) - 1, width, out)
+    return _to_y(out, slot, wmax, qmax, den, in_z)
+
+
+def _read_pole(acc, jet, low, width, out):
+    """Add to ``out`` the residue of a pole's folded product ``acc`` (keys
+    without their y field, eps in the H field; ``_residues``): each key of
+    L-degree >= ``low`` = r - 1 and eps-degree k, less k eps and ``low`` L's
+    and weights, times the eps^(mu-1-k) coefficient ``jet[mu - 1 - k]``."""
+    mask, mu = (1 << width) - 1, len(jet)
+    hshift, lshift = (_field("H")[0] - 1) * width, (_field("L")[0] - 1) * width
+    drop = low * ((1 << lshift) + 1)
+    for key, f in acc.items():
+        if key >> lshift & mask >= low:
+            k = key >> hshift & mask
+            out[key - (k << hshift) - drop] += f * jet[mu - 1 - k]
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _poles(exps):
+    """The poles of pi_* along P(sum_i L^(m_i)), m_i in the sorted
+    ``exps``: (m, jet) for each distinct m, of multiplicity mu = len(jet),
+    jet the numerators of eps^0..eps^(mu-1) of J_m = prod_(m_i != m)
+    (m_i - m + eps)^-1, over one denominator returned beside them.  A jet b
+    divided by d + eps is the c with d c_k + c_(k-1) = b_k."""
+    jets = []
+    for m in sorted(set(exps)):
+        jet = [Fraction(1)] + [Fraction(0)] * (exps.count(m) - 1)
+        for d in (mi - m for mi in exps if mi != m):
+            for k in range(len(jet)):
+                jet[k] = (jet[k] - (jet[k - 1] if k else 0)) / d
+        jets.append((m, jet))
+    den = lcm(*(c.denominator for _m, jet in jets for c in jet))
+    return tuple((m, tuple(int(c * den) for c in jet)) for m, jet in jets), den
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _pole_rows(p, r, top, mu, width):
+    """The rows of H^a -> L^a (eps + p/r)^a to eps^(mu-1), a <= top, at key
+    ``width``, and the bits they add to a slot: H^a takes C(a, k) p^(a-k)
+    r^(top-a+k), over r^top, to an entry that moves a - k from the H field
+    to the L field of a key without its y field, leaving eps^k in the H
+    field and the weight unchanged.  A key takes at most top + 1 entries,
+    one per H-degree, so the bits are the largest entry's plus
+    bit_length(top + 1)."""
+    hunit, lunit = 1 << (_field("H")[0] - 1) * width, 1 << (_field("L")[0] - 1) * width
+    rows = tuple(
+        tuple(
+            ((k - a) * hunit + a * lunit, comb(a, k) * p ** (a - k) * r ** (top - a + k))
+            for k in range(min(a + 1, mu))
+            if p or k == a
+        )
+        for a in range(top + 1)
+    )
+    largest = max((abs(n) for row in rows for _o, n in row), default=0)
+    return rows, largest.bit_length() + (top + 1).bit_length()
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -813,6 +911,18 @@ def _shear_rows(s, top, width):
         for k in range(top + 1)
     )
     return rows, _bits(dict(rows[-1])) + (top + 1).bit_length()
+
+
+def _to_y(folded, slot, wmax, qmax, den, in_z):
+    """The series of a folded one over ``den``, its slots read as powers
+    of z = y/(1+y) and mapped to y first when ``in_z`` (``_z_rows``), into
+    slots as much wider as that map's column sums need (``_map_slots``)."""
+    if in_z:
+        extra = _z_rows(qmax)[1]
+        folded = _map_slots(folded, slot, _z_images(qmax, slot + extra))
+        slot += extra
+    packed = _unfold(folded, _width(wmax, qmax), slot, qmax, den)
+    return WSeries._trusted(wmax, qmax, packed)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -833,13 +943,17 @@ def _z_rows(qmax):
     return tuple(rows), (max(columns) - 1).bit_length()
 
 
-def _map_slots(folded, slot, rows, out):
-    """Each folded int's slots, signed digits at ``slot``, mapped by ``rows``
-    (the (slot j, int) entries of each input slot k) into slots of width
-    ``out``: the sum of digit_k * (row k folded at ``out``)."""
+@lru_cache(maxsize=MEMO_SIZE)
+def _z_images(qmax, out):
+    """The rows of ``_z_rows(qmax)``, each folded into slots of width ``out``."""
+    return tuple(sum(c << out * j for j, c in row) for row in _z_rows(qmax)[0])
+
+
+def _map_slots(folded, slot, images):
+    """Each folded int's slots, signed digits at ``slot``, mapped by the
+    folded ``images`` of the slots: the sum of digit_k * images[k]."""
     half, smask = 1 << slot - 1, (1 << slot) - 1
-    bias = sum(half << slot * k for k in range(len(rows)))
-    images = [sum(c << out * j for j, c in row) for row in rows]
+    bias = sum(half << slot * k for k in range(len(images)))
     mapped = {}
     for rest, f in folded.items():
         f, g = f + bias, 0
@@ -930,23 +1044,21 @@ def _fold(nums, width, slot):
     return folded
 
 
-def _folded_mul(a, b, wmax, mask, cut, hmin=0, hshift=0):
+def _folded_mul(a, b, wmax, mask, cut, mu=1, shift=0):
     """Product of two folded series: one int product per monomial pair within
     wmax, each sum cut to its signed residue mod 2^cut (the slots kept).
-    With ``hmin``, a pair whose H-degrees (the field at ``hshift``) sum
-    below it is skipped."""
-    buckets = [[] for _ in range(wmax + 1)]
+    With ``mu`` > 1, the field at ``shift`` is an eps-degree (``_residues``),
+    and a pair whose eps-degrees sum to mu or more is skipped."""
+    emask = mask if mu > 1 else 0  # reads an eps-degree of 0 below mu = 2
+    jets = [[[] for _ in range(wmax + 1)] for _ in range(mu)]  # [eps][weight]
     for item in b.items():
-        buckets[item[0] & mask].append(item)
-    below = list(accumulate(buckets))  # [w]: the b monomials of weight <= w
-    prefixes = [below] + [  # [h][w]: ... of H-degree >= h as well
-        [[i for i in p if i[0] >> hshift & mask >= h] for p in below]
-        for h in range(1, hmin + 1)
-    ]
+        jets[item[0] >> shift & emask][item[0] & mask].append(item)
+    # [e][w]: the b monomials of eps-degree <= e and weight <= w
+    below = accumulate(jets, lambda p, j: [*map(add, p, j)])
+    below = [list(accumulate(p)) for p in below]
     acc = defaultdict(int)
     for r1, f1 in a.items():
-        h = max(hmin - (r1 >> hshift & mask), 0)
-        for r2, f2 in prefixes[h][wmax - (r1 & mask)]:
+        for r2, f2 in below[mu - 1 - (r1 >> shift & emask)][wmax - (r1 & mask)]:
             acc[r1 + r2] += f1 * f2
     sign, low = 1 << cut - 1, (1 << cut) - 1
     return {rest: (f + sign & low) - sign for rest, f in acc.items()}

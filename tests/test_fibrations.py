@@ -250,8 +250,8 @@ def _specs_and_orders():
 
 
 def test_pushforward_of_an_unread_integrand_equals_that_of_the_read_one():
-    # unread, the Segre map is the last step of the folded chain; read, it
-    # maps the integrand's packed terms
+    # unread, it is pushed forward by residues at the bundle's exponents;
+    # read, the Segre map maps its packed terms
     for spec, wmax, qmax in _specs_and_orders():
         D = fiber_integrand(spec, wmax, qmax)
         deferred = pushforward(D, spec.bundle)
@@ -263,7 +263,7 @@ def test_pushforward_of_an_unread_integrand_equals_that_of_the_read_one():
 def _derive_cases():
     """(spec, w, q, Q by the read integrand): the 72 twisted catalog specs at
     the benchmark orders and the custom specs.  Reading the integrand builds
-    its whole product, with no pair skipped, before the Segre map."""
+    its whole product, by the sheared chain, before the Segre map."""
     rng = random.Random("last link")
     cases = [(_twisted(f, a, rng), w, w + 1) for f in FAMILIES for a in range(-2, 4)
              for w in (7, 8, 9)]
@@ -277,23 +277,39 @@ def _derive_cases():
         yield spec, w, q, pushforward(D, spec.bundle)
 
 
-def test_the_last_link_skips_only_pairs_that_the_segre_map_drops(monkeypatch):
-    # the last product of the chain skips the monomial pairs whose H-degrees
-    # sum below r - 1, which the Segre map kills; one H-power more skips kept
-    # terms, and every twisted spec changes
+def _l_degrees(acc, width):
+    """The L-degree of each key of a folded series, keys without their y
+    field."""
+    return [key >> width & (1 << width) - 1 for key in acc]
+
+
+def test_the_residues_skip_only_keys_whose_residues_sum_to_zero(monkeypatch):
+    # a pole's read skips the keys of L-degree below r - 1, whose residues
+    # sum to 0 over the poles.  Skipping L-degree r - 1 as well drops Q's
+    # weight-0 part, the chi_y genus of the fiber: every custom spec, whose
+    # fiber is rational, changes; no twisted catalog spec does, its fiber
+    # being an elliptic curve, whose chi_y is 0
     cases = list(_derive_cases())
-    skips = count_calls(monkeypatch, series_module, "_folded_mul")
+    real, skipped = series_module._read_pole, []
+
+    def counting(acc, jet, low, width, out):  # the skipped keys that hold a term
+        degrees = zip(_l_degrees(acc, width), acc.values())
+        skipped.append(sum(d < low for d, f in degrees if f))
+        real(acc, jet, low, width, out)
+
+    monkeypatch.setattr(series_module, "_read_pole", counting)
     for spec, w, q, want in cases:
         assert derived_q(spec, w, q) == want
-    assert {args[5] for args in skips if len(args) > 5} > {0}
-    real = series_module._folded_mul
+    assert sum(skipped) > 0
 
-    def one_too_high(a, b, wmax, mask, cut, hmin=0, hshift=0):
-        return real(a, b, wmax, mask, cut, hmin + 1 if hmin else 0, hshift)
+    def one_more(acc, jet, low, width, out):
+        kept = [d > low for d in _l_degrees(acc, width)]
+        real({k: f for (k, f), x in zip(acc.items(), kept) if x}, jet, low, width, out)
 
-    monkeypatch.setattr(series_module, "_folded_mul", one_too_high)
-    for spec, w, q, want in cases[:72]:
-        assert derived_q(spec, w, q) != want
+    monkeypatch.setattr(series_module, "_read_pole", one_more)
+    for i, (spec, w, q, want) in enumerate(cases):
+        assert (derived_q(spec, w, q) != want) is (i >= 72)
+        assert want.coeff(0, 0).is_zero() is (i < 72)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -314,6 +330,15 @@ def test_a_cold_derived_q_never_unfolds_the_integrand(monkeypatch, family, w):
     with_l = [f for f in fields if any(ell for ell, _h in f)]
     assert with_l and all(len(f) <= w + 1 for f in with_l)
     assert {ell for ell, _h in with_l[-1]} >= {dict(m).get("L", 0) for m, _q in Q.terms}
+
+
+def test_the_map_to_y_folds_its_rows_once_per_slot_width():
+    # a second request at the same orders reuses the folded z -> y rows
+    series_module._z_images.cache_clear()
+    first = derived_q("E7", 6, 7)
+    assert derived_q("E7", 6, 7) == first
+    info = series_module._z_images.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_integrand_rejects_tiny_wmax():

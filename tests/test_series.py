@@ -59,6 +59,7 @@ from helpers import (
     reference_part,
     reference_reweight_by_one_plus_y,
     reference_scale_weights,
+    reference_segre_series,
     reference_z_to_y,
 )
 
@@ -797,7 +798,7 @@ def test_sheared_product_equals_the_pair_loop_chain(groups):
     assert packed == pair_loop_sheared_product(want, wmax, qmax)
 
 
-# -- the H-map as the chain's last step --------------------------------------------
+# -- the H-map of a deferred product -------------------------------------------------
 
 
 _big_ints = st.one_of(st.integers(-9, 9), st.integers(-(2**300), 2**300))
@@ -830,17 +831,59 @@ def _groups_and_rows(draw):
 
 
 @given(_groups_and_rows())
-def test_the_map_as_the_chains_last_step_equals_the_map_of_the_product(case):
-    # the chain's map step, the deferred product's H-map and the per-term
-    # map of the eager product, against a Fraction term loop
+def test_the_map_of_a_deferred_product_equals_the_map_of_the_eager_one(case):
+    # an H-map reads the deferred product and maps its packed terms, as it
+    # maps those of the eager product, against a Fraction term loop
     groups, rows = case
     (wmax, qmax), = {(G.wmax, G.qmax) for G in groups.values()}
     eager = _sheared_product(groups, wmax, qmax)
     want = reference_map_powers(eager, "H", rows)
     assert eager._map_powers("H", rows) == want
-    then = [_pack({(m, 0): c for m, c in row}, wmax, qmax).items() for row in rows]
-    assert _sheared_product(groups, wmax, qmax, then=then) == want
-    assert _Product(groups, wmax, qmax)._map_powers("H", rows) == want
+    deferred = _Product(groups, wmax, qmax)
+    assert deferred._map_powers("H", rows) == want
+    assert type(deferred) is WSeries
+
+
+# -- the pushforward of a deferred product, by residues ---------------------------
+
+
+@st.composite
+def _deferred_pushforwards(draw):
+    """Slope groups in H, L, c1 and y at integer, fractional and negative
+    slopes, a prefactor in L, c1 and y or none, and a bundle of rank 1-5
+    whose exponents in -3..3 may repeat, at an input weight >= rank - 1."""
+    exps = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=5))
+    wmax = draw(st.integers(len(exps) - 1, len(exps) + 4))
+    qmax = draw(st.integers(0, 4))
+    slopes = st.one_of(_slopes, st.integers(-3, 3).map(F))
+    slopes = draw(st.lists(slopes, min_size=1, max_size=3, unique=True))
+    groups = {s: draw(_series_at(wmax, qmax, ("L", "H", "c1"))) for s in slopes}
+    prefactor = draw(st.none() | _series_at(wmax, qmax, ("L", "c1")))
+    return groups, prefactor, BundleSpec(exps)
+
+
+@given(_deferred_pushforwards())
+def test_the_residue_pushforward_equals_the_segre_map_of_the_eager_product(case):
+    # by residues at the bundle's exponents, reading nothing, against the
+    # Segre rows of series inverses mapped over the Fraction terms of the
+    # pair-loop chain, taken to y and times the prefactor term by term
+    groups, prefactor, bundle = case
+    (wmax, qmax), = {(G.wmax, G.qmax) for G in groups.values()}
+    deferred = _Product(groups, wmax, qmax, prefactor)
+    got = pushforward(deferred, bundle)
+    assert type(deferred) is _Product
+    packed = {s: G._packed for s, G in groups.items()}
+    packed = pair_loop_sheared_product(packed, wmax, qmax)
+    eager = WSeries._trusted(wmax, qmax, packed)
+    if prefactor is not None:
+        eager = reference_mul(reference_z_to_y(eager), prefactor)
+    r, out_wmax = bundle.rank, wmax - bundle.rank + 1
+    segre = reference_segre_series(bundle, out_wmax)
+    rows = [[]] * (r - 1) + [
+        [((("H", -(r - 1 + j)), ("L", j)), s.get((("L", j),) if j else ()))]
+        for j, s in enumerate(segre)
+    ]
+    assert got == reference_map_powers(eager, "H", rows).truncate(out_wmax)
 
 
 # -- the slot budget at its edge: same-sign numerators in every slot --------------
@@ -886,25 +929,37 @@ _EDGE_BUNDLE = BundleSpec((0, 7, 9))
 
 
 def _edge_maps(wmax, c):
-    """(the pushforward along ``_EDGE_BUNDLE`` as the last step of a chain,
-    that of the eager chain) for the full-support series alone at slope 0
-    and for each slope set of ``_EDGE_SLOPES``."""
+    """(the pushforward of the deferred product, by residues, that of the
+    eager pair-loop chain by the Segre map) for the full-support series
+    alone at slope 0 and for each slope set of ``_EDGE_SLOPES``, along
+    ``_EDGE_BUNDLE``, and for its H-free part at the slopes 0, 1 and 2,
+    along the rank-1 bundle (0,).  The residue budget keeps five to eight
+    bits of slack on the first, most of it from counting a mapped group's
+    terms as those of the group: (wmax + 1)(wmax + 2)/2 monomials where the
+    map leaves wmax + 1.  The H-free groups map to themselves, so their
+    products fill the slots as far as those term counts reach."""
     G = _full_support(wmax, c)
+    free = {k: n for k, n in G.terms.items() if "H" not in dict(k[0])}
+    free = WSeries(wmax, _EDGE_QMAX, free)
+    cases = [(G, _EDGE_BUNDLE, slopes) for slopes in ((F(0),),) + _EDGE_SLOPES]
+    cases.append((free, BundleSpec((0,)), (F(0), F(1), F(2))))
     out = []
-    for slopes in ((F(0),),) + _EDGE_SLOPES:
-        groups = dict.fromkeys(slopes, G)
-        packed = pair_loop_sheared_product({s: G._packed for s in slopes}, wmax, _EDGE_QMAX)
+    for group, bundle, slopes in cases:
+        packed = {s: group._packed for s in slopes}
+        packed = pair_loop_sheared_product(packed, wmax, _EDGE_QMAX)
         eager = WSeries._trusted(wmax, _EDGE_QMAX, packed)
-        out.append((pushforward(_Product(groups, wmax, _EDGE_QMAX), _EDGE_BUNDLE),
-                    pushforward(eager, _EDGE_BUNDLE)))
+        deferred = _Product(dict.fromkeys(slopes, group), wmax, _EDGE_QMAX)
+        out.append((pushforward(deferred, bundle), pushforward(eager, bundle)))
     return out
 
 
 @pytest.mark.parametrize("wmax, c", _EDGE_CASES)
 def test_the_slot_budget_holds_at_worst_case_magnitudes(wmax, c):
-    # the largest slot sums of both kernels and of the chain's map step; a
+    # the largest slot sums of both kernels and of the residue pushforward; a
     # budget that subtracts the shear's bit_length(top + 1) instead of
-    # adding it fails a third of these
+    # adding it fails a third of these, and a residue budget without the
+    # bit_length(mu * #terms) of its products fails the H-free case at
+    # weight 8
     for got, want in _edge_mul_and_chains(wmax, c) + _edge_maps(wmax, c):
         assert got == want
 
@@ -915,9 +970,9 @@ def _narrower_slots(monkeypatch, bits):
     fold, mul, unfold = _fold, series_module._folded_mul, _unfold
     cut = bits * (_EDGE_QMAX + 1)
     monkeypatch.setattr(series_module, "_fold", lambda n, w, s: fold(n, w, s - bits))
-    monkeypatch.setattr(  # the last link's H-degree cutoff passes through
+    monkeypatch.setattr(  # a residue's eps-degree cap passes through
         series_module, "_folded_mul",
-        lambda a, b, w, m, c, *low: mul(a, b, w, m, c - cut, *low),
+        lambda a, b, w, m, c, *cap: mul(a, b, w, m, c - cut, *cap),
     )
     monkeypatch.setattr(
         series_module, "_unfold", lambda f, w, s, q, d: unfold(f, w, s - bits, q, d)
@@ -927,8 +982,9 @@ def _narrower_slots(monkeypatch, bits):
 def test_slot_budget_negative_controls(monkeypatch):
     # the product's budget is tight here: one bit less gives a wrong square;
     # the shear chain keeps two bits of slack on these inputs, so three bits
-    # less give a wrong one-slope chain; the map step's bits are tight on a
-    # fold alone, so one bit less gives a wrong pushforward at weight 4
+    # less give a wrong one-slope chain; the residues keep six bits of slack
+    # on the one-slope pushforward at weight 4, so seven bits less give a
+    # wrong one, and six do not
     with monkeypatch.context() as mp:
         _narrower_slots(mp, 1)
         got, want = _edge_mul_and_chains(3, 2**40 - 1)[0]
@@ -937,10 +993,11 @@ def test_slot_budget_negative_controls(monkeypatch):
         _narrower_slots(mp, 3)
         got, want = _edge_mul_and_chains(3, 2**40 - 1)[1]
         assert got != want
-    with monkeypatch.context() as mp:
-        _narrower_slots(mp, 1)
-        got, want = _edge_maps(4, 2**40 - 1)[0]
-        assert got != want
+    for bits, wrong in ((6, False), (7, True)):
+        with monkeypatch.context() as mp:
+            _narrower_slots(mp, bits)
+            got, want = _edge_maps(4, 2**40 - 1)[0]
+            assert (got != want) is wrong
     # positive control
     for got, want in _edge_mul_and_chains(3, 2**40 - 1) + _edge_maps(4, 2**40 - 1):
         assert got == want
@@ -969,10 +1026,11 @@ def _z_support(wmax, qmax, c, alternating):
 
 def _z_products(wmax, qmax, fiber_dim, c):
     """(the deferred z-product read, its Fraction oracle) and (their
-    pushforwards along ``_Z_BUNDLE``), for the full-support z-group alone
-    at slope 0 and at each of the first two slope sets of ``_EDGE_SLOPES``,
-    with same-sign and with alternating slots.  The oracle maps the pair-loop
-    chain to y term by term and multiplies it by (1+y)^fiber_dim."""
+    pushforwards along ``_Z_BUNDLE``, the deferred one by residues), for
+    the full-support z-group alone at slope 0 and at each of the first two
+    slope sets of ``_EDGE_SLOPES``, with same-sign and with alternating
+    slots.  The oracle maps the pair-loop chain to y term by term and
+    multiplies it by (1+y)^fiber_dim."""
     prefactor = WSeries.from_y_poly([1, 1], wmax, qmax) ** fiber_dim
     out = []
     for alternating in (True, False):
@@ -997,14 +1055,29 @@ def test_the_map_to_y_holds_its_slots_at_worst_case_magnitudes(qmax, fiber_dim):
             assert got == want
 
 
+def _narrower_map_to_y(monkeypatch, bits):
+    rows = series_module._z_rows
+    monkeypatch.setattr(
+        series_module, "_z_rows", lambda q: (rows(q)[0], rows(q)[1] - bits)
+    )
+
+
 def test_the_map_to_y_slot_negative_control(monkeypatch):
     # an alternating fold alone fills its slots to the budget, and the map
-    # to y reaches its column sums: one bit less gives a wrong read and a
-    # wrong pushforward at qmax 8 (the case above passes at full width)
-    rows = series_module._z_rows
-    monkeypatch.setattr(series_module, "_z_rows", lambda q: (rows(q)[0], rows(q)[1] - 1))
-    read, pushed = _z_products(3, 8, 0, 2**40 - 1)[:2]
-    assert read[0] != read[1] and pushed[0] != pushed[1]
+    # to y reaches its column sums: one bit less gives a wrong read at
+    # qmax 8 (the case above passes at full width).  Pushed forward by
+    # residues, whose slot keeps six bits of slack here, the sums stay
+    # below the budget by as much: the pushforward is wrong only with all
+    # seven of the map's bits taken away, and right with six
+    with monkeypatch.context() as mp:
+        _narrower_map_to_y(mp, 1)
+        read = _z_products(3, 8, 0, 2**40 - 1)[0]
+        assert read[0] != read[1]
+    for bits, wrong in ((6, False), (7, True)):
+        with monkeypatch.context() as mp:
+            _narrower_map_to_y(mp, bits)
+            pushed = _z_products(3, 8, 0, 2**40 - 1)[1]
+            assert (pushed[0] != pushed[1]) is wrong
 
 
 @st.composite
