@@ -23,7 +23,7 @@ from math import comb, factorial
 from operator import index
 
 from .poly import Poly
-from .series import WSeries, _pack, _Record, _reduced, _sheared_product
+from .series import WSeries, _pack, _Record, _reduced, _shear
 from .series import _top_memo, _truncation_orders
 
 
@@ -108,7 +108,7 @@ def _local_factor(key, wmax, qmax):
         }[kind]
         series = _exp_sum(rows, var, wmax, qmax)
     if a and b:
-        series = _sheared_product({Fraction(b, a): series}, wmax, qmax)
+        series = _shear(series, Fraction(b, a))
     return series
 
 

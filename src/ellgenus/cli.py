@@ -199,7 +199,7 @@ def parse_base_arg(text):
     if len(parts) != 3 or parts[0] != "pd":
         raise UsageError("base %r not understood (expected pd:<d>:<n>)" % text)
     try:
-        d, n = int(parts[1]), int(parts[2])
+        d, n = _integer(parts[1]), _integer(parts[2])
     except ValueError:
         raise UsageError("base %r not understood (expected integers)" % text)
     if d < 0:
@@ -281,7 +281,7 @@ def cmd_chi(args):
         qs = list(range(0, top + 1))
     else:
         try:
-            qs = [int(args.q)]
+            qs = [_integer(args.q)]
         except ValueError:
             raise UsageError("--q expects an integer or 'all'")
         if not (0 <= qs[0] <= top):
@@ -326,9 +326,18 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 
+def _integer(text):
+    """An int from ASCII decimal digits with an optional leading '-': ``int``
+    alone also takes other scripts' digits, '_', spaces and a '+'."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("not an integer: %r" % (text,))
+    return int(text)
+
+
 def _order(text):
     """An order option (--wmax, --qmax, --nmax): an integer >= 0."""
-    if int(text) < 0:
+    if _integer(text) < 0:
         raise argparse.ArgumentTypeError("must be >= 0, got %s" % text)
     return int(text)
 

@@ -29,29 +29,28 @@ only the ``terms`` view builds a ``Fraction`` per term:
   can carry into the next: a kept pair has q1 + q2 <= qmax and w1 + w2 <=
   wmax, and every variable has weight >= 1, so no exponent exceeds wmax.
   The constructor and a ``truncate`` that narrows the width pack int numerators.
-- ``_packed_mul`` and ``_sheared_product`` fold each monomial's y-polynomial
-  into one int, the sum of n_q 2^(B*q) (``_fold``), so one int product of two
-  monomials is their y-convolution, done in C; ``_unfold`` reads the slots
-  0..qmax back as signed digits.  Each slot holds its sum: in a product each
-  term of one operand has at most one partner in the other, so a slot sums at
-  most min(#terms) products and B = bits(max|a|) + bits(max|b|) +
-  bit_length(min #terms) + 1.  Along the chain of ``_sheared_product`` a
-  shear adds the bits of its largest row entry and bit_length(top + 1), a
-  product those of its group's largest numerator and term count.  A shear
-  maps H-powers by rows of int entries (``_map_rows``), the helper that
-  also runs ``_map_powers``' per-term loop.  Only y is folded: a
-  y-polynomial is dense (at most qmax + 1 slots, nearly all filled), while
-  the sparse (y, L, H, ci) box would need far more slots.
-- ``_Product`` defers a ``_sheared_product``: it holds the slope groups,
-  builds the packed form on its first read and becomes a plain ``WSeries``.
-  Its pushforward before that runs by residues at the bundle's exponents
-  (``_residues``): at each pole the groups map by rows to jets in
-  eps = H/L + m, held in the H field, and multiply with no shear and no
-  dense (H, L) product; only the sum of the poles is unfolded.  With a
-  prefactor its groups are polynomials in z = y/(1+y), and the product or
+- ``_packed_mul`` folds each monomial's y-polynomial into one int, the sum
+  of n_q 2^(B*q) (``_fold``), so one int product of two monomials is their
+  y-convolution, done in C; ``_unfold`` reads the slots 0..qmax back as
+  signed digits.  Each slot holds its sum: in a product each term of one
+  operand has at most one partner in the other, so a slot sums at most
+  min(#terms) products and B = bits(max|a|) + bits(max|b|) +
+  bit_length(min #terms) + 1.  Only y is folded: a y-polynomial is dense
+  (at most qmax + 1 slots, nearly all filled), while the sparse (y, L, H,
+  ci) box would need far more slots.
+- ``_shear`` applies H -> H + s*L as rows of ``_map_powers``, whose
+  per-term loop (``_map_rows``) also runs the Segre map and the residues'
+  maps to a pole.
+- ``_Product`` defers the product of its slope groups, each sheared by its
+  slope: on its first read it multiplies the sheared groups and becomes a
+  plain ``WSeries``.  Its pushforward before that runs by residues at the
+  bundle's exponents (``_residues``): at each pole the groups map by rows
+  to jets in eps = H/L + m, held in the H field, and multiply with no shear
+  and no dense (H, L) product; only the sum of the poles is unfolded.  With
+  a prefactor its groups are polynomials in z = y/(1+y), and the product or
   pushforward ends in the map z^k -> y^k (1+y)^-k on the folded ints
-  (``_map_slots``), whose slots grow by the bits of the map's largest
-  column sum; the prefactor then multiplies the result.
+  (``_to_y``), whose slots grow by the bits of the map's largest column
+  sum; the prefactor then multiplies the result.
 - ``_unpack`` decodes for the ``terms`` view only: each key into a canonical
   monomial tuple and each numerator into one ``Fraction``.
 
@@ -68,7 +67,7 @@ each distinct monomial decoded once.
 
 from collections import defaultdict
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, lru_cache, reduce
 from itertools import accumulate
 from math import comb, gcd, lcm
 from operator import add, index, mul
@@ -606,17 +605,16 @@ class WSeries:
 
 
 class _Product(WSeries):
-    """The product ``_sheared_product(groups, wmax, qmax)``, deferred: it
-    holds the slope groups until its packed form is first read, then builds
-    it and becomes a plain ``WSeries``.  Before that, ``pushforward`` of it
-    runs by residues on the groups (``_pushforward``) and reads nothing.
-    The ``__getattr__`` lives here, not on ``WSeries``, whose every
-    attribute read it would slow.
+    """The product of the slope groups ``groups[s]``, each at H -> H + s*L
+    (``_shear``), deferred: it holds the groups until its packed form is
+    first read, then builds it and becomes a plain ``WSeries``.  Before
+    that, ``pushforward`` of it runs by residues on the groups
+    (``_pushforward``) and reads nothing.  The ``__getattr__`` lives here,
+    not on ``WSeries``, whose every attribute read it would slow.
 
     With a ``prefactor``, free of H, the groups are polynomials in
     z = y/(1+y), held in the y slots, and the value is the prefactor times
-    the product mapped to y (``in_z`` of ``_sheared_product`` and
-    ``_residues``)."""
+    the product mapped to y (``_to_y``)."""
 
     __slots__ = ()
 
@@ -628,21 +626,23 @@ class _Product(WSeries):
             object.__setattr__(series, name, value)
         return series
 
-    def _run(self, build, *args):
-        """``build(groups, wmax, qmax, *args, in_z)`` times the prefactor."""
-        z = self._prefactor is not None
-        series = build(self._groups, self.wmax, self.qmax, *args, in_z=z)
-        return series * self._prefactor if z else series
-
     def _pushforward(self, exps):
         """pi_* of the product along P(sum_j L^(m_j)), m_j in ``exps``, at
         the width of (wmax, qmax), by residues (``_residues``)."""
-        return self._run(_residues, exps)
+        z = self._prefactor is not None
+        series = _residues(self._groups, self.wmax, self.qmax, exps, in_z=z)
+        return series * self._prefactor if z else series
 
     def __getattr__(self, name):
         if name != "_packed":
             raise AttributeError(name)
-        product = self._run(_sheared_product)
+        product = reduce(mul, (_shear(g, s) for s, g in self._groups.items()))
+        if self._prefactor is not None:  # fold the product to map z to y
+            nums, den = product._packed
+            slot = _bits(nums) + 1
+            folded = _fold(nums, _width(self.wmax, self.qmax), slot)
+            product = _to_y(folded, slot, self.wmax, self.qmax, den, True)
+            product = product * self._prefactor
         object.__setattr__(self, "_packed", product._packed)
         object.__setattr__(self, "_groups", None)
         object.__setattr__(self, "_prefactor", None)
@@ -740,50 +740,24 @@ def _packed_mul(a, b, wmax, qmax):
     return _unfold(product, width, slot, qmax, da * db)
 
 
-def _sheared_product(groups, wmax, qmax, in_z=False):
-    """The product of the series ``groups[s]``, each at H -> H + s*L.
-
-    The shear S_s keeps weights, is a ring map, and S_a S_b = S_(a+b), so
-    with slopes s1 < ... < sk this is S_s1(G1 * S_(s2-s1)(G2 * ...(Gk))),
-    run on folded ints from one fold to one unfold.  By the binomial theorem
-    S_s spreads H^k to sum_j C(k, j) s^j H^(k-j) L^j, moving j from the H
-    field to the L field of the key: with s = p/r and H-degree at most top,
-    a folded int times C(k, j) p^j r^(top-j), over the denominator r^top.
-
-    ``in_z`` reads the groups' y slots as powers of z = y/(1+y) and maps the
-    folded result to y before the unfold (``_to_y``).
-    """
-    slopes = sorted(groups, reverse=True)
-    shifts = [a - b for a, b in zip(slopes, slopes[1:])] + [slopes[-1]]
-    packed = [groups[s]._packed for s in slopes]
-    width = _width(wmax, qmax)
-    mask = (1 << width) - 1
-    hshift = (_field("H")[0] - 1) * width  # in a key without its y field
-    # the shear rows, the denominator and the slot width (module docstring)
-    shears, bits, top, den = [], 0, 0, 1
-    for i, ((nums, d), s) in enumerate(zip(packed, shifts)):
-        bits += _bits(nums) + (len(nums).bit_length() if i else 0)
-        h = max((key >> width + hshift & mask for key in nums), default=0)
-        top, den = min(wmax, top + h), den * d
-        rows = None
-        if s:
-            rows, extra = _shear_rows(s, top, width)
-            bits, den = bits + extra, den * s.denominator**top
-        shears.append(rows)
-    slot = bits + 1
-    acc = _fold(packed[0][0], width, slot)
-    for i, rows in enumerate(shears):
-        if i:
-            right = _fold(packed[i][0], width, slot)
-            acc = _folded_mul(acc, right, wmax, mask, slot * (qmax + 1))
-        if rows:
-            acc = _map_rows(acc.items(), hshift, mask, rows)
-    return _to_y(acc, slot, wmax, qmax, den, in_z)
+def _shear(series, s):
+    """``series`` at H -> H + s*L.  By the binomial theorem H^k spreads to
+    sum_j C(k, j) s^j H^(k-j) L^j, which keeps every weight: with s = p/r,
+    the ``_map_powers`` rows of C(k, j) p^j r^(wmax-j) over r^wmax."""
+    if not s:
+        return series
+    p, r, top = s.numerator, s.denominator, series.wmax
+    rows = [
+        [((("H", -j), ("L", j)), comb(k, j) * p**j * r ** (top - j))
+         for j in range(k + 1)]
+        for k in range(top + 1)
+    ]
+    return series._map_powers("H", rows) * Fraction(1, r**top)
 
 
 def _residues(groups, wmax, qmax, exps, in_z=False):
-    """pi_* of the product of the series ``groups[s]`` at H -> H + s*L (as
-    ``_sheared_product``) along P(E), E = sum_i L^(m_i) for m_i in ``exps``,
+    """pi_* of the product of the series ``groups[s]`` at H -> H + s*L
+    (``_shear``) along P(E), E = sum_i L^(m_i) for m_i in ``exps``,
     at the width of (wmax, qmax): the Segre map, as a sum of residues.
 
     With H = u*L, pi_* f = L^(1-r) sum_m Res_(u=-m) f / prod_i (u + m_i)
@@ -896,21 +870,6 @@ def _pole_rows(p, r, top, mu, width):
     )
     largest = max((abs(n) for row in rows for _o, n in row), default=0)
     return rows, largest.bit_length() + (top + 1).bit_length()
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _shear_rows(s, top, width):
-    """The rows of S_s up to H^top at key ``width``, and the bits they add
-    to a slot: with s = p/r, H^k takes C(k, j) p^j r^(top-j) to an entry
-    that moves j from the H field to the L field of a key without its y
-    field; the largest entries are in the row of H^top."""
-    step = (1 << (_field("L")[0] - 1) * width) - (1 << (_field("H")[0] - 1) * width)
-    p, r = s.numerator, s.denominator
-    rows = tuple(
-        tuple((j * step, comb(k, j) * p**j * r ** (top - j)) for j in range(k + 1))
-        for k in range(top + 1)
-    )
-    return rows, _bits(dict(rows[-1])) + (top + 1).bit_length()
 
 
 def _to_y(folded, slot, wmax, qmax, den, in_z):

@@ -105,8 +105,8 @@ def check_d5_derivative_oracle(wmax=6, qmax=7, nrandom=50, seed=20230517):
     integrand and on random series in H, L, y (input weight wmax, so both
     routes produce output exact to weight wmax - 3).  The integrand is
     pushed forward unread, by residues at the bundle's exponents on its
-    slope groups; the derivative route then reads its terms, which the
-    sheared chain builds."""
+    slope groups; the derivative route then reads its terms, the product
+    of its groups each sheared by its slope (``series._shear``)."""
     failures = []
     wmax = max(wmax, 3)
     bundle = CATALOG["D5"].bundle

@@ -769,8 +769,11 @@ def pair_loop_packed_shear(a, s, wmax, qmax):
 
 
 def pair_loop_sheared_product(groups, wmax, qmax):
-    """The nested shears and products of ``series._sheared_product`` on the
-    pair-loop kernels, over the packed groups {slope: packed series}."""
+    """The product of the packed groups {slope: packed series}, each at
+    H -> H + slope*L, as nested shears and products on the pair-loop
+    kernels: with slopes s1 < ... < sk, S_s1(G1 * S_(s2-s1)(G2 * ...(Gk))),
+    a route apart from the read of ``series._Product``, which shears each
+    group by its own slope and then multiplies."""
     slopes = sorted(groups, reverse=True)
     acc = groups[slopes[0]]
     for above, slope in zip(slopes, slopes[1:]):

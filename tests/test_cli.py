@@ -30,6 +30,7 @@ from ellgenus import fibrations
 from ellgenus import series as series_module
 from ellgenus.cli import (
     UsageError,
+    _integer,
     emit_series_json,
     load_base_spec,
     load_fibration_spec,
@@ -530,6 +531,34 @@ def test_negative_orders_are_usage_errors(capsys, command, option):
     code, out, err = run_cli(capsys, *command.split(), option, "-1")
     assert code == 2 and out == ""
     assert "argument %s: must be >= 0" % option in err
+
+
+# forms that int() reads as integers: digits of other scripts, '_' between
+# digits, padding, a '+' sign, and none of the digits at all
+_NOT_ASCII_INTEGERS = ["\u0663", "\uff13", "1_0", " 2", "2 ", "+2", "-", ""]
+
+
+@pytest.mark.parametrize("text", _NOT_ASCII_INTEGERS)
+@pytest.mark.parametrize(
+    "command", ["q E8 --wmax", "q E8 --qmax", "ptable E8 --nmax", "verify --wmax"]
+)
+def test_orders_are_ascii_integers(capsys, command, text):
+    code, out, err = run_cli(capsys, *command.split(), text)
+    assert code == 2 and out == ""
+    assert "argument %s: invalid _order value: %r" % (command.split()[-1], text) in err
+
+
+@pytest.mark.parametrize("text", _NOT_ASCII_INTEGERS)
+def test_base_and_q_are_ascii_integers(capsys, text):
+    for base in ("pd:%s:3" % text, "pd:2:%s" % text):
+        _assert_usage_error(capsys, ["chi", "E8", "--base", base], "(expected integers)")
+    argv = ["chi", "E8", "--base", "pd:2:3", "--q", text]
+    _assert_usage_error(capsys, argv, "--q expects an integer or 'all'")
+
+
+def test_ascii_integers_with_a_sign_or_leading_zeros_are_read():
+    assert [_integer(t) for t in ("0", "-0", "007", "-12", "123456789012345678901")] == [
+        0, 0, 7, -12, 123456789012345678901]
 
 
 def test_input_files_that_are_not_objects_or_lack_an_entry_exit_2(tmp_path, capsys):

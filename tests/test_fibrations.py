@@ -35,11 +35,12 @@ from ellgenus import (
 from ellgenus import fibrations as fibrations_module
 from ellgenus import series as series_module
 from ellgenus.charclasses import _normal_factor
-from ellgenus.series import _Product, _sheared_product, _width
+from ellgenus.series import _Product, _width
 from helpers import (
     PAPER_CLOSED_TEXT,
     count_calls,
     normal_factor_in_y,
+    pair_loop_sheared_product,
     reference_closed_form_q,
     reference_fiber_integrand,
     reference_lambda_y_factor,
@@ -169,8 +170,7 @@ _CUSTOM_SPECS = [
     ((0, 1, 1, 2), ((1, 1),)),  # fiber dimension 2, N shares F's slope 1
     ((-1, 2, 2), ((2, 4), (1, -1))),  # a negative slope; N roots on both F slopes
     ((0, 1, 2), ((2, 1),)),  # four slope groups: 0, 1/2, 1, 2
-    # slopes 1/3, 1, 3/2, 2: every nested shear (1/3, 2/3, 1/2, 1/2) is a
-    # nonzero non-integer
+    # slopes 1/3, 1, 3/2, 2: four nonzero shears, two by non-integers
     ((1, 2, 2, 2), ((3, 1), (2, 3))),
 ]
 
@@ -191,14 +191,16 @@ def test_integrand_equals_per_root_product_on_custom_specs(exps, n_roots):
 
 
 def test_an_unread_integrand_is_its_groups_sheared_product():
-    # the groups' product in z = y/(1+y), mapped to y by the Fraction term
-    # loop, times the prefactor (1+y)^fiber_dim
+    # the groups' product in z = y/(1+y) by the pair-loop chain, mapped to
+    # y by the Fraction term loop, times the prefactor (1+y)^fiber_dim
     spec = _twisted("E7", 2, random.Random("deferred"))
     D = fiber_integrand(spec, 8, 6)
     assert type(D) is _Product
     groups, prefactor = D._groups, D._prefactor
     assert prefactor == WSeries.from_y_poly([1, 1], 8, 6) ** spec.fiber_dim
-    want = reference_mul(reference_z_to_y(_sheared_product(groups, 8, 6)), prefactor)
+    packed = pair_loop_sheared_product({s: G._packed for s, G in groups.items()}, 8, 6)
+    product = WSeries._trusted(8, 6, packed)
+    want = reference_mul(reference_z_to_y(product), prefactor)
     assert D == want  # the first read
     assert type(D) is WSeries
 
@@ -263,7 +265,7 @@ def test_pushforward_of_an_unread_integrand_equals_that_of_the_read_one():
 def _derive_cases():
     """(spec, w, q, Q by the read integrand): the 72 twisted catalog specs at
     the benchmark orders and the custom specs.  Reading the integrand builds
-    its whole product, by the sheared chain, before the Segre map."""
+    its whole product, of its sheared groups, before the Segre map."""
     rng = random.Random("last link")
     cases = [(_twisted(f, a, rng), w, w + 1) for f in FAMILIES for a in range(-2, 4)
              for w in (7, 8, 9)]

@@ -32,7 +32,7 @@ from ellgenus.series import (
     _fold,
     _pack,
     _packed_mul,
-    _sheared_product,
+    _shear,
     _unfold,
     _width,
 )
@@ -254,7 +254,7 @@ def _sheared(G, s):
 
 @given(_shear_series(), _slopes)
 def test_shift_h_equals_substitute(G, s):
-    assert _sheared_product({s: G}, G.wmax, G.qmax) == _sheared(G, s)
+    assert _shear(G, s) == _sheared(G, s)
 
 
 @pytest.mark.parametrize("s", [F(-4), F(-3, 2), F(-1, 3), F(1, 4), F(3, 4), F(2)])
@@ -274,7 +274,7 @@ def test_shift_h_equals_substitute_on_a_dense_series(s):
             for extra in ({}, {"L": 1}, {"c1": 1})
         },
     )
-    assert _sheared_product({s: G}, 10, 3) == _sheared(G, s)
+    assert _shear(G, s) == _sheared(G, s)
 
 
 def test_shift_h_binomial_example():
@@ -284,7 +284,7 @@ def test_shift_h_binomial_example():
     expected = (H**3 + H**2 * L * F(-9, 2) + H * L**2 * F(27, 4) - L**3 * F(27, 8)) * v[
         "y"
     ] + L * (H - L * F(3, 2)) + 2
-    assert _sheared_product({F(-3, 2): G}, 3, 1) == expected
+    assert _shear(G, F(-3, 2)) == expected
 
 
 @st.composite
@@ -297,13 +297,13 @@ def _sheared_groups(draw):
 
 @given(_sheared_groups())
 def test_sheared_product_equals_the_product_of_substitutes(groups):
-    # the nested shears of any slopes, in any order, against one substitute
-    # per group and the oracle multiply
+    # the read of a deferred product of any slopes, in any order, against
+    # one substitute per group and the oracle multiply
     (wmax, qmax), = {(G.wmax, G.qmax) for G in groups.values()}
     want = WSeries.const(1, wmax, qmax)
     for s, G in groups.items():
         want = reference_mul(want, _sheared(G, s))
-    assert _sheared_product(groups, wmax, qmax) == want
+    assert _Product(groups, wmax, qmax) == want
 
 
 # -- reweight -----------------------------------------------------------------
@@ -790,10 +790,11 @@ def _big_sheared_groups(draw):
 
 @given(_big_sheared_groups())
 def test_sheared_product_equals_the_pair_loop_chain(groups):
-    # fractional slopes and numerators up to 2^300: one fold, a chain of
-    # shears and products, one unfold, against a reduction after every step
+    # fractional slopes and numerators up to 2^300: the read of a deferred
+    # product, each group sheared by its slope, against the nested shears
+    # and products of the pair-loop kernels
     (wmax, qmax), = {(G.wmax, G.qmax) for G in groups.values()}
-    packed = _sheared_product(groups, wmax, qmax)._packed
+    packed = _Product(groups, wmax, qmax)._packed
     want = {s: G._packed for s, G in groups.items()}
     assert packed == pair_loop_sheared_product(want, wmax, qmax)
 
@@ -833,10 +834,11 @@ def _groups_and_rows(draw):
 @given(_groups_and_rows())
 def test_the_map_of_a_deferred_product_equals_the_map_of_the_eager_one(case):
     # an H-map reads the deferred product and maps its packed terms, as it
-    # maps those of the eager product, against a Fraction term loop
+    # maps those of the pair-loop product, against a Fraction term loop
     groups, rows = case
     (wmax, qmax), = {(G.wmax, G.qmax) for G in groups.values()}
-    eager = _sheared_product(groups, wmax, qmax)
+    packed = {s: G._packed for s, G in groups.items()}
+    eager = WSeries._trusted(wmax, qmax, pair_loop_sheared_product(packed, wmax, qmax))
     want = reference_map_powers(eager, "H", rows)
     assert eager._map_powers("H", rows) == want
     deferred = _Product(groups, wmax, qmax)
@@ -911,14 +913,15 @@ def _full_support(wmax, c):
 
 def _edge_mul_and_chains(wmax, c):
     """(kernel, pair-loop oracle) for the square of the full-support series
-    and for its sheared product over each slope set of ``_EDGE_SLOPES``."""
+    and for the read of its deferred product over each slope set of
+    ``_EDGE_SLOPES``."""
     G = _full_support(wmax, c)
     out = [(_packed_mul(G._packed, G._packed, wmax, _EDGE_QMAX),
             pair_loop_packed_mul(G._packed, G._packed, wmax, _EDGE_QMAX))]
     for slopes in _EDGE_SLOPES:
         groups = dict.fromkeys(slopes, G)
         packed = {s: G._packed for s in slopes}
-        out.append((_sheared_product(groups, wmax, _EDGE_QMAX)._packed,
+        out.append((_Product(groups, wmax, _EDGE_QMAX)._packed,
                     pair_loop_sheared_product(packed, wmax, _EDGE_QMAX)))
     return out
 
@@ -955,9 +958,8 @@ def _edge_maps(wmax, c):
 
 @pytest.mark.parametrize("wmax, c", _EDGE_CASES)
 def test_the_slot_budget_holds_at_worst_case_magnitudes(wmax, c):
-    # the largest slot sums of both kernels and of the residue pushforward; a
-    # budget that subtracts the shear's bit_length(top + 1) instead of
-    # adding it fails a third of these, and a residue budget without the
+    # the largest slot sums of the product kernel, of the deferred reads and
+    # of the residue pushforward; a residue budget without the
     # bit_length(mu * #terms) of its products fails the H-free case at
     # weight 8
     for got, want in _edge_mul_and_chains(wmax, c) + _edge_maps(wmax, c):
@@ -980,19 +982,22 @@ def _narrower_slots(monkeypatch, bits):
 
 
 def test_slot_budget_negative_controls(monkeypatch):
-    # the product's budget is tight here: one bit less gives a wrong square;
-    # the shear chain keeps two bits of slack on these inputs, so three bits
-    # less give a wrong one-slope chain; the residues keep six bits of slack
-    # on the one-slope pushforward at weight 4, so seven bits less give a
+    # the product's budget is tight here: one bit less gives a wrong square.
+    # A deferred read folds only in its products, at that budget, and the
+    # sheared groups' largest numerators do not meet in one slot: the
+    # two-slope read keeps eight bits of slack, so nine bits less give a
+    # wrong one, and eight do not.  The residues keep six bits of slack on
+    # the one-slope pushforward at weight 4, so seven bits less give a
     # wrong one, and six do not
     with monkeypatch.context() as mp:
         _narrower_slots(mp, 1)
         got, want = _edge_mul_and_chains(3, 2**40 - 1)[0]
         assert got != want
-    with monkeypatch.context() as mp:
-        _narrower_slots(mp, 3)
-        got, want = _edge_mul_and_chains(3, 2**40 - 1)[1]
-        assert got != want
+    for bits, wrong in ((8, False), (9, True)):
+        with monkeypatch.context() as mp:
+            _narrower_slots(mp, bits)
+            got, want = _edge_mul_and_chains(3, 2**40 - 1)[2]
+            assert (got != want) is wrong
     for bits, wrong in ((6, False), (7, True)):
         with monkeypatch.context() as mp:
             _narrower_slots(mp, bits)
@@ -1089,9 +1094,9 @@ def _h_l_y_series(draw):
 
 @given(_h_l_y_series(), _slopes)
 def test_packed_shear_equals_substitute(G, s):
-    # a one-group sheared product is the folded shear alone
+    # the rows of the shear on packed ints, against the pair-loop shear
     want = _sheared(G, s)
-    packed = _sheared_product({s: G}, G.wmax, G.qmax)._packed
+    packed = _shear(G, s)._packed
     assert packed == pair_loop_packed_shear(G._packed, s, G.wmax, G.qmax)
     assert _is_reduced(packed, want.terms)
     assert WSeries._trusted(G.wmax, G.qmax, packed) == want
@@ -1133,19 +1138,26 @@ def test_copy_deepcopy_and_pickle_round_trips():
 
 def test_mul_and_shift_h_run_on_the_packed_kernels(monkeypatch):
     muls = count_calls(monkeypatch, series_module, "_packed_mul")
-    unfolds = count_calls(monkeypatch, series_module, "_unfold")
+    unpacks = count_calls(monkeypatch, series_module, "_unpack")
     v = S(4, 2)
     product = (v["H"] + v["y"]) * (v["H"] - 1)
     H2 = _mono_series(4, 2, H=2)
-    sheared = _sheared_product({F(1, 2): H2}, 4, 2)
-    assert (len(muls), len(unfolds)) == (1, 2)
-    # three groups: two products and three shears, folded to the end
-    chain = _sheared_product({F(1, 2): H2, F(-1): v["H"], F(3): v["H"] + v["y"]}, 4, 2)
-    assert (len(muls), len(unfolds)) == (1, 3)
+    sheared = _shear(H2, F(1, 2))
+    assert len(muls) == 1  # a shear multiplies nothing
+    # three groups, read: three shears and two products; with a prefactor,
+    # one product more, after the map to y
+    chain = _Product({F(1, 2): H2, F(-1): v["H"], F(3): v["H"] + v["y"]}, 4, 2)
+    chain._packed
+    assert len(muls) == 3
+    in_z = _Product({F(1, 2): H2, F(3): v["H"] + v["y"]}, 4, 2, 1 + v["y"])
+    in_z._packed
+    assert len(muls) == 5 and unpacks == []
     assert product == H2 + v["H"] * v["y"] - v["H"] - v["y"]
     assert sheared == (v["H"] + v["L"] * F(1, 2)) ** 2
     shears = [v["H"] + v["L"] * s for s in (F(1, 2), F(-1), F(3))]
     assert chain == shears[0] ** 2 * shears[1] * (shears[2] + v["y"])
+    z = v["y"] * (1 + v["y"]).inverse()
+    assert in_z == shears[0] ** 2 * (shears[2] + z) * (1 + v["y"])
 
 
 # -- the y-scaling kernel --------------------------------------------------------

@@ -18,6 +18,7 @@ from ellgenus import (
     hadamard_apply,
     power_sum_series,
     power_sums_from_chern,
+    series,
     verify,
 )
 from ellgenus.verify import (
@@ -81,6 +82,41 @@ def test_corrupted_root_is_caught_with_counterexample():
     failures = check_derived_vs_closed(("D5",), 3, 3, specs={"D5": bad})
     assert len(failures) == 1
     assert "first mismatch at weight 1, y^0" in failures[0]
+
+
+def _d5_integrand_failures(failures):
+    return [line for line in failures if line.startswith("D5 integrand: mismatch")]
+
+
+def test_d5_oracle_catches_a_corrupted_residue_jet(monkeypatch):
+    # one jet numerator of the first pole off by one: the residues of the
+    # unread integrand disagree with the derivative formula on its read
+    real = series._poles
+
+    def corrupted(exps):
+        ((m, jet), *rest), den = real(exps)
+        return ((m, (jet[0] + 1,) + jet[1:]), *rest), den
+
+    monkeypatch.setattr(series, "_poles", corrupted)
+    failures = check_d5_derivative_oracle()
+    assert len(_d5_integrand_failures(failures)) == 1 == len(failures)
+
+
+def test_d5_oracle_catches_a_group_sheared_by_the_wrong_slope(monkeypatch):
+    # the first slope group of the read integrand sheared by s + 1
+    real, calls = series._shear, []
+
+    def corrupted(g, s):
+        calls.append(s)
+        return real(g, s + 1 if len(calls) == 1 else s)
+
+    monkeypatch.setattr(series, "_shear", corrupted)
+    failures = check_d5_derivative_oracle()
+    assert calls and len(_d5_integrand_failures(failures)) == 1 == len(failures)
+
+
+def test_d5_oracle_passes_on_the_engine():
+    assert check_d5_derivative_oracle() == []
 
 
 def test_first_mismatch_reports_lowest_block():
