@@ -18,8 +18,9 @@ With z = y/(1+y), 1 + y e^{-t} = (1+y)(1 - z(1 - e^{-t})), so
 
 and each z comes with a factor of weight >= 1: a weight-k term has z-degree
 <= k.  The integrand's products run in z, on folded ints of at most k + 1
-slots at weight k, and only Q is mapped back to y, z^n = y^n (1+y)^{-n}
-(which starts at y^n, so truncating at z^qmax is exact).
+slots at weight k, and only Q is mapped back to y with the prefactor,
+(1+y)^{fiber_dim} z^n = y^n (1+y)^{fiber_dim-n} (which starts at y^n, so
+truncating at z^qmax is exact).
 
 For the catalog families Q also has a closed form in U = exp(-L); its y^n
 coefficients are genuine polynomials P_n(U), tabulated exactly here.
@@ -35,7 +36,7 @@ from functools import reduce
 from math import comb
 from operator import index, mul
 
-from .charclasses import RootForm, hirzebruch_class, lambda_y_factor, todd_factor
+from .charclasses import RootForm, hirzebruch_class, todd_factor
 from .charclasses import _exp_sum, _local_factor, _normal_factor  # closed forms
 from .poly import Poly, _convolve
 from .pushforward import BundleSpec, pushforward
@@ -139,11 +140,11 @@ def fiber_integrand(spec, wmax, qmax):
     and each group is the product of its factors at the roots' H-parts, a
     series in H alone that depends only on the group's F-root count and
     N-root H-coefficients: a memoized ``_slope_group``, a polynomial in
-    z = y/(1+y).  The groups' sheared product and the prefactor
-    (1+y)^fiber_dim are returned deferred (``series._Product``): the
-    product is built on its first read, mapped to y and times the
-    prefactor, while ``pushforward`` of it before then runs by residues at
-    the bundle's exponents on the groups, and unfolds only Q.
+    z = y/(1+y).  The groups' sheared product times (1+y)^fiber_dim is
+    returned deferred (``series._Product``): the product is built on its
+    first read, while ``pushforward`` of it before then runs by residues at
+    the bundle's exponents on the groups.  Either ends in one map of z^k to
+    y^k (1+y)^(fiber_dim-k) and one unfold.
     """
     if wmax < len(spec.n_roots):
         raise ValueError(
@@ -162,8 +163,7 @@ def fiber_integrand(spec, wmax, qmax):
         s: _slope_group((count, tuple(sorted(normals))), wmax, qmax)
         for s, (count, normals) in keys.items()
     }
-    prefactor = lambda_y_factor(RootForm(0, 0), wmax, qmax) ** spec.fiber_dim
-    return _Product(groups, wmax, qmax, prefactor)
+    return _Product(groups, wmax, qmax, spec.fiber_dim)
 
 
 def derived_q(spec, wmax=DEFAULT_WMAX, qmax=DEFAULT_QMAX):

@@ -47,10 +47,10 @@ only the ``terms`` view builds a ``Fraction`` per term:
   bundle's exponents (``_residues``): at each pole the groups map by rows
   to jets in eps = H/L + m, held in the H field, and multiply with no shear
   and no dense (H, L) product; only the sum of the poles is unfolded.  With
-  a prefactor its groups are polynomials in z = y/(1+y), and the product or
-  pushforward ends in the map z^k -> y^k (1+y)^-k on the folded ints
-  (``_to_y``), whose slots grow by the bits of the map's largest column
-  sum; the prefactor then multiplies the result.
+  a fiber dimension f its groups are polynomials in z = y/(1+y), and the
+  product or pushforward ends in one map of the folded ints, z^k -> (1+y)^f
+  z^k = y^k (1+y)^(f-k) (``_to_y``), whose slots grow by the bits of the
+  map's largest column sum, and one unfold.
 - ``_unpack`` decodes for the ``terms`` view only: each key into a canonical
   monomial tuple and each numerator into one ``Fraction``.
 
@@ -232,7 +232,7 @@ class WSeries:
     :func:`mono_from_dict` would not return unchanged.
     """
 
-    __slots__ = ("wmax", "qmax", "_packed", "_terms", "_split", "_groups", "_prefactor")
+    __slots__ = ("wmax", "qmax", "_packed", "_terms", "_split", "_groups", "_fiber_dim")
 
     def __new__(cls, wmax, qmax, terms=None):
         wmax, qmax = _truncation_orders(wmax, qmax)
@@ -612,40 +612,37 @@ class _Product(WSeries):
     (``_pushforward``) and reads nothing.  The ``__getattr__`` lives here,
     not on ``WSeries``, whose every attribute read it would slow.
 
-    With a ``prefactor``, free of H, the groups are polynomials in
-    z = y/(1+y), held in the y slots, and the value is the prefactor times
-    the product mapped to y (``_to_y``)."""
+    With a ``fiber_dim`` f, the groups are polynomials in z = y/(1+y), held
+    in the y slots, and the value is (1+y)^f times the product, mapped to y
+    with that factor in one map of the folded ints (``_to_y``)."""
 
     __slots__ = ()
 
-    def __new__(cls, groups, wmax, qmax, prefactor=None):
+    def __new__(cls, groups, wmax, qmax, fiber_dim=None):
         series = object.__new__(cls)
         for name, value in (("wmax", wmax), ("qmax", qmax), ("_terms", None),
                             ("_split", None), ("_groups", groups),
-                            ("_prefactor", prefactor)):
+                            ("_fiber_dim", fiber_dim)):
             object.__setattr__(series, name, value)
         return series
 
     def _pushforward(self, exps):
         """pi_* of the product along P(sum_j L^(m_j)), m_j in ``exps``, at
         the width of (wmax, qmax), by residues (``_residues``)."""
-        z = self._prefactor is not None
-        series = _residues(self._groups, self.wmax, self.qmax, exps, in_z=z)
-        return series * self._prefactor if z else series
+        return _residues(self._groups, self.wmax, self.qmax, exps, self._fiber_dim)
 
     def __getattr__(self, name):
         if name != "_packed":
             raise AttributeError(name)
         product = reduce(mul, (_shear(g, s) for s, g in self._groups.items()))
-        if self._prefactor is not None:  # fold the product to map z to y
+        if self._fiber_dim is not None:  # fold the product to map z to y
             nums, den = product._packed
             slot = _bits(nums) + 1
             folded = _fold(nums, _width(self.wmax, self.qmax), slot)
-            product = _to_y(folded, slot, self.wmax, self.qmax, den, True)
-            product = product * self._prefactor
+            product = _to_y(folded, slot, self.wmax, self.qmax, den, self._fiber_dim)
         object.__setattr__(self, "_packed", product._packed)
         object.__setattr__(self, "_groups", None)
-        object.__setattr__(self, "_prefactor", None)
+        object.__setattr__(self, "_fiber_dim", None)
         object.__setattr__(self, "__class__", WSeries)
         return self._packed
 
@@ -755,7 +752,7 @@ def _shear(series, s):
     return series._map_powers("H", rows) * Fraction(1, r**top)
 
 
-def _residues(groups, wmax, qmax, exps, in_z=False):
+def _residues(groups, wmax, qmax, exps, fiber_dim=None):
     """pi_* of the product of the series ``groups[s]`` at H -> H + s*L
     (``_shear``) along P(E), E = sum_i L^(m_i) for m_i in ``exps``,
     at the width of (wmax, qmax): the Segre map, as a sum of residues.
@@ -773,7 +770,7 @@ def _residues(groups, wmax, qmax, exps, in_z=False):
     residues of such a key sum to those of a polynomial in u of degree
     <= A < r - 1 over one of degree r, which is 0.  The groups are folded
     once, at one slot for every pole, and the poles sum into one folded
-    series, unfolded once by ``_to_y``.
+    series, mapped and unfolded once by ``_to_y``.
 
     The slot: a group's numerators are below 2^b and its mapped ones below
     2^(b + x), x the bits of its rows.  A mapped group has at most mu terms
@@ -815,7 +812,7 @@ def _residues(groups, wmax, qmax, exps, in_z=False):
                 acc, mapped, wmax, mask, slot * (qmax + 1), len(jet), hshift
             )
         _read_pole(acc, jet, len(exps) - 1, width, out)
-    return _to_y(out, slot, wmax, qmax, den, in_z)
+    return _to_y(out, slot, wmax, qmax, den, fiber_dim)
 
 
 def _read_pole(acc, jet, low, width, out):
@@ -872,40 +869,45 @@ def _pole_rows(p, r, top, mu, width):
     return rows, largest.bit_length() + (top + 1).bit_length()
 
 
-def _to_y(folded, slot, wmax, qmax, den, in_z):
-    """The series of a folded one over ``den``, its slots read as powers
-    of z = y/(1+y) and mapped to y first when ``in_z`` (``_z_rows``), into
-    slots as much wider as that map's column sums need (``_map_slots``)."""
-    if in_z:
-        extra = _z_rows(qmax)[1]
-        folded = _map_slots(folded, slot, _z_images(qmax, slot + extra))
+def _to_y(folded, slot, wmax, qmax, den, fiber_dim):
+    """The series of a folded one over ``den``.  Unless ``fiber_dim`` is
+    None, its slots are powers of z = y/(1+y), and it is first mapped to y
+    times (1+y)^fiber_dim (``_z_rows``), into slots as much wider as that
+    map's column sums need (``_map_slots``)."""
+    if fiber_dim is not None:
+        extra = _z_rows(qmax, fiber_dim)[1]
+        folded = _map_slots(folded, slot, _z_images(qmax, fiber_dim, slot + extra))
         slot += extra
     packed = _unfold(folded, _width(wmax, qmax), slot, qmax, den)
     return WSeries._trusted(wmax, qmax, packed)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _z_rows(qmax):
-    """The rows of z^k = y^k (1+y)^-k = sum_j (-1)^(j-k) C(j-1, k-1) y^j for
-    k = 0..qmax (z^0 = 1), as (y-degree j <= qmax, int) entries, and the bits
-    they add to a slot.  Output slot j sums digits below 2^(slot-1) times the
-    entries of column j, whose absolute values sum to C (2^(j-1) for j >= 1),
-    so it stays below 2^(slot-1) * 2^((C-1).bit_length()) for the largest C."""
-    rows = [((0, 1),)] + [
-        tuple((j, (-1) ** (j - k) * comb(j - 1, k - 1)) for j in range(k, qmax + 1))
-        for k in range(1, qmax + 1)
-    ]
+def _z_rows(qmax, f):
+    """The rows of (1+y)^f z^k = y^k (1+y)^(f-k) = sum_j C(f-k, j-k) y^j for
+    k = 0..qmax, C the generalized binomial (for n < 0, C(n, i) = (-1)^i
+    C(i-n-1, i)), as (y-degree j <= qmax, int) entries, and the bits they
+    add to a slot.  Output slot j sums digits below 2^(slot-1) times the
+    entries of column j, whose absolute values sum to S, so it stays below
+    2^(slot-1) * 2^((S-1).bit_length()) for the largest S."""
+    rows = tuple(
+        tuple((j, comb(f - k, j - k)) for j in range(k, min(f, qmax) + 1))
+        if k <= f
+        else tuple((j, (-1) ** (j - k) * comb(j - f - 1, j - k))
+                   for j in range(k, qmax + 1))
+        for k in range(qmax + 1)
+    )
     columns = [0] * (qmax + 1)
     for row in rows:
         for j, c in row:
             columns[j] += abs(c)
-    return tuple(rows), (max(columns) - 1).bit_length()
+    return rows, (max(columns) - 1).bit_length()
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _z_images(qmax, out):
-    """The rows of ``_z_rows(qmax)``, each folded into slots of width ``out``."""
-    return tuple(sum(c << out * j for j, c in row) for row in _z_rows(qmax)[0])
+def _z_images(qmax, f, out):
+    """The rows of ``_z_rows(qmax, f)``, each folded into slots of width ``out``."""
+    return tuple(sum(c << out * j for j, c in row) for row in _z_rows(qmax, f)[0])
 
 
 def _map_slots(folded, slot, images):

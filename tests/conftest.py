@@ -1,6 +1,6 @@
 """Test-suite settings: one deterministic, bounded hypothesis profile, and
-empty series memos (every ``series._top_memo`` of the loaded library, found
-as ``tools/bench_pairs.py`` finds them for its cold passes) at the start of
+empty caches (every cache of the loaded library, emptied as
+``tools/bench_pairs.py`` empties them for its cold passes) at the start of
 every test."""
 
 import importlib.util
@@ -23,6 +23,5 @@ _spec.loader.exec_module(_bench_pairs)
 
 @pytest.fixture(autouse=True)
 def _cold_memos():
-    """No test can pass on a value that an earlier test left in a memo."""
-    for memo in _bench_pairs.top_memos():
-        memo.cache_clear()
+    """No test can pass on a value that an earlier test left in a cache."""
+    _bench_pairs.clear_caches()

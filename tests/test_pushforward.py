@@ -23,6 +23,7 @@ from ellgenus import (
 from ellgenus.pushforward import _segre_numbers
 from helpers import (
     random_series,
+    reference_fiber_integrand,
     reference_pushforward,
     reference_segre_series,
     reference_term_pushforward,
@@ -180,6 +181,41 @@ def test_pushforward_of_the_packed_integrand_equals_the_term_loop(case):
     want = reference_term_pushforward(copy, bundle)
     assert got == want
     assert pushforward(copy, bundle) == want
+
+
+@st.composite
+def _specs_by_fiber_dim(draw):
+    """A spec shaped like those of ``_integrands``, of fiber dimension 0-3
+    and least bundle exponent 0, as ``derived_q`` leaves every bundle, and
+    its orders."""
+    exps = [0] + draw(st.lists(st.integers(0, 3), max_size=4))
+    fiber_dim = draw(st.integers(0, min(3, len(exps) - 1)))
+    n_roots = draw(
+        st.lists(
+            st.tuples(st.integers(1, 3), st.integers(-3, 6)),
+            min_size=len(exps) - 1 - fiber_dim,
+            max_size=len(exps) - 1 - fiber_dim,
+        )
+    )
+    spec = FibrationSpec(
+        name="random",
+        bundle=BundleSpec(exps),
+        n_roots=tuple(RootForm(a, b) for a, b in n_roots),
+    )
+    wmax = draw(st.integers(max(len(n_roots), len(exps) - 1), 7))
+    return spec, wmax, draw(st.integers(0, 4))
+
+
+@given(_specs_by_fiber_dim())
+def test_the_residues_of_an_unread_integrand_equal_the_y_form_oracle(case):
+    # pushed forward unread, by residues with (1+y)^fiber_dim in the map of
+    # z to y, against the integrand built in y by one product per factor and
+    # root and pushed forward one product per H-power: no z-form on that side
+    spec, wmax, qmax = case
+    out_wmax = wmax - (spec.bundle.rank - 1)
+    got = pushforward(fiber_integrand(spec, wmax, qmax), spec.bundle)
+    want = reference_fiber_integrand(spec, wmax, qmax)
+    assert got == reference_pushforward(want, spec.bundle, out_wmax)
 
 
 @pytest.mark.parametrize("family", ["D5", "E7"])

@@ -6,7 +6,7 @@ import pickle
 import random
 import textwrap
 from fractions import Fraction as F
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import assume, given
@@ -852,7 +852,7 @@ def test_the_map_of_a_deferred_product_equals_the_map_of_the_eager_one(case):
 @st.composite
 def _deferred_pushforwards(draw):
     """Slope groups in H, L, c1 and y at integer, fractional and negative
-    slopes, a prefactor in L, c1 and y or none, and a bundle of rank 1-5
+    slopes, a fiber dimension in 0..4 or none, and a bundle of rank 1-5
     whose exponents in -3..3 may repeat, at an input weight >= rank - 1."""
     exps = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=5))
     wmax = draw(st.integers(len(exps) - 1, len(exps) + 4))
@@ -860,24 +860,25 @@ def _deferred_pushforwards(draw):
     slopes = st.one_of(_slopes, st.integers(-3, 3).map(F))
     slopes = draw(st.lists(slopes, min_size=1, max_size=3, unique=True))
     groups = {s: draw(_series_at(wmax, qmax, ("L", "H", "c1"))) for s in slopes}
-    prefactor = draw(st.none() | _series_at(wmax, qmax, ("L", "c1")))
-    return groups, prefactor, BundleSpec(exps)
+    fiber_dim = draw(st.none() | st.integers(0, 4))
+    return groups, fiber_dim, BundleSpec(exps)
 
 
 @given(_deferred_pushforwards())
 def test_the_residue_pushforward_equals_the_segre_map_of_the_eager_product(case):
     # by residues at the bundle's exponents, reading nothing, against the
     # Segre rows of series inverses mapped over the Fraction terms of the
-    # pair-loop chain, taken to y and times the prefactor term by term
-    groups, prefactor, bundle = case
+    # pair-loop chain, taken to y and times (1+y)^fiber_dim term by term
+    groups, fiber_dim, bundle = case
     (wmax, qmax), = {(G.wmax, G.qmax) for G in groups.values()}
-    deferred = _Product(groups, wmax, qmax, prefactor)
+    deferred = _Product(groups, wmax, qmax, fiber_dim)
     got = pushforward(deferred, bundle)
     assert type(deferred) is _Product
     packed = {s: G._packed for s, G in groups.items()}
     packed = pair_loop_sheared_product(packed, wmax, qmax)
     eager = WSeries._trusted(wmax, qmax, packed)
-    if prefactor is not None:
+    if fiber_dim is not None:
+        prefactor = _one_plus_y_to(fiber_dim, wmax, qmax)
         eager = reference_mul(reference_z_to_y(eager), prefactor)
     r, out_wmax = bundle.rank, wmax - bundle.rank + 1
     segre = reference_segre_series(bundle, out_wmax)
@@ -1010,6 +1011,31 @@ def test_slot_budget_negative_controls(monkeypatch):
 
 # -- the map from z = y/(1+y) to y at its edge ---------------------------------------
 
+
+def _one_plus_y_to(f, wmax, qmax):
+    """(1+y)^f from its binomial coefficients, with no series product."""
+    return WSeries.from_y_poly([comb(f, j) for j in range(f + 1)], wmax, qmax)
+
+
+@pytest.mark.parametrize("fiber_dim", range(6))
+def test_the_map_to_y_rows_are_z_powers_times_one_plus_y_to_the_fiber_dim(fiber_dim):
+    # each row k of the map, y^k (1+y)^(f-k) by the generalized binomial,
+    # against z^k mapped to y by the Fraction term loop times (1+y)^f; its
+    # bits are those of the largest column sum of absolute entries
+    for qmax in range(13):
+        rows, bits = series_module._z_rows(qmax, fiber_dim)
+        assert len(rows) == qmax + 1
+        prefactor = _one_plus_y_to(fiber_dim, 0, qmax)
+        columns = [0] * (qmax + 1)
+        for k, row in enumerate(rows):
+            z_k = reference_z_to_y(WSeries(0, qmax, {((), k): 1}))
+            want = reference_mul(z_k, prefactor)
+            assert row == tuple((j, int(c)) for (_m, j), c in sorted(want.terms.items()))
+            for j, c in row:
+                columns[j] += abs(c)
+        assert bits == (max(columns) - 1).bit_length()
+
+
 _Z_CASES = [(qmax, fiber_dim) for qmax in (0, 1, 2, 5, 8) for fiber_dim in range(4)]
 # Segre numbers 1, 16, 193, ...: one sign, so the Segre map's sums do not
 # cancel either
@@ -1036,7 +1062,7 @@ def _z_products(wmax, qmax, fiber_dim, c):
     slope sets of ``_EDGE_SLOPES``, with same-sign and with alternating
     slots.  The oracle maps the pair-loop chain to y term by term and
     multiplies it by (1+y)^fiber_dim."""
-    prefactor = WSeries.from_y_poly([1, 1], wmax, qmax) ** fiber_dim
+    prefactor = _one_plus_y_to(fiber_dim, wmax, qmax)
     out = []
     for alternating in (True, False):
         G = _z_support(wmax, qmax, c, alternating)
@@ -1047,8 +1073,8 @@ def _z_products(wmax, qmax, fiber_dim, c):
             )
             chain = reference_z_to_y(WSeries._trusted(wmax, qmax, packed))
             want = reference_mul(chain, prefactor)
-            out.append((_Product(groups, wmax, qmax, prefactor), want))
-            out.append((pushforward(_Product(groups, wmax, qmax, prefactor), _Z_BUNDLE),
+            out.append((_Product(groups, wmax, qmax, fiber_dim), want))
+            out.append((pushforward(_Product(groups, wmax, qmax, fiber_dim), _Z_BUNDLE),
                         pushforward(want, _Z_BUNDLE)))
     return out
 
@@ -1063,7 +1089,7 @@ def test_the_map_to_y_holds_its_slots_at_worst_case_magnitudes(qmax, fiber_dim):
 def _narrower_map_to_y(monkeypatch, bits):
     rows = series_module._z_rows
     monkeypatch.setattr(
-        series_module, "_z_rows", lambda q: (rows(q)[0], rows(q)[1] - bits)
+        series_module, "_z_rows", lambda q, f: (rows(q, f)[0], rows(q, f)[1] - bits)
     )
 
 
@@ -1072,17 +1098,20 @@ def test_the_map_to_y_slot_negative_control(monkeypatch):
     # to y reaches its column sums: one bit less gives a wrong read at
     # qmax 8 (the case above passes at full width).  Pushed forward by
     # residues, whose slot keeps six bits of slack here, the sums stay
-    # below the budget by as much: the pushforward is wrong only with all
-    # seven of the map's bits taken away, and right with six
-    with monkeypatch.context() as mp:
-        _narrower_map_to_y(mp, 1)
-        read = _z_products(3, 8, 0, 2**40 - 1)[0]
-        assert read[0] != read[1]
-    for bits, wrong in ((6, False), (7, True)):
+    # below the budget by as much: the pushforward is wrong with seven
+    # bits taken away and right with six, at fiber_dim 0, whose map adds
+    # 7 bits, as at fiber_dim 2, whose map adds 5
+    for fiber_dim in (0, 2):
         with monkeypatch.context() as mp:
-            _narrower_map_to_y(mp, bits)
-            pushed = _z_products(3, 8, 0, 2**40 - 1)[1]
-            assert (pushed[0] != pushed[1]) is wrong
+            _narrower_map_to_y(mp, 1)
+            read = _z_products(3, 8, fiber_dim, 2**40 - 1)[0]
+            assert read[0] != read[1]
+        for bits, wrong in ((6, False), (7, True)):
+            with monkeypatch.context() as mp:
+                _narrower_map_to_y(mp, bits)
+                pushed = _z_products(3, 8, fiber_dim, 2**40 - 1)[1]
+                assert (pushed[0] != pushed[1]) is wrong
+    assert [series_module._z_rows(8, f)[1] for f in (0, 2)] == [7, 5]
 
 
 @st.composite
@@ -1144,14 +1173,14 @@ def test_mul_and_shift_h_run_on_the_packed_kernels(monkeypatch):
     H2 = _mono_series(4, 2, H=2)
     sheared = _shear(H2, F(1, 2))
     assert len(muls) == 1  # a shear multiplies nothing
-    # three groups, read: three shears and two products; with a prefactor,
-    # one product more, after the map to y
+    # three groups, read: three shears and two products; in z, two groups
+    # make one product, and (1+y)^1 rides on the map to y
     chain = _Product({F(1, 2): H2, F(-1): v["H"], F(3): v["H"] + v["y"]}, 4, 2)
     chain._packed
     assert len(muls) == 3
-    in_z = _Product({F(1, 2): H2, F(3): v["H"] + v["y"]}, 4, 2, 1 + v["y"])
+    in_z = _Product({F(1, 2): H2, F(3): v["H"] + v["y"]}, 4, 2, 1)
     in_z._packed
-    assert len(muls) == 5 and unpacks == []
+    assert len(muls) == 4 and unpacks == []
     assert product == H2 + v["H"] * v["y"] - v["H"] - v["y"]
     assert sheared == (v["H"] + v["L"] * F(1, 2)) ** 2
     shears = [v["H"] + v["L"] * s for s in (F(1, 2), F(-1), F(3))]

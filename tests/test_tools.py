@@ -1,7 +1,7 @@
 """tools/bench_pairs.py: a run with a wrong output stops the tool, the
 output file counts the program lines of both checkouts, each mode keeps the
-other's entry of the file, and the in-process passes resolve a slower tree
-but claim no gain between identical ones."""
+other's entry of the file, the in-process passes start from empty caches,
+and they resolve a slower tree but claim no gain between identical ones."""
 
 import importlib.util
 import json
@@ -9,6 +9,8 @@ import shutil
 from pathlib import Path
 
 import pytest
+
+from ellgenus import CATALOG, BaseSpec, chi_q, derived_q, fiber_integrand, series
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -117,3 +119,19 @@ def test_a_pass_with_a_wrong_output_stops_the_passes(tmp_path, monkeypatch, caps
     assert _derive_only(monkeypatch).main(argv) == 1
     assert "the change pass of derive seed 1: 24 wrong outputs" in capsys.readouterr().err
     assert not (tmp_path / "pairs.json").exists()
+
+
+def test_a_pass_starts_with_every_cache_empty():
+    # the worker's clear empties the top memos and the functools row caches
+    # alike, so an in-process pass builds every row as a fresh process does
+    tool = _bench_pairs()
+    derived_q("E7", 6, 7)
+    fiber_integrand(CATALOG["D5"], 6, 4).terms
+    chi_q("E8", BaseSpec.projective_space(2, 3), 1)
+    found = tool.caches()
+    rows = {series._z_rows, series._z_images, series._poles, series._pole_rows}
+    assert rows <= found and any(hasattr(c, "tops") for c in found)
+    assert all(c.cache_info().currsize for c in rows)
+    tool.clear_caches()
+    assert all(c.cache_info().currsize == 0 for c in found)
+    assert all(not c.tops for c in found if hasattr(c, "tops"))

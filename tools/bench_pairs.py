@@ -27,9 +27,11 @@ times in-process passes of the same workloads instead, which resolve gains
 of a few percent that a 25-second run cannot.  One worker process per
 checkout imports its ``ellgenus`` and its ``bench/workloads.py``.  Pass i of
 a workload sends the request list of seed i to both workers, the parent
-first when i is odd; a worker clears every series memo (each
-``series._top_memo`` that ``top_memos`` finds; the tests' ``_cold_memos``
-clears the same ones), times the requests and then checks their outputs.
+first when i is odd; a worker empties every cache of the loaded
+``ellgenus`` modules (``clear_caches``: each ``series._top_memo`` and each
+``functools`` cache, so a pass builds its rows as a fresh process does; the
+tests' ``_cold_memos`` calls the same function), times the requests and then
+checks their outputs.
 The result goes under the key ``passes`` of the output file and leaves its
 other keys as they are: per workload the pass seconds (``pass_s``) of every
 pair and their summary, with the same wins and gain rule as above.
@@ -108,15 +110,22 @@ def summarise(pairs, better):
     return out
 
 
-def top_memos():
-    """Every ``series._top_memo`` of the loaded ``ellgenus`` modules."""
+def caches():
+    """Every cache of the loaded ``ellgenus`` modules: each value with a
+    ``cache_clear``, a ``series._top_memo`` or a ``functools`` cache."""
     return {
         value
         for name, module in list(sys.modules.items())
         if name.startswith("ellgenus.")
         for value in vars(module).values()
-        if hasattr(value, "tops") and hasattr(value, "cache_clear")
+        if hasattr(value, "cache_clear")
     }
+
+
+def clear_caches():
+    """Empty every cache of ``caches``, as a fresh process starts."""
+    for cache in caches():
+        cache.cache_clear()
 
 
 def worker():
@@ -133,8 +142,7 @@ def worker():
             workload, seed = line.split()
             reqs = workloads.generate(workload, int(seed), SECONDS, workdir)
             inputs = workloads.build_derive_inputs(reqs) if workload == "derive" else None
-            for memo in top_memos():
-                memo.cache_clear()
+            clear_caches()
             start = perf_counter()
             outputs = [workloads.execute(req, inputs) for req in reqs]
             seconds = perf_counter() - start
