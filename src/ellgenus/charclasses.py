@@ -190,10 +190,10 @@ def chi_y_log_coefficients(kmax):
         raise ValueError("kmax must be >= 1")
     todd = todd_factor(RootForm(1, 0), kmax, kmax).reweight_by_one_plus_y()
     logs = (todd - WSeries(kmax, kmax, {((("H", 1),), 1): 1})).log()
-    return [
-        Poly([logs.get((("H", k),), q) for q in range(kmax + 1)])
-        for k in range(1, kmax + 1)
-    ]
+    den, rows = logs._packed[1], [[0] * (kmax + 1) for _ in range(kmax + 1)]
+    for (k, q), ((_key, _h, n),) in logs._by_slice().items():  # n H^k y^q
+        rows[k][q] = Fraction(n, den)
+    return [Poly(row) for row in rows[1:]]
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,13 @@ only the ``terms`` view builds a ``Fraction`` per term:
 - ``_pack`` is the one encoder: it packs int numerators keyed by (monomial,
   y-degree) into int keys of bit-fields of equal width: field 0 holds the
   y-degree, field 1 the weight, field 2 L, field 3 H and field 3+i ci.  The
-  width is ``max(wmax, qmax).bit_length()`` bits (at least 1), so adding two
-  keys adds the y-degrees, the weights and every exponent at once.  No field
-  can carry into the next: a kept pair has q1 + q2 <= qmax and w1 + w2 <=
-  wmax, and every variable has weight >= 1, so no exponent exceeds wmax.
-  The constructor and a ``truncate`` that narrows the width pack int numerators.
+  width is ``max(wmax, qmax, 15).bit_length()`` bits, so every order below
+  16 packs at one width of 4 bits.  Adding two keys adds the y-degrees, the
+  weights and every exponent at once, and no field can carry into the next:
+  a kept pair has q1 + q2 <= qmax and w1 + w2 <= wmax, and every variable
+  has weight >= 1, so no exponent exceeds wmax.  Only the constructor packs
+  int numerators: ``truncate`` filters the keys, and at a narrower width
+  moves each field of the kept ones to it (``_rewidth``).
 - ``_packed_mul`` folds each monomial's y-polynomial into one int, the sum
   of n_q 2^(B*q) (``_fold``), so one int product of two monomials is their
   y-convolution, done in C; ``_unfold`` reads the slots 0..qmax back as
@@ -359,7 +361,8 @@ class WSeries:
 
     def truncate(self, wmax=None, qmax=None):
         """Re-truncate to (possibly) smaller orders, packed at their width:
-        at an unchanged width the kept keys are the old ones."""
+        the kept keys are the old ones, each field moved to the new width
+        when it is narrower; no monomial is decoded."""
         w, q = _truncation_orders(
             self.wmax if wmax is None else wmax, self.qmax if qmax is None else qmax
         )
@@ -368,19 +371,14 @@ class WSeries:
                 "cannot extend truncation (%d, %d) to (%d, %d)"
                 % (self.wmax, self.qmax, w, q)
             )
-        (nums, den), width = self._packed, _width(w, q)
-        if width != _width(self.wmax, self.qmax):
-            split = self._by_slice().items()
-            kept = {
-                (m, j): n for (k, j), r in split if k <= w and j <= q for _, m, n in r
-            }
-            return WSeries._trusted(w, q, _reduced(_pack(kept, w, q), den))
-        mask = (1 << width) - 1
-        kept = {
-            k: n for k, n in nums.items() if k >> width & mask <= w and k & mask <= q
-        }
-        packed = self._packed if len(kept) == len(nums) else _reduced(kept, den)
-        return WSeries._trusted(w, q, packed)
+        (nums, den), old, new = self._packed, _width(self.wmax, self.qmax), _width(w, q)
+        mask = (1 << old) - 1
+        kept = {k: n for k, n in nums.items() if k >> old & mask <= w and k & mask <= q}
+        if new != old:  # each kept field fits the new width: move it there
+            kept = {_rewidth(k, old, new): n for k, n in kept.items()}
+        elif len(kept) == len(nums):
+            return WSeries._trusted(w, q, self._packed)
+        return WSeries._trusted(w, q, _reduced(kept, den))
 
     # -- ring operations ----------------------------------------------
 
@@ -509,15 +507,17 @@ class WSeries:
                 acc[key + j] += n * r
         return self._born(_reduced(acc, den * rden))
 
-    def _map_powers(self, var, rows):
+    def _map_powers(self, var, rows, den=1):
         """Each term of ``var``-degree e times the sum of the (monomial, int)
-        entries of ``rows[e]``; an entry's negative exponents divide the term."""
+        entries of ``rows[e]``, over ``den``; an entry's negative exponents
+        divide the term."""
         w, q = self.wmax, self.qmax
         offsets = [_pack({(m, 0): c for m, c in row}, w, q).items() for row in rows]
         width = _width(w, q)
         shift, mask = _field(var)[0] * width, (1 << width) - 1
-        nums, den = self._packed
-        return self._born(_reduced(_map_rows(nums.items(), shift, mask, offsets), den))
+        nums, d = self._packed
+        acc = _map_rows(nums.items(), shift, mask, offsets)
+        return self._born(_reduced(acc, d * den))
 
     def diff_h(self):
         """Formal d/dH.  The weight bound is kept; callers track validity."""
@@ -693,8 +693,9 @@ def _signed_sum(parts, sep):
 
 
 def _width(wmax, qmax):
-    """Bits per field of a packed key at truncation (wmax, qmax)."""
-    return max(wmax, qmax, 1).bit_length()
+    """Bits per field of a packed key at truncation (wmax, qmax): at least
+    4, so every order below 16 packs at one width."""
+    return max(wmax, qmax, 15).bit_length()
 
 
 def _pack(nums, wmax, qmax):
@@ -715,6 +716,14 @@ def _pack(nums, wmax, qmax):
             key += e * u
         packed[key] = n
     return packed
+
+
+def _rewidth(key, old, new):
+    """``key`` with each of its ``old``-bit fields moved to a ``new``-bit one."""
+    out, shift, mask = 0, 0, (1 << old) - 1
+    while key:
+        out, key, shift = out | (key & mask) << shift, key >> old, shift + new
+    return out
 
 
 def _reduced(acc, den):
@@ -749,7 +758,7 @@ def _shear(series, s):
          for j in range(k + 1)]
         for k in range(top + 1)
     ]
-    return series._map_powers("H", rows) * Fraction(1, r**top)
+    return series._map_powers("H", rows, r**top)
 
 
 def _residues(groups, wmax, qmax, exps, fiber_dim=None):

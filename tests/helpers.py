@@ -692,8 +692,9 @@ def _field(name):
 
 
 def _width(wmax, qmax):
-    """Bits per field of a packed key at truncation (wmax, qmax)."""
-    return max(wmax, qmax, 1).bit_length()
+    """Bits per field of a packed key at truncation (wmax, qmax): at least
+    4, so every order below 16 packs at one width."""
+    return max(wmax, qmax, 15).bit_length()
 
 
 def _reduced(acc, den):

@@ -206,12 +206,23 @@ def test_an_unread_integrand_is_its_groups_sheared_product():
     assert type(D) is WSeries
 
 
+def test_a_read_multiplies_its_sheared_groups_and_scales_nothing(monkeypatch):
+    # each shear puts its r^top under the denominator in the reduction of its
+    # map, so a read of E7's three slope groups makes their two products and
+    # no product by a scalar
+    D = fiber_integrand(CATALOG["E7"], 9, 7)
+    assert len(D._groups) == 3
+    calls = count_calls(monkeypatch, WSeries, "__mul__")
+    D.terms
+    assert len(calls) == 2 and all(type(b) is WSeries for _a, b in calls)
+
+
 _READS = {
     "copy": copy.copy,
     "deepcopy": copy.deepcopy,
     "pickle": lambda D: pickle.loads(pickle.dumps(D)),
     "repr": repr,
-    "truncate": lambda D: D.truncate(5, 3),  # from 4-bit fields to 3
+    "truncate": lambda D: D.truncate(5, 3),  # at one width: it filters the keys
     "square": lambda D: D * D,
     "terms": lambda D: dict(D.terms),
 }
@@ -232,16 +243,16 @@ def test_the_integrand_reads_the_same_before_and_after_its_first_read(family, re
 
 def _specs_and_orders():
     """(spec, integrand weight, qmax): the 72 twisted catalog specs at the
-    benchmark orders, the custom specs, and the catalog at w 4..6 with
-    qmax 7, where the output fields narrow from 4 bits to 3."""
+    benchmark orders, the custom specs, the catalog at w 4..6 with qmax 7,
+    and at w 14 with qmax 3, where the output fields narrow from 5 bits to 4."""
     rng = random.Random("deferred pushforward")
     for family in FAMILIES:
         for a in range(-2, 4):
             spec = _twisted(family, a, rng)
             for w in (7, 8, 9):
                 yield spec, w + spec.bundle.rank - 1, w + 1
-        for w in (4, 5, 6):
-            yield CATALOG[family], w + CATALOG[family].bundle.rank - 1, 7
+        for w, qmax in ((4, 7), (5, 7), (6, 7), (14, 3)):
+            yield CATALOG[family], w + CATALOG[family].bundle.rank - 1, qmax
     for exps, n_roots in _CUSTOM_SPECS:
         spec = FibrationSpec(
             name="custom",

@@ -864,3 +864,20 @@ def test_a_larger_qmax_then_a_higher_tmax_builds_at_the_join(family_or_spec):
     for series in (wide, high, low):
         want = _one_build_per_key(family_or_spec, series.wmax, series.qmax)
         assert series == want, (series.wmax, series.qmax)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_chi_series_below_its_top_filters_the_keys_of_the_top(monkeypatch, family):
+    # every order below 16 packs at one key width, so once the top is at
+    # (6, 8) each (d, d + 2) below it keeps a subset of the top's keys:
+    # no key is decoded or packed again
+    chi_series(family, 6)
+    top = genseries._chi_tops[family]
+    assert (top.wmax, top.qmax) == (6, 8)
+    packs = count_calls(monkeypatch, series_module, "_pack")
+    decodes = count_calls(monkeypatch, series_module, "_key_mono")
+    lows = [chi_series(family, d, d + 2) for d in range(1, 6)]
+    assert packs == [] and decodes == []
+    for low in lows:
+        assert set(low._packed[0]) <= set(top._packed[0])
+        assert low == _one_build_per_key(family, low.wmax, low.qmax), low.wmax

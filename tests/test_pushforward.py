@@ -220,10 +220,10 @@ def test_the_residues_of_an_unread_integrand_equal_the_y_form_oracle(case):
 
 @pytest.mark.parametrize("family", ["D5", "E7"])
 def test_pushforward_decodes_at_the_input_width(family):
-    # input weight 10 takes 4-bit fields, the output weight 7 only 3
-    D = fiber_integrand(CATALOG[family], 10, 7)
+    # input weight 17 takes 5-bit fields, the output weight 14 only 4
+    D = fiber_integrand(CATALOG[family], 17, 7)
     got = pushforward(D, CATALOG[family].bundle)
-    assert got.wmax == 7
+    assert got.wmax == 14
     assert got == reference_term_pushforward(D, CATALOG[family].bundle)
 
 

@@ -1266,7 +1266,7 @@ def _mono_series(wmax, qmax, q=0, **exps):
 
 @pytest.mark.parametrize("wmax", [1, 2, 3, 4, 7, 8, 15, 16])
 def test_kernel_exponent_at_wmax(wmax):
-    # an exponent that fills its bit-field (7 in 3 bits, 15 in 4 bits, ...)
+    # an exponent at wmax: 15 fills the 4 bits every order below 16 takes
     one = WSeries.const(1, wmax, 2)
     top = _mono_series(wmax, 2, H=wmax)
     assert top * one == top
@@ -1430,20 +1430,19 @@ def test_packed_operations_keep_their_error_classes(monkeypatch):
     assert unpacks == []  # no check read the terms
 
 
-# (orders, truncated orders): each crosses a field-width boundary (8 -> 7,
-# 16 -> 15, 4 -> 3, 2 -> 1) or truncates to (0, 0)
+# (orders, truncated orders): each crosses a field-width boundary (16 -> 15
+# or 32 -> 31, 5 bits to 4 or 6 to 5) or truncates from 5 bits to (0, 0)
 _WIDTH_EDGES = [
-    ((8, 3), (7, 3)),
     ((5, 16), (5, 15)),
-    ((4, 4), (3, 3)),
-    ((2, 2), (1, 1)),
     ((8, 16), (7, 15)),
     ((8, 16), (0, 0)),
-    ((3, 2), (0, 0)),
+    ((17, 3), (15, 3)),
+    ((32, 5), (31, 5)),
+    ((16, 16), (0, 0)),
 ]
 
 
-# (orders, truncated orders) at one field width (4, 3, 2 or 1 bits): the
+# (orders, truncated orders) at one field width, 4 bits below order 16: the
 # pushforward's cut from (w + 3, w + 1) to (w, w + 1), w 7..9, is the first
 _SAME_WIDTHS = [
     ((12, 10), (9, 10)),
@@ -1452,6 +1451,10 @@ _SAME_WIDTHS = [
     ((3, 2), (2, 2)),
     ((1, 1), (1, 0)),
     ((6, 6), (6, 6)),
+    ((8, 3), (7, 3)),
+    ((4, 4), (3, 3)),
+    ((2, 2), (1, 1)),
+    ((3, 2), (0, 0)),
 ]
 
 
@@ -1464,9 +1467,8 @@ def test_truncate_equals_a_term_filter(orders, cut, data):
         unpacks = count_calls(mp, series_module, "_unpack")
         decodes = count_calls(mp, series_module, "_key_mono")
         got = a.truncate(w, q)  # before any read of a's terms builds the view
-        assert (got.wmax, got.qmax) == cut and unpacks == []
-        if (orders, cut) in _SAME_WIDTHS:  # the kept keys are the old ones
-            assert decodes == []
+        # the kept keys are the old ones, or each field moved to the new width
+        assert (got.wmax, got.qmax) == cut and unpacks == [] and decodes == []
     want = {
         (m, j): c
         for (m, j), c in dict_terms(a).items()
@@ -1527,8 +1529,8 @@ _GRADED_VARS = ("L", "H", "c1", "c2")
 
 @st.composite
 def _graded_operands(draw):
-    # orders 4..7 have fields of 3 bits, where two weights or two y-degrees
-    # can sum past the field; a has weight-0 y terms, so the unit has them too
+    # a has weight-0 y terms, so the unit has them too; sums past the key
+    # field are in ``_carrying_operands``
     wmax, qmax = draw(st.integers(0, 7)), draw(st.integers(0, 7))
     a = draw(_series_at(wmax, qmax, _GRADED_VARS))
     return a, a - a.weight_component(0)
@@ -1544,13 +1546,13 @@ def test_graded_kernel_equals_the_taylor_and_newton_loops(operands, c):
 
 
 def _carrying_operands():
-    """Series at (4, 4), 3-bit fields, whose products sum two y-degrees or
-    two weights to 8, one past the field: (exp input, log input, unit)."""
-    v = S(4, 4)
-    y4, L2 = v["y"] ** 4, v["L"] ** 2
-    positive = v["L"] * y4 + F(2, 3) * v["H"] * v["y"] ** 3 + L2 * v["y"]
-    unit = 1 + y4 - F(1, 2) * v["y"] ** 3 + WSeries.var("c2", 4, 4) * v["y"]
-    return positive, 1 + positive - 3 * L2 * L2, unit
+    """Series at (8, 8), 4-bit fields, whose products sum two y-degrees or
+    two weights to 16, one past the field: (exp input, log input, unit)."""
+    v = S(8, 8)
+    y8, L4 = v["y"] ** 8, v["L"] ** 4
+    positive = v["L"] * y8 + F(2, 3) * v["H"] * v["y"] ** 7 + L4 * v["y"]
+    unit = 1 + y8 - F(1, 2) * v["y"] ** 7 + WSeries.var("c4", 8, 8) * v["y"]
+    return positive, 1 + positive - 3 * L4 * L4, unit
 
 
 def test_graded_kernel_at_sums_past_the_key_field():
@@ -1558,7 +1560,7 @@ def test_graded_kernel_at_sums_past_the_key_field():
     assert positive.exp() == reference_exp(positive)
     assert one_plus.log() == reference_log(one_plus)
     assert unit.inverse() == reference_inverse(unit)
-    assert (1 + WSeries.y(4, 4) ** 4).inverse() == 1 - WSeries.y(4, 4) ** 4
+    assert (1 + WSeries.y(8, 8) ** 8).inverse() == 1 - WSeries.y(8, 8) ** 8
 
 
 def _graded_with(check):
@@ -1579,8 +1581,8 @@ def _graded_with(check):
     ids=["after-the-add", "dropped"],
 )
 def test_graded_kernel_negative_controls(monkeypatch, check):
-    # reading the fields of the summed key lets a carry through: y^4 * y^4
-    # at 3 bits is a term of weight 1 and y-degree 0
+    # reading the fields of the summed key lets a carry through: y^8 * y^8
+    # at 4 bits is a term of weight 1 and y-degree 0
     operands = _carrying_operands()
     wants = [reference_exp(operands[0]), reference_log(operands[1])]
     wants.append(reference_inverse(operands[2]))

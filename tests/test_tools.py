@@ -1,7 +1,8 @@
 """tools/bench_pairs.py: a run with a wrong output stops the tool, the
 output file counts the program lines of both checkouts, each mode keeps the
 other's entry of the file, the in-process passes start from empty caches,
-and they resolve a slower tree but claim no gain between identical ones."""
+and they resolve a slower tree but claim no gain, in pass or in tail
+time, between identical ones."""
 
 import importlib.util
 import json
@@ -71,8 +72,8 @@ def _derive_only(monkeypatch):
 
 
 def _passes(tmp_path, monkeypatch, parent, change, passes):
-    """The ``derive`` summary of in-process passes, written beside an
-    existing entry of the output file, which they keep."""
+    """The ``derive`` summaries of in-process passes, by metric, written
+    beside an existing entry of the output file, which they keep."""
     out = tmp_path / "pairs.json"
     out.write_text(json.dumps({"src_lines": {"parent": 1, "change": 1}}))
     argv = ["--parent", str(parent), "--change", str(change), "--out", str(out),
@@ -82,12 +83,16 @@ def _passes(tmp_path, monkeypatch, parent, change, passes):
     assert doc["src_lines"] == {"parent": 1, "change": 1}
     derive = doc["passes"]["workloads"]["derive"]
     assert [p["first"] for p in derive["pairs"]][:2] == ["parent", "change"]
-    return derive["summary"]["pass_s"]
+    assert all(set(p[s]["metrics"]) == {"pass_s", "tail_s"}
+               for p in derive["pairs"] for s in ("parent", "change"))
+    return derive["summary"]
 
 
 def test_two_identical_trees_claim_no_gain(tmp_path, monkeypatch):
-    summary = _passes(tmp_path, monkeypatch, ROOT, ROOT, 20)
-    assert summary["pairs"] == 20 and summary["gain"] is False
+    summaries = _passes(tmp_path, monkeypatch, ROOT, ROOT, 20)
+    for name in ("pass_s", "tail_s"):
+        summary = summaries[name]
+        assert summary["pairs"] == 20 and summary["gain"] is False, name
 
 
 def _edited_tree(tmp_path, old, new):
@@ -107,7 +112,7 @@ def test_a_tree_with_a_delay_in_derived_q_is_slower(tmp_path, monkeypatch):
     # 20 ms per request, 24 requests a pass: far beyond the spread of a pass
     head = "def derived_q(spec, wmax=DEFAULT_WMAX, qmax=DEFAULT_QMAX):\n"
     slow = _edited_tree(tmp_path, head, head + "    __import__('time').sleep(0.02)\n")
-    summary = _passes(tmp_path, monkeypatch, slow, ROOT, 3)
+    summary = _passes(tmp_path, monkeypatch, slow, ROOT, 3)["pass_s"]
     assert summary["change_wins"] == 3 and summary["gain"] is True
 
 

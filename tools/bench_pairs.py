@@ -30,11 +30,13 @@ a workload sends the request list of seed i to both workers, the parent
 first when i is odd; a worker empties every cache of the loaded
 ``ellgenus`` modules (``clear_caches``: each ``series._top_memo`` and each
 ``functools`` cache, so a pass builds its rows as a fresh process does; the
-tests' ``_cold_memos`` calls the same function), times the requests and then
-checks their outputs.
+tests' ``_cold_memos`` calls the same function), times the pass and each
+request, and then checks their outputs.
 The result goes under the key ``passes`` of the output file and leaves its
-other keys as they are: per workload the pass seconds (``pass_s``) of every
-pair and their summary, with the same wins and gain rule as above.
+other keys as they are: per workload the pass seconds (``pass_s``) and the
+tail seconds (``tail_s``, the pass's request times read by ``bench/run.py``'s
+rule: the highest percentile with at least ten samples beyond it) of every
+pair, and their summaries, with the same wins and gain rule as above.
 """
 
 from __future__ import annotations
@@ -130,8 +132,10 @@ def clear_caches():
 
 def worker():
     """Answer each ``WORKLOAD SEED`` line on stdin with the seconds of one
-    cold pass and the number of wrong outputs, on one line of stdout."""
+    cold pass, its tail request seconds, its request count and the number of
+    wrong outputs, on one line of stdout."""
     import workloads  # bench/workloads.py of this checkout, on the path
+    from run import tail  # bench/run.py's tail rule
 
     where = os.path.dirname(os.path.abspath(workloads.ellgenus.__file__))
     if where != os.path.join(os.getcwd(), "src", "ellgenus"):
@@ -143,12 +147,15 @@ def worker():
             reqs = workloads.generate(workload, int(seed), SECONDS, workdir)
             inputs = workloads.build_derive_inputs(reqs) if workload == "derive" else None
             clear_caches()
-            start = perf_counter()
-            outputs = [workloads.execute(req, inputs) for req in reqs]
+            outputs, times, start = [], [], perf_counter()
+            for req in reqs:
+                sent = perf_counter()
+                outputs.append(workloads.execute(req, inputs))
+                times.append(perf_counter() - sent)
             seconds = perf_counter() - start
             oracle = workloads.Oracle()
             wrong = sum(1 for r, o in zip(reqs, outputs) if workloads.check(r, o, oracle))
-            print(seconds, len(reqs), wrong, flush=True)
+            print(seconds, tail(times)[0], len(reqs), wrong, flush=True)
     return 0
 
 
@@ -181,18 +188,19 @@ def in_process_passes(args):
                     proc.stdin.write("%s %d\n" % (workload, seed))
                     proc.stdin.flush()
                     reply = proc.stdout.readline().split()
-                    wrong = int(reply[2]) if len(reply) == 3 else None
+                    wrong = int(reply[3]) if len(reply) == 4 else None
                     if wrong != 0:
                         what = "no reply" if wrong is None else "%d wrong outputs" % wrong
                         print("bench_pairs: the %s pass of %s seed %d: %s"
                               % (side, workload, seed, what), file=sys.stderr)
                         return None
-                    seconds, requests, _ = reply
-                    pair[side] = {"requests": int(requests),
-                                  "metrics": {"pass_s": float(seconds)}}
+                    seconds, tail_s, requests, _ = reply
+                    pair[side] = {"requests": int(requests), "metrics": {
+                        "pass_s": float(seconds), "tail_s": float(tail_s)}}
                 pairs.append(pair)
             doc["workloads"][workload] = {
-                "pairs": pairs, "summary": summarise(pairs, {"pass_s": "lower"})
+                "pairs": pairs,
+                "summary": summarise(pairs, {"pass_s": "lower", "tail_s": "lower"}),
             }
     finally:
         for proc in workers.values():
