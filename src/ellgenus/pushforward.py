@@ -4,7 +4,8 @@ line bundle.
 Conventions: P(E) is the bundle of lines, H = c1(O(1)) with O(1) the dual
 of the tautological subbundle, so pi_* sends H^(r-1+j) to the Segre class
 s_j(E) and kills lower H-powers.  For E = sum_j L^(m_j) the total Segre
-class is prod_j (1 + m_j L)^{-1}.
+class is prod_j (1 + m_j L)^{-1}.  ``pushforward`` runs that map on every
+series as a sum of residues at the bundle's exponents (``series._residues``).
 
 A second, independent route for the rank-4 bundle (0,1,1,1) is kept as an
 oracle: strip the H^0..H^2 part, divide by H, apply (1/2) d^2/dH^2 and
@@ -14,7 +15,8 @@ evaluate at H = -L.
 from fractions import Fraction
 from operator import index
 
-from .series import TruncationDeficitError, WSeries, _Product, _Record, mono_from_dict
+from .series import TruncationDeficitError, WSeries, _Product, _Record, _residues
+from .series import mono_from_dict
 
 
 class BundleSpec(_Record):
@@ -61,13 +63,9 @@ def pushforward(series, bundle):
     The result is exact to ``series.wmax - (rank - 1)``; an input below
     weight rank - 1 raises :class:`TruncationDeficitError`.
 
-    Each s_j(E) is a single term sigma_j * L^j with sigma_j an int (see
-    :func:`_segre_numbers`), so the map runs on packed ints: a term of
-    H-degree r-1+j takes the factor sigma_j H^-(r-1+j) L^j, which lowers its
-    weight by r-1, to at most the output weight it is truncated to.  An
-    unread ``fiber_integrand`` is not read: it is pushed forward by residues
-    at the bundle's exponents, the same map (``series._residues``), with
-    no shear and no product in H and L, and only the result is unfolded.
+    One route, the residues at the bundle's exponents (``series._residues``),
+    takes an unread ``fiber_integrand`` as its slope groups, with no shear and
+    no product in H and L, and any other series as one group at slope 0.
     """
     r = bundle.rank
     out_wmax = series.wmax - (r - 1)
@@ -77,12 +75,11 @@ def pushforward(series, bundle):
             % (r, r - 1, series.wmax)
         )
     if series.__class__ is _Product:
-        return series._pushforward(bundle.exps).truncate(out_wmax)
-    rows = [[]] * (r - 1) + [
-        [((("H", -(r - 1 + j)), ("L", j)), sigma)]
-        for j, sigma in enumerate(_segre_numbers(bundle, out_wmax))
-    ]
-    return series._map_powers("H", rows).truncate(out_wmax)
+        groups, fiber_dim = series._groups, series._fiber_dim
+    else:
+        groups, fiber_dim = {0: series}, None
+    pushed = _residues(groups, series.wmax, series.qmax, bundle.exps, fiber_dim)
+    return pushed.truncate(out_wmax)
 
 
 def derivative_pushforward_d5(series):

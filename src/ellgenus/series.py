@@ -40,19 +40,19 @@ only the ``terms`` view builds a ``Fraction`` per term:
   bit_length(min #terms) + 1.  Only y is folded: a y-polynomial is dense
   (at most qmax + 1 slots, nearly all filled), while the sparse (y, L, H,
   ci) box would need far more slots.
-- ``_shear`` applies H -> H + s*L as rows of ``_map_powers``, whose
-  per-term loop (``_map_rows``) also runs the Segre map and the residues'
-  maps to a pole.
+- ``_shear`` applies H -> H + s*L as rows of a per-term loop
+  (``_map_rows``), which also runs the residues' maps to a pole.
 - ``_Product`` defers the product of its slope groups, each sheared by its
   slope: on its first read it multiplies the sheared groups and becomes a
-  plain ``WSeries``.  Its pushforward before that runs by residues at the
-  bundle's exponents (``_residues``): at each pole the groups map by rows
-  to jets in eps = H/L + m, held in the H field, and multiply with no shear
-  and no dense (H, L) product; only the sum of the poles is unfolded.  With
-  a fiber dimension f its groups are polynomials in z = y/(1+y), and the
-  product or pushforward ends in one map of the folded ints, z^k -> (1+y)^f
-  z^k = y^k (1+y)^(f-k) (``_to_y``), whose slots grow by the bits of the
-  map's largest column sum, and one unfold.
+  plain ``WSeries``.  Its pushforward before that, as that of any series
+  (one group at slope 0), runs by residues at the bundle's exponents
+  (``_residues``): at each pole the groups map by rows to jets in eps =
+  H/L + m, held in the H field, and multiply with no shear and no dense
+  (H, L) product; only the sum of the poles is unfolded.  With a fiber
+  dimension f its groups are polynomials in z = y/(1+y), and the product
+  or pushforward ends in one map of the folded ints, z^k -> (1+y)^f z^k =
+  y^k (1+y)^(f-k) (``_to_y``), whose slots grow by the bits of the map's
+  largest column sum, and one unfold.
 - ``_unpack`` decodes for the ``terms`` view only: each key into a canonical
   monomial tuple and each numerator into one ``Fraction``.
 
@@ -507,18 +507,6 @@ class WSeries:
                 acc[key + j] += n * r
         return self._born(_reduced(acc, den * rden))
 
-    def _map_powers(self, var, rows, den=1):
-        """Each term of ``var``-degree e times the sum of the (monomial, int)
-        entries of ``rows[e]``, over ``den``; an entry's negative exponents
-        divide the term."""
-        w, q = self.wmax, self.qmax
-        offsets = [_pack({(m, 0): c for m, c in row}, w, q).items() for row in rows]
-        width = _width(w, q)
-        shift, mask = _field(var)[0] * width, (1 << width) - 1
-        nums, d = self._packed
-        acc = _map_rows(nums.items(), shift, mask, offsets)
-        return self._born(_reduced(acc, d * den))
-
     def diff_h(self):
         """Formal d/dH.  The weight bound is kept; callers track validity."""
         nums, den = self._packed
@@ -609,7 +597,7 @@ class _Product(WSeries):
     (``_shear``), deferred: it holds the groups until its packed form is
     first read, then builds it and becomes a plain ``WSeries``.  Before
     that, ``pushforward`` of it runs by residues on the groups
-    (``_pushforward``) and reads nothing.  The ``__getattr__`` lives here,
+    (``_residues``) and reads nothing.  The ``__getattr__`` lives here,
     not on ``WSeries``, whose every attribute read it would slow.
 
     With a ``fiber_dim`` f, the groups are polynomials in z = y/(1+y), held
@@ -625,11 +613,6 @@ class _Product(WSeries):
                             ("_fiber_dim", fiber_dim)):
             object.__setattr__(series, name, value)
         return series
-
-    def _pushforward(self, exps):
-        """pi_* of the product along P(sum_j L^(m_j)), m_j in ``exps``, at
-        the width of (wmax, qmax), by residues (``_residues``)."""
-        return _residues(self._groups, self.wmax, self.qmax, exps, self._fiber_dim)
 
     def __getattr__(self, name):
         if name != "_packed":
@@ -701,8 +684,7 @@ def _width(wmax, qmax):
 def _pack(nums, wmax, qmax):
     """{key: n} of the int numerators ``nums`` {(monomial, y-degree): n} at
     the width of (wmax, qmax).  A key is q plus the sum of the units of the
-    exponents (weight field included), so a monomial with a zero or negative
-    exponent packs to the offset that multiplies a key by it."""
+    exponents, weight field included."""
     width = _width(wmax, qmax)
     units = {}  # variable -> its unit in the key, weight field included
     packed = {}
@@ -749,22 +731,26 @@ def _packed_mul(a, b, wmax, qmax):
 def _shear(series, s):
     """``series`` at H -> H + s*L.  By the binomial theorem H^k spreads to
     sum_j C(k, j) s^j H^(k-j) L^j, which keeps every weight: with s = p/r,
-    the ``_map_powers`` rows of C(k, j) p^j r^(wmax-j) over r^wmax."""
+    row k of ``_map_rows`` on the H field moves j from the H field to the L
+    field with C(k, j) p^j r^(wmax-j), over r^wmax."""
     if not s:
         return series
     p, r, top = s.numerator, s.denominator, series.wmax
-    rows = [
-        [((("H", -j), ("L", j)), comb(k, j) * p**j * r ** (top - j))
-         for j in range(k + 1)]
-        for k in range(top + 1)
-    ]
-    return series._map_powers("H", rows, r**top)
+    width = _width(top, series.qmax)
+    hshift = _field("H")[0] * width
+    step = (1 << _field("L")[0] * width) - (1 << hshift)  # H^-1 L
+    rows = [[(j * step, comb(k, j) * p**j * r ** (top - j)) for j in range(k + 1)]
+            for k in range(top + 1)]
+    nums, den = series._packed
+    acc = _map_rows(nums.items(), hshift, (1 << width) - 1, rows)
+    return series._born(_reduced(acc, den * r**top))
 
 
 def _residues(groups, wmax, qmax, exps, fiber_dim=None):
     """pi_* of the product of the series ``groups[s]`` at H -> H + s*L
     (``_shear``) along P(E), E = sum_i L^(m_i) for m_i in ``exps``,
-    at the width of (wmax, qmax): the Segre map, as a sum of residues.
+    at the width of (wmax, qmax): the Segre map, as a sum of residues, which
+    ``pushforward`` runs on every series (a plain one is one group at 0).
 
     With H = u*L, pi_* f = L^(1-r) sum_m Res_(u=-m) f / prod_i (u + m_i)
     over the distinct exponents m (Ellingsrud-Stromme, alg-geom/9411005).

@@ -101,20 +101,20 @@ def _random_h_series(rng, wmax, qmax, nterms=12):
 
 
 def check_d5_derivative_oracle(wmax=6, qmax=7, nrandom=50, seed=20230517):
-    """Segre substitution against the derivative formula, on the D5
-    integrand and on random series in H, L, y (input weight wmax, so both
-    routes produce output exact to weight wmax - 3).  The integrand is
-    pushed forward unread, by residues at the bundle's exponents on its
-    slope groups; the derivative route then reads its terms, the product
-    of its groups each sheared by its slope (``series._shear``)."""
+    """``pushforward``, by residues, against the derivative formula, on the
+    D5 integrand and on random series in H, L, y (input weight wmax, so both
+    routes produce output exact to weight wmax - 3).  The residues take the
+    integrand unread, as its slope groups, and a random series as one group
+    at slope 0; the derivative route then reads the integrand's terms, the
+    product of its groups each sheared by its slope (``series._shear``)."""
     failures = []
     wmax = max(wmax, 3)
     bundle = CATALOG["D5"].bundle
     D = fiber_integrand(CATALOG["D5"], wmax, qmax)
-    via_segre = pushforward(D, bundle)
+    via_residues = pushforward(D, bundle)
     via_deriv = derivative_pushforward_d5(D)
-    if via_segre != via_deriv:
-        k, q, ca, cb = first_mismatch(via_segre, via_deriv)
+    if via_residues != via_deriv:
+        k, q, ca, cb = first_mismatch(via_residues, via_deriv)
         failures.append(
             "D5 integrand: mismatch at weight %d, y^%d: %s vs %s"
             % (k, q, ca.to_text(), cb.to_text())
@@ -342,7 +342,7 @@ def check_route_consistency(families=FAMILIES, max_dim=4):
 SUITES = (
     ("derived-vs-closed", "pushforward Q equals closed-form Q"),
     ("p-table", "y-expansion matches the P_n table"),
-    ("d5-derivative-oracle", "Segre route equals derivative route"),
+    ("d5-derivative-oracle", "residue route equals derivative route"),
     ("hadamard-identity", "log-coefficient Hadamard identity"),
     ("euler-crosscheck", "E8 alternating sums match the Euler series"),
     ("serre-duality", "chi_q symmetry and anticanonical vanishing"),

@@ -4,11 +4,15 @@ trips, and input-file handling."""
 import contextlib
 import io
 import json
+import os
 import random
 import re
+import tempfile
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellgenus import (
     CATALOG,
@@ -669,3 +673,215 @@ def test_main_builds_the_parser_once_and_answers_as_a_fresh_one(tmp_path, monkey
     for _round in range(3):
         assert [_redirected(argv) for argv in argvs] == fresh
     assert len(builds) == 1
+
+
+# -- fuzzed calls -------------------------------------------------------------------
+
+
+# a status per part of a call: "clean" parts make a call that exits 0, one
+# "bad" part makes it exit 2, and "any" parts may do either
+_STATUSES = ("clean", "any", "bad")
+_WRONG_TYPES = [1.5, 2.0, "1", None, True, [], {}, [[1, 0]]]
+_HUGE_INTS = [2**70, -(2**70), 2**63]
+
+
+def _int_text(low, high):
+    """(text, status) of an integer argument: mostly an ASCII integer in
+    low..high, else a string that ``int`` reads and the command line
+    refuses."""
+    valid = st.integers(low, high).map(lambda n: (str(n), "clean"))
+    refused = st.sampled_from(_NOT_ASCII_INTEGERS).map(lambda t: (t, "bad"))
+    return st.one_of(valid, valid, valid, refused)
+
+
+def _order_text(high):
+    negative = st.integers(-3, -1).map(lambda n: (str(n), "bad"))
+    return st.one_of(_int_text(0, high), _int_text(0, high), negative)
+
+
+def _int_paths(spec):
+    """The places of the ints of a spec object: (field, index[, coordinate])."""
+    paths = [("bundle", i) for i in range(len(spec["bundle"]))]
+    for field in ("n_roots", "f_roots"):
+        rows = range(len(spec.get(field, ())))
+        paths += [(field, i, j) for i in rows for j in (0, 1)]
+    return paths
+
+
+def _replace(spec, path, value):
+    field, *index = path
+    if not index:
+        spec[field] = value
+        return
+    inner = spec[field]
+    for i in index[:-1]:
+        inner = inner[i]
+    inner[index[-1]] = value
+
+
+@st.composite
+def _spec_text(draw):
+    """(JSON text, status) of a spec file: a spec of rank 1-4 with at most
+    two normal roots, its F-roots listed or not, kept or mutated."""
+    exps = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+    count = draw(st.integers(0, min(2, len(exps) - 1)))
+    root = st.tuples(st.integers(1, 3), st.integers(-3, 3)).map(list)
+    spec = {"name": "fuzz", "bundle": exps,
+            "n_roots": draw(st.lists(root, min_size=count, max_size=count))}
+    if draw(st.booleans()):
+        spec["f_roots"] = draw(st.permutations([[1, m] for m in exps]))
+    kind = draw(st.sampled_from(
+        ["kept"] * 4 + ["extra key", "missing key", "float", "huge int", "wrong type",
+                        "bad JSON", "not an object"]
+    ))
+    status = "clean"
+    if kind == "extra key":
+        spec[draw(st.sampled_from(["comment", "wmax", "Name"]))] = draw(
+            st.sampled_from(_WRONG_TYPES))
+    elif kind == "missing key":
+        del spec[draw(st.sampled_from(["name", "bundle", "n_roots"]))]
+        status = "bad"
+    elif kind == "float":
+        path = draw(st.sampled_from(_int_paths(spec)))
+        _replace(spec, path, draw(st.sampled_from([0.5, 1.0, -2.0])))
+        status = "bad"
+    elif kind in ("huge int", "wrong type"):
+        fields = [(f,) for f in spec]
+        path = draw(st.sampled_from(_int_paths(spec) + fields))
+        values = _HUGE_INTS if kind == "huge int" else _WRONG_TYPES
+        _replace(spec, path, draw(st.sampled_from(values)))
+        status = "any"
+    text = json.dumps(spec)
+    if kind == "bad JSON":  # a proper prefix of an object is never JSON
+        text, status = text[: draw(st.integers(0, len(text) - 1))], "bad"
+    elif kind == "not an object":
+        text, status = json.dumps(draw(st.sampled_from([list(spec), 3, "spec"]))), "bad"
+    return text, status
+
+
+@st.composite
+def _base_text(draw):
+    """(JSON text, status) of a base file: P^d with L = O(n), d <= 2, its
+    table kept, short of a monomial, with a float value, or cut short."""
+    d, n = draw(st.integers(0, 2)), draw(st.integers(-3, 4))
+    table = BaseSpec.projective_space(d, n).table.items()
+    monomials = [{"exps": dict(mono), "value": str(v)} for mono, v in table]
+    kind = draw(st.sampled_from(["kept"] * 3 + ["missing", "float", "bad JSON"]))
+    status = "clean"
+    if kind == "missing":
+        del monomials[draw(st.integers(0, len(monomials) - 1))]
+        status = "any"
+    elif kind == "float":
+        monomials[draw(st.integers(0, len(monomials) - 1))]["value"] = 1.0
+        status = "bad"
+    text = json.dumps({"dim": d, "monomials": monomials})
+    if kind == "bad JSON":
+        text, status = text[: draw(st.integers(0, len(text) - 1))], "bad"
+    return text, status
+
+
+@st.composite
+def _fuzzed_calls(draw):
+    """(argv, files, statuses): a call of one command, in which the words
+    SPEC and BASE stand for the paths of the spec and base files of
+    ``files``, and the status of each of its parts."""
+    command = draw(st.sampled_from(["q", "ptable", "chi", "verify"]))
+    files, options = {}, []
+
+    def flag(name, status="clean"):
+        if draw(st.booleans()):
+            options.append(([name], status))
+
+    def option(name, value):
+        if draw(st.booleans()):
+            text, status = draw(value)
+            options.append(([name, text], status))
+
+    def family(catalog_only):
+        kind = draw(st.sampled_from(["catalog", "catalog", "spec", "spec", "other"]))
+        if kind == "catalog":
+            return draw(st.sampled_from(FAMILIES)), "clean"
+        if kind == "other":  # no family and no spec file
+            return draw(st.sampled_from(["E9", "e8", "", ".", "nosuch.json"])), "bad"
+        files["SPEC"], status = draw(_spec_text())
+        return "SPEC", "bad" if catalog_only else status
+
+    head = [([command], "clean")]
+    if command in ("q", "chi"):
+        name, status = family(False)
+        head.append(([name], status))
+    if command == "q":
+        option("--wmax", _order_text(4))
+        option("--qmax", _order_text(4))
+        formats = [("text", "clean"), ("json", "clean"), ("latex", "clean")]
+        option("--format", st.sampled_from(formats + [("yaml", "bad")]))
+        flag("--closed", "clean" if name in FAMILIES else "bad")
+    elif command == "ptable":
+        name, status = family(True)
+        head.append(([name], status))
+        option("--nmax", _order_text(8))
+        flag("--check")
+    elif command == "chi":
+        base = draw(st.sampled_from(["pd"] * 3 + ["file"] * 2 + ["other", "none"]))
+        if base == "pd":
+            (d, s1), (n, s2) = draw(_int_text(0, 2)), draw(_int_text(-3, 4))
+            status = max(s1, s2, key=_STATUSES.index)
+            options.append((["--base", "pd:%s:%s" % (d, n)], status))
+        elif base == "other":
+            text = draw(st.sampled_from(["pd:1", "pq:1:1", "pd:1:1:1", "pd:-1:2", "1"]))
+            options.append((["--base", text], "bad"))
+        elif base == "file":
+            files["BASE"], status = draw(_base_text())
+            options.append((["--base-file", "BASE"], status))
+        else:
+            options.append(([], "bad"))  # a base is required
+        in_range = _int_text(-2, 6).map(  # 0..dim Y, or not
+            lambda t: (t[0], "any" if t[1] == "clean" else "bad"))
+        clean = st.sampled_from([("all", "clean"), ("0", "clean")])
+        option("--q", st.one_of(clean, in_range))
+        flag("--class")
+    else:
+        families = [(f, "clean") for f in ("all",) + FAMILIES]
+        option("--family", st.sampled_from(families + [("E9", "bad")]))
+        option("--wmax", _order_text(4))
+        option("--qmax", _order_text(4))
+    parts = head + draw(st.permutations(options))
+    argv = [word for words, _status in parts for word in words]
+    return argv, files, [status for _words, status in parts]
+
+
+@settings(max_examples=300)
+@given(_fuzzed_calls())
+def test_fuzzed_commands_exit_0_or_2(call):
+    """Drawn calls of every command: catalog families, names that are not
+    one, and spec files kept or mutated (wrong types, floats, huge ints,
+    missing and extra keys, bad JSON); ``--base`` strings and base files;
+    ``--q``, orders, ``--format`` and flags; integers that ``int`` reads
+    and the command line refuses.  The orders are kept at most 8, and most
+    at most 4, for run time: no order has an upper bound, and a huge one
+    runs as long as it takes.
+
+    Each call exits 0 with nothing on stderr (and JSON that parses, for
+    ``q --format json``), or 2 with an ``error:`` line or argparse's usage;
+    a call with a bad part exits 2 and one with only clean parts exits 0.
+    """
+    argv, files, statuses = call
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, text in files.items():
+            paths[name] = os.path.join(tmp, name.lower() + ".json")
+            with open(paths[name], "w") as fh:
+                fh.write(text)
+        argv = [paths.get(word, word) for word in argv]
+        code, out, err = _redirected(argv)
+    assert code in (0, 2), (argv, err)
+    if code == 0:
+        assert err == ""
+        if argv[0] == "q" and "json" in argv and "--closed" not in argv:
+            json.loads(out)
+    else:
+        assert err.startswith(("error: ", "usage: ellgenus")), err
+    if "bad" in statuses:
+        assert code == 2, argv
+    elif set(statuses) == {"clean"}:
+        assert code == 0, (argv, err)

@@ -1,5 +1,6 @@
 """Segre-class pushforward and its derivative-formula oracle."""
 
+import importlib
 import random
 from fractions import Fraction as F
 from itertools import permutations
@@ -22,6 +23,7 @@ from ellgenus import (
 )
 from ellgenus.pushforward import _segre_numbers
 from helpers import (
+    count_calls,
     random_series,
     reference_fiber_integrand,
     reference_pushforward,
@@ -225,6 +227,22 @@ def test_pushforward_decodes_at_the_input_width(family):
     got = pushforward(D, CATALOG[family].bundle)
     assert got.wmax == 14
     assert got == reference_term_pushforward(D, CATALOG[family].bundle)
+
+
+def test_every_pushforward_runs_the_residues_once(monkeypatch):
+    # one route: a plain series passes as one group at slope 0 with no fiber
+    # dimension, and so does an integrand whose terms were read
+    module = importlib.import_module("ellgenus.pushforward")  # not the function
+    calls = count_calls(monkeypatch, module, "_residues")
+    spec = CATALOG["E7"]
+    plain = random_series(random.Random(38), ("L", "H", "c1"), 8, 3)
+    read = fiber_integrand(spec, 8, 3)
+    read.terms
+    for series in (plain, read):
+        got = pushforward(series, spec.bundle)
+        assert got == reference_term_pushforward(series, spec.bundle)
+        assert calls[-1] == ({0: series}, 8, 3, spec.bundle.exps, None)
+    assert len(calls) == 2
 
 
 def test_pushforward_of_d5_integrand_equals_product_per_h_power():

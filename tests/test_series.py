@@ -60,6 +60,7 @@ from helpers import (
     reference_reweight_by_one_plus_y,
     reference_scale_weights,
     reference_segre_series,
+    reference_term_pushforward,
     reference_z_to_y,
 )
 
@@ -799,50 +800,21 @@ def test_sheared_product_equals_the_pair_loop_chain(groups):
     assert packed == pair_loop_sheared_product(want, wmax, qmax)
 
 
-# -- the H-map of a deferred product -------------------------------------------------
+# -- the shear of a deferred product -----------------------------------------------
 
 
-_big_ints = st.one_of(st.integers(-9, 9), st.integers(-(2**300), 2**300))
-
-
-@st.composite
-def _h_rows(draw, wmax):
-    """Rows by H-power e of (monomial, int) entries, several to a row: H^-a
-    (a <= e, a negative exponent that divides the term) times L, c1 and c2
-    of weight at most a, so no entry raises a weight."""
-    rows = []
-    for e in range(wmax + 1):
-        row = {}
-        for _ in range(draw(st.integers(0, 3))):
-            a = draw(st.integers(0, e))
-            ell = draw(st.integers(0, a))
-            c1 = draw(st.integers(0, a - ell))
-            c2 = draw(st.integers(0, (a - ell - c1) // 2))
-            exps = (("L", ell), ("H", -a), ("c1", c1), ("c2", c2))
-            row[tuple((v, x) for v, x in exps if x)] = draw(_big_ints)
-        rows.append(list(row.items()))
-    return rows
-
-
-@st.composite
-def _groups_and_rows(draw):
-    groups = draw(_big_sheared_groups())
-    (wmax, _qmax), = {(G.wmax, G.qmax) for G in groups.values()}
-    return groups, draw(_h_rows(wmax))
-
-
-@given(_groups_and_rows())
-def test_the_map_of_a_deferred_product_equals_the_map_of_the_eager_one(case):
-    # an H-map reads the deferred product and maps its packed terms, as it
-    # maps those of the pair-loop product, against a Fraction term loop
-    groups, rows = case
+@given(_big_sheared_groups(), _slopes)
+def test_the_shear_of_a_deferred_product_equals_the_shear_of_the_eager_one(groups, s):
+    # the shear reads the deferred product and maps its packed terms, as it
+    # maps those of the pair-loop product, against the pair-loop shear
     (wmax, qmax), = {(G.wmax, G.qmax) for G in groups.values()}
-    packed = {s: G._packed for s, G in groups.items()}
-    eager = WSeries._trusted(wmax, qmax, pair_loop_sheared_product(packed, wmax, qmax))
-    want = reference_map_powers(eager, "H", rows)
-    assert eager._map_powers("H", rows) == want
+    packed = pair_loop_sheared_product(
+        {slope: G._packed for slope, G in groups.items()}, wmax, qmax
+    )
+    want = pair_loop_packed_shear(packed, s, wmax, qmax)
+    assert _shear(WSeries._trusted(wmax, qmax, packed), s)._packed == want
     deferred = _Product(groups, wmax, qmax)
-    assert deferred._map_powers("H", rows) == want
+    assert _shear(deferred, s)._packed == want
     assert type(deferred) is WSeries
 
 
@@ -934,14 +906,15 @@ _EDGE_BUNDLE = BundleSpec((0, 7, 9))
 
 def _edge_maps(wmax, c):
     """(the pushforward of the deferred product, by residues, that of the
-    eager pair-loop chain by the Segre map) for the full-support series
-    alone at slope 0 and for each slope set of ``_EDGE_SLOPES``, along
-    ``_EDGE_BUNDLE``, and for its H-free part at the slopes 0, 1 and 2,
-    along the rank-1 bundle (0,).  The residue budget keeps five to eight
-    bits of slack on the first, most of it from counting a mapped group's
-    terms as those of the group: (wmax + 1)(wmax + 2)/2 monomials where the
-    map leaves wmax + 1.  The H-free groups map to themselves, so their
-    products fill the slots as far as those term counts reach."""
+    eager pair-loop chain term by term on its ``Fraction`` terms) for the
+    full-support series alone at slope 0 and for each slope set of
+    ``_EDGE_SLOPES``, along ``_EDGE_BUNDLE``, and for its H-free part at
+    the slopes 0, 1 and 2, along the rank-1 bundle (0,).  The residue
+    budget keeps five to eight bits of slack on the first, most of it from
+    counting a mapped group's terms as those of the group: (wmax + 1)(wmax
+    + 2)/2 monomials where the map leaves wmax + 1.  The H-free groups map
+    to themselves, so their products fill the slots as far as those term
+    counts reach."""
     G = _full_support(wmax, c)
     free = {k: n for k, n in G.terms.items() if "H" not in dict(k[0])}
     free = WSeries(wmax, _EDGE_QMAX, free)
@@ -953,7 +926,8 @@ def _edge_maps(wmax, c):
         packed = pair_loop_sheared_product(packed, wmax, _EDGE_QMAX)
         eager = WSeries._trusted(wmax, _EDGE_QMAX, packed)
         deferred = _Product(dict.fromkeys(slopes, group), wmax, _EDGE_QMAX)
-        out.append((pushforward(deferred, bundle), pushforward(eager, bundle)))
+        want = reference_term_pushforward(eager, bundle)
+        out.append((pushforward(deferred, bundle), want))
     return out
 
 
@@ -1037,8 +1011,7 @@ def test_the_map_to_y_rows_are_z_powers_times_one_plus_y_to_the_fiber_dim(fiber_
 
 
 _Z_CASES = [(qmax, fiber_dim) for qmax in (0, 1, 2, 5, 8) for fiber_dim in range(4)]
-# Segre numbers 1, 16, 193, ...: one sign, so the Segre map's sums do not
-# cancel either
+# Segre numbers 1, 16, 193, ...: one sign
 _Z_BUNDLE = BundleSpec((0, -7, -9))
 
 
@@ -1057,10 +1030,10 @@ def _z_support(wmax, qmax, c, alternating):
 
 def _z_products(wmax, qmax, fiber_dim, c):
     """(the deferred z-product read, its Fraction oracle) and (their
-    pushforwards along ``_Z_BUNDLE``, the deferred one by residues), for
-    the full-support z-group alone at slope 0 and at each of the first two
-    slope sets of ``_EDGE_SLOPES``, with same-sign and with alternating
-    slots.  The oracle maps the pair-loop chain to y term by term and
+    pushforwards along ``_Z_BUNDLE``, the deferred one by residues, the
+    oracle term by term), for the full-support z-group alone at slope 0
+    and at each of the first two slope sets of ``_EDGE_SLOPES``, with
+    same-sign and with alternating slots.  The oracle maps the pair-loop chain to y term by term and
     multiplies it by (1+y)^fiber_dim."""
     prefactor = _one_plus_y_to(fiber_dim, wmax, qmax)
     out = []
@@ -1075,7 +1048,7 @@ def _z_products(wmax, qmax, fiber_dim, c):
             want = reference_mul(chain, prefactor)
             out.append((_Product(groups, wmax, qmax, fiber_dim), want))
             out.append((pushforward(_Product(groups, wmax, qmax, fiber_dim), _Z_BUNDLE),
-                        pushforward(want, _Z_BUNDLE)))
+                        reference_term_pushforward(want, _Z_BUNDLE)))
     return out
 
 

@@ -1,6 +1,7 @@
 """The self-verification suites, including corrupted catalog data as a
 negative control."""
 
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -8,6 +9,7 @@ import pytest
 
 from ellgenus import (
     FAMILIES,
+    BaseSpec,
     BundleSpec,
     FibrationSpec,
     Poly,
@@ -39,6 +41,7 @@ from ellgenus.verify import (
     first_mismatch,
     run_suites,
 )
+from ellgenus.genseries import chi_series
 from helpers import count_calls, evaluate_by_weight
 
 
@@ -99,7 +102,11 @@ def test_d5_oracle_catches_a_corrupted_residue_jet(monkeypatch):
 
     monkeypatch.setattr(series, "_poles", corrupted)
     failures = check_d5_derivative_oracle()
-    assert len(_d5_integrand_failures(failures)) == 1 == len(failures)
+    # the random series take the same residues: they disagree too
+    random_lines = [line for line in failures if re.fullmatch(
+        r"random series #\d+: routes disagree", line)]
+    assert len(_d5_integrand_failures(failures)) == 1
+    assert random_lines and len(random_lines) + 1 == len(failures)
 
 
 def test_d5_oracle_catches_a_group_sheared_by_the_wrong_slope(monkeypatch):
@@ -209,3 +216,131 @@ def test_hadamard_suite_refuses_a_variable_other_than_c_i(monkeypatch):
     monkeypatch.setattr(verify, "power_sums_from_chern", with_stray_term)
     with pytest.raises(ValueError, match="'H' is not a Chern class"):
         check_hadamard_identity(max_abs_root=1, max_d=1, order=4)
+
+
+# -- each suite reports its own failure line ------------------------------------
+
+
+_P2 = verify.p_table_reference("E6", 2)
+
+
+@pytest.mark.parametrize("n, change, reference_too, line", [
+    (2, lambda P: P + 1, False,
+     "E6: P_2 = %s, table says %s" % ((_P2 + 1).to_text(), _P2.to_text())),
+    (2, lambda P: P + 1, True, "E6: P_2(1) = 1 != 0"),
+    (2, lambda P: P * Poly.x(), True, "E6: P_2 has U-degree 8, expected 7"),
+    (0, lambda P: P * 2, True, "E6: P_0 != 1 - U"),
+])
+def test_p_table_suite_reports_a_corrupted_row(
+    monkeypatch, n, change, reference_too, line
+):
+    # P_n of the expanded table changed, and with ``reference_too`` the
+    # tabulated one the same way, so only the structural rows can see it
+    table, reference = verify.p_polynomials, verify.p_table_reference
+
+    def corrupted_table(fam, nmax):
+        rows = table(fam, nmax)
+        rows[n] = change(rows[n])
+        return rows
+
+    def corrupted_reference(fam, m):
+        want = reference(fam, m)
+        return change(want) if m == n else want
+
+    monkeypatch.setattr(verify, "p_polynomials", corrupted_table)
+    if reference_too:
+        monkeypatch.setattr(verify, "p_table_reference", corrupted_reference)
+    assert check_p_table(("E6",), nmax=3) == [line]
+
+
+def test_euler_suite_reports_a_corrupted_euler_series(monkeypatch):
+    real = verify.euler_series_e8
+    monkeypatch.setattr(
+        verify, "euler_series_e8",
+        lambda dmax, qmax=0: real(dmax, qmax) + WSeries.var("c2", dmax, qmax),
+    )
+    assert check_euler_e8(dmax=3) == ["weight 2 alternating sum != Euler coefficient"]
+
+
+def test_euler_suite_reports_a_corrupted_chi_q(monkeypatch):
+    real = verify.chi_q
+    monkeypatch.setattr(
+        verify, "chi_q", lambda fam, base, q: real(fam, base, q) + (q == 1)
+    )
+    assert check_euler_e8(dmax=2) == [
+        "E8 over (P^2, O(3)): alternating sum -541 != -540"
+    ]
+
+
+def _patch_chi_values(monkeypatch, change):
+    """Make ``verify.chi_values`` return ``change(values)`` of the real ones."""
+    real = verify.chi_values
+    monkeypatch.setattr(verify, "chi_values", lambda fam, base: change(real(fam, base)))
+
+
+def test_serre_suite_reports_a_broken_duality(monkeypatch):
+    # chi_1 + 1: over P^1 chi_1 is its own dual, so only the threefolds over
+    # P^2 break, at q = 1 and q = 2
+    real = {
+        n: verify.chi_values("E6", BaseSpec.projective_space(2, n)) for n in (1, 2, 3)
+    }
+
+    def change(vals):
+        vals[1] += 1
+        return vals
+
+    _patch_chi_values(monkeypatch, change)
+    assert check_serre_duality(("E6",), max_dim=2) == [
+        "E6 over (P^2, O(%d)): chi_%d=%s vs dual chi_%d=%s" % (n, q, a, 3 - q, b)
+        for n, vals in real.items()
+        for q, a, b in ((1, vals[1] + 1, vals[2]), (2, vals[2], vals[1] + 1))
+    ]
+
+
+def test_serre_suite_reports_a_wrong_anticanonical_chi_0(monkeypatch):
+    # chi_0 + 2 and its dual moved with it: the duality holds, and chi_0 is
+    # 2 off on the anticanonical bases, one for each of the n's (2, d + 1)
+    # over P^1 and one over P^2
+    def change(vals):
+        vals[0] += 2
+        vals[-1] += 2 * (-1) ** (len(vals) - 1)
+        return vals
+
+    _patch_chi_values(monkeypatch, change)
+    assert check_serre_duality(("E6",), max_dim=2) == [
+        "E6 over (P^1, anticanonical): chi_0 = 4 != 2",
+        "E6 over (P^1, anticanonical): chi_0 = 4 != 2",
+        "E6 over (P^2, anticanonical): chi_0 = 2 != 0",
+    ]
+
+
+def test_integrality_suite_reports_a_fraction(monkeypatch):
+    real = verify.chi_values("E7", BaseSpec.projective_space(1, 1))[0]
+
+    def change(vals):
+        vals[0] += Fraction(1, 2)
+        return vals
+
+    _patch_chi_values(monkeypatch, change)
+    failures = check_integrality(("E7",), max_dim=1)
+    assert failures[0] == "E7 over (P^1, O(1)): chi_0 = %s is not an integer" % (
+        real + Fraction(1, 2))
+    assert len(failures) == 3  # the bases (P^1, O(n)) for n in (1, 2, 2)
+    pattern = r"E7 over \(P\^1, O\(\d\)\): chi_0 = -?\d+/2 is not an integer"
+    assert all(re.fullmatch(pattern, line) for line in failures)
+
+
+def test_route_consistency_suite_reports_a_corrupted_class(monkeypatch):
+    real = verify.pushforward_class
+
+    def corrupted(fam, d):
+        pushed = real(fam, d)
+        return pushed + WSeries.var("c1", d, pushed.qmax) ** 2 if d == 2 else pushed
+
+    monkeypatch.setattr(verify, "pushforward_class", corrupted)
+    lhs = chi_series("D5", 2).coeff(2, 0)
+    rhs = lhs + WSeries.var("c1", 2, lhs.qmax) ** 2
+    assert check_route_consistency(("D5",), max_dim=3) == [
+        "D5, d=2, q=0: series class %s vs pushforward class %s"
+        % (lhs.to_text(), rhs.to_text())
+    ]
