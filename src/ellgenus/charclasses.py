@@ -231,6 +231,12 @@ def _chi_y_exp(tmax, qmax):
     return hadamard_apply(bcoeffs, psums).exp()
 
 
+# exp(sum b_k p_k) under the one key None, read by ``hirzebruch_class``
+# alone: ``genseries`` keeps its own for chi(t, y), so that the class route
+# stays an independent check of the series route.
+_class_exp = _top_memo(lambda _key, tmax, qmax: _chi_y_exp(tmax, qmax))
+
+
 def hirzebruch_class(dim, qmax=None):
     """The chi_y class of an abstract dim-dimensional base.
 
@@ -243,5 +249,6 @@ def hirzebruch_class(dim, qmax=None):
         raise ValueError("dimension must be >= 0")
     if qmax is None:
         qmax = dim + 2
+    dim, qmax = _truncation_orders(dim, qmax)  # a float never reads the memo
     rows = [[comb(dim - k, j) for j in range(dim - k + 1)] for k in range(dim + 1)]
-    return _chi_y_exp(dim, qmax)._scale_weights(rows)
+    return _class_exp(None, dim, qmax)._scale_weights(rows)

@@ -121,7 +121,8 @@ def _projective_monomials(d):
 
 
 # exp(sum b_k p_k) under the one key None, read by ``_chi_series`` alone:
-# ``hirzebruch_class`` builds its own, an independent check of this route.
+# ``hirzebruch_class`` reads its own (``charclasses._class_exp``), an
+# independent check of this route.
 _hirzebruch_exp = _top_memo(lambda _key, tmax, qmax: _chi_y_exp(tmax, qmax))
 
 

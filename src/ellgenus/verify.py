@@ -8,7 +8,8 @@ can inject corrupted data as negative controls.
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, zip_longest
+from itertools import combinations_with_replacement
+from math import comb, lcm, prod
 
 from .charclasses import (
     chi_y_log_coefficients,
@@ -196,13 +197,62 @@ def _row_poly(row, den):
     return Poly([Fraction(x, den) for x in row])
 
 
-def _row_equals(row, den, want, scale):
-    """Whether row/den == scale * want, for a y-row ``want`` of ints or
-    Fractions."""
-    return all(
-        r * w.denominator == w.numerator * scale * den
-        for r, w in zip_longest(row, want, fillvalue=0)
-    )
+def _fold_slot(checks, max_abs_root, max_d):
+    """The slot S of the y-fold: the least S with a bound on every y-digit
+    of both sides of every check below 2^(S-1).
+
+    ``checks`` holds (weight k, compiled series, scale, want): the check is
+    scale * row == sum(l^k) * den * want, digit by digit.  At most max_d
+    roots of size at most max_abs_root give |c_i| = |e_i| <= C(max_d, i) *
+    max_abs_root^i and |sum l^k| <= max_d * max_abs_root^k, which bound every
+    digit.  Two rows of such digits that fold to one int are equal: at the
+    lowest digit where they differ, the difference would be a nonzero
+    multiple of 2^S, yet smaller than 2^S.
+    """
+    bound = 0
+    for k, (den, width, by_weight), scale, want in checks:
+        digits = [abs(w) * den * max_d * max_abs_root**k for w in want]
+        digits += [0] * (width - len(digits))
+        for factors, terms in by_weight.get(k, {}).items():
+            size = scale * prod((comb(max_d, i) * max_abs_root**i) ** x for i, x in factors)
+            for q, num in terms:
+                digits[q] += abs(num) * size
+        bound = max(bound, *digits)
+    return bound.bit_length() + 1
+
+
+def _fold_terms(checks, slot):
+    """The weight-k terms of each check, each c-monomial's y-row times the
+    check's scale folded into one int at ``slot``: (tree, [[(monomial index,
+    folded row), ...] per check]).  Index 0 is the monomial 1; monomial j >= 1 is its parent's
+    times c_i, for (parent index, i) = tree[j - 1], every parent first."""
+    index, tree = {(): 0}, []
+
+    def place(factors):
+        if factors not in index:
+            i, x = factors[-1]
+            parent = place(factors[:-1] + (((i, x - 1),) if x > 1 else ()))
+            tree.append((parent, i))
+            index[factors] = len(tree)
+        return index[factors]
+
+    folded = [
+        [
+            (place(factors), scale * sum(num << slot * q for q, num in terms))
+            for factors, terms in by_weight.get(k, {}).items()
+        ]
+        for k, (_den, _width, by_weight), scale, _want in checks
+    ]
+    return tree, folded
+
+
+def _monomial_values(e, tree):
+    """The value of every c-monomial of ``tree`` at c_i := e[i] (0 past the
+    roots), each its parent's value times one c_i."""
+    values, n = [1], len(e)
+    for parent, i in tree:
+        values.append(values[parent] * e[i] if i < n else 0)
+    return values
 
 
 def check_hadamard_identity(max_abs_root=3, max_d=4, order=6):
@@ -214,38 +264,55 @@ def check_hadamard_identity(max_abs_root=3, max_d=4, order=6):
     the weight-k values must be sum_i l_i^k and b_k * sum_i l_i^k.  The c_i
     are symmetric in the roots, so multisets cover every ordered tuple.
 
-    Each series is compiled once to int numerators over one denominator, so
-    every value is an exact int computation; a failure line shows the
-    rational y-polynomial.
+    Each series is compiled once to int numerators over one denominator,
+    and each c-monomial's y-row is folded into one int at a slot that
+    bounds every digit (``_fold_slot``).  A multiset then costs one product
+    per c-monomial and one multiply-add per term: a weight's folded value
+    times B, the lcm of b_k's denominators, must equal sum l^k times the
+    fold of B * b_k over the series' denominator.  A failing check rebuilds
+    its row, and its line shows the rational y-polynomial.
     """
     bcoeffs = chi_y_log_coefficients(order)
     psums = power_sums_from_chern(order)
     hadamard = hadamard_apply(bcoeffs, power_sum_series(order, qmax=order))
     compiled_h = _compile_chern_series(hadamard)
     compiled_p = [_compile_chern_series(p) for p in psums]
+    checks = []
+    for k, b in enumerate(bcoeffs, 1):
+        scale = lcm(*(c.denominator for c in b.coeffs))
+        checks.append((k, compiled_p[k - 1], 1, (1,)))
+        checks.append((k, compiled_h, scale, [c.numerator * scale // c.denominator
+                                              for c in b.coeffs]))
+    slot = _fold_slot(checks, max_abs_root, max_d)
+    tree, folded = _fold_terms(checks, slot)
+    wants = [  # den * the fold of want: times sum l^k, the right side
+        compiled[0] * sum(w << slot * q for q, w in enumerate(want))
+        for _k, compiled, _scale, want in checks
+    ]
     top = _top_exponents([compiled_h] + compiled_p)
-    h_den = compiled_h[0]
     failures = []
     root_range = range(-max_abs_root, max_abs_root + 1)
     for d in range(1, max_d + 1):
         for roots in combinations_with_replacement(root_range, d):
-            powers = _chern_powers(_elementary_symmetric(roots), top)
+            e = _elementary_symmetric(roots)
+            values = _monomial_values(e, tree)
             for k in range(1, order + 1):
-                direct = sum(lam**k for lam in roots)
-                p_den = compiled_p[k - 1][0]
-                row = _weight_row(compiled_p[k - 1], k, powers)
-                if not _row_equals(row, p_den, (1,), direct):
+                j = 2 * k - 2  # p_k's check, then the Hadamard check
+                direct = sum([lam**k for lam in roots])
+                if sum([n * values[m] for m, n in folded[j]]) != direct * wants[j]:
+                    p_den = compiled_p[k - 1][0]
+                    row = _weight_row(compiled_p[k - 1], k, _chern_powers(e, top))
                     failures.append(
                         "roots %s: p_%d gives %s, sum of l^%d is %s"
                         % (roots, k, _row_poly(row, p_den).to_text(), k, direct)
                     )
-                row = _weight_row(compiled_h, k, powers)
-                if not _row_equals(row, h_den, bcoeffs[k - 1].coeffs, direct):
+                if sum([n * values[m] for m, n in folded[j + 1]]) != direct * wants[j + 1]:
+                    row = _weight_row(compiled_h, k, _chern_powers(e, top))
                     want = bcoeffs[k - 1] * direct
                     failures.append(
                         "roots %s, weight %d: hadamard_apply gives %s, b_%d p_%d is %s"
-                        % (roots, k, _row_poly(row, h_den).to_text("y", False), k, k,
-                           want.to_text("y", False))
+                        % (roots, k, _row_poly(row, compiled_h[0]).to_text("y", False),
+                           k, k, want.to_text("y", False))
                     )
     return failures
 
@@ -272,11 +339,12 @@ def check_euler_e8(dmax=4):
 
 
 def _sample_bases(max_dim=3):
-    out = []
-    for d in range(1, max_dim + 1):
-        for n in (1, 2, d + 1):
-            out.append((d, n, BaseSpec.projective_space(d, n)))
-    return out
+    """(d, n, (P^d, O(n))) for n in 1, 2 and d + 1, each n once."""
+    return [
+        (d, n, BaseSpec.projective_space(d, n))
+        for d in range(1, max_dim + 1)
+        for n in dict.fromkeys((1, 2, d + 1))
+    ]
 
 
 def check_serre_duality(families=FAMILIES, max_dim=3):

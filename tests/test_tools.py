@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from ellgenus import CATALOG, BaseSpec, chi_q, derived_q, fiber_integrand, series
+from ellgenus import charclasses, genseries
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -132,11 +133,14 @@ def test_a_pass_starts_with_every_cache_empty():
     tool = _bench_pairs()
     derived_q("E7", 6, 7)
     fiber_integrand(CATALOG["D5"], 6, 4).terms
-    chi_q("E8", BaseSpec.projective_space(2, 3), 1)
+    chi_q("E8", BaseSpec.projective_space(2, 3), 1, verify=True)
     found = tool.caches()
     rows = {series._z_rows, series._z_images, series._poles, series._pole_rows}
     assert rows <= found and any(hasattr(c, "tops") for c in found)
     assert all(c.cache_info().currsize for c in rows)
+    # each route's exp(sum b_k p_k), the class route's under charclasses
+    exps = {charclasses._class_exp, genseries._hirzebruch_exp}
+    assert exps <= found and all(c.tops for c in exps)
     tool.clear_caches()
     assert all(c.cache_info().currsize == 0 for c in found)
     assert all(not c.tops for c in found if hasattr(c, "tops"))

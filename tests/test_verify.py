@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ellgenus import (
     FAMILIES,
@@ -15,6 +17,7 @@ from ellgenus import (
     Poly,
     RootForm,
     WSeries,
+    charclasses,
     chi_y_log_coefficients,
     fibrations,
     hadamard_apply,
@@ -28,6 +31,10 @@ from ellgenus.verify import (
     _chern_powers,
     _compile_chern_series,
     _elementary_symmetric,
+    _fold_slot,
+    _fold_terms,
+    _monomial_values,
+    _sample_bases,
     _top_exponents,
     _weight_row,
     check_d5_derivative_oracle,
@@ -191,6 +198,94 @@ def test_compiled_int_evaluator_matches_fraction_oracle():
     assert visited == 5 + 15 + 35
 
 
+def _unfold(value, slot, width):
+    """The y-row of balanced digits, each in [-2^(slot-1), 2^(slot-1)), that
+    folds to ``value`` at ``slot``, padded with zeros to ``width``."""
+    half, row = 1 << (slot - 1), []
+    while value:
+        digit = ((value + half) & ((1 << slot) - 1)) - half
+        row.append(digit)
+        value = (value - digit) >> slot
+    return row + [0] * (width - len(row))
+
+
+def _folded_rows(compiled, roots, max_abs_root, max_d, narrower=0):
+    """{k: the weight-k y-row of a compiled series at ``roots``, read back
+    from its fold}, at the slot proved for max_d roots of size at most
+    max_abs_root, less ``narrower`` bits."""
+    checks = [(k, compiled, 1, ()) for k in sorted(compiled[2])]
+    slot = _fold_slot(checks, max_abs_root, max_d) - narrower
+    tree, folded = _fold_terms(checks, slot)
+    values = _monomial_values(_elementary_symmetric(roots), tree)
+    return {
+        k: _unfold(sum(n * values[m] for m, n in terms), slot, compiled[1])
+        for (k, *_rest), terms in zip(checks, folded)
+    }
+
+
+# every c-monomial of weight 1..5, as {c_i: exponent}
+_C_MONOMIALS = [
+    dict(zip(("c1", "c2", "c3", "c4", "c5"), exps))
+    for exps in combinations_with_replacement(range(6), 5)
+    if 0 < sum(i * x for i, x in enumerate(exps, 1)) <= 5
+]
+
+
+@st.composite
+def _chern_series(draw):
+    """A series in c1..c5 to (5, 4), numerators up to 2^200 over
+    denominators up to 10^6."""
+    terms = draw(st.dictionaries(
+        st.tuples(st.sampled_from(range(len(_C_MONOMIALS))), st.integers(0, 4)),
+        st.fractions(-2**200, 2**200, max_denominator=10**6),
+        min_size=1, max_size=25,
+    ))
+    return WSeries(5, 4, {
+        (series.mono_from_dict(_C_MONOMIALS[m]), q): c for (m, q), c in terms.items()
+    })
+
+
+@given(_chern_series(), st.lists(st.integers(-5, 5), min_size=1, max_size=5))
+def test_folded_weight_values_match_the_rows(s, roots):
+    # each weight's value, read back from its fold at the proved slot, is the
+    # row of _weight_row, and both are the Fraction evaluation over den
+    compiled = _compile_chern_series(s)
+    den, _width, by_weight = compiled
+    e = _elementary_symmetric(roots)
+    powers = _chern_powers(e, _top_exponents([compiled]))
+    values = {"c%d" % i: e[i] if i < len(e) else 0 for i in range(1, 6)}
+    want = evaluate_by_weight(s, values)
+    folded = _folded_rows(compiled, roots, 5, 5)
+    assert sorted(folded) == sorted(by_weight)
+    for k, row in folded.items():
+        assert row == _weight_row(compiled, k, powers)
+        assert Poly([Fraction(x, den) for x in row]) == want[k]
+
+
+def test_a_slot_two_bits_below_the_proved_one_misreads_a_row():
+    # positive numerators at five roots 5 reach the bound the slot is proved
+    # for: the proved slot is the least, and one or two bits less cannot
+    # hold the largest digit
+    s = WSeries(5, 4, {
+        (series.mono_from_dict(m), q): Fraction(2**100 + 7 * q + i)
+        for i, m in enumerate(_C_MONOMIALS) for q in range(5)
+    })
+    compiled = _compile_chern_series(s)
+    powers = _chern_powers(_elementary_symmetric((5,) * 5), _top_exponents([compiled]))
+    rows = {k: _weight_row(compiled, k, powers) for k in compiled[2]}
+    assert _folded_rows(compiled, (5,) * 5, 5, 5) == rows
+    assert _folded_rows(compiled, (5,) * 5, 5, 5, narrower=1) != rows
+    assert _folded_rows(compiled, (5,) * 5, 5, 5, narrower=2) != rows
+
+
+def test_a_chern_class_past_the_roots_reads_0():
+    # c5 of four roots is 0, though the tree holds no c_i for i < 5
+    c5 = _compile_chern_series(WSeries.var("c5", 5, 0))
+    tree, _folded = _fold_terms([(5, c5, 1, ())], 8)
+    assert tree == [(0, 5)]
+    assert _monomial_values(_elementary_symmetric((1, 2, 3, 4)), tree) == [1, 0]
+
+
 def test_default_hadamard_suite_visits_every_multiset_in_order(monkeypatch):
     calls = count_calls(monkeypatch, verify, "_elementary_symmetric")
     assert check_hadamard_identity() == []
@@ -299,8 +394,7 @@ def test_serre_suite_reports_a_broken_duality(monkeypatch):
 
 def test_serre_suite_reports_a_wrong_anticanonical_chi_0(monkeypatch):
     # chi_0 + 2 and its dual moved with it: the duality holds, and chi_0 is
-    # 2 off on the anticanonical bases, one for each of the n's (2, d + 1)
-    # over P^1 and one over P^2
+    # 2 off on the anticanonical bases, (P^1, O(2)) once and (P^2, O(3))
     def change(vals):
         vals[0] += 2
         vals[-1] += 2 * (-1) ** (len(vals) - 1)
@@ -308,7 +402,6 @@ def test_serre_suite_reports_a_wrong_anticanonical_chi_0(monkeypatch):
 
     _patch_chi_values(monkeypatch, change)
     assert check_serre_duality(("E6",), max_dim=2) == [
-        "E6 over (P^1, anticanonical): chi_0 = 4 != 2",
         "E6 over (P^1, anticanonical): chi_0 = 4 != 2",
         "E6 over (P^2, anticanonical): chi_0 = 2 != 0",
     ]
@@ -325,9 +418,48 @@ def test_integrality_suite_reports_a_fraction(monkeypatch):
     failures = check_integrality(("E7",), max_dim=1)
     assert failures[0] == "E7 over (P^1, O(1)): chi_0 = %s is not an integer" % (
         real + Fraction(1, 2))
-    assert len(failures) == 3  # the bases (P^1, O(n)) for n in (1, 2, 2)
+    assert len(failures) == 2  # the bases (P^1, O(n)) for n in (1, 2)
     pattern = r"E7 over \(P\^1, O\(\d\)\): chi_0 = -?\d+/2 is not an integer"
     assert all(re.fullmatch(pattern, line) for line in failures)
+
+
+def test_sample_bases_take_each_twist_once():
+    assert [(d, n) for d, n, _base in _sample_bases(3)] == [
+        (1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 4)
+    ]
+
+
+def test_route_consistency_builds_each_class_exp_once_per_join(monkeypatch):
+    # the 20 pushed classes read exp(sum b_k p_k) from charclasses' memo: one
+    # build for each rising d of the first family, truncations after that
+    builds = count_calls(monkeypatch, charclasses, "_chi_y_exp")
+    assert check_route_consistency(FAMILIES, 4) == []
+    assert builds == [(d, d + 2) for d in range(0, 5)]
+
+
+def test_route_consistency_reports_a_corrupted_class_exp(monkeypatch):
+    # one more in the (c1, y^0) term of the class route's own exp: Q has no
+    # weight-0 part, so the classes of d >= 2 move, and the series route,
+    # which reads genseries' memo, does not
+    real = charclasses._chi_y_exp
+
+    def corrupted(tmax, qmax):
+        bump = WSeries(tmax, qmax, {(series.mono_from_dict({"c1": 1}), 0): 1})
+        return real(tmax, qmax) + bump
+
+    monkeypatch.setattr(charclasses, "_chi_y_exp", corrupted)
+    failures = check_route_consistency(("D5",), max_dim=3)
+    lines = [
+        "D5, d=%d, q=%d: series class %s vs pushforward class %s"
+        % (d, q, chi.to_text(), pushed.to_text())
+        for d in range(0, 4)
+        for q in range(0, d + 2)
+        for chi, pushed in [(chi_series("D5", d).coeff(d, q),
+                             fibrations.pushforward_class("D5", d).coeff(d, q))]
+        if chi != pushed
+    ]
+    assert failures == lines
+    assert {line[:8] for line in lines} == {"D5, d=2,", "D5, d=3,"}
 
 
 def test_route_consistency_suite_reports_a_corrupted_class(monkeypatch):
