@@ -47,9 +47,10 @@ class RootForm(_Record):
 #
 # Each local factor is a one-variable function f(t) = sum_k f_k(y) t^k,
 # evaluated at a Chern root l = a*H + b*L: Todd's t-coefficients are the
-# Todd numbers, and every other factor is a sum of exponentials c y^q
-# e^{s t} (c z^q e^{s t}, z = y/(1+y), for the normal factor), written by
-# :func:`_exp_sum` with the root's scale folded into s.
+# Todd numbers, the normal factor's (a polynomial in z = y/(1+y)) come from
+# Stirling numbers, and the two lambda factors are sums of exponentials
+# c y^q e^{s t}, written by :func:`_exp_sum` with the root's scale folded
+# into s.
 # Both are filled in at t -> a*H (or b*L when a = 0), then sheared by
 # H -> H + (b/a)*L when both a and b are nonzero.  No local factor takes an
 # exp, an inverse or a series product.
@@ -82,10 +83,32 @@ def _exp_sum(rows, var, wmax, qmax):
     return WSeries._trusted(wmax, qmax, _reduced(_pack(nums, wmax, qmax), den))
 
 
+def _normal_sum(var, scale, wmax, qmax):
+    """sum_n z^n (1 - e^{-s var})^(n+1) to (wmax, qmax), s = ``scale``, z in
+    the y slots, from Stirling numbers of the second kind: (1 - e^{-u})^j =
+    j! sum_(k >= j) (-1)^(k-j) S(k, j) u^k/k!, an int numerator j! S(k, j)
+    s^k wmax!/k! over wmax! for z^(j-1) var^k.  Row k of S comes from row
+    k - 1 by S(k, j) = j S(k-1, j) + S(k-1, j-1), so the work is
+    O(wmax * qmax)."""
+    jmax = min(qmax + 1, wmax)
+    factorials = [factorial(j) for j in range(jmax + 1)]
+    row, tail, power, nums = [1] + [0] * jmax, factorial(wmax), 1, {}
+    for k in range(1, wmax + 1):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, jmax + 1)]
+        tail, power = tail // k, power * scale  # wmax!/k! and s^k
+        for j in range(1, min(k, jmax) + 1):
+            n = factorials[j] * row[j] * tail * power
+            nums[((var, k),), j - 1] = -n if (k - j) & 1 else n
+    return WSeries._trusted(
+        wmax, qmax, _reduced(_pack(nums, wmax, qmax), factorial(wmax))
+    )
+
+
 @_top_memo
 def _local_factor(key, wmax, qmax):
     """The local factor of ``key`` = (kind, root): Todd from its numbers,
-    the other kinds as rows of (c, s) for :func:`_exp_sum`, s already times
+    the normal factor from Stirling numbers (:func:`_normal_sum`), the two
+    lambda kinds as rows of (c, s) for :func:`_exp_sum`, s already times
     the root's scale."""
     kind, root = key
     a, b = root.a, root.b
@@ -95,16 +118,13 @@ def _local_factor(key, wmax, qmax):
         series = WSeries(
             wmax, qmax, {(((var, k),) if k else (), 0): c * scale**k for k, c in todd}
         )
+    elif kind == "normal":
+        series = _normal_sum(var, scale, wmax, qmax)
     else:
         alternating = [((-1) ** m, -m * scale) for m in range(qmax + 1)]
         rows = {  # the (c, s) of the terms c y^q e^{s t}, by y-degree q
             "lambda_y": [[(1, 0)], [(1, -scale)]],  # 1 + y e^{-t}
             "lambda_y_inverse": [[t] for t in alternating],  # sum_m (-y)^m e^{-mt}
-            # sum_n z^n (1 - e^{-t})^(n+1), by z-degree n in the y slots
-            "normal": [
-                [((-1) ** i * comb(n + 1, i), -i * scale) for i in range(n + 2)]
-                for n in range(qmax + 1)
-            ],
         }[kind]
         series = _exp_sum(rows, var, wmax, qmax)
     if a and b:

@@ -34,13 +34,14 @@ because its derived Q matches the closed form exactly.
 from fractions import Fraction
 from functools import reduce
 from math import comb
-from operator import index, mul
+from operator import index
 
 from .charclasses import RootForm, hirzebruch_class, todd_factor
 from .charclasses import _exp_sum, _local_factor, _normal_factor  # closed forms
 from .poly import Poly, _convolve
 from .pushforward import BundleSpec, pushforward
-from .series import WSeries, _Product, _Record, _top_memo, _truncation_orders
+from .series import WSeries, _Product, _Record, _packed_mul, _top_memo
+from .series import _truncation_orders
 from .series import _TEXT, _signed_sum, _sum_text  # the text writer
 
 FAMILIES = ("D5", "E6", "E7", "E8")
@@ -122,13 +123,17 @@ def _slope_group(key, wmax, qmax):
     in z = y/(1+y) (held in the y slots): ``key`` = (number of F-roots,
     sorted H-coefficients of the N-roots).  Every F-root's factor is
     td(H) - z*H, made once from the Todd factor; an N-root's is a normal
-    local factor.  So every weight-k term has z-degree <= k."""
+    local factor.  So every weight-k term has z-degree <= k.  A cold group
+    is one folded chain (``series._packed_mul``): each distinct factor
+    folded once, and the product unfolded and reduced once, so the memo
+    keeps it reduced."""
     count, normals = key
     todd = _local_factor(("todd", RootForm(1, 0)), wmax, qmax)
     f_factor = todd - WSeries(wmax, qmax, {((("H", 1),), 1): 1})
     factors = [f_factor] * count
     factors += [_normal_factor(RootForm(a, 0), wmax, qmax) for a in normals]
-    return reduce(mul, factors)
+    packed = _packed_mul([f._packed for f in factors], wmax, qmax)
+    return WSeries._trusted(wmax, qmax, packed)
 
 
 def fiber_integrand(spec, wmax, qmax):

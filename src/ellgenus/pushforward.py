@@ -78,8 +78,7 @@ def pushforward(series, bundle):
         groups, fiber_dim = series._groups, series._fiber_dim
     else:
         groups, fiber_dim = {0: series}, None
-    pushed = _residues(groups, series.wmax, series.qmax, bundle.exps, fiber_dim)
-    return pushed.truncate(out_wmax)
+    return _residues(groups, series.wmax, series.qmax, bundle.exps, fiber_dim)
 
 
 def derivative_pushforward_d5(series):

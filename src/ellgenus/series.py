@@ -37,9 +37,11 @@ only the ``terms`` view builds a ``Fraction`` per term:
   signed digits.  Each slot holds its sum: in a product each term of one
   operand has at most one partner in the other, so a slot sums at most
   min(#terms) products and B = bits(max|a|) + bits(max|b|) +
-  bit_length(min #terms) + 1.  Only y is folded: a y-polynomial is dense
-  (at most qmax + 1 slots, nearly all filled), while the sparse (y, L, H,
-  ci) box would need far more slots.
+  bit_length(min #terms) + 1.  A chain of factors (a cold slope group)
+  folds each distinct factor once, at one B for the whole chain that adds
+  such a bit_length for every step, and unfolds once.  Only
+  y is folded: a y-polynomial is dense (at most qmax + 1 slots, nearly all
+  filled), while the sparse (y, L, H, ci) box would need far more slots.
 - ``_shear`` applies H -> H + s*L as rows of a per-term loop
   (``_map_rows``), which also runs the residues' maps to a pole.
 - ``_Product`` defers the product of its slope groups, each sheared by its
@@ -234,7 +236,8 @@ class WSeries:
     :func:`mono_from_dict` would not return unchanged.
     """
 
-    __slots__ = ("wmax", "qmax", "_packed", "_terms", "_split", "_groups", "_fiber_dim")
+    __slots__ = ("wmax", "qmax", "_packed", "_terms", "_split", "_groups", "_fiber_dim",
+                 "_facts")
 
     def __new__(cls, wmax, qmax, terms=None):
         wmax, qmax = _truncation_orders(wmax, qmax)
@@ -422,8 +425,7 @@ class WSeries:
         if not isinstance(other, WSeries):
             return NotImplemented
         self._require_same(other)
-        packed = _packed_mul(self._packed, other._packed, self.wmax, self.qmax)
-        return self._born(packed)
+        return self._born(_packed_mul((self._packed, other._packed), self.wmax, self.qmax))
 
     __rmul__ = __mul__
 
@@ -717,15 +719,28 @@ def _reduced(acc, den):
     return {key: n // g for key, n in acc.items() if n}, den // g
 
 
-def _packed_mul(a, b, wmax, qmax):
-    """Product of two packed series at truncation (wmax, qmax), with each
-    monomial's y-polynomial folded into one int (see the module docstring)."""
-    (left, da), (right, db) = a, b
-    width = _width(wmax, qmax)
-    slot = _bits(left) + _bits(right) + min(len(left), len(right)).bit_length() + 1
-    left, right = _fold(left, width, slot), _fold(right, width, slot)
-    product = _folded_mul(left, right, wmax, (1 << width) - 1, slot * (qmax + 1))
-    return _unfold(product, width, slot, qmax, da * db)
+def _packed_mul(factors, wmax, qmax):
+    """Product of the packed series ``factors`` at truncation (wmax, qmax), as
+    one folded chain (see the module docstring): each distinct factor folded
+    once, the folds multiplied in turn, and the product unfolded and reduced
+    once.  A step's slot sums at most min(#terms) products of the chain so
+    far, of at most the product of its factors' #terms, and the next
+    factor; so B adds the bits of every factor, bit_length of that min for
+    every step, and 1."""
+    (first, den), *rest = factors
+    slot, count = _bits(first) + 1, len(first)
+    for nums, _d in rest:
+        slot += _bits(nums) + min(count, len(nums)).bit_length()
+        count *= len(nums)
+    width, folds = _width(wmax, qmax), {}
+    for nums, _d in factors:
+        if id(nums) not in folds:
+            folds[id(nums)] = _fold(nums, width, slot)
+    acc = folds[id(first)]
+    for nums, d in rest:
+        acc = _folded_mul(acc, folds[id(nums)], wmax, (1 << width) - 1, slot * (qmax + 1))
+        den *= d
+    return _unfold(acc, width, slot, qmax, den)
 
 
 def _shear(series, s):
@@ -748,8 +763,8 @@ def _shear(series, s):
 
 def _residues(groups, wmax, qmax, exps, fiber_dim=None):
     """pi_* of the product of the series ``groups[s]`` at H -> H + s*L
-    (``_shear``) along P(E), E = sum_i L^(m_i) for m_i in ``exps``,
-    at the width of (wmax, qmax): the Segre map, as a sum of residues, which
+    (``_shear``) along P(E), E = sum_i L^(m_i) for m_i in ``exps``, at
+    (wmax - (r - 1), qmax): the Segre map, as a sum of residues, which
     ``pushforward`` runs on every series (a plain one is one group at 0).
 
     With H = u*L, pi_* f = L^(1-r) sum_m Res_(u=-m) f / prod_i (u + m_i)
@@ -765,49 +780,79 @@ def _residues(groups, wmax, qmax, exps, fiber_dim=None):
     residues of such a key sum to those of a polynomial in u of degree
     <= A < r - 1 over one of degree r, which is 0.  The groups are folded
     once, at one slot for every pole, and the poles sum into one folded
-    series, mapped and unfolded once by ``_to_y``.
+    series, mapped and unfolded once by ``_to_y``.  The read leaves every
+    key at weight <= wmax - (r - 1), so at an unchanged key width the sum
+    is Q as it stands, with no truncation.
+
+    A pole is dead when the group at its own slope has lowest H-degree >=
+    mu: there the shear is 0, so H^a goes to eps^a, and every term of that
+    group maps past eps^(mu-1).  Its residue is 0, so it gets no map, no
+    product, no read and no share of the slot.  Each group's H-degrees,
+    bits, term count and last fold are read once and kept with it
+    (``_facts``), so a memoized group carries them from request to request.
 
     The slot: a group's numerators are below 2^b and its mapped ones below
     2^(b + x), x the bits of its rows.  A mapped group has at most mu terms
     per term of the group, so a product by it adds b + x +
     bit_length(mu * #terms).  A read key sums at most mu keys times J_m's
     numerators, adding the bits of the sum of their absolute values; the
-    jets of all poles are over one denominator (``_poles``), so the poles
-    sum with no scaling and add bit_length(#poles).  The sign takes 1 bit.
+    jets of all poles are over one denominator (``_poles``), so the live
+    poles sum with no scaling and add bit_length(#live poles).  The sign
+    takes 1 bit.
     """
     width = _width(wmax, qmax)
     mask = (1 << width) - 1
     hshift = (_field("H")[0] - 1) * width  # in a key without its y field
     poles, den = _poles(tuple(sorted(exps)))
     slopes = sorted(groups)
-    packed = [groups[s]._packed for s in slopes]
-    tops = [max((key >> width + hshift & mask for key in nums), default=0)
-            for nums, _d in packed]
-    for s, top, (_nums, d) in zip(slopes, tops, packed):
-        den *= d * s.denominator**top
-    maps, bits = [], 0
+    facts = [_facts(groups[s]) for s in slopes]
+    for s, (top, *_f) in zip(slopes, facts):
+        den *= groups[s]._packed[1] * s.denominator**top
+    live, bits = [], 0
     for m, jet in poles:
         mu = len(jet)
+        if any(s == m and low >= mu for s, (_t, low, *_f) in zip(slopes, facts)):
+            continue  # a dead pole
         rows = [_pole_rows(s.numerator - m * s.denominator, s.denominator, top, mu, width)
-                for s, top in zip(slopes, tops)]
+                for s, (top, *_f) in zip(slopes, facts)]
         need = sum(map(abs, jet)).bit_length() + sum(
-            _bits(nums) + x + ((mu * len(nums)).bit_length() if i else 0)
-            for i, ((nums, _d), (_r, x)) in enumerate(zip(packed, rows))
+            b + x + ((mu * n).bit_length() if i else 0)
+            for i, ((_t, _l, b, n, *_f), (_r, x)) in enumerate(zip(facts, rows))
         )
         bits = max(bits, need)
-        maps.append([r for r, _x in rows])
-    slot = bits + len(poles).bit_length() + 1
-    folded = [_fold(nums, width, slot).items() for nums, _d in packed]
+        live.append((jet, [r for r, _x in rows]))
+    slot = bits + len(live).bit_length() + 1
+    for s, f in zip(slopes, facts):
+        if f[4] != slot:  # the group's last fold is at another slot
+            f[4:] = slot, _fold(groups[s]._packed[0], width, slot)
     out = defaultdict(int)
-    for (_m, jet), rows in zip(poles, maps):
+    for jet, rows in live:
         acc = None
-        for items, row in zip(folded, rows):
-            mapped = _map_rows(items, hshift, mask, row)
+        for f, row in zip(facts, rows):
+            mapped = _map_rows(f[5].items(), hshift, mask, row)
             acc = mapped if acc is None else _folded_mul(
                 acc, mapped, wmax, mask, slot * (qmax + 1), len(jet), hshift
             )
         _read_pole(acc, jet, len(exps) - 1, width, out)
-    return _to_y(out, slot, wmax, qmax, den, fiber_dim)
+    pushed = _to_y(out, slot, wmax, qmax, den, fiber_dim)
+    out_wmax = wmax - (len(exps) - 1)
+    if _width(out_wmax, qmax) != width:
+        return pushed.truncate(out_wmax)
+    return WSeries._trusted(out_wmax, qmax, pushed._packed)
+
+
+def _facts(series):
+    """[top, low, bits, count, slot, fold] of a group of ``_residues``: its
+    highest and lowest H-degree, the bits of its largest numerator, its term
+    count, and its last fold with the slot of that fold.  Read once and kept
+    with the series."""
+    facts = getattr(series, "_facts", None)
+    if facts is None:
+        nums, width = series._packed[0], _width(series.wmax, series.qmax)
+        degrees = {key >> _field("H")[0] * width & (1 << width) - 1 for key in nums} or {0}
+        facts = [max(degrees), min(degrees), _bits(nums), len(nums), 0, None]
+        object.__setattr__(series, "_facts", facts)
+    return facts
 
 
 def _read_pole(acc, jet, low, width, out):

@@ -3,7 +3,8 @@ numeric evaluator used as a brute-force oracle, the plain dict/``Fraction``
 series multiply used as the oracle of the packed kernel, and the two-variable
 exp/inverse local factors, fiber integrand, Segre series and Segre
 pushforward (and the term-by-term int Segre pushforward) used as oracles of
-the one-variable constructions and the integer Segre numbers, the chi_y
+the one-variable constructions and the integer Segre numbers, the normal
+factor in z by powers of its t-series, the chi_y
 class of a base from a series logarithm, the pushed-forward class convolved
 y-degree by y-degree, the chi_y log-coefficients from lists of y-``Poly``
 (with their truncated product), the closed-form texts as the paper writes
@@ -296,6 +297,25 @@ def reference_normal_factor(root, wmax, qmax):
     halves."""
     inverse = reference_lambda_y_inverse(root, -1, wmax, qmax)
     return reference_one_minus_exp(root, wmax, qmax) * inverse
+
+
+def reference_normal_z_series(root, wmax, qmax):
+    """sum_n z^n (1 - exp(-l))^(n+1), z held in the y slots, from the
+    ``Fraction`` t-coefficients (-1)^(k+1)/k! of 1 - e^(-t), raised to each
+    power n + 1 by one truncated convolution per step, and t -> a*H (or
+    b*L when a = 0) term by term; a root with both parts is not taken."""
+    a, b = root.a, root.b
+    if a and b:
+        raise ValueError("a root with one nonzero part")
+    var, scale = ("H", a) if a else ("L", b)
+    base = [Fraction(0)] + [Fraction((-1) ** (k + 1), factorial(k)) for k in range(1, wmax + 1)]
+    power, terms = [Fraction(1)] + [Fraction(0)] * wmax, {}
+    for n in range(qmax + 1):
+        power = [sum(power[i] * base[k - i] for i in range(k + 1)) for k in range(wmax + 1)]
+        for k, c in enumerate(power):
+            if c:
+                terms[(((var, k),) if k else (), n)] = c * scale**k
+    return WSeries(wmax, qmax, terms)
 
 
 def reference_z_to_y(series):

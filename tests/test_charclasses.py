@@ -38,6 +38,7 @@ from helpers import (
     normal_factor_in_y,
     reference_lambda_y_inverse,
     reference_normal_factor,
+    reference_normal_z_series,
     reference_todd_factor,
     root_series,
     truncated_mul,
@@ -214,6 +215,25 @@ def test_lambda_y_times_todd_is_the_chi_y_closed_form(w, q):
         todd = todd_factor(root, w, q)
         product = lambda_y_factor(root, w, q) * todd
         assert product == (1 + y) * todd - y * root_series(root, w, q)
+
+
+@pytest.mark.parametrize(
+    "w, q", [(16, 17), (12, 10), (16, 0), (7, 0), (0, 0), (0, 5), (3, 9), (5, 5)]
+)
+def test_the_stirling_normal_factor_equals_the_powers_of_one_minus_exp(w, q):
+    # (1 - e^-u)^j = j! sum_k (-1)^(k-j) S(k, j) u^k/k! over wmax!, against
+    # the Fraction powers of the t-series: at qmax 0, at wmax below qmax + 1
+    # (the z-degrees past wmax - 1 are empty) and at the 5-bit key fields
+    for scale in (1, 2, 3, 4, -1, -2, -3, -4):
+        for root in (RootForm(scale, 0), RootForm(0, scale)):
+            want = reference_normal_z_series(root, w, q)
+            assert charclasses._normal_factor(root, w, q) == want
+
+
+@given(st.integers(-4, 4).filter(bool), st.integers(0, 16), st.integers(0, 17))
+def test_the_stirling_normal_sum_equals_the_powers_at_any_orders(scale, w, q):
+    want = reference_normal_z_series(RootForm(scale, 0), w, q)
+    assert charclasses._normal_sum("H", scale, w, q) == want
 
 
 @pytest.mark.parametrize(

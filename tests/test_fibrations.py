@@ -327,6 +327,89 @@ def test_the_residues_skip_only_keys_whose_residues_sum_to_zero(monkeypatch):
         assert want.coeff(0, 0).is_zero() is (i < 72)
 
 
+# -- dead poles: a group at its pole's slope with lowest H-degree >= mu ------------
+
+
+@st.composite
+def _specs_with_a_dead_pole(draw):
+    """A spec whose bundle has an exponent m of multiplicity mu in 1..3 and
+    k >= mu normal roots at slope m, so the group at slope m has lowest
+    H-degree k and the pole m is dead, and its orders."""
+    m, mu = draw(st.integers(-2, 3)), draw(st.integers(1, 3))
+    others = draw(st.lists(st.integers(-2, 3).filter(lambda e: e != m),
+                           min_size=1, max_size=2))
+    rank = mu + len(others)
+    k = draw(st.integers(mu, rank - 1))
+    at_m = [(a, a * m) for a in draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))]
+    more = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(-4, 6)),
+                         max_size=rank - 1 - k))
+    spec = FibrationSpec(
+        name="dead",
+        bundle=BundleSpec(draw(st.permutations([m] * mu + others))),
+        n_roots=tuple(RootForm(a, b) for a, b in draw(st.permutations(at_m + more))),
+    )
+    return spec, draw(st.integers(0, 4)), draw(st.integers(0, 3))
+
+
+def _unread_and_read(spec, w, q):
+    """(Q by residues of the unread integrand, the term-loop Segre map of
+    the read one)."""
+    wmax = w + spec.bundle.rank - 1
+    got = pushforward(fiber_integrand(spec, wmax, q), spec.bundle)
+    return got, reference_term_pushforward(fiber_integrand(spec, wmax, q), spec.bundle)
+
+
+@given(_specs_with_a_dead_pole())
+def test_a_dead_pole_is_skipped_and_q_is_unchanged(case):
+    # the group at slope m maps H^a to eps^a with a >= mu, so the pole's
+    # residue is 0: it is read no more, and Q equals the Segre map of the
+    # read integrand
+    spec, w, q = case
+    reads = []
+    real = series_module._read_pole
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series_module, "_read_pole", lambda *a: reads.append(1) or real(*a))
+        got, want = _unread_and_read(spec, w, q)
+    assert got == want
+    assert len(reads) < len(set(spec.bundle.exps))
+
+
+def test_the_catalog_skips_e7s_pole_1_and_e8s_pole_2(monkeypatch):
+    # N(aH) = O(H) at the slope of a simple exponent: E7's (2, 2) at 1 and
+    # E8's (3, 6) at 2; D5's and E6's normal roots sit at a double exponent
+    reads = count_calls(monkeypatch, series_module, "_read_pole")
+    for family in FAMILIES:
+        reads.clear()
+        derived_q(family, 6, 7)
+        exps = CATALOG[family].bundle.exps
+        pole_of = {jet: m for m, jet in series_module._poles(tuple(sorted(exps)))[0]}
+        read = [pole_of[jet] for _acc, jet, *_ in reads]
+        assert read == sorted(set(exps) - {"E7": {1}, "E8": {2}}.get(family, set()))
+
+
+@pytest.mark.parametrize("mu", [1, 2, 3])
+def test_skipping_a_pole_one_h_degree_too_early_changes_q(monkeypatch, mu):
+    # negative control: the group at slope 1 has lowest H-degree mu - 1 (its
+    # mu - 1 normal roots at slope 1), so its eps^(mu-1) reaches the
+    # residue; reading that degree as one higher skips a live pole
+    spec = FibrationSpec(
+        name="live",
+        bundle=BundleSpec((0,) + (1,) * mu),
+        n_roots=(RootForm(2, 2),) * (mu - 1),
+    )
+    got, want = _unread_and_read(spec, 4, 3)
+    assert got == want
+    real = series_module._facts
+
+    def one_higher(series):
+        top, low, *rest = real(series)
+        return [top, low + 1, *rest]
+
+    monkeypatch.setattr(series_module, "_facts", one_higher)
+    got, want = _unread_and_read(spec, 4, 3)
+    assert got != want
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("w", [6, 9])
 def test_a_cold_derived_q_never_unfolds_the_integrand(monkeypatch, family, w):
@@ -466,20 +549,23 @@ _GROUP_KEYS = {
 )
 def test_integrand_multiplies_only_within_slope_groups(monkeypatch, family, products):
     # every local factor has a closed form, so a cold derived_q's products
-    # are those of each distinct group key, built once (one product per
-    # further factor of the group); (1+y)^fiber_dim rides on the map of Q
-    # to y, so a warm fiber_integrand or derived_q makes none
+    # are those of each distinct group key, built once as one folded chain
+    # (one product per further factor of the group) and with no WSeries
+    # product; (1+y)^fiber_dim rides on the map of Q to y, so a warm
+    # fiber_integrand or derived_q makes none
     memo = fibrations_module._slope_group
-    calls = count_calls(monkeypatch, WSeries, "__mul__")
+    muls = count_calls(monkeypatch, WSeries, "__mul__")
+    chains = count_calls(monkeypatch, fibrations_module, "_packed_mul")
     cold = derived_q(family, 6, 8)
-    assert len(calls) == products
+    assert sum(len(factors) - 1 for factors, _w, _q in chains) == products
+    assert len(chains) == len(_GROUP_KEYS[family])
+    assert muls == []
     assert set(memo.tops) == _GROUP_KEYS[family]
     assert memo.cache_info().misses == len(_GROUP_KEYS[family])
-    calls.clear()
+    chains.clear()
     fiber_integrand(CATALOG[family], 6 + CATALOG[family].bundle.rank - 1, 8)
-    assert calls == []
     assert derived_q(family, 6, 8) == cold
-    assert calls == []
+    assert chains == [] and muls == []
     assert memo.cache_info().misses == len(_GROUP_KEYS[family])
 
 

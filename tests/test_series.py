@@ -685,7 +685,7 @@ def test_packed_chain_equals_oracle(series):
     wmax, qmax = series[0].wmax, series[0].qmax
     packed, want = series[0]._packed, series[0]
     for factor in series[1:]:
-        packed = _packed_mul(packed, factor._packed, wmax, qmax)
+        packed = _packed_mul((packed, factor._packed), wmax, qmax)
         want = reference_mul(want, factor)
         assert _is_reduced(packed, want.terms)
     assert WSeries._trusted(wmax, qmax, packed) == want
@@ -711,7 +711,7 @@ def _big_pair(draw):
 
 def _assert_folded_mul(a, b):
     wmax, qmax = a.wmax, a.qmax
-    packed = _packed_mul(a._packed, b._packed, wmax, qmax)
+    packed = _packed_mul((a._packed, b._packed), wmax, qmax)
     assert packed == pair_loop_packed_mul(a._packed, b._packed, wmax, qmax)
     want = dict_mul(dict_terms(a), dict_terms(b), wmax, qmax)
     assert WSeries._trusted(wmax, qmax, packed).terms == want
@@ -889,7 +889,7 @@ def _edge_mul_and_chains(wmax, c):
     and for the read of its deferred product over each slope set of
     ``_EDGE_SLOPES``."""
     G = _full_support(wmax, c)
-    out = [(_packed_mul(G._packed, G._packed, wmax, _EDGE_QMAX),
+    out = [(_packed_mul((G._packed, G._packed), wmax, _EDGE_QMAX),
             pair_loop_packed_mul(G._packed, G._packed, wmax, _EDGE_QMAX))]
     for slopes in _EDGE_SLOPES:
         groups = dict.fromkeys(slopes, G)
@@ -980,6 +980,55 @@ def test_slot_budget_negative_controls(monkeypatch):
             assert (got != want) is wrong
     # positive control
     for got, want in _edge_mul_and_chains(3, 2**40 - 1) + _edge_maps(4, 2**40 - 1):
+        assert got == want
+
+
+# -- the folded chain of several factors -------------------------------------------
+
+
+@given(_same_orders(2), st.lists(st.integers(0, 1), min_size=1, max_size=4))
+def test_a_folded_chain_equals_the_pair_loop_products(pair, picks):
+    # a chain of two distinct series, each repeated as drawn and folded once,
+    # against the pair-loop kernel oracle one product at a time
+    factors = [pair[i]._packed for i in picks]
+    wmax, qmax = pair[0].wmax, pair[0].qmax
+    want = factors[0]
+    for f in factors[1:]:
+        want = pair_loop_packed_mul(want, f, wmax, qmax)
+    assert _packed_mul(factors, wmax, qmax) == want
+
+
+def _edge_chain(wmax, c, length):
+    """(the folded chain, the pair-loop oracle) of ``length`` copies of the
+    full-support series."""
+    G = _full_support(wmax, c)
+    want = G._packed
+    for _ in range(length - 1):
+        want = pair_loop_packed_mul(want, G._packed, wmax, _EDGE_QMAX)
+    return _packed_mul([G._packed] * length, wmax, _EDGE_QMAX), want
+
+
+@pytest.mark.parametrize("wmax, c", _EDGE_CASES)
+def test_the_chain_slot_holds_at_worst_case_magnitudes(wmax, c):
+    # every slot of every step filled with one sign: the chain's numerators
+    # reach their largest at the last step
+    for length in (3, 4):
+        got, want = _edge_chain(wmax, c, length)
+        assert got == want
+
+
+def test_chain_slot_negative_controls(monkeypatch):
+    # a chain adds one bit_length(#terms) per step, where a step's slot sums
+    # reach fewer terms than that, so the three-factor chain keeps three
+    # bits of slack and the four-factor one six: four and seven bits less
+    # give a wrong product
+    for length, bits, wrong in ((3, 3, False), (3, 4, True), (4, 6, False), (4, 7, True)):
+        with monkeypatch.context() as mp:
+            _narrower_slots(mp, bits)
+            got, want = _edge_chain(3, 2**40 - 1, length)
+            assert (got != want) is wrong
+    for length in (3, 4):  # positive control
+        got, want = _edge_chain(3, 2**40 - 1, length)
         assert got == want
 
 

@@ -431,10 +431,11 @@ def test_sample_bases_take_each_twist_once():
 
 def test_route_consistency_builds_each_class_exp_once_per_join(monkeypatch):
     # the 20 pushed classes read exp(sum b_k p_k) from charclasses' memo: one
-    # build for each rising d of the first family, truncations after that
+    # build at the top order (max_dim, max_dim + 2) before the first family,
+    # truncations after that
     builds = count_calls(monkeypatch, charclasses, "_chi_y_exp")
     assert check_route_consistency(FAMILIES, 4) == []
-    assert builds == [(d, d + 2) for d in range(0, 5)]
+    assert builds == [(4, 6)]
 
 
 def test_route_consistency_reports_a_corrupted_class_exp(monkeypatch):
