@@ -59,7 +59,6 @@ from .series import (
     mono_weight,
     var_weight,
 )
-from .verify import run_suites
 
 __version__ = "0.1.0"
 
@@ -107,3 +106,17 @@ __all__ = [
     "var_weight",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    """``run_suites``, from ``verify``, which loads on first use: a start that
+    runs no suite does not compile it."""
+    if name == "run_suites":
+        from .verify import run_suites
+
+        return run_suites
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__():
+    return sorted({*globals(), "run_suites"})

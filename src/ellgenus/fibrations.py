@@ -124,7 +124,7 @@ def _slope_group(key, wmax, qmax):
     sorted H-coefficients of the N-roots).  Every F-root's factor is
     td(H) - z*H, made once from the Todd factor; an N-root's is a normal
     local factor.  So every weight-k term has z-degree <= k.  A cold group
-    is one folded chain (``series._packed_mul``): each distinct factor
+    is one folded chain (``_packed._packed_mul``): each distinct factor
     folded once, and the product unfolded and reduced once, so the memo
     keeps it reduced."""
     count, normals = key

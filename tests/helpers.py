@@ -19,10 +19,12 @@ Newton inverse by whole-series products (the oracles of the graded
 kernel), the packed multiply, shear and sheared product one numerator pair
 at a time (the oracles of the folded
 kernels, with no code from the engine), the dense ``Poly`` product, a call
-counter for monkeypatched library functions, and
+counter for monkeypatched library functions (one module, or every module
+that imported the function), and
 term-scan, ``Fraction`` sum and ``Fraction``-power oracles of
 ``coeff``/``y_slice``/``weight_component``, ``integrate`` and the P^d table."""
 
+import sys
 from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
@@ -646,6 +648,19 @@ def count_calls(monkeypatch, module, name):
         return real(*args)
 
     monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def count_calls_everywhere(monkeypatch, module, name):
+    """``count_calls`` of ``module.name``, with the wrapper also set in every
+    other loaded ``ellgenus`` module that imported the function, so the list
+    holds the calls of every caller."""
+    real = getattr(module, name)
+    calls = count_calls(monkeypatch, module, name)
+    for other in list(sys.modules.values()):
+        if getattr(other, "__name__", "").startswith("ellgenus.") and other is not module:
+            if vars(other).get(name) is real:
+                monkeypatch.setattr(other, name, getattr(module, name))
     return calls
 
 

@@ -4,7 +4,6 @@ and the polynomial table."""
 import copy
 import pickle
 import random
-import sys
 from fractions import Fraction as F
 from math import factorial
 
@@ -32,13 +31,16 @@ from ellgenus import (
     pushforward,
     pushforward_class,
 )
+from ellgenus import _packed
 from ellgenus import fibrations as fibrations_module
 from ellgenus import series as series_module
+from ellgenus._packed import _width
 from ellgenus.charclasses import _normal_factor
-from ellgenus.series import _Product, _width
+from ellgenus.series import _Product
 from helpers import (
     PAPER_CLOSED_TEXT,
     count_calls,
+    count_calls_everywhere,
     normal_factor_in_y,
     pair_loop_sheared_product,
     reference_closed_form_q,
@@ -305,14 +307,14 @@ def test_the_residues_skip_only_keys_whose_residues_sum_to_zero(monkeypatch):
     # fiber is rational, changes; no twisted catalog spec does, its fiber
     # being an elliptic curve, whose chi_y is 0
     cases = list(_derive_cases())
-    real, skipped = series_module._read_pole, []
+    real, skipped = _packed._read_pole, []
 
     def counting(acc, jet, low, width, out):  # the skipped keys that hold a term
         degrees = zip(_l_degrees(acc, width), acc.values())
         skipped.append(sum(d < low for d, f in degrees if f))
         real(acc, jet, low, width, out)
 
-    monkeypatch.setattr(series_module, "_read_pole", counting)
+    monkeypatch.setattr(_packed, "_read_pole", counting)
     for spec, w, q, want in cases:
         assert derived_q(spec, w, q) == want
     assert sum(skipped) > 0
@@ -321,7 +323,7 @@ def test_the_residues_skip_only_keys_whose_residues_sum_to_zero(monkeypatch):
         kept = [d > low for d in _l_degrees(acc, width)]
         real({k: f for (k, f), x in zip(acc.items(), kept) if x}, jet, low, width, out)
 
-    monkeypatch.setattr(series_module, "_read_pole", one_more)
+    monkeypatch.setattr(_packed, "_read_pole", one_more)
     for i, (spec, w, q, want) in enumerate(cases):
         assert (derived_q(spec, w, q) != want) is (i >= 72)
         assert want.coeff(0, 0).is_zero() is (i < 72)
@@ -366,9 +368,9 @@ def test_a_dead_pole_is_skipped_and_q_is_unchanged(case):
     # read integrand
     spec, w, q = case
     reads = []
-    real = series_module._read_pole
+    real = _packed._read_pole
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(series_module, "_read_pole", lambda *a: reads.append(1) or real(*a))
+        mp.setattr(_packed, "_read_pole", lambda *a: reads.append(1) or real(*a))
         got, want = _unread_and_read(spec, w, q)
     assert got == want
     assert len(reads) < len(set(spec.bundle.exps))
@@ -377,12 +379,12 @@ def test_a_dead_pole_is_skipped_and_q_is_unchanged(case):
 def test_the_catalog_skips_e7s_pole_1_and_e8s_pole_2(monkeypatch):
     # N(aH) = O(H) at the slope of a simple exponent: E7's (2, 2) at 1 and
     # E8's (3, 6) at 2; D5's and E6's normal roots sit at a double exponent
-    reads = count_calls(monkeypatch, series_module, "_read_pole")
+    reads = count_calls(monkeypatch, _packed, "_read_pole")
     for family in FAMILIES:
         reads.clear()
         derived_q(family, 6, 7)
         exps = CATALOG[family].bundle.exps
-        pole_of = {jet: m for m, jet in series_module._poles(tuple(sorted(exps)))[0]}
+        pole_of = {jet: m for m, jet in _packed._poles(tuple(sorted(exps)))[0]}
         read = [pole_of[jet] for _acc, jet, *_ in reads]
         assert read == sorted(set(exps) - {"E7": {1}, "E8": {2}}.get(family, set()))
 
@@ -416,7 +418,7 @@ def test_a_cold_derived_q_never_unfolds_the_integrand(monkeypatch, family, w):
     # the unfolds are the local factors and group products, in the ring with
     # H alone, and Q, mapped from z to y with the prefactor, whose folded
     # monomials are L^0..L^w: none holds H and L
-    unfolds = count_calls(monkeypatch, series_module, "_unfold")
+    unfolds = count_calls(monkeypatch, _packed, "_unfold")
     Q = derived_q(family, w, w + 1)
     width = _width(w + CATALOG[family].bundle.rank - 1, w + 1)
     mask = (1 << width) - 1
@@ -432,10 +434,10 @@ def test_a_cold_derived_q_never_unfolds_the_integrand(monkeypatch, family, w):
 
 def test_the_map_to_y_folds_its_rows_once_per_slot_width():
     # a second request at the same orders reuses the folded z -> y rows
-    series_module._z_images.cache_clear()
+    _packed._z_images.cache_clear()
     first = derived_q("E7", 6, 7)
     assert derived_q("E7", 6, 7) == first
-    info = series_module._z_images.cache_info()
+    info = _packed._z_images.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
 
@@ -472,10 +474,7 @@ def test_derived_equals_closed_on_the_catalog_up_to_12(family):
 def test_derived_q_unpacks_nothing(monkeypatch):
     # the integrand, its pushforward and the truncation to the output weight
     # all run on the packed form: no Fraction view is built
-    unpacks = count_calls(monkeypatch, series_module, "_unpack")
-    for module in list(sys.modules.values()):  # any module that imported it
-        if module.__name__.startswith("ellgenus.") and hasattr(module, "_unpack"):
-            monkeypatch.setattr(module, "_unpack", series_module._unpack)
+    unpacks = count_calls_everywhere(monkeypatch, _packed, "_unpack")
     rng = random.Random("unpack")
     for family in FAMILIES:
         for w in (0, 3, 7):
@@ -659,7 +658,7 @@ def test_derived_q_decodes_no_key_at_the_benchmark_orders(monkeypatch, w):
     # fields, so its truncation keeps the keys
     rng = random.Random("decode")
     specs = [_twisted(family, 2, rng) for family in FAMILIES]
-    decodes = count_calls(monkeypatch, series_module, "_key_mono")
+    decodes = count_calls_everywhere(monkeypatch, _packed, "_key_mono")
     for spec in specs:
         derived_q(spec, w, w + 1)
     assert decodes == []

@@ -2,7 +2,9 @@
 ``BaseSpec``: value equality and hashing, their repr, keyword construction,
 frozen fields, copies, positional ``match``, and an import of the package
 that loads none of the stdlib's code-introspection modules, nor
-``__future__``."""
+``__future__``, nor what only some commands use: the verify suites (and
+their ``random``), ``argparse`` (and its ``gettext``) and ``json``.  The
+package serves ``run_suites`` from ``verify`` on first use."""
 
 import copy
 import os
@@ -169,20 +171,48 @@ def test_base_hash_ignores_the_table():
 
 
 INTROSPECTION = ("dataclasses", "inspect", "ast", "dis", "tokenize", "__future__")
+DEFERRED = ("ellgenus.verify", "random", "argparse", "gettext", "json")
 
 
-def test_import_loads_no_introspection_module():
-    # a fresh interpreter: the test process has loaded all of them already
+def _fresh_import_loads(names, source="import ellgenus, ellgenus.cli"):
+    """Which of ``names`` a fresh interpreter loads to run ``source``.  The
+    test process has loaded all of them already; with no site hooks (-S),
+    none is loaded before the import."""
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
-        "import ellgenus, ellgenus.cli\n"
+        "%s\n"
         "print(' '.join(m for m in %r if m in set(sys.modules) - before))\n"
-        % (INTROSPECTION,)
+        % (source, names)
     )
     path = [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True,
+        check=True,
     )
-    assert proc.stdout.split() == []
+    return proc.stdout.split()
+
+
+def test_import_loads_no_introspection_module():
+    assert _fresh_import_loads(INTROSPECTION + DEFERRED) == []
+
+
+def test_the_deferred_modules_load_on_first_use():
+    # negative control: the fresh-import check sees each deferred module
+    source = ("import ellgenus, ellgenus.cli; ellgenus.run_suites; "
+              "ellgenus.cli.build_parser(); ellgenus.cli.json")
+    assert _fresh_import_loads(DEFERRED, source) == list(DEFERRED)
+
+
+def test_run_suites_is_public_and_served_from_verify():
+    import ellgenus
+    from ellgenus import verify
+
+    assert ellgenus.run_suites is verify.run_suites
+    assert "run_suites" in ellgenus.__all__ and "run_suites" in dir(ellgenus)
+    star = {}
+    exec("from ellgenus import *", star)
+    assert set(ellgenus.__all__) <= set(star) and star["run_suites"] is verify.run_suites
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ellgenus.no_such_name

@@ -25,19 +25,14 @@ from ellgenus import (
     pushforward,
     var_weight,
 )
+from ellgenus import _packed
 from ellgenus import series as series_module
+from ellgenus._packed import _fold, _pack, _packed_mul, _unfold, _width
 from ellgenus.cli import emit_series_json
-from ellgenus.series import (
-    _Product,
-    _fold,
-    _pack,
-    _packed_mul,
-    _shear,
-    _unfold,
-    _width,
-)
+from ellgenus.series import _Product, _shear
 from helpers import (
     count_calls,
+    count_calls_everywhere,
     dict_add,
     dict_exp,
     dict_inverse,
@@ -944,15 +939,15 @@ def test_the_slot_budget_holds_at_worst_case_magnitudes(wmax, c):
 def _narrower_slots(monkeypatch, bits):
     """Make every fold, folded product and unfold use slots ``bits`` narrower
     than the kernels' budget."""
-    fold, mul, unfold = _fold, series_module._folded_mul, _unfold
+    fold, mul, unfold = _fold, _packed._folded_mul, _unfold
     cut = bits * (_EDGE_QMAX + 1)
-    monkeypatch.setattr(series_module, "_fold", lambda n, w, s: fold(n, w, s - bits))
+    monkeypatch.setattr(_packed, "_fold", lambda n, w, s: fold(n, w, s - bits))
     monkeypatch.setattr(  # a residue's eps-degree cap passes through
-        series_module, "_folded_mul",
+        _packed, "_folded_mul",
         lambda a, b, w, m, c, *cap: mul(a, b, w, m, c - cut, *cap),
     )
     monkeypatch.setattr(
-        series_module, "_unfold", lambda f, w, s, q, d: unfold(f, w, s - bits, q, d)
+        _packed, "_unfold", lambda f, w, s, q, d: unfold(f, w, s - bits, q, d)
     )
 
 
@@ -1046,7 +1041,7 @@ def test_the_map_to_y_rows_are_z_powers_times_one_plus_y_to_the_fiber_dim(fiber_
     # against z^k mapped to y by the Fraction term loop times (1+y)^f; its
     # bits are those of the largest column sum of absolute entries
     for qmax in range(13):
-        rows, bits = series_module._z_rows(qmax, fiber_dim)
+        rows, bits = _packed._z_rows(qmax, fiber_dim)
         assert len(rows) == qmax + 1
         prefactor = _one_plus_y_to(fiber_dim, 0, qmax)
         columns = [0] * (qmax + 1)
@@ -1109,9 +1104,9 @@ def test_the_map_to_y_holds_its_slots_at_worst_case_magnitudes(qmax, fiber_dim):
 
 
 def _narrower_map_to_y(monkeypatch, bits):
-    rows = series_module._z_rows
+    rows = _packed._z_rows
     monkeypatch.setattr(
-        series_module, "_z_rows", lambda q, f: (rows(q, f)[0], rows(q, f)[1] - bits)
+        _packed, "_z_rows", lambda q, f: (rows(q, f)[0], rows(q, f)[1] - bits)
     )
 
 
@@ -1133,7 +1128,7 @@ def test_the_map_to_y_slot_negative_control(monkeypatch):
                 _narrower_map_to_y(mp, bits)
                 pushed = _z_products(3, 8, fiber_dim, 2**40 - 1)[1]
                 assert (pushed[0] != pushed[1]) is wrong
-    assert [series_module._z_rows(8, f)[1] for f in (0, 2)] == [7, 5]
+    assert [_packed._z_rows(8, f)[1] for f in (0, 2)] == [7, 5]
 
 
 @st.composite
@@ -1487,7 +1482,7 @@ def test_truncate_equals_a_term_filter(orders, cut, data):
     w, q = cut
     with pytest.MonkeyPatch.context() as mp:
         unpacks = count_calls(mp, series_module, "_unpack")
-        decodes = count_calls(mp, series_module, "_key_mono")
+        decodes = count_calls_everywhere(mp, _packed, "_key_mono")
         got = a.truncate(w, q)  # before any read of a's terms builds the view
         # the kept keys are the old ones, or each field moved to the new width
         assert (got.wmax, got.qmax) == cut and unpacks == [] and decodes == []
@@ -1586,13 +1581,13 @@ def test_graded_kernel_at_sums_past_the_key_field():
 
 
 def _graded_with(check):
-    """``series._graded`` with the slice check replaced by ``check`` on the
+    """``_packed._graded`` with the slice check replaced by ``check`` on the
     summed key: the check made after two keys add, or none at all."""
-    src = textwrap.dedent(inspect.getsource(series_module._graded))
+    src = textwrap.dedent(inspect.getsource(_packed._graded))
     pre, add = "if w1 + w2 <= wmax and q1 + q2 <= qmax:", "acc[k1 + k2] += fx * x2"
     assert src.count(pre) == 1 and src.count(add) == 1
     src = src.replace(pre, "if True:").replace(add, add + " * (%s)" % check)
-    namespace = dict(vars(series_module))
+    namespace = dict(vars(_packed))
     exec(src, namespace)
     return namespace["_graded"]
 

@@ -1,8 +1,9 @@
 """tools/bench_pairs.py: a run with a wrong output stops the tool, the
 output file counts the program lines of both checkouts, each mode keeps the
-other's entry of the file, the in-process passes start from empty caches,
+others' entries of the file, the in-process passes start from empty caches,
 and they resolve a slower tree but claim no gain, in pass or in tail
-time, between identical ones."""
+time, between identical ones; the fresh-interpreter imports resolve a
+slower start-up and refuse a checkout with cached bytecode."""
 
 import importlib.util
 import json
@@ -11,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from ellgenus import CATALOG, BaseSpec, chi_q, derived_q, fiber_integrand, series
-from ellgenus import charclasses, genseries
+from ellgenus import CATALOG, BaseSpec, chi_q, derived_q, fiber_integrand
+from ellgenus import _packed, charclasses, genseries
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -52,7 +53,8 @@ def test_a_wrong_run_stops_bench_pairs(
 
     monkeypatch.setattr(tool, "run_once", run_once)
     out = tmp_path / "pairs.json"
-    out.write_text(json.dumps({"passes": {"passes": 3}, "stale": 1}))
+    out.write_text(json.dumps({"passes": {"passes": 3}, "imports": {"pairs": []},
+                               "stale": 1}))
     argv = ["--parent", str(parent), "--change", str(change), "--out", str(out)]
     assert tool.main(argv) == 1
     assert "the change run of cli seed 2 is wrong" in capsys.readouterr().err
@@ -61,8 +63,9 @@ def test_a_wrong_run_stops_bench_pairs(
     cli = doc["workloads"]["cli"]
     assert [p["seed"] for p in cli["pairs"]] == [1] and "summary" not in cli
     assert doc["src_lines"] == {"parent": 4, "change": 3}
-    # in-process passes run earlier stay; any other old key goes
-    assert doc["passes"] == {"passes": 3} and "stale" not in doc
+    # in-process passes and imports run earlier stay; any other old key goes
+    assert doc["passes"] == {"passes": 3} and doc["imports"] == {"pairs": []}
+    assert "stale" not in doc
 
 
 def _derive_only(monkeypatch):
@@ -96,13 +99,13 @@ def test_two_identical_trees_claim_no_gain(tmp_path, monkeypatch):
         assert summary["pairs"] == 20 and summary["gain"] is False, name
 
 
-def _edited_tree(tmp_path, old, new):
-    """A copy of ``src`` and ``bench`` with one line of ``fibrations.py`` edited."""
-    tree = tmp_path / "edited"
+def _edited_tree(tmp_path, old, new, module="fibrations.py", name="edited"):
+    """A copy of ``src`` and ``bench`` with one line of ``module`` edited."""
+    tree = tmp_path / name
     for part in ("src", "bench"):
         shutil.copytree(ROOT / part, tree / part,
                         ignore=shutil.ignore_patterns("__pycache__", ".bench_work"))
-    module = tree / "src" / "ellgenus" / "fibrations.py"
+    module = tree / "src" / "ellgenus" / module
     text = module.read_text()
     assert old in text
     module.write_text(text.replace(old, new))
@@ -135,7 +138,7 @@ def test_a_pass_starts_with_every_cache_empty():
     fiber_integrand(CATALOG["D5"], 6, 4).terms
     chi_q("E8", BaseSpec.projective_space(2, 3), 1, verify=True)
     found = tool.caches()
-    rows = {series._z_rows, series._z_images, series._poles, series._pole_rows}
+    rows = {_packed._z_rows, _packed._z_images, _packed._poles, _packed._pole_rows}
     assert rows <= found and any(hasattr(c, "tops") for c in found)
     assert all(c.cache_info().currsize for c in rows)
     # each route's exp(sum b_k p_k), the class route's under charclasses
@@ -144,3 +147,43 @@ def test_a_pass_starts_with_every_cache_empty():
     tool.clear_caches()
     assert all(c.cache_info().currsize == 0 for c in found)
     assert all(not c.tops for c in found if hasattr(c, "tops"))
+
+
+def _imports(tmp_path, parent, change, pairs):
+    """The ``imports`` entry of ``pairs`` fresh-interpreter pairs, written
+    beside an existing entry of the output file, which it keeps."""
+    out = tmp_path / "pairs.json"
+    out.write_text(json.dumps({"passes": {"passes": 1}}))
+    argv = ["--parent", str(parent), "--change", str(change), "--out", str(out),
+            "--imports", str(pairs), "--seed", "40"]
+    assert _bench_pairs().main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert doc["passes"] == {"passes": 1}
+    return doc["imports"]
+
+
+def test_fresh_imports_resolve_a_slower_start_up(tmp_path):
+    # 30 ms of sleep in the package's import, far beyond the spread of one
+    head = '__version__ = "0.1.0"\n'
+    slow = _edited_tree(tmp_path, head, head + "__import__('time').sleep(0.03)\n",
+                        "__init__.py", "slow")
+    same = _edited_tree(tmp_path, "", "", name="same")  # an unedited copy
+    imports = _imports(tmp_path, slow, same, 3)
+    assert [p["first"] for p in imports["pairs"]] == ["parent", "change", "parent"]
+    assert [p["hash_seed"] for p in imports["pairs"]] == [41, 42, 43]
+    assert all(set(p[s]["metrics"]) == {"import_s", "rss_mb"}
+               for p in imports["pairs"] for s in ("parent", "change"))
+    summary = imports["summary"]
+    assert summary["import_s"]["change_wins"] == 3 and summary["import_s"]["gain"] is True
+    assert summary["rss_mb"]["pairs"] == 3
+
+
+def test_fresh_imports_refuse_cached_bytecode(tmp_path, capsys):
+    # the copies hold no bytecode until one is made in the change
+    parent, tree = (_edited_tree(tmp_path, "", "", name=n) for n in ("parent", "change"))
+    (tree / "src" / "ellgenus" / "__pycache__").mkdir()
+    argv = ["--parent", str(parent), "--change", str(tree), "--out",
+            str(tmp_path / "pairs.json"), "--imports", "1"]
+    assert _bench_pairs().main(argv) == 1
+    assert "the change checkout holds cached bytecode" in capsys.readouterr().err
+    assert not (tmp_path / "pairs.json").exists()

@@ -17,6 +17,7 @@ from ellgenus import (
     Poly,
     RootForm,
     WSeries,
+    _packed,
     charclasses,
     chi_y_log_coefficients,
     fibrations,
@@ -101,13 +102,13 @@ def _d5_integrand_failures(failures):
 def test_d5_oracle_catches_a_corrupted_residue_jet(monkeypatch):
     # one jet numerator of the first pole off by one: the residues of the
     # unread integrand disagree with the derivative formula on its read
-    real = series._poles
+    real = _packed._poles
 
     def corrupted(exps):
         ((m, jet), *rest), den = real(exps)
         return ((m, (jet[0] + 1,) + jet[1:]), *rest), den
 
-    monkeypatch.setattr(series, "_poles", corrupted)
+    monkeypatch.setattr(_packed, "_poles", corrupted)
     failures = check_d5_derivative_oracle()
     # the random series take the same residues: they disagree too
     random_lines = [line for line in failures if re.fullmatch(

@@ -9,7 +9,7 @@ with ``python3 bench/run.py --workload W --seed i --seconds 25 --trace 0``:
 the parent first when i is odd, the change first when i is even.  The output
 file is rewritten after every pair, so an interrupted session keeps the
 pairs it finished; a workload gets its summary only once all ten are done.
-A ``passes`` entry already in the file (see below) is kept.
+A ``passes`` or ``imports`` entry already in the file (see below) is kept.
 
 For every end-to-end metric of ``BENCHMARK.json`` (and ``verify_s`` on
 ``cli``) the summary gives each side's median and quartiles, the pairs the
@@ -37,6 +37,20 @@ other keys as they are: per workload the pass seconds (``pass_s``) and the
 tail seconds (``tail_s``, the pass's request times read by ``bench/run.py``'s
 rule: the highest percentile with at least ten samples beyond it) of every
 pair, and their summaries, with the same wins and gain rule as above.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json \
+        --imports N [--seed S]
+
+times the start-up alone, with more samples than the benchmark's 21 probes:
+pair i = 1..N runs one fresh interpreter per checkout, the parent first when
+i is odd, each with ``PYTHONHASHSEED`` S + i (S is 0 by default).  Each
+times ``import ellgenus, ellgenus.cli`` from the checkout's ``src``
+(``import_s``) and reads its peak resident memory (``rss_mb``, from
+``ru_maxrss``).  Bytecode is not written (``-B``), and a checkout that holds
+cached bytecode of ``src/ellgenus`` stops the tool with exit status 1, so
+every import compiles the package from source, as the benchmark's checkout
+does.  The result goes under the key ``imports``, with the same wins and
+gain rule, and the file's other keys stay as they are.
 """
 
 from __future__ import annotations
@@ -71,6 +85,58 @@ def run_once(checkout, workload, seed):
         metrics["verify_s"] = extra["verify_s"]
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"], "metrics": metrics}
+
+
+IMPORT_CODE = (
+    "import resource, time\n"
+    "t = time.perf_counter()\n"
+    "import ellgenus, ellgenus.cli\n"
+    "t = time.perf_counter() - t\n"
+    "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+    "print(repr(t), rss, ellgenus.__file__)\n"
+)
+
+
+def import_once(checkout, hash_seed):
+    """Seconds and peak MB of ``import ellgenus, ellgenus.cli`` in a fresh
+    interpreter on the checkout's ``src``, or None when the package came
+    from elsewhere."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
+               PYTHONHASHSEED=str(hash_seed))
+    proc = subprocess.run([sys.executable, "-B", "-c", IMPORT_CODE], cwd=checkout,
+                          env=env, capture_output=True, text=True, check=True)
+    seconds, rss_kb, where = proc.stdout.split()
+    if where != os.path.join(os.path.abspath(checkout), "src", "ellgenus", "__init__.py"):
+        return None
+    return {"import_s": float(seconds), "rss_mb": int(rss_kb) / 1024.0}
+
+
+def fresh_imports(args):
+    """The ``imports`` entry: ``args.imports`` alternating pairs of fresh
+    interpreters, or None when a checkout cannot be timed from source."""
+    for side in ("parent", "change"):
+        cached = os.path.join(getattr(args, side), "src", "ellgenus", "__pycache__")
+        if os.path.isdir(cached):
+            print("bench_pairs: the %s checkout holds cached bytecode" % side,
+                  file=sys.stderr)
+            return None
+    pairs = []
+    for i in range(1, args.imports + 1):
+        sides = ("parent", "change") if i % 2 else ("change", "parent")
+        pair = {"hash_seed": args.seed + i, "first": sides[0]}
+        for side in sides:
+            metrics = import_once(getattr(args, side), args.seed + i)
+            if metrics is None:
+                print("bench_pairs: the %s interpreter imported another ellgenus" % side,
+                      file=sys.stderr)
+                return None
+            pair[side] = {"metrics": metrics}
+        pairs.append(pair)
+    return {"interpreters": args.imports, "python": platform.python_version(),
+            "pairing": "pair i runs one interpreter per side at PYTHONHASHSEED "
+                       "seed + i; parent first for odd i",
+            "pairs": pairs,
+            "summary": summarise(pairs, {"import_s": "lower", "rss_mb": "lower"})}
 
 
 def src_lines(checkout):
@@ -216,20 +282,24 @@ def main(argv=None):
     ap.add_argument("--change", required=True)
     ap.add_argument("--out", required=True)
     ap.add_argument("--passes", type=int, help="in-process passes per workload")
+    ap.add_argument("--imports", type=int, help="pairs of fresh interpreters")
+    ap.add_argument("--seed", type=int, default=0,
+                    help="import pair i runs at PYTHONHASHSEED seed + i")
     args = ap.parse_args(argv)
-    if args.passes is not None:
-        passes = in_process_passes(args)
-        if passes is None:
-            return 1
-        doc = {}
-        if os.path.exists(args.out):
-            with open(args.out) as fh:
-                doc = json.load(fh)
-        doc["passes"] = passes
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        return 0
+    for key, run in (("passes", in_process_passes), ("imports", fresh_imports)):
+        if getattr(args, key) is not None:
+            entry = run(args)
+            if entry is None:
+                return 1
+            doc = {}
+            if os.path.exists(args.out):
+                with open(args.out) as fh:
+                    doc = json.load(fh)
+            doc[key] = entry
+            with open(args.out, "w") as fh:
+                json.dump(doc, fh, indent=1, sort_keys=True)
+                fh.write("\n")
+            return 0
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
     better["verify_s"] = "lower"
@@ -246,9 +316,8 @@ def main(argv=None):
     }
     if os.path.exists(args.out):
         with open(args.out) as fh:
-            passes = json.load(fh).get("passes")
-        if passes is not None:
-            doc["passes"] = passes
+            old = json.load(fh)
+        doc.update((key, old[key]) for key in ("passes", "imports") if key in old)
     for workload in WORKLOADS:
         pairs = []
         doc["workloads"][workload] = {"pairs": pairs}
