@@ -10,6 +10,7 @@ losslessly through the JSON record schema.
 import os
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 
 from .charclasses import RootForm
 from .fibrations import (
@@ -26,7 +27,7 @@ from .fibrations import (
 )
 from .genseries import BaseSpec, MissingIntersectionError, chi_q, chi_series
 from .pushforward import BundleSpec
-from .series import WSeries, _TEXT, _sum_text, mono_from_dict, mono_weight
+from .series import WSeries, _TEXT, _mono_and_weight, _signed_sum, _term_texts, mono_weight
 
 
 class UsageError(ValueError):
@@ -62,37 +63,61 @@ def emit_series_json(series):
 
 _RECORD = ('    {\n      "t_deg": %d,\n      "terms": [\n%s\n      ],\n'
            '      "y_deg": %d\n    }')
-_TERM = '        {\n          "coeff": "%s",\n          "exps": %s\n        }'
+_COEFF = '        {\n          "coeff": "'  # a term's text is _COEFF, its coefficient
+_EXPS = '",\n          "exps": %s\n        }'  # and _EXPS of its exps text
 _EXP = '            "%s": %d'
 
 
 def _series_json_text(series):
     """``json.dumps(emit_series_json(series), indent=2, sort_keys=True)``,
-    written directly: the schema's keys are fixed and already in sorted
-    order, and its variable names and coefficients need no escaping."""
-    records = []
-    for r in series_to_records(series):
-        terms = []
-        for t in r["terms"]:
-            exps = ",\n".join(_EXP % ve for ve in sorted(t["exps"].items()))
+    written directly from the sorted terms: the schema's keys are fixed and
+    already in sorted order, its variable names and coefficients need no
+    escaping, and each distinct monomial's weight and ``exps`` text are
+    written once."""
+    records, terms, block_w, block_q, tails = [], [], -1, -1, {}
+    for mono, q, n, d in series.sorted_terms():
+        known = tails.get(mono)
+        if known is None:
+            exps = ",\n".join([_EXP % ve for ve in sorted(mono)])
             exps = "{\n%s\n          }" % exps if exps else "{}"
-            terms.append(_TERM % (t["coeff"], exps))
-        records.append(_RECORD % (r["t_deg"], ",\n".join(terms), r["y_deg"]))
+            known = tails[mono] = (mono_weight(mono), _EXPS % exps)
+        weight, tail = known
+        if q != block_q or weight != block_w:
+            if terms:
+                records.append(_RECORD % (block_w, ",\n".join(terms), block_q))
+            block_w, block_q, terms = weight, q, []
+        terms.append(_COEFF + ("%d" % n if d == 1 else "%d/%d" % (n, d)) + tail)
+    if terms:
+        records.append(_RECORD % (block_w, ",\n".join(terms), block_q))
     records = "[\n%s\n  ]" % ",\n".join(records) if records else "[]"
     return '{\n  "qmax": %d,\n  "records": %s,\n  "wmax": %d\n}' % (
         series.qmax, records, series.wmax)
 
 
 def parse_series_json(data):
+    """The series of a JSON record set, read strictly: every term's weight
+    is its record's ``t_deg``, lies within the orders, and appears once."""
     try:
         wmax = _json_int(data["wmax"], "wmax")
         qmax = _json_int(data["qmax"], "qmax")
         terms = {}
         for record in data["records"]:
+            k = _json_int(record["t_deg"], "t_deg")
             q = _json_int(record["y_deg"], "y_deg")
             for term in record["terms"]:
-                mono = _json_mono(term["exps"])
-                terms[(mono, q)] = _json_rational(term["coeff"], "coeff")
+                mono, weight = _json_mono(term["exps"])
+                if weight != k:
+                    fault = "has weight %d, not its record's t_deg %d" % (weight, k)
+                elif k > wmax or q > qmax:
+                    fault = "lies past (wmax, qmax) = (%d, %d)" % (wmax, qmax)
+                elif (mono, q) in terms:
+                    fault = "appears twice"
+                else:
+                    fault = None
+                if fault:
+                    where = "term %s at y_deg %d" % (_json().dumps(term["exps"]), q)
+                    raise ValueError("%s %s" % (where, fault))
+                terms[(mono, q)] = Fraction(*_json_rational(term["coeff"], "coeff"))
         return WSeries(wmax, qmax, terms)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError("malformed series JSON: %s" % exc)
@@ -130,25 +155,35 @@ def _json_int(value, what):
 
 
 def _json_rational(value, what):
-    """An exact rational from a JSON integer or a "num/den" string; a JSON
-    float is refused rather than read as a binary fraction."""
+    """(numerator, denominator), in lowest terms, of an exact rational: a
+    JSON integer, or a string "num" or "num/den" of ASCII digits, num with an
+    optional leading '-' and den > 0.  A JSON float is refused rather than
+    read as a binary fraction, and so is any other string."""
     if type(value) is int:
-        return Fraction(value)
+        return value, 1
+    form = ""
     if isinstance(value, str):
+        num, slash, den = value.partition("/")
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise UsageError(
-        "%s must be an exact rational string, got %s" % (what, _json().dumps(value))
-    )
+            n, d = _integer(num), _integer(den) if slash else 1
+        except ValueError:
+            n, d = 0, 0
+        if d > 0:  # a den of 0 or with a '-' is refused
+            g = gcd(n, d)
+            return n // g, d // g
+        form = ' "num" or "num/den" (ASCII digits, num may start with "-", den > 0)'
+    raise UsageError("%s must be an exact rational string%s, got %s"
+                     % (what, form, _json().dumps(value)))
 
 
 def _json_mono(exps):
-    """A monomial from a JSON object of {variable: integer exponent}."""
+    """A canonical monomial and its weight from a JSON object of {variable:
+    integer exponent}."""
     if not isinstance(exps, dict):
         raise UsageError("exps must be a JSON object, got %s" % _json().dumps(exps))
-    return mono_from_dict({v: _json_int(e, "exponent") for v, e in exps.items()})
+    for e in exps.values():
+        _json_int(e, "exponent")
+    return _mono_and_weight(exps)
 
 
 def _json_roots(entries, what):
@@ -198,15 +233,23 @@ def load_fibration_spec(path):
 
 
 def load_base_spec(path):
-    """{"dim": d, "monomials": [{"exps": {...}, "value": "num/den"}]}"""
+    """{"dim": d, "monomials": [{"exps": {...}, "value": "num/den"}]}, read in
+    one pass: each entry's canonical monomial, its weight and its value as
+    ints; the base is built from those ints."""
     data = _load_json_object(path, "base")
     try:
         dim = _json_int(data["dim"], "dim")
+        if dim < 0:
+            raise ValueError("dimension must be >= 0")
         table = {}
         for entry in data["monomials"]:
-            mono = _json_mono(entry["exps"])
+            mono, weight = _json_mono(entry["exps"])
+            if weight != dim:
+                raise ValueError("table monomial %r has weight != %d" % (mono, dim))
             table[mono] = _json_rational(entry["value"], "value")
-        return BaseSpec(dim=dim, table=table)
+        den = lcm(*[d for _n, d in table.values()])
+        ints = {mono: n * (den // d) for mono, (n, d) in table.items()}
+        return BaseSpec._of_ints(dim, ints, den)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError("base file %s: %s" % (path, exc))
 
@@ -259,14 +302,23 @@ def cmd_q(args):
     elif args.format == "latex":
         print(series.to_latex())
     else:
-        print("Q(%s) expanded to weight %d, y-degree %d:" % (label, args.wmax, args.qmax))
-        rows = [[] for _ in range(args.qmax + 1)]  # the y^q coefficient's terms
-        for mono, q, n, d in series.sorted_terms():
-            rows[q].append((mono, 0, n, d))
-        for q, row in enumerate(rows):
-            if row or q <= args.wmax + 1:
-                print("  y^%d: %s" % (q, _sum_text(row, _TEXT)))
+        lines = ["Q(%s) expanded to weight %d, y-degree %d:" % (label, args.wmax, args.qmax)]
+        for q, text in enumerate(_y_rows(series)):
+            if text != "0" or q <= args.wmax + 1:  # a row with terms is never "0"
+                lines.append("  y^%d: %s" % (q, text))
+        print("\n".join(lines))
     return 0
+
+
+def _y_rows(series):
+    """The text of the y^q coefficient of ``series`` for q = 0..qmax, each
+    as ``series.y_slice(q).to_text()`` writes it: one walk writes every
+    term, and the rows split it by y-degree."""
+    rows = [[] for _ in range(series.qmax + 1)]
+    terms = series.sorted_terms()
+    for (_mono, q, _n, _d), part in zip(terms, _term_texts(terms, _TEXT, False)):
+        rows[q].append(part)
+    return [_signed_sum(row, " ") for row in rows]
 
 
 def cmd_ptable(args):

@@ -49,8 +49,8 @@ class BaseSpec(_Record):
     one denominator for the pairing.  Two bases are equal when both
     dimension and table are, which those ints tell, since their denominator
     is the lcm of the table's; the hash reads the dimension only.
-    ``projective_space`` keeps only the ints and builds the ``Fraction``
-    table on its first read.
+    ``projective_space`` and a base file's reader keep only the ints and
+    build the ``Fraction`` table on its first read.
     """
 
     __match_args__ = ("dim", "table")
@@ -93,8 +93,16 @@ class BaseSpec(_Record):
         if d < 0:
             raise ValueError("dimension must be >= 0")
         ints = {m: c * n**e for m, c, e in _projective_monomials(d)}
-        base = object.__new__(cls)  # generated canonical: no checks to repeat
-        base.__dict__.update(dim=d, _ints=(ints, 1), _key=(d, ints, 1))  # no table yet
+        return cls._of_ints(d, ints, 1)  # generated canonical: no checks to repeat
+
+    @classmethod
+    def _of_ints(cls, dim, ints, den):
+        """The base of dimension ``dim`` >= 0 whose table is the int
+        numerators ``ints`` {canonical weight-``dim`` monomial: n} over
+        ``den``, the lcm of the reduced denominators, taken as they are; the
+        ``Fraction`` table is built on its first read."""
+        base = object.__new__(cls)
+        base.__dict__.update(dim=dim, _ints=(ints, den), _key=(dim, ints, den))
         return base
 
 

@@ -32,10 +32,12 @@ p/r scales the numerators by p and the denominator by r; ``_scale_weights``
 adds j to a key for y^j.  ``_reduced`` then divides the numerators and the
 denominator by their gcd, so a value has one packed form, its denominator
 the lcm of the reduced coefficient denominators, and ``==`` compares packed
-forms.  The slices (``coeff``, ``y_slice``, ``weight_component``), the
-display (``sorted_terms``) and the pairing of ``genseries`` with a base read
-one split of the packed keys by (weight, y-degree), built on first use with
-each distinct monomial decoded once.
+forms.  The slices (``coeff``, ``y_slice``, ``weight_component``) and the
+pairing of ``genseries`` with a base read one split of the packed keys by
+(weight, y-degree), built on first use with each distinct monomial decoded
+once.  The display (``sorted_terms``) is one sort of the packed keys, each
+distinct monomial decoded and ranked once, and its writers write each
+distinct monomial's factors once per sum.
 """
 
 from collections import defaultdict
@@ -64,16 +66,23 @@ class TruncationDeficitError(ValueError):
 
 def mono_from_dict(exps):
     """Canonical monomial from a {variable: exponent} mapping."""
-    items = []
+    return _mono_and_weight(exps)[0]
+
+
+def _mono_and_weight(exps):
+    """The canonical monomial of a {variable: exponent} mapping and its
+    weight, read in one pass."""
+    items, weight = [], 0
     for v, e in exps.items():
-        var_weight(v)  # validates the name
+        field, w = _field(v)  # validates the name
         e = index(e)
         if e < 0:
             raise ValueError("negative exponent for %r" % (v,))
         if e:
-            items.append((v, e))
-    items.sort(key=lambda it: _field(it[0])[0])
-    return tuple(items)
+            items.append((field, v, e))
+            weight += w * e
+    items.sort()
+    return tuple([(v, e) for _f, v, e in items]), weight
 
 
 def mono_weight(mono):
@@ -302,12 +311,21 @@ class WSeries:
 
     def sorted_terms(self):
         """(monomial, y-degree, numerator, denominator) of every term, each
-        fraction in lowest terms, ordered by weight, y-degree and monomial."""
-        den, out = self._packed[1], []
-        for (_w, q), row in sorted(self._by_slice().items()):
-            for _key, mono, n in sorted(row, key=lambda e: _mono_sort_key(e[1])):
-                g = gcd(n, den)
-                out.append((mono, q, n // g, den // g))
+        fraction in lowest terms, ordered by weight, y-degree and monomial:
+        one sort of the packed keys, each distinct monomial decoded and
+        ranked once."""
+        nums, den = self._packed
+        width = _width(self.wmax, self.qmax)
+        vshift = 2 * width  # past the y and weight fields, which sort as one int
+        monos = {mk: _key_mono(mk, width) for mk in {key >> vshift for key in nums}}
+        ranked = sorted(monos, key=lambda mk: _mono_sort_key(monos[mk]))
+        rank = {mk: i for i, mk in enumerate(ranked)}
+        shift, low, ymask = len(ranked).bit_length(), (1 << vshift) - 1, (1 << width) - 1
+        out = []
+        for key in sorted(nums, key=lambda key: (key & low) << shift | rank[key >> vshift]):
+            n = nums[key]
+            g = gcd(n, den)
+            out.append((monos[key >> vshift], key & ymask, n // g, den // g))
         return out
 
     def truncate(self, wmax=None, qmax=None):
@@ -627,19 +645,33 @@ _LATEX = ("%s^{%d}", _tex_name, r"\frac{%d}{%d}", " ", " ")
 
 def _sum_text(terms, style):
     """The signed sum of ``(monomial, y-degree, numerator, denominator)``
-    terms, each fraction in lowest terms, in ``style`` (see ``_TEXT``): a
-    coefficient of absolute value 1 is written only when the term has no
-    factor, and y follows the monomial."""
-    pow_fmt, name, frac_fmt, mul, sep = style
-    parts = []
+    terms, each fraction in lowest terms, in ``style`` (see ``_TEXT``)."""
+    return _signed_sum(_term_texts(terms, style), style[4])
+
+
+def _term_texts(terms, style, with_y=True):
+    """(sign, body) of each ``(monomial, y-degree, numerator, denominator)``
+    term in ``style``, sign '+' or '-': a coefficient of absolute value 1 is
+    written only when the term has no factor, and y, left out unless
+    ``with_y``, follows the monomial.  Each distinct monomial's factors are
+    written once per call, with no y attached."""
+    pow_fmt, name, frac_fmt, mul, _sep = style
+    monos, out = {}, []
     for mono, q, n, d in terms:
-        factors = [name(v) if e == 1 else pow_fmt % (name(v), e) for v, e in mono]
-        if q:
-            factors.append("y" if q == 1 else pow_fmt % ("y", q))
+        text = monos.get(mono)
+        if text is None:
+            text = monos[mono] = mul.join(
+                [name(v) if e == 1 else pow_fmt % (name(v), e) for v, e in mono])
+        if q and with_y:
+            y = "y" if q == 1 else pow_fmt % ("y", q)
+            text = text + mul + y if text else y
         coeff = "%d" % abs(n) if d == 1 else frac_fmt % (abs(n), d)
-        body = mul.join(factors if factors and coeff == "1" else [coeff] + factors)
-        parts.append(("-" if n < 0 else "+", body))
-    return _signed_sum(parts, sep)
+        if not text:
+            text = coeff
+        elif coeff != "1":
+            text = coeff + mul + text
+        out.append(("-" if n < 0 else "+", text))
+    return out
 
 
 def _signed_sum(parts, sep):

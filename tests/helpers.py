@@ -22,8 +22,12 @@ kernels, with no code from the engine), the dense ``Poly`` product, a call
 counter for monkeypatched library functions (one module, or every module
 that imported the function), and
 term-scan, ``Fraction`` sum and ``Fraction``-power oracles of
-``coeff``/``y_slice``/``weight_component``, ``integrate`` and the P^d table."""
+``coeff``/``y_slice``/``weight_component``, ``integrate`` and the P^d table,
+and writers of the sorted terms, the text and LaTeX sums, the JSON records and
+the y-rows of ``q`` from the ``terms`` view alone (the oracles of the
+engine's writers)."""
 
+import json
 import sys
 from bisect import bisect_right
 from collections import defaultdict
@@ -678,6 +682,78 @@ def reference_part(series, k=None, q=None):
         if k in (None, _scan_weight(mono)) and q in (None, qq):
             out[(mono, qq if q is None else 0)] = c
     return WSeries(series.wmax, series.qmax, out)
+
+
+# -- the writers from the ``terms`` view alone: the oracles of ``sorted_terms``,
+# ``to_text``, ``to_latex``, the JSON writer and the rows of ``q``; none of
+# them calls the engine's render code
+
+
+def _reference_order(mono):
+    """A monomial's (variable, exponent) pairs with L < H < c1 < c2 < ..."""
+    return [(0 if v == "L" else 1 if v == "H" else 1 + int(v[1:]), e) for v, e in mono]
+
+
+def reference_sorted_terms(series):
+    """(monomial, y-degree, numerator, denominator) of every term, sorted by
+    weight, y-degree and then ``_reference_order``."""
+    items = sorted(series.terms.items(), key=lambda item: (
+        _scan_weight(item[0][0]), item[0][1], _reference_order(item[0][0])))
+    return [(mono, q, c.numerator, c.denominator) for (mono, q), c in items]
+
+
+def _reference_sum(terms, latex):
+    """The signed sum of sorted terms, one string operation at a time."""
+    parts = []
+    for mono, q, n, d in terms:
+        factors = []
+        for v, e in list(mono) + ([("y", q)] if q else []):
+            name = "c_{%s}" % v[1:] if latex and v.startswith("c") else v
+            if e == 1:
+                factors.append(name)
+            else:
+                factors.append(("%s^{%d}" if latex else "%s^%d") % (name, e))
+        c = Fraction(abs(n), d)
+        if c.denominator == 1:
+            coeff = str(c.numerator)
+        else:
+            coeff = (r"\frac{%d}{%d}" if latex else "%d/%d") % (c.numerator, c.denominator)
+        body = factors if factors and c == 1 else [coeff] + factors
+        parts.append(("-" if n < 0 else "+", (" " if latex else "*").join(body)))
+    if not parts:
+        return "0"
+    text = parts[0][1] if parts[0][0] == "+" else "-" + parts[0][1]
+    for sign, body in parts[1:]:
+        text += " %s %s" % (sign, body)
+    return text
+
+
+def reference_text(series, latex=False):
+    """``series.to_text()``, or ``to_latex()`` with ``latex`` set."""
+    return _reference_sum(reference_sorted_terms(series), latex)
+
+
+def reference_y_rows(series):
+    """The text of each y^q coefficient of ``series``, q = 0..qmax."""
+    terms = reference_sorted_terms(series)
+    return [
+        _reference_sum([(m, 0, n, d) for m, qq, n, d in terms if qq == q], False)
+        for q in range(series.qmax + 1)
+    ]
+
+
+def reference_series_json_text(series):
+    """The series' JSON records, written by ``json`` from the terms."""
+    blocks = {}
+    for (mono, q), c in series.terms.items():
+        blocks.setdefault((_scan_weight(mono), q), []).append((mono, c))
+    records = []
+    for k, q in sorted(blocks):
+        terms = sorted(blocks[(k, q)], key=lambda t: _reference_order(t[0]))
+        records.append({"t_deg": k, "y_deg": q, "terms": [
+            {"exps": dict(mono), "coeff": str(c)} for mono, c in terms]})
+    data = {"wmax": series.wmax, "qmax": series.qmax, "records": records}
+    return json.dumps(data, indent=2, sort_keys=True)
 
 
 def reference_integrate(cls, table):

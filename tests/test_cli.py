@@ -434,6 +434,116 @@ def test_series_json_rejects_negative_y_degree():
         parse_series_json({"wmax": 1, "qmax": 1, "records": [block]})
 
 
+def _series_record_set(*records, wmax=3, qmax=1):
+    return {"wmax": wmax, "qmax": qmax, "records": list(records)}
+
+
+def _record(t_deg, y_deg, *terms):
+    return {"t_deg": t_deg, "y_deg": y_deg,
+            "terms": [{"exps": exps, "coeff": coeff} for exps, coeff in terms]}
+
+
+@pytest.mark.parametrize(
+    "records, needle",
+    [
+        # a record's t_deg is the weight of each of its terms
+        ([_record(5, 0, ({"L": 1}, "1"))],
+         """term {"L": 1} at y_deg 0 has weight 1, not its record's t_deg 5"""),
+        ([_record(0, 0, ({"c2": 1}, "1"))], "has weight 2, not its record's t_deg 0"),
+        # a term appears once, within a record or across two
+        ([_record(1, 0, ({"L": 1}, "2"), ({"L": 1}, "7"))],
+         'term {"L": 1} at y_deg 0 appears twice'),
+        ([_record(1, 0, ({"L": 1}, "2")), _record(1, 0, ({"L": 1}, "7"))],
+         "appears twice"),
+        # a term past the orders is refused, not dropped
+        ([_record(5, 0, ({"L": 5}, "1"))],
+         'term {"L": 5} at y_deg 0 lies past (wmax, qmax) = (3, 1)'),
+        ([_record(1, 2, ({"H": 1}, "1"))], "lies past (wmax, qmax) = (3, 1)"),
+        ([{"y_deg": 0, "terms": [{"exps": {"L": 1}, "coeff": "1"}]}], "'t_deg'"),
+        ([_record(1.0, 0, ({"L": 1}, "1"))], "t_deg must be an integer"),
+    ],
+    ids=["t_deg-5", "t_deg-0", "repeat", "repeat-across-records", "past-wmax",
+         "past-qmax", "no-t_deg", "float-t_deg"],
+)
+def test_series_json_is_read_strictly(records, needle):
+    with pytest.raises(UsageError, match=re.escape(needle)):
+        parse_series_json(_series_record_set(*records))
+
+
+def test_series_json_reads_each_term_at_its_weight_and_y_degree():
+    data = _series_record_set(
+        _record(0, 1, ({}, "-1")), _record(1, 0, ({"L": 1}, "2"), ({"H": 1}, "1/3")),
+        _record(3, 1, ({"L": 1, "c2": 1}, "5/2")), _record(2, 0))
+    L, H, c2 = (WSeries.var(v, 3, 1) for v in ("L", "H", "c2"))
+    y = WSeries.y(3, 1)
+    assert parse_series_json(data) == -y + 2 * L + F(1, 3) * H + F(5, 2) * L * c2 * y
+
+
+# strings outside the grammar "num" / "num/den" (ASCII digits, num with an
+# optional '-', den > 0): Fraction(str) read '_' between digits on 3.11+,
+# spaces around '/' on 3.12+, and other scripts' digits, a '+', padding,
+# decimals and exponents on every version
+_NOT_RATIONAL_STRINGS = [
+    "1_000", "1 / 2", "\u0663", "+3", " 2 ", "1.5", "1e3", "\uff13", "1/0", "1/00",
+    "1/-2", "-1/-2", "1/+2", "/2", "1/", "", "-", "1/2/3", "0x10", "inf", "nan",
+]
+
+
+@pytest.mark.parametrize("text", _NOT_RATIONAL_STRINGS)
+def test_rational_strings_outside_the_grammar_are_refused(tmp_path, capsys, text):
+    grammar = 'must be an exact rational string "num" or "num/den"'
+    base_file = tmp_path / "value.json"
+    base_file.write_text(json.dumps({"dim": 2, "monomials": _p2_monomials(text)}))
+    argv = ["chi", "E8", "--base-file", str(base_file)]
+    _assert_usage_error(capsys, argv, "value " + grammar)
+    data = _series_record_set(_record(1, 0, ({"L": 1}, text)))
+    with pytest.raises(UsageError, match=re.escape("coeff " + grammar)):
+        parse_series_json(data)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("0", 0), ("-0", 0), ("007", 7), ("-12", -12), ("6/4", F(3, 2)),
+     ("-6/4", F(-3, 2)), ("0/5", 0), ("3/007", F(3, 7)),
+     ("123456789012345678901/3", F(123456789012345678901, 3))],
+)
+def test_rational_strings_in_the_grammar_are_read_exactly(tmp_path, text, value):
+    base_file = tmp_path / "value.json"
+    base_file.write_text(json.dumps({"dim": 2, "monomials": _p2_monomials(text)}))
+    assert load_base_spec(str(base_file)).table[(("c2", 1),)] == value
+    data = _series_record_set(_record(1, 0, ({"L": 1}, text)))
+    assert parse_series_json(data) == value * WSeries.var("L", 3, 1)
+
+
+def test_a_base_file_reads_as_the_validated_base(tmp_path):
+    # the reader builds the base from ints; the constructor checks every
+    # monomial and converts every value: both give one base, under == and
+    # hash, with one int table and one Fraction table
+    rng = random.Random(43)
+    for d in range(5):
+        for n in range(3):
+            table = {m: F(rng.randrange(-30, 30), rng.randrange(1, 9))
+                     for m in BaseSpec.projective_space(d, n).table}
+            monomials = [{"exps": dict(m), "value": str(v) if rng.random() < 0.8
+                          else "%d/%d" % (2 * v.numerator, 2 * v.denominator)}
+                         for m, v in table.items()]
+            base_file = tmp_path / "base.json"
+            base_file.write_text(json.dumps({"dim": d, "monomials": monomials}))
+            read, checked = load_base_spec(str(base_file)), BaseSpec(d, table)
+            assert read == checked and hash(read) == hash(checked), (d, n)
+            assert read._ints == checked._ints and read.table == checked.table
+
+
+def test_a_base_file_is_refused_for_a_weight_or_a_dimension(tmp_path, capsys):
+    base_file = tmp_path / "weight.json"
+    monomials = _p2_monomials("3") + [{"exps": {"c3": 1}, "value": "1"}]
+    base_file.write_text(json.dumps({"dim": 2, "monomials": monomials}))
+    argv = ["chi", "E8", "--base-file", str(base_file)]
+    _assert_usage_error(capsys, argv, "table monomial (('c3', 1),) has weight != 2")
+    base_file.write_text(json.dumps({"dim": -1, "monomials": []}))
+    _assert_usage_error(capsys, argv, "dimension must be >= 0")
+
+
 # -- verify ---------------------------------------------------------------------
 
 
