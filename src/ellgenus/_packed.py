@@ -439,7 +439,7 @@ def _fold(nums, width, slot):
 
 def _folded_mul(a, b, wmax, mask, cut, mu=1, shift=0):
     """Product of two folded series: one int product per monomial pair within
-    wmax, each sum cut to its signed residue mod 2^cut (the slots kept).
+    wmax, each sum cut to its residue mod 2^cut (the slots kept).
     With ``mu`` > 1, the field at ``shift`` is an eps-degree (``_residue_sum``),
     and a pair whose eps-degrees sum to mu or more is skipped."""
     emask = mask if mu > 1 else 0  # reads an eps-degree of 0 below mu = 2
@@ -453,8 +453,11 @@ def _folded_mul(a, b, wmax, mask, cut, mu=1, shift=0):
     for r1, f1 in a.items():
         for r2, f2 in below[mu - 1 - (r1 >> shift & emask)][wmax - (r1 & mask)]:
             acc[r1 + r2] += f1 * f2
-    sign, low = 1 << cut - 1, (1 << cut) - 1
-    return {rest: (f + sign & low) - sign for rest, f in acc.items()}
+    # unsigned is enough: ``_unfold`` and ``_map_slots`` bias and mask only the
+    # kept slots, and a further product or ``_read_pole`` is linear, so values
+    # that agree mod 2^cut read the same digits
+    low = (1 << cut) - 1
+    return {rest: f & low for rest, f in acc.items()}
 
 
 def _unfold(folded, width, slot, qmax, den):

@@ -235,7 +235,8 @@ def load_fibration_spec(path):
 def load_base_spec(path):
     """{"dim": d, "monomials": [{"exps": {...}, "value": "num/den"}]}, read in
     one pass: each entry's canonical monomial, its weight and its value as
-    ints; the base is built from those ints."""
+    ints; the base is built from those ints.  A monomial given twice (a
+    zero exponent aside) or with a factor H, not a base class, is refused."""
     data = _load_json_object(path, "base")
     try:
         dim = _json_int(data["dim"], "dim")
@@ -246,6 +247,10 @@ def load_base_spec(path):
             mono, weight = _json_mono(entry["exps"])
             if weight != dim:
                 raise ValueError("table monomial %r has weight != %d" % (mono, dim))
+            if mono in table or "H" in dict(mono):
+                why = ("repeats %r" % (mono,) if mono in table
+                       else "has a factor H, not a base class")
+                raise ValueError("table entry %s %s" % (_json().dumps(entry["exps"]), why))
             table[mono] = _json_rational(entry["value"], "value")
         den = lcm(*[d for _n, d in table.values()])
         ints = {mono: n * (den // d) for mono, (n, d) in table.items()}

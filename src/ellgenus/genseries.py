@@ -44,13 +44,11 @@ class BaseSpec(_Record):
     every relevant canonical weight-``dim`` monomial in L, c1..c_dim to its
     intersection number, an int or a Fraction (anything else, a float
     included, raises ``TypeError``); a missing monomial is an error, never
-    an implicit zero.  The stored table is a read-only mapping of
-    ``Fraction`` values, kept beside the same table as int numerators over
-    one denominator for the pairing.  Two bases are equal when both
-    dimension and table are, which those ints tell, since their denominator
-    is the lcm of the table's; the hash reads the dimension only.
-    ``projective_space`` and a base file's reader keep only the ints and
-    build the ``Fraction`` table on its first read.
+    an implicit zero.  A base stores its table once, as int numerators over
+    one denominator, the lcm of the table's, for the pairing; ``table`` is
+    a read-only ``Fraction`` view of them, built on its first read.  Two
+    bases are equal when both dimension and table are, which those ints
+    tell; the hash reads the dimension only.
     """
 
     __match_args__ = ("dim", "table")
@@ -68,8 +66,7 @@ class BaseSpec(_Record):
             clean[mono] = _as_fraction(value)  # a float is refused, never rounded
         den = lcm(*{v.denominator for v in clean.values()})
         ints = {m: v.numerator * (den // v.denominator) for m, v in clean.items()}
-        self.__dict__.update(dim=dim, table=MappingProxyType(clean))
-        self.__dict__.update(_ints=(ints, den), _key=(dim, ints, den))
+        self.__dict__.update(dim=dim, _ints=(ints, den), _key=(dim, ints, den))
 
     def __hash__(self):
         return hash(self.dim)
@@ -77,7 +74,7 @@ class BaseSpec(_Record):
     def __reduce__(self):  # the read-only table itself does not pickle
         return (BaseSpec, (self.dim, dict(self.table)))
 
-    def __getattr__(self, name):  # only a table that was never set is missing
+    def __getattr__(self, name):  # only a table not yet read is missing
         if name != "table":
             raise AttributeError(name)
         ints, den = self._ints

@@ -159,43 +159,12 @@ def _compile_chern_series(series):
     return series._packed[1], series.qmax + 1, by_weight
 
 
-def _top_exponents(compiled):
-    """{i: the largest exponent of c_i} over the terms of compiled series."""
-    top = {}
-    for _den, _width, by_weight in compiled:
-        for monos in by_weight.values():
-            for factors in monos:
-                for i, x in factors:
-                    top[i] = max(top.get(i, 0), x)
-    return top
-
-
-def _chern_powers(e, top):
-    """powers[i][x] = c_i ** x for x <= top[i], with c_i := e[i] (0 past the
-    roots)."""
-    return {
-        i: [(e[i] if i < len(e) else 0) ** x for x in range(n + 1)]
-        for i, n in top.items()
-    }
-
-
-def _weight_row(compiled, k, powers):
-    """The weight-k part of a compiled series as an int y-row, to be read
-    over its denominator; each c-monomial is evaluated once."""
-    _den, width, by_weight = compiled
-    row = [0] * width
-    for factors, terms in by_weight.get(k, {}).items():
-        value = 1
-        for i, x in factors:
-            value *= powers[i][x]
-        if value:
-            for q, num in terms:
-                row[q] += num * value
-    return row
-
-
-def _row_poly(row, den):
-    return Poly([Fraction(x, den) for x in row])
+def _row_poly(folded, slot, width, den):
+    """The y-polynomial of a y-row folded at ``slot``, over ``den``: its
+    ``width`` slots read as signed digits, each biased by half its range."""
+    half, smask = 1 << slot - 1, (1 << slot) - 1
+    folded += sum(half << slot * q for q in range(width))
+    return Poly([Fraction((folded >> slot * q & smask) - half, den) for q in range(width)])
 
 
 def _fold_slot(checks, max_abs_root, max_d):
@@ -270,18 +239,20 @@ def check_hadamard_identity(max_abs_root=3, max_d=4, order=6):
     bounds every digit (``_fold_slot``).  A multiset then costs one product
     per c-monomial and one multiply-add per term: a weight's folded value
     times B, the lcm of b_k's denominators, must equal sum l^k times the
-    fold of B * b_k over the series' denominator.  A failing check rebuilds
-    its row, and its line shows the rational y-polynomial.
+    fold of B * b_k over the series' denominator.  A failing check reads
+    its row back from its fold: the signed digits of the value it compared,
+    over the denominator times B.  The read is exact whether or not the
+    check passes, since ``_fold_slot`` bounds every digit from the series'
+    own numerators, and the line shows the rational y-polynomial.
     """
     bcoeffs = chi_y_log_coefficients(order)
     psums = power_sums_from_chern(order)
     hadamard = hadamard_apply(bcoeffs, power_sum_series(order, qmax=order))
     compiled_h = _compile_chern_series(hadamard)
-    compiled_p = [_compile_chern_series(p) for p in psums]
     checks = []
     for k, b in enumerate(bcoeffs, 1):
         scale = lcm(*(c.denominator for c in b.coeffs))
-        checks.append((k, compiled_p[k - 1], 1, (1,)))
+        checks.append((k, _compile_chern_series(psums[k - 1]), 1, (1,)))
         checks.append((k, compiled_h, scale, [c.numerator * scale // c.denominator
                                               for c in b.coeffs]))
     slot = _fold_slot(checks, max_abs_root, max_d)
@@ -290,31 +261,26 @@ def check_hadamard_identity(max_abs_root=3, max_d=4, order=6):
         compiled[0] * sum(w << slot * q for q, w in enumerate(want))
         for _k, compiled, _scale, want in checks
     ]
-    top = _top_exponents([compiled_h] + compiled_p)
     failures = []
     root_range = range(-max_abs_root, max_abs_root + 1)
     for d in range(1, max_d + 1):
         for roots in combinations_with_replacement(root_range, d):
-            e = _elementary_symmetric(roots)
-            values = _monomial_values(e, tree)
+            values = _monomial_values(_elementary_symmetric(roots), tree)
             for k in range(1, order + 1):
-                j = 2 * k - 2  # p_k's check, then the Hadamard check
                 direct = sum([lam**k for lam in roots])
-                if sum([n * values[m] for m, n in folded[j]]) != direct * wants[j]:
-                    p_den = compiled_p[k - 1][0]
-                    row = _weight_row(compiled_p[k - 1], k, _chern_powers(e, top))
-                    failures.append(
-                        "roots %s: p_%d gives %s, sum of l^%d is %s"
-                        % (roots, k, _row_poly(row, p_den).to_text(), k, direct)
-                    )
-                if sum([n * values[m] for m, n in folded[j + 1]]) != direct * wants[j + 1]:
-                    row = _weight_row(compiled_h, k, _chern_powers(e, top))
-                    want = bcoeffs[k - 1] * direct
-                    failures.append(
-                        "roots %s, weight %d: hadamard_apply gives %s, b_%d p_%d is %s"
-                        % (roots, k, _row_poly(row, compiled_h[0]).to_text("y", False),
-                           k, k, want.to_text("y", False))
-                    )
+                for j in (2 * k - 2, 2 * k - 1):  # p_k's check, then the Hadamard check
+                    got = sum([n * values[m] for m, n in folded[j]])
+                    if got != direct * wants[j]:
+                        _k, (den, width, _w), scale, _want = checks[j]
+                        row = _row_poly(got, slot, width, den * scale)
+                        failures.append(
+                            "roots %s, weight %d: hadamard_apply gives %s, b_%d p_%d is %s"
+                            % (roots, k, row.to_text("y", False), k, k,
+                               (bcoeffs[k - 1] * direct).to_text("y", False))
+                            if j % 2
+                            else "roots %s: p_%d gives %s, sum of l^%d is %s"
+                            % (roots, k, row.to_text(), k, direct)
+                        )
     return failures
 
 

@@ -544,6 +544,26 @@ def test_a_base_file_is_refused_for_a_weight_or_a_dimension(tmp_path, capsys):
     _assert_usage_error(capsys, argv, "dimension must be >= 0")
 
 
+@pytest.mark.parametrize("exps, needle", [
+    ({"L": 2}, """table entry {"L": 2} repeats (('L', 2),)"""),
+    ({"L": 2, "c3": 0}, """table entry {"L": 2, "c3": 0} repeats (('L', 2),)"""),
+    ({"H": 2}, """table entry {"H": 2} has a factor H, not a base class"""),
+])
+def test_a_base_file_refuses_a_repeated_monomial_or_an_h_factor(
+    tmp_path, capsys, exps, needle
+):
+    # P^2 with L = O(3) gives chi_1 = 270; a later value of L^2, or a monomial
+    # in H, would be read over it or skipped, and chi_1 come out wrong
+    base_file = tmp_path / "repeat.json"
+    monomials = _p2_monomials("3") + [{"exps": exps, "value": "5"}]
+    base_file.write_text(json.dumps({"dim": 2, "monomials": monomials}))
+    argv = ["chi", "E8", "--base-file", str(base_file), "--q", "1"]
+    _assert_usage_error(capsys, argv, needle)
+    base_file.write_text(json.dumps({"dim": 2, "monomials": _p2_monomials("3")}))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == "chi_1 = 270\n"
+
+
 # -- verify ---------------------------------------------------------------------
 
 

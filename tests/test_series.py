@@ -759,6 +759,49 @@ def test_folded_mul_slot_sums_near_the_bound(sign, bits):
     assert n * top**2 >= 2 ** (slot - 2)
 
 
+def _folded_mul_reads(a, b, fiber_dim, short=0):
+    """What ``_unfold`` and ``_map_slots`` (by the z -> y rows of
+    ``fiber_dim``) read of the product of the folds of ``a`` and ``b``: from
+    ``_folded_mul``'s residue, cut ``short`` bits below the product's slots,
+    and from the signed residue of a pair loop over the folds at their cut."""
+    wmax, qmax = a.wmax, a.qmax
+    (na, _da), (nb, _db) = a._packed, b._packed
+    width = _width(wmax, qmax)
+    mask = (1 << width) - 1
+    slot = _packed._bits(na) + _packed._bits(nb) + min(len(na), len(nb)).bit_length() + 1
+    fa, fb, cut = _fold(na, width, slot), _fold(nb, width, slot), slot * (qmax + 1)
+    signed = {}
+    for r1, f1 in fa.items():
+        for r2, f2 in fb.items():
+            if (r1 & mask) + (r2 & mask) <= wmax:  # the weight fields
+                signed[r1 + r2] = signed.get(r1 + r2, 0) + f1 * f2
+    half = 1 << cut - 1
+    signed = {rest: (f + half & (1 << cut) - 1) - half for rest, f in signed.items()}
+    images = _packed._z_images(qmax, fiber_dim, slot + _packed._z_rows(qmax, fiber_dim)[1])
+    return [
+        (_unfold(f, width, slot, qmax, 1), _packed._map_slots(f, slot, images))
+        for f in (_packed._folded_mul(fa, fb, wmax, mask, cut - short), signed)
+    ]
+
+
+@given(_big_pair(), st.integers(0, 3))
+def test_folded_mul_residues_read_as_the_signed_ones(pair, fiber_dim):
+    # the kernel keeps each product sum mod 2^cut, unsigned: every reader
+    # biases and masks only the kept slots, so it reads the same digits
+    unsigned, signed = _folded_mul_reads(*pair, fiber_dim)
+    assert unsigned == signed
+
+
+def test_a_cut_one_bit_short_misreads_a_negative_top_digit():
+    # -1 at y^qmax times 1: the residue of the top slot's digit -1 fills
+    # every bit of the cut, so one bit less reads it as 2^(slot-1) - 1
+    a, b = _series(2, 3, [({"L": 1}, 3, -1)]), _series(2, 3, [({}, 0, 1)])
+    unsigned, signed = _folded_mul_reads(a, b, 1)
+    assert unsigned == signed
+    (unfolded, mapped), (unfolded_signed, mapped_signed) = _folded_mul_reads(a, b, 1, 1)
+    assert unfolded != unfolded_signed and mapped != mapped_signed
+
+
 @pytest.mark.parametrize("slot", [2, 3, 64, 301])
 def test_fold_unfold_round_trip_at_the_slot_extremes(slot):
     # signed digits +-(2^(slot-1) - 1) next to each other, and +-1 and 0

@@ -29,15 +29,13 @@ from ellgenus import (
 )
 from ellgenus.verify import (
     SUITES,
-    _chern_powers,
     _compile_chern_series,
     _elementary_symmetric,
     _fold_slot,
     _fold_terms,
     _monomial_values,
+    _row_poly,
     _sample_bases,
-    _top_exponents,
-    _weight_row,
     check_d5_derivative_oracle,
     check_derived_vs_closed,
     check_euler_e8,
@@ -173,27 +171,43 @@ def test_hadamard_suite_catches_corrupted_hadamard_apply(monkeypatch):
     assert all("weight 2: hadamard_apply" in line for line in failures)
 
 
+def _chern_values(roots, top):
+    """{c_i: e_i(roots)} for i = 1..top, 0 past the roots."""
+    e = _elementary_symmetric(roots)
+    return {"c%d" % i: e[i] if i < len(e) else 0 for i in range(1, top + 1)}
+
+
+def _weight_folds(compiled, roots, max_abs_root, max_d, narrower=0):
+    """(slot, {k: the weight-k y-row of a compiled series at ``roots``,
+    folded}), at the slot proved for max_d roots of size at most
+    max_abs_root, less ``narrower`` bits."""
+    checks = [(k, compiled, 1, ()) for k in sorted(compiled[2])]
+    slot = _fold_slot(checks, max_abs_root, max_d) - narrower
+    tree, folded = _fold_terms(checks, slot)
+    values = _monomial_values(_elementary_symmetric(roots), tree)
+    return slot, {
+        k: sum(n * values[m] for m, n in terms)
+        for (k, *_rest), terms in zip(checks, folded)
+    }
+
+
 def test_compiled_int_evaluator_matches_fraction_oracle():
     # the hadamard series and every p_k, at every multiset the suite would
-    # visit with max_abs_root=2, max_d=3, order=6
+    # visit with max_abs_root=2, max_d=3, order=6: each weight read back
+    # from its fold by the suite's own reader is the Fraction evaluation
     order = 6
     series = [hadamard_apply(chi_y_log_coefficients(order),
                              power_sum_series(order, qmax=order))]
     series += power_sums_from_chern(order)
     compiled = [_compile_chern_series(s) for s in series]
-    top = _top_exponents(compiled)
     visited = 0
     for d in range(1, 4):
         for roots in combinations_with_replacement(range(-2, 3), d):
-            e = _elementary_symmetric(roots)
-            values = {"c%d" % i: e[i] if i <= d else 0 for i in range(1, order + 1)}
-            powers = _chern_powers(e, top)
+            values = _chern_values(roots, order)
             for s, c in zip(series, compiled):
-                den, _width, by_weight = c
-                got = {
-                    k: Poly([Fraction(x, den) for x in _weight_row(c, k, powers)])
-                    for k in by_weight
-                }
+                den, width, _by_weight = c
+                slot, folds = _weight_folds(c, roots, 2, 3)
+                got = {k: _row_poly(f, slot, width, den) for k, f in folds.items()}
                 assert got == evaluate_by_weight(s, values)
             visited += 1
     assert visited == 5 + 15 + 35
@@ -212,15 +226,12 @@ def _unfold(value, slot, width):
 
 def _folded_rows(compiled, roots, max_abs_root, max_d, narrower=0):
     """{k: the weight-k y-row of a compiled series at ``roots``, read back
-    from its fold}, at the slot proved for max_d roots of size at most
-    max_abs_root, less ``narrower`` bits."""
-    checks = [(k, compiled, 1, ()) for k in sorted(compiled[2])]
-    slot = _fold_slot(checks, max_abs_root, max_d) - narrower
-    tree, folded = _fold_terms(checks, slot)
-    values = _monomial_values(_elementary_symmetric(roots), tree)
+    from its fold as a y-Poly over its denominator} (``_weight_folds``)."""
+    den, width, _by_weight = compiled
+    slot, folds = _weight_folds(compiled, roots, max_abs_root, max_d, narrower)
     return {
-        k: _unfold(sum(n * values[m] for m, n in terms), slot, compiled[1])
-        for (k, *_rest), terms in zip(checks, folded)
+        k: Poly([Fraction(x, den) for x in _unfold(f, slot, width)])
+        for k, f in folds.items()
     }
 
 
@@ -248,35 +259,100 @@ def _chern_series(draw):
 
 @given(_chern_series(), st.lists(st.integers(-5, 5), min_size=1, max_size=5))
 def test_folded_weight_values_match_the_rows(s, roots):
-    # each weight's value, read back from its fold at the proved slot, is the
-    # row of _weight_row, and both are the Fraction evaluation over den
+    # each weight's value, read back from its fold at the proved slot, is
+    # the Fraction evaluation, by the balanced reader and by the suite's
     compiled = _compile_chern_series(s)
-    den, _width, by_weight = compiled
-    e = _elementary_symmetric(roots)
-    powers = _chern_powers(e, _top_exponents([compiled]))
-    values = {"c%d" % i: e[i] if i < len(e) else 0 for i in range(1, 6)}
-    want = evaluate_by_weight(s, values)
-    folded = _folded_rows(compiled, roots, 5, 5)
-    assert sorted(folded) == sorted(by_weight)
-    for k, row in folded.items():
-        assert row == _weight_row(compiled, k, powers)
-        assert Poly([Fraction(x, den) for x in row]) == want[k]
+    den, width, _by_weight = compiled
+    want = evaluate_by_weight(s, _chern_values(roots, 5))
+    assert _folded_rows(compiled, roots, 5, 5) == want
+    slot, folds = _weight_folds(compiled, roots, 5, 5)
+    assert {k: _row_poly(f, slot, width, den) for k, f in folds.items()} == want
 
 
 def test_a_slot_two_bits_below_the_proved_one_misreads_a_row():
     # positive numerators at five roots 5 reach the bound the slot is proved
     # for: the proved slot is the least, and one or two bits less cannot
     # hold the largest digit
+    roots = (5,) * 5
     s = WSeries(5, 4, {
         (series.mono_from_dict(m), q): Fraction(2**100 + 7 * q + i)
         for i, m in enumerate(_C_MONOMIALS) for q in range(5)
     })
     compiled = _compile_chern_series(s)
-    powers = _chern_powers(_elementary_symmetric((5,) * 5), _top_exponents([compiled]))
-    rows = {k: _weight_row(compiled, k, powers) for k in compiled[2]}
-    assert _folded_rows(compiled, (5,) * 5, 5, 5) == rows
-    assert _folded_rows(compiled, (5,) * 5, 5, 5, narrower=1) != rows
-    assert _folded_rows(compiled, (5,) * 5, 5, 5, narrower=2) != rows
+    want = evaluate_by_weight(s, _chern_values(roots, 5))
+    assert _folded_rows(compiled, roots, 5, 5) == want
+    assert _folded_rows(compiled, roots, 5, 5, narrower=1) != want
+    assert _folded_rows(compiled, roots, 5, 5, narrower=2) != want
+
+
+_FAILURE = re.compile(
+    r"roots (\(.*\))(?:: p_(\d+)|, weight (\d+): hadamard_apply) gives (.*), "
+    r"(?:sum of l\^\d+|b_\d+ p_\d+) is .*"
+)
+
+
+def _assert_rows_read_back(failures, hadamard, psums, max_abs_root, max_d, order):
+    """Every failure line names a row that is the Fraction evaluation of
+    the series it checked, and the lines are exactly the (roots, weight,
+    check) whose evaluation is not the identity's value."""
+    bcoeffs = chi_y_log_coefficients(order)
+    want = []
+    for d in range(1, max_d + 1):
+        for roots in combinations_with_replacement(
+            range(-max_abs_root, max_abs_root + 1), d
+        ):
+            values = _chern_values(roots, order)
+            rows_h = evaluate_by_weight(hadamard, values)
+            for k in range(1, order + 1):
+                direct = sum(lam**k for lam in roots)
+                row_p = evaluate_by_weight(psums[k - 1], values).get(k, Poly())
+                row_h = rows_h.get(k, Poly())
+                if row_p != Poly([direct]):
+                    want.append((str(roots), "p", k, row_p.to_text()))
+                if row_h != bcoeffs[k - 1] * direct:
+                    want.append((str(roots), "h", k, row_h.to_text("y", False)))
+    got = []
+    for line in failures:
+        roots, p_k, h_k, text = _FAILURE.fullmatch(line).groups()
+        got.append((roots, "p" if p_k else "h", int(p_k or h_k), text))
+    assert want and got == want
+
+
+def test_a_corrupted_hadamard_apply_reads_its_rows_back(monkeypatch):
+    # numerators near 2^100 in b_2 and b_4 at small roots: every failing
+    # check's row, read back from its fold, is the corrupted series' value
+    order = 5
+    real = verify.hadamard_apply
+
+    def corrupted(coeffs, series):
+        coeffs = list(coeffs)
+        coeffs[1] = coeffs[1] + Poly.x() * (2**100 + 3)
+        coeffs[3] = coeffs[3] - Poly([Fraction(1, 7), 0, Fraction(-(2**99), 5)])
+        return real(coeffs, series)
+
+    hadamard = corrupted(chi_y_log_coefficients(order), power_sum_series(order, qmax=order))
+    monkeypatch.setattr(verify, "hadamard_apply", corrupted)
+    failures = check_hadamard_identity(max_abs_root=2, max_d=3, order=order)
+    _assert_rows_read_back(failures, hadamard, power_sums_from_chern(order), 2, 3, order)
+
+
+def test_corrupted_power_sums_read_their_rows_back(monkeypatch):
+    # numerators near 2^100 over small denominators in p_3 and p_4
+    order = 5
+    real = verify.power_sums_from_chern
+
+    def corrupted(kmax, qmax=0):
+        p = real(kmax, qmax)
+        c1c2 = series.mono_from_dict({"c1": 1, "c2": 1})
+        p[2] = p[2] + WSeries(kmax, qmax, {(c1c2, 0): Fraction(2**100 + 1, 3)})
+        p[3] = p[3] + WSeries.var("c4", kmax, qmax) * Fraction(2**101, 11)
+        return p
+
+    hadamard = hadamard_apply(chi_y_log_coefficients(order),
+                              power_sum_series(order, qmax=order))
+    monkeypatch.setattr(verify, "power_sums_from_chern", corrupted)
+    failures = check_hadamard_identity(max_abs_root=2, max_d=3, order=order)
+    _assert_rows_read_back(failures, hadamard, corrupted(order), 2, 3, order)
 
 
 def test_a_chern_class_past_the_roots_reads_0():
