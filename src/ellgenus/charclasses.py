@@ -51,7 +51,7 @@ class RootForm(_Record):
 # Stirling numbers, and the two lambda factors are sums of exponentials
 # c y^q e^{s t}, written by :func:`_exp_sum` with the root's scale folded
 # into s.
-# Both are filled in at t -> a*H (or b*L when a = 0), then sheared by
+# Each kind is filled in at t -> a*H (or b*L when a = 0), then sheared by
 # H -> H + (b/a)*L when both a and b are nonzero.  No local factor takes an
 # exp, an inverse or a series product.
 

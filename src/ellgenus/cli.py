@@ -18,10 +18,9 @@ from .fibrations import (
     DEFAULT_QMAX,
     DEFAULT_WMAX,
     FibrationSpec,
+    _genus_factor,
     _total_dim,
-    closed_form_q,
     closed_form_text,
-    derived_q,
     p_polynomials,
     p_table_reference,
 )
@@ -39,26 +38,15 @@ class UsageError(ValueError):
 
 
 def series_to_records(series):
-    """One {"t_deg", "y_deg", "terms"} record per homogeneous block, with
-    terms [{"exps": {var: exp}, "coeff": "num/den"}] in sorted order."""
-    blocks = {}
-    for mono, q, n, d in series.sorted_terms():
-        coeff = "%d" % n if d == 1 else "%d/%d" % (n, d)  # as str(Fraction)
-        blocks.setdefault((mono_weight(mono), q), []).append(
-            {"exps": {v: e for v, e in mono}, "coeff": coeff}
-        )
-    return [
-        {"t_deg": k, "y_deg": q, "terms": terms}
-        for (k, q), terms in sorted(blocks.items())
-    ]
+    """One {"t_deg", "terms", "y_deg"} record per homogeneous block, with terms
+    [{"coeff": "num/den", "exps": {var: exp}}] in sorted order."""
+    return emit_series_json(series)["records"]
 
 
 def emit_series_json(series):
-    return {
-        "wmax": series.wmax,
-        "qmax": series.qmax,
-        "records": series_to_records(series),
-    }
+    """The parse of ``q --format json``'s text, ``_series_json_text(series)``:
+    {"qmax", "records", "wmax"}, each dict's keys in sorted order."""
+    return _json().loads(_series_json_text(series))
 
 
 _RECORD = ('    {\n      "t_deg": %d,\n      "terms": [\n%s\n      ],\n'
@@ -69,11 +57,11 @@ _EXP = '            "%s": %d'
 
 
 def _series_json_text(series):
-    """``json.dumps(emit_series_json(series), indent=2, sort_keys=True)``,
-    written directly from the sorted terms: the schema's keys are fixed and
-    already in sorted order, its variable names and coefficients need no
-    escaping, and each distinct monomial's weight and ``exps`` text are
-    written once."""
+    """The one writer of the series JSON schema, in ``json.dumps``'s
+    ``indent=2, sort_keys=True`` form, written directly from the sorted
+    terms: the schema's keys are fixed and already in sorted order, its
+    variable names and coefficients need no escaping, and each distinct
+    monomial's weight and ``exps`` text are written once."""
     records, terms, block_w, block_q, tails = [], [], -1, -1, {}
     for mono, q, n, d in series.sorted_terms():
         known = tails.get(mono)
@@ -296,17 +284,13 @@ def cmd_q(args):
             raise UsageError("--closed is only available for catalog families")
         print("Q(%s) = %s   [U = exp(-L)]" % (target, closed_form_text(target)))
         return 0
-    if isinstance(target, str):
-        series = closed_form_q(target, args.wmax, args.qmax)
-        label = target
-    else:
-        series = derived_q(target, args.wmax, args.qmax)
-        label = target.name
+    series = _genus_factor(target, args.wmax, args.qmax)
     if args.format == "json":
         print(_series_json_text(series))
     elif args.format == "latex":
         print(series.to_latex())
     else:
+        label = target if isinstance(target, str) else target.name
         lines = ["Q(%s) expanded to weight %d, y-degree %d:" % (label, args.wmax, args.qmax)]
         for q, text in enumerate(_y_rows(series)):
             if text != "0" or q <= args.wmax + 1:  # a row with terms is never "0"

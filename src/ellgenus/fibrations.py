@@ -205,11 +205,6 @@ _CLOSED = {
 }
 
 
-def _check_family(family):
-    if family not in _CLOSED:
-        raise KeyError("unknown family %r" % (family,))
-
-
 def _yu_text(coeffs):
     """A {(y-degree, U-degree): integer} map as text, in its own order."""
     terms = [
@@ -221,7 +216,7 @@ def _yu_text(coeffs):
 
 def closed_form_text(family):
     """The unexpanded genus-factor expression, with U = exp(-L)."""
-    _check_family(family)
+    catalog_spec(family)
     data = _CLOSED[family]
     den = _yu_text({(1, data["s"]): 1, (0, 0): 1})
     parts = [
@@ -257,7 +252,7 @@ def _p_rows(family, nmax):
 def closed_form_q(family, wmax=DEFAULT_WMAX, qmax=DEFAULT_QMAX):
     """Expand the closed-form genus factor with U = exp(-L), exactly: the
     sum over n and k of P_n[k] y^n e^(-k L)."""
-    _check_family(family)
+    catalog_spec(family)
     wmax, qmax = _truncation_orders(wmax, qmax)
     rows = [[(c, -k) for k, c in enumerate(row) if c] for row in _p_rows(family, qmax)]
     return _exp_sum(rows, "L", wmax, qmax)
@@ -270,7 +265,7 @@ def closed_form_q(family, wmax=DEFAULT_WMAX, qmax=DEFAULT_QMAX):
 def _degree(family, n, name):
     """The y-degree ``n`` as an int >= 0 for a known family; ``name`` names
     it in the error."""
-    _check_family(family)
+    catalog_spec(family)
     if index(n) < 0:
         raise ValueError("%s must be >= 0" % name)
     return index(n)
@@ -324,17 +319,21 @@ def p_table_reference(family, n):
 # the pushed-forward class
 
 
+def _genus_factor(family_or_spec, wmax, qmax):
+    """Q of a catalog family by its closed form, of a spec by its pushforward."""
+    if isinstance(family_or_spec, str):
+        return closed_form_q(family_or_spec, wmax, qmax)
+    return derived_q(family_or_spec, wmax, qmax)
+
+
 def pushforward_class(family_or_spec, d, qmax=None):
     """Q * H_y(B) to weight d: the pushed-forward chi_y class of the fibration.
 
     H_y(B) is the full chi_y class of a d-dimensional base, so the y^q slice
     is sum_{i<=q} P_{q-i}(U) * H_i(B), a y-free mixed-weight series in L and
-    c1..c_d.  The y-degree bound defaults to dim Y + 1, as for ``chi_series``.
+    c1..c_d, with Q from ``_genus_factor``.  The y-degree bound defaults to
+    dim Y + 1, as for ``chi_series``.
     """
     if qmax is None:
         qmax = _total_dim(family_or_spec, d) + 1
-    if isinstance(family_or_spec, str):
-        Q = closed_form_q(family_or_spec, d, qmax)
-    else:
-        Q = derived_q(family_or_spec, d, qmax)
-    return Q * hirzebruch_class(d, qmax)
+    return _genus_factor(family_or_spec, d, qmax) * hirzebruch_class(d, qmax)

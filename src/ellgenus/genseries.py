@@ -9,8 +9,10 @@ log-coefficients b_k with the power sums p_k of the formal base Chern
 classes.
 
 Truncation is an exact ring map, so each family or spec keeps one build at
-the highest orders asked so far (``_chi_tops``): lower keys are truncated
-from it, and a key past it builds again at the join of both orders.
+the highest orders asked so far (``_chi_series.tops``): lower keys are
+truncated from it, and a key past it builds again at the join of both
+orders.  The genus factor of a build comes from ``fibrations._genus_factor``,
+the closed form for a catalog family and the pushforward for a spec.
 
 Every chi_q is one pairing: the weight-d, y^q row of the memoized chi(t, y),
 read from its packed form, against the base's table, both int numerators
@@ -25,7 +27,7 @@ from operator import index
 from types import MappingProxyType
 
 from .charclasses import _chi_y_exp
-from .fibrations import _total_dim, closed_form_q, derived_q, pushforward_class
+from .fibrations import _genus_factor, _total_dim, pushforward_class
 from .series import WSeries, _as_fraction, _canonical_weight, _Record, _top_memo
 
 
@@ -41,14 +43,14 @@ class BaseSpec(_Record):
     """A base variety: a frozen record of its dimension and intersection table.
 
     The dimension is an int (a float raises ``TypeError``).  The table maps
-    every relevant canonical weight-``dim`` monomial in L, c1..c_dim to its
-    intersection number, an int or a Fraction (anything else, a float
-    included, raises ``TypeError``); a missing monomial is an error, never
-    an implicit zero.  A base stores its table once, as int numerators over
-    one denominator, the lcm of the table's, for the pairing; ``table`` is
-    a read-only ``Fraction`` view of them, built on its first read.  Two
-    bases are equal when both dimension and table are, which those ints
-    tell; the hash reads the dimension only.
+    every relevant canonical weight-``dim`` monomial in L, c1..c_dim (a
+    factor H raises ``ValueError``) to its intersection number, an int or a
+    Fraction (anything else, a float included, raises ``TypeError``); a
+    missing monomial is an error, never an implicit zero.  A base stores its
+    table once, as int numerators over one denominator, the lcm of the
+    table's, for the pairing; ``table`` is a read-only ``Fraction`` view of
+    them, built on its first read.  Two bases are equal when both dimension
+    and table are, which those ints tell; the hash reads the dimension only.
     """
 
     __match_args__ = ("dim", "table")
@@ -63,6 +65,9 @@ class BaseSpec(_Record):
         for mono, value in table.items():
             if _canonical_weight(mono) != dim:
                 raise ValueError("table monomial %r has weight != %d" % (mono, dim))
+            if "H" in dict(mono):
+                raise ValueError("table monomial %r has a factor H, not a base class"
+                                 % (mono,))
             clean[mono] = _as_fraction(value)  # a float is refused, never rounded
         den = lcm(*{v.denominator for v in clean.values()})
         ints = {m: v.numerator * (den // v.denominator) for m, v in clean.items()}
@@ -153,14 +158,8 @@ def chi_series(family_or_spec, tmax, qmax=None):
 
 @_top_memo
 def _chi_series(family_or_spec, tmax, qmax):
-    if isinstance(family_or_spec, str):
-        Qt = closed_form_q(family_or_spec, tmax, qmax)
-    else:
-        Qt = derived_q(family_or_spec, tmax, qmax)
+    Qt = _genus_factor(family_or_spec, tmax, qmax)
     return Qt.reweight_by_one_plus_y() * _hirzebruch_exp(None, tmax, qmax)
-
-
-_chi_tops = _chi_series.tops
 
 
 def integrate(cls, base):

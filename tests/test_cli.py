@@ -29,6 +29,7 @@ from ellgenus import (
     closed_form_q,
     derived_q,
     integrate,
+    pushforward_class,
 )
 from ellgenus import _packed, fibrations, verify
 from ellgenus.cli import (
@@ -122,8 +123,9 @@ def test_series_json_round_trip_random():
 
 
 def test_q_json_text_equals_the_json_module():
-    # the direct writer byte for byte against the dict route through json;
-    # writing the variables in field order (c2 before c10) fails it
+    # the one writer's text byte for byte against json's indent-2, sorted-key
+    # form of its parse; writing the variables in field order (c2 before c10)
+    # fails it
     rng = random.Random(23)
     cases = [random_series(rng, ("L", "H", "c1", "c2"), 4, 3) for _ in range(10)]
     c = [WSeries.var("c%d" % i, 12, 1) for i in range(1, 11)]
@@ -623,12 +625,34 @@ def test_an_engine_fault_exits_3(tmp_path, capsys, monkeypatch, name, argv):
     spec_file = tmp_path / "e8.json"
     spec = {"name": "w", "bundle": [0, 2, 3], "n_roots": [[3, 6]]}
     spec_file.write_text(json.dumps(spec))
-    # cmd_verify reads run_suites from verify, which it imports when it runs
-    monkeypatch.setattr(verify if name == "run_suites" else cli, name, _engine_fault)
+    # cmd_verify reads run_suites from verify, which it imports when it runs;
+    # cmd_q reads closed_form_q and derived_q through fibrations._genus_factor
+    owner = {"run_suites": verify, "closed_form_q": fibrations, "derived_q": fibrations}
+    monkeypatch.setattr(owner.get(name, cli), name, _engine_fault)
     argv = [str(spec_file) if a == "SPEC" else a for a in argv]
     code, _out, err = run_cli(capsys, *argv)
     assert code == 3
     assert err == "internal error: ValueError: injected engine fault\n"
+
+
+@pytest.mark.parametrize("name", ["closed_form_q", "derived_q"])
+def test_every_reader_of_q_takes_one_route(tmp_path, capsys, monkeypatch, name):
+    # pushforward_class, a cold chi_series and `ellgenus q` read Q through
+    # fibrations._genus_factor alone, so one fault injected into the route
+    # that it picks reaches all three: E8 by its closed form, a spec (as a
+    # record, and as a file for the command) by its pushforward
+    spec_file = tmp_path / "w.json"
+    spec_file.write_text(json.dumps({"name": "w", "bundle": [0, 2, 3], "n_roots": [[3, 6]]}))
+    if name == "closed_form_q":
+        target, token = "E8", "E8"
+    else:
+        target, token = load_fibration_spec(str(spec_file)), str(spec_file)
+    monkeypatch.setattr(fibrations, name, _engine_fault)
+    for read in (pushforward_class, chi_series):
+        with pytest.raises(ValueError, match="injected engine fault"):
+            read(target, 2)
+    code, _out, err = run_cli(capsys, "q", token, "--wmax", "2")
+    assert (code, err) == (3, "internal error: ValueError: injected engine fault\n")
 
 
 @pytest.mark.parametrize("argv", [["verify"], ["chi", "E8", "--base", "pd:2:3"]])

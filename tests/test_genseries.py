@@ -545,13 +545,13 @@ def test_the_highest_order_memo_stays_within_its_bound():
     first = chi_series(specs[0], 2)
     for spec in specs:
         chi_series(spec, 2)
-        assert len(genseries._chi_tops) <= bound
-    assert list(genseries._chi_tops) == specs[-bound:]
+        assert len(genseries._chi_series.tops) <= bound
+    assert list(genseries._chi_series.tops) == specs[-bound:]
     assert chi_series(specs[0], 2) is first  # still in the per-key memo
     chi_series("E6", 2, 7)
     chi_series("E6", 4)
-    top = genseries._chi_tops["E6"]
-    assert (top.wmax, top.qmax) == (4, 7) and len(genseries._chi_tops) == bound
+    top = genseries._chi_series.tops["E6"]
+    assert (top.wmax, top.qmax) == (4, 7) and len(genseries._chi_series.tops) == bound
 
 
 def test_the_exp_memo_stays_within_its_bound(monkeypatch):
@@ -582,19 +582,20 @@ def test_a_failed_build_leaves_the_top(monkeypatch):
     def broken(family, tmax, qmax):
         raise ArithmeticError("no build at (%d, %d)" % (tmax, qmax))
 
-    monkeypatch.setattr(genseries, "closed_form_q", broken)
-    old = genseries._chi_tops["E7"]
+    monkeypatch.setattr(fibrations, "closed_form_q", broken)
+    old = genseries._chi_series.tops["E7"]
     with pytest.raises(ArithmeticError, match=r"\(4, 6\)"):
         chi_series("E7", 4, 6)
-    assert genseries._chi_tops["E7"] is old
+    assert genseries._chi_series.tops["E7"] is old
     assert genseries._chi_series.cache_info().currsize == 1
     low = chi_series("E7", 2, 4)  # covered: no build
     assert low == _one_build_per_key("E7", 2, 4)
     monkeypatch.undo()
     assert chi_series("E7", 4, 6) == _one_build_per_key("E7", 4, 6)
-    assert genseries._chi_tops["E7"].wmax == 4
+    assert genseries._chi_series.tops["E7"].wmax == 4
     genseries._chi_series.cache_clear()  # one call empties both levels
-    assert genseries._chi_tops == {} and genseries._chi_series.cache_info().currsize == 0
+    assert genseries._chi_series.tops == {}
+    assert genseries._chi_series.cache_info().currsize == 0
 
 
 def _random_factor(rng):
@@ -856,13 +857,13 @@ def test_chi_series_does_not_depend_on_the_request_order(family_or_spec, order):
 )
 def test_a_larger_qmax_then_a_higher_tmax_builds_at_the_join(family_or_spec):
     wide = chi_series(family_or_spec, 3, 9)
-    top = genseries._chi_tops[family_or_spec]
+    top = genseries._chi_series.tops[family_or_spec]
     assert (top.wmax, top.qmax) == (3, 9)
     high = chi_series(family_or_spec, 6)  # default qmax 8: the join is (6, 9)
-    top = genseries._chi_tops[family_or_spec]
+    top = genseries._chi_series.tops[family_or_spec]
     assert (top.wmax, top.qmax) == (6, 9)
     low = chi_series(family_or_spec, 2, 4)  # covered: no new build
-    assert genseries._chi_tops[family_or_spec] is top
+    assert genseries._chi_series.tops[family_or_spec] is top
     for series in (wide, high, low):
         want = _one_build_per_key(family_or_spec, series.wmax, series.qmax)
         assert series == want, (series.wmax, series.qmax)
@@ -874,7 +875,7 @@ def test_chi_series_below_its_top_filters_the_keys_of_the_top(monkeypatch, famil
     # (6, 8) each (d, d + 2) below it keeps a subset of the top's keys:
     # no key is decoded or packed again
     chi_series(family, 6)
-    top = genseries._chi_tops[family]
+    top = genseries._chi_series.tops[family]
     assert (top.wmax, top.qmax) == (6, 8)
     packs = count_calls(monkeypatch, series_module, "_pack")
     decodes = count_calls_everywhere(monkeypatch, _packed, "_key_mono")

@@ -9,6 +9,7 @@ package serves ``run_suites`` from ``verify`` on first use."""
 import copy
 import os
 import pickle
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -110,6 +111,17 @@ def test_keyword_construction():
 def test_construction_errors_keep_their_class_and_message(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+@pytest.mark.parametrize("mono", [(("H", 2),), (("L", 1), ("H", 1))], ids=["H^2", "L*H"])
+def test_a_table_monomial_with_a_factor_h_is_refused(mono):
+    # H is the hyperplane class of P(E), not a base class: no pairing reads
+    # it, so a base that kept it would give P^2's chi values with L = O(3)
+    # and yet compare unequal to that base
+    message = "table monomial %r has a factor H, not a base class" % (mono,)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        BaseSpec(2, {**P2_O3, mono: 5})
+    assert BaseSpec(2, P2_O3) == BaseSpec.projective_space(2, 3)
 
 
 def test_fields_cannot_be_assigned_or_deleted():

@@ -62,6 +62,8 @@ def _writer_mismatches(s):
         ("str", str(s), reference_text(s)),
         ("to_latex", s.to_latex(), reference_text(s, latex=True)),
         ("json", cli._series_json_text(s), json_want),
+        # the parse of the text written again by json: the text is exactly
+        # json's indent-2, sorted-key form
         ("emit_series_json", json.dumps(emit_series_json(s), indent=2, sort_keys=True),
          json_want),
         ("q rows", cli._y_rows(s), rows_want),
