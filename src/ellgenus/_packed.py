@@ -157,12 +157,13 @@ def _sheared(packed, s, wmax, qmax):
     return _reduced(acc, den * r**wmax)
 
 
-def _residue_sum(groups, facts, wmax, qmax, exps, fiber_dim):
+def _residue_sum(groups, facts, folds, wmax, qmax, exps, fiber_dim):
     """pi_* of the product of the packed series ``groups[s]`` at H -> H + s*L
     (``_sheared``) along P(E), E = sum_i L^(m_i) for m_i in ``exps``, packed
     at the width of (wmax, qmax) with every key of weight <= wmax - (r - 1):
-    the Segre map, as a sum of residues.  ``facts`` holds the
-    ``_group_facts`` of each group, by ascending slope.
+    the Segre map, as a sum of residues, and the (slot, fold) it read of each
+    group.  ``facts`` holds the ``_group_facts`` of each group, by ascending
+    slope, and ``folds`` a (slot, fold) of each, refolded at another slot.
 
     With H = u*L, pi_* f = L^(1-r) sum_m Res_(u=-m) f / prod_i (u + m_i)
     over the distinct exponents m (Ellingsrud-Stromme, alg-geom/9411005).
@@ -184,8 +185,7 @@ def _residue_sum(groups, facts, wmax, qmax, exps, fiber_dim):
     A pole is dead when the group at its own slope has lowest H-degree >=
     mu: there the shear is 0, so H^a goes to eps^a, and every term of that
     group maps past eps^(mu-1).  Its residue is 0, so it gets no map, no
-    product, no read and no share of the slot.  Each group's last fold is
-    kept in its facts, at the slot of that fold.
+    product, no read and no share of the slot.
 
     The slot: a group's numerators are below 2^b and its mapped ones below
     2^(b + x), x the bits of its rows.  A mapped group has at most mu terms
@@ -212,32 +212,30 @@ def _residue_sum(groups, facts, wmax, qmax, exps, fiber_dim):
                 for s, (top, *_f) in zip(slopes, facts)]
         need = sum(map(abs, jet)).bit_length() + sum(
             b + x + ((mu * n).bit_length() if i else 0)
-            for i, ((_t, _l, b, n, *_f), (_r, x)) in enumerate(zip(facts, rows))
+            for i, ((_t, _l, b, n), (_r, x)) in enumerate(zip(facts, rows))
         )
         bits = max(bits, need)
         live.append((jet, [r for r, _x in rows]))
     slot = bits + len(live).bit_length() + 1
-    for s, f in zip(slopes, facts):
-        if f[4] != slot:  # the group's last fold is at another slot
-            f[4:] = slot, _fold(groups[s][0], width, slot)
+    folds = [pair if pair[0] == slot else (slot, _fold(groups[s][0], width, slot))
+             for s, pair in zip(slopes, folds)]
     out = defaultdict(int)
     for jet, rows in live:
         acc = None
-        for f, row in zip(facts, rows):
-            mapped = _map_rows(f[5].items(), hshift, mask, row)
+        for (_slot, fold), row in zip(folds, rows):
+            mapped = _map_rows(fold.items(), hshift, mask, row)
             acc = mapped if acc is None else _folded_mul(
                 acc, mapped, wmax, mask, slot * (qmax + 1), len(jet), hshift
             )
         _read_pole(acc, jet, len(exps) - 1, width, out)
-    return _to_y(out, slot, wmax, qmax, den, fiber_dim)
+    return _to_y(out, slot, wmax, qmax, den, fiber_dim), folds
 
 
 def _group_facts(nums, width):
-    """[top, low, bits, count, slot, fold] of a group of ``_residue_sum``: its
-    highest and lowest H-degree, the bits of its largest numerator, its term
-    count, and its last fold with the slot of that fold (none yet)."""
+    """(top, low, bits, count) of a group of ``_residue_sum``: its highest and
+    lowest H-degree, the bits of its largest numerator and its term count."""
     degrees = {key >> _field("H")[0] * width & (1 << width) - 1 for key in nums} or {0}
-    return [max(degrees), min(degrees), _bits(nums), len(nums), 0, None]
+    return max(degrees), min(degrees), _bits(nums), len(nums)
 
 
 def _read_pole(acc, jet, low, width, out):

@@ -23,8 +23,7 @@ from math import comb, factorial
 from operator import index
 
 from .poly import Poly
-from .series import WSeries, _pack, _Record, _reduced, _shear
-from .series import _top_memo, _truncation_orders
+from .series import WSeries, _Record, _shear, _top_memo, _truncation_orders
 
 
 class RootForm(_Record):
@@ -80,7 +79,7 @@ def _exp_sum(rows, var, wmax, qmax):
         for k in range(1, wmax + 1):
             ns = [n * s // k for n, (_, s) in zip(ns, terms)]
             nums[((var, k),), q] = sum(ns)
-    return WSeries._trusted(wmax, qmax, _reduced(_pack(nums, wmax, qmax), den))
+    return WSeries._of_ints(wmax, qmax, nums, den)
 
 
 def _normal_sum(var, scale, wmax, qmax):
@@ -99,9 +98,7 @@ def _normal_sum(var, scale, wmax, qmax):
         for j in range(1, min(k, jmax) + 1):
             n = factorials[j] * row[j] * tail * power
             nums[((var, k),), j - 1] = -n if (k - j) & 1 else n
-    return WSeries._trusted(
-        wmax, qmax, _reduced(_pack(nums, wmax, qmax), factorial(wmax))
-    )
+    return WSeries._of_ints(wmax, qmax, nums, factorial(wmax))
 
 
 @_top_memo

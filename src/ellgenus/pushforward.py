@@ -15,8 +15,7 @@ evaluate at H = -L.
 from fractions import Fraction
 from operator import index
 
-from .series import TruncationDeficitError, WSeries, _Product, _Record, _residues
-from .series import mono_from_dict
+from .series import TruncationDeficitError, WSeries, _Record, _residues, mono_from_dict
 
 
 class BundleSpec(_Record):
@@ -64,8 +63,8 @@ def pushforward(series, bundle):
     weight rank - 1 raises :class:`TruncationDeficitError`.
 
     One route, the residues at the bundle's exponents (``series._residues``),
-    takes an unread ``fiber_integrand`` as its slope groups, with no shear and
-    no product in H and L, and any other series as one group at slope 0.
+    takes a ``fiber_integrand`` (read or not) as its slope groups, with no
+    shear or product in H and L, and any other series as one group at 0.
     """
     r = bundle.rank
     out_wmax = series.wmax - (r - 1)
@@ -74,11 +73,9 @@ def pushforward(series, bundle):
             "pushforward along a rank-%d bundle needs input weight %d, have %d"
             % (r, r - 1, series.wmax)
         )
-    if series.__class__ is _Product:
-        groups, fiber_dim = series._groups, series._fiber_dim
-    else:
-        groups, fiber_dim = {0: series}, None
-    return _residues(groups, series.wmax, series.qmax, bundle.exps, fiber_dim)
+    groups = getattr(series, "_groups", {0: series})  # only a _Product has groups
+    return _residues(groups, series.wmax, series.qmax, bundle.exps,
+                     getattr(series, "_fiber_dim", None))
 
 
 def derivative_pushforward_d5(series):

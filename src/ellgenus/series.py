@@ -22,10 +22,10 @@ int key to int numerator plus one common denominator.  The kernels of
 shears and pushforwards on that form; this module wraps their results in
 ``WSeries``.  Only the ``terms`` view builds a ``Fraction`` per term.
 ``_Product`` defers the product of its slope groups, each sheared by its
-slope (``_shear``): on its first read it multiplies the sheared groups and
-becomes a plain ``WSeries``.  Its pushforward before that, as that of any
-series (one group at slope 0), runs by residues at the bundle's exponents
-(``_residues``).
+slope (``_shear``): its first read multiplies the sheared groups and keeps
+the product beside them.  Its pushforward, read or not, runs by residues at
+the bundle's exponents on its groups (``_residues``), and that of any other
+series on it as one group at slope 0.
 
 A sum puts both numerator maps over the lcm of the denominators; a scalar
 p/r scales the numerators by p and the denominator by r; ``_scale_weights``
@@ -40,6 +40,7 @@ distinct monomial decoded and ranked once, and its writers write each
 distinct monomial's factors once per sum.
 """
 
+from _thread import allocate_lock
 from collections import defaultdict
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
@@ -117,19 +118,22 @@ def _top_memo(build):
     """A memo of ``build(key, wmax, qmax)``, a series that truncates exactly:
     ``.tops`` keeps, for the latest keys, the build at the highest orders
     asked, replaced once a build at the join of a request past it succeeds;
-    each request gets one truncation of it.  ``cache_clear`` empties both."""
-    tops = {}
+    each request gets one truncation of it.  ``cache_clear`` empties both.
+    A lock guards ``.tops``, not ``build``: threads may build a value twice."""
+    tops, lock = {}, allocate_lock()
 
     @lru_cache(maxsize=MEMO_SIZE)
     def memo(key, wmax, qmax):
-        top = tops.get(key)
+        with lock:
+            top = tops.get(key)
         w, q = (wmax, qmax) if top is None else (top.wmax, top.qmax)
         if top is None or w < wmax or q < qmax:
             top = build(key, max(w, wmax), max(q, qmax))
-        tops.pop(key, None)
-        tops[key] = top  # now the newest entry
-        if len(tops) > MEMO_TOPS:
-            del tops[next(iter(tops))]
+        with lock:
+            tops.pop(key, None)
+            tops[key] = top  # now the newest entry
+            if len(tops) > MEMO_TOPS:
+                del tops[next(iter(tops))]
         return top.truncate(wmax, qmax)
 
     def cache_clear(clear=memo.cache_clear):
@@ -193,8 +197,7 @@ class WSeries:
     :func:`mono_from_dict` would not return unchanged.
     """
 
-    __slots__ = ("wmax", "qmax", "_packed", "_terms", "_split", "_groups", "_fiber_dim",
-                 "_facts")
+    __slots__ = ("wmax", "qmax", "_packed", "_terms", "_split", "_facts", "_last_fold")
 
     def __new__(cls, wmax, qmax, terms=None):
         wmax, qmax = _truncation_orders(wmax, qmax)
@@ -224,6 +227,12 @@ class WSeries:
         object.__setattr__(series, "_terms", None)
         object.__setattr__(series, "_split", None)
         return series
+
+    @classmethod
+    def _of_ints(cls, wmax, qmax, nums, den):
+        """The series of the int numerators ``nums`` {(monomial, y-degree): n}
+        over ``den``, packed and reduced: each key canonical, within the orders."""
+        return cls._trusted(wmax, qmax, _reduced(_pack(nums, wmax, qmax), den))
 
     @property
     def terms(self):
@@ -562,23 +571,22 @@ class WSeries:
 
 class _Product(WSeries):
     """The product of the slope groups ``groups[s]``, each at H -> H + s*L
-    (``_shear``), deferred: it holds the groups until its packed form is
-    first read, then builds it and becomes a plain ``WSeries``.  Before
-    that, ``pushforward`` of it runs by residues on the groups
-    (``_residues``) and reads nothing.  The ``__getattr__`` lives here,
-    not on ``WSeries``, whose every attribute read it would slow.
+    (``_shear``), deferred: it holds the groups, and builds its packed form
+    on the first read and keeps it beside them.  ``pushforward`` of it runs
+    by residues on the groups (``_residues``) and reads nothing.  The
+    ``__getattr__`` lives here, not on ``WSeries``, whose every attribute
+    read it would slow.
 
     With a ``fiber_dim`` f, the groups are polynomials in z = y/(1+y), held
     in the y slots, and the value is (1+y)^f times the product, mapped to y
     with that factor in one map of the folded ints (``_in_y``)."""
 
-    __slots__ = ()
+    __slots__ = ("_groups", "_fiber_dim")
 
     def __new__(cls, groups, wmax, qmax, fiber_dim=None):
         series = object.__new__(cls)
-        for name, value in (("wmax", wmax), ("qmax", qmax), ("_terms", None),
-                            ("_split", None), ("_groups", groups),
-                            ("_fiber_dim", fiber_dim)):
+        names = ("wmax", "qmax", "_terms", "_split", "_groups", "_fiber_dim")
+        for name, value in zip(names, (wmax, qmax, None, None, groups, fiber_dim)):
             object.__setattr__(series, name, value)
         return series
 
@@ -589,10 +597,7 @@ class _Product(WSeries):
         if self._fiber_dim is not None:
             packed = _in_y(packed, self.wmax, self.qmax, self._fiber_dim)
         object.__setattr__(self, "_packed", packed)
-        object.__setattr__(self, "_groups", None)
-        object.__setattr__(self, "_fiber_dim", None)
-        object.__setattr__(self, "__class__", WSeries)
-        return self._packed
+        return packed
 
 
 def _shear(series, s):
@@ -607,10 +612,14 @@ def _residues(groups, wmax, qmax, exps, fiber_dim=None):
     (``_shear``) along P(E), E = sum_i L^(m_i) for m_i in ``exps``, at
     (wmax - (r - 1), qmax): the Segre map, as a sum of residues
     (``_residue_sum``), which ``pushforward`` runs on every series (a plain
-    one is one group at 0)."""
-    facts = [_facts(groups[s]) for s in sorted(groups)]
-    packed = _residue_sum({s: g._packed for s, g in groups.items()}, facts,
-                          wmax, qmax, exps, fiber_dim)
+    one is one group at 0).  Each group keeps the (slot, fold) that the
+    residues read last, stored whole, and hands it to the next call."""
+    ordered = [groups[s] for s in sorted(groups)]
+    packed, folds = _residue_sum(
+        {s: g._packed for s, g in groups.items()}, [_facts(g) for g in ordered],
+        [getattr(g, "_last_fold", (0, None)) for g in ordered], wmax, qmax, exps, fiber_dim)
+    for g, pair in zip(ordered, folds):
+        object.__setattr__(g, "_last_fold", pair)
     out_wmax = wmax - (len(exps) - 1)
     if _width(out_wmax, qmax) != _width(wmax, qmax):
         return WSeries._trusted(wmax, qmax, packed).truncate(out_wmax)
@@ -619,8 +628,7 @@ def _residues(groups, wmax, qmax, exps, fiber_dim=None):
 
 def _facts(series):
     """The ``_group_facts`` of a group of ``_residues``, read once and kept
-    with the series: a memoized group carries them, and its last fold, from
-    request to request."""
+    with the series: a memoized group carries them from request to request."""
     facts = getattr(series, "_facts", None)
     if facts is None:
         facts = _group_facts(series._packed[0], _width(series.wmax, series.qmax))

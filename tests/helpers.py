@@ -29,6 +29,7 @@ engine's writers)."""
 
 import json
 import sys
+import threading
 from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
@@ -653,6 +654,42 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def is_read(product):
+    """Whether a deferred ``series._Product`` has built its packed form: its
+    slot is read past ``__getattr__``, so the check builds nothing."""
+    try:
+        object.__getattribute__(product, "_packed")
+    except AttributeError:
+        return False
+    return True
+
+
+def run_in_threads(calls, count):
+    """Run ``calls(seed)`` for seeds 0..count-1, each in its own thread, at a
+    switch interval of 1 us, so that the threads interleave between almost
+    any two bytecodes (the interval is restored after); returns the
+    exceptions the calls raised."""
+    errors = []
+
+    def run(seed):
+        try:
+            calls(seed)
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    return errors
 
 
 def count_calls_everywhere(monkeypatch, module, name):

@@ -41,6 +41,7 @@ from helpers import (
     PAPER_CLOSED_TEXT,
     count_calls,
     count_calls_everywhere,
+    is_read,
     normal_factor_in_y,
     pair_loop_sheared_product,
     reference_closed_form_q,
@@ -53,6 +54,7 @@ from helpers import (
     reference_todd_factor,
     reference_z_to_y,
     root_series,
+    run_in_threads,
 )
 
 
@@ -205,8 +207,9 @@ def test_an_unread_integrand_is_its_groups_sheared_product():
     packed = pair_loop_sheared_product({s: G._packed for s, G in groups.items()}, 8, 6)
     product = WSeries._trusted(8, 6, packed)
     want = reference_mul(reference_z_to_y(product), prefactor)
+    assert not is_read(D)
     assert D == want  # the first read
-    assert type(D) is WSeries
+    assert is_read(D) and type(D) is _Product and D._groups is groups
 
 
 def test_a_read_multiplies_its_sheared_groups_and_scales_nothing(monkeypatch):
@@ -236,11 +239,13 @@ _READS = {
 def test_the_integrand_reads_the_same_before_and_after_its_first_read(family, read):
     spec = _twisted(family, 1, random.Random("reads:" + family))
     before = fiber_integrand(spec, 9, 5)
-    assert type(before) is _Product
+    assert type(before) is _Product and not is_read(before)
     got = read(before)
     after = fiber_integrand(spec, 9, 5)
     after.terms
-    assert type(after) is WSeries
+    # the read keeps the integrand a product that holds its groups
+    assert type(after) is _Product and is_read(after)
+    assert after._groups == before._groups
     assert read(after) == got
 
 
@@ -267,13 +272,14 @@ def _specs_and_orders():
 
 
 def test_pushforward_of_an_unread_integrand_equals_that_of_the_read_one():
-    # unread, it is pushed forward by residues on its slope groups; read,
-    # by residues on its packed terms, one group at slope 0
+    # the integrand is pushed forward by residues on its slope groups, read
+    # or not; its read terms, as one group at slope 0
     for spec, wmax, qmax in _specs_and_orders():
         D = fiber_integrand(spec, wmax, qmax)
         deferred = pushforward(D, spec.bundle)
-        assert type(D) is _Product  # the map read nothing
-        D.terms
+        assert not is_read(D)  # the map read nothing
+        read = WSeries._trusted(D.wmax, D.qmax, D._packed)
+        assert pushforward(read, spec.bundle) == deferred
         assert pushforward(D, spec.bundle) == deferred
 
 
@@ -405,7 +411,7 @@ def test_skipping_a_pole_one_h_degree_too_early_changes_q(monkeypatch, mu):
 
     def one_higher(series):
         top, low, *rest = real(series)
-        return [top, low + 1, *rest]
+        return (top, low + 1, *rest)
 
     monkeypatch.setattr(series_module, "_facts", one_higher)
     got, want = _unread_and_read(spec, 4, 3)
@@ -889,3 +895,55 @@ def test_pushforward_class_slices_equal_the_per_q_convolution(target):
             for q in range(0, qmax + 1):
                 want = reference_pushforward_class(target, q, d, qmax)
                 assert pushed.y_slice(q) == want, (d, qmax, q)
+
+
+# -- calls that share slope groups: each reads only its own folds -------------------
+
+
+_SHARED_ROOTS = ((RootForm(1, 1),), (RootForm(1, 1), RootForm(2, 3)))
+# two specs per N-root tuple, at bundles whose pole jets differ, so that calls
+# which share a memoized group fold it at different slots
+_SHARING_SPECS = [
+    FibrationSpec("shares", BundleSpec(exps), _SHARED_ROOTS[i // 2])
+    for i, exps in enumerate([(0, 1, 2), (0, 1, 5), (0, 3, 7, 11), (0, -4, 9, 1)])
+]
+
+
+def test_a_nested_derived_q_leaves_the_outer_call_its_folds(monkeypatch):
+    # warm A, then call it again with its first row map running B, which
+    # shares A's groups and folds them at another slot: A's Q stays its cold
+    # value
+    a, b = _SHARING_SPECS[2:]
+    cold = derived_q(a, 8, 9)
+    real, maps, nested = _packed._map_rows, [], []
+
+    def map_rows(*args):
+        maps.append(args)
+        if len(maps) == 1:
+            nested.append(derived_q(b, 8, 9))
+        return real(*args)
+
+    monkeypatch.setattr(_packed, "_map_rows", map_rows)
+    assert derived_q(a, 8, 9) == cold
+    assert len(nested) == 1
+
+
+def test_threaded_derived_q_calls_each_get_their_cold_value():
+    # 4 threads make 150 calls each over specs that share groups
+    from conftest import _bench_pairs
+
+    requests = [(spec, w, w + 1) for spec in _SHARING_SPECS for w in (8, 10)]
+    cold = []
+    for request in requests:
+        _bench_pairs.clear_caches()
+        cold.append(derived_q(*request))
+    wrong = []
+
+    def calls(seed):
+        rng = random.Random(seed)
+        for _ in range(150):
+            i = rng.randrange(len(requests))
+            if derived_q(*requests[i]) != cold[i]:
+                wrong.append(i)
+
+    assert (run_in_threads(calls, 4), wrong) == ([], [])

@@ -16,7 +16,7 @@ LAYOUT = {"_field", "_field_name", "_width", "_unpack", "_key_mono", "_fold", "_
 KNOWERS = {"series.py", "_packed.py"}
 # the encoder of int numerators and the reduction of a packed form
 ENCODERS = {"_pack", "_reduced"}
-PACKERS = {"series.py", "_packed.py", "charclasses.py"}
+PACKERS = {"series.py", "_packed.py"}
 
 
 def _tree(path):
@@ -50,8 +50,8 @@ def test_only_series_knows_the_key_layout(path):
     ids=lambda p: p.name,
 )
 def test_only_the_local_factors_build_packed_ints(path):
-    # charclasses writes the closed-form local factors as packed ints; every
-    # other module builds series through WSeries and the charclasses builders
+    # every module but the two that know the key layout builds series through
+    # WSeries: the closed-form local factors through ``WSeries._of_ints``
     assert _layout_uses(_tree(path), ENCODERS) == []
 
 

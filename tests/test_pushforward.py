@@ -231,17 +231,19 @@ def test_pushforward_decodes_at_the_input_width(family):
 
 def test_every_pushforward_runs_the_residues_once(monkeypatch):
     # one route: a plain series passes as one group at slope 0 with no fiber
-    # dimension, and so does an integrand whose terms were read
+    # dimension, and an integrand whose terms were read passes its groups and
+    # its fiber dimension, as an unread one does
     module = importlib.import_module("ellgenus.pushforward")  # not the function
     calls = count_calls(monkeypatch, module, "_residues")
     spec = CATALOG["E7"]
     plain = random_series(random.Random(38), ("L", "H", "c1"), 8, 3)
     read = fiber_integrand(spec, 8, 3)
     read.terms
-    for series in (plain, read):
+    for series, groups, fiber_dim in ((plain, {0: plain}, None),
+                                      (read, read._groups, spec.fiber_dim)):
         got = pushforward(series, spec.bundle)
         assert got == reference_term_pushforward(series, spec.bundle)
-        assert calls[-1] == ({0: series}, 8, 3, spec.bundle.exps, None)
+        assert calls[-1] == (groups, 8, 3, spec.bundle.exps, fiber_dim)
     assert len(calls) == 2
 
 

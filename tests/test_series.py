@@ -41,6 +41,7 @@ from helpers import (
     dict_scale_weights,
     dict_mul,
     dict_terms,
+    is_read,
     pair_loop_packed_mul,
     pair_loop_packed_shear,
     pair_loop_sheared_product,
@@ -57,6 +58,7 @@ from helpers import (
     reference_segre_series,
     reference_term_pushforward,
     reference_z_to_y,
+    run_in_threads,
 )
 
 
@@ -853,7 +855,7 @@ def test_the_shear_of_a_deferred_product_equals_the_shear_of_the_eager_one(group
     assert _shear(WSeries._trusted(wmax, qmax, packed), s)._packed == want
     deferred = _Product(groups, wmax, qmax)
     assert _shear(deferred, s)._packed == want
-    assert type(deferred) is WSeries
+    assert type(deferred) is _Product and deferred._groups is groups
 
 
 # -- the pushforward of a deferred product, by residues ---------------------------
@@ -883,7 +885,7 @@ def test_the_residue_pushforward_equals_the_segre_map_of_the_eager_product(case)
     (wmax, qmax), = {(G.wmax, G.qmax) for G in groups.values()}
     deferred = _Product(groups, wmax, qmax, fiber_dim)
     got = pushforward(deferred, bundle)
-    assert type(deferred) is _Product
+    assert not is_read(deferred)
     packed = {s: G._packed for s, G in groups.items()}
     packed = pair_loop_sheared_product(packed, wmax, qmax)
     eager = WSeries._trusted(wmax, qmax, packed)
@@ -1671,3 +1673,35 @@ def test_graded_kernel_keeps_the_error_classes():
         with pytest.raises(error) as want:
             reference(operand)
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+# -- a memo under threads -------------------------------------------------------------
+
+
+class _Top:
+    """A toy memo value that truncates exactly: a truncation is its key and
+    the orders asked."""
+
+    def __init__(self, key, wmax, qmax):
+        self.key, self.wmax, self.qmax = key, wmax, qmax
+
+    def truncate(self, wmax, qmax):
+        return self.key, wmax, qmax
+
+
+def test_a_top_memo_keeps_its_bookkeeping_under_threads(monkeypatch):
+    # one top kept, so every request past the lru cache evicts one: 6 threads
+    # make 20,000 requests each over 40 keys at 15 orders, and none raises
+    monkeypatch.setattr(series_module, "MEMO_TOPS", 1)
+    memo = series_module._top_memo(_Top)
+    wrong = []
+
+    def calls(seed):
+        rng = random.Random(seed)
+        for _ in range(20_000):
+            key, w = rng.randrange(40), rng.randrange(15)
+            if memo(key, w, w) != (key, w, w):
+                wrong.append((key, w))
+
+    assert (run_in_threads(calls, 6), wrong) == ([], [])
+    assert len(memo.tops) <= 1
