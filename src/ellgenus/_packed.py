@@ -1,9 +1,10 @@
 """The packed form of a series, and the kernels that run on it.
 
 A packed series is a pair (nums, den): a dict from int key to int numerator
-plus one common denominator.  This module alone reads or writes the bits of
-a key.  Its functions take and return packed pairs and folded dicts, never
-a ``WSeries``; ``series`` wraps their results.
+plus one common denominator.  This module and ``series``, which wraps its
+results, are the only ones that read or write the bits of a key: no other
+module imports a layout helper.  Its functions take and return packed pairs
+and folded dicts, never a ``WSeries``.
 
 - ``_pack`` is the one encoder: it packs int numerators keyed by (monomial,
   y-degree) into int keys of bit-fields of equal width: field 0 holds the
@@ -157,13 +158,12 @@ def _sheared(packed, s, wmax, qmax):
     return _reduced(acc, den * r**wmax)
 
 
-def _residue_sum(groups, facts, folds, wmax, qmax, exps, fiber_dim):
-    """pi_* of the product of the packed series ``groups[s]`` at H -> H + s*L
-    (``_sheared``) along P(E), E = sum_i L^(m_i) for m_i in ``exps``, packed
-    at the width of (wmax, qmax) with every key of weight <= wmax - (r - 1):
-    the Segre map, as a sum of residues, and the (slot, fold) it read of each
-    group.  ``facts`` holds the ``_group_facts`` of each group, by ascending
-    slope, and ``folds`` a (slot, fold) of each, refolded at another slot.
+def _residue_sum(groups, wmax, qmax, exps, fiber_dim):
+    """pi_* of the product of the packed series ``group`` at H -> H + s*L
+    (``_sheared``) for each (s, group, facts) of ``groups``, by ascending s,
+    ``facts`` the group's ``_group_facts``, along P(E), E = sum_i L^(m_i)
+    for m_i in ``exps``: the Segre map, as a sum of residues, packed at the
+    width of (wmax, qmax) with every key of weight <= wmax - (r - 1).
 
     With H = u*L, pi_* f = L^(1-r) sum_m Res_(u=-m) f / prod_i (u + m_i)
     over the distinct exponents m (Ellingsrud-Stromme, alg-geom/9411005).
@@ -200,35 +200,33 @@ def _residue_sum(groups, facts, folds, wmax, qmax, exps, fiber_dim):
     mask = (1 << width) - 1
     hshift = (_field("H")[0] - 1) * width  # in a key without its y field
     poles, den = _poles(tuple(sorted(exps)))
-    slopes = sorted(groups)
-    for s, (top, *_f) in zip(slopes, facts):
-        den *= groups[s][1] * s.denominator**top
+    for s, (_nums, gden), (top, *_f) in groups:
+        den *= gden * s.denominator**top
     live, bits = [], 0
     for m, jet in poles:
         mu = len(jet)
-        if any(s == m and low >= mu for s, (_t, low, *_f) in zip(slopes, facts)):
+        if any(s == m and low >= mu for s, _g, (_t, low, *_f) in groups):
             continue  # a dead pole
         rows = [_pole_rows(s.numerator - m * s.denominator, s.denominator, top, mu, width)
-                for s, (top, *_f) in zip(slopes, facts)]
+                for s, _g, (top, *_f) in groups]
         need = sum(map(abs, jet)).bit_length() + sum(
             b + x + ((mu * n).bit_length() if i else 0)
-            for i, ((_t, _l, b, n), (_r, x)) in enumerate(zip(facts, rows))
+            for i, ((_s, _g, (_t, _l, b, n)), (_r, x)) in enumerate(zip(groups, rows))
         )
         bits = max(bits, need)
         live.append((jet, [r for r, _x in rows]))
     slot = bits + len(live).bit_length() + 1
-    folds = [pair if pair[0] == slot else (slot, _fold(groups[s][0], width, slot))
-             for s, pair in zip(slopes, folds)]
+    folds = [_fold(nums, width, slot) for _s, (nums, _d), _f in groups]
     out = defaultdict(int)
     for jet, rows in live:
         acc = None
-        for (_slot, fold), row in zip(folds, rows):
+        for fold, row in zip(folds, rows):
             mapped = _map_rows(fold.items(), hshift, mask, row)
             acc = mapped if acc is None else _folded_mul(
                 acc, mapped, wmax, mask, slot * (qmax + 1), len(jet), hshift
             )
         _read_pole(acc, jet, len(exps) - 1, width, out)
-    return _to_y(out, slot, wmax, qmax, den, fiber_dim), folds
+    return _to_y(out, slot, wmax, qmax, den, fiber_dim)
 
 
 def _group_facts(nums, width):

@@ -197,7 +197,7 @@ class WSeries:
     :func:`mono_from_dict` would not return unchanged.
     """
 
-    __slots__ = ("wmax", "qmax", "_packed", "_terms", "_split", "_facts", "_last_fold")
+    __slots__ = ("wmax", "qmax", "_packed", "_terms", "_split", "_facts")
 
     def __new__(cls, wmax, qmax, terms=None):
         wmax, qmax = _truncation_orders(wmax, qmax)
@@ -612,14 +612,10 @@ def _residues(groups, wmax, qmax, exps, fiber_dim=None):
     (``_shear``) along P(E), E = sum_i L^(m_i) for m_i in ``exps``, at
     (wmax - (r - 1), qmax): the Segre map, as a sum of residues
     (``_residue_sum``), which ``pushforward`` runs on every series (a plain
-    one is one group at 0).  Each group keeps the (slot, fold) that the
-    residues read last, stored whole, and hands it to the next call."""
-    ordered = [groups[s] for s in sorted(groups)]
-    packed, folds = _residue_sum(
-        {s: g._packed for s, g in groups.items()}, [_facts(g) for g in ordered],
-        [getattr(g, "_last_fold", (0, None)) for g in ordered], wmax, qmax, exps, fiber_dim)
-    for g, pair in zip(ordered, folds):
-        object.__setattr__(g, "_last_fold", pair)
+    one is one group at 0).  Each call folds its groups afresh and writes
+    nothing to them but their lazily kept facts (``_facts``)."""
+    packed = _residue_sum([(s, groups[s]._packed, _facts(groups[s])) for s in sorted(groups)],
+                          wmax, qmax, exps, fiber_dim)
     out_wmax = wmax - (len(exps) - 1)
     if _width(out_wmax, qmax) != _width(wmax, qmax):
         return WSeries._trusted(wmax, qmax, packed).truncate(out_wmax)

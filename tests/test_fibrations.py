@@ -14,11 +14,14 @@ from hypothesis import strategies as st
 from ellgenus import (
     CATALOG,
     FAMILIES,
+    BaseSpec,
     BundleSpec,
     FibrationSpec,
     Poly,
     RootForm,
     WSeries,
+    chi_q,
+    chi_series,
     closed_form_q,
     closed_form_text,
     derived_q,
@@ -947,3 +950,46 @@ def test_threaded_derived_q_calls_each_get_their_cold_value():
                 wrong.append(i)
 
     assert (run_in_threads(calls, 4), wrong) == ([], [])
+
+
+def _mixed_requests(rng):
+    """A shuffled request sequence of ``derived_q``, ``closed_form_q``,
+    ``chi_series``, ``chi_q`` and ``hirzebruch_class``, as (function, args).
+    Its 20 custom specs draw their N-roots from a small pool, so that they
+    share slope groups, and each is asked for its chi series: 20 keys are
+    more than a memo keeps tops of, so the memos evict."""
+    specs = []
+    for i in range(20):
+        exps = tuple(rng.randrange(-2, 4) for _ in range(rng.randrange(2, 5)))
+        roots = [RootForm(rng.randrange(1, 4), rng.randrange(-2, 6))
+                 for _ in range(rng.randrange(len(exps)))]
+        specs.append(FibrationSpec("mixed %d" % i, BundleSpec(exps), roots))
+    targets = specs + list(FAMILIES)
+    requests = [(chi_series, (spec, rng.randrange(4))) for spec in specs]
+    for _ in range(20):
+        target, d = rng.choice(targets), rng.randrange(1, 4)
+        w = rng.randrange(2, 9)
+        top = d + (1 if isinstance(target, str) else target.fiber_dim)
+        requests += [
+            (derived_q, (rng.choice(specs), w, rng.randrange(w + 2))),
+            (closed_form_q, (rng.choice(FAMILIES), w, rng.randrange(w + 2))),
+            (chi_q, (target, BaseSpec.projective_space(d, rng.randrange(1, 5)),
+                     rng.randrange(top + 1))),
+            (hirzebruch_class, (rng.randrange(5), rng.randrange(7))),
+        ]
+    rng.shuffle(requests)
+    return requests
+
+
+@given(st.integers(min_value=0))
+def test_warm_answers_equal_the_cold_ones(seed):
+    # every answer of a mixed sequence, run on the memos the requests before
+    # it left, equals the same request run on empty caches
+    from conftest import _bench_pairs
+
+    requests = _mixed_requests(random.Random(seed))
+    assert len({args[0] for f, args in requests if f is chi_series}) > series_module.MEMO_TOPS
+    warm = [f(*args) for f, args in requests]
+    for (f, args), answer in zip(requests, warm):
+        _bench_pairs.clear_caches()
+        assert f(*args) == answer, (f.__name__, args)

@@ -3,7 +3,8 @@ output file counts the program lines of both checkouts, each mode keeps the
 others' entries of the file, the in-process passes start from empty caches,
 and they resolve a slower tree but claim no gain, in pass or in tail
 time, between identical ones; the fresh-interpreter imports resolve a
-slower start-up and refuse a checkout with cached bytecode."""
+slower start-up and refuse a checkout with cached bytecode; both modes take
+checkouts given relative to the caller's directory."""
 
 import importlib.util
 import json
@@ -176,6 +177,18 @@ def test_fresh_imports_resolve_a_slower_start_up(tmp_path):
     summary = imports["summary"]
     assert summary["import_s"]["change_wins"] == 3 and summary["import_s"]["gain"] is True
     assert summary["rss_mb"]["pairs"] == 3
+
+
+@pytest.mark.parametrize("mode", ["--passes", "--imports"])
+def test_relative_checkouts_run_from_any_directory(tmp_path, monkeypatch, mode):
+    # each worker runs in its checkout, so a path relative to the caller's
+    # directory must be resolved before it is handed down
+    for name in ("parent", "change"):
+        _edited_tree(tmp_path, "", "", name=name)
+    monkeypatch.chdir(tmp_path)
+    argv = ["--parent", "parent", "--change", "change", "--out", "pairs.json", mode, "2"]
+    assert _derive_only(monkeypatch).main(argv) == 0
+    assert mode[2:] in json.loads((tmp_path / "pairs.json").read_text())
 
 
 def test_fresh_imports_refuse_cached_bytecode(tmp_path, capsys):

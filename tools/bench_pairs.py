@@ -106,7 +106,7 @@ def import_once(checkout, hash_seed):
     proc = subprocess.run([sys.executable, "-B", "-c", IMPORT_CODE], cwd=checkout,
                           env=env, capture_output=True, text=True, check=True)
     seconds, rss_kb, where = proc.stdout.split()
-    if where != os.path.join(os.path.abspath(checkout), "src", "ellgenus", "__init__.py"):
+    if where != os.path.join(checkout, "src", "ellgenus", "__init__.py"):
         return None
     return {"import_s": float(seconds), "rss_mb": int(rss_kb) / 1024.0}
 
@@ -286,6 +286,8 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=0,
                     help="import pair i runs at PYTHONHASHSEED seed + i")
     args = ap.parse_args(argv)
+    # the workers run in their checkout, so a relative path would resolve twice
+    args.parent, args.change = os.path.abspath(args.parent), os.path.abspath(args.change)
     for key, run in (("passes", in_process_passes), ("imports", fresh_imports)):
         if getattr(args, key) is not None:
             entry = run(args)
