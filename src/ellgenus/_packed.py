@@ -28,15 +28,16 @@ and folded dicts, never a ``WSeries``.
   y is folded: a y-polynomial is dense (at most qmax + 1 slots, nearly all
   filled), while the sparse (y, L, H, ci) box would need far more slots.
 - ``_sheared`` applies H -> H + s*L as rows of a per-term loop
-  (``_map_rows``), which also runs the residues' maps to a pole.
+  (``_map_rows``), which also runs the residues' maps to a pole and the
+  map from z to y (``_in_y``).
 - ``_residue_sum`` pushes the product of slope groups, each at H -> H + s*L,
   forward by residues at the bundle's exponents: at each pole the groups
   map by rows to jets in eps = H/L + m, held in the H field, and multiply
   with no shear and no dense (H, L) product; only the sum of the poles is
   unfolded.  With a fiber dimension f the groups are polynomials in z =
-  y/(1+y), and the product (``_in_y``) or pushforward ends in one map of
-  the folded ints, z^k -> (1+y)^f z^k = y^k (1+y)^(f-k) (``_to_y``), whose
-  slots grow by the bits of the map's largest column sum, and one unfold.
+  y/(1+y), and the unfolded product or pushforward is mapped to y by rows
+  on the y field (``_in_y``), z^k -> (1+y)^f z^k = y^k (1+y)^(f-k): no
+  fold, no slot and no series product follow the unfold.
 - ``_unpack`` decodes for the ``terms`` view only: each key into a canonical
   monomial tuple and each numerator into one ``Fraction``.
 """
@@ -158,7 +159,7 @@ def _sheared(packed, s, wmax, qmax):
     return _reduced(acc, den * r**wmax)
 
 
-def _residue_sum(groups, wmax, qmax, exps, fiber_dim):
+def _residue_sum(groups, wmax, qmax, exps):
     """pi_* of the product of the packed series ``group`` at H -> H + s*L
     (``_sheared``) for each (s, group, facts) of ``groups``, by ascending s,
     ``facts`` the group's ``_group_facts``, along P(E), E = sum_i L^(m_i)
@@ -178,9 +179,10 @@ def _residue_sum(groups, wmax, qmax, exps, fiber_dim):
     residues of such a key sum to those of a polynomial in u of degree
     <= A < r - 1 over one of degree r, which is 0.  The groups are folded
     once, at one slot for every pole, and the poles sum into one folded
-    series, mapped and unfolded once by ``_to_y``.  The read leaves every
-    key at weight <= wmax - (r - 1), so at an unchanged key width the sum
-    is Q as it stands, with no truncation.
+    series, unfolded once, as ``_packed_mul``'s product is.  The read leaves
+    every key at weight <= wmax - (r - 1), so at an unchanged key width the
+    sum is Q as it stands, with no truncation: in z for groups in z, which
+    ``series._residues`` maps to y (``_in_y``).
 
     A pole is dead when the group at its own slope has lowest H-degree >=
     mu: there the shear is 0, so H^a goes to eps^a, and every term of that
@@ -226,7 +228,7 @@ def _residue_sum(groups, wmax, qmax, exps, fiber_dim):
                 acc, mapped, wmax, mask, slot * (qmax + 1), len(jet), hshift
             )
         _read_pole(acc, jet, len(exps) - 1, width, out)
-    return _to_y(out, slot, wmax, qmax, den, fiber_dim)
+    return _unfold(out, width, slot, qmax, den)
 
 
 def _group_facts(nums, width):
@@ -290,67 +292,27 @@ def _pole_rows(p, r, top, mu, width):
     return rows, largest.bit_length() + (top + 1).bit_length()
 
 
-def _in_y(packed, wmax, qmax, fiber_dim):
-    """(1+y)^fiber_dim times the packed series ``packed`` in z = y/(1+y), in
-    y: folded at one bit past its largest numerator and mapped by ``_to_y``."""
+def _in_y(packed, width, qmax, fiber_dim):
+    """(1+y)^fiber_dim times the packed series ``packed`` in z = y/(1+y), at
+    key ``width``, in y: each term's z^k mapped to y^k (1+y)^(fiber_dim-k)
+    by the rows of ``_z_rows`` on the y field (``_map_rows``)."""
     nums, den = packed
-    slot = _bits(nums) + 1
-    return _to_y(_fold(nums, _width(wmax, qmax), slot), slot, wmax, qmax, den, fiber_dim)
-
-
-def _to_y(folded, slot, wmax, qmax, den, fiber_dim):
-    """The packed series of a folded one over ``den``.  Unless ``fiber_dim``
-    is None, its slots are powers of z = y/(1+y), and it is first mapped to y
-    times (1+y)^fiber_dim (``_z_rows``), into slots as much wider as that
-    map's column sums need (``_map_slots``)."""
-    if fiber_dim is not None:
-        extra = _z_rows(qmax, fiber_dim)[1]
-        folded = _map_slots(folded, slot, _z_images(qmax, fiber_dim, slot + extra))
-        slot += extra
-    return _unfold(folded, _width(wmax, qmax), slot, qmax, den)
+    rows = _z_rows(qmax, fiber_dim)
+    return _reduced(_map_rows(nums.items(), 0, (1 << width) - 1, rows), den)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _z_rows(qmax, f):
     """The rows of (1+y)^f z^k = y^k (1+y)^(f-k) = sum_j C(f-k, j-k) y^j for
     k = 0..qmax, C the generalized binomial (for n < 0, C(n, i) = (-1)^i
-    C(i-n-1, i)), as (y-degree j <= qmax, int) entries, and the bits they
-    add to a slot.  Output slot j sums digits below 2^(slot-1) times the
-    entries of column j, whose absolute values sum to S, so it stays below
-    2^(slot-1) * 2^((S-1).bit_length()) for the largest S."""
-    rows = tuple(
-        tuple((j, comb(f - k, j - k)) for j in range(k, min(f, qmax) + 1))
+    C(i-n-1, i)), as (y-offset j - k, int) entries for y-degrees j <= qmax."""
+    return tuple(
+        tuple((j - k, comb(f - k, j - k)) for j in range(k, min(f, qmax) + 1))
         if k <= f
-        else tuple((j, (-1) ** (j - k) * comb(j - f - 1, j - k))
+        else tuple((j - k, (-1) ** (j - k) * comb(j - f - 1, j - k))
                    for j in range(k, qmax + 1))
         for k in range(qmax + 1)
     )
-    columns = [0] * (qmax + 1)
-    for row in rows:
-        for j, c in row:
-            columns[j] += abs(c)
-    return rows, (max(columns) - 1).bit_length()
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _z_images(qmax, f, out):
-    """The rows of ``_z_rows(qmax, f)``, each folded into slots of width ``out``."""
-    return tuple(sum(c << out * j for j, c in row) for row in _z_rows(qmax, f)[0])
-
-
-def _map_slots(folded, slot, images):
-    """Each folded int's slots, signed digits at ``slot``, mapped by the
-    folded ``images`` of the slots: the sum of digit_k * images[k]."""
-    half, smask = 1 << slot - 1, (1 << slot) - 1
-    bias = sum(half << slot * k for k in range(len(images)))
-    mapped = {}
-    for rest, f in folded.items():
-        f, g = f + bias, 0
-        for image in images:
-            g += ((f & smask) - half) * image
-            f >>= slot
-        mapped[rest] = g
-    return mapped
 
 
 def _map_rows(items, shift, mask, rows):
@@ -449,9 +411,9 @@ def _folded_mul(a, b, wmax, mask, cut, mu=1, shift=0):
     for r1, f1 in a.items():
         for r2, f2 in below[mu - 1 - (r1 >> shift & emask)][wmax - (r1 & mask)]:
             acc[r1 + r2] += f1 * f2
-    # unsigned is enough: ``_unfold`` and ``_map_slots`` bias and mask only the
-    # kept slots, and a further product or ``_read_pole`` is linear, so values
-    # that agree mod 2^cut read the same digits
+    # unsigned is enough: ``_unfold`` biases and masks only the kept slots,
+    # and a further product or ``_read_pole`` is linear, so values that agree
+    # mod 2^cut read the same digits
     low = (1 << cut) - 1
     return {rest: f & low for rest, f in acc.items()}
 

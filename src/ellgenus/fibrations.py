@@ -148,8 +148,8 @@ def fiber_integrand(spec, wmax, qmax):
     z = y/(1+y).  The groups' sheared product times (1+y)^fiber_dim is
     returned deferred (``series._Product``): the product is built on its
     first read, while ``pushforward`` of it, read or not, runs by residues
-    at the bundle's exponents on the groups.  Either ends in one map of z^k
-    to y^k (1+y)^(fiber_dim-k) and one unfold.
+    at the bundle's exponents on the groups.  Either unfolds its result in z
+    and maps each term's z^k to y^k (1+y)^(fiber_dim-k) by rows.
     """
     if wmax < len(spec.n_roots):
         raise ValueError(

@@ -17,9 +17,9 @@ positive exponents, ordered L < H < c1 < c2 < ...; the empty tuple is the
 constant monomial.
 
 A series stores one form of its value, the reduced packed form: a dict from
-int key to int numerator plus one common denominator.  The kernels of
-``_packed`` alone read or write the bits of a key, and run the products,
-shears and pushforwards on that form; this module wraps their results in
+int key to int numerator plus one common denominator.  Only this module and
+``_packed``, whose kernels run the products, shears and pushforwards on that
+form, read or write the bits of a key; this module wraps those results in
 ``WSeries``.  Only the ``terms`` view builds a ``Fraction`` per term.
 ``_Product`` defers the product of its slope groups, each sheared by its
 slope (``_shear``): its first read multiplies the sheared groups and keeps
@@ -579,7 +579,7 @@ class _Product(WSeries):
 
     With a ``fiber_dim`` f, the groups are polynomials in z = y/(1+y), held
     in the y slots, and the value is (1+y)^f times the product, mapped to y
-    with that factor in one map of the folded ints (``_in_y``)."""
+    with that factor by rows on the unfolded product (``_in_y``)."""
 
     __slots__ = ("_groups", "_fiber_dim")
 
@@ -595,7 +595,7 @@ class _Product(WSeries):
             raise AttributeError(name)
         packed = reduce(mul, (_shear(g, s) for s, g in self._groups.items()))._packed
         if self._fiber_dim is not None:
-            packed = _in_y(packed, self.wmax, self.qmax, self._fiber_dim)
+            packed = _in_y(packed, _width(self.wmax, self.qmax), self.qmax, self._fiber_dim)
         object.__setattr__(self, "_packed", packed)
         return packed
 
@@ -612,10 +612,13 @@ def _residues(groups, wmax, qmax, exps, fiber_dim=None):
     (``_shear``) along P(E), E = sum_i L^(m_i) for m_i in ``exps``, at
     (wmax - (r - 1), qmax): the Segre map, as a sum of residues
     (``_residue_sum``), which ``pushforward`` runs on every series (a plain
-    one is one group at 0).  Each call folds its groups afresh and writes
-    nothing to them but their lazily kept facts (``_facts``)."""
+    one is one group at 0), times (1+y)^fiber_dim in y if the groups are in
+    z (``_in_y``).  Each call folds its groups afresh and writes nothing to
+    them but their lazily kept facts (``_facts``)."""
     packed = _residue_sum([(s, groups[s]._packed, _facts(groups[s])) for s in sorted(groups)],
-                          wmax, qmax, exps, fiber_dim)
+                          wmax, qmax, exps)
+    if fiber_dim is not None:
+        packed = _in_y(packed, _width(wmax, qmax), qmax, fiber_dim)
     out_wmax = wmax - (len(exps) - 1)
     if _width(out_wmax, qmax) != _width(wmax, qmax):
         return WSeries._trusted(wmax, qmax, packed).truncate(out_wmax)

@@ -441,12 +441,12 @@ def test_a_cold_derived_q_never_unfolds_the_integrand(monkeypatch, family, w):
     assert {ell for ell, _h in with_l[-1]} >= {dict(m).get("L", 0) for m, _q in Q.terms}
 
 
-def test_the_map_to_y_folds_its_rows_once_per_slot_width():
-    # a second request at the same orders reuses the folded z -> y rows
-    _packed._z_images.cache_clear()
+def test_the_z_to_y_rows_are_built_once_per_qmax_and_fiber_dim():
+    # a second request at the same orders reuses the z -> y rows
+    _packed._z_rows.cache_clear()
     first = derived_q("E7", 6, 7)
     assert derived_q("E7", 6, 7) == first
-    info = _packed._z_images.cache_info()
+    info = _packed._z_rows.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
 

@@ -761,11 +761,11 @@ def test_folded_mul_slot_sums_near_the_bound(sign, bits):
     assert n * top**2 >= 2 ** (slot - 2)
 
 
-def _folded_mul_reads(a, b, fiber_dim, short=0):
-    """What ``_unfold`` and ``_map_slots`` (by the z -> y rows of
-    ``fiber_dim``) read of the product of the folds of ``a`` and ``b``: from
-    ``_folded_mul``'s residue, cut ``short`` bits below the product's slots,
-    and from the signed residue of a pair loop over the folds at their cut."""
+def _folded_mul_reads(a, b, short=0):
+    """What ``_unfold`` reads of the product of the folds of ``a`` and ``b``:
+    from ``_folded_mul``'s residue, cut ``short`` bits below the product's
+    slots, and from the signed residue of a pair loop over the folds at
+    their cut."""
     wmax, qmax = a.wmax, a.qmax
     (na, _da), (nb, _db) = a._packed, b._packed
     width = _width(wmax, qmax)
@@ -779,18 +779,17 @@ def _folded_mul_reads(a, b, fiber_dim, short=0):
                 signed[r1 + r2] = signed.get(r1 + r2, 0) + f1 * f2
     half = 1 << cut - 1
     signed = {rest: (f + half & (1 << cut) - 1) - half for rest, f in signed.items()}
-    images = _packed._z_images(qmax, fiber_dim, slot + _packed._z_rows(qmax, fiber_dim)[1])
     return [
-        (_unfold(f, width, slot, qmax, 1), _packed._map_slots(f, slot, images))
+        _unfold(f, width, slot, qmax, 1)
         for f in (_packed._folded_mul(fa, fb, wmax, mask, cut - short), signed)
     ]
 
 
-@given(_big_pair(), st.integers(0, 3))
-def test_folded_mul_residues_read_as_the_signed_ones(pair, fiber_dim):
-    # the kernel keeps each product sum mod 2^cut, unsigned: every reader
+@given(_big_pair())
+def test_folded_mul_residues_read_as_the_signed_ones(pair):
+    # the kernel keeps each product sum mod 2^cut, unsigned: the reader
     # biases and masks only the kept slots, so it reads the same digits
-    unsigned, signed = _folded_mul_reads(*pair, fiber_dim)
+    unsigned, signed = _folded_mul_reads(*pair)
     assert unsigned == signed
 
 
@@ -798,10 +797,10 @@ def test_a_cut_one_bit_short_misreads_a_negative_top_digit():
     # -1 at y^qmax times 1: the residue of the top slot's digit -1 fills
     # every bit of the cut, so one bit less reads it as 2^(slot-1) - 1
     a, b = _series(2, 3, [({"L": 1}, 3, -1)]), _series(2, 3, [({}, 0, 1)])
-    unsigned, signed = _folded_mul_reads(a, b, 1)
+    unsigned, signed = _folded_mul_reads(a, b)
     assert unsigned == signed
-    (unfolded, mapped), (unfolded_signed, mapped_signed) = _folded_mul_reads(a, b, 1, 1)
-    assert unfolded != unfolded_signed and mapped != mapped_signed
+    short, signed = _folded_mul_reads(a, b, 1)
+    assert short != signed
 
 
 @pytest.mark.parametrize("slot", [2, 3, 64, 301])
@@ -1082,21 +1081,17 @@ def _one_plus_y_to(f, wmax, qmax):
 
 @pytest.mark.parametrize("fiber_dim", range(6))
 def test_the_map_to_y_rows_are_z_powers_times_one_plus_y_to_the_fiber_dim(fiber_dim):
-    # each row k of the map, y^k (1+y)^(f-k) by the generalized binomial,
-    # against z^k mapped to y by the Fraction term loop times (1+y)^f; its
-    # bits are those of the largest column sum of absolute entries
+    # each row k of the map, y^k (1+y)^(f-k) by the generalized binomial as
+    # (y-offset j - k, int) entries, against z^k mapped to y by the Fraction
+    # term loop times (1+y)^f
     for qmax in range(13):
-        rows, bits = _packed._z_rows(qmax, fiber_dim)
+        rows = _packed._z_rows(qmax, fiber_dim)
         assert len(rows) == qmax + 1
         prefactor = _one_plus_y_to(fiber_dim, 0, qmax)
-        columns = [0] * (qmax + 1)
         for k, row in enumerate(rows):
             z_k = reference_z_to_y(WSeries(0, qmax, {((), k): 1}))
             want = reference_mul(z_k, prefactor)
-            assert row == tuple((j, int(c)) for (_m, j), c in sorted(want.terms.items()))
-            for j, c in row:
-                columns[j] += abs(c)
-        assert bits == (max(columns) - 1).bit_length()
+            assert row == tuple((j - k, int(c)) for (_m, j), c in sorted(want.terms.items()))
 
 
 _Z_CASES = [(qmax, fiber_dim) for qmax in (0, 1, 2, 5, 8) for fiber_dim in range(4)]
@@ -1148,32 +1143,20 @@ def test_the_map_to_y_holds_its_slots_at_worst_case_magnitudes(qmax, fiber_dim):
             assert got == want
 
 
-def _narrower_map_to_y(monkeypatch, bits):
-    rows = _packed._z_rows
-    monkeypatch.setattr(
-        _packed, "_z_rows", lambda q, f: (rows(q, f)[0], rows(q, f)[1] - bits)
-    )
-
-
-def test_the_map_to_y_slot_negative_control(monkeypatch):
-    # an alternating fold alone fills its slots to the budget, and the map
-    # to y reaches its column sums: one bit less gives a wrong read at
-    # qmax 8 (the case above passes at full width).  Pushed forward by
-    # residues, whose slot keeps six bits of slack here, the sums stay
-    # below the budget by as much: the pushforward is wrong with seven
-    # bits taken away and right with six, at fiber_dim 0, whose map adds
-    # 7 bits, as at fiber_dim 2, whose map adds 5
-    for fiber_dim in (0, 2):
-        with monkeypatch.context() as mp:
-            _narrower_map_to_y(mp, 1)
-            read = _z_products(3, 8, fiber_dim, 2**40 - 1)[0]
-            assert read[0] != read[1]
+def test_the_z_form_residue_slot_negative_control(monkeypatch):
+    # the residues fold, multiply and unfold the z-form groups at their own
+    # slot, and the map to y runs on the unfolded ints, with no slot of its
+    # own.  On the full-support z-group at qmax 8 that slot keeps six bits
+    # of slack: the pushforward is right with six bits taken away and wrong
+    # with seven, at each fiber_dim, since the map follows the unfold
+    for fiber_dim in (0, 1, 2):
         for bits, wrong in ((6, False), (7, True)):
             with monkeypatch.context() as mp:
-                _narrower_map_to_y(mp, bits)
+                _narrower_slots(mp, bits)
                 pushed = _z_products(3, 8, fiber_dim, 2**40 - 1)[1]
                 assert (pushed[0] != pushed[1]) is wrong
-    assert [_packed._z_rows(8, f)[1] for f in (0, 2)] == [7, 5]
+        pushed = _z_products(3, 8, fiber_dim, 2**40 - 1)[1]  # positive control
+        assert pushed[0] == pushed[1]
 
 
 @st.composite

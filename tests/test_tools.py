@@ -87,7 +87,7 @@ def _passes(tmp_path, monkeypatch, parent, change, passes):
     doc = json.loads(out.read_text())
     assert doc["src_lines"] == {"parent": 1, "change": 1}
     derive = doc["passes"]["workloads"]["derive"]
-    assert [p["first"] for p in derive["pairs"]][:2] == ["parent", "change"]
+    assert [p["first"] for p in derive["pairs"]][:2] == ["parent", "change"][:passes]
     assert all(set(p[s]["metrics"]) == {"pass_s", "tail_s"}
                for p in derive["pairs"] for s in ("parent", "change"))
     return derive["summary"]
@@ -111,6 +111,14 @@ def _edited_tree(tmp_path, old, new, module="fibrations.py", name="edited"):
     assert old in text
     module.write_text(text.replace(old, new))
     return tree
+
+
+def test_one_pass_writes_its_entry_and_claims_no_gain(tmp_path, monkeypatch):
+    # one value is its own median and quartiles, and one pair has no spread
+    # to resolve a gain against
+    for name, summary in _passes(tmp_path, monkeypatch, ROOT, ROOT, 1).items():
+        assert summary["pairs"] == 1 and summary["gain"] is False, name
+        assert len(set(summary["parent"].values())) == 1, name
 
 
 def test_a_tree_with_a_delay_in_derived_q_is_slower(tmp_path, monkeypatch):
@@ -139,7 +147,7 @@ def test_a_pass_starts_with_every_cache_empty():
     fiber_integrand(CATALOG["D5"], 6, 4).terms
     chi_q("E8", BaseSpec.projective_space(2, 3), 1, verify=True)
     found = tool.caches()
-    rows = {_packed._z_rows, _packed._z_images, _packed._poles, _packed._pole_rows}
+    rows = {_packed._z_rows, _packed._poles, _packed._pole_rows}
     assert rows <= found and any(hasattr(c, "tops") for c in found)
     assert all(c.cache_info().currsize for c in rows)
     # each route's exp(sum b_k p_k), the class route's under charclasses
@@ -177,6 +185,13 @@ def test_fresh_imports_resolve_a_slower_start_up(tmp_path):
     summary = imports["summary"]
     assert summary["import_s"]["change_wins"] == 3 and summary["import_s"]["gain"] is True
     assert summary["rss_mb"]["pairs"] == 3
+
+
+def test_one_import_pair_writes_its_entry_and_claims_no_gain(tmp_path):
+    parent, change = (_edited_tree(tmp_path, "", "", name=n) for n in ("parent", "change"))
+    summary = _imports(tmp_path, parent, change, 1)["summary"]
+    for name in ("import_s", "rss_mb"):
+        assert summary[name]["pairs"] == 1 and summary[name]["gain"] is False, name
 
 
 @pytest.mark.parametrize("mode", ["--passes", "--imports"])

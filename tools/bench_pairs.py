@@ -14,11 +14,12 @@ A ``passes`` or ``imports`` entry already in the file (see below) is kept.
 For every end-to-end metric of ``BENCHMARK.json`` (and ``verify_s`` on
 ``cli``) the summary gives each side's median and quartiles, the pairs the
 change won (ties count for neither side) and ``gain``: the change won at
-least nine tenths of the pairs and the medians differ by more than the
-distance between the parent's quartiles.  A run whose outputs are not all
-correct, or that failed a request, stops the tool with exit status 1 and
-names the run on stderr.  ``src_lines`` gives the lines of
-``src/ellgenus/*.py`` in each checkout, counted as ``wc -l`` counts them.
+least nine tenths of at least two pairs and the medians differ by more than
+the distance between the parent's quartiles.  One value is its own median
+and quartiles.  A run whose outputs are not all correct, or that failed a
+request, stops the tool with exit status 1 and names the run on stderr.
+``src_lines`` gives the lines of ``src/ellgenus/*.py`` in each checkout,
+counted as ``wc -l`` counts them.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json \
         --passes N
@@ -149,6 +150,9 @@ def src_lines(checkout):
 
 
 def quartiles(values):
+    """q1, median and q3 of ``values``; one value is all three."""
+    if len(values) < 2:
+        return dict.fromkeys(("q1", "median", "q3"), values[0])
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3}
 
@@ -172,7 +176,8 @@ def summarise(pairs, better):
             "change_vs_parent_median": cs["median"] / ps["median"] - 1 if ps["median"] else None,
             "change_wins": wins,
             "pairs": len(done),
-            "gain": wins >= 0.9 * len(done)
+            # one pair has no spread to compare the medians with
+            "gain": len(done) > 1 and wins >= 0.9 * len(done)
             and sign * (cs["median"] - ps["median"]) > ps["q3"] - ps["q1"],
         }
     return out
