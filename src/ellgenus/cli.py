@@ -1,16 +1,19 @@
-"""Command-line surface: catalog inspection, formula emission, numeric
-chi_q evaluation, and the self-verification suite.
+"""Command-line surface: catalog inspection, formula emission, numeric chi_q
+evaluation and the self-verification suite.  One option table, ``_COMMANDS``,
+drives the argv reader, the usage lines and --help (README "Command line").
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 internal error (a fault of the program, never of the input).
-All numbers are emitted as exact rational strings; series round-trip
-losslessly through the JSON record schema.
+3 internal error (a fault of the program, never of the input).  All numbers
+are emitted as exact rational strings; series round-trip losslessly
+through the JSON record schema.
 """
 
 import os
+import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
+from types import SimpleNamespace
 
 from .charclasses import RootForm
 from .fibrations import (
@@ -399,76 +402,128 @@ def _integer(text):
 def _order(text):
     """An order option (--wmax, --qmax, --nmax): an integer >= 0."""
     if _integer(text) < 0:
-        import argparse
-
-        raise argparse.ArgumentTypeError("must be >= 0, got %s" % text)
+        raise UsageError("must be >= 0, got %s" % text)
     return int(text)
 
 
-def build_parser():
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="ellgenus",
-        description="Exact chi_y-genus computations for elliptic fibrations "
-        "(D5/E6/E7/E8 and custom complete-intersection families).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_q = sub.add_parser("q", help="emit the genus factor Q of a family")
-    p_q.add_argument("family", help="catalog family (D5/E6/E7/E8) or spec file")
-    p_q.add_argument("--wmax", type=_order, default=DEFAULT_WMAX)
-    p_q.add_argument("--qmax", type=_order, default=DEFAULT_QMAX)
-    p_q.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    p_q.add_argument(
-        "--closed", action="store_true", help="print the unexpanded closed form"
-    )
-    p_q.set_defaults(func=cmd_q)
-
-    p_pt = sub.add_parser("ptable", help="print the P_n polynomials in U")
-    p_pt.add_argument("family")
-    p_pt.add_argument("--nmax", type=_order, default=6)
-    p_pt.add_argument(
-        "--check", action="store_true", help="compare against the tabulated forms"
-    )
-    p_pt.set_defaults(func=cmd_ptable)
-
-    p_chi = sub.add_parser("chi", help="evaluate chi_q over a concrete base")
-    p_chi.add_argument("family", help="catalog family or spec file")
-    p_chi.add_argument("--base", help="pd:<d>:<n> for P^d with L = O(n)")
-    p_chi.add_argument("--base-file", help="JSON intersection table")
-    p_chi.add_argument("--q", default="all", help="a single q, or 'all'")
-    p_chi.add_argument(
-        "--class",
-        dest="show_class",
-        action="store_true",
-        help="also print the symbolic integrand class",
-    )
-    p_chi.set_defaults(func=cmd_chi)
-
-    p_v = sub.add_parser("verify", help="run the self-verification suites")
-    p_v.add_argument("--family", default="all", choices=("all",) + FAMILIES)
-    p_v.add_argument("--wmax", type=_order, default=DEFAULT_WMAX)
-    p_v.add_argument("--qmax", type=_order, default=DEFAULT_QMAX)
-    p_v.set_defaults(func=cmd_verify)
-
-    return parser
+# The one table of the command line, read by the argv reader, the usage lines and
+# --help.  Per command: handler, help, positional (or None) and options {option:
+# (attribute, reader, default, help)}; a reader converts, lists choices, or is None.
+_ORDERS = {"--wmax": ("wmax", _order, DEFAULT_WMAX, "weight order"),
+           "--qmax": ("qmax", _order, DEFAULT_QMAX, "y-order")}
+_COMMANDS = {
+    "q": (cmd_q, "emit the genus factor Q of a family or spec file", "family", {
+        **_ORDERS, "--format": ("format", ("text", "json", "latex"), "text", "output form"),
+        "--closed": ("closed", None, False, "print the unexpanded closed form")}),
+    "ptable": (cmd_ptable, "print the P_n polynomials in U of a catalog family", "family", {
+        "--nmax": ("nmax", _order, 6, "last n"),
+        "--check": ("check", None, False, "compare against the tabulated forms")}),
+    "chi": (cmd_chi, "evaluate chi_q of a family or spec file over a base", "family", {
+        "--base": ("base", str, None, "pd:<d>:<n> for P^d with L = O(n)"),
+        "--base-file": ("base_file", str, None, "JSON intersection table"),
+        "--q": ("q", str, "all", "a single q, or 'all'"),
+        "--class": ("show_class", None, False, "also print the integrand class")}),
+    "verify": (cmd_verify, "run the self-verification suites", None, {
+        "--family": ("family", ("all",) + FAMILIES, "all", "families to check"), **_ORDERS}),
+}
+_TOP = (None, "Exact chi_y-genus computations for elliptic fibrations.", "command", {})
 
 
-_PARSER = None  # build_parser() once per process; parsing does not change it
+class _Usage(Exception):
+    """(command or None, message) of a refused command line; None asks for help."""
+
+
+def _option(word, names, command):
+    """A word read among the option strings ``names``: None for a positional,
+    else (its option or "" if unknown, its attached value)."""
+    if word[:1] != "-" or word == "-":
+        return None
+    head, eq, value = word.partition("=")
+    if head in names:
+        return head, value if eq else None
+    hits = [name for name in names if name.startswith(head)] if word[1] == "-" else []
+    if len(hits) > 1:
+        raise _Usage(command, "ambiguous option: %s could match %s" % (word, ", ".join(hits)))
+    if hits:  # the unique prefix of a long option
+        return hits[0], value if eq else None
+    if word[1] == "h":  # -h, then more short options: only more h's
+        return "-h", word[2:].lstrip("h") or None
+    return None if re.match(r"-\d+$|-\d*\.\d+$", word) or " " in word else ("", None)
+
+
+def _read(argv, command=None, extras=()):
+    """The namespace of ``argv`` by the table, by the rules of README "Command
+    line"; raises ``_Usage``.  Every word is classed before any is taken, so
+    an ambiguous prefix is refused first, wherever it stands."""
+    func, _about, positional, options = _COMMANDS[command] if command else _TOP
+    names, dash = ("-h", "--help", *options), argv.index("--") if "--" in argv else len(argv)
+    kinds = [_option(w, names, command) for w in argv[:dash]] + [None] * (len(argv) - dash)
+    args, extras, at, i = {r[0]: r[2] for r in options.values()}, list(extras), None, 0
+    while i < len(argv):
+        word, kind, i = argv[i], kinds[i], i + 1
+        if kind is None and not command and (word != "--" or i < len(argv)):
+            if word in _COMMANDS:  # the command reads the rest
+                return _read(argv[i:], word, extras)
+            raise _Usage(None, "argument command: invalid choice: %r (choose from %s)"
+                         % (word, ", ".join(map(repr, _COMMANDS))))
+        if i - 1 == dash and positional and at in (None, i - 2):
+            continue  # a "--" next to the positional goes with it
+        if kind is None and positional and at is None:
+            args[positional], at = word, i - 1
+        elif kind is None or not kind[0]:
+            extras.append(word)
+        else:
+            (option, value), (dest, reader) = kind, options.get(kind[0], (None, None))[:2]
+            if reader is None and value is not None:
+                raise _Usage(command, "argument %s: ignored explicit argument %r"
+                             % (option if dest else "-h/--help", value))
+            if dest is None:
+                raise _Usage(command, None)
+            if reader and value is None:
+                if i >= min(dash, len(argv)) or kinds[i] is not None:
+                    raise _Usage(command, "argument %s: expected one argument" % option)
+                value, i = argv[i], i + 1
+            if isinstance(reader, tuple) and value not in reader:
+                raise _Usage(command, "argument %s: invalid choice: %r (choose from %s)"
+                             % (option, value, ", ".join(map(repr, reader))))
+            try:  # a flag reads True, a choice itself
+                args[dest] = reader(value) if callable(reader) else reader is None or value
+            except UsageError as exc:
+                raise _Usage(command, "argument %s: %s" % (option, exc))
+            except ValueError:
+                raise _Usage(command, "argument %s: invalid %s value: %r"
+                             % (option, reader.__name__, value))
+    if positional and at is None:
+        raise _Usage(command, "the following arguments are required: %s" % positional)
+    if extras:
+        raise _Usage(None, "unrecognized arguments: %s" % " ".join(extras))
+    return SimpleNamespace(command=command, func=func, **args)
+
+
+def _help(command):
+    """The --help lines of a command, or of the program for None: usage first."""
+    _func, about, positional, options = _COMMANDS[command] if command else _TOP
+    rows = [(c, r[1]) for c, r in _COMMANDS.items() if not command] + [(
+        o if r[1] is None else "%s {%s}" % (o, ",".join(r[1])) if isinstance(r[1], tuple)
+        else "%s %s" % (o, r[0].upper()), r[3]) for o, r in options.items()]
+    words = [command, "[-h]"] + ["[%s]" % form for form, _text in rows] + [positional or ""]
+    usage = " ".join(words).rstrip() if command else "[-h] {%s} ..." % ",".join(_COMMANDS)
+    rows.append(("-h, --help", "show this help message and exit"))
+    return ["usage: ellgenus " + usage, "", about, ""] + ["  %-28s %s" % r for r in rows]
 
 
 def main(argv=None):
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
     try:
-        args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already; normalize other exits
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = _read(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
+    except _Usage as exc:  # a refused command line, or -h or --help
+        command, message = exc.args
+        if message is None:
+            print("\n".join(_help(command)))
+            return 0
+        prog = "ellgenus %s" % command if command else "ellgenus"
+        print("%s\n%s: error: %s" % (_help(command)[0], prog, message), file=sys.stderr)
+        return 2
     except UsageError as exc:  # bad input
         print("error: %s" % exc, file=sys.stderr)
         return 2

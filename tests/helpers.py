@@ -25,8 +25,10 @@ term-scan, ``Fraction`` sum and ``Fraction``-power oracles of
 ``coeff``/``y_slice``/``weight_component``, ``integrate`` and the P^d table,
 and writers of the sorted terms, the text and LaTeX sums, the JSON records and
 the y-rows of ``q`` from the ``terms`` view alone (the oracles of the
-engine's writers)."""
+engine's writers), and the command line's argparse parser (the oracle of the
+option table's argv reader)."""
 
+import argparse
 import json
 import sys
 import threading
@@ -36,6 +38,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
 from ellgenus import (
+    FAMILIES,
     NotAUnitError,
     Poly,
     RootForm,
@@ -47,8 +50,9 @@ from ellgenus import (
     mono_weight,
     power_sums_from_chern,
 )
+from ellgenus import cli
 from ellgenus.charclasses import _normal_factor
-from ellgenus.fibrations import _CLOSED
+from ellgenus.fibrations import _CLOSED, DEFAULT_QMAX, DEFAULT_WMAX
 from ellgenus.pushforward import _segre_numbers
 
 
@@ -929,3 +933,43 @@ def pair_loop_sheared_product(groups, wmax, qmax):
         acc = pair_loop_packed_shear(acc, above - slope, wmax, qmax)
         acc = pair_loop_packed_mul(acc, groups[slope], wmax, qmax)
     return pair_loop_packed_shear(acc, slopes[-1], wmax, qmax)
+
+
+def argparse_parser():
+    """The command line as an argparse parser: the four commands, their
+    positionals and options, with the handlers of ``cli`` and an order type
+    named ``_order`` as argparse names it in its messages.  It shares no
+    parsing code with ``cli``'s option table."""
+
+    def _order(text):
+        if cli._integer(text) < 0:
+            raise argparse.ArgumentTypeError("must be >= 0, got %s" % text)
+        return int(text)
+
+    parser = argparse.ArgumentParser(prog="ellgenus")
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_q = sub.add_parser("q")
+    p_q.add_argument("family")
+    p_q.add_argument("--wmax", type=_order, default=DEFAULT_WMAX)
+    p_q.add_argument("--qmax", type=_order, default=DEFAULT_QMAX)
+    p_q.add_argument("--format", choices=("text", "json", "latex"), default="text")
+    p_q.add_argument("--closed", action="store_true")
+    p_q.set_defaults(func=cli.cmd_q)
+    p_pt = sub.add_parser("ptable")
+    p_pt.add_argument("family")
+    p_pt.add_argument("--nmax", type=_order, default=6)
+    p_pt.add_argument("--check", action="store_true")
+    p_pt.set_defaults(func=cli.cmd_ptable)
+    p_chi = sub.add_parser("chi")
+    p_chi.add_argument("family")
+    p_chi.add_argument("--base")
+    p_chi.add_argument("--base-file")
+    p_chi.add_argument("--q", default="all")
+    p_chi.add_argument("--class", dest="show_class", action="store_true")
+    p_chi.set_defaults(func=cli.cmd_chi)
+    p_v = sub.add_parser("verify")
+    p_v.add_argument("--family", default="all", choices=("all",) + FAMILIES)
+    p_v.add_argument("--wmax", type=_order, default=DEFAULT_WMAX)
+    p_v.add_argument("--qmax", type=_order, default=DEFAULT_QMAX)
+    p_v.set_defaults(func=cli.cmd_verify)
+    return parser

@@ -41,7 +41,7 @@ from ellgenus.cli import (
     main,
     parse_series_json,
 )
-from helpers import PAPER_CLOSED_TEXT, count_calls, random_series
+from helpers import PAPER_CLOSED_TEXT, argparse_parser, count_calls, random_series
 
 
 def run_cli(capsys, *argv):
@@ -794,7 +794,7 @@ def _redirected(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def test_main_builds_the_parser_once_and_answers_as_a_fresh_one(tmp_path, monkeypatch):
+def test_repeated_main_calls_answer_as_the_first(tmp_path):
     monomials = [
         {"exps": {v: e for v, e in mono}, "value": str(value)}
         for mono, value in BaseSpec.projective_space(2, 3).table.items()
@@ -804,7 +804,7 @@ def test_main_builds_the_parser_once_and_answers_as_a_fresh_one(tmp_path, monkey
     argvs = [
         ["q", "E6", "--wmax", "3", "--qmax", "2"],
         ["q", "E6", "--wmax", "3", "--qmax", "2", "--format", "json"],
-        ["q", "E6", "--wmax", "3", "--qmax", "2", "--format", "latex"],
+        ["q", "E6", "--wm=3", "--q", "2", "--format", "latex"],
         ["ptable", "D5", "--check", "--nmax", "4"],
         ["chi", "E8", "--base", "pd:2:3"],
         ["chi", "D5", "--base-file", str(base_file), "--q", "1"],
@@ -812,21 +812,149 @@ def test_main_builds_the_parser_once_and_answers_as_a_fresh_one(tmp_path, monkey
         [],
         ["q"],
         ["q", "nosuch"],
+        ["q", "-h"],
     ]
-    fresh = []
-    for argv in argvs:
-        monkeypatch.setattr(cli, "_PARSER", None)
-        fresh.append(_redirected(argv))
-    codes = [code for code, _out, _err in fresh]
-    assert codes == [0, 0, 0, 0, 0, 0, 0, 2, 2, 2]
-    assert "the following arguments are required" in fresh[7][2]  # argparse's text
-    assert fresh[9][2].startswith("error: unknown family")
-
-    builds = count_calls(monkeypatch, cli, "build_parser")
-    monkeypatch.setattr(cli, "_PARSER", None)
+    first = [_redirected(argv) for argv in argvs]
+    codes = [code for code, _out, _err in first]
+    assert codes == [0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 0]
+    assert first[9][2].startswith("error: unknown family")
     for _round in range(3):
-        assert [_redirected(argv) for argv in argvs] == fresh
-    assert len(builds) == 1
+        assert [_redirected(argv) for argv in argvs] == first
+
+
+def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["ellgenus", "ptable", "E6", "--nmax", "1"])
+    assert main() == 0
+    assert capsys.readouterr().out == "P0 = 1-U\nP1 = U^4+2U^3+U^2-U-3\n"
+
+
+# the options of each command, written out here so that the help and the
+# drawn calls do not come from the table they test
+_OPTIONS = {
+    "q": ["--wmax", "--qmax", "--format", "--closed"],
+    "ptable": ["--nmax", "--check"],
+    "chi": ["--base", "--base-file", "--q", "--class"],
+    "verify": ["--family", "--wmax", "--qmax"],
+}
+
+
+def test_help_lists_every_command_and_option(capsys):
+    code, out, err = run_cli(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: ellgenus [-h] {q,ptable,chi,verify} ...\n")
+    listed = [line.split()[0] for line in out.splitlines() if line.startswith("  ")]
+    assert listed == ["q", "ptable", "chi", "verify", "-h,"]
+    for command, names in _OPTIONS.items():
+        for ask in ("-h", "--help", "--he"):
+            code, out, err = run_cli(capsys, command, ask)
+            assert (code, err) == (0, "")
+            usage, *lines = out.splitlines()
+            assert usage.startswith("usage: ellgenus %s [-h] " % command)
+            listed = [line.split()[0] for line in lines if line.startswith("  ")]
+            assert listed == names + ["-h,"]
+
+
+# each kind of usage error, as argparse words it: the golden corpus pins the
+# first two lines
+_ERROR_LINES = [
+    (["q", "E8", "--wmax", "-1"], "ellgenus q: error: argument --wmax: must be >= 0, got -1"),
+    (["ptable", "E8", "--nmax", "x"],
+     "ellgenus ptable: error: argument --nmax: invalid _order value: 'x'"),
+    (["q"], "ellgenus q: error: the following arguments are required: family"),
+    ([], "ellgenus: error: the following arguments are required: command"),
+    (["q", "E8", "E6", "--foo"], "ellgenus: error: unrecognized arguments: E6 --foo"),
+    (["q", "E8", "--format", "yaml"], "ellgenus q: error: argument --format: "
+     "invalid choice: 'yaml' (choose from 'text', 'json', 'latex')"),
+    (["E8"], "ellgenus: error: argument command: "
+     "invalid choice: 'E8' (choose from 'q', 'ptable', 'chi', 'verify')"),
+    (["verify", "--wmax"], "ellgenus verify: error: argument --wmax: expected one argument"),
+    (["q", "E8", "--closed=yes"],
+     "ellgenus q: error: argument --closed: ignored explicit argument 'yes'"),
+    (["chi", "E8", "--bas", "pd:2:3"],
+     "ellgenus chi: error: ambiguous option: --bas could match --base, --base-file"),
+]
+
+
+@pytest.mark.parametrize("argv, line", _ERROR_LINES, ids=[" ".join(a) for a, _ in _ERROR_LINES])
+def test_each_usage_error_writes_its_usage_and_argparse_s_error_line(capsys, argv, line):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: ellgenus") and error == line
+    assert _argparse_outcome(argv) == (2, line + "\n")  # argparse wrote the same line
+
+
+# -- the option table against argparse ------------------------------------------------
+
+
+_ARGPARSE = argparse_parser()
+# positionals and values: catalog names and others, choices, integers,
+# negative numbers, "-", the empty word, words with a space
+_WORDS = ["E8", "D5", "x", "all", "json", "yaml", "pd:2:3", "0", "3", "-1", "-2.5",
+          "-", "", "a b", "-1 2", "+2"]
+
+
+def _help_or_error(code, out, err):
+    """What a refused or help call is compared by: the first words of the
+    help's usage line, or the error line (to the end of stderr)."""
+    if code == 0:
+        return " ".join(out.split()[:3])
+    return err[err.rfind("\n", 0, err.index(": error: ")) + 1:]
+
+
+def _table_outcome(argv):
+    """(exit code, the namespace's attributes or ``_help_or_error``) of the
+    option table's reader, run through ``main`` when it refuses a call."""
+    try:
+        return 0, vars(cli._read(list(argv)))
+    except cli._Usage:
+        code, out, err = _redirected(argv)
+        return code, _help_or_error(code, out, err)
+
+
+def _argparse_outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return 0, vars(_ARGPARSE.parse_args(list(argv)))
+    except SystemExit as exc:
+        return exc.code, _help_or_error(exc.code, out.getvalue(), err.getvalue())
+
+
+@st.composite
+def _argvs(draw):
+    """A call of one of the four commands (or of none, or of another word):
+    positionals, extra ones and values from ``_WORDS``; each option written
+    whole or as a prefix (unique or ambiguous), its value apart, joined by
+    "=" or missing; unknown options, -h and --help; a program option before
+    the command.  No "--" and no -h with letters joined, which argparse reads
+    differently across Python versions."""
+    command = draw(st.sampled_from(list(_OPTIONS) * 4 + ["x", "-1", ""]))
+    argv = draw(st.sampled_from([[]] * 12 + [["-h"], ["--he"], ["--foo"], ["--help=x"]]))
+    argv += [command] if draw(st.integers(0, 9)) else []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["word"] * 2 + ["option"] * 5 + ["other"]))
+        if kind == "word":
+            argv.append(draw(st.sampled_from(_WORDS)))
+        elif kind == "other":
+            argv.append(draw(st.sampled_from(["--foo", "-x", "--foo=3", "-x=3", "---",
+                                              "-h", "--help", "--he", "--help="])))
+        else:
+            name = draw(st.sampled_from(_OPTIONS.get(command, ["--wmax"])))
+            name = name[:draw(st.integers(3, len(name)))]
+            value = draw(st.sampled_from(_WORDS))
+            form = draw(st.sampled_from(["apart", "apart", "joined", "missing"]))
+            argv += {"apart": [name, value], "joined": [name + "=" + value],
+                     "missing": [name]}[form]
+    return argv
+
+
+@settings(max_examples=500)
+@given(_argvs())
+def test_the_option_table_reads_every_call_as_argparse_does(argv):
+    # the exit code; for a clean call the namespace, handler included; for
+    # a refused one the error line, and for -h or --help whose help it is
+    assert _table_outcome(argv) == _argparse_outcome(argv)
 
 
 # -- fuzzed calls -------------------------------------------------------------------
@@ -934,22 +1062,43 @@ def _base_text(draw):
     return text, status
 
 
+# a value each option reads without an error, given before the drawn one
+_FIRST_VALUES = {"--wmax": "0", "--qmax": "0", "--nmax": "0", "--format": "latex",
+                 "--family": "all", "--q": "0", "--base": "pd:0:0", "--base-file": "x"}
+
+
 @st.composite
 def _fuzzed_calls(draw):
     """(argv, files, statuses): a call of one command, in which the words
     SPEC and BASE stand for the paths of the spec and base files of
-    ``files``, and the status of each of its parts."""
+    ``files``, and the status of each of its parts.  Each option is written
+    whole or as a unique prefix, with its value apart or joined by "=", or
+    given twice, a clean value first; one call in ten asks for -h or --help
+    first, and its status is "help"."""
     command = draw(st.sampled_from(["q", "ptable", "chi", "verify"]))
     files, options = {}, []
 
+    def spelled(name):
+        others = [o for o in _OPTIONS[command] + ["--help"] if o != name]
+        unique = [name[:k] for k in range(3, len(name))
+                  if not any(o.startswith(name[:k]) for o in others)]
+        return draw(st.sampled_from([name] + unique))
+
     def flag(name, status="clean"):
         if draw(st.booleans()):
-            options.append(([name], status))
+            options.append(([spelled(name)], status))
 
     def option(name, value):
         if draw(st.booleans()):
             text, status = draw(value)
-            options.append(([name, text], status))
+            form = draw(st.sampled_from(["apart", "joined", "twice"]))
+            if form == "joined":
+                words = [spelled(name) + "=" + text]
+            else:
+                words = [spelled(name), text]
+            if form == "twice":  # the last value counts
+                words = [spelled(name), _FIRST_VALUES[name]] + words
+            options.append((words, status))
 
     def family(catalog_only):
         kind = draw(st.sampled_from(["catalog", "catalog", "spec", "spec", "other"]))
@@ -961,6 +1110,8 @@ def _fuzzed_calls(draw):
         return "SPEC", "bad" if catalog_only else status
 
     head = [([command], "clean")]
+    if not draw(st.integers(0, 9)):  # the help, whatever follows
+        head.append(([draw(st.sampled_from(["-h", "--help", "--he"]))], "help"))
     if command in ("q", "chi"):
         name, status = family(False)
         head.append(([name], status))
@@ -1015,9 +1166,13 @@ def test_fuzzed_commands_exit_0_or_2(call):
     at most 4, for run time: no order has an upper bound, and a huge one
     runs as long as it takes.
 
+    Options come whole or as unique prefixes, with ``=`` or apart, some
+    twice; a call may ask for -h or --help.
+
     Each call exits 0 with nothing on stderr (and JSON that parses, for
-    ``q --format json``), or 2 with an ``error:`` line or argparse's usage;
+    ``q --format json``), or 2 with an ``error:`` line or a usage line;
     a call with a bad part exits 2 and one with only clean parts exits 0.
+    One that asks for the help first exits 0 with its command's help.
     """
     argv, files, statuses = call
     with tempfile.TemporaryDirectory() as tmp:
@@ -1029,9 +1184,14 @@ def test_fuzzed_commands_exit_0_or_2(call):
         argv = [paths.get(word, word) for word in argv]
         code, out, err = _redirected(argv)
     assert code in (0, 2), (argv, err)
+    if "help" in statuses:
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: ellgenus %s [-h] " % argv[0])
+        return
     if code == 0:
         assert err == ""
-        if argv[0] == "q" and "json" in argv and "--closed" not in argv:
+        args = cli._read(argv)
+        if args.command == "q" and args.format == "json" and not args.closed:
             json.loads(out)
     else:
         assert err.startswith(("error: ", "usage: ellgenus")), err

@@ -3,8 +3,9 @@
 frozen fields, copies, positional ``match``, and an import of the package
 that loads none of the stdlib's code-introspection modules, nor
 ``__future__``, nor what only some commands use: the verify suites (and
-their ``random``), ``argparse`` (and its ``gettext``) and ``json``.  The
-package serves ``run_suites`` from ``verify`` on first use."""
+their ``random``) and ``json``.  The package serves ``run_suites`` from
+``verify`` on first use.  The command line loads no ``argparse`` (nor its
+``gettext``) at all."""
 
 import copy
 import os
@@ -183,7 +184,8 @@ def test_base_hash_ignores_the_table():
 
 
 INTROSPECTION = ("dataclasses", "inspect", "ast", "dis", "tokenize", "__future__")
-DEFERRED = ("ellgenus.verify", "random", "argparse", "gettext", "json")
+DEFERRED = ("ellgenus.verify", "random", "json")
+NEVER = ("argparse", "gettext")
 
 
 def _fresh_import_loads(names, source="import ellgenus, ellgenus.cli"):
@@ -207,14 +209,30 @@ def _fresh_import_loads(names, source="import ellgenus, ellgenus.cli"):
 
 
 def test_import_loads_no_introspection_module():
-    assert _fresh_import_loads(INTROSPECTION + DEFERRED) == []
+    assert _fresh_import_loads(INTROSPECTION + DEFERRED + NEVER) == []
 
 
 def test_the_deferred_modules_load_on_first_use():
     # negative control: the fresh-import check sees each deferred module
-    source = ("import ellgenus, ellgenus.cli; ellgenus.run_suites; "
-              "ellgenus.cli.build_parser(); ellgenus.cli.json")
+    source = "import ellgenus, ellgenus.cli; ellgenus.run_suites; ellgenus.cli.json"
     assert _fresh_import_loads(DEFERRED, source) == list(DEFERRED)
+
+
+def test_the_command_line_never_loads_argparse():
+    # a clean call of each command, usage errors and the help, with both
+    # streams redirected; importing argparse itself is the negative control
+    calls = [["q", "E8", "--format", "json"], ["ptable", "D5", "--check"],
+             ["chi", "E8", "--base", "pd:2:3"], ["verify", "--family", "D5"],
+             ["q", "E8", "--wmax", "-1"], ["nosuch"], ["q", "--wm"], ["--help"]]
+    source = (
+        "import contextlib, io, ellgenus, ellgenus.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes = [ellgenus.cli.main(argv) for argv in %r]\n"
+        "assert codes == [0, 0, 0, 0, 2, 2, 2, 0], codes" % (calls,)
+    )
+    assert _fresh_import_loads(NEVER, source) == []
+    assert _fresh_import_loads(NEVER, source + "\nimport argparse") == list(NEVER)
 
 
 def test_run_suites_is_public_and_served_from_verify():

@@ -980,11 +980,12 @@ def test_the_slot_budget_holds_at_worst_case_magnitudes(wmax, c):
         assert got == want
 
 
-def _narrower_slots(monkeypatch, bits):
+def _narrower_slots(monkeypatch, bits, qmax=_EDGE_QMAX):
     """Make every fold, folded product and unfold use slots ``bits`` narrower
-    than the kernels' budget."""
+    than the kernels' budget; a product's cut spans the qmax + 1 slots of
+    the series folded at ``qmax``."""
     fold, mul, unfold = _fold, _packed._folded_mul, _unfold
-    cut = bits * (_EDGE_QMAX + 1)
+    cut = bits * (qmax + 1)
     monkeypatch.setattr(_packed, "_fold", lambda n, w, s: fold(n, w, s - bits))
     monkeypatch.setattr(  # a residue's eps-degree cap passes through
         _packed, "_folded_mul",
@@ -1146,17 +1147,22 @@ def test_the_map_to_y_holds_its_slots_at_worst_case_magnitudes(qmax, fiber_dim):
 def test_the_z_form_residue_slot_negative_control(monkeypatch):
     # the residues fold, multiply and unfold the z-form groups at their own
     # slot, and the map to y runs on the unfolded ints, with no slot of its
-    # own.  On the full-support z-group at qmax 8 that slot keeps six bits
-    # of slack: the pushforward is right with six bits taken away and wrong
-    # with seven, at each fiber_dim, since the map follows the unfold
+    # own.  Every fold, unfold and product cut is narrowed alike, the cut by
+    # its nine slots at qmax 8.  The full-support z-group's pushforward at
+    # slope 0 keeps six bits of slack (right six bits narrower, wrong seven);
+    # one group makes no product, so its two-slope pushforward, whose three
+    # products each take the cut, joins it: 21 bits (right 21, wrong 22).
+    # Each pair holds at each fiber_dim, since the map follows the unfold
     for fiber_dim in (0, 1, 2):
-        for bits, wrong in ((6, False), (7, True)):
-            with monkeypatch.context() as mp:
-                _narrower_slots(mp, bits)
-                pushed = _z_products(3, 8, fiber_dim, 2**40 - 1)[1]
-                assert (pushed[0] != pushed[1]) is wrong
-        pushed = _z_products(3, 8, fiber_dim, 2**40 - 1)[1]  # positive control
-        assert pushed[0] == pushed[1]
+        for index, right in ((1, 6), (5, 21)):
+            for bits, wrong in ((right, False), (right + 1, True)):
+                with monkeypatch.context() as mp:
+                    _narrower_slots(mp, bits, qmax=8)
+                    pushed = _z_products(3, 8, fiber_dim, 2**40 - 1)[index]
+                    assert (pushed[0] != pushed[1]) is wrong
+        for index in (1, 5):  # positive control
+            pushed = _z_products(3, 8, fiber_dim, 2**40 - 1)[index]
+            assert pushed[0] == pushed[1]
 
 
 @st.composite

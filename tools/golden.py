@@ -19,8 +19,9 @@ of that output's text.  The keys cover:
   ``BundleSpec``, and of a ``projective_space`` and a table-built
   ``BaseSpec``;
 - 34 CLI calls, invalid ones included: the exit code, stdout, and the
-  ``error:`` lines of stderr.  argparse's usage lines are left out, since
-  their wrapping depends on the terminal and the Python version.
+  ``error:`` lines of stderr.  The usage line that precedes a refused
+  command line's error line is left out, since it is not an ``error:``
+  line.
 
 Without ``--write`` the tool prints each key whose digest changed, is
 missing or is new, and exits 1 if there is one.  A change that means to
