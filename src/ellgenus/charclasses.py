@@ -209,8 +209,8 @@ def chi_y_log_coefficients(kmax):
     logs = (todd - WSeries(kmax, kmax, {((("H", 1),), 1): 1})).log()
     den, rows = logs._packed[1], [[0] * (kmax + 1) for _ in range(kmax + 1)]
     for (k, q), ((_key, _h, n),) in logs._by_slice().items():  # n H^k y^q
-        rows[k][q] = Fraction(n, den)
-    return [Poly(row) for row in rows[1:]]
+        rows[k][q] = n
+    return [Poly._of_ints(row, den) for row in rows[1:]]
 
 
 # ---------------------------------------------------------------------------

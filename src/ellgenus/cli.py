@@ -453,11 +453,17 @@ def _option(word, names, command):
 
 def _read(argv, command=None, extras=()):
     """The namespace of ``argv`` by the table, by the rules of README "Command
-    line"; raises ``_Usage``.  Every word is classed before any is taken, so
-    an ambiguous prefix is refused first, wherever it stands."""
+    line"; raises ``_Usage``.  Every word of a command is classed before any
+    is taken, so an ambiguous prefix is refused first, wherever it stands;
+    the program level classes only the words up to the command word."""
     func, _about, positional, options = _COMMANDS[command] if command else _TOP
     names, dash = ("-h", "--help", *options), argv.index("--") if "--" in argv else len(argv)
-    kinds = [_option(w, names, command) for w in argv[:dash]] + [None] * (len(argv) - dash)
+    kinds = []
+    for word in argv[:dash]:
+        kinds.append(_option(word, names, command))
+        if kinds[-1] is None and not command:
+            break  # the command word: the command classes the rest
+    kinds += [None] * (len(argv) - len(kinds))
     args, extras, at, i = {r[0]: r[2] for r in options.values()}, list(extras), None, 0
     while i < len(argv):
         word, kind, i = argv[i], kinds[i], i + 1

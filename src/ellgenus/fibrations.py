@@ -273,7 +273,7 @@ def _degree(family, n, name):
 
 def p_polynomials(family, nmax):
     """[P_0..P_nmax] as exact U-polynomials."""
-    return [Poly(row) for row in _p_rows(family, _degree(family, nmax, "nmax"))]
+    return [Poly._of_ints(row) for row in _p_rows(family, _degree(family, nmax, "nmax"))]
 
 
 def p_polynomial(family, n):
@@ -303,7 +303,7 @@ def p_table_reference(family, n):
     which is -(its factors) * (-U^s)^(n - 2)."""
     n = _degree(family, n, "n")
     if n == 0:
-        return Poly((1, -1))
+        return Poly._of_ints([1, -1])
     if n == 1:
         return _P1_TABLE[family]
     if family == "D5":
@@ -311,8 +311,8 @@ def p_table_reference(family, n):
         factors = ((0, 1), (2 - n, n + 1), (-1, 1), (1, 2, 1))
     else:
         factors = _P_FACTORS[family]
-    tail = Poly([0] * (_CLOSED[family]["s"] * (n - 2)) + [(-1) ** (n - 1)])
-    return Poly(reduce(_convolve, factors)) * tail
+    tail = Poly._of_ints([0] * (_CLOSED[family]["s"] * (n - 2)) + [(-1) ** (n - 1)])
+    return Poly._of_ints(reduce(_convolve, factors)) * tail
 
 
 # ---------------------------------------------------------------------------

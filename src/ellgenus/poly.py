@@ -2,18 +2,19 @@
 
 The type of two kinds of polynomial: polynomials in y (the
 log-coefficients of the chi_y factor) and polynomials in U = exp(-L) (the
-y-coefficients of the closed-form genus factors).  There is no t-series
-product here: a truncated t-series with Q[y] coefficients is a
+y-coefficients of the closed-form genus factors).  A ``Poly`` stores int
+numerators over one positive denominator, in lowest terms with trailing
+zeros stripped, so its sums, products, comparisons and text run on ints;
+``coeffs`` is a read-only ``Fraction`` view, built on first read.  There is
+no t-series product here: a truncated t-series with Q[y] coefficients is a
 :class:`~ellgenus.series.WSeries`.
 """
 
 from fractions import Fraction
-from math import lcm
+from itertools import zip_longest
+from math import gcd, lcm
 
 from .series import _as_fraction, _sum_text
-
-# the one zero every Poly shares (Fractions are immutable)
-_ZERO = Fraction(0)
 
 # plain text with no product sign and no space around a sign: '2U^3-U-4'
 _COMPACT = ("%s^%d", str, "%d/%d", "", "")
@@ -31,47 +32,68 @@ def _convolve(a, b):
 
 
 class Poly:
-    """Coefficient list, index = exponent, trailing zeros stripped; a
-    coefficient that is not an int or ``Fraction`` raises ``TypeError``."""
+    """Int numerators, index = exponent, over one positive denominator, in
+    lowest terms with trailing zeros stripped; a coefficient that is not an
+    int or ``Fraction`` raises ``TypeError``."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_nums", "_den", "_coeffs")
 
     def __init__(self, coeffs=()):
-        cs = [_ZERO if type(c) is int and not c else _as_fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        cs = [c if type(c) is int else _as_fraction(c) for c in coeffs]
+        den = lcm(*[c.denominator for c in cs])
+        self._set([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _set(self, nums, den):  # strips and reduces the list ``nums`` in place
+        while nums and not nums[-1]:
+            nums.pop()
+        g = gcd(den, *nums) if den != 1 else 1
+        self._nums = tuple(nums) if g == 1 else tuple(n // g for n in nums)
+        self._den, self._coeffs = den // g, None
+
+    @classmethod
+    def _of_ints(cls, nums, den=1):
+        """The Poly sum_k nums[k] x^k / den from a list of ints, ``den`` > 0."""
+        poly = object.__new__(cls)
+        poly._set(nums, den)
+        return poly
 
     @classmethod
     def one(cls):
-        return cls((1,))
+        return cls._of_ints([1])
 
     @classmethod
     def x(cls):
-        return cls((0, 1))
+        return cls._of_ints([0, 1])
+
+    @property
+    def coeffs(self):
+        """The read-only tuple of ``Fraction`` coefficients, index = exponent."""
+        if self._coeffs is None:
+            self._coeffs = tuple(Fraction(n, self._den) for n in self._nums)
+        return self._coeffs
 
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self._nums) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._nums
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._nums)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly((other,))
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._nums, self._den))
 
     def __getitem__(self, k):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self._nums):
+            return Fraction(self._nums[k], self._den)
         return Fraction(0)
 
     def __add__(self, other):
@@ -79,13 +101,15 @@ class Poly:
             other = Poly((other,))
         elif not isinstance(other, Poly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[k] + other[k] for k in range(n)])
+        den = lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        return Poly._of_ints([x * a + y * b for x, y in
+                              zip_longest(self._nums, other._nums, fillvalue=0)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return Poly._of_ints([-n for n in self._nums], self._den)
 
     def __sub__(self, other):
         if not isinstance(other, (int, Fraction, Poly)):
@@ -97,15 +121,10 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
-        if not isinstance(other, Poly):
+            other = Poly((other,))
+        elif not isinstance(other, Poly):
             return NotImplemented
-        # int numerators over each side's lcm denominator
-        da = lcm(*(c.denominator for c in self.coeffs))
-        db = lcm(*(c.denominator for c in other.coeffs))
-        out = _convolve([c.numerator * (da // c.denominator) for c in self.coeffs],
-                        [c.numerator * (db // c.denominator) for c in other.coeffs])
-        return Poly(out if da * db == 1 else [Fraction(n, da * db) for n in out])
+        return Poly._of_ints(_convolve(self._nums, other._nums), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -153,12 +172,12 @@ class Poly:
         Falls back to ascending order when descending would lead with a
         minus sign but a positive constant term exists ('1-U', not '-U+1').
         """
-        items = list(enumerate(self.coeffs))
-        if descending and not (self and self.coeffs[-1] < 0 < self[0]):
+        nums, den = self._nums, self._den
+        items = list(enumerate(nums))
+        if descending and not (nums and nums[-1] < 0 < nums[0]):
             items.reverse()
-        terms = [
-            (((var, e),) if e else (), 0, *c.as_integer_ratio()) for e, c in items if c
-        ]
+        terms = [(((var, e),) if e else (), 0, n // g, den // g)
+                 for e, n in items if n for g in (gcd(n, den),)]
         return _sum_text(terms, _COMPACT)
 
     def __str__(self):

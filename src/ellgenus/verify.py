@@ -9,7 +9,7 @@ can inject corrupted data as negative controls.
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, lcm, prod
+from math import comb, prod
 
 from .charclasses import (
     chi_y_log_coefficients,
@@ -164,7 +164,7 @@ def _row_poly(folded, slot, width, den):
     ``width`` slots read as signed digits, each biased by half its range."""
     half, smask = 1 << slot - 1, (1 << slot) - 1
     folded += sum(half << slot * q for q in range(width))
-    return Poly([Fraction((folded >> slot * q & smask) - half, den) for q in range(width)])
+    return Poly._of_ints([(folded >> slot * q & smask) - half for q in range(width)], den)
 
 
 def _fold_slot(checks, max_abs_root, max_d):
@@ -238,7 +238,7 @@ def check_hadamard_identity(max_abs_root=3, max_d=4, order=6):
     and each c-monomial's y-row is folded into one int at a slot that
     bounds every digit (``_fold_slot``).  A multiset then costs one product
     per c-monomial and one multiply-add per term: a weight's folded value
-    times B, the lcm of b_k's denominators, must equal sum l^k times the
+    times B, the denominator of b_k, must equal sum l^k times the
     fold of B * b_k over the series' denominator.  A failing check reads
     its row back from its fold: the signed digits of the value it compared,
     over the denominator times B.  The read is exact whether or not the
@@ -251,10 +251,8 @@ def check_hadamard_identity(max_abs_root=3, max_d=4, order=6):
     compiled_h = _compile_chern_series(hadamard)
     checks = []
     for k, b in enumerate(bcoeffs, 1):
-        scale = lcm(*(c.denominator for c in b.coeffs))
         checks.append((k, _compile_chern_series(psums[k - 1]), 1, (1,)))
-        checks.append((k, compiled_h, scale, [c.numerator * scale // c.denominator
-                                              for c in b.coeffs]))
+        checks.append((k, compiled_h, b._den, b._nums))  # B = b_k's denominator
     slot = _fold_slot(checks, max_abs_root, max_d)
     tree, folded = _fold_terms(checks, slot)
     wants = [  # den * the fold of want: times sum l^k, the right side

@@ -957,6 +957,20 @@ def test_the_option_table_reads_every_call_as_argparse_does(argv):
     assert _table_outcome(argv) == _argparse_outcome(argv)
 
 
+def test_the_program_level_classes_no_word_past_the_command_word(monkeypatch):
+    # the program level reads the command word and hands on the rest, so
+    # each word is classed once: by the program up to the command word, by
+    # the command after it
+    calls = count_calls(monkeypatch, cli, "_option")
+    argv = ["q", "E8", "--wmax", "7", "--format", "json"]
+    assert vars(cli._read(argv))["format"] == "json"
+    assert [word for word, _names, _command in calls] == argv
+    calls.clear()
+    with pytest.raises(cli._Usage, match="unrecognized arguments: --foo"):
+        cli._read(["--foo", "ptable", "D5", "--check"])
+    assert [word for word, _names, _command in calls] == ["--foo", "ptable", "D5", "--check"]
+
+
 # -- fuzzed calls -------------------------------------------------------------------
 
 
