@@ -31,7 +31,7 @@ from ellgenus import (
     integrate,
     pushforward_class,
 )
-from ellgenus import _packed, fibrations, verify
+from ellgenus import _cli, _packed, fibrations, verify
 from ellgenus.cli import (
     UsageError,
     _integer,
@@ -176,9 +176,7 @@ def test_ptable_check_passes(capsys):
 
 
 def test_ptable_expands_the_table_once(capsys, monkeypatch):
-    from ellgenus import cli
-
-    calls = count_calls(monkeypatch, cli, "p_polynomials")
+    calls = count_calls(monkeypatch, _cli, "p_polynomials")
     code, out, _ = run_cli(capsys, "ptable", "D5", "--nmax", "12", "--check")
     assert code == 0
     assert calls == [("D5", 12)]
@@ -628,7 +626,7 @@ def test_an_engine_fault_exits_3(tmp_path, capsys, monkeypatch, name, argv):
     # cmd_verify reads run_suites from verify, which it imports when it runs;
     # cmd_q reads closed_form_q and derived_q through fibrations._genus_factor
     owner = {"run_suites": verify, "closed_form_q": fibrations, "derived_q": fibrations}
-    monkeypatch.setattr(owner.get(name, cli), name, _engine_fault)
+    monkeypatch.setattr(owner.get(name, _cli), name, _engine_fault)
     argv = [str(spec_file) if a == "SPEC" else a for a in argv]
     code, _out, err = run_cli(capsys, *argv)
     assert code == 3
@@ -961,7 +959,7 @@ def test_the_program_level_classes_no_word_past_the_command_word(monkeypatch):
     # the program level reads the command word and hands on the rest, so
     # each word is classed once: by the program up to the command word, by
     # the command after it
-    calls = count_calls(monkeypatch, cli, "_option")
+    calls = count_calls(monkeypatch, _cli, "_option")
     argv = ["q", "E8", "--wmax", "7", "--format", "json"]
     assert vars(cli._read(argv))["format"] == "json"
     assert [word for word, _names, _command in calls] == argv

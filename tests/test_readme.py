@@ -1,5 +1,6 @@
-"""Every python block of README's library tour runs as it stands, and each
-``print(...)  # text`` line of a block writes exactly ``text``."""
+"""Every python block of README's library tour runs as it stands, each
+``print(...)  # text`` line of a block writes exactly ``text``, and the tour
+states each public default order once, as ``tests/test_contract.py`` pins it."""
 
 import os
 import re
@@ -36,3 +37,25 @@ def test_tour_block_runs_in_a_fresh_interpreter(index):
     expected = [PRINTED.fullmatch(line) for line in lines]
     assert all(expected), "a print line has no comment with its output"
     assert run.stdout.splitlines() == [m.group(1) for m in expected]
+
+
+def _default_faults(tour):
+    """How ``tour`` misstates the public default orders: each callable with
+    a defaulted wmax or qmax must appear once as ``name(signature)``, in
+    the text of ``tests/test_contract.py``'s table."""
+    from test_contract import SIGNATURES
+
+    ordered = {n for n, sig in SIGNATURES.items() if re.search(r"\b[wq]max=", sig)}
+    stated = [(n, sig) for n, sig in re.findall(r"`(\w+)(\(.*?\))`", tour) if n in ordered]
+    faults = ["%s%s, not %s" % (n, sig, SIGNATURES[n]) for n, sig in stated
+              if sig != SIGNATURES[n]]
+    counts = {n: [m for m, _sig in stated].count(n) for n in ordered}
+    return faults + ["%s stated %d times" % (n, c) for n, c in sorted(counts.items()) if c != 1]
+
+
+def test_the_tour_states_each_default_order_once_as_the_contract_pins():
+    assert _default_faults(TOUR) == []
+    # negative controls: a changed default, and a name stated twice
+    assert _default_faults(TOUR.replace("hirzebruch_class(dim, qmax=None)",
+                                        "hirzebruch_class(dim, qmax=0)")) != []
+    assert _default_faults(TOUR + "`todd_factor(root, wmax, qmax=0)`") != []

@@ -184,7 +184,7 @@ def test_base_hash_ignores_the_table():
 
 
 INTROSPECTION = ("dataclasses", "inspect", "ast", "dis", "tokenize", "__future__")
-DEFERRED = ("ellgenus.verify", "random", "json")
+DEFERRED = ("ellgenus.verify", "random", "json", "ellgenus._cli")
 NEVER = ("argparse", "gettext")
 
 
@@ -213,8 +213,11 @@ def test_import_loads_no_introspection_module():
 
 
 def test_the_deferred_modules_load_on_first_use():
-    # negative control: the fresh-import check sees each deferred module
-    source = "import ellgenus, ellgenus.cli; ellgenus.run_suites; ellgenus.cli.json"
+    # negative control: the fresh-import check sees each deferred module; the
+    # command line loads through a name that only it holds, since a main call
+    # would print to the stdout that the check reads
+    source = ("import ellgenus, ellgenus.cli; ellgenus.run_suites; ellgenus.cli.json; "
+              "ellgenus.cli._read")
     assert _fresh_import_loads(DEFERRED, source) == list(DEFERRED)
 
 
@@ -246,3 +249,22 @@ def test_run_suites_is_public_and_served_from_verify():
     assert set(ellgenus.__all__) <= set(star) and star["run_suites"] is verify.run_suites
     with pytest.raises(AttributeError, match="no_such_name"):
         ellgenus.no_such_name
+
+
+def test_the_command_line_is_served_from_its_front():
+    # each name of _cli reads through ellgenus.cli, a handler as the very
+    # object that the option table holds; the six counted readers and
+    # writers are the front's own functions; a dunder, which the import
+    # system probes, or an unknown name raises naming ellgenus.cli
+    from ellgenus import _cli, cli
+    from ellgenus.cli import _integer
+
+    assert cli._impl() is _cli and _integer is _cli._integer
+    assert [getattr(cli, "cmd_" + c) for c in _cli._COMMANDS] == [
+        row[0] for row in _cli._COMMANDS.values()]
+    for name in ("load_base_spec", "load_fibration_spec", "parse_base_arg",
+                 "parse_series_json", "series_to_records", "emit_series_json"):
+        assert vars(cli)[name].__module__ == "ellgenus.cli" and name not in vars(_cli)
+    assert not hasattr(cli, "__path__")
+    with pytest.raises(AttributeError, match="'ellgenus.cli' has no attribute 'no_such_name'"):
+        cli.no_such_name
