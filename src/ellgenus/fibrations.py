@@ -251,9 +251,17 @@ def _p_rows(family, nmax):
 
 def closed_form_q(family, wmax=DEFAULT_WMAX, qmax=DEFAULT_QMAX):
     """Expand the closed-form genus factor with U = exp(-L), exactly: the
-    sum over n and k of P_n[k] y^n e^(-k L)."""
+    sum over n and k of P_n[k] y^n e^(-k L).  The family and orders are
+    checked first, so the memo never sees a float order; the result is a
+    shared, read-only truncation of one build per family (``_closed_form``)."""
     catalog_spec(family)
-    wmax, qmax = _truncation_orders(wmax, qmax)
+    return _closed_form(family, *_truncation_orders(wmax, qmax))
+
+
+@_top_memo
+def _closed_form(family, wmax, qmax):
+    """The expansion of ``closed_form_q``: the ``_p_rows`` rows as sums of
+    exponentials."""
     rows = [[(c, -k) for k, c in enumerate(row) if c] for row in _p_rows(family, qmax)]
     return _exp_sum(rows, "L", wmax, qmax)
 

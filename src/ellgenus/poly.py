@@ -160,11 +160,15 @@ class Poly:
         return Poly(quot), Poly(rem)
 
     def evaluate(self, x):
-        x = _as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """The value at ``x`` = p/r, by Horner on the numerators: the sum of
+        n_i p^i r^(deg-i), over den r^deg, made a ``Fraction`` once."""
+        if not isinstance(x, int):
+            x = _as_fraction(x)
+        p, r = x.numerator, x.denominator
+        acc, rk = 0, 1  # rk = r^(deg - i) at the numerator n_i
+        for n in reversed(self._nums):
+            acc, rk = acc * p + n * rk, rk * r
+        return Fraction(acc * r, self._den * rk)
 
     def to_text(self, var="U", descending=True):
         """Compact rendering: '2U^3-U-4' style.

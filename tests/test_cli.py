@@ -53,6 +53,22 @@ def run_cli(capsys, *argv):
 # -- q ----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_warm_q_writes_what_a_cold_one_does(capsys, family):
+    # after a build at (16, 17), whose keys pack at 5 bits per field, each
+    # lower q is a truncation that moves every field to a narrower width
+    from conftest import _bench_pairs
+
+    assert run_cli(capsys, "q", family, "--wmax", "16", "--qmax", "17")[0] == 0
+    calls = [["q", family, "--wmax", str(w), "--qmax", str(q), "--format", fmt]
+             for w, q in ((6, 7), (10, 11), (15, 15), (3, 12))
+             for fmt in ("text", "json", "latex")]
+    warm = [run_cli(capsys, *argv) for argv in calls]
+    for argv, got in zip(calls, warm):
+        _bench_pairs.clear_caches()
+        assert got == run_cli(capsys, *argv) and got[0] == 0, argv
+
+
 def test_q_text_output(capsys):
     code, out, _ = run_cli(capsys, "q", "E8", "--wmax", "2", "--qmax", "1")
     assert code == 0

@@ -752,6 +752,43 @@ def test_closed_form_q_errors():
             closed_form_q("E8", wmax, qmax)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_closed_form_q_builds_once_at_the_top_and_truncates_below(monkeypatch, family):
+    # one expansion at (8, 7); every lower request is a truncation of it,
+    # equal to its own cold build
+    builds = count_calls(monkeypatch, fibrations_module, "_exp_sum")
+    closed_form_q(family, 8, 7)
+    lower = [(w, 7) for w in range(4, 9)] + [(6, 5)]
+    warm = [closed_form_q(family, w, q) for w, q in lower]
+    assert len(builds) == 1
+    for (w, q), got in zip(lower, warm):
+        fibrations_module._closed_form.cache_clear()
+        assert got == closed_form_q(family, w, q) and (got.wmax, got.qmax) == (w, q)
+    assert len(builds) == 1 + len(lower)
+
+
+def _warm_float_orders_refused(front):
+    """Whether ``front`` refuses a float order once the int key is warm: the
+    memo's ``lru_cache`` holds 6.0 and 6 as one key."""
+    front("E8", 6, 7)
+    for orders in ((6.0, 7), (6, 7.0)):
+        try:
+            front("E8", *orders)
+        except TypeError:
+            continue
+        return False
+    return True
+
+
+def test_closed_form_q_checks_its_arguments_before_the_memo():
+    assert _warm_float_orders_refused(closed_form_q)
+    with pytest.raises(KeyError, match="unknown family 'E9'"):
+        closed_form_q("E9", 6, 7)
+    # negative control: a front that reads the memo before it checks the
+    # orders answers a warm float key
+    assert not _warm_float_orders_refused(fibrations_module._closed_form)
+
+
 def test_closed_form_text_mentions_all_families():
     for fam in FAMILIES:
         assert closed_form_text(fam) == PAPER_CLOSED_TEXT[fam]

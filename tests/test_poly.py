@@ -153,6 +153,13 @@ def _ref_mul(a, b):
     return _strip(out)
 
 
+def _ref_eval(cs, x):
+    acc = F(0)
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
 def _ref_text(cs, var="U", descending=True):
     """'2U^3-U-4' from a stripped Fraction list, by the rules of ``to_text``."""
     items = [(e, c) for e, c in enumerate(cs) if c]
@@ -192,6 +199,9 @@ def test_each_operation_on_the_int_form_equals_the_fraction_list_oracle(xs, ys, 
     assert (a == b) is (ra == rb) and (a != b) is (ra != rb)
     assert (a == c) is (ra == rc) and (a == F(c)) is (ra == rc) and (c == a) is (ra == rc)
     assert a == Poly(ra) and hash(a) == hash(Poly(ra))
+    for x in (c, F(c), F(c) / 7, n, -n):  # int and Fraction points
+        got = a.evaluate(x)
+        assert type(got) is F and got == _ref_eval(ra, F(x))
 
 
 @given(st.lists(st.integers(-30, 30), max_size=9), st.integers(1, 12))
