@@ -9,7 +9,6 @@ can inject corrupted data as negative controls.
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, prod
 
 from .charclasses import (
     chi_y_log_coefficients,
@@ -137,65 +136,15 @@ def _elementary_symmetric(roots):
     return e
 
 
-def _compile_chern_series(series):
-    """``series`` in the Chern classes c_i, ready for int evaluation.
+def _compile_chern_series(polys):
+    """The y-free series ``polys`` in the Chern classes c_i, ready for int
+    evaluation: (tree, [(denominator, [(monomial index, numerator), ...])
+    per series]), every numerator over its series' one int denominator.
 
-    Returns (denominator, y-row width, {weight: {((i, exponent), ...):
-    [(y-degree, numerator), ...]}}): the terms of each weight grouped by
-    their c-monomial, every coefficient numerator/denominator over one
-    common int denominator.  A variable other than c_i (i >= 1) raises
-    ValueError; it is never skipped.
+    Index 0 is the monomial 1; monomial j >= 1 is its parent's times c_i,
+    for (parent index, i) = tree[j - 1], every parent first.  A variable
+    other than c_i (i >= 1) raises ValueError; it is never skipped.
     """
-    by_weight = {}
-    for (k, q), row in series._by_slice().items():  # its packed numerators
-        for _key, mono, n in row:
-            factors = []
-            for var, e in mono:
-                i = int(var[1:]) if var[:1] == "c" and var[1:].isdigit() else 0
-                if i < 1:
-                    raise ValueError("%r is not a Chern class c_i" % var)
-                factors.append((i, e))
-            by_weight.setdefault(k, {}).setdefault(tuple(factors), []).append((q, n))
-    return series._packed[1], series.qmax + 1, by_weight
-
-
-def _row_poly(folded, slot, width, den):
-    """The y-polynomial of a y-row folded at ``slot``, over ``den``: its
-    ``width`` slots read as signed digits, each biased by half its range."""
-    half, smask = 1 << slot - 1, (1 << slot) - 1
-    folded += sum(half << slot * q for q in range(width))
-    return Poly._of_ints([(folded >> slot * q & smask) - half for q in range(width)], den)
-
-
-def _fold_slot(checks, max_abs_root, max_d):
-    """The slot S of the y-fold: the least S with a bound on every y-digit
-    of both sides of every check below 2^(S-1).
-
-    ``checks`` holds (weight k, compiled series, scale, want): the check is
-    scale * row == sum(l^k) * den * want, digit by digit.  At most max_d
-    roots of size at most max_abs_root give |c_i| = |e_i| <= C(max_d, i) *
-    max_abs_root^i and |sum l^k| <= max_d * max_abs_root^k, which bound every
-    digit.  Two rows of such digits that fold to one int are equal: at the
-    lowest digit where they differ, the difference would be a nonzero
-    multiple of 2^S, yet smaller than 2^S.
-    """
-    bound = 0
-    for k, (den, width, by_weight), scale, want in checks:
-        digits = [abs(w) * den * max_d * max_abs_root**k for w in want]
-        digits += [0] * (width - len(digits))
-        for factors, terms in by_weight.get(k, {}).items():
-            size = scale * prod((comb(max_d, i) * max_abs_root**i) ** x for i, x in factors)
-            for q, num in terms:
-                digits[q] += abs(num) * size
-        bound = max(bound, *digits)
-    return bound.bit_length() + 1
-
-
-def _fold_terms(checks, slot):
-    """The weight-k terms of each check, each c-monomial's y-row times the
-    check's scale folded into one int at ``slot``: (tree, [[(monomial index,
-    folded row), ...] per check]).  Index 0 is the monomial 1; monomial j >= 1 is its parent's
-    times c_i, for (parent index, i) = tree[j - 1], every parent first."""
     index, tree = {(): 0}, []
 
     def place(factors):
@@ -206,14 +155,20 @@ def _fold_terms(checks, slot):
             index[factors] = len(tree)
         return index[factors]
 
-    folded = [
-        [
-            (place(factors), scale * sum(num << slot * q for q, num in terms))
-            for factors, terms in by_weight.get(k, {}).items()
-        ]
-        for k, (_den, _width, by_weight), scale, _want in checks
-    ]
-    return tree, folded
+    compiled = []
+    for series in polys:
+        terms = []
+        for row in series._by_slice().values():  # its packed numerators
+            for _key, mono, n in row:
+                factors = []
+                for var, e in mono:
+                    i = int(var[1:]) if var[:1] == "c" and var[1:].isdigit() else 0
+                    if i < 1:
+                        raise ValueError("%r is not a Chern class c_i" % var)
+                    factors.append((i, e))
+                terms.append((place(tuple(factors)), n))
+        compiled.append((series._packed[1], terms))
+    return tree, compiled
 
 
 def _monomial_values(e, tree):
@@ -225,60 +180,51 @@ def _monomial_values(e, tree):
     return values
 
 
-def check_hadamard_identity(max_abs_root=3, max_d=4, order=6):
-    """The library's power sums and Hadamard product at integer roots.
+def check_hadamard_identity(max_abs_root=2, max_d=6, order=6):
+    """The library's Hadamard product as a series, and its power sums at
+    integer roots.
 
-    For every multiset of 1..max_d roots in [-max_abs_root, max_abs_root],
-    put c_i := e_i(roots) into ``power_sums_from_chern`` and into
-    ``hadamard_apply(chi_y_log_coefficients(order), power_sum_series(...))``;
-    the weight-k values must be sum_i l_i^k and b_k * sum_i l_i^k.  The c_i
+    The series half: ``hadamard_apply(chi_y_log_coefficients(order),
+    power_sum_series(order, qmax=order))`` must equal sum_k b_k p_k, each
+    p_k of ``power_sums_from_chern`` times b_k by the series product.  The
+    roots half: for every multiset of 1..max_d roots in [-max_abs_root,
+    max_abs_root], p_k at c_i := e_i(roots) must be sum_i l_i^k.  The c_i
     are symmetric in the roots, so multisets cover every ordered tuple.
+    Together they give the product at every multiset by linearity,
+    b_k p_k(e(roots)) = b_k sum_i l_i^k, and the series half sees every
+    c_i, also those that no multiset of max_d roots reaches.
 
-    Each series is compiled once to int numerators over one denominator,
-    and each c-monomial's y-row is folded into one int at a slot that
-    bounds every digit (``_fold_slot``).  A multiset then costs one product
-    per c-monomial and one multiply-add per term: a weight's folded value
-    times B, the denominator of b_k, must equal sum l^k times the
-    fold of B * b_k over the series' denominator.  A failing check reads
-    its row back from its fold: the signed digits of the value it compared,
-    over the denominator times B.  The read is exact whether or not the
-    check passes, since ``_fold_slot`` bounds every digit from the series'
-    own numerators, and the line shows the rational y-polynomial.
+    Each p_k is compiled once to int numerators over its denominator, and
+    at a multiset every c-monomial is its parent's value times one c_i, so
+    p_k costs one multiply-add per term.
     """
     bcoeffs = chi_y_log_coefficients(order)
     psums = power_sums_from_chern(order)
-    hadamard = hadamard_apply(bcoeffs, power_sum_series(order, qmax=order))
-    compiled_h = _compile_chern_series(hadamard)
-    checks = []
-    for k, b in enumerate(bcoeffs, 1):
-        checks.append((k, _compile_chern_series(psums[k - 1]), 1, (1,)))
-        checks.append((k, compiled_h, b._den, b._nums))  # B = b_k's denominator
-    slot = _fold_slot(checks, max_abs_root, max_d)
-    tree, folded = _fold_terms(checks, slot)
-    wants = [  # den * the fold of want: times sum l^k, the right side
-        compiled[0] * sum(w << slot * q for q, w in enumerate(want))
-        for _k, compiled, _scale, want in checks
-    ]
     failures = []
+    product = hadamard_apply(bcoeffs, power_sum_series(order, qmax=order))
+    want = WSeries.zero(order, order)
+    for p, b in zip(psums, bcoeffs):
+        want = want + WSeries(order, order, p.terms) * WSeries.from_y_poly(
+            b.coeffs, order, order)
+    if product != want:
+        k, q, ca, cb = first_mismatch(product, want)
+        failures.append(
+            "weight %d, y^%d: hadamard_apply gives %s, b_%d p_%d is %s"
+            % (k, q, ca.to_text(), k, k, cb.to_text())
+        )
+    tree, compiled = _compile_chern_series(psums)
     root_range = range(-max_abs_root, max_abs_root + 1)
     for d in range(1, max_d + 1):
         for roots in combinations_with_replacement(root_range, d):
             values = _monomial_values(_elementary_symmetric(roots), tree)
-            for k in range(1, order + 1):
+            for k, (den, terms) in enumerate(compiled, 1):
                 direct = sum([lam**k for lam in roots])
-                for j in (2 * k - 2, 2 * k - 1):  # p_k's check, then the Hadamard check
-                    got = sum([n * values[m] for m, n in folded[j]])
-                    if got != direct * wants[j]:
-                        _k, (den, width, _w), scale, _want = checks[j]
-                        row = _row_poly(got, slot, width, den * scale)
-                        failures.append(
-                            "roots %s, weight %d: hadamard_apply gives %s, b_%d p_%d is %s"
-                            % (roots, k, row.to_text("y", False), k, k,
-                               (bcoeffs[k - 1] * direct).to_text("y", False))
-                            if j % 2
-                            else "roots %s: p_%d gives %s, sum of l^%d is %s"
-                            % (roots, k, row.to_text(), k, direct)
-                        )
+                got = sum([n * values[m] for m, n in terms])
+                if got != direct * den:
+                    failures.append(
+                        "roots %s: p_%d gives %s, sum of l^%d is %s"
+                        % (roots, k, Fraction(got, den), k, direct)
+                    )
     return failures
 
 
@@ -373,18 +319,6 @@ def check_route_consistency(families=FAMILIES, max_dim=4):
                         % (fam, d, q, lhs.to_text(), rhs.to_text())
                     )
     return failures
-
-
-SUITES = (
-    ("derived-vs-closed", "pushforward Q equals closed-form Q"),
-    ("p-table", "y-expansion matches the P_n table"),
-    ("d5-derivative-oracle", "residue route equals derivative route"),
-    ("hadamard-identity", "log-coefficient Hadamard identity"),
-    ("euler-crosscheck", "E8 alternating sums match the Euler series"),
-    ("serre-duality", "chi_q symmetry and anticanonical vanishing"),
-    ("integrality", "chi_q values are integers over sample bases"),
-    ("route-consistency", "series route equals class route"),
-)
 
 
 def run_suites(families="all", wmax=6, qmax=7):

@@ -12,7 +12,8 @@ them, a Chern root as a series, the weight-by-weight y-scalings (the
 (1+y)-reweight loop, the per-weight Hadamard products, the Horner chi_y class
 and -tC'/C from two accumulations), the ``WSeries`` expansion of the closed
 forms (series exp, powers and an inverse), the Fraction evaluator that
-is the oracle of the hadamard-identity suite's int evaluator, the ring
+is the oracle of the int evaluator of the power sums at roots in the
+hadamard-identity suite, the ring
 operations on plain ``Fraction`` dicts (add, scalar, y-scaling, exp, log and
 inverse, the oracles of the packed ones), the Taylor exp and log and the
 Newton inverse by whole-series products (the oracles of the graded

@@ -28,13 +28,9 @@ from ellgenus import (
     verify,
 )
 from ellgenus.verify import (
-    SUITES,
     _compile_chern_series,
     _elementary_symmetric,
-    _fold_slot,
-    _fold_terms,
     _monomial_values,
-    _row_poly,
     _sample_bases,
     check_d5_derivative_oracle,
     check_derived_vs_closed,
@@ -48,14 +44,16 @@ from ellgenus.verify import (
     run_suites,
 )
 from ellgenus.genseries import chi_series
-from helpers import count_calls, evaluate_by_weight
+from helpers import count_calls, evaluate_by_weight, reference_hadamard_apply
 
 
 def test_suite_smoke_one_family():
     ok, results = run_suites("D5", wmax=2, qmax=3)
     assert ok
-    assert len(results) == len(SUITES) == 8
-    assert [name for name, _f in results] == [name for name, _d in SUITES]
+    assert [name for name, _f in results] == [
+        "derived-vs-closed", "p-table", "d5-derivative-oracle", "hadamard-identity",
+        "euler-crosscheck", "serre-duality", "integrality", "route-consistency",
+    ]
 
 
 def test_individual_suites_pass_quickly():
@@ -143,7 +141,14 @@ def test_first_mismatch_reports_lowest_block():
     assert first_mismatch(a, a) is None
 
 
+_SERIES_LINE = re.compile(
+    r"weight (\d+), y\^(\d+): hadamard_apply gives .*, b_(\d+) p_(\d+) is .*")
+_ROOTS_LINE = re.compile(r"roots (\(.*\)): p_(\d+) gives (.*), sum of l\^(\d+) is (.*)")
+
+
 def test_hadamard_suite_catches_corrupted_power_sums(monkeypatch):
+    # p_3 + c3: the series half sees it at weight 3, the roots half at
+    # every multiset with c3 = e_3 nonzero
     real = verify.power_sums_from_chern
 
     def corrupted(kmax, qmax=0):
@@ -152,9 +157,10 @@ def test_hadamard_suite_catches_corrupted_power_sums(monkeypatch):
         return p
 
     monkeypatch.setattr(verify, "power_sums_from_chern", corrupted)
-    failures = check_hadamard_identity(max_abs_root=1, max_d=3, order=4)
-    assert "roots (1, 1, 1): p_3 gives 4, sum of l^3 is 3" in failures
-    assert all(": p_3 gives" in line for line in failures)
+    first, *rest = check_hadamard_identity(max_abs_root=1, max_d=3, order=4)
+    assert _SERIES_LINE.fullmatch(first).group(1, 3, 4) == ("3", "3", "3")
+    assert "roots (1, 1, 1): p_3 gives 4, sum of l^3 is 3" in rest
+    assert all(": p_3 gives" in line for line in rest)
 
 
 def test_hadamard_suite_catches_corrupted_hadamard_apply(monkeypatch):
@@ -166,9 +172,43 @@ def test_hadamard_suite_catches_corrupted_hadamard_apply(monkeypatch):
         return real(coeffs, series)
 
     monkeypatch.setattr(verify, "hadamard_apply", corrupted)
-    failures = check_hadamard_identity(max_abs_root=1, max_d=2, order=4)
-    assert any(line.startswith("roots (1,), weight 2: ") for line in failures)
-    assert all("weight 2: hadamard_apply" in line for line in failures)
+    (line,) = check_hadamard_identity(max_abs_root=1, max_d=2, order=4)
+    assert line.startswith("weight 2, y^1: hadamard_apply gives ")
+
+
+def test_a_c5_term_of_the_product_fails_the_default_suite(monkeypatch):
+    # no multiset of 4 roots reaches c5, so a root check of the product
+    # at four roots or fewer cannot see it; the series half does
+    real = verify.hadamard_apply
+
+    def corrupted(coeffs, series):
+        c5y = WSeries.var("c5", series.wmax, series.qmax) * WSeries.y(series.wmax, series.qmax)
+        return real(coeffs, series) + c5y
+
+    monkeypatch.setattr(verify, "hadamard_apply", corrupted)
+    (line,) = check_hadamard_identity()
+    assert line.startswith("weight 5, y^1: hadamard_apply gives ")
+
+
+def test_every_power_sum_coefficient_off_by_one_fails_the_default_suite(monkeypatch):
+    # each of the 29 terms of p_1..p_6 one more, in the series both halves
+    # read, so the series half agrees and only the roots can see it: the
+    # default multisets reach every c_i of p_1..p_6
+    real = charclasses.power_sum_series
+    monos = [mono for p in power_sums_from_chern(6) for mono, _q in p.terms]
+    assert len(monos) == 29
+    missed = []
+    for mono in monos:
+        def corrupted(kmax, qmax=0, mono=mono):
+            return real(kmax, qmax) + WSeries(kmax, qmax, {(mono, 0): 1})
+
+        monkeypatch.setattr(charclasses, "power_sum_series", corrupted)
+        monkeypatch.setattr(verify, "power_sum_series", corrupted)
+        failures = check_hadamard_identity()
+        assert not any(line.startswith("weight ") for line in failures)
+        if not failures:
+            missed.append(mono)
+    assert missed == []
 
 
 def _chern_values(roots, top):
@@ -177,62 +217,31 @@ def _chern_values(roots, top):
     return {"c%d" % i: e[i] if i < len(e) else 0 for i in range(1, top + 1)}
 
 
-def _weight_folds(compiled, roots, max_abs_root, max_d, narrower=0):
-    """(slot, {k: the weight-k y-row of a compiled series at ``roots``,
-    folded}), at the slot proved for max_d roots of size at most
-    max_abs_root, less ``narrower`` bits."""
-    checks = [(k, compiled, 1, ()) for k in sorted(compiled[2])]
-    slot = _fold_slot(checks, max_abs_root, max_d) - narrower
-    tree, folded = _fold_terms(checks, slot)
+def _compiled_values(polys, roots):
+    """Each y-free series of ``polys`` at c_i := e_i(roots), by the suite's
+    int evaluator: the compiled terms over the values of the product tree."""
+    tree, compiled = _compile_chern_series(polys)
     values = _monomial_values(_elementary_symmetric(roots), tree)
-    return slot, {
-        k: sum(n * values[m] for m, n in terms)
-        for (k, *_rest), terms in zip(checks, folded)
-    }
+    return [Fraction(sum(n * values[m] for m, n in terms), den) for den, terms in compiled]
+
+
+def _oracle_value(series, values):
+    """A y-free series at ``values``, summed over its weights as a y-Poly."""
+    return sum(evaluate_by_weight(series, values).values(), Poly())
 
 
 def test_compiled_int_evaluator_matches_fraction_oracle():
-    # the hadamard series and every p_k, at every multiset the suite would
-    # visit with max_abs_root=2, max_d=3, order=6: each weight read back
-    # from its fold by the suite's own reader is the Fraction evaluation
-    order = 6
-    series = [hadamard_apply(chi_y_log_coefficients(order),
-                             power_sum_series(order, qmax=order))]
-    series += power_sums_from_chern(order)
-    compiled = [_compile_chern_series(s) for s in series]
+    # every p_k at every multiset the suite would visit with
+    # max_abs_root=2, max_d=3, order=6 is the Fraction evaluation
+    psums = power_sums_from_chern(6)
     visited = 0
     for d in range(1, 4):
         for roots in combinations_with_replacement(range(-2, 3), d):
-            values = _chern_values(roots, order)
-            for s, c in zip(series, compiled):
-                den, width, _by_weight = c
-                slot, folds = _weight_folds(c, roots, 2, 3)
-                got = {k: _row_poly(f, slot, width, den) for k, f in folds.items()}
-                assert got == evaluate_by_weight(s, values)
+            values = _chern_values(roots, 6)
+            got = _compiled_values(psums, roots)
+            assert [Poly([v]) for v in got] == [_oracle_value(p, values) for p in psums]
             visited += 1
     assert visited == 5 + 15 + 35
-
-
-def _unfold(value, slot, width):
-    """The y-row of balanced digits, each in [-2^(slot-1), 2^(slot-1)), that
-    folds to ``value`` at ``slot``, padded with zeros to ``width``."""
-    half, row = 1 << (slot - 1), []
-    while value:
-        digit = ((value + half) & ((1 << slot) - 1)) - half
-        row.append(digit)
-        value = (value - digit) >> slot
-    return row + [0] * (width - len(row))
-
-
-def _folded_rows(compiled, roots, max_abs_root, max_d, narrower=0):
-    """{k: the weight-k y-row of a compiled series at ``roots``, read back
-    from its fold as a y-Poly over its denominator} (``_weight_folds``)."""
-    den, width, _by_weight = compiled
-    slot, folds = _weight_folds(compiled, roots, max_abs_root, max_d, narrower)
-    return {
-        k: Poly([Fraction(x, den) for x in _unfold(f, slot, width)])
-        for k, f in folds.items()
-    }
 
 
 # every c-monomial of weight 1..5, as {c_i: exponent}
@@ -245,82 +254,31 @@ _C_MONOMIALS = [
 
 @st.composite
 def _chern_series(draw):
-    """A series in c1..c5 to (5, 4), numerators up to 2^200 over
+    """A y-free series in c1..c5 to weight 5, numerators up to 2^200 over
     denominators up to 10^6."""
     terms = draw(st.dictionaries(
-        st.tuples(st.sampled_from(range(len(_C_MONOMIALS))), st.integers(0, 4)),
+        st.sampled_from(range(len(_C_MONOMIALS))),
         st.fractions(-2**200, 2**200, max_denominator=10**6),
         min_size=1, max_size=25,
     ))
-    return WSeries(5, 4, {
-        (series.mono_from_dict(_C_MONOMIALS[m]), q): c for (m, q), c in terms.items()
+    return WSeries(5, 0, {
+        (series.mono_from_dict(_C_MONOMIALS[m]), 0): c for m, c in terms.items()
     })
 
 
 @given(_chern_series(), st.lists(st.integers(-5, 5), min_size=1, max_size=5))
 def test_folded_weight_values_match_the_rows(s, roots):
-    # each weight's value, read back from its fold at the proved slot, is
-    # the Fraction evaluation, by the balanced reader and by the suite's
-    compiled = _compile_chern_series(s)
-    den, width, _by_weight = compiled
-    want = evaluate_by_weight(s, _chern_values(roots, 5))
-    assert _folded_rows(compiled, roots, 5, 5) == want
-    slot, folds = _weight_folds(compiled, roots, 5, 5)
-    assert {k: _row_poly(f, slot, width, den) for k, f in folds.items()} == want
-
-
-def test_a_slot_two_bits_below_the_proved_one_misreads_a_row():
-    # positive numerators at five roots 5 reach the bound the slot is proved
-    # for: the proved slot is the least, and one or two bits less cannot
-    # hold the largest digit
-    roots = (5,) * 5
-    s = WSeries(5, 4, {
-        (series.mono_from_dict(m), q): Fraction(2**100 + 7 * q + i)
-        for i, m in enumerate(_C_MONOMIALS) for q in range(5)
-    })
-    compiled = _compile_chern_series(s)
-    want = evaluate_by_weight(s, _chern_values(roots, 5))
-    assert _folded_rows(compiled, roots, 5, 5) == want
-    assert _folded_rows(compiled, roots, 5, 5, narrower=1) != want
-    assert _folded_rows(compiled, roots, 5, 5, narrower=2) != want
-
-
-_FAILURE = re.compile(
-    r"roots (\(.*\))(?:: p_(\d+)|, weight (\d+): hadamard_apply) gives (.*), "
-    r"(?:sum of l\^\d+|b_\d+ p_\d+) is .*"
-)
-
-
-def _assert_rows_read_back(failures, hadamard, psums, max_abs_root, max_d, order):
-    """Every failure line names a row that is the Fraction evaluation of
-    the series it checked, and the lines are exactly the (roots, weight,
-    check) whose evaluation is not the identity's value."""
-    bcoeffs = chi_y_log_coefficients(order)
-    want = []
-    for d in range(1, max_d + 1):
-        for roots in combinations_with_replacement(
-            range(-max_abs_root, max_abs_root + 1), d
-        ):
-            values = _chern_values(roots, order)
-            rows_h = evaluate_by_weight(hadamard, values)
-            for k in range(1, order + 1):
-                direct = sum(lam**k for lam in roots)
-                row_p = evaluate_by_weight(psums[k - 1], values).get(k, Poly())
-                row_h = rows_h.get(k, Poly())
-                if row_p != Poly([direct]):
-                    want.append((str(roots), "p", k, row_p.to_text()))
-                if row_h != bcoeffs[k - 1] * direct:
-                    want.append((str(roots), "h", k, row_h.to_text("y", False)))
-    got = []
-    for line in failures:
-        roots, p_k, h_k, text = _FAILURE.fullmatch(line).groups()
-        got.append((roots, "p" if p_k else "h", int(p_k or h_k), text))
-    assert want and got == want
+    # each weight of the series, and the whole series, compiled over one
+    # tree, is the Fraction evaluation
+    values = _chern_values(roots, 5)
+    parts = [s.weight_component(k) for k in range(1, 6)]
+    got = _compiled_values(parts + [s], roots)
+    assert [Poly([v]) for v in got] == [_oracle_value(p, values) for p in parts + [s]]
 
 
 def test_a_corrupted_hadamard_apply_reads_its_rows_back(monkeypatch):
-    # numerators near 2^100 in b_2 and b_4 at small roots: every failing
-    # check's row, read back from its fold, is the corrupted series' value
+    # numerators near 2^100 in b_2 and b_4: the one failure line shows the
+    # first mismatch of the corrupted product against the reference one
     order = 5
     real = verify.hadamard_apply
 
@@ -330,14 +288,23 @@ def test_a_corrupted_hadamard_apply_reads_its_rows_back(monkeypatch):
         coeffs[3] = coeffs[3] - Poly([Fraction(1, 7), 0, Fraction(-(2**99), 5)])
         return real(coeffs, series)
 
-    hadamard = corrupted(chi_y_log_coefficients(order), power_sum_series(order, qmax=order))
+    bcoeffs = chi_y_log_coefficients(order)
+    psum = power_sum_series(order, qmax=order)
+    k, q, ca, cb = first_mismatch(corrupted(bcoeffs, psum),
+                                  reference_hadamard_apply(bcoeffs, psum))
     monkeypatch.setattr(verify, "hadamard_apply", corrupted)
-    failures = check_hadamard_identity(max_abs_root=2, max_d=3, order=order)
-    _assert_rows_read_back(failures, hadamard, power_sums_from_chern(order), 2, 3, order)
+    assert check_hadamard_identity(max_abs_root=2, max_d=3, order=order) == [
+        "weight %d, y^%d: hadamard_apply gives %s, b_%d p_%d is %s"
+        % (k, q, ca.to_text(), k, k, cb.to_text())
+    ]
+    assert (k, q) == (2, 1)
 
 
 def test_corrupted_power_sums_read_their_rows_back(monkeypatch):
-    # numerators near 2^100 over small denominators in p_3 and p_4
+    # numerators near 2^100 over small denominators in p_3 and p_4: the
+    # series line is the first mismatch against the reference product of
+    # the corrupted p_k, and the root lines are exactly the (roots, k) whose
+    # Fraction evaluation is not sum l^k, each with that value
     order = 5
     real = verify.power_sums_from_chern
 
@@ -348,18 +315,35 @@ def test_corrupted_power_sums_read_their_rows_back(monkeypatch):
         p[3] = p[3] + WSeries.var("c4", kmax, qmax) * Fraction(2**101, 11)
         return p
 
-    hadamard = hadamard_apply(chi_y_log_coefficients(order),
-                              power_sum_series(order, qmax=order))
+    bcoeffs, psums = chi_y_log_coefficients(order), corrupted(order)
+    lifted = sum((WSeries(order, order, p.terms) for p in psums), WSeries.zero(order, order))
+    k, q, ca, cb = first_mismatch(hadamard_apply(bcoeffs, power_sum_series(order, qmax=order)),
+                                  reference_hadamard_apply(bcoeffs, lifted))
+    want = ["weight %d, y^%d: hadamard_apply gives %s, b_%d p_%d is %s"
+            % (k, q, ca.to_text(), k, k, cb.to_text())]
+    for d in range(1, 4):
+        for roots in combinations_with_replacement(range(-2, 3), d):
+            values = _chern_values(roots, order)
+            for j, p in enumerate(psums, 1):
+                direct = sum(lam**j for lam in roots)
+                row = evaluate_by_weight(p, values).get(j, Poly())
+                if row != Poly([direct]):
+                    want.append((str(roots), j, row, direct))
     monkeypatch.setattr(verify, "power_sums_from_chern", corrupted)
-    failures = check_hadamard_identity(max_abs_root=2, max_d=3, order=order)
-    _assert_rows_read_back(failures, hadamard, corrupted(order), 2, 3, order)
+    first, *rest = check_hadamard_identity(max_abs_root=2, max_d=3, order=order)
+    got = []
+    for line in rest:
+        roots, j, value, j_again, direct = _ROOTS_LINE.fullmatch(line).groups()
+        assert j == j_again
+        got.append((roots, int(j), Poly([Fraction(value)]), int(direct)))
+    assert (k, len(want[1:])) == (3, len(rest)) and [first] + got == want
+    assert {j for _r, j, _v, _d in got} == {3}  # c4 of three roots is 0
 
 
 def test_a_chern_class_past_the_roots_reads_0():
     # c5 of four roots is 0, though the tree holds no c_i for i < 5
-    c5 = _compile_chern_series(WSeries.var("c5", 5, 0))
-    tree, _folded = _fold_terms([(5, c5, 1, ())], 8)
-    assert tree == [(0, 5)]
+    tree, compiled = _compile_chern_series([WSeries.var("c5", 5, 0)])
+    assert (tree, compiled) == ([(0, 5)], [(1, [(1, 1)])])
     assert _monomial_values(_elementary_symmetric((1, 2, 3, 4)), tree) == [1, 0]
 
 
@@ -368,16 +352,16 @@ def test_default_hadamard_suite_visits_every_multiset_in_order(monkeypatch):
     assert check_hadamard_identity() == []
     want = [
         (roots,)
-        for d in range(1, 5)
-        for roots in combinations_with_replacement(range(-3, 4), d)
+        for d in range(1, 7)
+        for roots in combinations_with_replacement(range(-2, 3), d)
     ]
-    assert len(want) == 329
+    assert len(want) == 461
     assert calls == want
 
 
 def test_hadamard_suite_refuses_a_variable_other_than_c_i(monkeypatch):
     with pytest.raises(ValueError, match="'L' is not a Chern class"):
-        _compile_chern_series(WSeries.var("c1", 3, 0) + WSeries.var("L", 3, 0))
+        _compile_chern_series([WSeries.var("c1", 3, 0) + WSeries.var("L", 3, 0)])
     real = verify.power_sums_from_chern
 
     def with_stray_term(kmax, qmax=0):
