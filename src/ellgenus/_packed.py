@@ -47,7 +47,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import accumulate
 from math import comb, gcd, lcm
-from operator import add, mul
+from operator import mul
 
 # Entries of every row cache here, and requests of every ``series._top_memo``.
 MEMO_SIZE = 64
@@ -161,10 +161,11 @@ def _sheared(packed, s, wmax, qmax):
 
 def _residue_sum(groups, wmax, qmax, exps):
     """pi_* of the product of the packed series ``group`` at H -> H + s*L
-    (``_sheared``) for each (s, group, facts) of ``groups``, by ascending s,
-    ``facts`` the group's ``_group_facts``, along P(E), E = sum_i L^(m_i)
-    for m_i in ``exps``: the Segre map, as a sum of residues, packed at the
-    width of (wmax, qmax) with every key of weight <= wmax - (r - 1).
+    (``_sheared``) for each (p, d, group, facts) of ``groups``, s = p/d in
+    lowest terms and by ascending s, ``facts`` the group's ``_group_facts``,
+    along P(E), E = sum_i L^(m_i) for m_i in ``exps``: the Segre map, as a
+    sum of residues, packed at the width of (wmax, qmax) with every key of
+    weight <= wmax - (r - 1).
 
     With H = u*L, pi_* f = L^(1-r) sum_m Res_(u=-m) f / prod_i (u + m_i)
     over the distinct exponents m (Ellingsrud-Stromme, alg-geom/9411005).
@@ -184,6 +185,10 @@ def _residue_sum(groups, wmax, qmax, exps):
     sum is Q as it stands, with no truncation: in z for groups in z, which
     ``series._residues`` maps to y (``_in_y``).
 
+    The residues see slopes and exponents only through s - m and m_i - m,
+    so a twist E (x) L^c (one bundle with E, Hartshorne II.7.9) is read
+    less the least exponent: every twist shares one ``_pole_plan``.
+
     A pole is dead when the group at its own slope has lowest H-degree >=
     mu: there the shear is 0, so H^a goes to eps^a, and every term of that
     group maps past eps^(mu-1).  Its residue is 0, so it gets no map, no
@@ -201,24 +206,12 @@ def _residue_sum(groups, wmax, qmax, exps):
     width = _width(wmax, qmax)
     mask = (1 << width) - 1
     hshift = (_field("H")[0] - 1) * width  # in a key without its y field
-    poles, den = _poles(tuple(sorted(exps)))
-    for s, (_nums, gden), (top, *_f) in groups:
-        den *= gden * s.denominator**top
-    live, bits = [], 0
-    for m, jet in poles:
-        mu = len(jet)
-        if any(s == m and low >= mu for s, _g, (_t, low, *_f) in groups):
-            continue  # a dead pole
-        rows = [_pole_rows(s.numerator - m * s.denominator, s.denominator, top, mu, width)
-                for s, _g, (top, *_f) in groups]
-        need = sum(map(abs, jet)).bit_length() + sum(
-            b + x + ((mu * n).bit_length() if i else 0)
-            for i, ((_s, _g, (_t, _l, b, n)), (_r, x)) in enumerate(zip(groups, rows))
-        )
-        bits = max(bits, need)
-        live.append((jet, [r for r, _x in rows]))
-    slot = bits + len(live).bit_length() + 1
-    folds = [_fold(nums, width, slot) for _s, (nums, _d), _f in groups]
+    c = min(exps)
+    live, slot, den = _pole_plan(tuple(sorted([m - c for m in exps])),
+                                 tuple([(p - c * d, d, *f) for p, d, _g, f in groups]), width)
+    for _p, _d, (_nums, gden), _f in groups:
+        den *= gden
+    folds = [_fold(nums, width, slot) for _p, _d, (nums, _n), _f in groups]
     out = defaultdict(int)
     for jet, rows in live:
         acc = None
@@ -229,6 +222,30 @@ def _residue_sum(groups, wmax, qmax, exps):
             )
         _read_pole(acc, jet, len(exps) - 1, width, out)
     return _unfold(out, width, slot, qmax, den)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _pole_plan(exps, shapes, width):
+    """For ``_residue_sum`` along P(sum_i L^(m_i)), m_i in the sorted ``exps``
+    (the least 0), and groups of ``shapes`` (p, d, *facts), slope p/d: the
+    (jet, rows of each group) of each live pole, the slot, and the jets'
+    denominator times every d^top."""
+    poles, den = _poles(exps)
+    for _p, d, top, *_f in shapes:
+        den *= d**top
+    live, bits = [], 0
+    for m, jet in poles:
+        mu = len(jet)
+        if any(p == m * d and low >= mu for p, d, _t, low, *_f in shapes):
+            continue  # a dead pole
+        rows, need = [], sum(map(abs, jet)).bit_length()
+        for i, (p, d, top, _l, b, n) in enumerate(shapes):
+            row, x = _pole_rows(p - m * d, d, top, mu, width)
+            rows.append(row)
+            need += b + x + ((mu * n).bit_length() if i else 0)
+        bits = max(bits, need)
+        live.append((jet, rows))
+    return tuple(live), bits + len(live).bit_length() + 1, den
 
 
 def _group_facts(nums, width):
@@ -399,18 +416,19 @@ def _folded_mul(a, b, wmax, mask, cut, mu=1, shift=0):
     """Product of two folded series: one int product per monomial pair within
     wmax, each sum cut to its residue mod 2^cut (the slots kept).
     With ``mu`` > 1, the field at ``shift`` is an eps-degree (``_residue_sum``),
-    and a pair whose eps-degrees sum to mu or more is skipped."""
+    and a pair whose eps-degrees sum to mu or more is skipped.  The terms of
+    ``b`` are sorted by weight, so each term of ``a`` stops at its first
+    partner past wmax."""
     emask = mask if mu > 1 else 0  # reads an eps-degree of 0 below mu = 2
-    jets = [[[] for _ in range(wmax + 1)] for _ in range(mu)]  # [eps][weight]
-    for item in b.items():
-        jets[item[0] >> shift & emask][item[0] & mask].append(item)
-    # [e][w]: the b monomials of eps-degree <= e and weight <= w
-    below = accumulate(jets, lambda p, j: [*map(add, p, j)])
-    below = [list(accumulate(p)) for p in below]
+    by_weight = sorted(b.items(), key=lambda item: item[0] & mask)
     acc = defaultdict(int)
     for r1, f1 in a.items():
-        for r2, f2 in below[mu - 1 - (r1 >> shift & emask)][wmax - (r1 & mask)]:
-            acc[r1 + r2] += f1 * f2
+        room, eps_room = wmax - (r1 & mask), mu - 1 - (r1 >> shift & emask)
+        for r2, f2 in by_weight:
+            if r2 & mask > room:
+                break
+            if r2 >> shift & emask <= eps_room:
+                acc[r1 + r2] += f1 * f2
     # unsigned is enough: ``_unfold`` biases and masks only the kept slots,
     # and a further product or ``_read_pole`` is linear, so values that agree
     # mod 2^cut read the same digits

@@ -117,6 +117,9 @@ def _total_dim(family_or_spec, d):
 # integrand and derived genus factor
 
 
+_TODD_ROOT = RootForm(1, 0)  # the H-part of every F-root
+
+
 @_top_memo
 def _slope_group(key, wmax, qmax):
     """The product of one slope group's factors at the H-parts of its roots,
@@ -128,7 +131,7 @@ def _slope_group(key, wmax, qmax):
     folded once, and the product unfolded and reduced once, so the memo
     keeps it reduced."""
     count, normals = key
-    todd = _local_factor(("todd", RootForm(1, 0)), wmax, qmax)
+    todd = _local_factor(("todd", _TODD_ROOT), wmax, qmax)
     f_factor = todd - WSeries(wmax, qmax, {((("H", 1),), 1): 1})
     factors = [f_factor] * count
     factors += [_normal_factor(RootForm(a, 0), wmax, qmax) for a in normals]
@@ -157,13 +160,14 @@ def fiber_integrand(spec, wmax, qmax):
             % (wmax, len(spec.n_roots))
         )
     keys = {}  # slope -> [F-roots, N-root H-coefficients]
-    for root in spec.f_roots:
+    for m in spec.bundle.exps:  # the F-root H + m*L has slope m
         # one Todd lookup per F-root, as the benchmark's trace counts; a cold
         # one builds the factor that the groups are made from
-        todd_factor(RootForm(1, 0), wmax, qmax)
-        keys.setdefault(Fraction(root.b, root.a), [0, []])[0] += 1
+        todd_factor(_TODD_ROOT, wmax, qmax)
+        keys.setdefault(m, [0, []])[0] += 1
     for root in spec.n_roots:
-        keys.setdefault(Fraction(root.b, root.a), [0, []])[1].append(root.a)
+        a, b = root.a, root.b
+        keys.setdefault(b // a if b % a == 0 else Fraction(b, a), [0, []])[1].append(a)
     groups = {
         s: _slope_group((count, tuple(sorted(normals))), wmax, qmax)
         for s, (count, normals) in keys.items()
@@ -172,22 +176,14 @@ def fiber_integrand(spec, wmax, qmax):
 
 
 def derived_q(spec, wmax=DEFAULT_WMAX, qmax=DEFAULT_QMAX):
-    """Genus factor by pushing the integrand down the projective bundle.
-
-    P(E) and P(E (x) L^(-c)) are the same bundle (Hartshorne, II.7.9), with
-    H + c*L on the first the hyperplane class H of the second.  With c the
-    least bundle exponent, the second has exponents m - c >= 0 and normal
-    roots a*H + (b - a*c)*L, so its F-roots start at slope 0, where the
-    integrand needs no shear.
-    """
+    """Genus factor by pushing the integrand down the projective bundle:
+    ``pushforward`` by residues at the bundle's exponents, which reads a
+    twisted bundle as its untwisted one (``_packed._residue_sum``)."""
     if isinstance(spec, str):
         spec = catalog_spec(spec)
     wmax, qmax = _truncation_orders(wmax, qmax)
-    c = min(spec.bundle.exps)
-    bundle = BundleSpec(tuple(m - c for m in spec.bundle.exps))
-    n_roots = tuple(RootForm(r.a, r.b - r.a * c) for r in spec.n_roots)
-    untwisted = FibrationSpec(spec.name, bundle, n_roots)
-    D = fiber_integrand(untwisted, wmax + bundle.rank - 1, qmax)
+    bundle = spec.bundle
+    D = fiber_integrand(spec, wmax + bundle.rank - 1, qmax)
     return pushforward(D, bundle)
 
 

@@ -615,8 +615,8 @@ def _residues(groups, wmax, qmax, exps, fiber_dim=None):
     one is one group at 0), times (1+y)^fiber_dim in y if the groups are in
     z (``_in_y``).  Each call folds its groups afresh and writes nothing to
     them but their lazily kept facts (``_facts``)."""
-    packed = _residue_sum([(s, groups[s]._packed, _facts(groups[s])) for s in sorted(groups)],
-                          wmax, qmax, exps)
+    packed = _residue_sum([(s.numerator, s.denominator, g._packed, _facts(g))
+                           for s, g in sorted(groups.items())], wmax, qmax, exps)
     if fiber_dim is not None:
         packed = _in_y(packed, _width(wmax, qmax), qmax, fiber_dim)
     out_wmax = wmax - (len(exps) - 1)

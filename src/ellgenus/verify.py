@@ -30,7 +30,7 @@ from .fibrations import (
 )
 from .genseries import BaseSpec, chi_q, chi_series, chi_values, euler_series_e8
 from .poly import Poly
-from .pushforward import BundleSpec, derivative_pushforward_d5, pushforward
+from .pushforward import derivative_pushforward_d5, pushforward
 from .series import WSeries, mono_from_dict
 
 

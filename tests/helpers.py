@@ -893,6 +893,23 @@ def pair_loop_packed_mul(a, b, wmax, qmax):
     return _reduced(acc, da * db)
 
 
+def pair_loop_folded_mul(a, b, wmax, mask, cut, mu=1, shift=0):
+    """Product of two folded series (keys without their y field, the weight
+    in the lowest field), one monomial pair at a time: a pair is kept when
+    its weights sum to at most wmax and, with ``mu`` > 1, its eps-degrees
+    (the field at ``shift``) to less than mu; each key's sum is taken mod
+    2^cut.  Every kept pair's key stays, whatever its sum."""
+    acc = {}
+    for r1, f1 in a.items():
+        for r2, f2 in b.items():
+            if (r1 & mask) + (r2 & mask) > wmax:
+                continue
+            if mu > 1 and (r1 >> shift & mask) + (r2 >> shift & mask) >= mu:
+                continue
+            acc[r1 + r2] = (acc.get(r1 + r2, 0) + f1 * f2) % (1 << cut)
+    return acc
+
+
 def pair_loop_packed_shear(a, s, wmax, qmax):
     """A packed series at H -> H + s*L, any other variables kept.
 

@@ -493,12 +493,13 @@ def test_derived_q_unpacks_nothing(monkeypatch):
     assert unpacks == []
 
 
-# -- the twist divided out: P(E) = P(E (x) L^(-c)) ------------------------------
+# -- a twist read as no twist: P(E) = P(E (x) L^(-c)) ---------------------------
 
 
 def _route_as_given(spec, w, q):
     """Q from the integrand of ``spec`` itself, pushed down its own bundle, with
-    the twist left in."""
+    the twist left in: the route of ``derived_q``, which the residues read
+    less the least exponent."""
     D = fiber_integrand(spec, w + spec.bundle.rank - 1, q)
     return pushforward(D, spec.bundle)
 
@@ -540,6 +541,70 @@ def _specs_with_a_negative_exponent(draw):
 def test_derived_q_equals_the_route_as_given_on_custom_specs(case):
     spec, w, q = case
     assert derived_q(spec, w, q) == _route_as_given(spec, w, q)
+
+
+def _untwisted(spec):
+    """``spec`` in P(E (x) L^(-c)), c its least exponent: exponents m - c >= 0
+    and normal roots a*H + (b - a*c)*L."""
+    c = min(spec.bundle.exps)
+    return FibrationSpec(
+        name=spec.name,
+        bundle=BundleSpec(tuple(m - c for m in spec.bundle.exps)),
+        n_roots=tuple(RootForm(r.a, r.b - r.a * c) for r in spec.n_roots),
+    )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_twist_reads_the_untwisted_poles_and_rows(family):
+    # the residues see only s - m and m_i - m: after the untwisted spec, each
+    # twist of it gives its Q and misses neither the _poles nor the
+    # _pole_rows cache
+    rng = random.Random("rows:" + family)
+    want = derived_q(_untwisted(CATALOG[family]), 8, 9)
+    poles, rows = _packed._poles.cache_info().misses, _packed._pole_rows.cache_info().misses
+    for a in range(-2, 4):
+        spec = _twisted(family, a, rng)
+        assert derived_q(spec, 8, 9) == want == derived_q(_untwisted(spec), 8, 9)
+    assert _packed._poles.cache_info().misses == poles
+    assert _packed._pole_rows.cache_info().misses == rows
+
+
+def _fractions_made(monkeypatch, call):
+    """The arguments of every ``Fraction`` that ``call()`` constructs."""
+    made, real = [], F.__new__
+
+    def spy(cls, *args, **kwargs):
+        made.append(args)
+        return real(cls, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(F, "__new__", spy)
+        call()
+    return made
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_warm_derived_q_constructs_no_fraction(monkeypatch, family):
+    # every catalog and twisted catalog slope is an int (b // a), so a warm
+    # derived_q keys its groups, plans its poles and reads Q on ints alone
+    twisted = _twisted(family, 3, random.Random("fractions:" + family))
+    for spec in (CATALOG[family], twisted):
+        want = derived_q(spec, 6, 7)
+        assert _fractions_made(monkeypatch, lambda: derived_q(spec, 6, 7)) == []
+        assert derived_q(spec, 6, 7) == want == closed_form_q(family, 6, 7)
+        groups = fiber_integrand(spec, 9, 7)._groups
+        assert all(type(s) is int for s in groups), sorted(groups)
+
+
+def test_a_half_slope_makes_its_fraction_negative_control(monkeypatch):
+    # the N-root 2H + L has slope 1/2: the one slope kept as a Fraction,
+    # equal to and hashed as an int slope would be were it whole
+    spec = FibrationSpec("half slope", BundleSpec((0, 1, 2)), (RootForm(2, 1),))
+    derived_q(spec, 6, 7)
+    assert (1, 2) in _fractions_made(monkeypatch, lambda: derived_q(spec, 6, 7))
+    groups = fiber_integrand(spec, 8, 7)._groups
+    assert sorted(groups) == [0, F(1, 2), 1, 2]
+    assert [type(s) for s in sorted(groups)] == [int, F, int, int]
 
 
 # the slope-group keys of each family: (F-roots, sorted N-root H-coefficients);

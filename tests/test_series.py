@@ -42,6 +42,7 @@ from helpers import (
     dict_mul,
     dict_terms,
     is_read,
+    pair_loop_folded_mul,
     pair_loop_packed_mul,
     pair_loop_packed_shear,
     pair_loop_sheared_product,
@@ -759,6 +760,39 @@ def test_folded_mul_slot_sums_near_the_bound(sign, bits):
     slot = 2 * bits + n.bit_length() + 1
     assert (a * b).get((("H", n - 1),), 1) == sign * n * top**2
     assert n * top**2 >= 2 ** (slot - 2)
+
+
+@st.composite
+def _folded_pair(draw):
+    """Two folded series at one wmax and mu 1 or 2, as ``_packed_mul`` and
+    ``_residue_sum`` hand them to ``_folded_mul``: keys without their y
+    field, each holding its weight, an L-degree and an H-degree (an
+    eps-degree below mu at mu 2), so that distinct pairs land on one key;
+    signed values up to 2^200."""
+    wmax, mu = draw(st.integers(0, 8)), draw(st.sampled_from([1, 2]))
+    width = _width(wmax, 0)
+    top = wmax if mu == 1 else mu - 1
+
+    def folded():
+        degrees = draw(st.lists(st.tuples(st.integers(0, wmax), st.integers(0, top)),
+                                max_size=12))
+        return {
+            l + h | l << width | h << 2 * width: draw(st.integers(-(2**200), 2**200))
+            for l, h in degrees if l + h <= wmax
+        }
+
+    return folded(), folded(), wmax, width, mu
+
+
+@given(_folded_pair(), st.integers(1, 300))
+def test_folded_mul_equals_the_pair_loop_at_mu_1_and_2(pair, cut):
+    # the weight-sorted kernel against one test per monomial pair: at mu 1
+    # (every _packed_mul step and every simple pole) the H field is a plain
+    # variable, at mu 2 it is an eps-degree, and colliding keys accumulate
+    a, b, wmax, width, mu = pair
+    mask, shift = (1 << width) - 1, 2 * width
+    got = _packed._folded_mul(a, b, wmax, mask, cut, mu, shift)
+    assert got == pair_loop_folded_mul(a, b, wmax, mask, cut, mu, shift)
 
 
 def _folded_mul_reads(a, b, short=0):
