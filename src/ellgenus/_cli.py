@@ -4,11 +4,19 @@ the ``cmd_*`` handlers, the series JSON writer and the bodies of ``cli``'s
 readers.  The readers are called through ``cli`` (``cli.load_base_spec``)
 and JSON through ``cli``'s ``json`` attribute (``_json``), where the
 benchmark's tracer counts them.
+
+The writers of ``q`` (its y-rows and its JSON) write each term straight from
+the series' walk of its terms (``WSeries._walk``), which hands over each
+monomial rendered, and read no key bits; a monomial's JSON ``exps`` is
+written once per process (``_exps_tail``).  ``chi`` prints each chi_q, and
+their alternating sum, from the int totals of one lazy pass over every q
+(``genseries._chi_totals``), with no ``Fraction``.
 """
 
 import os
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from types import SimpleNamespace
 
@@ -17,17 +25,17 @@ from .charclasses import RootForm
 from .cli import UsageError, _json
 from .fibrations import (FAMILIES, DEFAULT_QMAX, DEFAULT_WMAX, FibrationSpec, _genus_factor,
                          _total_dim, closed_form_text, p_polynomials, p_table_reference)
-from .genseries import BaseSpec, MissingIntersectionError, chi_q, chi_series
+from .genseries import BaseSpec, MissingIntersectionError, _chi_totals, chi_series
 from .pushforward import BundleSpec
-from .series import WSeries, _TEXT, _mono_and_weight, _signed_sum, _term_texts, mono_weight
+from .series import RENDERED, WSeries, _TEXT, _mono_and_weight, _sum_text
 
 
 # ---------------------------------------------------------------------------
 # JSON record schema for series
 
 
-_RECORD = ('    {\n      "t_deg": %d,\n      "terms": [\n%s\n      ],\n'
-           '      "y_deg": %d\n    }')
+_OPEN = '    {\n      "t_deg": %d,\n      "terms": [\n'  # a record's text is _OPEN,
+_CLOSE = '\n      ],\n      "y_deg": %d\n    }'  # its terms joined by ",\n" and _CLOSE
 _COEFF = '        {\n          "coeff": "'  # a term's text is _COEFF, its coefficient
 _EXPS = '",\n          "exps": %s\n        }'  # and _EXPS of its exps text
 _EXP = '            "%s": %d'
@@ -35,28 +43,32 @@ _EXP = '            "%s": %d'
 
 def _series_json_text(series):
     """The one writer of the series JSON schema, in ``json.dumps``'s
-    ``indent=2, sort_keys=True`` form, written directly from the sorted
-    terms: the schema's keys are fixed and already in sorted order, its
-    variable names and coefficients need no escaping, and each distinct
-    monomial's weight and ``exps`` text are written once."""
-    records, terms, block_w, block_q, tails = [], [], -1, -1, {}
-    for mono, q, n, d in series.sorted_terms():
-        known = tails.get(mono)
-        if known is None:
-            exps = ",\n".join([_EXP % ve for ve in sorted(mono)])
-            exps = "{\n%s\n          }" % exps if exps else "{}"
-            known = tails[mono] = (mono_weight(mono), _EXPS % exps)
-        weight, tail = known
-        if q != block_q or weight != block_w:
-            if terms:
-                records.append(_RECORD % (block_w, ",\n".join(terms), block_q))
-            block_w, block_q, terms = weight, q, []
-        terms.append(_COEFF + ("%d" % n if d == 1 else "%d/%d" % (n, d)) + tail)
-    if terms:
-        records.append(_RECORD % (block_w, ",\n".join(terms), block_q))
-    records = "[\n%s\n  ]" % ",\n".join(records) if records else "[]"
+    ``indent=2, sort_keys=True`` form, written straight from the walk of the
+    terms (``WSeries._walk``): the schema's keys are fixed and already in
+    sorted order, and its variable names and coefficients need no escaping."""
+    opens = [_OPEN % k for k in range(series.wmax + 1)]
+    closes = [_CLOSE % q for q in range(series.qmax + 1)]
+    parts, block_w, block_q = [], -1, -1
+    for rendering, q, n, d in series._walk():
+        weight = rendering[4]
+        if q != block_q or weight != block_w:  # a new record
+            parts.append(closes[block_q] + ",\n" + opens[weight] if parts else opens[weight])
+            block_w, block_q = weight, q
+        else:
+            parts.append(",\n")
+        coeff = "%d" % n if d == 1 else "%d/%d" % (n, d)
+        parts.append(_COEFF + coeff + _exps_tail(rendering[2]))
+    records = "[\n%s%s\n  ]" % ("".join(parts), closes[block_q]) if parts else "[]"
     return '{\n  "qmax": %d,\n  "records": %s,\n  "wmax": %d\n}' % (
         series.qmax, records, series.wmax)
+
+
+@lru_cache(maxsize=RENDERED)
+def _exps_tail(mono):
+    """A term's JSON text after its coefficient: the ``exps`` object of the
+    monomial ``mono``, written once per process."""
+    exps = ",\n".join([_EXP % ve for ve in sorted(mono)])
+    return _EXPS % ("{\n%s\n          }" % exps if exps else "{}")
 
 
 def _parse_series_json(data):
@@ -106,6 +118,8 @@ def _json_rational(value, what):
     read as a binary fraction, and so is any other string."""
     if type(value) is int:
         return value, 1
+    if type(value) is str and value.isdigit() and value.isascii():
+        return int(value), 1  # the common case: a JSON string of ASCII digits
     form = ""
     if isinstance(value, str):
         num, slash, den = value.partition("/")
@@ -172,32 +186,43 @@ def _load_fibration_spec(path):
                     "f_roots must be {H + m*L} for the bundle exponents %s"
                     % (bundle.exps,)
                 )
-        return FibrationSpec(name=str(data["name"]), bundle=bundle, n_roots=n_roots)
+        name = data["name"]
+        if type(name) is not str:  # never a label made by str()
+            raise ValueError("name must be a string, got %s" % _json().dumps(name))
+        return FibrationSpec(name=name, bundle=bundle, n_roots=n_roots)
     except (TypeError, ValueError) as exc:
         raise UsageError("spec file %s: %s" % (path, exc))
 
 
 def _load_base_spec(path):
     """{"dim": d, "monomials": [{"exps": {...}, "value": "num/den"}]}, read in
-    one pass: each entry's canonical monomial, its weight and its value as
-    ints; the base is built from those ints.  A monomial given twice (a
-    zero exponent aside) or with a factor H, not a base class, is refused."""
+    one loop over the entries: each entry's exponents, canonical monomial,
+    weight and value as ints; the base is built from those ints.  A monomial
+    given twice (a zero exponent aside) or with a factor H, not a base class,
+    is refused."""
     data = _load_json_object(path, "base")
     try:
         dim = _json_int(data["dim"], "dim")
         if dim < 0:
             raise ValueError("dimension must be >= 0")
-        table = {}
+        table, den = {}, 1
         for entry in data["monomials"]:
-            mono, weight = _json_mono(entry["exps"])
+            exps = entry["exps"]
+            if not isinstance(exps, dict):
+                _json_mono(exps)  # refuses it
+            for e in exps.values():
+                if type(e) is not int:
+                    _json_int(e, "exponent")  # refuses it
+            mono, weight = _mono_and_weight(exps)
             if weight != dim:
                 raise ValueError("table monomial %r has weight != %d" % (mono, dim))
-            if mono in table or "H" in dict(mono):
+            if mono in table or exps.get("H"):
                 why = ("repeats %r" % (mono,) if mono in table
                        else "has a factor H, not a base class")
-                raise ValueError("table entry %s %s" % (_json().dumps(entry["exps"]), why))
-            table[mono] = _json_rational(entry["value"], "value")
-        den = lcm(*[d for _n, d in table.values()])
+                raise ValueError("table entry %s %s" % (_json().dumps(exps), why))
+            n, d = table[mono] = _json_rational(entry["value"], "value")
+            if d != 1:
+                den = lcm(den, d)
         ints = {mono: n * (den // d) for mono, (n, d) in table.items()}
         return BaseSpec._of_ints(dim, ints, den)
     except (KeyError, TypeError, ValueError) as exc:
@@ -259,12 +284,8 @@ def cmd_q(args):
 def _y_rows(series):
     """The text of the y^q coefficient of ``series`` for q = 0..qmax, each
     as ``series.y_slice(q).to_text()`` writes it: one walk writes every
-    term, and the rows split it by y-degree."""
-    rows = [[] for _ in range(series.qmax + 1)]
-    terms = series.sorted_terms()
-    for (_mono, q, _n, _d), part in zip(terms, _term_texts(terms, _TEXT, False)):
-        rows[q].append(part)
-    return [_signed_sum(row, " ") for row in rows]
+    term into its row."""
+    return _sum_text(series._walk(), _TEXT, series.qmax + 1)
 
 
 def cmd_ptable(args):
@@ -302,21 +323,26 @@ def cmd_chi(args):
             raise UsageError("--q expects an integer or 'all'")
         if not (0 <= qs[0] <= top):
             raise UsageError("q=%d is out of range 0..dim Y = 0..%d" % (qs[0], top))
-    values = []
+    series = chi_series(target, d, top + 1)
+    totals, alternating = _chi_totals(series, base, qs), 0
     for q in qs:
         if args.show_class:
-            cls = chi_series(target, d, top + 1).coeff(d, q)
-            print("class for q=%d (weight %d): %s" % (q, d, cls.to_text()))
+            print("class for q=%d (weight %d): %s" % (q, d, series.coeff(d, q).to_text()))
         try:
-            value = chi_q(target, base, q)
+            _q, total, den = next(totals)
         except MissingIntersectionError as exc:  # bad input only in a base file
             raise UsageError(exc) if args.base_file else exc
-        values.append(value)
-        print("chi_%d = %s" % (q, value))
+        print("chi_%d = %s" % (q, _ratio(total, den)))
+        alternating += -total if q % 2 else total
     if args.q == "all":
-        alternating = sum(v * Fraction((-1) ** i) for i, v in enumerate(values))
-        print("alternating sum = %s" % alternating)
+        print("alternating sum = %s" % _ratio(alternating, den))
     return 0
+
+
+def _ratio(n, d):
+    """``str(Fraction(n, d))`` of the ints n and d > 0, with no ``Fraction``."""
+    g = gcd(n, d)
+    return "%d" % (n // g) if g == d else "%d/%d" % (n // g, d // g)
 
 
 def cmd_verify(args):

@@ -42,7 +42,7 @@ from .poly import Poly, _convolve
 from .pushforward import BundleSpec, pushforward
 from .series import WSeries, _Product, _Record, _packed_mul, _top_memo
 from .series import _truncation_orders
-from .series import _TEXT, _signed_sum, _sum_text  # the text writer
+from .series import _TEXT, _sum_text  # the text writer
 
 FAMILIES = ("D5", "E6", "E7", "E8")
 
@@ -203,10 +203,10 @@ _CLOSED = {
 
 def _yu_text(coeffs):
     """A {(y-degree, U-degree): integer} map as text, in its own order."""
-    terms = [
-        (tuple((v, e) for v, e in (("y", a), ("U", b)) if e), 0, c, 1)
-        for (a, b), c in coeffs.items()
-    ]
+    terms = []
+    for (a, b), c in coeffs.items():
+        factors = [v if e == 1 else "%s^%d" % (v, e) for v, e in (("y", a), ("U", b)) if e]
+        terms.append((("*".join(factors),), 0, c, 1))
     return _sum_text(terms, _TEXT)
 
 
@@ -215,14 +215,10 @@ def closed_form_text(family):
     catalog_spec(family)
     data = _CLOSED[family]
     den = _yu_text({(1, data["s"]): 1, (0, 0): 1})
-    parts = [
-        ("+", str(data["lead"])),
-        ("-", "y"),
-        ("+", "(y+1)*(%s)/(%s)" % (_yu_text(data["numer"]), den)),
-    ]
+    text = "%d - y + (y+1)*(%s)/(%s)" % (data["lead"], _yu_text(data["numer"]), den)
     if data.get("extra"):
-        parts.append(("-", "U*(y+1)^2/(%s)^2" % den))
-    return _signed_sum(parts, " ")
+        text += " - U*(y+1)^2/(%s)^2" % den
+    return text
 
 
 def _p_rows(family, nmax):

@@ -17,7 +17,10 @@ the closed form for a catalog family and the pushforward for a spec.
 Every chi_q is one pairing: the weight-d, y^q row of the memoized chi(t, y),
 read from its packed form, against the base's table, both int numerators
 over one denominator, with one ``Fraction`` at the end; ``integrate`` pairs
-any y-free class the same way.
+any y-free class the same way.  ``chi_values`` is one pass for every q
+(``_chi_totals``): one read of chi(t, y) and of its split by (weight,
+y-degree), and an int total per q over the one denominator that all q share,
+which the command line prints with no ``Fraction`` at all.
 """
 
 from fractions import Fraction
@@ -177,14 +180,28 @@ def _pairing(series, k, q, base):
     """sum n * t over the weight-k, y^q slice of ``series``, n a packed int
     numerator and t the base's int value of its monomial, as one ``Fraction``."""
     ints, base_den = base._ints
-    row = series._by_slice().get((k, q), ())
+    total = _total(series._by_slice().get((k, q), ()), ints)
+    return Fraction(total, series._packed[1] * base_den)
+
+
+def _total(row, ints):
+    """sum n * ints[m] over the (key, monomial m, n) of a ``_by_slice`` row."""
     try:
-        total = sum(n * ints[m] for _key, m, n in row)
+        return sum(n * ints[m] for _key, m, n in row)
     except KeyError as exc:  # the first monomial of the row not in the table
         raise MissingIntersectionError(
             "no intersection number for monomial %s" % (dict(exc.args[0]) or "1",)
         ) from None
-    return Fraction(total, series._packed[1] * base_den)
+
+
+def _chi_totals(series, base, qs):
+    """(q, total, den) for each q of ``qs``, chi_q = total / den, lazily: the
+    weight-``base.dim``, y^q rows of ``series`` (its ``chi_series``) paired
+    with the base's table, every total over the one shared den."""
+    ints, base_den = base._ints
+    split, den, d = series._by_slice(), series._packed[1] * base_den, base.dim
+    for q in qs:
+        yield q, _total(split.get((d, q), ()), ints), den
 
 
 def chi_q(family_or_spec, base, q, verify=False):
@@ -213,9 +230,11 @@ def chi_q(family_or_spec, base, q, verify=False):
 
 
 def chi_values(family_or_spec, base):
-    """[chi_0, ..., chi_(dim Y)] of the family over a d-dimensional base."""
+    """[chi_0, ..., chi_(dim Y)] of the family over a d-dimensional base, each
+    as ``chi_q`` gives it, in one pass (``_chi_totals``)."""
     top = _total_dim(family_or_spec, base.dim)
-    return [chi_q(family_or_spec, base, q) for q in range(0, top + 1)]
+    totals = _chi_totals(chi_series(family_or_spec, base.dim, top + 1), base, range(top + 1))
+    return [Fraction(total, den) for _q, total, den in totals]
 
 
 def euler_series_e8(dmax, qmax=0):

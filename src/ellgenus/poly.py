@@ -17,7 +17,7 @@ from math import gcd, lcm
 from .series import _as_fraction, _sum_text
 
 # plain text with no product sign and no space around a sign: '2U^3-U-4'
-_COMPACT = ("%s^%d", str, "%d/%d", "", "")
+_COMPACT = (0, "y^%d", "%d/%d", "", "")
 
 
 def _convolve(a, b):
@@ -180,7 +180,7 @@ class Poly:
         items = list(enumerate(nums))
         if descending and not (nums and nums[-1] < 0 < nums[0]):
             items.reverse()
-        terms = [(((var, e),) if e else (), 0, n // g, den // g)
+        terms = [((var if e == 1 else "%s^%d" % (var, e) if e else "",), 0, n // g, den // g)
                  for e, n in items if n for g in (gcd(n, den),)]
         return _sum_text(terms, _COMPACT)
 

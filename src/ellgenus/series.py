@@ -35,15 +35,19 @@ the lcm of the reduced coefficient denominators, and ``==`` compares packed
 forms.  The slices (``coeff``, ``y_slice``, ``weight_component``) and the
 pairing of ``genseries`` with a base read one split of the packed keys by
 (weight, y-degree), built on first use with each distinct monomial decoded
-once.  The display (``sorted_terms``) is one sort of the packed keys, each
-distinct monomial decoded and ranked once, and its writers write each
-distinct monomial's factors once per sum.
+once.  The display (``_walk``) is one sort of the packed keys, each term
+reduced once; a distinct monomial is decoded, weighed and written as text
+and as LaTeX once per process, in a bounded cache keyed by its key bits and
+the key width (``_rendered``), since the same bits name another monomial at
+another width.  Every writer (``sorted_terms``, ``to_text``, ``to_latex``,
+and the y-rows and JSON of the command line) writes each term straight from
+that walk into its sum, row or record.
 """
 
 from _thread import allocate_lock
 from collections import defaultdict
 from fractions import Fraction
-from functools import cache, lru_cache, reduce
+from functools import lru_cache, reduce
 from math import comb, gcd, lcm
 from operator import index, mul
 from types import MappingProxyType
@@ -88,10 +92,6 @@ def _mono_and_weight(exps):
 
 def mono_weight(mono):
     return sum(_field(v)[1] * e for v, e in mono)
-
-
-def _mono_sort_key(mono):
-    return tuple((_field(v)[0], e) for v, e in mono)
 
 
 def _as_fraction(value):
@@ -320,22 +320,23 @@ class WSeries:
 
     def sorted_terms(self):
         """(monomial, y-degree, numerator, denominator) of every term, each
-        fraction in lowest terms, ordered by weight, y-degree and monomial:
-        one sort of the packed keys, each distinct monomial decoded and
-        ranked once."""
+        fraction in lowest terms, ordered by weight, y-degree and monomial."""
+        return [(r[2], q, n, d) for r, q, n, d in self._walk()]
+
+    def _walk(self):
+        """(rendering, y-degree, numerator, denominator) of every term in the
+        order of ``sorted_terms``, each rendering ``_rendered``'s: one sort of
+        the packed keys, each distinct monomial ranked once."""
         nums, den = self._packed
         width = _width(self.wmax, self.qmax)
         vshift = 2 * width  # past the y and weight fields, which sort as one int
-        monos = {mk: _key_mono(mk, width) for mk in {key >> vshift for key in nums}}
-        ranked = sorted(monos, key=lambda mk: _mono_sort_key(monos[mk]))
-        rank = {mk: i for i, mk in enumerate(ranked)}
-        shift, low, ymask = len(ranked).bit_length(), (1 << vshift) - 1, (1 << width) - 1
-        out = []
+        seen = {mk: _rendered(mk, width) for mk in {key >> vshift for key in nums}}
+        rank = {mk: i for i, mk in enumerate(sorted(seen, key=lambda mk: seen[mk][3]))}
+        shift, low, ymask = len(rank).bit_length(), (1 << vshift) - 1, (1 << width) - 1
         for key in sorted(nums, key=lambda key: (key & low) << shift | rank[key >> vshift]):
             n = nums[key]
             g = gcd(n, den)
-            out.append((monos[key >> vshift], key & ymask, n // g, den // g))
-        return out
+            yield seen[key >> vshift], key & ymask, n // g, den // g
 
     def truncate(self, wmax=None, qmax=None):
         """Re-truncate to (possibly) smaller orders, packed at their width:
@@ -554,10 +555,10 @@ class WSeries:
     # -- display --------------------------------------------------------
 
     def to_text(self):
-        return _sum_text(self.sorted_terms(), _TEXT)
+        return _sum_text(self._walk(), _TEXT)
 
     def to_latex(self):
-        return _sum_text(self.sorted_terms(), _LATEX)
+        return _sum_text(self._walk(), _LATEX)
 
     def __str__(self):
         return self.to_text()
@@ -635,57 +636,65 @@ def _facts(series):
     return facts
 
 
-# -- rendering: one term walk and one signed-sum join ---------------------------
+# -- rendering: each distinct monomial once per process, each term once per sum ---
 
 
-@cache
-def _tex_name(v):
-    return "c_{%s}" % v[1:] if v.startswith("c") else v
+# Distinct (key bits, key width) pairs that ``_rendered`` keeps.
+RENDERED = 512
 
 
-# The format data of a rendered sum: the power format, the variable names,
-# the format of a non-integer coefficient, the product sign, and the space
-# around each sign after the first.
-_TEXT = ("%s^%d", str, "%d/%d", "*", " ")
-_LATEX = ("%s^{%d}", _tex_name, r"\frac{%d}{%d}", " ", " ")
+@lru_cache(maxsize=RENDERED)
+def _rendered(mk, width):
+    """(text, LaTeX, monomial, sort key, weight) of the variable fields ``mk``
+    of a key at ``width`` (the key shifted past its y and weight fields): its
+    factors written as text and as LaTeX, its canonical monomial, the key
+    that ranks it among monomials of one weight, and its weight."""
+    mono = _key_mono(mk, width)
+    tex = [("c_{%s}" % v[1:] if v[0] == "c" else v, e) for v, e in mono]
+    return ("*".join([v if e == 1 else "%s^%d" % (v, e) for v, e in mono]),
+            " ".join([v if e == 1 else "%s^{%d}" % (v, e) for v, e in tex]),
+            mono, tuple([(_field(v)[0], e) for v, e in mono]), mono_weight(mono))
 
 
-def _sum_text(terms, style):
-    """The signed sum of ``(monomial, y-degree, numerator, denominator)``
-    terms, each fraction in lowest terms, in ``style`` (see ``_TEXT``)."""
-    return _signed_sum(_term_texts(terms, style), style[4])
+# The format data of a rendered sum: the index of the factors in a rendering,
+# the format of y^q, that of a non-integer coefficient, the product sign, and
+# the space around each sign after the first.
+_TEXT = (0, "y^%d", "%d/%d", "*", " ")
+_LATEX = (1, "y^{%d}", r"\frac{%d}{%d}", " ", " ")
 
 
-def _term_texts(terms, style, with_y=True):
-    """(sign, body) of each ``(monomial, y-degree, numerator, denominator)``
-    term in ``style``, sign '+' or '-': a coefficient of absolute value 1 is
-    written only when the term has no factor, and y, left out unless
-    ``with_y``, follows the monomial.  Each distinct monomial's factors are
-    written once per call, with no y attached."""
-    pow_fmt, name, frac_fmt, mul, _sep = style
-    monos, out = {}, []
-    for mono, q, n, d in terms:
-        text = monos.get(mono)
-        if text is None:
-            text = monos[mono] = mul.join(
-                [name(v) if e == 1 else pow_fmt % (name(v), e) for v, e in mono])
-        if q and with_y:
-            y = "y" if q == 1 else pow_fmt % ("y", q)
+def _sum_text(terms, style, rows=0):
+    """The signed sum of ``(rendering, y-degree, numerator, denominator)``
+    terms in ``style`` (see ``_TEXT``), each fraction in lowest terms and each
+    rendering holding its monomial's factors ('' for 1) at ``style[0]``; with
+    ``rows``, the list of the sums of the y^q terms for q < ``rows``, y left
+    out.  A coefficient of absolute value 1 is written only when the term has
+    no factor, and y follows the monomial."""
+    at, y_fmt, frac_fmt, mul, sep = style
+    plus, minus = sep + "+" + sep, sep + "-" + sep
+    parts = [[] for _ in range(rows or 1)]
+    row = parts[0]
+    for rendering, q, n, d in terms:
+        text = rendering[at]
+        if rows:
+            row = parts[q]
+        elif q:
+            y = "y" if q == 1 else y_fmt % q
             text = text + mul + y if text else y
-        coeff = "%d" % abs(n) if d == 1 else frac_fmt % (abs(n), d)
         if not text:
-            text = coeff
-        elif coeff != "1":
-            text = coeff + mul + text
-        out.append(("-" if n < 0 else "+", text))
-    return out
+            text = "%d" % abs(n) if d == 1 else frac_fmt % (abs(n), d)
+        elif d != 1:
+            text = frac_fmt % (abs(n), d) + mul + text
+        elif n != 1 and n != -1:
+            text = "%d%s%s" % (abs(n), mul, text)
+        row.append((minus if n < 0 else plus) + text)
+    return [_joined(row, sep) for row in parts] if rows else _joined(row, sep)
 
 
-def _signed_sum(parts, sep):
-    """'a - b + c' from (sign, body) pairs, sign '+' or '-': the first body
-    takes a bare '-' and no '+', each later sign stands between two ``sep``,
-    and no parts give '0'."""
+def _joined(parts, sep):
+    """'a - b + c' from parts that each open with their sign between two
+    ``sep``: the first keeps a bare '-' and drops a '+', and no parts give '0'."""
     if not parts:
         return "0"
-    head = parts[0][1] if parts[0][0] == "+" else "-" + parts[0][1]
-    return head + "".join(sep + sign + sep + body for sign, body in parts[1:])
+    text, k = "".join(parts), len(sep)
+    return text[2 * k + 1:] if text[k] == "+" else "-" + text[2 * k + 1:]

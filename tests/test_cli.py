@@ -401,6 +401,21 @@ def test_base_file_integer_value_is_exact(tmp_path):
     assert load_base_spec(str(base_file)).table[(("c2", 1),)] == 3
 
 
+@pytest.mark.parametrize("name, shown", [
+    (5, "5"), (["w"], '["w"]'), (None, "null"), (True, "true"), (1.5, "1.5"),
+    ({"a": 1}, '{"a": 1}'),
+])
+def test_spec_file_name_must_be_a_string(tmp_path, capsys, name, shown):
+    # str() made a label of any JSON value; only a string is a name
+    spec_file = tmp_path / "name.json"
+    spec_file.write_text(json.dumps({"name": name, "bundle": [0, 2, 3], "n_roots": [[3, 6]]}))
+    want = "error: spec file %s: name must be a string, got %s\n" % (spec_file, shown)
+    for argv in (["q", str(spec_file)], ["chi", str(spec_file), "--base", "pd:2:3"]):
+        assert run_cli(capsys, *argv) == (2, "", want)
+    spec_file.write_text(json.dumps({"name": "5", "bundle": [0, 2, 3], "n_roots": [[3, 6]]}))
+    assert load_fibration_spec(str(spec_file)).name == "5"
+
+
 def test_spec_file_rejects_fractional_bundle(tmp_path, capsys):
     spec_file = tmp_path / "bundle.json"
     spec_file.write_text(
@@ -621,17 +636,18 @@ def _engine_fault(*_args, **_kwargs):
     raise ValueError("injected engine fault")
 
 
-# every engine call of each command: for chi, chi_q on each path and
-# chi_series, which only --class calls
+# every engine call of each command: for chi, the pass of every q
+# (_chi_totals) on each path, and chi_series, which every path reads once
+# and --class also writes
 @pytest.mark.parametrize(
     "name, argv",
     [
         ("closed_form_q", ["q", "E8", "--wmax", "2"]),
         ("derived_q", ["q", "SPEC", "--wmax", "2"]),
         ("chi_series", ["chi", "E8", "--base", "pd:2:3", "--class"]),
-        ("chi_q", ["chi", "E6", "--base", "pd:1:1", "--q", "1"]),
+        ("_chi_totals", ["chi", "E6", "--base", "pd:1:1", "--q", "1"]),
         ("run_suites", ["verify", "--family", "E8"]),
-        ("chi_q", ["chi", "E8", "--base", "pd:2:3"]),
+        ("_chi_totals", ["chi", "E8", "--base", "pd:2:3"]),
         ("_total_dim", ["chi", "E8", "--base", "pd:2:3"]),
     ],
 )
@@ -790,6 +806,60 @@ def test_chi_of_a_spec_file_lists_every_q_up_to_dim_y(tmp_path, capsys):
     assert code == 0
     assert out.splitlines()[-2:] == ["chi_3 = -1", "alternating sum = 2"]
     assert run_cli(capsys, *argv, "--q", "3")[:2] == (0, "chi_3 = -1\n")
+
+
+# a bundle with a double exponent and an N-root at its slope: over P^1 its
+# chi_0 row reads c1 alone and its chi_1 row reads L
+_LIVE_POLE = {"name": "live", "bundle": [0, 1, 1], "n_roots": [[2, 2]]}
+# not the table of a variety: fractions whose alternating sum reduces
+_FRACTION_P2 = [{"exps": {"L": 2}, "value": "1/3"},
+                {"exps": {"L": 1, "c1": 1}, "value": "-5/7"},
+                {"exps": {"c1": 2}, "value": "9"}, {"exps": {"c2": 1}, "value": 3}]
+
+
+@pytest.mark.parametrize("family, want", [
+    ("E7", ["-11/21", "247/21", "-247/21", "11/21", "-172/7"]),
+    ("live", ["1", "-13/21", "13/21", "-1", "68/21"]),
+])
+def test_chi_prints_each_value_and_the_sum_as_str_of_a_fraction(
+    tmp_path, capsys, family, want
+):
+    # every line is written from the one pass's ints over their shared
+    # denominator, as str(Fraction) writes the value chi_q returns
+    base_file, spec_file = tmp_path / "frac.json", tmp_path / "live.json"
+    base_file.write_text(json.dumps({"dim": 2, "monomials": _FRACTION_P2}))
+    spec_file.write_text(json.dumps(_LIVE_POLE))
+    target = str(spec_file) if family == "live" else family
+    code, out, err = run_cli(capsys, "chi", target, "--base-file", str(base_file))
+    lines = ["chi_%d = %s" % (q, v) for q, v in enumerate(want[:-1])]
+    lines.append("alternating sum = " + want[-1])
+    assert (code, out, err) == (0, "".join(line + "\n" for line in lines), "")
+    base = load_base_spec(str(base_file))
+    spec = load_fibration_spec(target) if family == "live" else family
+    values = [chi_q(spec, base, q) for q in range(len(want) - 1)]
+    assert [str(v) for v in values] == want[:-1]
+    assert str(sum((-1) ** q * v for q, v in enumerate(values))) == want[-1]
+    for q, text in enumerate(want[:-1]):
+        argv = ["chi", target, "--base-file", str(base_file), "--q", str(q)]
+        assert run_cli(capsys, *argv) == (0, "chi_%d = %s\n" % (q, text), "")
+
+
+@pytest.mark.parametrize("flags, out", [
+    ([], "chi_0 = 1\n"),
+    (["--class"], "class for q=0 (weight 1): 1/2*c1\nchi_0 = 1\n"
+                  "class for q=1 (weight 1): -2*L - c1\n"),
+])
+def test_a_monomial_only_a_later_q_reads_stops_chi_after_the_earlier_lines(
+    tmp_path, capsys, flags, out
+):
+    # the pass is lazy: chi_0 is printed before chi_1 finds no value for L
+    base_file, spec_file = tmp_path / "no_l.json", tmp_path / "live.json"
+    base_file.write_text(json.dumps({"dim": 1, "monomials": [
+        {"exps": {"c1": 1}, "value": "2"}]}))
+    spec_file.write_text(json.dumps(_LIVE_POLE))
+    argv = ["chi", str(spec_file), "--base-file", str(base_file)] + flags
+    assert run_cli(capsys, *argv) == (
+        2, out, "error: no intersection number for monomial {'L': 1}\n")
 
 
 def test_usage_exit_code(capsys):

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 from math import comb, gcd, lcm
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from ellgenus import (
@@ -793,6 +793,45 @@ def test_folded_mul_equals_the_pair_loop_at_mu_1_and_2(pair, cut):
     mask, shift = (1 << width) - 1, 2 * width
     got = _packed._folded_mul(a, b, wmax, mask, cut, mu, shift)
     assert got == pair_loop_folded_mul(a, b, wmax, mask, cut, mu, shift)
+
+
+def _folded_mul_key_reads(a, b, wmax, width, mu):
+    """The ``&`` reads that ``_folded_mul`` makes of the keys of ``b``, and
+    the pairs whose weights sum to wmax or less, with the product checked."""
+    reads = [0]
+
+    class Key(int):
+        def __and__(self, other):
+            reads[0] += 1
+            return int(self) & other
+
+    mask, shift = (1 << width) - 1, 2 * width
+    got = _packed._folded_mul(a, {Key(k): f for k, f in b.items()}, wmax, mask, 300, mu, shift)
+    assert got == pair_loop_folded_mul(a, b, wmax, mask, 300, mu, shift)
+    kept = sum(1 for r1 in a for r2 in b if (r1 & mask) + (r2 & mask) <= wmax)
+    return reads[0], kept
+
+
+# every L-degree 0..6 on both sides: each row of a has partners past wmax
+_DENSE = {l | l << _width(6, 0): 1 for l in range(7)}
+
+
+@given(_folded_pair())
+@example((_DENSE, _DENSE, 6, _width(6, 0), 1))
+@example((_DENSE, _DENSE, 6, _width(6, 0), 2))
+def test_folded_mul_reads_each_row_up_to_its_first_partner_past_wmax(pair):
+    # the weight of each key of b is read once by the sort, once per kept
+    # pair, and once more where a row stops: never for a pair past that stop
+    a, b, wmax, width, mu = pair
+    reads, kept = _folded_mul_key_reads(a, b, wmax, width, mu)
+    assert reads <= len(b) + kept + len(a)
+
+
+def test_folded_mul_on_dense_rows_reads_41_keys_not_56():
+    # 7 keys a side at L-degrees 0..6: 7 reads for the sort, 28 kept pairs
+    # and 6 stops make 41; rows read to their end would make 7 + 49 = 56
+    width = _width(6, 0)
+    assert _folded_mul_key_reads(_DENSE, _DENSE, 6, width, 1) == (41, 28)
 
 
 def _folded_mul_reads(a, b, short=0):

@@ -8,7 +8,8 @@ from fractions import Fraction as F
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ellgenus import WSeries, cli, series
+from ellgenus import WSeries, _packed, cli, series
+from ellgenus.fibrations import DEFAULT_QMAX, DEFAULT_WMAX
 from ellgenus.cli import emit_series_json
 from helpers import (
     reference_series_json_text,
@@ -87,25 +88,26 @@ def test_the_writers_equal_the_reference_writers(s):
     assert _writer_mismatches(s) == []
 
 
-def _text_cached_with_its_y(terms, style, with_y=True):
-    """A broken ``series._term_texts``: it keeps a monomial's text with the
+_REAL_SUM_TEXT = series._sum_text
+
+
+def _text_cached_with_its_y(terms, style, rows=0):
+    """A broken ``series._sum_text``: it keeps a monomial's text with the
     y-part of its first term attached."""
-    pow_fmt, name, frac_fmt, mul, _sep = style
-    cache, out = {}, []
-    for mono, q, n, d in terms:
-        text = cache.get(mono)
-        if text is None:
-            factors = [name(v) if e == 1 else pow_fmt % (name(v), e) for v, e in mono]
-            if q and with_y:
-                factors.append("y" if q == 1 else pow_fmt % ("y", q))
-            text = cache[mono] = mul.join(factors)
-        coeff = "%d" % abs(n) if d == 1 else frac_fmt % (abs(n), d)
-        if not text:
-            text = coeff
-        elif coeff != "1":
-            text = coeff + mul + text
-        out.append(("-" if n < 0 else "+", text))
-    return out
+    at, y_fmt, _frac_fmt, mul, _sep = style
+    cache = {}
+
+    def attached():
+        for rendering, q, n, d in terms:
+            if rendering[2] not in cache:
+                text = rendering[at]
+                if q and not rows:
+                    y = "y" if q == 1 else y_fmt % q
+                    text = text + mul + y if text else y
+                cache[rendering[2]] = (text, text)
+            yield cache[rendering[2]], q if rows else 0, n, d
+
+    return _REAL_SUM_TEXT(attached(), style, rows)
 
 
 def test_a_writer_that_caches_a_monomial_with_its_y_part_fails(monkeypatch):
@@ -113,6 +115,51 @@ def test_a_writer_that_caches_a_monomial_with_its_y_part_fails(monkeypatch):
     s = WSeries(3, 2, {((("L", 1),), 0): F(1), ((("L", 1),), 1): F(-2, 3)})
     assert s.to_text() == "L - 2/3*L*y"
     assert _writer_mismatches(s) == []
-    monkeypatch.setattr(series, "_term_texts", _text_cached_with_its_y)
+    monkeypatch.setattr(series, "_sum_text", _text_cached_with_its_y)
     assert s.to_text() == "L - 2/3*L"
     assert _writer_mismatches(s) == ["to_text", "str", "to_latex"]
+
+
+# A monomial's key bits at 5-bit fields (orders >= 16) name another monomial
+# at 4-bit fields: H is 1 << 5 past the y and weight fields, which at 4 bits
+# is H^2; c1 (1 << 10) is c1^4 there
+_SAME_BITS = [({"H": 1}, {"H": 2}), ({"H": 3}, {"H": 6}), ({"c1": 1}, {"c1": 4}),
+              ({"L": 3, "H": 1}, {"L": 3, "H": 2}), ({"L": 1, "c1": 1}, {"L": 1, "c1": 4})]
+# 5-bit fields first, then 4-bit ones, as one process writes them
+_ORDERS = ((16, 17), (10, 11), (DEFAULT_WMAX, DEFAULT_QMAX))
+
+
+def _written_at(exps, wmax, qmax):
+    """A series over one monomial at three y-degrees, and a constant."""
+    mono = series.mono_from_dict(exps)
+    terms = {(mono, 0): F(-1, 2), (mono, 1): 3, (mono, 2): F(1, 4), ((), 1): F(-1, 2)}
+    return WSeries(wmax, qmax, terms)
+
+
+def test_the_render_cache_keys_a_monomial_by_its_bits_and_the_key_width():
+    # each pair shares its key bits, and the writers of every series, in one
+    # process, 5-bit fields first, equal the reference writers
+    for wide, narrow in _SAME_BITS:
+        (k5,) = _packed._pack({(series.mono_from_dict(wide), 0): 1}, 16, 17)
+        (k4,) = _packed._pack({(series.mono_from_dict(narrow), 0): 1}, 10, 11)
+        assert k5 >> 10 == k4 >> 8  # past the y and weight fields
+    for wmax, qmax in _ORDERS:
+        for wide, narrow in _SAME_BITS:
+            s = _written_at(wide if wmax >= 16 else narrow, wmax, qmax)
+            assert _writer_mismatches(s) == [], s
+
+
+def test_a_render_cache_keyed_by_the_bits_alone_fails(monkeypatch):
+    real, kept = series._rendered, {}
+
+    def rendered(mk, width):
+        if mk not in kept:
+            kept[mk] = real(mk, width)
+        return kept[mk]
+
+    monkeypatch.setattr(series, "_rendered", rendered)
+    assert _writer_mismatches(_written_at({"H": 1}, 16, 17)) == []
+    for wmax, qmax in _ORDERS[1:]:  # H^2 written as H, with the exps of H
+        assert _writer_mismatches(_written_at({"H": 2}, wmax, qmax)) == [
+            "sorted_terms", "to_text", "str", "to_latex", "json", "emit_series_json",
+            "q rows", "y_slice"]
