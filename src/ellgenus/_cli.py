@@ -8,9 +8,9 @@ benchmark's tracer counts them.
 The writers of ``q`` (its y-rows and its JSON) write each term straight from
 the series' walk of its terms (``WSeries._walk``), which hands over each
 monomial rendered, and read no key bits; a monomial's JSON ``exps`` is
-written once per process (``_exps_tail``).  ``chi`` prints each chi_q, and
-their alternating sum, from the int totals of one lazy pass over every q
-(``genseries._chi_totals``), with no ``Fraction``.
+written once per process (``_exps_tail``).  ``chi`` reads chi(t, y) once and
+prints each chi_q, and their alternating sum, from the int total and
+denominator of its pairing (``genseries._pairing``), with no ``Fraction``.
 """
 
 import os
@@ -25,7 +25,7 @@ from .charclasses import RootForm
 from .cli import UsageError, _json
 from .fibrations import (FAMILIES, DEFAULT_QMAX, DEFAULT_WMAX, FibrationSpec, _genus_factor,
                          _total_dim, closed_form_text, p_polynomials, p_table_reference)
-from .genseries import BaseSpec, MissingIntersectionError, _chi_totals, chi_series
+from .genseries import BaseSpec, MissingIntersectionError, _pairing, chi_series
 from .pushforward import BundleSpec
 from .series import RENDERED, WSeries, _TEXT, _mono_and_weight, _sum_text
 
@@ -96,7 +96,9 @@ def _parse_series_json(data):
                     raise ValueError("%s %s" % (where, fault))
                 terms[(mono, q)] = Fraction(*_json_rational(term["coeff"], "coeff"))
         return WSeries(wmax, qmax, terms)
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise UsageError("malformed series JSON: missing field %r" % exc.args[0])
+    except (TypeError, ValueError) as exc:
         raise UsageError("malformed series JSON: %s" % exc)
 
 
@@ -225,7 +227,9 @@ def _load_base_spec(path):
                 den = lcm(den, d)
         ints = {mono: n * (den // d) for mono, (n, d) in table.items()}
         return BaseSpec._of_ints(dim, ints, den)
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise UsageError("base file %s: missing field %r" % (path, exc.args[0]))
+    except (TypeError, ValueError) as exc:
         raise UsageError("base file %s: %s" % (path, exc))
 
 
@@ -323,13 +327,12 @@ def cmd_chi(args):
             raise UsageError("--q expects an integer or 'all'")
         if not (0 <= qs[0] <= top):
             raise UsageError("q=%d is out of range 0..dim Y = 0..%d" % (qs[0], top))
-    series = chi_series(target, d, top + 1)
-    totals, alternating = _chi_totals(series, base, qs), 0
+    series, alternating = chi_series(target, d, top + 1), 0
     for q in qs:
         if args.show_class:
             print("class for q=%d (weight %d): %s" % (q, d, series.coeff(d, q).to_text()))
         try:
-            _q, total, den = next(totals)
+            total, den = _pairing(series, d, q, base)
         except MissingIntersectionError as exc:  # bad input only in a base file
             raise UsageError(exc) if args.base_file else exc
         print("chi_%d = %s" % (q, _ratio(total, den)))

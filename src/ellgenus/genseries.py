@@ -14,13 +14,12 @@ truncated from it, and a key past it builds again at the join of both
 orders.  The genus factor of a build comes from ``fibrations._genus_factor``,
 the closed form for a catalog family and the pushforward for a spec.
 
-Every chi_q is one pairing: the weight-d, y^q row of the memoized chi(t, y),
-read from its packed form, against the base's table, both int numerators
-over one denominator, with one ``Fraction`` at the end; ``integrate`` pairs
-any y-free class the same way.  ``chi_values`` is one pass for every q
-(``_chi_totals``): one read of chi(t, y) and of its split by (weight,
-y-degree), and an int total per q over the one denominator that all q share,
-which the command line prints with no ``Fraction`` at all.
+Every chi_q is one pairing (``_pairing``): the weight-d, y^q row of the
+memoized chi(t, y), read from its packed form, against the base's table,
+both int numerators, to an int total over one int denominator.  ``chi_q``,
+``chi_values`` and ``integrate`` (any y-free class) each make one
+``Fraction`` of that pair; ``chi_values`` reads chi(t, y) once and pairs
+every q, and the command line prints the ints with no ``Fraction`` at all.
 """
 
 from fractions import Fraction
@@ -173,35 +172,22 @@ def integrate(cls, base):
         raise ValueError("cannot integrate a class with y-content")
     if any(k != base.dim for k, _q in slices):
         raise ValueError("class is not weight-homogeneous of weight %d" % base.dim)
-    return _pairing(cls, base.dim, 0, base)
+    return Fraction(*_pairing(cls, base.dim, 0, base))
 
 
 def _pairing(series, k, q, base):
-    """sum n * t over the weight-k, y^q slice of ``series``, n a packed int
-    numerator and t the base's int value of its monomial, as one ``Fraction``."""
+    """The weight-k, y^q slice of ``series`` paired with the table of
+    ``base``, as ints (total, den) with the value total / den: total is sum
+    n * t, n a packed numerator and t the base's int value of its monomial,
+    and den is the series' denominator times the base's."""
     ints, base_den = base._ints
-    total = _total(series._by_slice().get((k, q), ()), ints)
-    return Fraction(total, series._packed[1] * base_den)
-
-
-def _total(row, ints):
-    """sum n * ints[m] over the (key, monomial m, n) of a ``_by_slice`` row."""
     try:
-        return sum(n * ints[m] for _key, m, n in row)
+        total = sum(n * ints[m] for _key, m, n in series._by_slice().get((k, q), ()))
     except KeyError as exc:  # the first monomial of the row not in the table
         raise MissingIntersectionError(
             "no intersection number for monomial %s" % (dict(exc.args[0]) or "1",)
         ) from None
-
-
-def _chi_totals(series, base, qs):
-    """(q, total, den) for each q of ``qs``, chi_q = total / den, lazily: the
-    weight-``base.dim``, y^q rows of ``series`` (its ``chi_series``) paired
-    with the base's table, every total over the one shared den."""
-    ints, base_den = base._ints
-    split, den, d = series._by_slice(), series._packed[1] * base_den, base.dim
-    for q in qs:
-        yield q, _total(split.get((d, q), ()), ints), den
+    return total, series._packed[1] * base_den
 
 
 def chi_q(family_or_spec, base, q, verify=False):
@@ -216,7 +202,7 @@ def chi_q(family_or_spec, base, q, verify=False):
     top = _total_dim(family_or_spec, d)
     if not (0 <= q <= top):
         raise ValueError("q=%d out of range: the fibration has dimension %d" % (q, top))
-    value = _pairing(chi_series(family_or_spec, d, top + 1), d, q, base)
+    value = Fraction(*_pairing(chi_series(family_or_spec, d, top + 1), d, q, base))
     if verify:
         check = integrate(pushforward_class(family_or_spec, d).coeff(d, q), base)
         if check != value:
@@ -231,10 +217,11 @@ def chi_q(family_or_spec, base, q, verify=False):
 
 def chi_values(family_or_spec, base):
     """[chi_0, ..., chi_(dim Y)] of the family over a d-dimensional base, each
-    as ``chi_q`` gives it, in one pass (``_chi_totals``)."""
-    top = _total_dim(family_or_spec, base.dim)
-    totals = _chi_totals(chi_series(family_or_spec, base.dim, top + 1), base, range(top + 1))
-    return [Fraction(total, den) for _q, total, den in totals]
+    as ``chi_q`` gives it, from one read of ``chi_series`` paired at each q."""
+    d = base.dim
+    top = _total_dim(family_or_spec, d)
+    series = chi_series(family_or_spec, d, top + 1)
+    return [Fraction(*_pairing(series, d, q, base)) for q in range(top + 1)]
 
 
 def euler_series_e8(dmax, qmax=0):

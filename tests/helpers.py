@@ -830,6 +830,30 @@ def reference_projective_space_table(d, n):
     return table
 
 
+def reference_p1_times_p1_table(a, b):
+    """The P^1 x P^1, L = O(a, b) table from formal roots: H1^2 = H2^2 = 0,
+    int H1 H2 = 1, c = (1 + H1)^2 (1 + H2)^2 and L = a H1 + b H2."""
+
+    def mul(x, y):  # classes as {(i, j): coefficient of H1^i H2^j}
+        out = defaultdict(int)
+        for (i, j), u in x.items():
+            for (k, l), v in y.items():
+                if i + k < 2 and j + l < 2:
+                    out[i + k, j + l] += u * v
+        return out
+
+    one_h1, one_h2 = {(0, 0): 1, (1, 0): 1}, {(0, 0): 1, (0, 1): 1}
+    c = mul(mul(one_h1, one_h1), mul(one_h2, one_h2))
+    c1 = {e: v for e, v in c.items() if sum(e) == 1}
+    L = {(1, 0): a, (0, 1): b}
+    return {
+        mono_from_dict({"L": 2}): mul(L, L)[1, 1],
+        mono_from_dict({"L": 1, "c1": 1}): mul(L, c1)[1, 1],
+        mono_from_dict({"c1": 2}): mul(c1, c1)[1, 1],
+        mono_from_dict({"c2": 1}): c[1, 1],
+    }
+
+
 # -- the packed multiply and shear one numerator pair at a time: the oracles of
 # the folded kernels, copied from the engine before its y-polynomials were
 # folded into ints, with their helpers; nothing here comes from ``ellgenus``.

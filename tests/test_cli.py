@@ -41,7 +41,8 @@ from ellgenus.cli import (
     main,
     parse_series_json,
 )
-from helpers import PAPER_CLOSED_TEXT, argparse_parser, count_calls, random_series
+from helpers import (PAPER_CLOSED_TEXT, argparse_parser, count_calls, random_series,
+                     reference_p1_times_p1_table)
 
 
 def run_cli(capsys, *argv):
@@ -338,6 +339,30 @@ def test_base_file(tmp_path, capsys):
     assert "alternating sum = -540" in out
 
 
+def test_chi_over_p1_times_p1_from_a_base_file(tmp_path, capsys):
+    # the literature anchor of test_genseries (E8 over F_0: chi_1 = 240,
+    # Euler number -480) through the command line's base-file reader
+    monomials = [{"exps": dict(mono), "value": value}
+                 for mono, value in reference_p1_times_p1_table(2, 2).items()]
+    base_file = tmp_path / "p1xp1.json"
+    base_file.write_text(json.dumps({"dim": 2, "monomials": monomials}))
+    code, out, err = run_cli(capsys, "chi", "E8", "--base-file", str(base_file))
+    assert (code, err) == (0, "")
+    assert out == "chi_0 = 0\nchi_1 = 240\nchi_2 = -240\nchi_3 = 0\nalternating sum = -480\n"
+
+
+@pytest.mark.parametrize("field", ["dim", "monomials", "exps", "value"])
+def test_a_base_file_names_a_missing_field(tmp_path, capsys, field):
+    data = {"dim": 2, "monomials": _p2_monomials("3")}
+    holder = data if field in data else data["monomials"][0]
+    del holder[field]
+    base_file = tmp_path / "base.json"
+    base_file.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "chi", "E8", "--base-file", str(base_file))
+    assert (code, out) == (2, "")
+    assert err == "error: base file %s: missing field %r\n" % (base_file, field)
+
+
 def _p2_monomials(value_of_c2):
     return [
         {"exps": {"L": 2}, "value": "9"},
@@ -501,6 +526,18 @@ def test_series_json_is_read_strictly(records, needle):
         parse_series_json(_series_record_set(*records))
 
 
+@pytest.mark.parametrize(
+    "field", ["wmax", "qmax", "records", "t_deg", "y_deg", "terms", "exps", "coeff"])
+def test_series_json_names_a_missing_field(field):
+    data = _series_record_set(_record(1, 0, ({"L": 1}, "2")))
+    record = data["records"][0]
+    holder = next(h for h in (data, record, record["terms"][0]) if field in h)
+    del holder[field]
+    with pytest.raises(UsageError) as info:
+        parse_series_json(data)
+    assert str(info.value) == "malformed series JSON: missing field %r" % field
+
+
 def test_series_json_reads_each_term_at_its_weight_and_y_degree():
     data = _series_record_set(
         _record(0, 1, ({}, "-1")), _record(1, 0, ({"L": 1}, "2"), ({"H": 1}, "1/3")),
@@ -636,8 +673,8 @@ def _engine_fault(*_args, **_kwargs):
     raise ValueError("injected engine fault")
 
 
-# every engine call of each command: for chi, the pass of every q
-# (_chi_totals) on each path, and chi_series, which every path reads once
+# every engine call of each command: for chi, the pairing of each q
+# (_pairing) on each path, and chi_series, which every path reads once
 # and --class also writes
 @pytest.mark.parametrize(
     "name, argv",
@@ -645,9 +682,9 @@ def _engine_fault(*_args, **_kwargs):
         ("closed_form_q", ["q", "E8", "--wmax", "2"]),
         ("derived_q", ["q", "SPEC", "--wmax", "2"]),
         ("chi_series", ["chi", "E8", "--base", "pd:2:3", "--class"]),
-        ("_chi_totals", ["chi", "E6", "--base", "pd:1:1", "--q", "1"]),
+        ("_pairing", ["chi", "E6", "--base", "pd:1:1", "--q", "1"]),
         ("run_suites", ["verify", "--family", "E8"]),
-        ("_chi_totals", ["chi", "E8", "--base", "pd:2:3"]),
+        ("_pairing", ["chi", "E8", "--base", "pd:2:3"]),
         ("_total_dim", ["chi", "E8", "--base", "pd:2:3"]),
     ],
 )

@@ -41,6 +41,7 @@ from helpers import (
     reference_coefficients_of,
     reference_integrate,
     reference_part,
+    reference_p1_times_p1_table,
     reference_projective_space_table,
 )
 
@@ -175,7 +176,9 @@ def test_the_int_pairing_equals_the_fraction_sum(case):
     cls, base = case
     want = reference_integrate(cls, base.table)
     assert all(q == 0 for _k, q in cls._by_slice())
-    assert genseries._pairing(cls, base.dim, 0, base) == want
+    total, den = genseries._pairing(cls, base.dim, 0, base)
+    assert type(total) is int and type(den) is int
+    assert F(total, den) == want
     value = integrate(cls, base)
     assert value == want and type(value) is F
 
@@ -189,6 +192,32 @@ def test_projective_space_equals_the_validated_base(d):
         checked = BaseSpec(d, fast.table)
         assert fast == checked and fast.table == checked.table, (d, n)
         assert fast._ints == checked._ints == (dict(fast.table), 1), (d, n)
+
+
+def test_projective_monomials_ask_only_for_exponents_that_fit(monkeypatch):
+    # the work of building the P^d monomials, as the total length of the
+    # ranges that the build asks for: the exponent of a variable of weight w
+    # runs up to what is left of d, (d - mw) // w.  A bound of (d - mw) * w
+    # builds the same monomials from 1, 7, 27, 96, 302, ... 10342 candidates
+    import builtins
+
+    asked = []
+
+    def counting(*args):
+        r = builtins.range(*args)
+        asked.append(len(r))
+        return r
+
+    monkeypatch.setattr(genseries, "range", counting, raising=False)
+    sums = []
+    for d in range(9):
+        genseries._projective_monomials.cache_clear()
+        asked.clear()
+        monos = genseries._projective_monomials(d)
+        sums.append(sum(asked))
+        want = reference_projective_space_table(d, 2)
+        assert len(monos) == len(want) and {m: c * 2**e for m, c, e in monos} == want, d
+    assert sums == [1, 7, 20, 47, 101, 201, 381, 687, 1195]
 
 
 def test_integrate_fractional_example():
@@ -787,6 +816,31 @@ def test_pinned_chi_values(fam, where):
     assert chi_values(fam, base) == want
     assert [chi_q(fam, base, q, verify=True) for q in range(len(want))] == want
     assert sum((-1) ** q * v for q, v in enumerate(want)) == PINNED_EULER[where][fam]
+
+
+# E8 over P^1 x P^1 at L = c1 = O(2, 2) is the Weierstrass Calabi-Yau
+# threefold over F_0, with h^{1,1} = 3 and h^{2,1} = 243 (Morrison-Vafa,
+# hep-th/9602114; Candelas-Font, hep-th/9603170): chi_1 = 243 - 3 and the Euler
+# number is -480.  D5, E6 and E7 are engine values, checked by two routes.
+P1_TIMES_P1_EULER = {"D5": -128, "E6": -192, "E7": -288, "E8": -480}
+
+
+def test_chi_over_p1_times_p1_matches_the_literature():
+    table = reference_p1_times_p1_table(2, 2)
+    mono = {name: mono_from_dict(exps) for name, exps in (
+        ("L^2", {"L": 2}), ("L c1", {"L": 1, "c1": 1}), ("c1^2", {"c1": 2}), ("c2", {"c2": 1}))}
+    assert table == {mono["L^2"]: 8, mono["L c1"]: 8, mono["c1^2"]: 8, mono["c2"]: 4}
+    base = BaseSpec(2, table)
+    assert chi_values("E8", base) == [0, 240, -240, 0]
+    for fam in FAMILIES:
+        values = chi_values(fam, base)
+        assert [chi_q(fam, base, q, verify=True) for q in range(4)] == values
+        assert sum((-1) ** q * v for q, v in enumerate(values)) == P1_TIMES_P1_EULER[fam]
+    # negative controls: one more in int L^2 or in int L c1 moves chi_1 off
+    # 240 (one more in int c1^2 or int c2 leaves E8 at 240, so neither serves)
+    for name, chi_1 in (("L^2", F(551, 2)), ("L c1", F(469, 2))):
+        off = {**table, mono[name]: table[mono[name]] + 1}
+        assert chi_q("E8", BaseSpec(2, off), 1) == chi_1, name
 
 
 def test_verify_route_does_not_read_the_memo(monkeypatch):
